@@ -447,8 +447,10 @@ class CoreHealthState:
     composition of the schedule's events yields the core's
     :class:`BankCondition` at any instant, the probe is re-tuned only
     when that condition actually changes, and the measured weight error
-    is cached between changes.  Deterministic: the probe is seeded by
-    the core index and every input is a pure function of simulated time.
+    is cached between changes, as is the :class:`CoreDriftSnapshot`
+    until the condition or the compensation moves.  Deterministic: the
+    probe physics has no random effects and every input is a pure
+    function of simulated time.
 
     Args:
         core: physical core index.
@@ -466,6 +468,7 @@ class CoreHealthState:
         "compensated_gain",
         "recal_exhausted",
         "_exhausted_condition",
+        "_snapshot",
     )
 
     def __init__(
@@ -473,9 +476,7 @@ class CoreHealthState:
     ) -> None:
         self.core = core
         self.events = schedule.events_for(core)
-        self.probe = DriftingWeightBank(
-            num_rings=probe_rings, targets=None, seed=core
-        )
+        self.probe = DriftingWeightBank(num_rings=probe_rings)
         # Squash the pristine bank's open-loop crosstalk residual so the
         # healthy baseline error is ~1e-7, far below any trigger.
         self.probe.recalibrate()
@@ -485,6 +486,7 @@ class CoreHealthState:
         self.compensated_gain = 1.0
         self.recal_exhausted = False
         self._exhausted_condition: BankCondition | None = None
+        self._snapshot: CoreDriftSnapshot | None = None
 
     def condition_at(self, time_s: float) -> BankCondition:
         """Compose the schedule into the core's condition at one instant."""
@@ -540,6 +542,7 @@ class CoreHealthState:
             self.recal_exhausted = False
             self._exhausted_condition = None
         self._condition = condition
+        self._snapshot = None
         self.error = self.probe.weight_error()
 
     @staticmethod
@@ -566,6 +569,7 @@ class CoreHealthState:
             # from here.
             self.compensated_shift_hz = self._condition.ambient_shift_hz
             self.compensated_gain = self._condition.tia_gain
+            self._snapshot = None
         else:
             self.recal_exhausted = True
             self._exhausted_condition = self._condition
@@ -592,13 +596,15 @@ class CoreHealthState:
 
     def snapshot(self) -> CoreDriftSnapshot:
         """The core's degradation right now, for the degraded replay."""
-        return CoreDriftSnapshot(
-            core=self.core,
-            residual_shift_hz=self.residual_shift_hz,
-            tia_gain=self.residual_gain,
-            dead_rings=self._condition.dead_rings,
-            stuck_rings=self._condition.stuck_rings,
-        )
+        if self._snapshot is None:
+            self._snapshot = CoreDriftSnapshot(
+                core=self.core,
+                residual_shift_hz=self.residual_shift_hz,
+                tia_gain=self.residual_gain,
+                dead_rings=self._condition.dead_rings,
+                stuck_rings=self._condition.stuck_rings,
+            )
+        return self._snapshot
 
 
 @dataclass(frozen=True)

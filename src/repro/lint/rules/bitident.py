@@ -38,6 +38,8 @@ REQUIRED_BIT_IDENTITY = (
     "repro/core/cluster.py",
     "repro/core/fleet.py",
     "repro/core/adaptive.py",
+    "repro/photonics/drift.py",
+    "repro/photonics/weight_bank.py",
 )
 
 #: Order-sensitive fold entry points (``math.fsum`` is exempt: it is

@@ -81,15 +81,17 @@ def calibrate_bank(
         A :class:`CalibrationResult`.
 
     Raises:
-        ValueError: on a malformed target vector or gain.
+        ValueError: on a malformed, non-finite or out-of-range target
+            vector, or a gain outside (0, 1].
     """
     target = np.asarray(target_weights, dtype=float)
     if target.shape != (bank.num_rings,):
         raise ValueError(
             f"expected {bank.num_rings} targets, got shape {target.shape}"
         )
-    if np.any(np.abs(target) > 1.0):
-        raise ValueError("target weights must lie in [-1, 1]")
+    # One comparison rejects NaN too: `nan <= 1` is False.
+    if not np.all(np.abs(target) <= 1.0):
+        raise ValueError("target weights must be finite and lie in [-1, 1]")
     if not 0.0 < gain <= 1.0:
         raise ValueError(f"gain must be in (0, 1], got {gain!r}")
 

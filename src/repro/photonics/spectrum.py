@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.photonics.weight_bank import WeightBank
+from repro.photonics.weight_bank import WeightBank, bus_transmission
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,12 @@ def sweep_bank_spectrum(
     half_span = max(grid.span_hz, grid.spacing_hz) * span_factor / 2.0
     frequencies = np.linspace(center - half_span, center + half_span, num_points)
 
-    drop = np.zeros(num_points)
-    remaining = np.ones(num_points)
-    for ring in bank.rings:
-        ring_drop = np.asarray(ring.drop_transmission(frequencies), dtype=float)
-        drop += remaining * ring_drop
-        remaining *= 1.0 - ring_drop
+    drop, remaining = bus_transmission(
+        frequencies,
+        np.array([ring.resonance_hz for ring in bank.rings]),
+        np.array([ring.linewidth_hz for ring in bank.rings]),
+        bank.design.peak_drop_transmission,
+    )
     return BankSpectrum(frequencies_hz=frequencies, drop=drop, through=remaining)
 
 

@@ -26,8 +26,10 @@ Two fidelity levels are implemented:
 The transfer path is array-first: calibration inverts the Lorentzian for
 the whole bank in one vectorized evaluation, the physical-mode response
 is a single ``(rings, channels)`` line-shape matrix with a cumulative
-bus cascade, and :meth:`WeightBank.apply` weights a single ``(channels,)``
-wave or a batched ``(batch, channels)`` stack of waves alike.
+bus cascade (:func:`bus_transmission`, shared with the drifting probe of
+:mod:`repro.photonics.drift` and the spectrum sweep), and
+:meth:`WeightBank.apply` weights a single ``(channels,)`` wave or a
+batched ``(batch, channels)`` stack of waves alike.
 """
 
 from __future__ import annotations
@@ -43,8 +45,88 @@ from repro.photonics.microring import (
 from repro.photonics.noise import NoiseConfig, ideal
 from repro.photonics.wdm import WdmGrid
 
+# Contract marker checked by `python -m repro.lint` (BIT001): the
+# drifting probe reads out through `bus_transmission`, and the faulted
+# goldens (lenet5_faulted.npz, adaptive_recal.npz) pin its float folds.
+__bit_identity__ = True
+
 _MAX_DETUNING_LINEWIDTHS = 1e4
 """Detuning cap (in linewidths) used to realize a ~zero drop fraction."""
+
+
+def _validated_weights(weights: np.ndarray, num_rings: int) -> np.ndarray:
+    """A weight command checked against the bank, clipped to [-1, 1].
+
+    Raises:
+        ValueError: if the vector length mismatches the bank or any
+            weight is non-finite or outside [-1, 1].
+    """
+    array = np.asarray(weights, dtype=float)
+    if array.shape != (num_rings,):
+        raise ValueError(
+            f"expected {num_rings} weights, got shape {array.shape}"
+        )
+    # One comparison rejects NaN too: `nan <= x` is False.
+    in_range = np.abs(array) <= 1.0 + 1e-12
+    if not in_range.all():
+        raise ValueError(
+            f"weights must be finite and lie in [-1, 1]; offending: "
+            f"{array[~in_range][:5]!r}"
+        )
+    return np.clip(array, -1.0, 1.0)
+
+
+def _detunings_for_drops(
+    drop_fractions: np.ndarray, linewidths_hz: np.ndarray, peak: float
+) -> np.ndarray:
+    """Ring detunings realizing target drop fractions of the full peak."""
+    targets = np.minimum(np.asarray(drop_fractions, dtype=float) * peak, peak)
+    return detunings_for_drop(
+        targets, linewidths_hz, peak, _MAX_DETUNING_LINEWIDTHS
+    )
+
+
+def bus_transmission(
+    carrier_hz: np.ndarray,
+    resonance_hz: np.ndarray,
+    linewidth_hz: np.ndarray,
+    peak_drop_transmission: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Aggregate (drop, through) power fractions of a serial ring bus.
+
+    Every ring's Lorentzian is evaluated at every carrier in one
+    ``(rings, carriers)`` array (row ``j`` is ring ``j``'s drop response),
+    and the bus ordering is honoured: carrier power reaching ring ``j``
+    has already passed the through ports of rings ``0..j-1``.
+
+    Args:
+        carrier_hz: ``(carriers,)`` optical carrier frequencies.
+        resonance_hz: ``(rings,)`` ring resonances, in bus order.
+        linewidth_hz: ``(rings,)`` ring FWHM linewidths.
+        peak_drop_transmission: on-resonance drop transmission.
+
+    Returns:
+        ``(drop, through)`` arrays of shape ``(carriers,)`` with
+        ``0 <= drop, through`` and ``drop + through <= 1`` (up to
+        rounding).
+    """
+    ring_drop = drop_transmission_profile(
+        carrier_hz[None, :],
+        resonance_hz[:, None],
+        linewidth_hz[:, None],
+        peak_drop_transmission,
+    )
+    ring_through = 1.0 - ring_drop
+    # Serial bus cascade: a cumulative product of through ports down rows.
+    remaining_before = np.empty_like(ring_drop)
+    remaining_before[0] = 1.0
+    np.cumprod(ring_through[:-1], axis=0, out=remaining_before[1:])
+    # repro: allow[BIT001] axis-0 fold of a C-contiguous (rings, carriers)
+    # array adds whole rows one at a time in bus order (row-sequential);
+    # a last-axis fold would switch numpy to its unrolled pairwise sum and
+    # change the bits the faulted goldens pin
+    drop = (remaining_before * ring_drop).sum(axis=0)
+    return drop, remaining_before[-1] * ring_through[-1]
 
 
 class WeightBank:
@@ -96,17 +178,9 @@ class WeightBank:
 
         Raises:
             ValueError: if the vector length mismatches the bank or any
-                weight falls outside [-1, 1].
+                weight is non-finite or outside [-1, 1].
         """
-        array = np.asarray(weights, dtype=float)
-        if array.shape != (self.num_rings,):
-            raise ValueError(
-                f"expected {self.num_rings} weights, got shape {array.shape}"
-            )
-        if np.any(np.abs(array) > 1.0 + 1e-12):
-            bad = array[np.abs(array) > 1.0 + 1e-12]
-            raise ValueError(f"weights must lie in [-1, 1]; out-of-range: {bad[:5]!r}")
-        array = np.clip(array, -1.0, 1.0)
+        array = _validated_weights(weights, self.num_rings)
         self._weights = array.copy()
 
         drops = (1.0 + array) / 2.0
@@ -129,10 +203,10 @@ class WeightBank:
         The detunings for the whole bank are computed in one vectorized
         inverse-Lorentzian evaluation, then written onto the ring objects.
         """
-        peak = self.design.peak_drop_transmission
-        targets = np.minimum(np.asarray(drop_fractions, dtype=float) * peak, peak)
-        detunings = detunings_for_drop(
-            targets, self._linewidths_hz, peak, _MAX_DETUNING_LINEWIDTHS
+        detunings = _detunings_for_drops(
+            drop_fractions,
+            self._linewidths_hz,
+            self.design.peak_drop_transmission,
         )
         for ring, detuning in zip(self.rings, detunings):
             ring.detuning_hz = detuning
@@ -156,25 +230,12 @@ class WeightBank:
             drop = self._drop_fractions.copy()
             return drop, 1.0 - drop
 
-        frequencies = self.grid.frequencies_hz
-        resonances = np.array([ring.resonance_hz for ring in self.rings])
-        # Every ring's Lorentzian at every channel, one (rings, channels)
-        # evaluation; row j is ring j's drop response across the grid.
-        ring_drop = drop_transmission_profile(
-            frequencies[None, :],
-            resonances[:, None],
-            self._linewidths_hz[:, None],
+        return bus_transmission(
+            self.grid.frequencies_hz,
+            np.array([ring.resonance_hz for ring in self.rings]),
+            self._linewidths_hz,
             self.design.peak_drop_transmission,
         )
-        ring_through = 1.0 - ring_drop
-        # Serial bus cascade: channel power reaching ring j has passed the
-        # through ports of rings 0..j-1 — a cumulative product down rows.
-        remaining_before = np.cumprod(
-            np.vstack([np.ones((1, self.num_rings)), ring_through[:-1]]), axis=0
-        )
-        drop = (remaining_before * ring_drop).sum(axis=0)
-        remaining = remaining_before[-1] * ring_through[-1]
-        return drop, remaining
 
     def apply(self, input_powers_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weight WDM power vectors.

@@ -90,3 +90,11 @@ class TestCalibration:
             calibrate_bank(bank, np.full(8, 1.5))
         with pytest.raises(ValueError):
             calibrate_bank(bank, np.zeros(8), gain=0.0)
+
+    def test_rejects_nan_targets(self):
+        """Regression: `abs(nan) > 1` is False, so NaN targets used to
+        slip past the range check and calibrate towards NaN."""
+        target = np.zeros(8)
+        target[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            calibrate_bank(crosstalk_bank(), target)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     FAULT_SWEEP_HEADER,
@@ -24,12 +26,19 @@ from repro.core.faults import (
     RecalibrationPolicy,
 )
 from repro.core.traffic import BatchingPolicy
+from repro.photonics.calibration import calibrate_bank
 from repro.photonics.drift import (
+    DEFAULT_PROBE_QUALITY_FACTOR,
     BankCondition,
     DriftingWeightBank,
     default_probe_targets,
     drift_transfer,
 )
+from repro.photonics.microring import MicroringDesign
+from repro.photonics.noise import NoiseConfig
+from repro.photonics.thermal import ThermalModel
+from repro.photonics.wdm import WdmGrid
+from repro.photonics.weight_bank import WeightBank
 from repro.workloads import (
     FAULT_SCENARIOS,
     alexnet_conv_specs,
@@ -127,11 +136,112 @@ class TestDriftingWeightBank:
         probe = DriftingWeightBank()
         with pytest.raises(ValueError, match="expected"):
             probe.set_weights(np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            probe.set_weights(np.full(probe.num_rings, np.nan))
+
+    def test_rejects_nan_targets(self):
+        """Regression: NaN targets used to be accepted, leaving a NaN
+        weight error that no recalibration threshold ever fires on."""
+        with pytest.raises(ValueError, match="finite"):
+            DriftingWeightBank(targets=np.array([0.1, np.nan, 0.2]))
 
     def test_single_ring_probe(self):
         probe = DriftingWeightBank(num_rings=1)
         probe.recalibrate()
         assert probe.weight_error() < 1e-5
+
+
+class _ObjectLevelProbe:
+    """The probe's physics rebuilt from the object-level bank classes.
+
+    A crosstalk-on :class:`WeightBank` programmed with the honoured
+    command, then :meth:`ThermalModel.apply`, then dead rings parked at
+    ``1e4`` linewidths, then the TIA gain on the balanced readout — the
+    oracle :class:`DriftingWeightBank` must match bit for bit.
+    """
+
+    def __init__(self, num_rings, condition, frozen):
+        self.bank = WeightBank(
+            WdmGrid(num_rings),
+            MicroringDesign(quality_factor=DEFAULT_PROBE_QUALITY_FACTOR),
+            NoiseConfig(
+                enabled=True,
+                shot_noise=False,
+                thermal_noise=False,
+                crosstalk=True,
+            ),
+        )
+        self.num_rings = num_rings
+        self.condition = condition
+        self.frozen = frozen
+
+    def set_weights(self, weights):
+        honoured = np.array(weights, dtype=float)
+        for ring, command in self.frozen.items():
+            honoured[ring] = command
+        self.bank.set_weights(honoured)
+        ThermalModel(
+            crosstalk_coupling=self.condition.crosstalk_coupling,
+            ambient_drift_k=self.condition.ambient_k,
+        ).apply(self.bank)
+        for index in self.condition.dead_rings:
+            ring = self.bank.rings[index % self.num_rings]
+            ring.detuning_hz = 1e4 * ring.linewidth_hz
+
+    def effective_weights(self):
+        return self.condition.tia_gain * self.bank.effective_weights()
+
+
+@st.composite
+def degraded_probes(draw):
+    """A command, calibration targets and a crosstalk-on condition."""
+    num_rings = draw(st.integers(1, 8))
+    unit = st.floats(-1.0, 1.0)
+    vector = st.lists(unit, min_size=num_rings, max_size=num_rings)
+    # Ring indices run past the bank: schedules may name any ring, and
+    # the probe wraps them.
+    rings = st.lists(st.integers(0, 2 * num_rings + 1), max_size=3)
+    condition = BankCondition(
+        ambient_k=draw(st.floats(0.0, 2.0)),
+        crosstalk_coupling=draw(
+            st.floats(0.0, 0.95, exclude_min=True)
+        ),
+        dead_rings=tuple(sorted(set(draw(rings)))),
+        stuck_rings=tuple(sorted(set(draw(rings)))),
+        tia_gain=draw(st.floats(0.0, 1.0)),
+    )
+    return np.array(draw(vector)), np.array(draw(vector)), condition
+
+
+class TestProbeCrossImplementation:
+    @given(case=degraded_probes())
+    @settings(max_examples=60, deadline=None)
+    def test_probe_matches_object_level_bank_bitwise(self, case):
+        command, targets, condition = case
+        probe = DriftingWeightBank(targets=targets)
+        probe.set_weights(command)
+        probe.set_condition(condition)
+        size = targets.size
+        frozen = {
+            ring % size: float(command[ring % size])
+            for ring in condition.stuck_rings
+        }
+        oracle = _ObjectLevelProbe(size, condition, frozen)
+        oracle.set_weights(command)
+        assert np.array_equal(
+            probe.effective_weights(), oracle.effective_weights()
+        )
+
+        ours = calibrate_bank(probe, targets)
+        theirs = calibrate_bank(oracle, targets)
+        assert ours.iterations == theirs.iterations
+        assert ours.converged == theirs.converged
+        assert ours.residual == theirs.residual
+        assert ours.initial_residual == theirs.initial_residual
+        assert np.array_equal(ours.commanded, theirs.commanded)
+        assert np.array_equal(
+            probe.effective_weights(), oracle.effective_weights()
+        )
 
 
 class TestDriftTransfer:
@@ -163,6 +273,12 @@ class TestDriftTransfer:
             drift_transfer(np.array([0.5]), math.nan)
         with pytest.raises(ValueError, match="gain"):
             drift_transfer(np.array([0.5]), 0.0, tia_gain=2.0)
+
+    def test_rejects_nan_weights(self):
+        """Regression: `abs(nan) > 1` is False, so NaN weights used to
+        pass through to a NaN degraded replay."""
+        with pytest.raises(ValueError, match="finite"):
+            drift_transfer(np.array([0.5, np.nan]), 1e9)
 
 
 class TestFaultEvent:

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.photonics.microring import MicroringDesign
+from repro.photonics.microring import MicroringDesign, drop_transmission_profile
 from repro.photonics.noise import NoiseConfig, ideal
 from repro.photonics.wdm import WdmGrid
-from repro.photonics.weight_bank import WeightBank
+from repro.photonics.weight_bank import WeightBank, bus_transmission
 
 
 def make_bank(num_rings=8, noise=None, **design_kwargs) -> WeightBank:
@@ -35,6 +35,13 @@ class TestConfiguration:
         bank = make_bank(3)
         with pytest.raises(ValueError):
             bank.set_weights(np.array([0.0, 1.5, 0.0]))
+
+    def test_set_weights_rejects_nan(self):
+        """Regression: `abs(nan) > 1` is False, so a NaN weight used to
+        be accepted and read out as NaN."""
+        bank = make_bank(3)
+        with pytest.raises(ValueError, match="finite"):
+            bank.set_weights(np.array([0.1, np.nan, 0.2]))
 
     def test_weights_property_returns_copy(self):
         bank = make_bank(3)
@@ -151,3 +158,59 @@ class TestNonIdealTransfer:
 
         assert np.array_equal(effective(9), effective(9))
         assert not np.array_equal(effective(9), effective(10))
+
+
+@st.composite
+def ring_buses(draw):
+    """A random ring bus: detunings in linewidths, some rings parked."""
+    num_rings = draw(st.integers(1, 12))
+    quality_factor = draw(st.floats(1e3, 1e5))
+    detuning_linewidths = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.floats(-50.0, 50.0), st.just(1e4)),
+                min_size=num_rings,
+                max_size=num_rings,
+            )
+        )
+    )
+    grid = WdmGrid(num_rings)
+    linewidths = grid.frequencies_hz / quality_factor
+    resonances = grid.frequencies_hz + detuning_linewidths * linewidths
+    # Carriers: the channel grid plus a sweep across and beyond it.
+    span = max(grid.span_hz, grid.spacing_hz)
+    sweep = np.linspace(
+        grid.center_frequency_hz - span,
+        grid.center_frequency_hz + span,
+        draw(st.integers(2, 40)),
+    )
+    carriers = np.concatenate([grid.frequencies_hz, sweep])
+    peak = draw(st.floats(1e-3, 1.0))
+    tia_gain = draw(st.floats(0.0, 1.0))
+    return carriers, resonances, linewidths, peak, tia_gain
+
+
+class TestBusTransmissionInvariants:
+    """Physical bounds of the shared Lorentzian bus cascade.
+
+    Light is only ever split between the drop bus and what remains on
+    the through bus, never created — the total-power boundary a flux
+    monitor would check.
+    """
+
+    @given(bus=ring_buses())
+    @settings(max_examples=100, deadline=None)
+    def test_power_is_bounded(self, bus):
+        carriers, resonances, linewidths, peak, tia_gain = bus
+        lineshape = drop_transmission_profile(
+            carriers[None, :], resonances[:, None], linewidths[:, None], peak
+        )
+        assert np.all(lineshape <= peak)
+        drop, through = bus_transmission(carriers, resonances, linewidths, peak)
+        assert drop.shape == through.shape == carriers.shape
+        assert np.all(drop >= 0.0)
+        assert np.all(through >= 0.0)
+        # 1e-12: rounding slack of the row-by-row fold.
+        assert np.all(drop + through <= 1.0 + 1e-12)
+        readout = tia_gain * (drop - through)
+        assert np.all(np.abs(readout) <= tia_gain + 1e-12)
