@@ -389,3 +389,135 @@ class TestDegradedReplayValidation:
             replay_on_engine_degraded(
                 network, report, np.zeros((3, *network.input_shape))
             )
+
+
+def _same_serving(cluster_report, degraded, tenant="pipeline") -> None:
+    """A one-tenant cluster report equals a degraded single-pipeline run."""
+    lane = cluster_report.tenant(tenant)
+    assert lane.num_shed == 0
+    assert lane.arrival_s.tobytes() == degraded.arrival_s.tobytes()
+    assert lane.dispatch_s.tobytes() == degraded.dispatch_s.tobytes()
+    assert lane.completion_s.tobytes() == degraded.completion_s.tobytes()
+    assert tuple(lane.batches) == tuple(degraded.batches)
+    assert lane.core_busy_s == degraded.core_busy_s
+    assert lane.accuracy_proxy.tobytes() == degraded.accuracy_proxy.tobytes()
+    assert np.array_equal(lane.batch_num_cores, degraded.batch_num_cores)
+    assert cluster_report.core_downtime_s == degraded.core_downtime_s
+    assert cluster_report.recalibrations == degraded.recalibrations
+    assert cluster_report.final_core_errors == degraded.final_core_errors
+
+
+class TestSingleTenantFaultPin:
+    """One faulted tenant on the cluster loop is the single-pipeline
+    degraded simulator, byte for byte, on every stream and record."""
+
+    NUM_CORES = 2
+
+    def serve_both(self, scenario, policy, recalibration):
+        from repro.core.cluster import ClusterTenant, simulate_cluster_serving
+
+        network = serving_network("lenet5")
+        arrivals = poisson_arrivals(2e4, 1500, seed=17)
+        schedule = fault_scenario(
+            scenario, self.NUM_CORES, float(arrivals[-1])
+        )
+        cluster = simulate_cluster_serving(
+            [ClusterTenant.from_network("pipeline", network, policy)],
+            {"pipeline": arrivals},
+            pool_size=self.NUM_CORES,
+            schedule=schedule,
+            recalibration=recalibration,
+            mode="reference",
+        )
+        return cluster, network, arrivals, schedule
+
+    @pytest.mark.parametrize(
+        "policy",
+        [BatchingPolicy.dynamic(4, 1e-4), BatchingPolicy.fifo()],
+        ids=["dynamic", "fifo"],
+    )
+    @pytest.mark.parametrize(
+        "scenario", ["slow-drift", "tia-aging", "crosstalk-blip", "ring-death"]
+    )
+    def test_static_recalibration(self, scenario, policy):
+        recalibration = RecalibrationPolicy(error_threshold=0.05)
+        cluster, network, arrivals, schedule = self.serve_both(
+            scenario, policy, recalibration
+        )
+        degraded = simulate_degraded_serving(
+            network,
+            arrivals,
+            policy,
+            schedule,
+            self.NUM_CORES,
+            recalibration=recalibration,
+            repartition=False,
+        )
+        assert degraded.repartitions == ()
+        _same_serving(cluster, degraded)
+
+    def test_frozen_adaptive_recalibration(self):
+        from repro.core.adaptive import (
+            AdaptiveRecalibration,
+            simulate_adaptive_serving,
+        )
+
+        controller = AdaptiveRecalibration.frozen(
+            RecalibrationPolicy(error_threshold=0.05)
+        )
+        policy = BatchingPolicy.dynamic(4, 1e-4)
+        cluster, network, arrivals, schedule = self.serve_both(
+            "tia-aging", policy, controller
+        )
+        adaptive = simulate_adaptive_serving(
+            network,
+            arrivals,
+            policy,
+            schedule,
+            self.NUM_CORES,
+            controller,
+            repartition=False,
+        )
+        assert adaptive.recalibrations
+        _same_serving(cluster, adaptive)
+
+
+REPARTITION_DIGEST = (
+    "53fc7c6d8640245bedaea0528d2dd453f556eda2a27b13c7b995e59158ffe0fd"
+)
+"""sha256 of the ring-death repartitioning run below, as first recorded."""
+
+
+def test_repartitioning_run_digest_is_pinned():
+    """Byte pin of a run that drains a dead core and re-partitions."""
+    import dataclasses
+    import hashlib
+
+    specs = alexnet_conv_specs()
+    arrivals = poisson_arrivals(5000.0, 800, seed=6)
+    report = DegradedServingSimulator(
+        PipelineServiceModel.from_specs(specs, 3),
+        BatchingPolicy.dynamic(8, 1e-3),
+        fault_scenario("ring-death", 3, float(arrivals[-1])),
+        recalibration=RecalibrationPolicy(),
+        specs=specs,
+    ).run(arrivals)
+    assert len(report.repartitions) == 1
+    digest = hashlib.sha256()
+    for part in (
+        [dataclasses.astuple(batch) for batch in report.batches],
+        report.batch_num_cores.tolist(),
+        report.accuracy_proxy.tobytes(),
+        report.completion_s.tobytes(),
+        report.core_busy_s,
+        report.core_downtime_s,
+        report.final_core_errors,
+        [dataclasses.astuple(r) for r in report.recalibrations],
+        [dataclasses.astuple(r) for r in report.repartitions],
+        [
+            [dataclasses.astuple(snapshot) for snapshot in snapshots]
+            for snapshots in report.batch_snapshots
+        ],
+    ):
+        digest.update(part if isinstance(part, bytes) else repr(part).encode())
+    assert digest.hexdigest() == REPARTITION_DIGEST
