@@ -12,11 +12,13 @@ measure on the shared clock:
 * :class:`AdaptiveRecalibration` — an EWMA drift estimator per core
   plus cost-aware scheduling: recalibrate when the *smoothed, projected*
   error crosses the threshold (a transient excursion no longer buys a
-  wasted drain), defer when the kernel queue is deep and the projected
+  wasted drain), defer when the queue is deep and the projected
   divergence still has headroom, and stop paying downtime once a
-  per-core budget is spent.  Runs as :class:`AdaptiveRecalPlugin` on the
-  unified event-loop kernel, and as a drop-in recalibration policy on
-  the cluster runtime.
+  per-core budget is spent.  A drop-in recalibration policy wherever
+  the static one goes: its per-run :class:`EwmaRecalDecider` is the
+  trigger of the one fault step
+  (:meth:`~repro.core.faults.PoolHealth.step`) on the cluster lane
+  loop, for single pipelines and clusters alike.
 * :class:`BurnRateAdmission` — SLO-burn-rate admission for cluster
   tenants: alongside the static occupancy cap, shed arrivals while the
   fraction of recently completed requests over the SLO latency exceeds
@@ -34,9 +36,9 @@ makes decision-for-decision the same calls as its static baseline, so
 the run is *bit-identical* — same batches, same latency streams, same
 busy ledgers.  ``tests/test_adaptive.py`` pins all three.
 
-Controllers only read :class:`~repro.core.simkernel.KernelTelemetry`
-snapshots and the health states' measured errors; the dispatch-planning
-and pipeline-walk arithmetic is never touched.
+Controllers only read the lane's queue depth, completion latencies and
+the health states' measured errors; the dispatch-planning and
+pipeline-walk arithmetic is never touched.
 """
 
 from __future__ import annotations
@@ -51,15 +53,11 @@ from repro.core.config import PCNNAConfig
 from repro.core.faults import (
     CoreHealthState,
     DegradedServingReport,
-    FaultPlugin,
+    DegradedServingSimulator,
     FaultSchedule,
     RecalibrationPolicy,
 )
-from repro.core.simkernel import (
-    BatchingPolicy,
-    DispatchContext,
-    EventLoopKernel,
-)
+from repro.core.simkernel import BatchingPolicy
 from repro.core.traffic import PipelineServiceModel
 from repro.nn.network import Network
 
@@ -98,7 +96,7 @@ class AdaptiveRecalibration:
     out of the estimate instead of buying a drain, while sustained
     drift still triggers (slightly early, if a lead time is set).  Two
     cost gates trade recal downtime against projected divergence: a
-    deep kernel queue defers the drain while the projection has
+    deep queue defers the drain while the projection has
     headroom, and a per-core downtime budget stops paying entirely.
 
     At the :meth:`frozen` setting the controller is decision-for-
@@ -111,10 +109,10 @@ class AdaptiveRecalibration:
         base: the static policy supplying threshold and costs.
         smoothing: EWMA weight on the newest error sample, in (0, 1].
         lead_time_s: projection horizon for the drift slope (>= 0).
-        pressure_hold: defer recalibration while the kernel queue holds
-            at least this many requests — unless the projection exceeds
-            ``hold_ceiling`` times the threshold.  ``None`` disables
-            the gate.
+        pressure_hold: defer recalibration while the pipeline holds at
+            least this many admitted-but-uncompleted requests — unless
+            the projection exceeds ``hold_ceiling`` times the
+            threshold.  ``None`` disables the gate.
         hold_ceiling: threshold multiple beyond which a pressure-held
             recalibration fires anyway (>= 1).
         downtime_budget_s: per-core recalibration downtime budget;
@@ -190,7 +188,7 @@ class AdaptiveDecision:
         error: the core's raw measured weight error.
         smoothed: the EWMA error level at the decision.
         projected: the level projected ``lead_time_s`` ahead.
-        queued: kernel queue depth the cost gate saw (-1 when the
+        queued: queue depth the cost gate saw (-1 when the
             pressure gate is disabled and the depth was not sampled).
     """
 
@@ -209,10 +207,15 @@ class EwmaRecalDecider:
     Holds the per-core EWMA level/slope estimates and the decision log;
     deterministic by construction — the same telemetry sequence always
     produces the same actions, the property the hypothesis suite pins.
+    The per-run trigger of :class:`AdaptiveRecalibration`, with the
+    same interface as the static
+    :class:`~repro.core.faults.ThresholdTrigger`.
     """
 
     __slots__ = (
         "controller",
+        "policy",
+        "needs_queue_depth",
         "decisions",
         "_level",
         "_slope",
@@ -222,6 +225,8 @@ class EwmaRecalDecider:
 
     def __init__(self, controller: AdaptiveRecalibration) -> None:
         self.controller = controller
+        self.policy = controller.base
+        self.needs_queue_depth = controller.pressure_hold is not None
         self.decisions: list[AdaptiveDecision] = []
         self._level: dict[int, float] = {}
         self._slope: dict[int, float] = {}
@@ -303,62 +308,6 @@ class EwmaRecalDecider:
         return True
 
 
-class AdaptiveRecalPlugin(FaultPlugin):
-    """:class:`FaultPlugin` with the EWMA controller as the trigger.
-
-    Only the trigger decision differs: drift state machines, the
-    calibration loop, the downtime arithmetic, and fault-aware
-    repartitioning are inherited verbatim, which is what makes the
-    frozen controller bit-identical to the static policy.
-
-    Args:
-        schedule: the fault schedule to inject.
-        controller: the adaptive recalibration controller.
-        specs: the served network's conv layers (enables repartition).
-        config: hardware configuration used when repartitioning.
-        fail_error_threshold: weight error beyond which a core is
-            declared failed and drained out of the pipeline.
-        probe_rings: rings in each core's accuracy-probe bank.
-    """
-
-    def __init__(
-        self,
-        schedule: FaultSchedule,
-        controller: AdaptiveRecalibration,
-        specs=None,
-        config: PCNNAConfig | None = None,
-        fail_error_threshold: float = 0.5,
-        probe_rings: int = 8,
-    ) -> None:
-        super().__init__(
-            schedule,
-            recalibration=controller.base,
-            specs=specs,
-            config=config,
-            fail_error_threshold=fail_error_threshold,
-            probe_rings=probe_rings,
-        )
-        self.controller = controller
-        self.decider = controller.decider()
-
-    def on_run_start(self, ctx: DispatchContext) -> None:
-        """Reset the inherited records plus the decision engine."""
-        super().on_run_start(ctx)
-        self.decider = self.controller.decider()
-
-    def _should_recalibrate(
-        self, ctx: DispatchContext, state: CoreHealthState, dispatch_s: float
-    ) -> bool:
-        queued = (
-            ctx.telemetry(dispatch_s).queued
-            if self.controller.pressure_hold is not None
-            else None
-        )
-        return self.decider.decide(
-            state, dispatch_s, self.downtime[state.core], queued=queued
-        )
-
-
 @dataclass(frozen=True)
 class AdaptiveServingReport(DegradedServingReport):
     """A :class:`DegradedServingReport` plus the controller's log.
@@ -415,36 +364,17 @@ def simulate_adaptive_serving(
             bad trace.
     """
     specs = network.conv_specs()
-    model = PipelineServiceModel.from_specs(
-        specs, num_cores, config, clamp_cores
-    )
-    plugin = AdaptiveRecalPlugin(
+    fields, decisions = DegradedServingSimulator(
+        PipelineServiceModel.from_specs(specs, num_cores, config, clamp_cores),
+        policy,
         schedule,
-        controller,
+        recalibration=controller,
         specs=specs if repartition else None,
         config=config,
         fail_error_threshold=fail_error_threshold,
-    )
-    run = EventLoopKernel(model, policy, (plugin,), mode=mode).run(arrival_s)
-    return AdaptiveServingReport(
-        policy=policy,
-        num_cores=run.initial_num_cores,
-        arrival_s=run.arrival_s,
-        dispatch_s=run.dispatch_s,
-        completion_s=run.completion_s,
-        batches=run.batches,
-        core_busy_s=run.core_busy_s,
-        schedule_name=schedule.name,
-        recalibration_name=controller.name,
-        accuracy_proxy=np.array(plugin.proxies),
-        batch_num_cores=np.array(plugin.widths, dtype=int),
-        batch_snapshots=tuple(plugin.snapshots),
-        core_downtime_s=tuple(plugin.downtime),
-        final_core_errors=tuple(state.error for state in plugin.states),
-        recalibrations=tuple(plugin.recalibrations),
-        repartitions=tuple(plugin.repartitions),
-        decisions=tuple(plugin.decider.decisions),
-    )
+        mode=mode,
+    )._serve(arrival_s)
+    return AdaptiveServingReport(**fields, decisions=decisions)
 
 
 @dataclass(frozen=True)
@@ -592,7 +522,6 @@ class PressureController:
 __all__ = [
     "DECISION_ACTIONS",
     "AdaptiveDecision",
-    "AdaptiveRecalPlugin",
     "AdaptiveRecalibration",
     "AdaptiveServingReport",
     "BurnRateAdmission",

@@ -27,17 +27,23 @@ runtime on the unified event-loop kernel (:mod:`repro.core.simkernel`):
   pipelines on the shared clock and re-partitioning each tenant's
   layers over its new width;
 * an optional :class:`~repro.core.faults.FaultSchedule` degrades the
-  *physical pool cores* — each carries the same
-  :class:`~repro.core.faults.CoreHealthState` drift state machine as
-  the degraded simulator, advanced at the owning tenant's dispatch
-  instants, with recalibration downtime paid into that tenant's clock;
+  *physical pool cores* — each carries a
+  :class:`~repro.core.faults.CoreHealthState` drift state machine,
+  advanced at the owning tenant's dispatch instants by the one fault
+  step (:meth:`~repro.core.faults.PoolHealth.step`), with recalibration
+  downtime paid into that tenant's clock;
 * :func:`replay_tenant_on_engine` re-executes any tenant's simulated
   batches on the real batched photonic engine at the per-batch pipeline
   widths elastic reallocation left behind — bit-identical to running
   every request alone in ideal mode.
 
-Everything is a pure function of its inputs: a fixed seed and tenant
-mix yields bit-identical reports on every run.
+The lane event loop here is the only loop that hosts mid-run
+feedback: the single-pipeline degraded and adaptive simulators
+(:mod:`repro.core.faults`, :mod:`repro.core.adaptive`) run as one lane
+of it (:func:`serve_pipeline`), with failing-core repartitioning and
+per-batch drift snapshots switched on.  Everything is a pure function
+of its inputs: a fixed seed and tenant mix yields bit-identical reports
+on every run.
 """
 
 from __future__ import annotations
@@ -50,10 +56,13 @@ import numpy as np
 
 from repro.core.config import PCNNAConfig
 from repro.core.faults import (
+    CoreDriftSnapshot,
     CoreHealthState,
     FaultSchedule,
+    PoolHealth,
     RecalibrationPolicy,
     RecalibrationRecord,
+    RepartitionRecord,
 )
 from repro.core.simkernel import (
     BatchingPolicy,
@@ -224,6 +233,16 @@ class ElasticReallocation:
                 f"min queue must be >= 1, got {self.min_queue!r}"
             )
 
+    def thresholds(self, peak_pressure: float) -> tuple[float, int]:
+        """Effective ``(pressure_ratio, min_queue)``: the constants.
+
+        The same interface as
+        :meth:`~repro.core.adaptive.PressureController.thresholds`, so
+        the reallocator asks one threshold function whichever policy is
+        configured; the static policy ignores the observed pressure.
+        """
+        return self.pressure_ratio, self.min_queue
+
 
 @dataclass(frozen=True)
 class ReallocationRecord:
@@ -392,7 +411,7 @@ class ClusterReport:
 
 
 class _TenantLane:
-    """One tenant's queue + pipeline inside the cluster event loop.
+    """One pipeline's queue + cores inside the lane event loop.
 
     Wraps a kernel :class:`DispatchContext` whose stage→core map points
     at *physical pool cores* and whose busy ledger spans the whole pool
@@ -411,16 +430,20 @@ class _TenantLane:
     judged exactly; later arrivals are admitted early only when the
     judgment cannot flip (occupancy only shrinks as batches complete)
     and otherwise wait, unjudged, for the commit that decides them.
+
+    A lane is either a cluster tenant's or the single pipeline of
+    :func:`serve_pipeline`, which alone turns on failing-core draining
+    (``fail_error_threshold``) and per-batch drift snapshots.
     """
 
     __slots__ = (
         "index",
-        "spec",
+        "name",
+        "specs",
         "config",
         "raw",
         "n",
         "cap",
-        "admission",
         "_burn",
         "policy",
         "ctx",
@@ -435,39 +458,42 @@ class _TenantLane:
         "released",
         "_completion_times",
         "_cum_completed",
+        "fail_error_threshold",
+        "snapshots",
+        "repartitions",
     )
 
     def __init__(
         self,
         index: int,
-        spec: ClusterTenant,
+        name: str,
+        specs: Sequence[ConvLayerSpec] | None,
+        policy: BatchingPolicy,
         arrivals: np.ndarray,
+        model: PipelineServiceModel,
         phys_cores: list[int],
         pool_size: int,
         config: PCNNAConfig | None,
+        queue_cap: int | None = None,
         admission=None,
+        fail_error_threshold: float | None = None,
+        record_snapshots: bool = False,
     ) -> None:
         self.index = index
-        self.spec = spec
+        self.name = name
+        # The conv layers a repartition spreads over a new core set.
+        self.specs = specs
         self.config = config
         self.raw = arrivals
         self.n = int(arrivals.size)
         # An admission controller (repro.core.adaptive.BurnRateAdmission)
         # owns the occupancy cap when supplied; its disabled setting with
         # the tenant's own cap is decision-identical to the static path.
-        self.admission = admission
-        self.cap = (
-            admission.queue_cap if admission is not None else spec.queue_cap
-        )
+        self.cap = admission.queue_cap if admission is not None else queue_cap
         self._burn = (
             admission if admission is not None and admission.enabled else None
         )
-        self.policy = (
-            spec.policy if self.cap is None else spec.policy.capped(self.cap)
-        )
-        model = PipelineServiceModel.from_specs(
-            list(spec.specs), len(phys_cores), config
-        )
+        self.policy = policy if self.cap is None else policy.capped(self.cap)
         self.ctx = DispatchContext(model, self.policy, arrivals)
         self.ctx.stage_to_core = list(phys_cores)
         self.ctx.core_busy = [0.0] * pool_size
@@ -494,6 +520,14 @@ class _TenantLane:
         # requests completed by each batch.
         self._completion_times: list[float] = []
         self._cum_completed: list[int] = []
+        # Single-pipeline extras, off for cluster tenants: draining
+        # cores whose error reaches the threshold, and per-batch drift
+        # snapshots for the degraded engine replay.
+        self.fail_error_threshold = fail_error_threshold
+        self.snapshots: list[tuple[CoreDriftSnapshot, ...]] | None = (
+            [] if record_snapshots else None
+        )
+        self.repartitions: list[RepartitionRecord] = []
 
     @property
     def phys(self) -> list[int]:
@@ -640,18 +674,60 @@ class _TenantLane:
             for stage, core in enumerate(self.phys)
         ]
 
+    def serve(
+        self, dispatch: float, size: int, health: PoolHealth | None
+    ) -> None:
+        """Run one sealed dispatch: fault step, then book and record it.
+
+        The fault step and any failing-core drain come before booking,
+        so they delay the batch's completion, never its sealed dispatch.
+        """
+        if health is not None:
+            health.step(self.ctx, dispatch, self.queue_depth)
+            if self.fail_error_threshold is not None:
+                self._drain_failing(dispatch, health.states)
+        self.commit(dispatch, size)
+        if health is None:
+            self.proxies.append(0.0)
+            return
+        states = health.states
+        self.proxies.append(max(states[core].error for core in self.phys))
+        if self.snapshots is not None:
+            self.snapshots.append(
+                tuple(states[core].snapshot() for core in self.phys)
+            )
+
+    def _drain_failing(
+        self, dispatch: float, states: list[CoreHealthState]
+    ) -> None:
+        """Re-partition around cores past the fail threshold (unless
+        every core is failing: then there is nowhere to move to)."""
+        phys, threshold = self.phys, self.fail_error_threshold
+        failing = [core for core in phys if states[core].error >= threshold]
+        if failing and len(failing) < len(phys):
+            self.resize([core for core in phys if core not in failing])
+            self.repartitions.append(
+                RepartitionRecord(
+                    time_s=dispatch,
+                    failed_cores=tuple(failing),
+                    num_cores_after=len(self.phys),
+                )
+            )
+
     def resize(
         self, new_phys: list[int], joining_free_s: float = 0.0
     ) -> None:
-        """Re-partition the tenant's layers over a new core set.
+        """Re-partition the lane's layers over a new core set.
 
-        The current pipeline drains first (the new partition needs its
-        weights re-programmed on every stage), and a core joining from
-        elsewhere is not usable before it frees up there.
+        The one drain-and-repartition step, shared by elastic core moves
+        and fault-aware draining.  The current pipeline drains first
+        (the new partition needs its weights re-programmed on every
+        stage), and a core joining from elsewhere is not usable before
+        it frees up there.
         """
         drain = max(max(self.ctx.core_free), joining_free_s)
         self.ctx.model = PipelineServiceModel.from_specs(
-            list(self.spec.specs), len(new_phys), self.config
+            list(self.specs), len(new_phys), self.config, clamp_cores=True
         )
         self.ctx.stage_to_core = list(new_phys)
         self.ctx.core_free = [drain] * len(new_phys)
@@ -668,7 +744,7 @@ class _TenantLane:
             completion_s=ctx.completion_s[:served],
             batches=tuple(ctx.batches),
             core_busy_s=tuple(ctx.core_busy),
-            tenant=self.spec.name,
+            tenant=self.name,
             offered_arrival_s=self.raw,
             shed_arrival_s=np.array(self.shed),
             batch_num_cores=np.array(self.widths, dtype=int),
@@ -954,6 +1030,16 @@ def _verify_admission_plan(
     return True
 
 
+def _require_type(name: str, value, types: tuple[type, ...]) -> None:
+    """Reject a policy object of the wrong type (``None`` passes)."""
+    if value is not None and not isinstance(value, types):
+        allowed = " or ".join(kind.__name__ for kind in types)
+        raise TypeError(
+            f"{name} must be {allowed} (or None), got "
+            f"{type(value).__name__}"
+        )
+
+
 class ClusterSimulator:
     """N models co-served on a shared core pool, on the unified kernel.
 
@@ -971,18 +1057,15 @@ class ClusterSimulator:
             tenant).
         routing: pool arbitration policy (weighted-fair by default).
         elastic: elastic core reallocation policy; ``None`` freezes the
-            initial allocation.  Accepts the static
+            initial allocation.  The static
             :class:`ElasticReallocation` or an adaptive
-            :class:`~repro.core.adaptive.PressureController` (anything
-            with a ``thresholds(peak_pressure)`` method).
+            :class:`~repro.core.adaptive.PressureController`.
         schedule: fault schedule over the *physical pool cores*;
             ``None`` keeps the pool pristine.
         recalibration: online recalibration policy for degraded cores —
             the static :class:`~repro.core.faults.RecalibrationPolicy`
             or an adaptive
-            :class:`~repro.core.adaptive.AdaptiveRecalibration`
-            (anything with a ``decider()`` factory and a ``base``
-            policy).
+            :class:`~repro.core.adaptive.AdaptiveRecalibration`.
         admission: per-tenant admission controllers
             (:class:`~repro.core.adaptive.BurnRateAdmission`), keyed by
             tenant name; a tenant without an entry keeps its static
@@ -1004,6 +1087,8 @@ class ClusterSimulator:
         ValueError: on an empty or duplicated tenant set, a bad pool
             size, an unknown ``mode``, or an admission key that names
             no tenant.
+        TypeError: on an ``elastic`` or ``recalibration`` policy of
+            another type.
     """
 
     def __init__(
@@ -1025,6 +1110,17 @@ class ClusterSimulator:
         if len(set(names)) != len(names):
             raise ValueError(f"tenant names must be unique, got {names!r}")
         validate_kernel_mode(mode)
+        # adaptive.py builds on this module, so its types load here.
+        from repro.core.adaptive import AdaptiveRecalibration, PressureController
+
+        _require_type(
+            "elastic", elastic, (ElasticReallocation, PressureController)
+        )
+        _require_type(
+            "recalibration",
+            recalibration,
+            (RecalibrationPolicy, AdaptiveRecalibration),
+        )
         self.admission = dict(admission) if admission else {}
         unknown = set(self.admission) - set(names)
         if unknown:
@@ -1069,9 +1165,10 @@ class ClusterSimulator:
 
     def _tie_key(self, lane: _TenantLane) -> tuple:
         """Routing preference for simultaneous dispatches (lower wins)."""
+        tenant = self.tenants[lane.index]
         if self.routing.kind == "priority":
-            return (-lane.spec.priority, lane.index)
-        return (lane.served / lane.spec.weight, lane.index)
+            return (-tenant.priority, lane.index)
+        return (lane.served / tenant.weight, lane.index)
 
     def _floor(self, lane: _TenantLane) -> int:
         """Cores the routing policy guarantees the tenant keeps."""
@@ -1092,20 +1189,13 @@ class ClusterSimulator:
         pressures = {
             lane.index: lane.queue_depth(now) / lane.width for lane in active
         }
-        # An adaptive controller (duck-typed on `thresholds`) derives
-        # the barriers from the worst observed pressure; the static
-        # policy's constants pass through untouched.
-        thresholds = getattr(self.elastic, "thresholds", None)
-        if thresholds is None:
-            ratio = self.elastic.pressure_ratio
-            min_queue = self.elastic.min_queue
-        else:
-            peak = max(pressures.values(), default=0.0)
-            ratio, min_queue = thresholds(peak)
+        ratio, min_queue = self.elastic.thresholds(
+            max(pressures.values(), default=0.0)
+        )
         growable = [
             lane
             for lane in active
-            if lane.width < lane.spec.max_useful_cores
+            if lane.width < len(lane.specs)
             and lane.queue_depth(now) >= min_queue
         ]
         if not growable:
@@ -1122,7 +1212,7 @@ class ClusterSimulator:
                     time_s=now,
                     core=core,
                     from_tenant=None,
-                    to_tenant=recipient.spec.name,
+                    to_tenant=recipient.name,
                     donor_cores_after=0,
                     recipient_cores_after=recipient.width,
                 )
@@ -1150,8 +1240,8 @@ class ClusterSimulator:
             ReallocationRecord(
                 time_s=now,
                 core=core,
-                from_tenant=donor.spec.name,
-                to_tenant=recipient.spec.name,
+                from_tenant=donor.name,
+                to_tenant=recipient.name,
                 donor_cores_after=donor.width,
                 recipient_cores_after=recipient.width,
             )
@@ -1183,73 +1273,33 @@ class ClusterSimulator:
         if self.mode != "reference" and self._vectorizable:
             return self._run_vectorized(arrival_s)
         lanes = [
-            _TenantLane(
-                index,
-                tenant,
-                validate_arrival_trace(arrival_s[tenant.name]),
-                self._allocations[index],
-                self.pool_size,
-                self.config,
-                admission=self.admission.get(tenant.name),
+            self._lane(
+                index, tenant, validate_arrival_trace(arrival_s[tenant.name])
             )
             for index, tenant in enumerate(self.tenants)
         ]
         free: list[tuple[int, float]] = [(core, 0.0) for core in self._free]
-        health: dict[int, CoreHealthState] = {}
+        health = None
         if self.schedule is not None:
-            health = {
-                core: CoreHealthState(core, self.schedule, self.probe_rings)
-                for core in range(self.pool_size)
-            }
-        downtime = [0.0] * self.pool_size
-        recalibrations: list[RecalibrationRecord] = []
+            health = PoolHealth(
+                self.schedule,
+                self.pool_size,
+                self.recalibration,
+                self.probe_rings,
+            )
         reallocations: list[ReallocationRecord] = []
-        # An adaptive recalibration policy (duck-typed on `decider`)
-        # gets one fresh decision engine per run.
-        decider = (
-            self.recalibration.decider()
-            if self.recalibration is not None
-            and hasattr(self.recalibration, "decider")
-            else None
+        pristine = (0.0,) * self.pool_size
+
+        def rebalance(now: float) -> None:
+            self._rebalance(now, lanes, free, reallocations)
+
+        _serve_lanes(
+            lanes,
+            health,
+            self._tie_key,
+            rebalance=None if self.elastic is None else rebalance,
+            free=free,
         )
-        last_dispatch = 0.0
-
-        while True:
-            candidates = []
-            for lane in lanes:
-                if lane.released:
-                    continue
-                plan = lane.plan()
-                if plan is not None:
-                    candidates.append((plan, lane))
-                elif self.elastic is not None:
-                    # A finished tenant's cores go back to the pool for
-                    # the reallocator to hand to pressured neighbours.
-                    free.extend(lane.release_cores())
-            if not candidates:
-                break
-            (dispatch, size), lane = min(
-                candidates,
-                key=lambda item: (item[0][0], self._tie_key(item[1])),
-            )
-            last_dispatch = max(last_dispatch, dispatch)
-            if health:
-                self._degrade(
-                    lane, dispatch, health, downtime, recalibrations, decider
-                )
-            lane.commit(dispatch, size)
-            lane.proxies.append(
-                max(health[core].error for core in lane.phys)
-                if health
-                else 0.0
-            )
-            if self.elastic is not None and (
-                len(lanes) > 1 or free
-            ):
-                self._rebalance(dispatch, lanes, free, reallocations)
-
-        for state in health.values():
-            state.advance_to(last_dispatch)
         return ClusterReport(
             pool_size=self.pool_size,
             routing=self.routing.kind,
@@ -1261,12 +1311,38 @@ class ClusterSimulator:
             recalibration_name=(
                 None if self.recalibration is None else self.recalibration.name
             ),
-            core_downtime_s=tuple(downtime),
-            final_core_errors=tuple(
-                health[core].error if health else 0.0
-                for core in range(self.pool_size)
+            core_downtime_s=(
+                pristine if health is None else tuple(health.downtime)
             ),
-            recalibrations=tuple(recalibrations),
+            final_core_errors=(
+                pristine
+                if health is None
+                else tuple(state.error for state in health.states)
+            ),
+            recalibrations=(
+                () if health is None else tuple(health.recalibrations)
+            ),
+        )
+
+    def _lane(
+        self, index: int, tenant: ClusterTenant, trace: np.ndarray
+    ) -> _TenantLane:
+        """A tenant's lane over its initial allocation."""
+        phys = self._allocations[index]
+        return _TenantLane(
+            index,
+            tenant.name,
+            tenant.specs,
+            tenant.policy,
+            trace,
+            PipelineServiceModel.from_specs(
+                list(tenant.specs), len(phys), self.config
+            ),
+            phys,
+            self.pool_size,
+            self.config,
+            queue_cap=tenant.queue_cap,
+            admission=self.admission.get(tenant.name),
         )
 
     def _serve_lane_vectorized(
@@ -1274,7 +1350,7 @@ class ClusterSimulator:
     ) -> TenantServingReport:
         """One frozen tenant lane on the vectorized kernel.
 
-        A pluginless :func:`~repro.core.simkernel.plan_batches` /
+        A fault-free :func:`~repro.core.simkernel.plan_batches` /
         :func:`~repro.core.simkernel.pipeline_completions` run — with
         the :func:`_plan_admitted` walk in front when the lane carries
         an occupancy cap — re-badged as a tenant report: busy time
@@ -1340,22 +1416,8 @@ class ClusterSimulator:
         global event loop restricted to this tenant — bit for bit,
         including the zero accuracy proxy a pristine pool records.
         """
-        lane = _TenantLane(
-            index,
-            tenant,
-            trace,
-            self._allocations[index],
-            self.pool_size,
-            self.config,
-            admission=self.admission.get(tenant.name),
-        )
-        while True:
-            plan = lane.plan()
-            if plan is None:
-                break
-            dispatch, size = plan
-            lane.commit(dispatch, size)
-            lane.proxies.append(0.0)
+        lane = self._lane(index, tenant, trace)
+        _serve_lanes([lane], None, _lone_lane)
         return lane.report()
 
     def _run_vectorized(
@@ -1390,60 +1452,88 @@ class ClusterSimulator:
             recalibrations=(),
         )
 
-    def _degrade(
-        self,
-        lane: _TenantLane,
-        dispatch: float,
-        health: dict[int, CoreHealthState],
-        downtime: list[float],
-        recalibrations: list[RecalibrationRecord],
-        decider=None,
-    ) -> None:
-        """Advance the lane's physical cores and pay recalibration.
 
-        The trigger is the static threshold test, or — when an adaptive
-        policy supplied a ``decider`` — the EWMA controller's decision;
-        either way the calibration loop and the downtime arithmetic are
-        identical, which keeps the frozen controller bit-identical.
-        """
-        for core in lane.phys:
-            health[core].advance_to(dispatch)
-        if self.recalibration is None:
-            return
-        base = self.recalibration if decider is None else self.recalibration.base
-        for stage, core in enumerate(lane.phys):
-            state = health[core]
-            if decider is None:
-                fire = state.should_recalibrate(base)
-            else:
-                fire = decider.decide(
-                    state,
-                    dispatch,
-                    downtime[core],
-                    queued=(
-                        lane.queue_depth(dispatch)
-                        if decider.controller.pressure_hold is not None
-                        else None
-                    ),
-                )
-            if not fire:
+def _serve_lanes(
+    lanes: list[_TenantLane],
+    health: PoolHealth | None,
+    tie_key,
+    rebalance=None,
+    free: list[tuple[int, float]] | None = None,
+) -> None:
+    """The lane event loop: serve every lane's trace to completion.
+
+    The only loop that hosts mid-run feedback.  Each round every lane
+    plans its next dispatch with the kernel's
+    :func:`~repro.core.simkernel.plan_dispatch`; the earliest (ties
+    broken by ``tie_key``, lower wins) takes the fault step on
+    ``health`` (``None`` for a pristine pool) and is booked.  Then
+    ``rebalance(now)``, the elastic reallocator, may move a core; with
+    one present, a lane that has served its trace returns its cores to
+    ``free``.
+    """
+    last_dispatch = 0.0
+    while True:
+        candidates = []
+        for lane in lanes:
+            if lane.released:
                 continue
-            result = state.recalibrate(base)
-            cost = base.downtime_s(result.iterations)
-            lane.ctx.core_free[stage] = (
-                max(lane.ctx.core_free[stage], dispatch) + cost
-            )
-            downtime[core] += cost
-            recalibrations.append(
-                RecalibrationRecord(
-                    time_s=dispatch,
-                    core=core,
-                    iterations=result.iterations,
-                    residual=state.error,
-                    downtime_s=cost,
-                    restored=state.error <= base.error_threshold,
-                )
-            )
+            plan = lane.plan()
+            if plan is not None:
+                candidates.append((plan, lane))
+            elif rebalance is not None:
+                # A finished tenant's cores go back to the pool for the
+                # reallocator to hand to pressured neighbours.
+                free.extend(lane.release_cores())
+        if not candidates:
+            break
+        (dispatch, size), lane = min(
+            candidates, key=lambda item: (item[0][0], tie_key(item[1]))
+        )
+        last_dispatch = max(last_dispatch, dispatch)
+        lane.serve(dispatch, size, health)
+        if rebalance is not None and (len(lanes) > 1 or free):
+            rebalance(dispatch)
+    if health is not None:
+        health.finish(last_dispatch)
+
+
+def serve_pipeline(
+    model: PipelineServiceModel,
+    policy: BatchingPolicy,
+    arrivals: np.ndarray,
+    health: PoolHealth,
+    specs: Sequence[ConvLayerSpec] | None = None,
+    config: PCNNAConfig | None = None,
+    fail_error_threshold: float | None = None,
+) -> _TenantLane:
+    """Serve one faulted pipeline as the lone lane of the event loop.
+
+    The engine of :class:`~repro.core.faults.DegradedServingSimulator`:
+    one lane over the caller's ``model`` on cores ``0..width-1`` that
+    records per-batch drift snapshots and, when ``specs`` is given,
+    drains cores whose error reaches ``fail_error_threshold``.
+    """
+    width = model.num_cores
+    lane = _TenantLane(
+        0,
+        "pipeline",
+        specs,
+        policy,
+        arrivals,
+        model,
+        list(range(width)),
+        width,
+        config,
+        fail_error_threshold=None if specs is None else fail_error_threshold,
+        record_snapshots=True,
+    )
+    _serve_lanes([lane], health, _lone_lane)
+    return lane
+
+
+def _lone_lane(lane: _TenantLane) -> int:
+    """Tie key of a lane that has no one to tie with."""
+    return 0
 
 
 def simulate_cluster_serving(

@@ -29,15 +29,16 @@ simulated clock for the first time:
   on the *real* engine with each core's conv weights pushed through the
   measured drift transfer, reporting golden-output divergence per batch.
 
-The engine is differential by construction: the whole event loop is the
-unified kernel of :mod:`repro.core.simkernel` — fault-and-drift
-bookkeeping rides along as :class:`FaultPlugin`, a kernel plugin whose
-hooks advance the drift state machines, pay recalibration downtime, and
-re-partition around failed cores, while dispatch planning and the
-pipeline walk stay the exact arithmetic the fault-free simulator uses.
-A zero-magnitude schedule therefore yields a bit-identical
-:class:`~repro.core.traffic.ServingReport` (and a bit-identical engine
-replay) — the property ``tests/test_differential_faults.py`` pins.
+The engine is differential by construction.  Every faulted run —
+single pipeline or multi-tenant cluster — is served by the cluster lane
+loop of :mod:`repro.core.cluster`, and at each dispatch it takes one
+fault step, :meth:`PoolHealth.step`: advance the drift state machines,
+ask the recalibration trigger, pay the downtime on the shared clock.
+Dispatch planning and the pipeline walk stay the exact arithmetic the
+fault-free simulator uses, so a zero-magnitude schedule yields a
+bit-identical :class:`~repro.core.traffic.ServingReport` (and a
+bit-identical engine replay) — the property
+``tests/test_differential_faults.py`` pins.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ from repro.core.config import PCNNAConfig
 from repro.core.serving import run_network_pipelined, stage_layer_slices
 from repro.core.simkernel import (
     BatchingPolicy,
-    BatchRecord,
     DispatchContext,
-    EventLoopKernel,
-    KernelPlugin,
+    validate_arrival_trace,
+    validate_kernel_mode,
 )
 from repro.core.traffic import (
     PipelineServiceModel,
@@ -357,12 +357,51 @@ class RecalibrationPolicy:
             raise ValueError(
                 f"need >= 1 iteration, got {self.max_iterations!r}"
             )
-        if self.iteration_time_s < 0.0 or self.overhead_s < 0.0:
-            raise ValueError("recalibration times must be >= 0")
+        # `not 0 <= t < inf` also rejects NaN, which every comparison
+        # fails and which would otherwise flow into the core clocks.
+        if not (
+            0.0 <= self.iteration_time_s < math.inf
+            and 0.0 <= self.overhead_s < math.inf
+        ):
+            raise ValueError(
+                f"recalibration times must be finite and >= 0, got "
+                f"iteration {self.iteration_time_s!r}, overhead "
+                f"{self.overhead_s!r}"
+            )
 
     def downtime_s(self, iterations: int) -> float:
         """Downtime one attempt with ``iterations`` iterations costs."""
         return self.overhead_s + iterations * self.iteration_time_s
+
+    def decider(self) -> "ThresholdTrigger":
+        """The per-run trigger, as
+        :meth:`~repro.core.adaptive.AdaptiveRecalibration.decider`."""
+        return ThresholdTrigger(self)
+
+
+class ThresholdTrigger:
+    """The static policy's trigger: the threshold test alone.
+
+    It keeps no decision log and never reads the queue depth.
+    """
+
+    __slots__ = ("policy",)
+
+    decisions: tuple = ()
+    needs_queue_depth = False
+
+    def __init__(self, policy: RecalibrationPolicy) -> None:
+        self.policy = policy
+
+    def decide(
+        self,
+        state: "CoreHealthState",
+        time_s: float,
+        downtime_s: float,
+        queued: int | None = None,
+    ) -> bool:
+        """Whether ``state``'s core recalibrates at ``time_s``."""
+        return state.should_recalibrate(self.policy)
 
 
 @dataclass(frozen=True)
@@ -679,213 +718,126 @@ class DegradedServingReport(ServingReport):
         return "\n".join(lines)
 
 
-class FaultPlugin(KernelPlugin):
-    """Fault-and-drift bookkeeping as a plugin on the event-loop kernel.
+class PoolHealth:
+    """Drift, recalibration and downtime of a pool of physical cores.
 
-    At every sealed dispatch the plugin advances each serving core's
-    drift state machine to the dispatch instant, lets the recalibration
-    policy drain cores (downtime pushed into the kernel's ``core_free``
-    clock), and — when a core degrades beyond recalibration's reach —
-    re-partitions the layers over the survivors by swapping the kernel's
-    service model and stage→core map.  After each batch it records the
-    accuracy proxy, the pipeline width, and the per-stage drift
-    snapshots the degraded engine replay consumes.
-
-    The plugin never touches dispatch planning or the pipeline-walk
-    arithmetic, which is why a zero-magnitude schedule stays
-    bit-identical to the plain kernel.
+    One :class:`CoreHealthState` per pool core, the recalibration
+    policy's per-run trigger, and the downtime and recalibration
+    ledgers.  :meth:`step` is the one fault step: the lane event loop
+    takes it at every dispatch, for the single-pipeline
+    :class:`DegradedServingSimulator` and the cluster alike.
 
     Args:
-        schedule: the fault schedule to inject.
-        recalibration: online recalibration policy; ``None`` disables
-            recalibration entirely.
-        specs: the served network's conv layers; required for
-            fault-aware repartitioning (``None`` disables it).
-        config: hardware configuration used when repartitioning.
-        fail_error_threshold: weight error beyond which a core is
-            declared failed and drained out of the pipeline.
+        schedule: the fault schedule over the pool's physical cores.
+        num_cores: physical cores in the pool.
+        recalibration: a :class:`RecalibrationPolicy` or an
+            :class:`~repro.core.adaptive.AdaptiveRecalibration`;
+            ``None`` disables recalibration.
         probe_rings: rings in each core's accuracy-probe bank.
     """
+
+    __slots__ = ("states", "downtime", "recalibrations", "trigger")
 
     def __init__(
         self,
         schedule: FaultSchedule,
-        recalibration: RecalibrationPolicy | None = None,
-        specs: list[ConvLayerSpec] | None = None,
-        config: PCNNAConfig | None = None,
-        fail_error_threshold: float = 0.5,
+        num_cores: int,
+        recalibration=None,
         probe_rings: int = 8,
     ) -> None:
-        if fail_error_threshold <= 0.0:
-            raise ValueError(
-                f"fail threshold must be positive, got "
-                f"{fail_error_threshold!r}"
-            )
-        self.schedule = schedule
-        self.recalibration = recalibration
-        self.specs = specs
-        self.config = config
-        self.fail_error_threshold = fail_error_threshold
-        self.probe_rings = probe_rings
-        self.states: list[CoreHealthState] = []
-        self.downtime: list[float] = []
-        self.proxies: list[float] = []
-        self.widths: list[int] = []
-        self.snapshots: list[tuple[CoreDriftSnapshot, ...]] = []
-        self.recalibrations: list[RecalibrationRecord] = []
-        self.repartitions: list[RepartitionRecord] = []
-
-    def on_run_start(self, ctx: DispatchContext) -> None:
-        """Seed one drift state machine per physical pipeline core.
-
-        Every per-run record is reset here, so one plugin instance can
-        be attached to consecutive kernel runs without leaking state.
-        """
-        width = ctx.model.num_cores
         self.states = [
-            CoreHealthState(core, self.schedule, self.probe_rings)
-            for core in range(width)
+            CoreHealthState(core, schedule, probe_rings)
+            for core in range(num_cores)
         ]
-        self.downtime = [0.0] * width
-        self.proxies = []
-        self.widths = []
-        self.snapshots = []
-        self.recalibrations = []
-        self.repartitions = []
+        self.downtime = [0.0] * num_cores
+        self.recalibrations: list[RecalibrationRecord] = []
+        self.trigger = (
+            None if recalibration is None else recalibration.decider()
+        )
 
-    def _should_recalibrate(
-        self, ctx: DispatchContext, state: CoreHealthState, dispatch_s: float
-    ) -> bool:
-        """The recalibration trigger decision for one core, one instant.
-
-        The static policy's threshold test, factored out so the adaptive
-        control plane (:mod:`repro.core.adaptive`) can substitute a
-        telemetry-driven decision.  Whatever the trigger decides, the
-        recalibration *arithmetic* (the calibration loop, the downtime
-        charged into ``core_free``) is shared — which is why a frozen
-        adaptive trigger stays bit-identical to this one.
-        """
-        return state.should_recalibrate(self.recalibration)
-
-    def on_dispatch_planned(
-        self, ctx: DispatchContext, dispatch_s: float, size: int
+    def step(
+        self, ctx: DispatchContext, dispatch_s: float, queue_depth
     ) -> None:
-        """Advance the substrate, recalibrate, and repartition."""
-        states = self.states
-        stage_to_core = ctx.stage_to_core
-        core_free = ctx.core_free
+        """Advance a pipeline's cores to a dispatch and recalibrate.
 
-        # -- substrate: advance every serving core to this instant --
-        for core in stage_to_core:
+        Every core behind ``ctx`` is advanced to ``dispatch_s``; each
+        core the trigger fires on runs the closed calibration loop and
+        its downtime pushes that stage's free time forward on the
+        shared clock.  ``queue_depth(time_s)`` is sampled only for a
+        trigger that gates on queue pressure.
+        """
+        states = self.states
+        for core in ctx.stage_to_core:
             states[core].advance_to(dispatch_s)
-
-        # -- recalibration: drain a core, pay downtime on the clock --
-        if self.recalibration is not None:
-            for stage, core in enumerate(stage_to_core):
-                state = states[core]
-                if not self._should_recalibrate(ctx, state, dispatch_s):
-                    continue
-                result = state.recalibrate(self.recalibration)
-                cost = self.recalibration.downtime_s(result.iterations)
-                core_free[stage] = max(core_free[stage], dispatch_s) + cost
-                self.downtime[core] += cost
-                self.recalibrations.append(
-                    RecalibrationRecord(
-                        time_s=dispatch_s,
-                        core=core,
-                        iterations=result.iterations,
-                        residual=state.error,
-                        downtime_s=cost,
-                        restored=state.error
-                        <= self.recalibration.error_threshold,
-                    )
-                )
-
-        # -- fault-aware scheduler: drain and re-partition around
-        #    cores degraded beyond recalibration's reach --
-        if self.specs is not None and len(stage_to_core) > 1:
-            failing = [
-                core
-                for core in stage_to_core
-                if states[core].error >= self.fail_error_threshold
-            ]
-            if failing and len(failing) < len(stage_to_core):
-                survivors = [
-                    core for core in stage_to_core if core not in failing
-                ]
-                drain = max(core_free)
-                ctx.model = PipelineServiceModel.from_specs(
-                    self.specs,
-                    len(survivors),
-                    self.config,
-                    clamp_cores=True,
-                )
-                ctx.stage_to_core = survivors
-                ctx.core_free = [drain] * len(survivors)
-                self.repartitions.append(
-                    RepartitionRecord(
-                        time_s=dispatch_s,
-                        failed_cores=tuple(failing),
-                        num_cores_after=len(survivors),
-                    )
-                )
-
-    def on_batch_complete(
-        self, ctx: DispatchContext, batch: BatchRecord
-    ) -> None:
-        """Record the batch's proxy, width, and drift snapshots."""
-        states = self.states
-        self.proxies.append(
-            max(states[core].error for core in ctx.stage_to_core)
+        trigger = self.trigger
+        if trigger is None:
+            return
+        policy = trigger.policy
+        queued = (
+            queue_depth(dispatch_s) if trigger.needs_queue_depth else None
         )
-        self.widths.append(ctx.model.num_cores)
-        self.snapshots.append(
-            tuple(states[core].snapshot() for core in ctx.stage_to_core)
-        )
+        core_free = ctx.core_free
+        for stage, core in enumerate(ctx.stage_to_core):
+            state = states[core]
+            if not trigger.decide(
+                state, dispatch_s, self.downtime[core], queued=queued
+            ):
+                continue
+            result = state.recalibrate(policy)
+            cost = policy.downtime_s(result.iterations)
+            core_free[stage] = max(core_free[stage], dispatch_s) + cost
+            self.downtime[core] += cost
+            self.recalibrations.append(
+                RecalibrationRecord(
+                    time_s=dispatch_s,
+                    core=core,
+                    iterations=result.iterations,
+                    residual=state.error,
+                    downtime_s=cost,
+                    restored=state.error <= policy.error_threshold,
+                )
+            )
 
-    def on_run_end(self, ctx: DispatchContext) -> None:
-        """Advance every state machine to the final dispatch instant.
-
-        Drained cores stop being advanced by the dispatch loop; this
-        brings every state to the end of the run so
-        ``final_core_errors`` reports end-of-run degradation, not
-        drain-time snapshots.
-        """
-        final_time = ctx.batches[-1].dispatch_s
+    def finish(self, time_s: float) -> None:
+        """Advance every core to the run's last dispatch, so drained
+        and idle cores report end-of-run error, not a stale one."""
         for state in self.states:
-            state.advance_to(final_time)
+            state.advance_to(time_s)
 
 
 class DegradedServingSimulator:
     """The serving event loop with hardware degradation on the clock.
 
-    A facade over the unified kernel: the event loop is
-    :class:`~repro.core.simkernel.EventLoopKernel` with a
-    :class:`FaultPlugin` attached, so it is identical to
-    :class:`~repro.core.traffic.ServingSimulator` except that at every
-    dispatch instant each core's drift state machine is advanced, the
-    recalibration policy may drain a core (downtime on the shared
-    clock), and the fault-aware scheduler may re-partition the layers
-    over the surviving cores.
+    One lane of the cluster event loop
+    (:mod:`repro.core.cluster`) serving the caller's pipeline: it is
+    identical to :class:`~repro.core.traffic.ServingSimulator` except
+    that at every dispatch instant each core's drift state machine is
+    advanced, the recalibration policy may drain a core (downtime on
+    the shared clock), and the fault-aware scheduler may re-partition
+    the layers over the surviving cores.  Dispatch planning and the
+    pipeline walk stay the exact arithmetic of the fault-free
+    simulator, which is why a zero-magnitude schedule stays
+    bit-identical to it.
 
     Args:
         model: the healthy per-core service model (initial pipeline).
         policy: the batching policy.
         schedule: the fault schedule to inject.
-        recalibration: online recalibration policy; ``None`` disables
-            recalibration entirely.
+        recalibration: online recalibration policy (static, or an
+            adaptive :class:`~repro.core.adaptive.AdaptiveRecalibration`);
+            ``None`` disables recalibration entirely.
         specs: the served network's conv layers; required for
             fault-aware repartitioning (``None`` disables it).
         config: hardware configuration used when repartitioning.
         fail_error_threshold: weight error beyond which a core is
             declared failed and drained out of the pipeline.
         probe_rings: rings in each core's accuracy-probe bank.
-        mode: kernel execution mode.  A fault run always carries the
-            :class:`FaultPlugin`, so ``"auto"`` resolves to the
-            reference event loop; ``"vectorized"`` is rejected by the
-            kernel (plugins mutate the pipeline mid-run).  The argument
-            exists so callers can spell the mode explicitly and get the
-            same error surface everywhere.
+        mode: kernel execution mode.  A fault run mutates the pipeline
+            mid-run, so ``"auto"`` runs the reference lane loop and
+            ``run`` rejects ``"vectorized"``.
+
+    Raises:
+        ValueError: on a fail threshold that is not finite and > 0.
     """
 
     def __init__(
@@ -900,6 +852,13 @@ class DegradedServingSimulator:
         probe_rings: int = 8,
         mode: str = "auto",
     ) -> None:
+        # `not 0 < x < inf` also rejects NaN, against which `error >= x`
+        # is always False and repartitioning would silently never fire.
+        if not 0.0 < fail_error_threshold < math.inf:
+            raise ValueError(
+                f"fail threshold must be finite and > 0, got "
+                f"{fail_error_threshold!r}"
+            )
         self.model = model
         self.policy = policy
         self.mode = mode
@@ -909,50 +868,66 @@ class DegradedServingSimulator:
         self.config = config
         self.fail_error_threshold = fail_error_threshold
         self.probe_rings = probe_rings
-        # Validate plugin arguments eagerly so a bad threshold fails at
-        # construction, as it always has.
-        self._make_plugin()
-
-    def _make_plugin(self) -> FaultPlugin:
-        return FaultPlugin(
-            schedule=self.schedule,
-            recalibration=self.recalibration,
-            specs=self.specs,
-            config=self.config,
-            fail_error_threshold=self.fail_error_threshold,
-            probe_rings=self.probe_rings,
-        )
 
     def run(self, arrival_s: np.ndarray) -> DegradedServingReport:
         """Serve a trace to completion under the fault schedule.
 
         Raises:
-            ValueError: on an empty or unsorted trace.
+            ValueError: on an empty or unsorted trace, or a
+                ``"vectorized"``/unknown mode.
         """
-        plugin = self._make_plugin()
-        run = EventLoopKernel(
-            self.model, self.policy, (plugin,), mode=self.mode
-        ).run(arrival_s)
-        return DegradedServingReport(
+        fields, _ = self._serve(arrival_s)
+        return DegradedServingReport(**fields)
+
+    def _serve(self, arrival_s: np.ndarray) -> tuple[dict, tuple]:
+        """Run the lane; return the report fields and the decision log."""
+        # The lane loop lives in cluster.py, which imports this module.
+        from repro.core.cluster import serve_pipeline
+
+        if validate_kernel_mode(self.mode) == "vectorized":
+            raise ValueError(
+                "vectorized mode cannot serve a fault schedule — drift, "
+                "recalibration and repartitioning mutate the pipeline "
+                "mid-run; use mode='reference' (or 'auto')"
+            )
+        health = PoolHealth(
+            self.schedule,
+            self.model.num_cores,
+            self.recalibration,
+            self.probe_rings,
+        )
+        lane = serve_pipeline(
+            self.model,
+            self.policy,
+            validate_arrival_trace(arrival_s),
+            health,
+            self.specs,
+            self.config,
+            self.fail_error_threshold,
+        )
+        ctx = lane.ctx
+        fields = dict(
             policy=self.policy,
-            num_cores=run.initial_num_cores,
-            arrival_s=run.arrival_s,
-            dispatch_s=run.dispatch_s,
-            completion_s=run.completion_s,
-            batches=run.batches,
-            core_busy_s=run.core_busy_s,
+            num_cores=lane.initial_width,
+            arrival_s=lane.admitted_times,
+            dispatch_s=ctx.dispatch_s,
+            completion_s=ctx.completion_s,
+            batches=tuple(ctx.batches),
+            core_busy_s=tuple(ctx.core_busy),
             schedule_name=self.schedule.name,
             recalibration_name=(
                 None if self.recalibration is None else self.recalibration.name
             ),
-            accuracy_proxy=np.array(plugin.proxies),
-            batch_num_cores=np.array(plugin.widths, dtype=int),
-            batch_snapshots=tuple(plugin.snapshots),
-            core_downtime_s=tuple(plugin.downtime),
-            final_core_errors=tuple(state.error for state in plugin.states),
-            recalibrations=tuple(plugin.recalibrations),
-            repartitions=tuple(plugin.repartitions),
+            accuracy_proxy=np.array(lane.proxies),
+            batch_num_cores=np.array(lane.widths, dtype=int),
+            batch_snapshots=tuple(lane.snapshots),
+            core_downtime_s=tuple(health.downtime),
+            final_core_errors=tuple(state.error for state in health.states),
+            recalibrations=tuple(health.recalibrations),
+            repartitions=tuple(lane.repartitions),
         )
+        decisions = () if health.trigger is None else health.trigger.decisions
+        return fields, tuple(decisions)
 
 
 def simulate_degraded_serving(
@@ -1148,7 +1123,8 @@ __all__ = [
     "DegradedServingReport",
     "DegradedServingSimulator",
     "DegradedReplay",
-    "FaultPlugin",
+    "PoolHealth",
+    "ThresholdTrigger",
     "simulate_degraded_serving",
     "replay_on_engine_degraded",
 ]

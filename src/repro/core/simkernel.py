@@ -13,20 +13,20 @@ once:
   batch onto the cores (the float arithmetic every simulator shares
   verbatim, which is what makes the facades *bit-identical* to their
   pre-kernel selves);
-* :class:`EventLoopKernel` — the queue → batcher → pipeline loop with
-  :class:`KernelPlugin` hooks at the three points a scenario can differ:
-  after a dispatch is planned (``on_dispatch_planned`` — where the fault
-  engine advances drift state machines, pays recalibration downtime, and
-  re-partitions around failed cores), after a batch completes
-  (``on_batch_complete`` — per-batch bookkeeping), and at run start/end.
+* :class:`EventLoopKernel` — the fault-free queue → batcher → pipeline
+  loop, as whole-trace array ops or as the per-event reference loop.
 
-:class:`~repro.core.traffic.ServingSimulator` is the kernel with no
-plugins; :class:`~repro.core.faults.DegradedServingSimulator` is the
-kernel plus :class:`~repro.core.faults.FaultPlugin`; the cluster runtime
-drives one :class:`DispatchContext` per tenant through the same
-:func:`plan_dispatch` / :func:`execute_dispatch` pair.  The simulated
-clock is decoupled from wall time and every input is seeded, so a fixed
-seed yields bit-identical results on every run.
+:class:`~repro.core.traffic.ServingSimulator` is a facade over the
+kernel.  Everything that mutates a pipeline mid-run — fault-and-drift
+bookkeeping, recalibration downtime, fault-aware repartitioning,
+admission control and elastic reallocation — runs on the cluster lane
+loop of :mod:`repro.core.cluster`, which drives one
+:class:`DispatchContext` per pipeline through the same
+:func:`plan_dispatch` / :func:`execute_dispatch` pair; the
+single-pipeline :class:`~repro.core.faults.DegradedServingSimulator` is
+one such lane.  The simulated clock is decoupled from wall time and
+every input is seeded, so a fixed seed yields bit-identical results on
+every run.
 
 :class:`BatchingPolicy`, :class:`BatchRecord`, and
 :func:`validate_arrival_trace` live here because every front door shares
@@ -53,13 +53,13 @@ KERNEL_MODES: tuple[str, ...] = ("auto", "vectorized", "reference")
 ``"reference"`` is the original per-event Python loop — one
 :func:`plan_dispatch` / :func:`execute_dispatch` call per batch.
 ``"vectorized"`` plans whole batch boundaries and completion clocks as
-numpy array ops; it refuses plugins (plugins mutate the pipeline
-mid-run, which has no array form).  ``"auto"`` — the default — picks
-vectorized when no plugins are attached and reference otherwise.  The
-two modes are *bit-identical*: every float the vectorized path emits is
-produced by the same sequence of IEEE-754 operations the reference loop
-performs (see ``docs/architecture.md``, "Vectorized kernel & reference
-mode").
+numpy array ops.  ``"auto"`` — the default — picks vectorized wherever
+a run has no mid-run feedback; front doors whose pipelines change
+mid-run (faults, elastic reallocation) resolve it to the reference
+loop and reject ``"vectorized"``.  The two modes are *bit-identical*:
+every float the vectorized path emits is produced by the same sequence
+of IEEE-754 operations the reference loop performs (see
+``docs/architecture.md``, "Vectorized kernel & reference mode").
 """
 
 
@@ -295,33 +295,6 @@ def validate_arrival_trace(arrival_s: np.ndarray) -> np.ndarray:
     return arrivals
 
 
-@dataclass(frozen=True, slots=True)
-class KernelTelemetry:
-    """One pipeline's observable state at a dispatch instant.
-
-    The read-only signal surface the adaptive control plane
-    (:mod:`repro.core.adaptive`) consumes: queue depth and the per-core
-    clocks, snapshotted from a :class:`DispatchContext` without touching
-    any of the kernel's mutable state.  Controllers that only *read*
-    telemetry cannot perturb the bit-identity pins.
-
-    Attributes:
-        time_s: the dispatch instant the snapshot was taken at.
-        queued: requests arrived but not yet dispatched (queue depth).
-        head: index of the next request to dispatch.
-        num_stages: current pipeline width.
-        core_free_s: per-stage time the core frees up.
-        core_busy_s: per-physical-core accumulated busy time.
-    """
-
-    time_s: float
-    queued: int
-    head: int
-    num_stages: int
-    core_free_s: tuple[float, ...]
-    core_busy_s: tuple[float, ...]
-
-
 def plan_dispatch(
     arrivals: np.ndarray,
     head: int,
@@ -370,21 +343,20 @@ def plan_dispatch(
 class DispatchContext:
     """Mutable state of one serving pipeline inside the event loop.
 
-    Plugins receive the context at every hook and may mutate the
-    pipeline mid-run — push a core's free time forward (recalibration
-    downtime), swap the service model and the stage→core map
-    (fault-aware repartitioning), or resize the pipeline (elastic
-    reallocation in the cluster runtime).
+    The cluster lane loop mutates it mid-run — pushes a core's free
+    time forward (recalibration downtime), or swaps the service model
+    and the stage→core map (fault-aware repartitioning and elastic
+    reallocation).
 
     Attributes:
         arrivals: the (validated) arrival trace being served.
         policy: the batching policy sealing dispatches.
         model: the current per-core service-time model (a
-            :class:`~repro.core.traffic.PipelineServiceModel`); plugins
-            may replace it.
+            :class:`~repro.core.traffic.PipelineServiceModel`);
+            repartitioning replaces it.
         stage_to_core: physical core index behind each pipeline stage.
-            Starts as the identity map; shrinks when a plugin drains
-            cores out of the pipeline.
+            Starts as the identity map; changes when a repartition
+            drains cores out of the pipeline or adds some.
         core_free: per-*stage* time the core frees up.
         core_busy: per-*physical-core* accumulated busy time (length
             never changes — drained cores keep their history).
@@ -393,7 +365,6 @@ class DispatchContext:
         dispatch_s: per-request batch-dispatch times (filled as batches
             seal).
         completion_s: per-request completion times.
-        initial_num_cores: pipeline width at the start of the run.
     """
 
     __slots__ = (
@@ -407,7 +378,6 @@ class DispatchContext:
         "batches",
         "dispatch_s",
         "completion_s",
-        "initial_num_cores",
     )
 
     def __init__(self, model, policy: BatchingPolicy, arrivals: np.ndarray):
@@ -422,35 +392,6 @@ class DispatchContext:
         self.batches: list[BatchRecord] = []
         self.dispatch_s = np.empty(arrivals.size)
         self.completion_s = np.empty(arrivals.size)
-        self.initial_num_cores = width
-
-    @property
-    def num_requests(self) -> int:
-        """Requests in the trace."""
-        return int(self.arrivals.size)
-
-    @property
-    def done(self) -> bool:
-        """Whether every request has been dispatched."""
-        return self.head >= self.arrivals.size
-
-    def telemetry(self, time_s: float) -> KernelTelemetry:
-        """Snapshot the pipeline's observable state at ``time_s``.
-
-        Pure read: the snapshot copies the clocks and counts queued
-        requests (arrived at or before ``time_s``, not yet dispatched)
-        without mutating the context, so plugins may sample telemetry
-        at every hook without perturbing the kernel's arithmetic.
-        """
-        arrived = int(np.searchsorted(self.arrivals, time_s, side="right"))
-        return KernelTelemetry(
-            time_s=time_s,
-            queued=max(arrived - self.head, 0),
-            head=self.head,
-            num_stages=self.model.num_cores,
-            core_free_s=tuple(self.core_free),
-            core_busy_s=tuple(self.core_busy),
-        )
 
 
 def execute_dispatch(
@@ -747,39 +688,6 @@ def _plan_batches_dynamic(
     return heads[:nb], sizes[:nb], disp[:nb]
 
 
-class KernelPlugin:
-    """Hook points a serving scenario can attach to the event loop.
-
-    Subclass and override what the scenario needs; every default is a
-    no-op, so the plain kernel and a kernel with a vacuous plugin run
-    the identical arithmetic.  Hooks run in plugin order at each point.
-    """
-
-    def on_run_start(self, ctx: DispatchContext) -> None:
-        """Called once before the first dispatch is planned."""
-
-    def on_dispatch_planned(
-        self, ctx: DispatchContext, dispatch_s: float, size: int
-    ) -> None:
-        """Called after a dispatch is sealed, before it executes.
-
-        The hook where degradation rides the clock: advance substrate
-        state to ``dispatch_s``, pay downtime into ``ctx.core_free``,
-        or swap ``ctx.model`` / ``ctx.stage_to_core`` to re-partition.
-        The sealed ``(dispatch_s, size)`` itself is never revisited —
-        matching the pre-kernel simulators, where recalibration delayed
-        a batch's *completion*, not its dispatch decision.
-        """
-
-    def on_batch_complete(
-        self, ctx: DispatchContext, batch: BatchRecord
-    ) -> None:
-        """Called after a batch is booked onto the pipeline."""
-
-    def on_run_end(self, ctx: DispatchContext) -> None:
-        """Called once after the last batch completes."""
-
-
 @dataclass(frozen=True)
 class KernelRun:
     """Everything the kernel measured over one serving run.
@@ -809,7 +717,7 @@ class KernelRun:
 def plan_batches(
     arrivals: np.ndarray, policy: BatchingPolicy, model
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plan every batch of a pluginless run as arrays.
+    """Plan every batch of a fault-free run as arrays.
 
     Routes on the policy's *attributes*, not its name: ``max_batch == 1``
     is the fifo recipe whatever the wait budget (a solo head never waits
@@ -865,34 +773,20 @@ class EventLoopKernel:
         model: the per-core service-time model
             (:class:`~repro.core.traffic.PipelineServiceModel`).
         policy: the batching policy.
-        plugins: scenario hooks, run in order at each hook point.
-        mode: one of :data:`KERNEL_MODES`.  ``"auto"`` (the default)
-            runs vectorized when no plugins are attached and falls back
-            to the reference event loop otherwise; the explicit modes
-            force one path (``"vectorized"`` with plugins is an error).
+        mode: one of :data:`KERNEL_MODES`.  ``"auto"`` (the default) and
+            ``"vectorized"`` run the array-op path; ``"reference"`` runs
+            the per-event loop.  Both paths are bit-identical.
 
     Raises:
-        ValueError: on an unknown mode, or ``mode="vectorized"`` with
-            plugins attached.
+        ValueError: on an unknown mode.
     """
 
     def __init__(
-        self,
-        model,
-        policy: BatchingPolicy,
-        plugins: tuple[KernelPlugin, ...] = (),
-        mode: str = "auto",
+        self, model, policy: BatchingPolicy, mode: str = "auto"
     ) -> None:
-        validate_kernel_mode(mode)
-        if mode == "vectorized" and plugins:
-            raise ValueError(
-                "vectorized mode cannot host plugins — they mutate the "
-                "pipeline mid-run; use mode='reference' (or 'auto')"
-            )
+        self.mode = validate_kernel_mode(mode)
         self.model = model
         self.policy = policy
-        self.plugins = tuple(plugins)
-        self.mode = mode
 
     def run(self, arrival_s: np.ndarray) -> KernelRun:
         """Serve a trace of arrival times to completion.
@@ -901,11 +795,9 @@ class EventLoopKernel:
             ValueError: on an empty or unsorted trace.
         """
         arrivals = validate_arrival_trace(arrival_s)
-        if self.mode == "vectorized" or (
-            self.mode == "auto" and not self.plugins
-        ):
-            return self._run_vectorized(arrivals)
-        return self._run_reference(arrivals)
+        if self.mode == "reference":
+            return self._run_reference(arrivals)
+        return self._run_vectorized(arrivals)
 
     def _run_vectorized(self, arrivals: np.ndarray) -> KernelRun:
         """The array-op hot path: plan all batches, then book them.
@@ -928,39 +820,21 @@ class EventLoopKernel:
         )
 
     def _run_reference(self, arrivals: np.ndarray) -> KernelRun:
-        """The original per-event loop (and the only plugin host)."""
+        """The original per-event loop, one plan/book pair per batch."""
         ctx = DispatchContext(self.model, self.policy, arrivals)
-        plugins = self.plugins
         num_requests = arrivals.size
-        for plugin in plugins:
-            plugin.on_run_start(ctx)
-        if plugins:
-            while ctx.head < num_requests:
-                dispatch, size = plan_dispatch(
-                    arrivals, ctx.head, ctx.policy, ctx.core_free[0]
-                )
-                for plugin in plugins:
-                    plugin.on_dispatch_planned(ctx, dispatch, size)
-                batch = execute_dispatch(ctx, dispatch, size)
-                for plugin in plugins:
-                    plugin.on_batch_complete(ctx, batch)
-        else:
-            # Zero-plugin reference run: identical arithmetic to the
-            # vectorized path, no per-batch hook dispatch.
-            while ctx.head < num_requests:
-                dispatch, size = plan_dispatch(
-                    arrivals, ctx.head, ctx.policy, ctx.core_free[0]
-                )
-                execute_dispatch(ctx, dispatch, size)
-        for plugin in plugins:
-            plugin.on_run_end(ctx)
+        while ctx.head < num_requests:
+            dispatch, size = plan_dispatch(
+                arrivals, ctx.head, ctx.policy, ctx.core_free[0]
+            )
+            execute_dispatch(ctx, dispatch, size)
         return KernelRun(
             arrival_s=arrivals,
             dispatch_s=ctx.dispatch_s,
             completion_s=ctx.completion_s,
             batches=tuple(ctx.batches),
             core_busy_s=tuple(ctx.core_busy),
-            initial_num_cores=ctx.initial_num_cores,
+            initial_num_cores=self.model.num_cores,
         )
 
 
@@ -971,9 +845,7 @@ __all__ = [
     "BatchTable",
     "DispatchContext",
     "EventLoopKernel",
-    "KernelPlugin",
     "KernelRun",
-    "KernelTelemetry",
     "execute_dispatch",
     "pipeline_completions",
     "plan_batches",

@@ -29,9 +29,10 @@ discrete-event simulator:
   bottleneck rate of the analytical model.
 
 The event loop itself lives in :mod:`repro.core.simkernel` — the
-unified kernel the fault engine (:mod:`repro.core.faults`) and the
-multi-tenant cluster runtime (:mod:`repro.core.cluster`) share.
-:class:`ServingSimulator` is the kernel with no plugins; this module
+unified kernel whose dispatch arithmetic the fault engine
+(:mod:`repro.core.faults`) and the multi-tenant cluster runtime
+(:mod:`repro.core.cluster`) share.  :class:`ServingSimulator` is a
+facade over the kernel; this module
 re-exports the kernel's front-door types (:class:`BatchingPolicy`,
 :class:`BatchRecord`, :func:`plan_dispatch`,
 :func:`validate_arrival_trace`) so the historical API is unchanged.
@@ -350,17 +351,17 @@ class ServingSimulator:
     """Discrete-event closed loop: queue -> batcher -> core pipeline.
 
     A thin facade over the unified event-loop kernel
-    (:class:`~repro.core.simkernel.EventLoopKernel`) with no plugins
-    attached — the kernel extraction changed no numbers, so reports are
-    bit-identical to the pre-kernel simulator.
+    (:class:`~repro.core.simkernel.EventLoopKernel`) — the kernel
+    extraction changed no numbers, so reports are bit-identical to the
+    pre-kernel simulator.
 
     Args:
         model: the per-core service-time model.
         policy: the batching policy.
         mode: kernel execution mode, one of
             :data:`~repro.core.simkernel.KERNEL_MODES`.  The default
-            ``"auto"`` resolves to the vectorized hot path (no plugins
-            here); ``"reference"`` forces the per-event loop.  Both are
+            ``"auto"`` resolves to the vectorized hot path;
+            ``"reference"`` forces the per-event loop.  Both are
             bit-identical.
     """
 

@@ -5,9 +5,8 @@ own source, enforcing by machine the conventions every guarantee rests
 on: seeded RNG only (DET001), the simulated clock only (DET002), no
 hash-ordered set iteration into folds (DET003), justified float folds
 in bit-identity modules (BIT001), audited export surfaces (API001),
-seed threading through every public entry point (API002), real kernel
-hook names only (PLUG001), and ``__slots__`` on hot-path classes
-(PERF001).
+seed threading through every public entry point (API002), and
+``__slots__`` on hot-path classes (PERF001).
 
 Deliberate exceptions are waived inline with a justification::
 

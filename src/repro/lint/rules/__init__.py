@@ -1,5 +1,5 @@
 """The rule modules; importing this package registers every rule."""
 
-from repro.lint.rules import api, bitident, determinism, perf, plugins
+from repro.lint.rules import api, bitident, determinism, perf
 
-__all__ = ["api", "bitident", "determinism", "perf", "plugins"]
+__all__ = ["api", "bitident", "determinism", "perf"]

@@ -45,16 +45,10 @@ from repro.core.faults import (
     RecalibrationPolicy,
     simulate_degraded_serving,
 )
-from repro.core.simkernel import (
-    BatchingPolicy,
-    EventLoopKernel,
-    KernelPlugin,
-)
-from repro.core.traffic import PipelineServiceModel
+from repro.core.simkernel import BatchingPolicy
 from repro.workloads import (
     cluster_mix,
     fault_scenario,
-    lenet5_conv_specs,
     poisson_arrivals,
     serving_network,
 )
@@ -518,30 +512,6 @@ class TestDeciderRuntime:
         assert admission.burn_rate(np.array([0.5, 2.0])) == 0.5
         assert admission.sheds(0.5)
         assert not admission.sheds(0.25)
-
-
-class TestTelemetry:
-    def test_dispatch_context_telemetry(self):
-        class Probe(KernelPlugin):
-            def __init__(self):
-                self.snapshots = []
-
-            def on_dispatch_planned(self, ctx, dispatch_s, size):
-                self.snapshots.append(ctx.telemetry(dispatch_s))
-
-        arrivals = poisson_arrivals(2e4, 48, seed=0)
-        model = PipelineServiceModel.from_specs(
-            list(lenet5_conv_specs()), 2
-        )
-        probe = Probe()
-        run = EventLoopKernel(model, POLICY, (probe,)).run(arrivals)
-        assert len(probe.snapshots) == len(run.batches)
-        for snap in probe.snapshots:
-            assert snap.num_stages == 2
-            assert len(snap.core_free_s) == 2
-            assert len(snap.core_busy_s) == 2
-            assert snap.queued >= 0
-            assert snap.head >= 0
 
 
 class TestPolicyEvalHarness:

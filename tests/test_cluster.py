@@ -133,6 +133,53 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="trace per tenant"):
             simulator.run({"b": poisson_arrivals(100.0, 5)})
 
+    def test_static_elastic_thresholds_are_its_constants(self):
+        policy = ElasticReallocation(pressure_ratio=3.0, min_queue=5)
+        assert policy.thresholds(0.0) == (3.0, 5)
+        assert policy.thresholds(1e9) == (3.0, 5)
+
+    def test_mistyped_controllers_raise(self):
+        """A lookalike policy fails loudly at construction instead of
+        silently running as the static policy."""
+        from types import SimpleNamespace
+
+        from repro.core.adaptive import (
+            AdaptiveRecalibration,
+            PressureController,
+        )
+
+        recal_lookalike = SimpleNamespace(
+            name="recal",
+            error_threshold=0.05,
+            max_iterations=20,
+            iteration_time_s=50e-6,
+            overhead_s=200e-6,
+        )
+        elastic_lookalike = SimpleNamespace(pressure_ratio=4.0, min_queue=16)
+        frozen = AdaptiveRecalibration.frozen(RecalibrationPolicy())
+        tenants = [tenant("a")]
+        for bad in (recal_lookalike, PressureController.inert()):
+            with pytest.raises(TypeError, match="recalibration must be"):
+                ClusterSimulator(
+                    tenants,
+                    2,
+                    schedule=FaultSchedule.uniform_drift(1.0, 2),
+                    recalibration=bad,
+                )
+        for bad in (elastic_lookalike, frozen):
+            with pytest.raises(TypeError, match="elastic must be"):
+                ClusterSimulator(tenants, 2, elastic=bad)
+        with pytest.raises(TypeError, match="recalibration must be"):
+            simulate_cluster_serving(
+                tenants,
+                {"a": poisson_arrivals(100.0, 5)},
+                2,
+                recalibration=recal_lookalike,
+            )
+        # Both interfaces of each kind are accepted.
+        ClusterSimulator(tenants, 2, recalibration=frozen)
+        ClusterSimulator(tenants, 2, elastic=PressureController.inert())
+
 
 class TestSingleTenantDifferential:
     """The acceptance pin: one tenant, zero faults == PR 3 simulator."""

@@ -469,6 +469,66 @@ class TestRecalibrationPolicy:
         with pytest.raises(ValueError, match="times"):
             RecalibrationPolicy(iteration_time_s=-1.0)
 
+    @pytest.mark.parametrize("field", ["iteration_time_s", "overhead_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_costs_rejected(self, field, value):
+        """NaN passes a bare `< 0` check and would reach the core
+        clocks, downtime ledger and availability."""
+        with pytest.raises(ValueError, match="finite"):
+            RecalibrationPolicy(**{field: value})
+
+    def test_static_trigger_is_the_threshold_test(self):
+        policy = RecalibrationPolicy(error_threshold=0.05)
+        trigger = policy.decider()
+        assert trigger.policy is policy
+        assert trigger.decisions == ()
+        assert not trigger.needs_queue_depth
+        state = CoreHealthState(0, FaultSchedule.uniform_drift(50.0, 1))
+        for time_s in (0.0, 1e-3, 1.0):
+            state.advance_to(time_s)
+            assert trigger.decide(state, time_s, 0.0) == (
+                state.should_recalibrate(policy)
+            )
+        assert trigger.decide(state, 1.0, 0.0)
+        assert trigger.decisions == ()
+
+
+class TestFailThreshold:
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_rejected(self, threshold):
+        """`error >= nan` is always False: a NaN threshold would silently
+        switch repartitioning off."""
+        from repro.core.adaptive import (
+            AdaptiveRecalibration,
+            simulate_adaptive_serving,
+        )
+        from repro.core.faults import (
+            DegradedServingSimulator,
+            simulate_degraded_serving,
+        )
+        from repro.core.traffic import PipelineServiceModel
+        from repro.workloads import serving_network
+
+        model = PipelineServiceModel.from_specs(alexnet_conv_specs(), 2)
+        with pytest.raises(ValueError, match="fail threshold"):
+            DegradedServingSimulator(
+                model,
+                BatchingPolicy.fifo(),
+                FaultSchedule.none(),
+                fail_error_threshold=threshold,
+            )
+        network = serving_network("lenet5")
+        arrivals = poisson_arrivals(2e4, 8, seed=2)
+        args = (network, arrivals, BatchingPolicy.fifo(), FaultSchedule.none(), 2)
+        with pytest.raises(ValueError, match="fail threshold"):
+            simulate_degraded_serving(*args, fail_error_threshold=threshold)
+        with pytest.raises(ValueError, match="fail threshold"):
+            simulate_adaptive_serving(
+                *args,
+                AdaptiveRecalibration.frozen(RecalibrationPolicy()),
+                fail_error_threshold=threshold,
+            )
+
 
 class TestFaultScenarios:
     @pytest.mark.parametrize("name", FAULT_SCENARIOS)

@@ -108,9 +108,6 @@ class TestFixtureCorpus:
 
         finding = first("det001_bad.py", "DET001")
         assert finding.symbol == "draw_legacy"
-        finding = first("plug001_bad.py", "PLUG001")
-        assert finding.symbol == "TypoPlugin"
-        assert "did you mean `on_batch_complete`" in finding.message
 
 
 class TestRegistry:

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import traffic
-from repro.core.faults import FaultPlugin, FaultSchedule
+from repro.core.faults import (
+    DegradedServingSimulator,
+    FaultSchedule,
+    RecalibrationPolicy,
+)
 from repro.core.simkernel import (
     BatchingPolicy,
     DispatchContext,
     EventLoopKernel,
-    KernelPlugin,
     execute_dispatch,
     plan_dispatch,
     validate_arrival_trace,
@@ -61,48 +64,9 @@ class TestValidateArrivalTrace:
             validate_arrival_trace(np.array([2.0, 1.0]))
 
 
-class RecordingPlugin(KernelPlugin):
-    """Counts hook invocations and checks the context it sees."""
-
-    def __init__(self):
-        self.starts = 0
-        self.planned = []
-        self.completed = []
-        self.ends = 0
-
-    def on_run_start(self, ctx):
-        self.starts += 1
-        assert ctx.head == 0 and not ctx.batches
-
-    def on_dispatch_planned(self, ctx, dispatch_s, size):
-        # The batch is sealed but not yet booked.
-        self.planned.append((ctx.head, dispatch_s, size))
-
-    def on_batch_complete(self, ctx, batch):
-        assert ctx.head == batch.first_request + batch.size
-        self.completed.append(batch)
-
-    def on_run_end(self, ctx):
-        self.ends += 1
-        assert ctx.done
-
-
 class TestEventLoopKernel:
-    def test_no_op_plugin_is_bit_identical(self):
-        """A vacuous plugin must not perturb a single float."""
-        arrivals = poisson_arrivals(5000.0, 1000, seed=3)
-        policy = BatchingPolicy.dynamic(8, 1e-3)
-        bare = EventLoopKernel(model(), policy).run(arrivals)
-        hooked = EventLoopKernel(model(), policy, (KernelPlugin(),)).run(
-            arrivals
-        )
-        assert np.array_equal(bare.dispatch_s, hooked.dispatch_s)
-        assert np.array_equal(bare.completion_s, hooked.completion_s)
-        assert bare.batches == hooked.batches
-        assert bare.core_busy_s == hooked.core_busy_s
-
     def test_facade_matches_kernel(self):
-        """ServingSimulator is the kernel with no plugins."""
+        """ServingSimulator is a facade over the kernel."""
         arrivals = poisson_arrivals(5000.0, 500, seed=5)
         policy = BatchingPolicy.fixed(16)
         report = ServingSimulator(model(), policy).run(arrivals)
@@ -111,39 +75,6 @@ class TestEventLoopKernel:
         assert report.batches == run.batches
         assert report.num_cores == run.initial_num_cores
 
-    def test_hooks_fire_once_per_batch_in_order(self):
-        arrivals = poisson_arrivals(2000.0, 200, seed=7)
-        plugin = RecordingPlugin()
-        run = EventLoopKernel(
-            model(), BatchingPolicy.dynamic(4, 1e-3), (plugin,)
-        ).run(arrivals)
-        assert plugin.starts == 1
-        assert plugin.ends == 1
-        assert len(plugin.planned) == len(run.batches)
-        assert plugin.completed == list(run.batches)
-        # Each planned head matches the batch the kernel then booked.
-        for (head, dispatch, size), batch in zip(
-            plugin.planned, run.batches
-        ):
-            assert head == batch.first_request
-            assert dispatch == batch.dispatch_s
-            assert size == batch.size
-
-    def test_plugin_downtime_delays_completions(self):
-        """Pushing core_free forward in the hook rides the shared
-        clock, exactly like recalibration downtime."""
-
-        class Downtime(KernelPlugin):
-            def on_dispatch_planned(self, ctx, dispatch_s, size):
-                ctx.core_free[0] = max(ctx.core_free[0], dispatch_s) + 1e-3
-
-        arrivals = poisson_arrivals(2000.0, 100, seed=2)
-        policy = BatchingPolicy.fifo()
-        bare = EventLoopKernel(model(), policy).run(arrivals)
-        slowed = EventLoopKernel(model(), policy, (Downtime(),)).run(arrivals)
-        assert np.all(slowed.completion_s >= bare.completion_s)
-        assert slowed.completion_s.max() > bare.completion_s.max()
-
     def test_rejects_bad_traces(self):
         kernel = EventLoopKernel(model(), BatchingPolicy.fifo())
         with pytest.raises(ValueError, match="empty"):
@@ -151,28 +82,35 @@ class TestEventLoopKernel:
         with pytest.raises(ValueError, match="sorted"):
             kernel.run(np.array([3.0, 1.0]))
 
-    def test_fault_plugin_instance_is_reusable_across_runs(self):
-        """on_run_start resets every per-run record, so one plugin
-        attached to consecutive runs must not accumulate history."""
-        plugin = FaultPlugin(FaultSchedule.none())
-        kernel = EventLoopKernel(
-            model(), BatchingPolicy.dynamic(8, 1e-3), (plugin,)
+    def test_degraded_simulator_is_reusable_across_runs(self):
+        """Every run starts from fresh drift state and records, so one
+        simulator run twice gives identical reports."""
+        simulator = DegradedServingSimulator(
+            model(),
+            BatchingPolicy.dynamic(8, 1e-3),
+            FaultSchedule.uniform_drift(50.0, 3),
+            recalibration=RecalibrationPolicy(),
+            specs=alexnet_conv_specs(),
         )
         arrivals = poisson_arrivals(2000.0, 100, seed=1)
-        first = kernel.run(arrivals)
-        second = kernel.run(arrivals)
+        first = simulator.run(arrivals)
+        second = simulator.run(arrivals)
+        assert first.recalibrations
         assert first.batches == second.batches
-        assert len(plugin.proxies) == len(second.batches)
-        assert len(plugin.widths) == len(second.batches)
-        assert len(plugin.snapshots) == len(second.batches)
-        assert plugin.recalibrations == []
-        assert plugin.repartitions == []
+        assert first.completion_s.tobytes() == second.completion_s.tobytes()
+        assert first.core_busy_s == second.core_busy_s
+        assert first.accuracy_proxy.tobytes() == second.accuracy_proxy.tobytes()
+        assert first.batch_snapshots == second.batch_snapshots
+        assert first.core_downtime_s == second.core_downtime_s
+        assert first.final_core_errors == second.final_core_errors
+        assert first.recalibrations == second.recalibrations
+        assert first.repartitions == second.repartitions
 
 
 class TestExecuteDispatch:
     def test_busy_time_charged_to_physical_cores(self):
         """Stage→core indirection keeps per-physical-core accounting
-        correct after a plugin re-maps the pipeline."""
+        correct after a repartition re-maps the pipeline."""
         arrivals = validate_arrival_trace(np.array([0.0, 1e-5]))
         svc = model(2)
         ctx = DispatchContext(svc, BatchingPolicy.fifo(), arrivals)
@@ -183,5 +121,4 @@ class TestExecuteDispatch:
         assert ctx.core_busy[0] == 0.0 and ctx.core_busy[2] == 0.0
         assert ctx.core_busy[3] == svc.core_busy_s(0, 1)
         assert ctx.core_busy[1] == svc.core_busy_s(1, 1)
-        assert ctx.num_requests == 2
-        assert ctx.head == 1 and not ctx.done
+        assert ctx.head == 1

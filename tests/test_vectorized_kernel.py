@@ -1,6 +1,6 @@
 """Differential pins: the vectorized kernel vs the reference event loop.
 
-PR 6 rebuilds the pluginless serving hot path on array ops (batch
+PR 6 rebuilds the fault-free serving hot path on array ops (batch
 planning, max-plus completion scans, cumulative busy accounting) while
 keeping the original per-event loop alive as ``mode="reference"``.  The
 contract is *bit-identity*, not tolerance: every dispatch, completion,
@@ -34,7 +34,6 @@ from repro.core.simkernel import (
     KERNEL_MODES,
     BatchTable,
     EventLoopKernel,
-    KernelPlugin,
     plan_batches,
 )
 from repro.core.traffic import (
@@ -218,29 +217,6 @@ class TestModeValidation:
         with pytest.raises(ValueError, match="mode"):
             ServingSimulator(model, BatchingPolicy.fifo(), mode="turbo")
 
-    def test_vectorized_with_plugins_rejected(self):
-        model = lenet_model()
-        with pytest.raises(ValueError, match="plugin"):
-            EventLoopKernel(
-                model,
-                BatchingPolicy.fifo(),
-                plugins=(KernelPlugin(),),
-                mode="vectorized",
-            )
-
-    def test_auto_with_plugins_falls_back_to_reference(self):
-        """A plugin-bearing auto run is the reference loop, bit for bit."""
-        model = lenet_model()
-        policy = BatchingPolicy.dynamic(4, 1e-4)
-        arrivals = poisson_arrivals(2.0 * model.capacity_rps(4), 200, seed=9)
-        plugged = EventLoopKernel(
-            model, policy, plugins=(KernelPlugin(),), mode="auto"
-        ).run(arrivals)
-        ref = EventLoopKernel(model, policy, mode="reference").run(arrivals)
-        assert plugged.dispatch_s.tobytes() == ref.dispatch_s.tobytes()
-        assert plugged.completion_s.tobytes() == ref.completion_s.tobytes()
-        assert plugged.batches == ref.batches
-
     def test_kernel_modes_tuple_is_the_contract(self):
         assert KERNEL_MODES == ("auto", "vectorized", "reference")
 
@@ -248,8 +224,8 @@ class TestModeValidation:
 class TestZeroMagnitudeFaultPin:
     """The PR 4 zero-magnitude pin, re-asserted against vectorized mode.
 
-    A zero-magnitude fault schedule runs the *reference* loop (the fault
-    plugin forces the fallback), so comparing it to a plain vectorized
+    A zero-magnitude fault schedule runs the *reference* lane loop (a
+    fault run always does), so comparing it to a plain vectorized
     run pins reference ≡ vectorized through the full degraded-serving
     stack, not just the bare kernel.
     """
@@ -298,7 +274,7 @@ class TestZeroMagnitudeFaultPin:
 
 
 class TestSingleTenantClusterPin:
-    """A lone fault-free tenant collapses to one pluginless kernel run."""
+    """A lone fault-free tenant collapses to one plain kernel run."""
 
     def make_tenant(self, policy=None):
         return ClusterTenant(
