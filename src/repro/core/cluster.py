@@ -682,20 +682,19 @@ class _TenantLane:
         The fault step and any failing-core drain come before booking,
         so they delay the batch's completion, never its sealed dispatch.
         """
-        if health is not None:
-            health.step(self.ctx, dispatch, self.queue_depth)
-            if self.fail_error_threshold is not None:
-                self._drain_failing(dispatch, health.states)
-        self.commit(dispatch, size)
         if health is None:
+            self.commit(dispatch, size)
             self.proxies.append(0.0)
             return
         states = health.states
-        self.proxies.append(max(states[core].error for core in self.phys))
+        health.step(self.ctx, dispatch, self.queue_depth)
+        if self.fail_error_threshold is not None:
+            self._drain_failing(dispatch, states)
+        self.commit(dispatch, size)
+        phys = self.phys
+        self.proxies.append(max(states[core].error for core in phys))
         if self.snapshots is not None:
-            self.snapshots.append(
-                tuple(states[core].snapshot() for core in self.phys)
-            )
+            self.snapshots.append(tuple(states[core].snapshot() for core in phys))
 
     def _drain_failing(
         self, dispatch: float, states: list[CoreHealthState]

@@ -355,6 +355,36 @@ class TestFaultAwareRepartitioning:
         assert report.final_core_errors[1] == probe.error
         assert report.final_core_errors[1] != drain_error
 
+    def test_core_exactly_at_the_fail_threshold_is_drained(self):
+        """The failing-core test is inclusive: a core whose error equals
+        the threshold is drained, one just below it is not."""
+        specs = alexnet_conv_specs()
+        arrivals = poisson_arrivals(5000.0, 400, seed=6)
+        onset = 0.3 * float(arrivals[-1])
+        # Dead rings step the error once; without recalibration it then
+        # holds exactly, so the threshold can equal it bit for bit.
+        schedule = FaultSchedule(
+            "death", (FaultEvent("dead_rings", 1, onset, 1.0, rings=(7,)),)
+        )
+        probe = CoreHealthState(1, schedule)
+        probe.advance_to(onset)
+        error = probe.error
+
+        def serve(threshold):
+            return DegradedServingSimulator(
+                PipelineServiceModel.from_specs(specs, 3),
+                BatchingPolicy.dynamic(8, 1e-3),
+                schedule,
+                specs=specs,
+                fail_error_threshold=threshold,
+            ).run(arrivals)
+
+        drained = serve(error)
+        assert [r.failed_cores for r in drained.repartitions] == [(1,)]
+        assert drained.repartitions[0].time_s >= onset
+        kept = serve(float(np.nextafter(error, np.inf)))
+        assert kept.repartitions == ()
+
     def test_repartition_disabled_serves_degraded(self):
         specs = alexnet_conv_specs()
         model = PipelineServiceModel.from_specs(specs, 3)
