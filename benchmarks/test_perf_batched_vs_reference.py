@@ -1,20 +1,20 @@
 """Perf benchmark: vectorized batched engine vs the reference wave loop.
 
-Times both device-simulation engines on the LeNet-5 conv layers at
+Runs both device-simulation engines on the LeNet-5 conv layers at
 batch=16 — the minibatch serving scenario the vectorized engine exists
-for — asserts the outputs stay bit-identical (ideal mode), and asserts
-the vectorized engine is at least 5x faster.  Run with ``-s`` to see the
-recorded table; future PRs extend it to track the perf trajectory.
+for.  The default run asserts the outputs stay bit-identical (ideal
+mode); the ``perf``-marked gate (``pytest -m perf benchmarks``) times
+both and asserts the vectorized engine is at least 5x faster.  Run with
+``-s`` to see the table.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
+import pytest
 
 from repro.core.accelerator import PhotonicConvolution
-from conftest import emit
+from conftest import emit, measure
 
 BATCH = 16
 
@@ -27,35 +27,38 @@ LENET_CONV_LAYERS = [
 MIN_SPEEDUP = 5.0
 
 
-def _time_best(
-    engine: PhotonicConvolution, x: np.ndarray, k: np.ndarray, repeats: int
-):
-    """Best-of-``repeats`` wall time; shields against cold-start noise."""
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = engine.convolve(x, k)
-        best = min(best, time.perf_counter() - start)
-    return best, out
-
-
-def test_vectorized_speedup_on_lenet_batch16():
+def _layer_inputs():
+    """``(name, x, k)`` per LeNet-5 conv layer, seeded."""
     rng = np.random.default_rng(0)
+    return [
+        (
+            name,
+            rng.normal(size=(BATCH, *input_shape)),
+            rng.normal(size=kernel_shape),
+        )
+        for name, input_shape, kernel_shape in LENET_CONV_LAYERS
+    ]
+
+
+def test_vectorized_matches_reference_on_lenet_batch16():
+    vectorized = PhotonicConvolution(method="device", mode="vectorized")
+    reference = PhotonicConvolution(method="device", mode="reference")
+    for name, x, k in _layer_inputs():
+        assert np.array_equal(
+            vectorized.convolve(x, k), reference.convolve(x, k)
+        ), name
+
+
+@pytest.mark.perf
+def test_vectorized_speedup_on_lenet_batch16():
     vectorized = PhotonicConvolution(method="device", mode="vectorized")
     reference = PhotonicConvolution(method="device", mode="reference")
 
     rows = []
-    for name, input_shape, kernel_shape in LENET_CONV_LAYERS:
-        x = rng.normal(size=(BATCH, *input_shape))
-        k = rng.normal(size=kernel_shape)
-        # Warm-up pass keeps one-time NumPy/layer setup out of the timing.
-        vectorized.convolve(x[:1], k)
-        vec_time, vec_out = _time_best(vectorized, x, k, repeats=3)
-        ref_time, ref_out = _time_best(reference, x, k, repeats=1)
-        assert np.array_equal(vec_out, ref_out), name
-        speedup = ref_time / vec_time
-        rows.append((name, ref_time, vec_time, speedup))
+    for name, x, k in _layer_inputs():
+        vec = measure(lambda: vectorized.convolve(x, k))
+        ref = measure(lambda: reference.convolve(x, k), repeats=1)
+        rows.append((name, ref.min_s, vec.min_s, ref.min_s / vec.min_s))
 
     lines = [
         f"Batched photonic engine, LeNet-5 conv layers, batch={BATCH}",

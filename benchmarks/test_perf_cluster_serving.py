@@ -1,38 +1,34 @@
-"""Perf gates for the unified kernel and the multi-tenant cluster.
+"""Speed gates and bit-identity pins for the kernel and the cluster.
 
 Two kinds of guarantee:
 
-* **Wall time** — the kernel extraction is indirection (contexts,
-  plugin hooks) layered over the PR 3/PR 4 event loop, so this file
-  pins its cost: the kernel-based simulator must stay within 1.1x of a
-  verbatim inline copy of the pre-kernel loop on a soak-scale trace,
-  and the two must agree bit-for-bit.  Wall-clock floors are enforced
-  in local runs; ``PCNNA_PERF_GATE=0`` (CI) keeps the comparison as a
-  bit-identity smoke test without the timing assertion.
+* **Bit identity and simulated time** — deterministic under the fixed
+  trace seeds, so asserted in the default run on any machine: the
+  kernel-based simulator agrees bit for bit with a verbatim inline copy
+  of the pre-kernel loop; the vectorized frozen-allocation fast path
+  reproduces the reference event loop on every named mix; the
+  ``workers=4`` policy grid is byte-identical to serial; and
+  weighted-fair routing keeps the minority tenant's p99 *bit-identical
+  to running alone* while a 10x-load neighbour saturates the pool and
+  sheds its overload.
 
-* **Simulated time** — deterministic under the fixed trace seeds, so
-  asserted on any machine: weighted-fair routing keeps the minority
-  tenant's p99 *bit-identical to running alone* while a 10x-load
-  neighbour saturates the pool and sheds its overload.
+* **Wall time** — the ``perf``-marked gates, run with
+  ``pytest -m perf benchmarks``: the kernel stays within 1.1x of the
+  inline loop on a soak-scale trace, the vectorized fast path serves
+  the named mixes at >= 10x the reference req/s, and ``workers=4``
+  delivers >= 2x the serial cells/s on a host with at least four cores.
 
 The mix x pool soak streams every named tenant mix across pool sizes;
 since PR 10's frozen-allocation fast path it runs at CI speed and sits
-in the default suite (it was ``slow``-marked while every cluster run
-crawled through the per-event loop).  This file also writes the
-``BENCH_cluster.json`` trajectory at the repository root: multi-tenant
-soak req/s in reference vs vectorized mode (bit-identity asserted
-unconditionally before timing), and policy-grid cells/s serial vs
-process-parallel (byte-equality asserted unconditionally).
+in the default suite.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.analysis import (
     CLUSTER_SWEEP_HEADER,
@@ -59,40 +55,17 @@ from repro.workloads import (
     lenet5_conv_specs,
     poisson_arrivals,
 )
-from conftest import emit
+from conftest import emit, measure
 
-PERF_GATED = os.environ.get("PCNNA_PERF_GATE", "1") != "0"
 KERNEL_RATIO_CEILING = 1.1
 SOAK_REQUESTS = 40_000
 TIMING_REPEATS = 5
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
 SOAK_RATE_RPS = 50_000.0
 SOAK_MIX_REQUESTS = 30_000
 VECTORIZED_SPEEDUP_FLOOR = 10.0  # aggregate req/s, vectorized over reference
 GRID_WORKERS = 4
 GRID_SPEEDUP_FLOOR = 2.0  # cells/s, workers=4 over serial
-# Process parallelism cannot beat serial on a starved host; the cells/s
-# floor is only meaningful with enough cores to fan out to.
-PARALLEL_GATED = PERF_GATED and (os.cpu_count() or 1) >= GRID_WORKERS
-
-
-def _merge(into: dict, update: dict) -> None:
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(into.get(key), dict):
-            _merge(into[key], value)
-        else:
-            into[key] = value
-
-
-def _record(update: dict) -> None:
-    """Merge one benchmark's results into ``BENCH_cluster.json``."""
-    payload: dict = {}
-    if BENCH_PATH.exists():
-        payload = json.loads(BENCH_PATH.read_text())
-    _merge(payload, update)
-    payload["perf_gated"] = PERF_GATED
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _assert_reports_bit_identical(ref, vec) -> None:
@@ -158,47 +131,50 @@ def _inline_pr3_loop(model, policy, arrivals):
     return completion_s, tuple(batches)
 
 
-def _best_of(function, repeats=TIMING_REPEATS):
-    """Minimum wall time over repeats (noise-robust) plus the result."""
-    result = None
-    best = float("inf")
-    for _ in range(repeats):
-        began = time.perf_counter()
-        result = function()
-        best = min(best, time.perf_counter() - began)
-    return best, result
-
-
-def test_kernel_refactor_within_1p1x_of_inline_loop(alexnet_specs):
-    """The PR 4-style soak through the kernel: bit-identical to the
-    inline pre-kernel loop and (when gated) within 1.1x of its wall
-    time.  FIFO at 4x capacity maximizes the per-batch loop overhead
-    (one dispatch per request), the worst case for the refactor."""
+def _fifo_soak(alexnet_specs):
+    """FIFO at 4x capacity maximizes the per-batch loop overhead (one
+    dispatch per request), the worst case for the kernel refactor."""
     model = PipelineServiceModel.from_specs(alexnet_specs, 4)
     policy = BatchingPolicy.fifo()
     arrivals = poisson_arrivals(
         4.0 * model.capacity_rps(1), SOAK_REQUESTS, seed=13
     )
+    return model, policy, arrivals
 
-    inline_s, (inline_completions, inline_batches) = _best_of(
-        lambda: _inline_pr3_loop(model, policy, arrivals)
-    )
-    kernel_s, report = _best_of(
-        lambda: ServingSimulator(model, policy).run(arrivals)
-    )
 
+def test_kernel_refactor_matches_inline_loop(alexnet_specs):
+    """The PR 4-style soak through the kernel is bit-identical to the
+    inline pre-kernel loop."""
+    model, policy, arrivals = _fifo_soak(alexnet_specs)
+    inline_completions, inline_batches = _inline_pr3_loop(
+        model, policy, arrivals
+    )
+    report = ServingSimulator(model, policy).run(arrivals)
     assert np.array_equal(report.completion_s, inline_completions)
     assert report.batches == inline_batches
 
-    ratio = kernel_s / inline_s
-    emit(
-        f"{SOAK_REQUESTS}-request FIFO soak: inline loop {inline_s:.3f} s, "
-        f"unified kernel {kernel_s:.3f} s -> {ratio:.2f}x "
-        f"(ceiling {KERNEL_RATIO_CEILING}x"
-        f"{'' if PERF_GATED else '; not enforced: PCNNA_PERF_GATE=0'})"
+
+@pytest.mark.perf
+def test_kernel_refactor_within_1p1x_of_inline_loop(alexnet_specs):
+    """The same soak, timed: the kernel's indirection stays within
+    1.1x of the inline loop's wall time."""
+    model, policy, arrivals = _fifo_soak(alexnet_specs)
+    inline = measure(
+        lambda: _inline_pr3_loop(model, policy, arrivals),
+        repeats=TIMING_REPEATS,
     )
-    if PERF_GATED:
-        assert ratio <= KERNEL_RATIO_CEILING
+    kernel = measure(
+        lambda: ServingSimulator(model, policy).run(arrivals),
+        repeats=TIMING_REPEATS,
+    )
+    ratio = kernel.min_s / inline.min_s
+    emit(
+        f"{SOAK_REQUESTS}-request FIFO soak: inline loop {inline.min_s:.3f} s "
+        f"(median {inline.median_s:.3f}), unified kernel {kernel.min_s:.3f} s "
+        f"(median {kernel.median_s:.3f}) -> {ratio:.2f}x "
+        f"(ceiling {KERNEL_RATIO_CEILING}x)"
+    )
+    assert ratio <= KERNEL_RATIO_CEILING
 
 
 def test_weighted_fair_bounds_minority_p99_under_10x_load():
@@ -286,95 +262,79 @@ def test_soak_every_mix_across_pool_sizes():
     )
 
 
-def test_multi_tenant_soak_vectorized_speedup():
-    """The PR 10 tentpole gate: on every named frozen-allocation mix,
-    the vectorized fast path must reproduce the reference event loop
-    bit-for-bit (asserted unconditionally), and in aggregate serve
-    requests at >= 10x the reference req/s (enforced when gated).
-    Results land in ``BENCH_cluster.json``."""
-    mixes: dict[str, dict] = {}
-    ref_total_s = 0.0
-    vec_total_s = 0.0
-    total_requests = 0
+def _soak_mixes():
+    """``(name, tenants, arrivals, pool)`` for every named mix."""
     for name in CLUSTER_MIXES:
         tenants, arrivals = cluster_mix(
             name, SOAK_RATE_RPS, SOAK_MIX_REQUESTS, seed=13
         )
-        pool = len(tenants) * 2
-        ref_s, ref = _best_of(
-            lambda: simulate_cluster_serving(
-                tenants, arrivals, pool_size=pool, mode="reference"
-            ),
-            repeats=3,
+        yield name, tenants, arrivals, len(tenants) * 2
+
+
+def test_multi_tenant_soak_vectorized_bit_identical():
+    """On every named frozen-allocation mix the vectorized fast path
+    reproduces the reference event loop bit for bit."""
+    for _, tenants, arrivals, pool in _soak_mixes():
+        ref = simulate_cluster_serving(
+            tenants, arrivals, pool_size=pool, mode="reference"
         )
-        vec_s, vec = _best_of(
-            lambda: simulate_cluster_serving(
-                tenants, arrivals, pool_size=pool, mode="vectorized"
-            ),
-            repeats=3,
+        vec = simulate_cluster_serving(
+            tenants, arrivals, pool_size=pool, mode="vectorized"
         )
         _assert_reports_bit_identical(ref, vec)
-        served = sum(sub.num_offered for sub in ref.tenants)
-        mixes[name] = {
-            "num_requests": served,
-            "pool_size": pool,
-            "reference_wall_s": round(ref_s, 6),
-            "vectorized_wall_s": round(vec_s, 6),
-            "reference_req_per_s": round(served / ref_s, 1),
-            "vectorized_req_per_s": round(served / vec_s, 1),
-            "speedup_x": round(ref_s / vec_s, 2),
-        }
-        ref_total_s += ref_s
-        vec_total_s += vec_s
+
+
+@pytest.mark.perf
+def test_multi_tenant_soak_vectorized_speedup():
+    """The PR 10 tentpole gate: in aggregate over the named mixes, the
+    vectorized fast path serves requests at >= 10x the reference
+    req/s."""
+    ref_total_s = 0.0
+    vec_total_s = 0.0
+    total_requests = 0
+    rows = []
+    for name, tenants, arrivals, pool in _soak_mixes():
+        ref = measure(
+            lambda: simulate_cluster_serving(
+                tenants, arrivals, pool_size=pool, mode="reference"
+            )
+        )
+        vec = measure(
+            lambda: simulate_cluster_serving(
+                tenants, arrivals, pool_size=pool, mode="vectorized"
+            )
+        )
+        served = sum(sub.num_offered for sub in ref.result.tenants)
+        rows.append(
+            f"  {name}: {served} requests, reference {ref.min_s:.3f} s, "
+            f"vectorized {vec.min_s:.3f} s -> {ref.min_s / vec.min_s:.1f}x"
+        )
+        ref_total_s += ref.min_s
+        vec_total_s += vec.min_s
         total_requests += served
     speedup = ref_total_s / vec_total_s
-    _record(
-        {
-            "multi_tenant_soak": {
-                "mixes": mixes,
-                "aggregate": {
-                    "num_requests": total_requests,
-                    "reference_req_per_s": round(
-                        total_requests / ref_total_s, 1
-                    ),
-                    "vectorized_req_per_s": round(
-                        total_requests / vec_total_s, 1
-                    ),
-                    "speedup_x": round(speedup, 2),
-                    "floor_x": VECTORIZED_SPEEDUP_FLOOR,
-                },
-                "bit_identical": True,
-            }
-        }
-    )
     emit(
         f"multi-tenant soak ({total_requests} requests over "
         f"{len(CLUSTER_MIXES)} mixes): reference {ref_total_s:.3f} s, "
-        f"vectorized {vec_total_s:.3f} s -> {speedup:.1f}x, "
-        f"bit-identical (floor {VECTORIZED_SPEEDUP_FLOOR}x"
-        f"{'' if PERF_GATED else '; not enforced: PCNNA_PERF_GATE=0'})"
+        f"vectorized {vec_total_s:.3f} s -> {speedup:.1f}x "
+        f"(floor {VECTORIZED_SPEEDUP_FLOOR}x)\n" + "\n".join(rows)
     )
-    if PERF_GATED:
-        assert speedup >= VECTORIZED_SPEEDUP_FLOOR
+    assert speedup >= VECTORIZED_SPEEDUP_FLOOR
 
 
-def test_policy_grid_parallel_cells_per_second():
-    """Grid executor gate: ``workers=4`` over the default dominance
-    grid is byte-identical to serial (asserted unconditionally) and,
-    on a host with enough cores, delivers >= 2x cells/s.  Results land
-    in ``BENCH_cluster.json``."""
+def _grid():
     scenarios = default_scenarios(num_requests=200, rate_rps=2000.0)
-    policies = default_policy_grid()
-    cells = len(scenarios) * len(policies)
+    return scenarios, default_policy_grid()
 
-    serial_began = time.perf_counter()
+
+def test_policy_grid_workers_byte_identical():
+    """Grid executor: ``workers=4`` over the default dominance grid is
+    byte-identical to serial."""
+    scenarios, policies = _grid()
     serial = evaluate_policy_grid(scenarios, policies)
-    serial_s = time.perf_counter() - serial_began
-    parallel_began = time.perf_counter()
     fanned = evaluate_policy_grid(scenarios, policies, workers=GRID_WORKERS)
-    parallel_s = time.perf_counter() - parallel_began
 
-    assert len(fanned) == len(serial) == cells
+    assert len(fanned) == len(serial) == len(scenarios) * len(policies)
     for a, b in zip(serial, fanned):
         assert a.scenario == b.scenario
         assert a.policy == b.policy
@@ -387,30 +347,28 @@ def test_policy_grid_parallel_cells_per_second():
         assert a.recalibrations == b.recalibrations
         _assert_reports_bit_identical(a.report, b.report)
 
-    speedup = serial_s / parallel_s
-    _record(
-        {
-            "policy_grid_parallel": {
-                "num_cells": cells,
-                "workers": GRID_WORKERS,
-                "host_cpu_count": os.cpu_count() or 1,
-                "serial_wall_s": round(serial_s, 6),
-                "parallel_wall_s": round(parallel_s, 6),
-                "serial_cells_per_s": round(cells / serial_s, 3),
-                "parallel_cells_per_s": round(cells / parallel_s, 3),
-                "speedup_x": round(speedup, 2),
-                "floor_x": GRID_SPEEDUP_FLOOR,
-                "byte_identical": True,
-            }
-        }
+
+@pytest.mark.perf
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < GRID_WORKERS,
+    reason="process parallelism cannot beat serial without enough cores",
+)
+def test_policy_grid_parallel_cells_per_second():
+    """Grid executor gate: ``workers=4`` delivers >= 2x the serial
+    cells/s on the default dominance grid."""
+    scenarios, policies = _grid()
+    cells = len(scenarios) * len(policies)
+    serial = measure(lambda: evaluate_policy_grid(scenarios, policies))
+    parallel = measure(
+        lambda: evaluate_policy_grid(
+            scenarios, policies, workers=GRID_WORKERS
+        )
     )
+    speedup = serial.min_s / parallel.min_s
     emit(
-        f"policy grid ({cells} cells): serial {serial_s:.2f} s "
-        f"({cells / serial_s:.1f} cells/s), workers={GRID_WORKERS} "
-        f"{parallel_s:.2f} s ({cells / parallel_s:.1f} cells/s) -> "
-        f"{speedup:.2f}x, byte-identical (floor {GRID_SPEEDUP_FLOOR}x"
-        f"{'' if PARALLEL_GATED else '; not enforced: '}"
-        f"{'' if PARALLEL_GATED else 'PCNNA_PERF_GATE=0 or too few cores'})"
+        f"policy grid ({cells} cells): serial {serial.min_s:.2f} s "
+        f"({cells / serial.min_s:.1f} cells/s), workers={GRID_WORKERS} "
+        f"{parallel.min_s:.2f} s ({cells / parallel.min_s:.1f} cells/s) "
+        f"-> {speedup:.2f}x (floor {GRID_SPEEDUP_FLOOR}x)"
     )
-    if PARALLEL_GATED:
-        assert speedup >= GRID_SPEEDUP_FLOOR
+    assert speedup >= GRID_SPEEDUP_FLOOR

@@ -2,30 +2,21 @@
 
 PR 9 layered feedback controllers (EWMA recalibration, burn-rate
 admission, pressure-scaled reallocation) on the serving kernel plus a
-scenario × policy evaluation harness; this file measures what both
-cost and writes the trajectory to ``BENCH_adaptive.json`` at the
-repository root: the frozen-controller-vs-static overhead (on the same
-trace, asserted bit-identical first — a fast wrong controller
-benchmarks nothing) and the full default dominance grid with its
-machine-checkable verdict.
-
-Wall-clock gates follow the repo's ``PCNNA_PERF_GATE`` convention:
-enforced in local runs, relaxed to a functional smoke with
-``PCNNA_PERF_GATE=0`` on shared CI runners — the JSON artifact is
-written either way, and the bit-identity and dominance checks are
-asserted unconditionally.
+scenario × policy evaluation harness.  The default run pins the
+behaviour: the frozen controller is bit-identical to the static policy
+on the same trace, the full default dominance grid passes its
+machine-checkable verdict, and a ``workers=2`` grid is byte-identical
+to serial.  The ``perf``-marked gates (``pytest -m perf benchmarks``)
+time the first two: the frozen controller stays within 3x of the
+static run, and the default grid finishes inside 60 s.
 
 Run with ``-s`` to see the tables.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 import numpy as np
+import pytest
 
 from repro.analysis import (
     POLICY_EVAL_HEADER,
@@ -41,10 +32,7 @@ from repro.core.adaptive import (
 from repro.core.faults import RecalibrationPolicy, simulate_degraded_serving
 from repro.core.traffic import BatchingPolicy
 from repro.workloads import fault_scenario, poisson_arrivals, serving_network
-from conftest import emit
-
-PERF_GATED = os.environ.get("PCNNA_PERF_GATE", "1") != "0"
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_adaptive.json"
+from conftest import emit, measure
 
 CONTROLLER_REQUESTS = 20_000
 CONTROLLER_RATE_RPS = 2e4
@@ -52,46 +40,10 @@ CONTROLLER_CORES = 2
 OVERHEAD_CEILING = 3.0  # adaptive wall time over static wall time
 GRID_CEILING_S = 60.0  # generous bound for the full default grid
 
-TIMING_REPEATS = 3
 
-
-def _best_of(function, repeats: int = TIMING_REPEATS):
-    """Minimum wall time over repeats (noise-robust) plus the result."""
-    result = None
-    best = float("inf")
-    for _ in range(repeats):
-        began = time.perf_counter()
-        result = function()
-        best = min(best, time.perf_counter() - began)
-    return best, result
-
-
-def _merge(into: dict, update: dict) -> None:
-    for key, value in update.items():
-        if isinstance(value, dict) and isinstance(into.get(key), dict):
-            _merge(into[key], value)
-        else:
-            into[key] = value
-
-
-def _record(update: dict) -> None:
-    """Merge one benchmark's results into ``BENCH_adaptive.json``."""
-    payload: dict = {}
-    if BENCH_PATH.exists():
-        payload = json.loads(BENCH_PATH.read_text())
-    _merge(payload, update)
-    payload["perf_gated"] = PERF_GATED
-    BENCH_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def test_frozen_controller_overhead_vs_static():
-    """The differential scenario, timed: frozen EWMA vs static recal.
-
-    The adaptive contract pins the frozen controller bit-identical to
-    the static policy; here the same scenario is also the overhead
-    probe — per-batch observe/decide bookkeeping must stay a bounded
-    multiplier on the plugin run it wraps.
-    """
+def _controller_runs():
+    """The differential scenario, frozen EWMA vs static recalibration,
+    as closures over one pre-generated trace."""
     network = serving_network("lenet5")
     arrivals = poisson_arrivals(
         CONTROLLER_RATE_RPS, CONTROLLER_REQUESTS, seed=17
@@ -101,7 +53,7 @@ def test_frozen_controller_overhead_vs_static():
         "slow-drift", CONTROLLER_CORES, float(arrivals[-1])
     )
     recal = RecalibrationPolicy(error_threshold=0.05)
-    static_s, static = _best_of(
+    return (
         lambda: simulate_degraded_serving(
             network,
             arrivals,
@@ -109,9 +61,7 @@ def test_frozen_controller_overhead_vs_static():
             schedule,
             CONTROLLER_CORES,
             recalibration=recal,
-        )
-    )
-    adaptive_s, adaptive = _best_of(
+        ),
         lambda: simulate_adaptive_serving(
             network,
             arrivals,
@@ -119,90 +69,76 @@ def test_frozen_controller_overhead_vs_static():
             schedule,
             CONTROLLER_CORES,
             controller=AdaptiveRecalibration.frozen(recal),
-        )
+        ),
     )
-    # The timed runs must agree bit for bit.
+
+
+def test_frozen_controller_matches_static():
+    """The adaptive contract pins the frozen controller bit-identical
+    to the static policy."""
+    run_static, run_adaptive = _controller_runs()
+    static = run_static()
+    adaptive = run_adaptive()
     assert np.array_equal(static.completion_s, adaptive.completion_s)
     assert np.array_equal(static.accuracy_proxy, adaptive.accuracy_proxy)
     assert static.recalibrations == adaptive.recalibrations
 
-    overhead = adaptive_s / static_s
-    _record(
-        {
-            "scenario": {
-                "network": "lenet5",
-                "num_cores": CONTROLLER_CORES,
-                "policy": "dynamic(4, 1e-4)",
-                "rate_rps": CONTROLLER_RATE_RPS,
-                "fault": "slow-drift",
-                "arrival_seed": 17,
-            },
-            "controller_overhead": {
-                "num_requests": CONTROLLER_REQUESTS,
-                "static_wall_s": static_s,
-                "adaptive_wall_s": adaptive_s,
-                "overhead_x": overhead,
-                "ceiling_x": OVERHEAD_CEILING,
-            },
-        }
-    )
+
+@pytest.mark.perf
+def test_frozen_controller_overhead_vs_static():
+    """The differential scenario, timed: per-batch observe/decide
+    bookkeeping stays a bounded multiplier on the static run."""
+    run_static, run_adaptive = _controller_runs()
+    static = measure(run_static)
+    adaptive = measure(run_adaptive)
+    overhead = adaptive.min_s / static.min_s
     emit(
         f"frozen-controller differential ({CONTROLLER_REQUESTS:,} requests): "
-        f"static {static_s:.3f} s, adaptive {adaptive_s:.3f} s "
-        f"-> {overhead:.2f}x overhead"
-        f"{'' if PERF_GATED else ' (ceiling not enforced: PCNNA_PERF_GATE=0)'}"
+        f"static {static.min_s:.3f} s (median {static.median_s:.3f}), "
+        f"adaptive {adaptive.min_s:.3f} s (median {adaptive.median_s:.3f}) "
+        f"-> {overhead:.2f}x overhead (ceiling {OVERHEAD_CEILING}x)"
     )
-    if PERF_GATED:
-        assert overhead <= OVERHEAD_CEILING
+    assert overhead <= OVERHEAD_CEILING
 
 
 def test_default_dominance_grid():
-    """The full default scenario × policy grid, timed and verified.
+    """The full default scenario × policy grid, verified.
 
     The grid is the PR's acceptance artifact: at least one adaptive
     policy must sit on the Pareto front and strictly dominate its
-    static baseline on >= 2 named fault scenarios — asserted here
-    unconditionally, with the wall time recorded as the harness's perf
-    trajectory.
+    static baseline on >= 2 named fault scenarios.
     """
     scenarios = default_scenarios()
     policies = default_policy_grid(scenarios)
-    began = time.perf_counter()
     report = evaluate_dominance(scenarios, policies)
-    grid_s = time.perf_counter() - began
 
     assert report.passes(min_scenarios=2), report.describe()
     winners = report.winning_policies(min_scenarios=2)
     assert "adaptive-recal" in winners
-
-    cells = len(scenarios) * len(policies)
-    _record(
-        {
-            "dominance_grid": {
-                "num_scenarios": len(scenarios),
-                "num_policies": len(policies),
-                "num_cells": cells,
-                "wall_s": grid_s,
-                "cells_per_second": cells / grid_s,
-                "ceiling_s": GRID_CEILING_S,
-                "passes": report.passes(min_scenarios=2),
-                "winning_policies": sorted(winners),
-                "wins": [list(win) for win in report.wins],
-            }
-        }
-    )
     emit(
         format_table(
             POLICY_EVAL_HEADER,
             [outcome.row() for outcome in report.outcomes],
             title=(
-                f"policy-eval grid ({cells} cells, {grid_s:.1f} s wall, "
+                f"policy-eval grid ({len(report.outcomes)} cells, "
                 f"winners: {', '.join(sorted(winners))})"
             ),
         )
     )
-    if PERF_GATED:
-        assert grid_s <= GRID_CEILING_S
+
+
+@pytest.mark.perf
+def test_default_dominance_grid_within_ceiling():
+    """The same grid, timed: it finishes inside 60 s."""
+    scenarios = default_scenarios()
+    policies = default_policy_grid(scenarios)
+    grid = measure(lambda: evaluate_dominance(scenarios, policies), repeats=1)
+    cells = len(scenarios) * len(policies)
+    emit(
+        f"policy-eval grid: {cells} cells in {grid.min_s:.1f} s "
+        f"({cells / grid.min_s:.1f} cells/s, ceiling {GRID_CEILING_S} s)"
+    )
+    assert grid.min_s <= GRID_CEILING_S
 
 
 def test_dominance_grid_workers_byte_identical():

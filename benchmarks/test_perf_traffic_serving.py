@@ -10,8 +10,8 @@ plus one full-batch pipeline traversal.
 
 All numbers are *simulated* time from the paper-calibrated analytical
 model — deterministic under the fixed trace seed, so the asserted
-floors hold on any machine (no ``PCNNA_PERF_GATE`` needed).  Run with
-``-s`` to see the comparison table.
+floors hold on any machine and run in the default selection (no
+``perf`` marker).  Run with ``-s`` to see the comparison table.
 
 The soak test streams a 900k-request bursty trace through every policy.
 It lost its ``slow`` mark when PR 6 vectorized the pluginless kernel

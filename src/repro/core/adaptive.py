@@ -57,7 +57,7 @@ from repro.core.faults import (
     FaultSchedule,
     RecalibrationPolicy,
 )
-from repro.core.simkernel import BatchingPolicy
+from repro.core.simkernel import BatchingPolicy, validate_count
 from repro.core.traffic import PipelineServiceModel
 from repro.nn.network import Network
 
@@ -423,10 +423,8 @@ class BurnRateAdmission:
         _require_gain("burn rate", self.max_burn_rate)
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window!r}")
-        if self.queue_cap is not None and self.queue_cap < 1:
-            raise ValueError(
-                f"queue cap must be >= 1, got {self.queue_cap!r}"
-            )
+        if self.queue_cap is not None:
+            validate_count(self.queue_cap, "queue cap")
 
     @classmethod
     def disabled(

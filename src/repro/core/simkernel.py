@@ -83,6 +83,25 @@ def validate_kernel_mode(mode: str) -> str:
     return mode
 
 
+def validate_count(value, what: str) -> None:
+    """Reject a request/batch count that is not an integer >= 1.
+
+    Batch sizes, occupancy caps, and queue thresholds index arrays and
+    size batches, so a float (even an integral one like ``3.0``) or a
+    bool would pass a bare ``>= 1`` check and then fail deep in the
+    kernel — differently in each mode.  Checking at construction keeps
+    the failure at the front door.
+
+    Raises:
+        ValueError: if ``value`` is a bool, not an ``int``/``np.integer``,
+            or < 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BatchingPolicy:
     """When does the queue head stop waiting for batch-mates?
@@ -107,10 +126,7 @@ class BatchingPolicy:
     max_wait_s: float
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError(
-                f"{self.name}: max batch must be >= 1, got {self.max_batch!r}"
-            )
+        validate_count(self.max_batch, f"{self.name}: max batch")
         if self.max_wait_s < 0.0 or math.isnan(self.max_wait_s):
             raise ValueError(
                 f"{self.name}: max wait must be >= 0, got {self.max_wait_s!r}"
@@ -145,10 +161,9 @@ class BatchingPolicy:
         planning for uncapped tenants).
 
         Raises:
-            ValueError: if ``cap`` is not positive.
+            ValueError: if ``cap`` is not an integer >= 1.
         """
-        if cap < 1:
-            raise ValueError(f"batch cap must be >= 1, got {cap!r}")
+        validate_count(cap, "batch cap")
         if cap >= self.max_batch:
             return self
         return BatchingPolicy(
@@ -851,5 +866,6 @@ __all__ = [
     "plan_batches",
     "plan_dispatch",
     "validate_arrival_trace",
+    "validate_count",
     "validate_kernel_mode",
 ]

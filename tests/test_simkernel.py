@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import traffic
+from repro.core.adaptive import BurnRateAdmission
+from repro.core.cluster import ClusterTenant, ElasticReallocation
 from repro.core.faults import (
     DegradedServingSimulator,
     FaultSchedule,
@@ -18,7 +20,11 @@ from repro.core.simkernel import (
     validate_arrival_trace,
 )
 from repro.core.traffic import PipelineServiceModel, ServingSimulator
-from repro.workloads import alexnet_conv_specs, poisson_arrivals
+from repro.workloads import (
+    alexnet_conv_specs,
+    lenet5_conv_specs,
+    poisson_arrivals,
+)
 
 
 def model(cores: int = 3) -> PipelineServiceModel:
@@ -50,6 +56,35 @@ class TestBatchingPolicyCapped:
     def test_invalid_cap(self):
         with pytest.raises(ValueError, match="cap"):
             BatchingPolicy.fifo().capped(0)
+
+
+# Every constructor that takes a request/batch count, by field.
+COUNT_FIELDS = {
+    "max batch": lambda v: BatchingPolicy("p", max_batch=v, max_wait_s=0.0),
+    "batch cap": lambda v: BatchingPolicy.dynamic(8, 1e-3).capped(v),
+    "queue cap": lambda v: ClusterTenant(
+        "t", tuple(lenet5_conv_specs()), BatchingPolicy.fifo(), queue_cap=v
+    ),
+    "min queue": lambda v: ElasticReallocation(min_queue=v),
+    "admission queue cap": lambda v: BurnRateAdmission(
+        slo_latency_s=1e-3, queue_cap=v
+    ),
+}
+
+
+class TestIntegerCounts:
+    """Non-integer counts are rejected at construction, not deep in
+    the kernel (where the two modes used to fail differently)."""
+
+    @pytest.mark.parametrize("field", sorted(COUNT_FIELDS))
+    @pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(3.0), True, "3"])
+    def test_non_integers_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            COUNT_FIELDS[field](bad)
+
+    @pytest.mark.parametrize("field", sorted(COUNT_FIELDS))
+    def test_numpy_integers_accepted(self, field):
+        COUNT_FIELDS[field](np.int64(3))
 
 
 class TestValidateArrivalTrace:

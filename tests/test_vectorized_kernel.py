@@ -17,7 +17,9 @@ bit-identical, so is everything computed from them.
 import numpy as np
 import pytest
 
+from repro.core import cluster as cluster_module
 from repro.core.cluster import (
+    _ADMISSION_MAX_PASSES,
     ClusterSimulator,
     ClusterTenant,
     ElasticReallocation,
@@ -493,6 +495,37 @@ class TestMultiTenantClusterPin:
             tenants, {"hostile": trace}, pool_size=1, mode="reference"
         )
         self.assert_cluster_identical(ref, vec)
+
+    def test_admission_walk_passes_are_bounded(self, monkeypatch):
+        """Adversarial trace for the fixpoint walk: uniform arrivals just
+        faster than a cap-1 FIFO lane drains shed every other request,
+        and each pass fixes only about two more decisions — the
+        uncapped walk needs n/2 + 1 passes of O(n) work.  The walk must
+        stop at its pass cap and hand the lane to the exact scalar
+        loop, bit-identical to the reference run."""
+        specs = tuple(lenet5_conv_specs())
+        model = PipelineServiceModel.from_specs(list(specs), 2)
+        trace = np.arange(4000) * (0.99 * model.batch_makespan_s(1))
+        tenants = [
+            ClusterTenant("tight", specs, BatchingPolicy.fifo(), queue_cap=1)
+        ]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return plan_batches(*args, **kwargs)
+
+        monkeypatch.setattr(cluster_module, "plan_batches", counting)
+        vec = simulate_cluster_serving(
+            tenants, {"tight": trace}, pool_size=2, mode="vectorized"
+        )
+        monkeypatch.undo()
+        assert len(calls) <= _ADMISSION_MAX_PASSES
+        ref = simulate_cluster_serving(
+            tenants, {"tight": trace}, pool_size=2, mode="reference"
+        )
+        self.assert_cluster_identical(ref, vec)
+        assert ref.tenant("tight").num_shed == 2000
 
 
 class TestReplayFidelity:
