@@ -24,8 +24,8 @@ pin):
 
 Workers are spawn-safe by construction: the cell function must be an
 importable module-level callable and the cells picklable, so the
-executor works under the ``spawn`` start method (the only one macOS and
-Windows offer) as well as ``fork``.
+executor works under the ``spawn`` start method (the one it uses where
+the platform offers no ``fork``) as well as ``fork``.
 """
 
 from __future__ import annotations
@@ -37,41 +37,10 @@ from typing import Callable, Sequence, TypeVar
 _Cell = TypeVar("_Cell")
 _Result = TypeVar("_Result")
 
-START_METHODS: tuple[str, ...] = ("auto", "fork", "spawn", "forkserver")
-"""Accepted ``start_method`` arguments to :func:`run_grid`."""
-
-
-def resolve_start_method(start_method: str = "auto") -> str:
-    """Pick the concrete multiprocessing start method for a grid run.
-
-    ``"auto"`` prefers ``fork`` where the platform offers it (cheapest:
-    workers inherit the loaded interpreter instead of re-importing it)
-    and falls back to ``spawn`` elsewhere.  Naming a method explicitly
-    validates it against the platform's supported set.
-
-    Raises:
-        ValueError: on an unknown or platform-unsupported method.
-    """
-    if start_method not in START_METHODS:
-        raise ValueError(
-            f"unknown start method {start_method!r}; have {START_METHODS}"
-        )
-    available = multiprocessing.get_all_start_methods()
-    if start_method == "auto":
-        return "fork" if "fork" in available else "spawn"
-    if start_method not in available:
-        raise ValueError(
-            f"start method {start_method!r} unavailable on this platform; "
-            f"have {tuple(available)}"
-        )
-    return start_method
-
-
 def run_grid(
     fn: Callable[[_Cell], _Result],
     cells: Sequence[_Cell],
     workers: int = 1,
-    start_method: str = "auto",
 ) -> list[_Result]:
     """Map ``fn`` over ``cells``, optionally across worker processes.
 
@@ -87,17 +56,18 @@ def run_grid(
             applied to each cell.
         cells: the cell arguments, one per grid cell.
         workers: worker processes; 1 means serial in-process.  The pool
-            never exceeds ``len(cells)`` workers.
-        start_method: multiprocessing start method, or ``"auto"`` (see
-            :func:`resolve_start_method`).
+            never exceeds ``len(cells)`` workers.  Workers start with
+            ``fork`` where the platform offers it (they inherit the
+            loaded interpreter instead of re-importing it) and with
+            ``spawn`` elsewhere.
 
     Returns:
         ``[fn(cell) for cell in cells]`` — by construction for serial,
         by the ordered merge for parallel.
 
     Raises:
-        ValueError: on a non-callable ``fn``, a bad ``workers`` count,
-            or a bad ``start_method``.
+        ValueError: on a non-callable ``fn`` or a bad ``workers``
+            count.
     """
     if not callable(fn):
         raise ValueError(f"cell function must be callable, got {fn!r}")
@@ -105,15 +75,17 @@ def run_grid(
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
-    method = resolve_start_method(start_method)
     todo = list(cells)
     if workers == 1 or len(todo) <= 1:
         return [fn(cell) for cell in todo]
-    context = multiprocessing.get_context(method)
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # the platform offers no fork (Windows)
+        context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(
         max_workers=min(workers, len(todo)), mp_context=context
     ) as pool:
         return list(pool.map(fn, todo))
 
 
-__all__ = ["START_METHODS", "resolve_start_method", "run_grid"]
+__all__ = ["run_grid"]

@@ -349,7 +349,6 @@ def simulate_adaptive_serving(
     clamp_cores: bool = False,
     repartition: bool = True,
     fail_error_threshold: float = 0.5,
-    mode: str = "auto",
 ) -> AdaptiveServingReport:
     """One-call degraded serving under the EWMA recal controller.
 
@@ -372,7 +371,6 @@ def simulate_adaptive_serving(
         specs=specs if repartition else None,
         config=config,
         fail_error_threshold=fail_error_threshold,
-        mode=mode,
     )._serve(arrival_s)
     return AdaptiveServingReport(**fields, decisions=decisions)
 

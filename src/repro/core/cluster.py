@@ -886,7 +886,7 @@ def _plan_admitted(
         new_mask = np.diff(admitted, prepend=0) == 1
         if np.array_equal(new_mask, mask):
             if _verify_admission_plan(
-                raw, mask, policy, model, cap, sizes, disp, completion
+                raw, mask, policy, model, cap, sizes, disp
             ):
                 return mask, heads, sizes, disp, completion, stage_busy
             return None
@@ -902,7 +902,6 @@ def _verify_admission_plan(
     cap: int,
     sizes: np.ndarray,
     disp: np.ndarray,
-    completion: np.ndarray,
 ) -> bool:
     """Replay the reference lane's *visibility* rules against a plan.
 
@@ -965,32 +964,8 @@ def _verify_admission_plan(
         + np.arange(policy.max_batch + 1) * model.conv_time_s[0]
     )
     max_batch = policy.max_batch
-    heads_np = cum_np[:-1]
-    # Tier 1 — all-array screen on a provable *lower bound* of the
-    # visible frontier (the skip condition is monotone in visibility:
-    # if a seal is blind to everything past a smaller frontier, it is
-    # blind past the true, larger one).  The bound: phase B of the
-    # previous commit, plus the batch head itself (sealed ⇒ admitted),
-    # plus — when nothing is shed, so the thresholds are sorted — the
-    # early-admit chain from the start of the trace.
-    pb_prev = np.concatenate(([0], pb_np[: nb - 1])) if nb else pb_np[:0]
-    frontier = np.maximum(pb_prev, admitted_idx[heads_np] + 1)
-    if total == n and nb:
-        frontier = np.maximum(
-            frontier,
-            np.searchsorted(kmin_np, np.arange(nb), side="right"),
-        )
-    visible_np = adm_before_np[frontier]
-    raw_at = np.where(
-        frontier < n, raw[np.minimum(frontier, n - 1)], np.inf
-    )
-    if np.all(
-        (visible_np == total)
-        | ((heads_np + max_batch <= visible_np) & (disp < raw_at))
-    ):
-        return True
-    # Tier 2 — exact frontier replay.  Scalar-access hot loop: plain
-    # lists index several times faster than numpy scalars.
+    # Scalar-access hot loop: plain lists index several times faster
+    # than numpy scalars.
     adm_before = adm_before_np.tolist()
     cum = cum_np.tolist()
     kmin = kmin_np.tolist()
@@ -1076,7 +1051,6 @@ class ClusterSimulator:
             cap (its ``queue_cap`` field replaces the tenant's).
         config: hardware configuration for partitioning and service
             times.
-        probe_rings: rings in each pool core's accuracy-probe bank.
         mode: kernel execution mode.  ``"auto"`` (the default) runs the
             vectorized lane-decomposition fast path whenever the
             allocation is frozen — no fault schedule, no elastic
@@ -1087,9 +1061,9 @@ class ClusterSimulator:
             the global loop.  Both paths are bit-identical.
 
     Raises:
-        ValueError: on an empty or duplicated tenant set, a bad pool
-            size, an unknown ``mode``, or an admission key that names
-            no tenant.
+        ValueError: on an empty or duplicated tenant set, a pool size
+            that is not an integer or is below one core per tenant, an
+            unknown ``mode``, or an admission key that names no tenant.
         TypeError: on an ``elastic`` or ``recalibration`` policy of
             another type.
     """
@@ -1103,7 +1077,6 @@ class ClusterSimulator:
         schedule: FaultSchedule | None = None,
         recalibration: RecalibrationPolicy | None = None,
         config: PCNNAConfig | None = None,
-        probe_rings: int = 8,
         mode: str = "auto",
         admission: Mapping[str, object] | None = None,
     ) -> None:
@@ -1112,6 +1085,7 @@ class ClusterSimulator:
         names = [tenant.name for tenant in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"tenant names must be unique, got {names!r}")
+        validate_count(pool_size, "pool size")
         validate_kernel_mode(mode)
         # adaptive.py builds on this module, so its types load here.
         from repro.core.adaptive import AdaptiveRecalibration, PressureController
@@ -1138,7 +1112,6 @@ class ClusterSimulator:
         self.schedule = schedule
         self.recalibration = recalibration
         self.config = config
-        self.probe_rings = probe_rings
         self.mode = mode
         self._allocations, self._free = allocate_pool(
             tenants, pool_size, self.routing
@@ -1285,10 +1258,7 @@ class ClusterSimulator:
         health = None
         if self.schedule is not None:
             health = PoolHealth(
-                self.schedule,
-                self.pool_size,
-                self.recalibration,
-                self.probe_rings,
+                self.schedule, self.pool_size, self.recalibration
             )
         reallocations: list[ReallocationRecord] = []
         pristine = (0.0,) * self.pool_size

@@ -54,7 +54,6 @@ from repro.core.simkernel import (
     BatchingPolicy,
     DispatchContext,
     validate_arrival_trace,
-    validate_kernel_mode,
 )
 from repro.core.traffic import (
     PipelineServiceModel,
@@ -66,6 +65,7 @@ from repro.nn.network import Network
 from repro.nn.shapes import ConvLayerSpec
 from repro.photonics.calibration import CalibrationResult
 from repro.photonics.drift import (
+    DEFAULT_PROBE_RINGS,
     BankCondition,
     DriftingWeightBank,
     drift_transfer,
@@ -91,6 +91,15 @@ _RING_KINDS = ("dead_rings", "stuck_rings")
 _UNIT_KINDS = ("dead_rings", "stuck_rings", "tia_droop")
 _MAX_COUPLING = 0.95
 """Crosstalk excursions are capped below the thermal model's limit."""
+
+
+def _is_index(value) -> bool:
+    """A core or ring index: an integer >= 0 that is not a bool."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, np.integer))
+        and value >= 0
+    )
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,7 @@ class FaultEvent:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; have {FAULT_KINDS}"
             )
-        if not isinstance(self.core, (int, np.integer)) or self.core < 0:
+        if not _is_index(self.core):
             raise ValueError(
                 f"core must be a non-negative integer, got {self.core!r}"
             )
@@ -160,11 +169,11 @@ class FaultEvent:
             raise ValueError(
                 f"duration must be positive, got {self.duration_s!r}"
             )
-        if any(
-            not isinstance(ring, (int, np.integer)) or ring < 0
-            for ring in self.rings
-        ):
-            raise ValueError(f"ring indices must be >= 0, got {self.rings!r}")
+        if not all(_is_index(ring) for ring in self.rings):
+            raise ValueError(
+                f"ring indices must be non-negative integers, got "
+                f"{self.rings!r}"
+            )
         if self.kind in _RING_KINDS and self.magnitude > 0.0 and not self.rings:
             raise ValueError(f"{self.kind} event needs candidate rings")
 
@@ -229,7 +238,6 @@ class FaultSchedule:
         num_cores: int,
         horizon_s: float,
         events_per_core: int = 2,
-        probe_rings: int = 8,
         max_drift_k_per_s: float = 1.0,
     ) -> "FaultSchedule":
         """A seeded random schedule mixing every fault kind.
@@ -265,8 +273,8 @@ class FaultSchedule:
                 rings = tuple(
                     int(r)
                     for r in rng.choice(
-                        probe_rings,
-                        size=int(rng.integers(1, probe_rings + 1)),
+                        DEFAULT_PROBE_RINGS,
+                        size=int(rng.integers(1, DEFAULT_PROBE_RINGS + 1)),
                         replace=False,
                     )
                 )
@@ -494,7 +502,6 @@ class CoreHealthState:
     Args:
         core: physical core index.
         schedule: the fault schedule (events for other cores ignored).
-        probe_rings: rings in the accuracy-probe bank.
     """
 
     __slots__ = (
@@ -510,12 +517,10 @@ class CoreHealthState:
         "_snapshot",
     )
 
-    def __init__(
-        self, core: int, schedule: FaultSchedule, probe_rings: int = 8
-    ) -> None:
+    def __init__(self, core: int, schedule: FaultSchedule) -> None:
         self.core = core
         self.events = schedule.events_for(core)
-        self.probe = DriftingWeightBank(num_rings=probe_rings)
+        self.probe = DriftingWeightBank()
         # Squash the pristine bank's open-loop crosstalk residual so the
         # healthy baseline error is ~1e-7, far below any trigger.
         self.probe.recalibrate()
@@ -733,7 +738,6 @@ class PoolHealth:
         recalibration: a :class:`RecalibrationPolicy` or an
             :class:`~repro.core.adaptive.AdaptiveRecalibration`;
             ``None`` disables recalibration.
-        probe_rings: rings in each core's accuracy-probe bank.
     """
 
     __slots__ = ("states", "downtime", "recalibrations", "trigger")
@@ -743,11 +747,9 @@ class PoolHealth:
         schedule: FaultSchedule,
         num_cores: int,
         recalibration=None,
-        probe_rings: int = 8,
     ) -> None:
         self.states = [
-            CoreHealthState(core, schedule, probe_rings)
-            for core in range(num_cores)
+            CoreHealthState(core, schedule) for core in range(num_cores)
         ]
         self.downtime = [0.0] * num_cores
         self.recalibrations: list[RecalibrationRecord] = []
@@ -831,10 +833,6 @@ class DegradedServingSimulator:
         config: hardware configuration used when repartitioning.
         fail_error_threshold: weight error beyond which a core is
             declared failed and drained out of the pipeline.
-        probe_rings: rings in each core's accuracy-probe bank.
-        mode: kernel execution mode.  A fault run mutates the pipeline
-            mid-run, so ``"auto"`` runs the reference lane loop and
-            ``run`` rejects ``"vectorized"``.
 
     Raises:
         ValueError: on a fail threshold that is not finite and > 0.
@@ -849,8 +847,6 @@ class DegradedServingSimulator:
         specs: list[ConvLayerSpec] | None = None,
         config: PCNNAConfig | None = None,
         fail_error_threshold: float = 0.5,
-        probe_rings: int = 8,
-        mode: str = "auto",
     ) -> None:
         # `not 0 < x < inf` also rejects NaN, against which `error >= x`
         # is always False and repartitioning would silently never fire.
@@ -861,20 +857,17 @@ class DegradedServingSimulator:
             )
         self.model = model
         self.policy = policy
-        self.mode = mode
         self.schedule = schedule
         self.recalibration = recalibration
         self.specs = specs
         self.config = config
         self.fail_error_threshold = fail_error_threshold
-        self.probe_rings = probe_rings
 
     def run(self, arrival_s: np.ndarray) -> DegradedServingReport:
         """Serve a trace to completion under the fault schedule.
 
         Raises:
-            ValueError: on an empty or unsorted trace, or a
-                ``"vectorized"``/unknown mode.
+            ValueError: on an empty or unsorted trace.
         """
         fields, _ = self._serve(arrival_s)
         return DegradedServingReport(**fields)
@@ -884,17 +877,8 @@ class DegradedServingSimulator:
         # The lane loop lives in cluster.py, which imports this module.
         from repro.core.cluster import serve_pipeline
 
-        if validate_kernel_mode(self.mode) == "vectorized":
-            raise ValueError(
-                "vectorized mode cannot serve a fault schedule — drift, "
-                "recalibration and repartitioning mutate the pipeline "
-                "mid-run; use mode='reference' (or 'auto')"
-            )
         health = PoolHealth(
-            self.schedule,
-            self.model.num_cores,
-            self.recalibration,
-            self.probe_rings,
+            self.schedule, self.model.num_cores, self.recalibration
         )
         lane = serve_pipeline(
             self.model,
@@ -941,7 +925,6 @@ def simulate_degraded_serving(
     clamp_cores: bool = False,
     repartition: bool = True,
     fail_error_threshold: float = 0.5,
-    mode: str = "auto",
 ) -> DegradedServingReport:
     """One-call degraded serving simulation for an executable network.
 
@@ -961,7 +944,6 @@ def simulate_degraded_serving(
         specs=specs if repartition else None,
         config=config,
         fail_error_threshold=fail_error_threshold,
-        mode=mode,
     )
     return simulator.run(arrival_s)
 

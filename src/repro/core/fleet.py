@@ -61,7 +61,11 @@ from repro.core.cluster import (
 )
 from repro.core.config import PCNNAConfig
 from repro.core.faults import FaultSchedule, RecalibrationPolicy
-from repro.core.simkernel import validate_arrival_trace, validate_kernel_mode
+from repro.core.simkernel import (
+    validate_arrival_trace,
+    validate_count,
+    validate_kernel_mode,
+)
 from repro.core.traffic import PipelineServiceModel
 
 # Contract marker checked by `python -m repro.lint` (BIT001): the
@@ -109,11 +113,7 @@ class RegionSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("region needs a non-empty name")
-        if self.pool_size < 1:
-            raise ValueError(
-                f"{self.name}: pool size must be >= 1, got "
-                f"{self.pool_size!r}"
-            )
+        validate_count(self.pool_size, f"{self.name}: pool size")
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,6 @@ with the ``lint`` extra).  The tier-1 gate in
 ``tests/test_static_analysis.py`` runs the same pass over ``src/``.
 """
 
-from repro.lint.baseline import (
-    BASELINE_NAME,
-    Baseline,
-    BaselineEntry,
-    BaselineError,
-    format_baseline,
-    load_baseline,
-)
 from repro.lint.findings import Finding
 from repro.lint.pragmas import Pragma, scan_pragmas
 from repro.lint.registry import Rule, all_rules, register, rule_codes
@@ -39,10 +31,6 @@ from repro.lint.runner import LintResult, run_lint
 from repro.lint.walker import ModuleInfo, Project, load_module
 
 __all__ = [
-    "BASELINE_NAME",
-    "Baseline",
-    "BaselineEntry",
-    "BaselineError",
     "Finding",
     "JSON_REPORT_VERSION",
     "LintResult",
@@ -51,8 +39,6 @@ __all__ = [
     "Project",
     "Rule",
     "all_rules",
-    "format_baseline",
-    "load_baseline",
     "load_module",
     "register",
     "render_json",

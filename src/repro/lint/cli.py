@@ -1,6 +1,7 @@
 """``python -m repro.lint`` — the determinism & contract checker CLI.
 
-Exit codes: 0 clean, 1 findings, 2 usage or configuration errors.
+Exit codes: 0 clean, 1 findings, 2 usage errors (bad arguments or a
+missing path).
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import BaselineError, format_baseline
 from repro.lint.report import (
     render_json,
     render_json_text,
@@ -46,22 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON report to FILE (the CI artifact)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default="auto",
-        help="baseline file (default: ./lint_baseline.toml when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings to FILE as a baseline and exit 0",
-    )
-    parser.add_argument(
         "--root",
         default=None,
         help="directory findings are reported relative to (default: cwd)",
@@ -69,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="also list pragma-suppressed and baselined findings",
+        help="also list pragma-suppressed findings",
     )
     parser.add_argument(
         "--list-rules",
@@ -84,24 +68,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.list_rules:
         print(render_rule_table())
         return 0
-    baseline = None if args.no_baseline else args.baseline
     try:
-        result = run_lint(args.paths, root=args.root, baseline=baseline)
-    except (FileNotFoundError, BaselineError) as error:
+        result = run_lint(args.paths, root=args.root)
+    except FileNotFoundError as error:
         print(f"repro.lint: error: {error}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(
-            format_baseline(
-                result.findings, reason="inherited at baseline creation"
-            ),
-            encoding="utf-8",
-        )
-        print(
-            f"wrote {len(result.findings)} finding(s) to "
-            f"{args.write_baseline}"
-        )
-        return 0
     if args.output:
         Path(args.output).write_text(
             json.dumps(render_json(result), indent=2, sort_keys=True) + "\n",

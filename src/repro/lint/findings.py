@@ -1,7 +1,7 @@
 """The unit of lint output: one finding at one source location.
 
-A :class:`Finding` is what every rule yields and what the pragma and
-baseline layers consume.  Findings are plain frozen data so the engine
+A :class:`Finding` is what every rule yields and what the pragma layer
+consumes.  Findings are plain frozen data so the engine
 can sort, deduplicate, suppress, and serialize them without knowing
 anything about the rule that produced them.
 """

@@ -9,7 +9,7 @@ from repro.lint.registry import all_rules
 from repro.lint.runner import LintResult
 
 #: Schema version of the JSON report (bump on breaking changes).
-JSON_REPORT_VERSION = 1
+JSON_REPORT_VERSION = 2
 
 
 def render_text(result: LintResult, verbose: bool = False) -> str:
@@ -26,20 +26,9 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
                 f"{finding.location()}: {finding.code} suppressed by pragma: "
                 f"{pragma.justification}"
             )
-        for finding, entry in result.baselined:
-            lines.append(
-                f"{finding.location()}: {finding.code} baselined: "
-                f"{entry.reason}"
-            )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"warning: stale baseline entry {entry.code} at {entry.path} "
-            "matches no finding; delete it"
-        )
     lines.append(
         f"{len(result.findings)} finding(s) "
-        f"({len(result.suppressed)} suppressed by pragma, "
-        f"{len(result.baselined)} baselined) "
+        f"({len(result.suppressed)} suppressed by pragma) "
         f"across {result.files_checked} file(s)"
     )
     return "\n".join(lines)
@@ -69,18 +58,12 @@ def render_json(result: LintResult) -> dict:
             "files": result.files_checked,
             "findings": len(result.findings),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_baseline),
             "by_rule": dict(sorted(per_rule.items())),
         },
         "findings": [_finding_dict(f) for f in result.findings],
         "suppressed": [
             {**_finding_dict(f), "justification": p.justification}
             for f, p in result.suppressed
-        ],
-        "baselined": [
-            {**_finding_dict(f), "reason": e.reason}
-            for f, e in result.baselined
         ],
     }
 

@@ -1,4 +1,4 @@
-"""The lint engine: walk, check, waive, baseline, and collect.
+"""The lint engine: walk, check, waive, and collect.
 
 :func:`run_lint` is the one entry point both the CLI and the tier-1
 gate (``tests/test_static_analysis.py``) call, so the command line and
@@ -11,12 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro.lint.rules  # noqa: F401  (importing registers every rule)
-from repro.lint.baseline import (
-    BASELINE_NAME,
-    Baseline,
-    BaselineEntry,
-    load_baseline,
-)
 from repro.lint.findings import Finding
 from repro.lint.pragmas import (
     Pragma,
@@ -36,20 +30,12 @@ class LintResult:
             has none).
         suppressed: findings waived by a justified pragma, paired with
             the pragma that waived them.
-        baselined: findings absorbed by the baseline file, paired with
-            the entry that matched.
-        stale_baseline: baseline entries that matched nothing (reported
-            as warnings so the file shrinks over time).
         files_checked: number of python files examined.
         rule_codes: every registered rule code, for reporting.
     """
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[tuple[Finding, Pragma]] = field(default_factory=list)
-    baselined: list[tuple[Finding, BaselineEntry]] = field(
-        default_factory=list
-    )
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
     files_checked: int = 0
     rule_codes: tuple[str, ...] = ()
 
@@ -113,7 +99,6 @@ def _apply_pragmas(
 def run_lint(
     paths: list[str | Path],
     root: str | Path | None = None,
-    baseline: str | Path | None = "auto",
 ) -> LintResult:
     """Run the full pass over ``paths`` and return the result.
 
@@ -121,22 +106,12 @@ def run_lint(
         paths: files and/or directories to lint.
         root: directory findings are reported relative to (default:
             the current working directory).
-        baseline: baseline file path; the default ``"auto"`` uses
-            ``<root>/lint_baseline.toml`` when present, and ``None``
-            disables the baseline entirely.
 
     Raises:
         FileNotFoundError: when a requested path does not exist.
-        BaselineError: when the baseline file is malformed.
     """
     root_path = Path(root).resolve() if root is not None else Path.cwd()
     project = Project.load([Path(p) for p in paths], root_path)
-    if baseline == "auto":
-        loaded = load_baseline(root_path / BASELINE_NAME)
-    elif baseline is None:
-        loaded = Baseline()
-    else:
-        loaded = load_baseline(Path(baseline))
     result = LintResult(
         files_checked=len(project.modules),
         rule_codes=tuple(sorted(rule_codes())),
@@ -146,9 +121,6 @@ def run_lint(
         kept, suppressed = _apply_pragmas(module, raw)
         result.findings.extend(kept)
         result.suppressed.extend(suppressed)
-    result.findings, baselined, stale = loaded.apply(result.findings)
-    result.baselined = baselined
-    result.stale_baseline = stale
     result.findings.sort(key=Finding.sort_key)
     result.suppressed.sort(key=lambda pair: pair[0].sort_key())
     return result

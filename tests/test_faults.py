@@ -289,6 +289,8 @@ class TestFaultEvent:
             FaultEvent("thermal_ramp", -1, 0.0, 1.0)
         with pytest.raises(ValueError, match="core"):
             FaultEvent("thermal_ramp", 1.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match="core"):
+            FaultEvent("thermal_ramp", True, 0.0, 1.0)
         with pytest.raises(ValueError, match="onset"):
             FaultEvent("thermal_ramp", 0, -1.0, 1.0)
         with pytest.raises(ValueError, match="magnitude"):
@@ -301,6 +303,8 @@ class TestFaultEvent:
             FaultEvent("thermal_ramp", 0, 0.0, 1.0, duration_s=0.0)
         with pytest.raises(ValueError, match="ring indices"):
             FaultEvent("dead_rings", 0, 0.0, 1.0, rings=(-1,))
+        with pytest.raises(ValueError, match="ring indices"):
+            FaultEvent("dead_rings", 0, 0.0, 1.0, rings=(True, False))
         with pytest.raises(ValueError, match="candidate rings"):
             FaultEvent("dead_rings", 0, 0.0, 1.0)
 
@@ -431,7 +435,7 @@ class TestCoreHealthState:
         schedule = FaultSchedule(
             "s", (FaultEvent("dead_rings", 0, 0.0, 1.0, rings=(13,)),)
         )
-        state = CoreHealthState(0, schedule, probe_rings=8)
+        state = CoreHealthState(0, schedule)
         state.advance_to(1.0)
         assert state.error > 0.5  # ring 13 % 8 == 5 died
 
@@ -447,7 +451,7 @@ class TestCoreHealthState:
                 FaultEvent("thermal_ramp", 0, 0.0, 0.5),
             ),
         )
-        state = CoreHealthState(0, schedule, probe_rings=8)
+        state = CoreHealthState(0, schedule)
         state.advance_to(0.2)
         assert state.should_recalibrate(policy)
         state.recalibrate(policy)  # must not raise

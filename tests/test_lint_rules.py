@@ -18,19 +18,13 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
-    BaselineEntry,
-    BaselineError,
     JSON_REPORT_VERSION,
-    format_baseline,
-    load_baseline,
     render_json,
     render_text,
     rule_codes,
     run_lint,
     scan_pragmas,
 )
-from repro.lint.baseline import _entries_from_data, _parse_toml_subset
 from repro.lint.cli import main
 from repro.lint.registry import Rule, checkable_rules, register
 
@@ -65,8 +59,8 @@ def _declared_expectations():
 
 @pytest.fixture(scope="module")
 def fixture_result():
-    """One lint pass over the whole corpus, no baseline."""
-    return run_lint([FIXTURES], root=FIXTURES, baseline=None)
+    """One lint pass over the whole corpus."""
+    return run_lint([FIXTURES], root=FIXTURES)
 
 
 class TestFixtureCorpus:
@@ -171,124 +165,9 @@ class TestPragmas:
             "x = 1  # repro: allow[DET001] leftover\n",
             encoding="utf-8",
         )
-        result = run_lint([target], root=tmp_path, baseline=None)
+        result = run_lint([target], root=tmp_path)
         assert [f.code for f in result.findings] == ["LINT002", "LINT002"]
         assert not result.suppressed
-
-
-class TestBaseline:
-    def test_round_trip_via_cli(self, tmp_path, capsys):
-        """--write-baseline absorbs the corpus; a rerun is then clean."""
-        baseline = tmp_path / "lint_baseline.toml"
-        assert (
-            main(
-                [
-                    str(FIXTURES),
-                    "--root",
-                    str(FIXTURES),
-                    "--no-baseline",
-                    "--write-baseline",
-                    str(baseline),
-                ]
-            )
-            == 0
-        )
-        assert baseline.exists()
-        assert (
-            main(
-                [
-                    str(FIXTURES),
-                    "--root",
-                    str(FIXTURES),
-                    "--baseline",
-                    str(baseline),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "0 finding(s)" in out
-
-    def test_stale_entries_are_reported_not_fatal(self, capsys):
-        stale = Baseline(
-            entries=[
-                BaselineEntry(
-                    code="DET001",
-                    path="nowhere.py",
-                    reason="tracking a ghost",
-                )
-            ]
-        )
-        kept, baselined, stale_entries = stale.apply([])
-        assert kept == [] and baselined == []
-        assert stale_entries == stale.entries
-        result = run_lint(
-            [FIXTURES / "benchmarks"], root=FIXTURES, baseline=None
-        )
-        result.stale_baseline = stale_entries
-        assert "stale baseline entry" in render_text(result)
-
-    def test_line_pinned_entry_matches_only_that_line(self, fixture_result):
-        finding = next(
-            f for f in fixture_result.findings if f.code == "DET001"
-        )
-        hit = BaselineEntry(
-            code=finding.code,
-            path=finding.path,
-            reason="pinned",
-            line=finding.line,
-        )
-        miss = BaselineEntry(
-            code=finding.code,
-            path=finding.path,
-            reason="pinned elsewhere",
-            line=finding.line + 1,
-        )
-        assert hit.matches(finding)
-        assert not miss.matches(finding)
-
-    def test_subset_parser_agrees_with_writer(self, fixture_result):
-        text = format_baseline(
-            fixture_result.findings[:3], reason="inherited at rollout"
-        )
-        data = _parse_toml_subset(text)
-        assert data["version"] == 1
-        assert len(data["suppress"]) == 3
-        entry = data["suppress"][0]
-        assert set(entry) == {"code", "path", "line", "reason"}
-        parsed = _entries_from_data(data, "test")
-        assert parsed.entries[0].reason == "inherited at rollout"
-
-    def test_subset_parser_handles_comments_and_rejects_garbage(self):
-        data = _parse_toml_subset(
-            "# header comment\n"
-            "version = 1\n"
-            "\n"
-            "[[suppress]]\n"
-            'code = "DET001"  # trailing comment\n'
-            'path = "a # b.py"\n'
-            'reason = "kept"\n'
-        )
-        assert data["suppress"][0]["path"] == "a # b.py"
-        with pytest.raises(BaselineError):
-            _parse_toml_subset("version = [1]\n")
-
-    def test_malformed_baselines_are_rejected(self, tmp_path):
-        with pytest.raises(BaselineError, match="version"):
-            _entries_from_data({"version": 2}, "test")
-        with pytest.raises(BaselineError, match="reason"):
-            _entries_from_data(
-                {"suppress": [{"code": "DET001", "path": "x.py"}]}, "test"
-            )
-        with pytest.raises(BaselineError, match="code"):
-            _entries_from_data({"suppress": [{"path": "x.py"}]}, "test")
-        bad = tmp_path / "lint_baseline.toml"
-        bad.write_text("version = \n", encoding="utf-8")
-        with pytest.raises(BaselineError):
-            load_baseline(bad)
-
-    def test_absent_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "missing.toml").entries == []
 
 
 class TestReports:
@@ -298,6 +177,7 @@ class TestReports:
         assert report["tool"] == "repro.lint"
         assert report["ok"] is False
         summary = report["summary"]
+        assert set(summary) == {"files", "findings", "suppressed", "by_rule"}
         assert summary["findings"] == len(fixture_result.findings)
         assert summary["suppressed"] == len(fixture_result.suppressed)
         assert summary["files"] == fixture_result.files_checked
@@ -317,7 +197,7 @@ class TestReports:
 
 class TestCli:
     def test_dirty_corpus_exits_1(self, capsys):
-        code = main([str(FIXTURES), "--root", str(FIXTURES), "--no-baseline"])
+        code = main([str(FIXTURES), "--root", str(FIXTURES)])
         assert code == 1
         out = capsys.readouterr().out
         assert "DET001" in out and "det001_bad.py" in out
@@ -335,7 +215,6 @@ class TestCli:
                 str(FIXTURES),
                 "--root",
                 str(FIXTURES),
-                "--no-baseline",
                 "--format",
                 "json",
             ]
@@ -351,7 +230,6 @@ class TestCli:
                 str(FIXTURES),
                 "--root",
                 str(FIXTURES),
-                "--no-baseline",
                 "--output",
                 str(artifact),
             ]
@@ -370,13 +248,4 @@ class TestCli:
 
     def test_missing_path_exits_2(self, capsys):
         assert main(["no/such/path"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_malformed_baseline_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.toml"
-        bad.write_text("version = 99\n", encoding="utf-8")
-        code = main(
-            [str(FIXTURES), "--root", str(FIXTURES), "--baseline", str(bad)]
-        )
-        assert code == 2
         assert "error" in capsys.readouterr().err

@@ -8,15 +8,17 @@ for ``workers=1`` (no :mod:`multiprocessing` involvement at all).
 
 The cell functions live at module level on purpose — that is the
 spawn-safety requirement ``run_grid`` imposes on its callers, and these
-tests exercise it under the ``spawn`` start method explicitly.
+tests exercise it under the ``spawn`` start method by hiding ``fork``
+from the platform, as on macOS and Windows.
 """
 
 import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 
-from repro.analysis import START_METHODS, resolve_start_method, run_grid
+from repro.analysis import run_grid
 
 
 def square(x):
@@ -40,25 +42,19 @@ def scaled_arange(args):
     return scale * np.arange(count, dtype=float)
 
 
-class TestResolveStartMethod:
-    def test_auto_picks_a_supported_method(self):
-        method = resolve_start_method()
-        assert method in multiprocessing.get_all_start_methods()
+def record_start_methods(monkeypatch, offered):
+    """Offer only the ``offered`` start methods; return those used."""
+    used = []
+    get_context = multiprocessing.get_context
 
-    def test_auto_prefers_fork_when_available(self):
-        if "fork" in multiprocessing.get_all_start_methods():
-            assert resolve_start_method("auto") == "fork"
-        else:
-            assert resolve_start_method("auto") == "spawn"
+    def offered_get_context(method):
+        if method not in offered:
+            raise ValueError(f"cannot find context for {method!r}")
+        used.append(method)
+        return get_context(method)
 
-    def test_explicit_methods_round_trip(self):
-        for method in multiprocessing.get_all_start_methods():
-            if method in START_METHODS:
-                assert resolve_start_method(method) == method
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown start method"):
-            resolve_start_method("threads")
+    monkeypatch.setattr(multiprocessing, "get_context", offered_get_context)
+    return used
 
 
 class TestRunGridContract:
@@ -84,12 +80,19 @@ class TestRunGridContract:
         for a, b in zip(serial, fanned):
             assert a.tobytes() == b.tobytes()
 
-    def test_spawn_start_method_smoke(self):
+    @pytest.mark.skipif(
+        sys.platform == "win32", reason="platform offers no fork"
+    )
+    def test_fork_preferred_where_offered(self, monkeypatch):
+        used = record_start_methods(monkeypatch, ["fork", "spawn"])
+        assert run_grid(square, [2, 7, 9], workers=2) == [4, 49, 81]
+        assert used == ["fork"]
+
+    def test_spawn_start_method_smoke(self, monkeypatch):
         """Module-level cells survive the re-import a spawn worker does."""
-        results = run_grid(
-            square, [2, 7, 9], workers=2, start_method="spawn"
-        )
-        assert results == [4, 49, 81]
+        used = record_start_methods(monkeypatch, ["spawn"])
+        assert run_grid(square, [2, 7, 9], workers=2) == [4, 49, 81]
+        assert used == ["spawn"]
 
     def test_single_cell_stays_serial(self):
         import os
@@ -118,6 +121,3 @@ class TestRunGridValidation:
         with pytest.raises(ValueError, match="workers must be an int"):
             run_grid(square, [1, 2], workers=workers)
 
-    def test_bad_start_method_rejected_before_running(self):
-        with pytest.raises(ValueError, match="unknown start method"):
-            run_grid(square, [1, 2], workers=2, start_method="bogus")

@@ -5,12 +5,17 @@ import pytest
 
 from repro.core import traffic
 from repro.core.adaptive import BurnRateAdmission
-from repro.core.cluster import ClusterTenant, ElasticReallocation
+from repro.core.cluster import (
+    ClusterSimulator,
+    ClusterTenant,
+    ElasticReallocation,
+)
 from repro.core.faults import (
     DegradedServingSimulator,
     FaultSchedule,
     RecalibrationPolicy,
 )
+from repro.core.fleet import RegionSpec
 from repro.core.simkernel import (
     BatchingPolicy,
     DispatchContext,
@@ -69,6 +74,15 @@ COUNT_FIELDS = {
     "admission queue cap": lambda v: BurnRateAdmission(
         slo_latency_s=1e-3, queue_cap=v
     ),
+    "cluster pool size": lambda v: ClusterSimulator(
+        [
+            ClusterTenant(
+                "t", tuple(lenet5_conv_specs()), BatchingPolicy.fifo()
+            )
+        ],
+        v,
+    ),
+    "region pool size": lambda v: RegionSpec("r", v),
 }
 
 

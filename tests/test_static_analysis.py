@@ -2,7 +2,7 @@
 
 This is the enforcement end of ``repro.lint`` — the same
 :func:`repro.lint.run_lint` pass the CLI runs, executed over the real
-source tree.  A clean tree is a hard requirement: any unbaselined
+source tree.  A clean tree is a hard requirement: any unwaived
 finding fails the suite with the rule code and ``file:line`` in the
 assertion message.  The companion tests prove the gate has teeth by
 re-introducing violations into copies of the tree and watching them
@@ -80,11 +80,11 @@ class TestGateHasTeeth:
         target = copy_dir / "traffic.py"
 
         target.write_text(source, encoding="utf-8")
-        clean = run_lint([target], root=tmp_path, baseline=None)
+        clean = run_lint([target], root=tmp_path)
         assert clean.ok, render_text(clean)
 
         target.write_text(stripped, encoding="utf-8")
-        broken = run_lint([target], root=tmp_path, baseline=None)
+        broken = run_lint([target], root=tmp_path)
         assert len(broken.findings) == count
         for finding in broken.findings:
             assert finding.code == "BIT001"
@@ -103,7 +103,7 @@ class TestGateHasTeeth:
             "    return np.sum(array)\n",
             encoding="utf-8",
         )
-        result = run_lint([target], root=tmp_path, baseline=None)
+        result = run_lint([target], root=tmp_path)
         assert [(f.code, f.line) for f in result.findings] == [("BIT001", 7)]
 
     def test_reintroduced_wall_clock_is_flagged_at_its_line(self, tmp_path):
@@ -112,7 +112,7 @@ class TestGateHasTeeth:
             "import time\n\n\ndef now():\n    return time.time()\n",
             encoding="utf-8",
         )
-        result = run_lint([target], root=tmp_path, baseline=None)
+        result = run_lint([target], root=tmp_path)
         assert [(f.code, f.line) for f in result.findings] == [("DET002", 5)]
 
     def test_dropping_a_bit_identity_marker_is_flagged(self, tmp_path):
@@ -123,7 +123,7 @@ class TestGateHasTeeth:
         copy_dir = tmp_path / "repro" / "core"
         copy_dir.mkdir(parents=True)
         (copy_dir / "faults.py").write_text(stripped, encoding="utf-8")
-        result = run_lint([copy_dir / "faults.py"], root=tmp_path, baseline=None)
+        result = run_lint([copy_dir / "faults.py"], root=tmp_path)
         assert "BIT001" in {f.code for f in result.findings}
 
 

@@ -263,17 +263,6 @@ class TestZeroMagnitudeFaultPin:
         assert vec.p50_s == zero.p50_s
         assert vec.p99_s == zero.p99_s
 
-    def test_degraded_simulator_rejects_vectorized_mode(self):
-        model = lenet_model()
-        sim = DegradedServingSimulator(
-            model,
-            BatchingPolicy.fifo(),
-            self.zero_schedule(1.0),
-            mode="vectorized",
-        )
-        with pytest.raises(ValueError, match="plugin|vectorized"):
-            sim.run(np.array([0.0, 0.5]))
-
 
 class TestSingleTenantClusterPin:
     """A lone fault-free tenant collapses to one plain kernel run."""
