@@ -29,6 +29,7 @@ from repro.core.traffic import BatchingPolicy
 from repro.photonics.calibration import calibrate_bank
 from repro.photonics.drift import (
     DEFAULT_PROBE_QUALITY_FACTOR,
+    DEFAULT_PROBE_RINGS,
     BankCondition,
     DriftingWeightBank,
     default_probe_targets,
@@ -348,6 +349,13 @@ class TestFaultSchedule:
         with pytest.raises(ValueError, match="event"):
             FaultSchedule.random(0, 1, 1.0, events_per_core=0)
 
+    def test_random_rings_lie_on_the_default_probe(self):
+        schedule = FaultSchedule.random(
+            seed=0, num_cores=2, horizon_s=1.0, events_per_core=40
+        )
+        rings = {ring for event in schedule.events for ring in event.rings}
+        assert rings == set(range(DEFAULT_PROBE_RINGS))
+
     def test_scaled_clamps_fractions(self):
         schedule = FaultSchedule(
             "s",
@@ -430,6 +438,10 @@ class TestCoreHealthState:
         if state.recal_exhausted:
             state.advance_to(3.0)  # excursion over
             assert not state.recal_exhausted
+
+    def test_probe_has_the_default_ring_count(self):
+        state = CoreHealthState(0, FaultSchedule.none())
+        assert state.probe.num_rings == DEFAULT_PROBE_RINGS
 
     def test_out_of_range_ring_indices_wrap(self):
         schedule = FaultSchedule(

@@ -249,3 +249,18 @@ class TestCli:
     def test_missing_path_exits_2(self, capsys):
         assert main(["no/such/path"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--baseline", "lint_baseline.toml"],
+            ["--no-baseline"],
+            ["--write-baseline"],
+        ],
+    )
+    def test_baseline_flags_are_usage_errors(self, flag, capsys):
+        """Justified pragmas are the only waiver: no baseline flag parses."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(FIXTURES), *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

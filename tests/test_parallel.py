@@ -88,6 +88,12 @@ class TestRunGridContract:
         assert run_grid(square, [2, 7, 9], workers=2) == [4, 49, 81]
         assert used == ["fork"]
 
+    def test_start_method_follows_the_platform(self, monkeypatch):
+        offered = multiprocessing.get_all_start_methods()
+        used = record_start_methods(monkeypatch, offered)
+        assert run_grid(square, [2, 7, 9], workers=2) == [4, 49, 81]
+        assert used == ["fork" if "fork" in offered else "spawn"]
+
     def test_spawn_start_method_smoke(self, monkeypatch):
         """Module-level cells survive the re-import a spawn worker does."""
         used = record_start_methods(monkeypatch, ["spawn"])
