@@ -41,14 +41,20 @@ The lane event loop here is the only loop that hosts mid-run
 feedback: the single-pipeline degraded and adaptive simulators
 (:mod:`repro.core.faults`, :mod:`repro.core.adaptive`) run as one lane
 of it (:func:`serve_pipeline`), with failing-core repartitioning and
-per-batch drift snapshots switched on.  Everything is a pure function
-of its inputs: a fixed seed and tenant mix yields bit-identical reports
-on every run.
+per-batch drift snapshots switched on.  Under the static recalibration
+trigger (or none) that lone lane runs in epochs (:func:`_serve_epochs`):
+the stretch up to the next dispatch where the fault step acts is
+planned and booked with the vectorized kernel and its drift probes are
+swept over simulated time, and only that dispatch goes through the
+per-dispatch loop, which stays the oracle.  Everything is a pure
+function of its inputs: a fixed seed and tenant mix yields
+bit-identical reports on every run.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -63,9 +69,11 @@ from repro.core.faults import (
     RecalibrationPolicy,
     RecalibrationRecord,
     RepartitionRecord,
+    ThresholdTrigger,
 )
 from repro.core.simkernel import (
     BatchingPolicy,
+    BatchRecord,
     BatchTable,
     DispatchContext,
     execute_dispatch,
@@ -656,6 +664,59 @@ class _TenantLane:
         self._cum_completed.append(previous + size)
         self.widths.append(self.width)
         self.served += size
+
+    def book(
+        self,
+        heads: np.ndarray,
+        sizes: np.ndarray,
+        disp: np.ndarray,
+        proxies: list[float],
+        snapshots: list[tuple[CoreDriftSnapshot, ...]],
+    ) -> None:
+        """Book a planned stretch of batches at once.
+
+        The bulk :meth:`commit` of :func:`serve_pipeline`'s epochs: for a
+        lane that admits its whole trace up front, batches that take no
+        fault action are walked through the pipeline by
+        :func:`~repro.core.simkernel.pipeline_completions`, resumed from
+        the lane's clocks and busy ledger, and every record, stream
+        entry and ledger total comes out as committing them one by one
+        would leave it.
+        """
+        ctx = self.ctx
+        phys = ctx.stage_to_core
+        completion, ledger = pipeline_completions(
+            sizes,
+            disp,
+            ctx.model,
+            ctx.core_free,
+            [ctx.core_busy[core] for core in phys],
+        )
+        for core, total in zip(phys, ledger):
+            ctx.core_busy[core] = total
+        first = len(ctx.batches)
+        ctx.batches.extend(
+            map(
+                BatchRecord,
+                range(first, first + sizes.size),
+                heads.tolist(),
+                sizes.tolist(),
+                disp,
+                completion,
+            )
+        )
+        start = ctx.head
+        stop = int(heads[-1] + sizes[-1])
+        ctx.dispatch_s[start:stop] = np.repeat(disp, sizes)
+        ctx.completion_s[start:stop] = np.repeat(completion, sizes)
+        ctx.head = stop
+        self._completion_times.extend(completion)
+        done = self._cum_completed[-1] if self._cum_completed else 0
+        self._cum_completed.extend((done + np.cumsum(sizes)).tolist())
+        self.widths.extend([self.width] * sizes.size)
+        self.served += stop - start
+        self.proxies.extend(proxies)
+        self.snapshots.extend(snapshots)
 
     def release_cores(self) -> list[tuple[int, float]]:
         """Hand the lane's cores back once its trace is fully served.
@@ -1471,6 +1532,113 @@ def _serve_lanes(
         health.finish(last_dispatch)
 
 
+_EPOCH_MIN_REQUESTS = 64
+"""Requests the first speculative epoch after a fault action plans; each
+epoch that runs to its end doubles the next one."""
+
+_DENSE_CUT = 4
+"""An epoch cut before this many batches counts as dense: fault actions
+come so often that planning and probing ahead cost more than they save."""
+
+_SCALAR_RUN_MAX = 64
+"""Cap on the per-dispatch run :func:`_serve_epochs` takes after dense
+cuts before it speculates again (the run doubles per dense cut)."""
+
+
+def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
+    """The lane event loop for one faulted pipeline, in epochs.
+
+    Between two dispatches at which the fault step acts, nothing feeds
+    back into the lane's clocks: the drift probes are pure functions of
+    simulated time under a fixed command, and the batches are the
+    fault-free plan.  So each epoch speculates a window of the trace:
+    it plans the window's batches with
+    :func:`~repro.core.simkernel.plan_batches` (resumed from the lane's
+    head and core-0 clock, keeping only batches the window cannot have
+    truncated), sweeps every stage core's probe over their dispatch
+    instants (:meth:`~repro.core.faults.CoreHealthState.sweep`), and
+    cuts at the first batch where the per-dispatch loop would act: the
+    threshold trigger firing on a core that is not exhausted, an
+    exhausted core re-arming, or some but not all cores at the fail
+    threshold.  The batches before the cut are booked in bulk
+    (:meth:`_TenantLane.book`); the cut batch itself runs through the
+    lane's own plan and :meth:`_TenantLane.serve` — the one fault step,
+    :meth:`~repro.core.faults.PoolHealth.step`, and the failing-core
+    drain — and the next epoch resumes from there.  Windows double while
+    epochs run to their end and reset at a cut, and after dense cuts
+    the lane serves a doubling run of dispatches one by one before
+    speculating again, so a run that acts every few dispatches costs
+    about what the per-dispatch loop costs.  The result is bit-identical
+    to :func:`_serve_lanes` on the lone lane, which stays the oracle.
+    """
+    ctx = lane.ctx
+    states = health.states
+    trigger = health.trigger
+    threshold = math.inf if trigger is None else trigger.policy.error_threshold
+    fail = lane.fail_error_threshold
+    arrivals = lane.admitted_times
+    n = lane.n
+    max_batch = lane.policy.max_batch
+    window = _EPOCH_MIN_REQUESTS
+    scalar_run = 0
+    last_dispatch = 0.0
+    while ctx.head < n:
+        end = min(ctx.head + window, n)
+        heads, sizes, disp = plan_batches(
+            arrivals[:end], lane.policy, ctx.model, ctx.head, ctx.core_free[0]
+        )
+        if end < n:
+            # A batch may read the trace up to head + max_batch - 1.
+            count = int(np.searchsorted(heads, end - max_batch, side="right"))
+            heads, sizes, disp = heads[:count], sizes[:count], disp[:count]
+        if not heads.size:
+            window *= 2
+            continue
+        phys = lane.phys
+        sweeps = [states[core].sweep(disp) for core in phys]
+        acts = np.zeros(disp.size, dtype=bool)
+        failing = np.zeros(disp.size, dtype=np.int64)
+        for core, sweep in zip(phys, sweeps):
+            if not states[core].recal_exhausted:
+                acts |= sweep.errors >= threshold
+            if fail is not None:
+                failing += sweep.errors >= fail
+        acts |= (failing > 0) & (failing < len(phys))
+        cut = min(sweep.rearm for sweep in sweeps)
+        hits = np.flatnonzero(acts[:cut])
+        if hits.size:
+            cut = int(hits[0])
+        if cut:
+            proxies = sweeps[0].errors[:cut]
+            for sweep in sweeps[1:]:
+                proxies = np.maximum(proxies, sweep.errors[:cut])
+            lane.book(
+                heads[:cut],
+                sizes[:cut],
+                disp[:cut],
+                proxies.tolist(),
+                list(zip(*(sweep.snapshots(cut) for sweep in sweeps))),
+            )
+            last_dispatch = max(last_dispatch, disp[cut - 1])
+        if cut == disp.size:
+            window *= 2
+            continue
+        if cut < _DENSE_CUT:
+            scalar_run = min(max(2 * scalar_run, 1), _SCALAR_RUN_MAX)
+        else:
+            scalar_run = 0
+        # The cut batch, then any dense-cut run, one dispatch at a time.
+        for _ in range(1 + scalar_run):
+            plan = lane.plan()
+            if plan is None:
+                break
+            dispatch, size = plan
+            last_dispatch = max(last_dispatch, dispatch)
+            lane.serve(dispatch, size, health)
+        window = _EPOCH_MIN_REQUESTS
+    health.finish(last_dispatch)
+
+
 def serve_pipeline(
     model: PipelineServiceModel,
     policy: BatchingPolicy,
@@ -1485,7 +1653,12 @@ def serve_pipeline(
     The engine of :class:`~repro.core.faults.DegradedServingSimulator`:
     one lane over the caller's ``model`` on cores ``0..width-1`` that
     records per-batch drift snapshots and, when ``specs`` is given,
-    drains cores whose error reaches ``fail_error_threshold``.
+    drains cores whose error reaches ``fail_error_threshold``.  With no
+    recalibration or the static threshold trigger the lane runs in
+    epochs between fault actions (:func:`_serve_epochs`); an adaptive
+    trigger, whose decider keeps state per call, takes the fault step at
+    every dispatch (:func:`_serve_lanes`).  Both produce the same lane,
+    bit for bit.
     """
     width = model.num_cores
     lane = _TenantLane(
@@ -1501,7 +1674,10 @@ def serve_pipeline(
         fail_error_threshold=None if specs is None else fail_error_threshold,
         record_snapshots=True,
     )
-    _serve_lanes([lane], health, _lone_lane)
+    if health.trigger is None or type(health.trigger) is ThresholdTrigger:
+        _serve_epochs(lane, health)
+    else:
+        _serve_lanes([lane], health, _lone_lane)
     return lane
 
 

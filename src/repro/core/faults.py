@@ -11,10 +11,11 @@ simulated clock for the first time:
   hardware degrades (thermal drift ramps, crosstalk excursions,
   dead/stuck rings, TIA gain droop);
 * each core carries a :class:`CoreHealthState` — a real
-  :class:`~repro.photonics.drift.DriftingWeightBank` probe advanced to
-  every dispatch instant, whose balanced-detection weight error is the
-  core's **accuracy proxy**, measured from photodiode readout physics
-  rather than assumed;
+  :class:`~repro.photonics.drift.DriftingWeightBank` probe read out at
+  every dispatch instant (a whole epoch of instants at once between
+  recalibrations, :meth:`CoreHealthState.sweep`), whose
+  balanced-detection weight error is the core's **accuracy proxy**,
+  measured from photodiode readout physics rather than assumed;
 * an optional :class:`RecalibrationPolicy` watches the proxy and
   invokes the closed calibration loop
   (:func:`~repro.photonics.calibration.calibrate_bank` via the probe)
@@ -31,14 +32,17 @@ simulated clock for the first time:
 
 The engine is differential by construction.  Every faulted run —
 single pipeline or multi-tenant cluster — is served by the cluster lane
-loop of :mod:`repro.core.cluster`, and at each dispatch it takes one
-fault step, :meth:`PoolHealth.step`: advance the drift state machines,
-ask the recalibration trigger, pay the downtime on the shared clock.
-Dispatch planning and the pipeline walk stay the exact arithmetic the
-fault-free simulator uses, so a zero-magnitude schedule yields a
-bit-identical :class:`~repro.core.traffic.ServingReport` (and a
-bit-identical engine replay) — the property
-``tests/test_differential_faults.py`` pins.
+loop of :mod:`repro.core.cluster`, and wherever a fault acts it takes
+one fault step, :meth:`PoolHealth.step`: advance the drift state
+machines, ask the recalibration trigger, pay the downtime on the shared
+clock.  The cluster and adaptive runs take it at every dispatch; the
+single pipeline under the static trigger sweeps its probes over an
+epoch of planned dispatches and takes the step only at the dispatch
+where the per-dispatch loop would act, bit-identical to it.  Dispatch
+planning and the pipeline walk stay the exact arithmetic the fault-free
+simulator uses, so a zero-magnitude schedule yields a bit-identical
+:class:`~repro.core.traffic.ServingReport` (and a bit-identical engine
+replay) — the property ``tests/test_differential_faults.py`` pins.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from repro.core.simkernel import (
     BatchingPolicy,
     DispatchContext,
     validate_arrival_trace,
+    validate_count,
 )
 from repro.core.traffic import (
     PipelineServiceModel,
@@ -70,13 +75,15 @@ from repro.photonics.drift import (
     DriftingWeightBank,
     drift_transfer,
 )
+from repro.photonics.thermal import SILICON_THERMAL_SHIFT_HZ_PER_K
 
 # Contract markers checked by `python -m repro.lint` (BIT001/PERF001):
 # the zero-magnitude differential pins this module's floats
-# bit-identical to the fault-free run, and CoreHealthState advances on
-# every dispatch of the event loop.
+# bit-identical to the fault-free run, CoreHealthState advances on
+# every dispatch of the event loop, and a ProbeSweep is built per core
+# per epoch of the single faulted pipeline.
 __bit_identity__ = True
-__hot_path__ = ("CoreHealthState",)
+__hot_path__ = ("CoreHealthState", "ProbeSweep")
 
 FAULT_KINDS: tuple[str, ...] = (
     "thermal_ramp",
@@ -91,6 +98,23 @@ _RING_KINDS = ("dead_rings", "stuck_rings")
 _UNIT_KINDS = ("dead_rings", "stuck_rings", "tia_droop")
 _MAX_COUPLING = 0.95
 """Crosstalk excursions are capped below the thermal model's limit."""
+
+
+def validate_horizon(horizon_s: float) -> None:
+    """Reject a schedule horizon that is not finite and positive.
+
+    Onsets and rates scale with the horizon, so an infinite one builds
+    a schedule whose faults never start (or overflow the seeded draws)
+    and a NaN one fails later with an unrelated message.
+
+    Raises:
+        ValueError: if ``horizon_s`` is not finite and > 0.
+    """
+    # `not 0 < x < inf` also rejects NaN.
+    if not 0.0 < horizon_s < math.inf:
+        raise ValueError(
+            f"horizon must be finite and positive, got {horizon_s!r}"
+        )
 
 
 def _is_index(value) -> bool:
@@ -215,10 +239,10 @@ class FaultSchedule:
         :func:`~repro.analysis.sweeps.sweep_fault_tolerance`.
 
         Raises:
-            ValueError: on a negative rate or non-positive core count.
+            ValueError: on a negative rate or a core count that is not
+                an integer >= 1.
         """
-        if num_cores < 1:
-            raise ValueError(f"need >= 1 core, got {num_cores!r}")
+        validate_count(num_cores, "core count")
         events = tuple(
             FaultEvent(
                 kind="thermal_ramp",
@@ -246,16 +270,18 @@ class FaultSchedule:
         schedule, so randomized scenario studies stay reproducible.
 
         Raises:
-            ValueError: on a non-positive core count, horizon, or event
-                count.
+            ValueError: on a core or event count that is not an integer
+                >= 1, a horizon that is not finite and positive, or a
+                drift rate cap that is not finite and >= 0.
         """
-        if num_cores < 1:
-            raise ValueError(f"need >= 1 core, got {num_cores!r}")
-        if horizon_s <= 0.0:
-            raise ValueError(f"horizon must be positive, got {horizon_s!r}")
-        if events_per_core < 1:
+        validate_count(num_cores, "core count")
+        validate_horizon(horizon_s)
+        validate_count(events_per_core, "events per core")
+        # `not 0 <= x < inf` also rejects NaN.
+        if not 0.0 <= max_drift_k_per_s < math.inf:
             raise ValueError(
-                f"need >= 1 event per core, got {events_per_core!r}"
+                f"max_drift_k_per_s must be finite and >= 0, got "
+                f"{max_drift_k_per_s!r}"
             )
         rng = np.random.default_rng(seed)
         events = []
@@ -361,10 +387,7 @@ class RecalibrationPolicy:
                 f"error threshold must be finite and > 0, got "
                 f"{self.error_threshold!r}"
             )
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"need >= 1 iteration, got {self.max_iterations!r}"
-            )
+        validate_count(self.max_iterations, "max iterations")
         # `not 0 <= t < inf` also rejects NaN, which every comparison
         # fails and which would otherwise flow into the core clocks.
         if not (
@@ -534,6 +557,10 @@ class CoreHealthState:
 
     def condition_at(self, time_s: float) -> BankCondition:
         """Compose the schedule into the core's condition at one instant."""
+        # Compose in Python floats whatever scalar type the clock hands
+        # in, so conditions and snapshots carry one field type, the one
+        # the array sweep produces.
+        time_s = float(time_s)
         ambient_k = 0.0
         coupling = 0.0
         gain = 1.0
@@ -579,7 +606,14 @@ class CoreHealthState:
         if (
             self.recal_exhausted
             and self._exhausted_condition is not None
-            and self._improved(self._exhausted_condition, condition)
+            and self._improved(
+                self._exhausted_condition,
+                condition.ambient_k,
+                condition.crosstalk_coupling,
+                condition.tia_gain,
+                len(condition.dead_rings),
+                len(condition.stuck_rings),
+            )
         ):
             # The hardware got better on its own (an excursion ended);
             # recalibration is worth attempting again.
@@ -590,13 +624,140 @@ class CoreHealthState:
         self.error = self.probe.weight_error()
 
     @staticmethod
-    def _improved(old: BankCondition, new: BankCondition) -> bool:
+    def _improved(
+        old: BankCondition, ambient_k, coupling, tia_gain, num_dead, num_stuck
+    ):
+        """Whether a condition is better than ``old`` in any respect.
+
+        Elementwise, so the fields may be scalars (one condition) or
+        arrays (one entry per instant of a :meth:`sweep`).
+        """
         return (
-            new.ambient_k < old.ambient_k
-            or new.crosstalk_coupling < old.crosstalk_coupling
-            or new.tia_gain > old.tia_gain
-            or len(new.dead_rings) < len(old.dead_rings)
-            or len(new.stuck_rings) < len(old.stuck_rings)
+            (ambient_k < old.ambient_k)
+            | (coupling < old.crosstalk_coupling)
+            | (tia_gain > old.tia_gain)
+            | (num_dead < len(old.dead_rings))
+            | (num_stuck < len(old.stuck_rings))
+        )
+
+    def sweep(self, times: np.ndarray) -> "ProbeSweep":
+        """The probe at an epoch of upcoming instants, without advancing.
+
+        The array form of calling :meth:`advance_to` at each of
+        ``times`` (ascending, none before the state's last instant) with
+        no recalibration in between: the command is fixed, so the
+        readout is a pure function of the condition.  Ambient offset and
+        TIA gain are composed per instant as arrays; coupling and the
+        dead and stuck rings change only at event boundaries, so they are
+        composed once per stretch between boundaries by
+        :meth:`condition_at`.  The probe is read out only at instants
+        whose condition differs from the one before
+        (:meth:`~repro.photonics.drift.DriftingWeightBank.weight_errors`),
+        and every error is bit-identical to what :meth:`advance_to` would
+        leave in :attr:`error` there.  The state itself does not move:
+        the next :meth:`advance_to` jumps straight to its instant, which
+        lands where the per-instant walk would have, since the command
+        and the exhausted-recalibration flag are fixed in between.
+        """
+        t = np.asarray(times, dtype=float)
+        ambient = np.zeros(t.size)
+        gain = np.ones(t.size)
+        breaks: list[float] = []
+        for event in self.events:
+            if event.kind == "thermal_ramp":
+                ambient = ambient + event.magnitude * np.minimum(
+                    np.maximum(t - event.onset_s, 0.0), event.duration_s
+                )
+            elif event.kind == "tia_droop":
+                if math.isinf(event.duration_s):
+                    progress = np.where(t >= event.onset_s, 1.0, 0.0)
+                else:
+                    elapsed = (t - event.onset_s) / event.duration_s
+                    progress = np.minimum(np.maximum(elapsed, 0.0), 1.0)
+                gain = gain * (1.0 - event.magnitude * progress)
+            elif event.kind == "crosstalk":
+                breaks += [event.onset_s, event.onset_s + event.duration_s]
+            else:
+                breaks.append(event.onset_s)
+        gain = np.maximum(gain, 0.0)
+        # Discrete state per instant: an index into `keys`, the distinct
+        # (coupling, dead, stuck) triples, with the current one first.
+        current = self._condition
+        keys = [
+            (
+                current.crosstalk_coupling,
+                current.dead_rings,
+                current.stuck_rings,
+            )
+        ]
+        stretch = np.searchsorted(np.unique(breaks), t, side="right")
+        _, firsts, inverse = np.unique(
+            stretch, return_index=True, return_inverse=True
+        )
+        ids = []
+        for first in firsts.tolist():
+            condition = self.condition_at(t[first])
+            key = (
+                condition.crosstalk_coupling,
+                condition.dead_rings,
+                condition.stuck_rings,
+            )
+            if key not in keys:
+                keys.append(key)
+            ids.append(keys.index(key))
+        disc = np.asarray(ids, dtype=np.int64)[inverse]
+        changed = np.empty(t.size, dtype=bool)
+        if t.size:
+            changed[0] = (
+                ambient[0] != current.ambient_k
+                or gain[0] != current.tia_gain
+                or disc[0] != 0
+            )
+            changed[1:] = (
+                (ambient[1:] != ambient[:-1])
+                | (gain[1:] != gain[:-1])
+                | (disc[1:] != disc[:-1])
+            )
+        moved = np.flatnonzero(changed)
+        shift = ambient * SILICON_THERMAL_SHIFT_HZ_PER_K
+        measured = np.empty(moved.size + 1)
+        measured[0] = self.error
+        moved_disc = disc[moved]
+        for key_id in np.unique(moved_disc).tolist():
+            picked = np.flatnonzero(moved_disc == key_id)
+            coupling, dead, _ = keys[key_id]
+            measured[picked + 1] = self.probe.weight_errors(
+                coupling, dead, shift[moved[picked]], gain[moved[picked]]
+            )
+        # Instant i reads the error of the last change at or before it
+        # (slot 0, the current error, before the first change).
+        latest = np.searchsorted(moved, np.arange(t.size), side="right")
+        rearm = t.size
+        if self.recal_exhausted and self._exhausted_condition is not None:
+            coupling_of = np.asarray([key[0] for key in keys], dtype=float)
+            dead_of = np.asarray([len(key[1]) for key in keys])
+            stuck_of = np.asarray([len(key[2]) for key in keys])
+            improved = self._improved(
+                self._exhausted_condition,
+                ambient,
+                coupling_of[disc],
+                gain,
+                dead_of[disc],
+                stuck_of[disc],
+            )
+            hits = np.flatnonzero(changed & improved)
+            if hits.size:
+                rearm = int(hits[0])
+        return ProbeSweep(
+            self,
+            measured[latest],
+            rearm,
+            moved,
+            latest,
+            shift,
+            gain,
+            disc,
+            keys,
         )
 
     def should_recalibrate(self, policy: RecalibrationPolicy) -> bool:
@@ -649,6 +810,70 @@ class CoreHealthState:
                 stuck_rings=self._condition.stuck_rings,
             )
         return self._snapshot
+
+
+class ProbeSweep:
+    """One core's probe over an epoch of instants.
+
+    Built by :meth:`CoreHealthState.sweep`.
+
+    Attributes:
+        errors: per-instant weight error, what :meth:`CoreHealthState
+            .advance_to` would leave in ``error`` at each instant.
+        rearm: index of the first instant at which an exhausted
+            recalibration would re-arm (the condition improved on the one
+            it exhausted at), or the instant count if none does.
+    """
+
+    __slots__ = (
+        "errors",
+        "rearm",
+        "_state",
+        "_moved",
+        "_latest",
+        "_shift",
+        "_gain",
+        "_disc",
+        "_keys",
+    )
+
+    def __init__(
+        self, state, errors, rearm, moved, latest, shift, gain, disc, keys
+    ) -> None:
+        self.errors = errors
+        self.rearm = rearm
+        self._state = state
+        self._moved = moved
+        self._latest = latest
+        self._shift = shift
+        self._gain = gain
+        self._disc = disc
+        self._keys = keys
+
+    def snapshots(self, stop: int) -> list[CoreDriftSnapshot]:
+        """The core's drift snapshot at each of the first ``stop``
+        instants, equal field for field to :meth:`CoreHealthState
+        .snapshot` after advancing there.  One snapshot is built per
+        condition change and shared until the next, as the state's cache
+        does."""
+        state = self._state
+        moved = self._moved[: np.searchsorted(self._moved, stop)]
+        residual = np.maximum(
+            self._shift[moved] - state.compensated_shift_hz, 0.0
+        )
+        gain = self._gain[moved]
+        if state.compensated_gain > 0.0:
+            gain = np.minimum(gain / state.compensated_gain, 1.0)
+        table = [state.snapshot()]
+        keys = self._keys
+        for shift_hz, tia_gain, key_id in zip(
+            residual.tolist(), gain.tolist(), self._disc[moved].tolist()
+        ):
+            _, dead, stuck = keys[key_id]
+            table.append(
+                CoreDriftSnapshot(state.core, shift_hz, tia_gain, dead, stuck)
+            )
+        return [table[slot] for slot in self._latest[:stop].tolist()]
 
 
 @dataclass(frozen=True)
@@ -728,9 +953,10 @@ class PoolHealth:
 
     One :class:`CoreHealthState` per pool core, the recalibration
     policy's per-run trigger, and the downtime and recalibration
-    ledgers.  :meth:`step` is the one fault step: the lane event loop
-    takes it at every dispatch, for the single-pipeline
-    :class:`DegradedServingSimulator` and the cluster alike.
+    ledgers.  :meth:`step` is the one fault step, for the
+    single-pipeline :class:`DegradedServingSimulator` and the cluster
+    alike: the cluster's lane event loop takes it at every dispatch,
+    the single pipeline's epochs only where it acts.
 
     Args:
         schedule: the fault schedule over the pool's physical cores.
@@ -813,13 +1039,18 @@ class DegradedServingSimulator:
     One lane of the cluster event loop
     (:mod:`repro.core.cluster`) serving the caller's pipeline: it is
     identical to :class:`~repro.core.traffic.ServingSimulator` except
-    that at every dispatch instant each core's drift state machine is
-    advanced, the recalibration policy may drain a core (downtime on
-    the shared clock), and the fault-aware scheduler may re-partition
-    the layers over the surviving cores.  Dispatch planning and the
-    pipeline walk stay the exact arithmetic of the fault-free
-    simulator, which is why a zero-magnitude schedule stays
-    bit-identical to it.
+    that at every dispatch instant each core's drift state is read,
+    the recalibration policy may drain a core (downtime on the shared
+    clock), and the fault-aware scheduler may re-partition the layers
+    over the surviving cores.  Dispatch planning and the pipeline walk
+    stay the exact arithmetic of the fault-free simulator, which is why
+    a zero-magnitude schedule stays bit-identical to it.  With the
+    static policy (or none) the lane runs in epochs: it plans the
+    batches up to the next dispatch where a core recalibrates, re-arms
+    or fails with the vectorized kernel, reads the probes over all
+    their dispatch instants at once, and steps only that dispatch (see
+    :func:`~repro.core.cluster.serve_pipeline`); an adaptive policy
+    steps every dispatch.
 
     Args:
         model: the healthy per-core service model (initial pipeline).
@@ -1109,4 +1340,5 @@ __all__ = [
     "ThresholdTrigger",
     "simulate_degraded_serving",
     "replay_on_engine_degraded",
+    "validate_horizon",
 ]

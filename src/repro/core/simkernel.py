@@ -568,7 +568,7 @@ def _maxplus_scan_const(e: np.ndarray, d: float, y0: float) -> np.ndarray:
 
 
 def _plan_batches_fifo(
-    arrivals: np.ndarray, busy0: np.ndarray
+    arrivals: np.ndarray, busy0: np.ndarray, free0: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch boundaries for any ``max_batch == 1`` policy.
 
@@ -578,13 +578,13 @@ def _plan_batches_fifo(
     heads = np.arange(n, dtype=np.int64)
     sizes = np.ones(n, dtype=np.int64)
     b1 = float(busy0[1])
-    y0 = max(float(arrivals[0]), 0.0)
+    y0 = max(float(arrivals[0]), free0)
     disp = _maxplus_scan_const(arrivals, b1, y0)
     return heads, sizes, disp
 
 
 def _plan_batches_fixed(
-    arrivals: np.ndarray, max_batch: int, busy0: np.ndarray
+    arrivals: np.ndarray, max_batch: int, busy0: np.ndarray, free0: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch boundaries for ``max_wait_s == inf`` (fixed-size) policies.
 
@@ -603,17 +603,20 @@ def _plan_batches_fixed(
     bm = float(busy0[m])
     if num_full:
         fills = arrivals[m - 1 : num_full * m : m]
-        y0 = max(max(float(arrivals[0]), 0.0), float(fills[0]))
+        y0 = max(max(float(arrivals[0]), free0), float(fills[0]))
         disp[:num_full] = _maxplus_scan_const(fills, bm, y0)
     if tail:
         sizes[-1] = tail
-        free = disp[num_full - 1] + bm if num_full else 0.0
+        free = disp[num_full - 1] + bm if num_full else free0
         disp[-1] = max(float(free), float(arrivals[-1]))
     return heads, sizes, disp
 
 
 def _plan_batches_dynamic(
-    arrivals: np.ndarray, policy: BatchingPolicy, busy0: np.ndarray
+    arrivals: np.ndarray,
+    policy: BatchingPolicy,
+    busy0: np.ndarray,
+    free0: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch boundaries for finite-wait, ``max_batch >= 2`` policies.
 
@@ -647,7 +650,7 @@ def _plan_batches_dynamic(
     disp = np.empty(n)
     nb = 0
     h = 0
-    free = 0.0
+    free = free0
     # Streak probes are speculative: start narrow and double while the
     # chain stays saturated, so a workload that alternates congested
     # and uncongested batches never pays for a wide failed probe.
@@ -730,7 +733,11 @@ class KernelRun:
 
 
 def plan_batches(
-    arrivals: np.ndarray, policy: BatchingPolicy, model
+    arrivals: np.ndarray,
+    policy: BatchingPolicy,
+    model,
+    head: int = 0,
+    core0_free_s: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plan every batch of a fault-free run as arrays.
 
@@ -740,18 +747,37 @@ def plan_batches(
     and everything else is dynamic batching.  Returns per-batch
     ``(first_request, size, dispatch_s)`` arrays, bit-identical to the
     reference loop's :func:`plan_dispatch` sequence.
+
+    ``head`` and ``core0_free_s`` resume a run part-way: planning starts
+    at request ``head`` with core 0 free at ``core0_free_s`` (a
+    pipeline's state after its last booked batch), and ``first_request``
+    stays an index into ``arrivals``.  The plan reads ``arrivals`` only
+    up to its end, so a caller planning a prefix of a longer trace gets
+    exact batches wherever ``first_request + max_batch`` fits in it.
     """
     m = policy.max_batch
     busy0 = model.weight_load_s[0] + np.arange(m + 1) * model.conv_time_s[0]
+    free0 = float(core0_free_s)
+    if head:
+        arrivals = arrivals[head:]
     if m == 1:
-        return _plan_batches_fifo(arrivals, busy0)
-    if math.isinf(policy.max_wait_s):
-        return _plan_batches_fixed(arrivals, m, busy0)
-    return _plan_batches_dynamic(arrivals, policy, busy0)
+        plan = _plan_batches_fifo(arrivals, busy0, free0)
+    elif math.isinf(policy.max_wait_s):
+        plan = _plan_batches_fixed(arrivals, m, busy0, free0)
+    else:
+        plan = _plan_batches_dynamic(arrivals, policy, busy0, free0)
+    if head:
+        heads, sizes, disp = plan
+        return heads + head, sizes, disp
+    return plan
 
 
 def pipeline_completions(
-    sizes: np.ndarray, disp: np.ndarray, model
+    sizes: np.ndarray,
+    disp: np.ndarray,
+    model,
+    core_free: list | None = None,
+    core_busy: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, tuple[float, ...]]:
     """Walk a planned batch stream through every pipeline stage.
 
@@ -764,21 +790,42 @@ def pipeline_completions(
     scan over the batch stream.  Bit-identical to booking the batches
     through :func:`execute_dispatch` one at a time.
 
+    ``core_free`` and ``core_busy`` resume a pipeline part-way: its
+    per-stage free times and busy totals after the batches already
+    booked (a :class:`DispatchContext`'s ``core_free`` and its busy
+    ledger read per stage).  Each stage then starts from its free time,
+    ``core_free`` is updated in place to the free times after the last
+    batch, and the returned ledger continues ``core_busy``.
+
     Returns:
         Per-batch final-stage completion times and the per-stage total
         busy time (the kernel's core busy ledger).
     """
-    busy = model.weight_load_s[0] + sizes * model.conv_time_s[0]
-    completion = disp + busy
-    core_busy = [float(np.cumsum(busy)[-1])]
-    for stage in range(1, model.num_cores):
+    ledger = []
+    completion = disp
+    for stage in range(model.num_cores):
         busy = (
             model.weight_load_s[stage]
             + sizes * model.conv_time_s[stage]
         )
-        completion = _maxplus_scan(completion, busy)
-        core_busy.append(float(np.cumsum(busy)[-1]))
-    return completion, tuple(core_busy)
+        if stage == 0:
+            completion = disp + busy
+        else:
+            if core_free is not None and core_free[stage] > completion[0]:
+                # The stage is still busy with earlier batches: the
+                # first one starts when it frees, max(arrival, free).
+                completion = completion.copy()
+                completion[0] = core_free[stage]
+            completion = _maxplus_scan(completion, busy)
+        if core_busy is None:
+            ledger.append(float(np.cumsum(busy)[-1]))
+        else:
+            # The scalar ledger's left fold, continued from its total.
+            folded = np.cumsum(np.concatenate(([core_busy[stage]], busy)))
+            ledger.append(float(folded[-1]))
+        if core_free is not None:
+            core_free[stage] = completion[-1]
+    return completion, tuple(ledger)
 
 
 class EventLoopKernel:

@@ -74,6 +74,13 @@ _PARKED_DETUNING_LINEWIDTHS = _MAX_DETUNING_LINEWIDTHS
 the weight banks' own zero-drop parking convention, shared so dead-ring
 readouts here agree with bank physics."""
 
+_ERROR_BLOCK = 128
+"""Conditions :meth:`DriftingWeightBank.weight_errors` reads out per
+block.  Each ``(block, rings, rings)`` temporary is 64 kB on the 8-ring
+probe, so a sweep's working memory stays a few hundred kB however long
+the epoch; one block per epoch would allocate tens of MB on
+drift-serving's longest ones."""
+
 
 def default_probe_targets(num_rings: int = DEFAULT_PROBE_RINGS) -> np.ndarray:
     """The canonical probe weight vector: a signed ramp across the bank.
@@ -287,26 +294,89 @@ class DriftingWeightBank:
     def _measure(self) -> np.ndarray:
         """The readout of the base detunings under the current condition."""
         condition = self.condition
+        return self._readout_of(
+            condition.crosstalk_coupling,
+            condition.dead_rings,
+            condition.ambient_shift_hz,
+            condition.tia_gain,
+            condition.ambient_k > 0.0 or condition.crosstalk_coupling > 0.0,
+        )
+
+    def _readout_of(
+        self,
+        coupling: float,
+        dead_rings: tuple[int, ...],
+        ambient_shift_hz,
+        tia_gain,
+        shifted: bool,
+    ) -> np.ndarray:
+        """The balanced readout of the base detunings: one recipe for one
+        condition and for a stack of them.
+
+        ``ambient_shift_hz`` and ``tia_gain`` are floats for one
+        condition, or ``(T, 1)`` columns for ``T`` conditions that share
+        ``coupling`` and ``dead_rings`` (the readout is then ``(T,
+        rings)``).  ``shifted`` says whether any condition has an ambient
+        offset or coupling; without one the base detunings are read
+        unmixed, once, and only the gain differs per condition.
+        """
         detunings = self._base_hz
-        if condition.ambient_k > 0.0 or condition.crosstalk_coupling > 0.0:
+        if shifted:
             # ThermalModel.apply's recipe and order.  Keep the 2-D
-            # (rings, rings) @ (rings,) matvec: the faulted goldens pin
-            # its rounding, and a batched or einsum product may differ.
+            # (rings, rings) @ (rings,) matvec, and only then add the
+            # shift per condition: the faulted goldens pin its rounding,
+            # and a batched or einsum product may differ.  A condition
+            # with neither coupling nor offset reads the same bits mixed
+            # or not (the zero-coupling matrix is the identity).
             detunings = (
-                self._crosstalk_matrix(condition.crosstalk_coupling) @ detunings
-                + condition.ambient_shift_hz
+                self._crosstalk_matrix(coupling) @ detunings + ambient_shift_hz
             )
-        if condition.dead_rings:
-            dead = [ring % self.num_rings for ring in condition.dead_rings]
+        if dead_rings:
+            dead = [ring % self.num_rings for ring in dead_rings]
             detunings = detunings.copy()
-            detunings[dead] = self._parked_hz[dead]
+            detunings[..., dead] = self._parked_hz[dead]
         drop, through = bus_transmission(
             self._carriers_hz,
             self._carriers_hz + detunings,
             self._linewidths_hz,
             self.design.peak_drop_transmission,
         )
-        return condition.tia_gain * (drop - through)
+        return tia_gain * (drop - through)
+
+    def weight_errors(
+        self,
+        coupling: float,
+        dead_rings: tuple[int, ...],
+        ambient_shift_hz: np.ndarray,
+        tia_gain: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`weight_error` at many conditions, under the current
+        command, without moving the bank.
+
+        The conditions share one crosstalk coupling and one dead-ring set
+        and differ in ambient shift and TIA gain (``(T,)`` arrays), the
+        way a core's condition moves between two discrete fault events.
+        Each entry is bit-identical to setting that condition and calling
+        :meth:`weight_error`.  The readout runs in blocks of
+        :data:`_ERROR_BLOCK` conditions, which bounds its memory.
+        """
+        shift = np.asarray(ambient_shift_hz, dtype=float)
+        gain = np.asarray(tia_gain, dtype=float)
+        shifted = coupling > 0.0 or bool(np.any(shift > 0.0))
+        errors = np.empty(shift.size)
+        for start in range(0, shift.size, _ERROR_BLOCK):
+            stop = start + _ERROR_BLOCK
+            readout = self._readout_of(
+                coupling,
+                dead_rings,
+                shift[start:stop, None],
+                gain[start:stop, None],
+                shifted,
+            )
+            errors[start:stop] = np.max(
+                np.abs(readout - self.targets), axis=-1
+            )
+        return errors
 
     def _crosstalk_matrix(self, coupling: float) -> np.ndarray:
         """The heater-coupling matrix, rebuilt only when the coupling moves."""

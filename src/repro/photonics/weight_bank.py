@@ -99,34 +99,44 @@ def bus_transmission(
     and the bus ordering is honoured: carrier power reaching ring ``j``
     has already passed the through ports of rings ``0..j-1``.
 
+    ``resonance_hz`` may carry a leading batch axis: a ``(T, rings)``
+    stack of resonance sets (one bank state per row, e.g. one per
+    simulated instant) is read out in one call, and each row's result
+    is bit-identical to the 1-D call on that row.
+
     Args:
         carrier_hz: ``(carriers,)`` optical carrier frequencies.
-        resonance_hz: ``(rings,)`` ring resonances, in bus order.
+        resonance_hz: ``(rings,)`` or ``(T, rings)`` ring resonances, in
+            bus order along the last axis.
         linewidth_hz: ``(rings,)`` ring FWHM linewidths.
         peak_drop_transmission: on-resonance drop transmission.
 
     Returns:
-        ``(drop, through)`` arrays of shape ``(carriers,)`` with
-        ``0 <= drop, through`` and ``drop + through <= 1`` (up to
-        rounding).
+        ``(drop, through)`` arrays of shape ``(carriers,)`` (or
+        ``(T, carriers)``) with ``0 <= drop, through`` and
+        ``drop + through <= 1`` (up to rounding).
     """
     ring_drop = drop_transmission_profile(
         carrier_hz[None, :],
-        resonance_hz[:, None],
+        resonance_hz[..., :, None],
         linewidth_hz[:, None],
         peak_drop_transmission,
     )
     ring_through = 1.0 - ring_drop
-    # Serial bus cascade: a cumulative product of through ports down rows.
+    # Serial bus cascade: a cumulative product of through ports down the
+    # ring axis (-2), the same sequential product for every batch row.
     remaining_before = np.empty_like(ring_drop)
-    remaining_before[0] = 1.0
-    np.cumprod(ring_through[:-1], axis=0, out=remaining_before[1:])
-    # repro: allow[BIT001] axis-0 fold of a C-contiguous (rings, carriers)
-    # array adds whole rows one at a time in bus order (row-sequential);
-    # a last-axis fold would switch numpy to its unrolled pairwise sum and
-    # change the bits the faulted goldens pin
-    drop = (remaining_before * ring_drop).sum(axis=0)
-    return drop, remaining_before[-1] * ring_through[-1]
+    remaining_before[..., 0, :] = 1.0
+    np.cumprod(
+        ring_through[..., :-1, :], axis=-2, out=remaining_before[..., 1:, :]
+    )
+    # repro: allow[BIT001] the ring axis (-2) is never the contiguous
+    # last axis, so numpy adds whole (carriers,) rows one at a time in
+    # bus order — row-sequential for a 2-D bank and per batch row of a
+    # 3-D stack alike; a last-axis fold would switch numpy to its
+    # unrolled pairwise sum and change the bits the faulted goldens pin
+    drop = (remaining_before * ring_drop).sum(axis=-2)
+    return drop, remaining_before[..., -1, :] * ring_through[..., -1, :]
 
 
 class WeightBank:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.faults import FaultEvent, FaultSchedule
+from repro.core.faults import FaultEvent, FaultSchedule, validate_horizon
+from repro.core.simkernel import validate_count
 
 FAULT_SCENARIOS: tuple[str, ...] = (
     "slow-drift",
@@ -45,10 +46,8 @@ recalibration exhausts and the scheduler must drain the core."""
 
 
 def _validate(num_cores: int, horizon_s: float) -> None:
-    if num_cores < 1:
-        raise ValueError(f"need >= 1 core, got {num_cores!r}")
-    if horizon_s <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon_s!r}")
+    validate_count(num_cores, "core count")
+    validate_horizon(horizon_s)
 
 
 def fault_scenario(
@@ -65,7 +64,8 @@ def fault_scenario(
 
     Raises:
         KeyError: on an unknown scenario name.
-        ValueError: on a non-positive core count or horizon.
+        ValueError: on a core count that is not an integer >= 1, or a
+            horizon that is not finite and positive.
     """
     _validate(num_cores, horizon_s)
     cores = range(num_cores)

@@ -18,6 +18,8 @@ The engine's load-bearing guarantees are differential, pinned here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import sweep_fault_tolerance
 from repro.core.faults import (
@@ -37,6 +39,7 @@ from repro.core.traffic import (
     simulate_serving,
 )
 from repro.workloads import (
+    FAULT_SCENARIOS,
     alexnet_conv_specs,
     fault_scenario,
     poisson_arrivals,
@@ -463,12 +466,14 @@ class TestSingleTenantFaultPin:
 
     @pytest.mark.parametrize(
         "policy",
-        [BatchingPolicy.dynamic(4, 1e-4), BatchingPolicy.fifo()],
-        ids=["dynamic", "fifo"],
+        [
+            BatchingPolicy.dynamic(4, 1e-4),
+            BatchingPolicy.fifo(),
+            BatchingPolicy.fixed(4),
+        ],
+        ids=["dynamic", "fifo", "fixed"],
     )
-    @pytest.mark.parametrize(
-        "scenario", ["slow-drift", "tia-aging", "crosstalk-blip", "ring-death"]
-    )
+    @pytest.mark.parametrize("scenario", FAULT_SCENARIOS)
     def test_static_recalibration(self, scenario, policy):
         recalibration = RecalibrationPolicy(error_threshold=0.05)
         cluster, network, arrivals, schedule = self.serve_both(
@@ -551,3 +556,171 @@ def test_repartitioning_run_digest_is_pinned():
     ):
         digest.update(part if isinstance(part, bytes) else repr(part).encode())
     assert digest.hexdigest() == REPARTITION_DIGEST
+
+
+def _lone_lane_oracle(model, policy, arrivals, schedule, recalibration, specs):
+    """The per-dispatch lane loop serving what serve_pipeline serves."""
+    from repro.core.cluster import _lone_lane, _serve_lanes, _TenantLane
+    from repro.core.faults import PoolHealth
+
+    width = model.num_cores
+    health = PoolHealth(schedule, width, recalibration)
+    lane = _TenantLane(
+        0,
+        "pipeline",
+        specs,
+        policy,
+        arrivals,
+        model,
+        list(range(width)),
+        width,
+        None,
+        fail_error_threshold=0.5,
+        record_snapshots=True,
+    )
+    _serve_lanes([lane], health, _lone_lane)
+    return lane, health
+
+
+def _serve_both(model, policy, arrivals, schedule, recalibration, specs):
+    """serve_pipeline and its per-dispatch oracle on the same inputs."""
+    from repro.core.cluster import serve_pipeline
+    from repro.core.faults import PoolHealth
+
+    health = PoolHealth(schedule, model.num_cores, recalibration)
+    lane = serve_pipeline(model, policy, arrivals, health, specs, None, 0.5)
+    oracle, oracle_health = _lone_lane_oracle(
+        model, policy, arrivals, schedule, recalibration, specs
+    )
+    assert lane.ctx.dispatch_s.tobytes() == oracle.ctx.dispatch_s.tobytes()
+    assert lane.ctx.completion_s.tobytes() == oracle.ctx.completion_s.tobytes()
+    assert repr(lane.ctx.batches) == repr(oracle.ctx.batches)
+    assert repr(lane.ctx.core_busy) == repr(oracle.ctx.core_busy)
+    assert repr(lane.ctx.core_free) == repr(oracle.ctx.core_free)
+    assert lane.widths == oracle.widths
+    assert repr(lane.proxies) == repr(oracle.proxies)
+    assert repr(lane.snapshots) == repr(oracle.snapshots)
+    assert repr(lane.repartitions) == repr(oracle.repartitions)
+    assert repr(health.recalibrations) == repr(oracle_health.recalibrations)
+    assert repr(health.downtime) == repr(oracle_health.downtime)
+    assert repr([state.error for state in health.states]) == repr(
+        [state.error for state in oracle_health.states]
+    )
+    return oracle, oracle_health
+
+
+class TestEpochLanePin:
+    """serve_pipeline runs the lone faulted lane in epochs between fault
+    actions; the per-dispatch lane loop is its oracle, on every stream
+    and record, field types included (digests hash their repr)."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        cores=st.integers(1, 3),
+        events=st.integers(1, 4),
+        drift=st.floats(0.0, 40.0),
+        policy=st.sampled_from(
+            [
+                BatchingPolicy.fifo(),
+                BatchingPolicy.dynamic(4, 1e-4),
+                BatchingPolicy.dynamic(8, 1e-3),
+                BatchingPolicy.fixed(4),
+            ]
+        ),
+        threshold=st.sampled_from([None, 1e-6, 1e-3, 0.05]),
+        requests=st.integers(50, 600),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_lane_loop(
+        self, seed, cores, events, drift, policy, threshold, requests
+    ):
+        specs = alexnet_conv_specs()
+        arrivals = poisson_arrivals(2e4, requests, seed=seed)
+        schedule = FaultSchedule.random(
+            seed,
+            cores,
+            float(arrivals[-1]),
+            events_per_core=events,
+            max_drift_k_per_s=drift / float(arrivals[-1]),
+        )
+        recalibration = (
+            None
+            if threshold is None
+            else RecalibrationPolicy(error_threshold=threshold)
+        )
+        _serve_both(
+            PipelineServiceModel.from_specs(specs, cores),
+            policy,
+            arrivals,
+            schedule,
+            recalibration,
+            specs,
+        )
+
+    ARRIVALS = poisson_arrivals(2e4, 1500, seed=17)
+    HORIZON = float(ARRIVALS[-1])
+
+    def serve(self, schedule, recalibration, cores=3):
+        specs = alexnet_conv_specs()
+        return _serve_both(
+            PipelineServiceModel.from_specs(specs, cores),
+            BatchingPolicy.dynamic(4, 1e-4),
+            self.ARRIVALS,
+            schedule,
+            recalibration,
+            specs,
+        )
+
+    def test_exhausted_core_rearms_after_an_excursion(self):
+        """Cut kind: an exhausted core re-arming.  A crosstalk excursion
+        exhausts recalibration; its end re-arms it, and the stale
+        compensation triggers again.  One core, so no drain (which
+        needs a survivor) can cut there instead."""
+        schedule = FaultSchedule(
+            "excursion",
+            (
+                FaultEvent(
+                    "crosstalk",
+                    0,
+                    0.2 * self.HORIZON,
+                    0.3,
+                    duration_s=0.3 * self.HORIZON,
+                ),
+            ),
+        )
+        _, health = self.serve(schedule, RecalibrationPolicy(), cores=1)
+        exhausted = [
+            i for i, r in enumerate(health.recalibrations) if not r.restored
+        ]
+        assert exhausted and exhausted[0] < len(health.recalibrations) - 1
+
+    def test_failing_core_is_drained(self):
+        """Cut kind: some but not all cores past the fail threshold.
+        Without recalibration no trigger can cut at the same dispatch."""
+        schedule = fault_scenario("ring-death", 3, self.HORIZON)
+        oracle, _ = self.serve(schedule, None)
+        assert len(oracle.repartitions) == 1
+
+    def test_every_core_failing_is_not_a_cut(self):
+        """All cores past the fail threshold leave nowhere to drain to,
+        so the lane runs on in epochs."""
+        schedule = FaultSchedule(
+            "all-dead",
+            tuple(
+                FaultEvent(
+                    "dead_rings", core, 0.3 * self.HORIZON, 1.0, rings=(7,)
+                )
+                for core in range(2)
+            ),
+        )
+        oracle, _ = self.serve(schedule, None, cores=2)
+        assert oracle.repartitions == []
+        assert max(oracle.proxies) >= 0.5
+
+    def test_dense_triggers(self):
+        """Cut kind: the trigger at almost every dispatch."""
+        schedule = fault_scenario("slow-drift", 2, self.HORIZON)
+        _, health = self.serve(
+            schedule, RecalibrationPolicy(error_threshold=1e-6), cores=2
+        )
+        assert len(health.recalibrations) > 100

@@ -245,6 +245,108 @@ class TestProbeCrossImplementation:
         )
 
 
+@st.composite
+def condition_stacks(draw):
+    """A probe, and conditions sharing one coupling and dead-ring set."""
+    command, targets, condition = draw(degraded_probes())
+    # Zero coupling half the time, with some zero ambient offsets: the
+    # stack mixes instants read mixed and instants read unmixed.
+    coupling = draw(st.sampled_from([0.0, condition.crosstalk_coupling]))
+    rows = draw(st.integers(1, 12))
+    ambient = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    gains = draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows))
+    conditions = [
+        BankCondition(
+            ambient_k=k,
+            crosstalk_coupling=coupling,
+            dead_rings=condition.dead_rings,
+            stuck_rings=condition.stuck_rings,
+            tia_gain=gain,
+        )
+        for k, gain in zip(ambient, gains)
+    ]
+    return command, targets, conditions
+
+
+class TestProbeSweep:
+    """The time-batched probe is the per-instant probe, bit for bit."""
+
+    @given(case=condition_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_weight_errors_match_one_condition_at_a_time(self, case):
+        command, targets, conditions = case
+        probe = DriftingWeightBank(targets=targets)
+        probe.set_weights(command)
+        first = conditions[0]
+        errors = probe.weight_errors(
+            first.crosstalk_coupling,
+            first.dead_rings,
+            np.array([c.ambient_shift_hz for c in conditions]),
+            np.array([c.tia_gain for c in conditions]),
+        )
+        expected = []
+        for condition in conditions:
+            probe.set_condition(condition)
+            expected.append(probe.weight_error())
+        assert errors.tobytes() == np.array(expected).tobytes()
+
+    @given(
+        seed=st.integers(0, 10_000),
+        events=st.integers(1, 5),
+        drift=st.floats(0.0, 20.0),
+        split=st.integers(0, 60),
+        threshold=st.sampled_from([1e-4, 1e-3, 0.05]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_advancing_instant_by_instant(
+        self, seed, events, drift, split, threshold
+    ):
+        schedule = FaultSchedule.random(
+            seed, 1, 1.0, events_per_core=events, max_drift_k_per_s=drift
+        )
+        times = np.sort(
+            np.random.default_rng(seed).uniform(0.0, 1.3, 120)
+        )
+        state = CoreHealthState(0, schedule)
+        policy = RecalibrationPolicy(error_threshold=threshold)
+        # Recalibrate part-way, so compensation and exhaustion are live.
+        for time_s in times[:split]:
+            state.advance_to(time_s)
+            if state.should_recalibrate(policy):
+                state.recalibrate(policy)
+        epoch = times[split:]
+        sweep = state.sweep(epoch)
+        snapshots = sweep.snapshots(epoch.size)
+        was_exhausted = state.recal_exhausted
+        errors, expected_snapshots, rearm = [], [], epoch.size
+        for index, time_s in enumerate(epoch):
+            state.advance_to(time_s)
+            errors.append(state.error)
+            expected_snapshots.append(state.snapshot())
+            if was_exhausted and not state.recal_exhausted:
+                rearm = min(rearm, index)
+        assert sweep.errors.tobytes() == np.array(errors).tobytes()
+        assert snapshots == expected_snapshots
+        # Field types too: report digests hash the snapshots' repr.
+        assert repr(snapshots) == repr(expected_snapshots)
+        assert sweep.rearm == rearm
+
+    def test_snapshot_fields_are_python_floats_on_the_numpy_clock(self):
+        """Dispatch instants are numpy floats; the condition (and the
+        snapshots built from it) is composed in Python floats."""
+        state = CoreHealthState(0, FaultSchedule.uniform_drift(1.0, 1))
+        state.advance_to(np.float64(0.5))
+        snapshot = state.snapshot()
+        assert type(snapshot.residual_shift_hz) is float
+        assert type(snapshot.tia_gain) is float
+
+
 class TestDriftTransfer:
     def test_zero_shift_is_near_identity(self):
         weights = np.linspace(-1.0, 1.0, 21)
@@ -348,6 +450,31 @@ class TestFaultSchedule:
             FaultSchedule.random(0, 1, 0.0)
         with pytest.raises(ValueError, match="event"):
             FaultSchedule.random(0, 1, 1.0, events_per_core=0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0])
+    def test_random_rejects_non_finite_horizons(self, horizon):
+        """inf and nan horizons used to raise OverflowError from the
+        seeded draws instead of the documented ValueError."""
+        with pytest.raises(ValueError, match="horizon"):
+            FaultSchedule.random(0, 2, horizon)
+
+    @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
+    def test_random_rejects_bad_drift_caps(self, rate):
+        """A negative cap used to surface numpy's "high - low < 0"."""
+        with pytest.raises(ValueError, match="max_drift_k_per_s"):
+            FaultSchedule.random(0, 2, 1.0, max_drift_k_per_s=rate)
+
+    def test_counts_reject_bools_and_floats(self):
+        """True used to build a one-core schedule; 2.0 and 1.5 raised a
+        bare TypeError from range()."""
+        for build in (
+            lambda: FaultSchedule.uniform_drift(1.0, True),
+            lambda: FaultSchedule.uniform_drift(1.0, 2.0),
+            lambda: FaultSchedule.random(0, True, 1.0),
+            lambda: FaultSchedule.random(0, 2, 1.0, events_per_core=1.5),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                build()
 
     def test_random_rings_lie_on_the_default_probe(self):
         schedule = FaultSchedule.random(
@@ -485,6 +612,14 @@ class TestRecalibrationPolicy:
         with pytest.raises(ValueError, match="times"):
             RecalibrationPolicy(iteration_time_s=-1.0)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True])
+    def test_max_iterations_must_be_an_integer(self, bad):
+        """2.5 used to construct and then crash at the first
+        recalibration inside calibrate_bank's range(); True silently ran
+        one-iteration recalibrations."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            RecalibrationPolicy(max_iterations=bad)
+
     @pytest.mark.parametrize("field", ["iteration_time_s", "overhead_s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_costs_rejected(self, field, value):
@@ -571,6 +706,17 @@ class TestFaultScenarios:
             fault_scenario("slow-drift", 0, 1.0)
         with pytest.raises(ValueError, match="horizon"):
             fault_scenario("slow-drift", 2, 0.0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizons_rejected(self, horizon):
+        """An infinite horizon used to build a zero-drift schedule, and
+        a nan one failed with an unrelated "magnitude" message."""
+        with pytest.raises(ValueError, match="horizon"):
+            fault_scenario("slow-drift", 2, horizon)
+
+    def test_bool_core_count_rejected(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            fault_scenario("slow-drift", True, 1.0)
 
     def test_single_core_scenarios(self):
         for name in FAULT_SCENARIOS:

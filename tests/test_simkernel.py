@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import traffic
 from repro.core.adaptive import BurnRateAdmission
@@ -21,12 +23,15 @@ from repro.core.simkernel import (
     DispatchContext,
     EventLoopKernel,
     execute_dispatch,
+    pipeline_completions,
+    plan_batches,
     plan_dispatch,
     validate_arrival_trace,
 )
 from repro.core.traffic import PipelineServiceModel, ServingSimulator
 from repro.workloads import (
     alexnet_conv_specs,
+    fault_scenario,
     lenet5_conv_specs,
     poisson_arrivals,
 )
@@ -83,6 +88,17 @@ COUNT_FIELDS = {
         v,
     ),
     "region pool size": lambda v: RegionSpec("r", v),
+    "recalibration max iterations": lambda v: RecalibrationPolicy(
+        max_iterations=v
+    ),
+    "uniform drift core count": lambda v: FaultSchedule.uniform_drift(1.0, v),
+    "random schedule core count": lambda v: FaultSchedule.random(0, v, 1.0),
+    "random schedule events per core": lambda v: FaultSchedule.random(
+        0, 1, 1.0, events_per_core=v
+    ),
+    "fault scenario core count": lambda v: fault_scenario(
+        "slow-drift", v, 1.0
+    ),
 }
 
 
@@ -171,3 +187,85 @@ class TestExecuteDispatch:
         assert ctx.core_busy[3] == svc.core_busy_s(0, 1)
         assert ctx.core_busy[1] == svc.core_busy_s(1, 1)
         assert ctx.head == 1
+
+
+class TestResumedPlanning:
+    """plan_batches and pipeline_completions resumed mid-run are the
+    per-batch loop: the stretches between pushed core clocks (what a
+    recalibration's downtime does) plan and book bit for bit."""
+
+    @given(
+        policy=st.sampled_from(
+            [
+                BatchingPolicy.fifo(),
+                BatchingPolicy.dynamic(4, 1e-4),
+                BatchingPolicy.dynamic(8, 1e-3),
+                BatchingPolicy.fixed(4),
+            ]
+        ),
+        cores=st.integers(1, 3),
+        seed=st.integers(0, 1000),
+        rate=st.sampled_from([2e3, 2e4, 2e5]),
+        pushes=st.dictionaries(
+            st.integers(0, 60),
+            st.tuples(st.integers(0, 2), st.floats(0.0, 5e-3)),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stretches_between_pushes_match(
+        self, policy, cores, seed, rate, pushes
+    ):
+        svc = model(cores)
+        arrivals = poisson_arrivals(rate, 300, seed=seed)
+        ctx = DispatchContext(svc, policy, arrivals)
+        before: dict[int, tuple[list, list]] = {}
+        resumes = [(0, 0, list(ctx.core_free), list(ctx.core_busy))]
+        while ctx.head < arrivals.size:
+            k = len(ctx.batches)
+            before[k] = (list(ctx.core_free), list(ctx.core_busy))
+            dispatch, size = plan_dispatch(
+                arrivals, ctx.head, policy, ctx.core_free[0]
+            )
+            if k in pushes:
+                stage, delay = pushes[k]
+                stage %= cores
+                pushed = max(ctx.core_free[stage], dispatch) + delay
+                ctx.core_free[stage] = pushed
+            execute_dispatch(ctx, dispatch, size)
+            if k in pushes:
+                resumes.append(
+                    (k + 1, ctx.head, list(ctx.core_free), list(ctx.core_busy))
+                )
+        total = len(ctx.batches)
+        before[total] = (list(ctx.core_free), list(ctx.core_busy))
+        for first, head, free, busy in resumes:
+            if first == total:
+                continue
+            stop = min([k for k in pushes if k >= first] + [total])
+            heads, sizes, disp = plan_batches(
+                arrivals, policy, svc, head, free[0]
+            )
+            # The pushed batch's own plan is exact too: the push comes
+            # after its seal.
+            expected = ctx.batches[first : stop + 1]
+            assert heads[: len(expected)].tolist() == [
+                b.first_request for b in expected
+            ]
+            assert sizes[: len(expected)].tolist() == [
+                b.size for b in expected
+            ]
+            assert disp[: len(expected)].tolist() == [
+                b.dispatch_s for b in expected
+            ]
+            if stop == first:
+                continue
+            count = stop - first
+            completion, ledger = pipeline_completions(
+                sizes[:count], disp[:count], svc, free, busy
+            )
+            assert completion.tolist() == [
+                b.completion_s for b in ctx.batches[first:stop]
+            ]
+            assert free == before[stop][0]
+            assert list(ledger) == before[stop][1]

@@ -214,3 +214,61 @@ class TestBusTransmissionInvariants:
         assert np.all(drop + through <= 1.0 + 1e-12)
         readout = tia_gain * (drop - through)
         assert np.all(np.abs(readout) <= tia_gain + 1e-12)
+
+
+@st.composite
+def ring_bus_stacks(draw):
+    """A random bus read out at a stack of bank states (one per row)."""
+    carriers, resonances, linewidths, peak, _ = draw(ring_buses())
+    rows = draw(st.integers(1, 6))
+    offsets = np.array(
+        draw(
+            st.lists(
+                st.floats(-30.0, 30.0),
+                min_size=rows * resonances.size,
+                max_size=rows * resonances.size,
+            )
+        )
+    ).reshape(rows, resonances.size)
+    return carriers, resonances + offsets * linewidths, linewidths, peak
+
+
+class TestBatchedBusTransmission:
+    """The time-batched readout: a leading axis of bank states through
+    the same cascade, as the drift probe's epoch sweep reads it."""
+
+    @given(bus=ring_bus_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_single_state_call_and_conserve_power(self, bus):
+        carriers, stack, linewidths, peak = bus
+        drop, through = bus_transmission(carriers, stack, linewidths, peak)
+        assert drop.shape == through.shape == (stack.shape[0], carriers.size)
+        for row, resonances in enumerate(stack):
+            one_drop, one_through = bus_transmission(
+                carriers, resonances, linewidths, peak
+            )
+            assert one_drop.tobytes() == drop[row].tobytes()
+            assert one_through.tobytes() == through[row].tobytes()
+        assert np.all(drop >= 0.0)
+        assert np.all(through >= 0.0)
+        # 1e-12: rounding slack of the row-by-row fold.
+        assert np.all(drop + through <= 1.0 + 1e-12)
+
+    def test_long_stacks_match_row_by_row(self):
+        """Thousands of rows (an epoch's dispatch instants) still fold
+        each row in bus order."""
+        grid = WdmGrid(8)
+        linewidths = grid.frequencies_hz / 2e4
+        rng = np.random.default_rng(0)
+        stack = grid.frequencies_hz + rng.uniform(-5.0, 5.0, (3000, 8)) * (
+            linewidths
+        )
+        drop, through = bus_transmission(
+            grid.frequencies_hz, stack, linewidths, 0.9
+        )
+        for row in (0, 1, 511, 512, 2999):
+            one_drop, one_through = bus_transmission(
+                grid.frequencies_hz, stack[row], linewidths, 0.9
+            )
+            assert one_drop.tobytes() == drop[row].tobytes()
+            assert one_through.tobytes() == through[row].tobytes()
