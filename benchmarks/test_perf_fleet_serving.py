@@ -9,22 +9,38 @@ benchmarks``) time the same two scenarios: the fleet layer stays
 within 2x of the cluster run it wraps, and the soak finishes inside a
 generous 60 s bound.
 
+The load-aware router runs as speculate, verify and repair over
+array ledgers, with the scalar walk as its oracle and fallback.  The
+default run pins the two equal on every named mix under both load-aware
+kinds; the ``perf`` gate bounds the router on an overloaded
+least-loaded fleet, where it repairs densely and falls back to the
+walk, at 1.1x the walk itself.
+
 Run with ``-s`` to see the figures.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import fleet as fleet_module
 from repro.core.cluster import ClusterTenant, simulate_cluster_serving
 from repro.core.fleet import (
+    GlobalRoutingPolicy,
     RegionSpec,
     simulate_fleet_serving,
     uniform_rtt,
 )
 from repro.core.traffic import BatchingPolicy
-from repro.workloads import lenet5_conv_specs, poisson_arrivals
+from repro.workloads import (
+    FLEET_MIXES,
+    fleet_mix,
+    lenet5_conv_specs,
+    poisson_arrivals,
+)
 from conftest import emit, measure
 
 POOL_SIZE = 3
@@ -34,6 +50,9 @@ SOAK_REGIONS = 4
 SOAK = 1_000_000  # total requests across the soak regions
 OVERHEAD_CEILING = 2.0  # fleet wall time over cluster wall time
 SOAK_CEILING_S = 60.0  # generous "completes in seconds" bound
+ROUTER_PIN = 20_000  # requests per mix in the router-vs-walk pin
+DENSE_ROUTE = 200_000  # requests in the overloaded least-loaded case
+DENSE_CEILING = 1.1  # router wall time over scalar-walk wall time
 
 
 def _tenants() -> tuple[ClusterTenant, ...]:
@@ -149,3 +168,69 @@ def test_million_request_soak_within_ceiling():
         f"{SOAK / soak.min_s:,.0f} req/s (ceiling {SOAK_CEILING_S} s)"
     )
     assert soak.min_s <= SOAK_CEILING_S
+
+
+def _router_inputs(mix, rate_rps, num_requests, kind):
+    """The sorted stream a fleet run hands its load-aware router."""
+    scenario = fleet_mix(mix, rate_rps, num_requests, seed=5)
+    captured = []
+    speculative = fleet_module._route_speculative
+
+    def capture(*args):
+        captured.append(args)
+        return speculative(*args)
+
+    with mock.patch.object(fleet_module, "_route_speculative", capture):
+        simulate_fleet_serving(
+            scenario.tenants,
+            scenario.regions,
+            scenario.arrival_s,
+            rtt_s=scenario.rtt_s,
+            routing=GlobalRoutingPolicy(kind=kind),
+            autoscaler=scenario.autoscaler,
+        )
+    (args,) = captured
+    return args
+
+
+def _walk(times, homes, avail, rtt_s, quantum, weighted):
+    """The scalar walk over the whole stream: the router's oracle."""
+    out = np.empty(times.size, dtype=np.int64)
+    fleet_module._route_walk(
+        times, homes, avail, rtt_s, quantum, weighted,
+        [0.0] * len(quantum), 0, times.size, out,
+    )
+    return out
+
+
+@pytest.mark.parametrize("kind", ["least-loaded", "latency-weighted"])
+@pytest.mark.parametrize("mix", FLEET_MIXES)
+def test_array_router_matches_scalar_walk(mix, kind):
+    """Speculate, verify and repair assigns exactly what the walk
+    assigns; latency-weighted follow-the-sun (the frozen-serving fleet)
+    speculates right first time."""
+    args = _router_inputs(mix, 2e5, ROUTER_PIN, kind)
+    assignment, repairs = fleet_module._route_speculative(*args)
+    assert np.array_equal(assignment, _walk(*args))
+    if (mix, kind) == ("follow-the-sun", "latency-weighted"):
+        assert repairs == 0
+
+
+@pytest.mark.perf
+def test_dense_repair_router_within_walk_ceiling():
+    """An overloaded least-loaded fleet repairs densely; the windows
+    and the scalar-walk fallback keep the router near the walk's cost."""
+    args = _router_inputs(
+        "follow-the-sun", 2e6, DENSE_ROUTE, "least-loaded"
+    )
+    router = measure(lambda: fleet_module._route_speculative(*args), 5)
+    walk = measure(lambda: _walk(*args), 5)
+    ratio = router.min_s / walk.min_s
+    emit(
+        f"overloaded least-loaded routing ({DENSE_ROUTE:,} requests, "
+        f"{router.result[1]} repairs): router {router.min_s:.3f} s, "
+        f"scalar walk {walk.min_s:.3f} s -> {ratio:.2f}x "
+        f"(ceiling {DENSE_CEILING}x)"
+    )
+    assert np.array_equal(router.result[0], walk.result)
+    assert ratio <= DENSE_CEILING

@@ -44,7 +44,6 @@ fleet benchmark asserts it on every run).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -62,6 +61,7 @@ from repro.core.cluster import (
 from repro.core.config import PCNNAConfig
 from repro.core.faults import FaultSchedule, RecalibrationPolicy
 from repro.core.simkernel import (
+    _maxplus_scan_const,
     validate_arrival_trace,
     validate_count,
     validate_kernel_mode,
@@ -148,11 +148,13 @@ class GlobalRoutingPolicy:
                 f"unknown fleet routing kind {self.kind!r}; have "
                 f"{FLEET_ROUTING_KINDS}"
             )
-        if self.failover_threshold <= 0.0 or not np.isfinite(
-            self.failover_threshold
+        if (
+            isinstance(self.failover_threshold, bool)
+            or self.failover_threshold <= 0.0
+            or not np.isfinite(self.failover_threshold)
         ):
             raise ValueError(
-                f"failover threshold must be finite and > 0, got "
+                f"failover threshold must be a finite number > 0, got "
                 f"{self.failover_threshold!r}"
             )
 
@@ -236,10 +238,9 @@ class FleetAutoscaler:
             raise ValueError(
                 f"warm-up must be finite and >= 0, got {self.warmup_s!r}"
             )
-        if self.min_pools < 1:
-            raise ValueError(
-                f"min pools must be >= 1, got {self.min_pools!r}"
-            )
+        validate_count(self.min_pools, "min pools")
+        if self.max_pools is not None:
+            validate_count(self.max_pools, "max pools")
         if self.max_pools is not None and self.max_pools < self.min_pools:
             raise ValueError(
                 f"autoscaling bounds inverted: min_pools "
@@ -622,11 +623,10 @@ def uniform_rtt(num_regions: int, rtt_s: float) -> np.ndarray:
     """An RTT matrix with one uniform inter-region round trip.
 
     Raises:
-        ValueError: on a non-positive region count or a negative or
-            non-finite RTT.
+        ValueError: on a region count that is not an integer >= 1, or
+            a negative or non-finite RTT.
     """
-    if num_regions < 1:
-        raise ValueError(f"need >= 1 region, got {num_regions!r}")
+    validate_count(num_regions, "region count")
     if rtt_s < 0.0 or not np.isfinite(rtt_s):
         raise ValueError(
             f"RTT must be finite and >= 0, got {rtt_s!r}"
@@ -729,11 +729,220 @@ def _inside_mask(bounds: np.ndarray | None, times: np.ndarray) -> np.ndarray:
     return (np.searchsorted(bounds, times, side="right") % 2).astype(bool)
 
 
-def _inside_at(bounds: np.ndarray | None, time_s: float) -> bool:
-    """Scalar version of :func:`_inside_mask`."""
-    if bounds is None:
-        return True
-    return bisect.bisect_right(bounds, time_s) % 2 == 1
+def _admitted_positions(
+    times: np.ndarray, admitted: np.ndarray
+) -> np.ndarray:
+    """Each merged-trace request's index among the admissions, or -1.
+
+    Admissions and sheds are both ordered subsequences of the sorted
+    merged trace, and equal-time requests resolve admitted-first
+    (deterministic, and exact whenever arrival times are distinct).  So
+    within each run of equal times the first ``count`` requests are
+    admitted, where ``count`` is how often that time appears among the
+    admissions, and each takes the admission index just past the
+    earlier times' admissions plus its rank in the run.
+    """
+    rank = np.arange(times.size) - np.searchsorted(times, times, side="left")
+    first = np.searchsorted(admitted, times, side="left")
+    count = np.searchsorted(admitted, times, side="right") - first
+    return np.where(rank < count, first + rank, -1)
+
+
+_ROUTE_MIN_WINDOW = 64
+"""Requests the first speculative routing window after a repair
+verifies; each window that verifies clean doubles the next one.  A
+repair that lands within this many requests of its window's start
+counts as dense: speculation then costs more than it saves."""
+
+_ROUTE_WALK_MAX = 8192
+"""Cap on the scalar run :func:`_route_speculative` walks after dense
+repairs before it speculates again (the run doubles per dense repair)."""
+
+
+def _route_walk(
+    times: np.ndarray,
+    homes: np.ndarray,
+    avail: np.ndarray,
+    rtt_s: np.ndarray,
+    quantum: list[float],
+    weighted: bool,
+    busy: list[float],
+    start: int,
+    stop: int,
+    out: np.ndarray,
+) -> None:
+    """The scalar load-aware walk over sorted requests ``start..stop-1``.
+
+    Each request goes to the available region with the smallest
+    ``(score, rtt, index)``: the score is the region's fluid backlog
+    ``max(busy - t, 0)``, plus the home→region RTT under
+    latency-weighted routing; a request with no available region stays
+    home.  The chosen region's ledger then advances to
+    ``max(busy, t) + quantum``.  ``busy`` is updated in place and the
+    picks are written to ``out``.  This is the oracle of
+    :func:`_route_speculative` and its fallback under dense repairs.
+    """
+    regions = range(len(quantum))
+    rows = rtt_s.tolist()
+    picks = []
+    for t, home, free in zip(
+        times[start:stop].tolist(),
+        homes[start:stop].tolist(),
+        avail[:, start:stop].T.tolist(),
+    ):
+        row = rows[home]
+        best = home  # nothing available: drain at home
+        best_score = best_rtt = math.inf
+        for index in regions:
+            if not free[index]:
+                continue
+            backlog = busy[index] - t
+            if backlog < 0.0:
+                backlog = 0.0
+            rtt = row[index]
+            score = backlog + rtt if weighted else backlog
+            # Strict `<` over ascending index breaks the last tie.
+            if score < best_score or (score == best_score and rtt < best_rtt):
+                best, best_score, best_rtt = index, score, rtt
+        level = busy[best]
+        busy[best] = (level if level >= t else t) + quantum[best]
+        picks.append(best)
+    out[start:stop] = picks
+
+
+def _route_choose(
+    backlog: np.ndarray,
+    rtt: np.ndarray,
+    avail: np.ndarray,
+    homes: np.ndarray,
+    weighted: bool,
+) -> np.ndarray:
+    """Every request's ``(score, rtt, index)`` argmin, as array ops.
+
+    ``backlog``, ``rtt`` and ``avail`` are ``(regions, requests)``: the
+    backlog each region shows the request, its home→region RTT, and
+    whether the region takes new arrivals then.  Same arithmetic and
+    tie order as :func:`_route_walk`.
+    """
+    best = np.full(homes.size, -1, dtype=np.int64)
+    best_score = np.full(homes.size, math.inf)
+    best_rtt = np.full(homes.size, math.inf)
+    for index in range(backlog.shape[0]):
+        score = backlog[index] + rtt[index] if weighted else backlog[index]
+        take = avail[index] & (
+            (score < best_score)
+            | ((score == best_score) & (rtt[index] < best_rtt))
+        )
+        best[take] = index
+        np.copyto(best_score, score, where=take)
+        np.copyto(best_rtt, rtt[index], where=take)
+    return np.where(best < 0, homes, best)
+
+
+def _route_ledgers(
+    times: np.ndarray,
+    assign: np.ndarray,
+    busy: list[float],
+    quantum: list[float],
+) -> tuple[np.ndarray, list[float]]:
+    """Each region's ledger just before every request, for one assignment.
+
+    Region ``r``'s ledger folds ``busy = max(busy, t) + q_r`` over the
+    requests assigned to it; with ``y = max(busy, t)`` that is the
+    max-plus recurrence ``y[k] = max(t[k], y[k-1] + q_r)`` from
+    ``y[0] = max(busy0_r, t[0])``, which
+    :func:`~repro.core.simkernel._maxplus_scan_const` solves exactly.
+    Returns the ``(regions, requests)`` pre-request ledgers and each
+    region's ledger after the last request.
+    """
+    before = np.empty((len(quantum), times.size))
+    after = list(busy)
+    everyone = np.arange(times.size)
+    for index, q in enumerate(quantum):
+        mine = np.flatnonzero(assign == index)
+        if not mine.size:
+            before[index] = busy[index]
+            continue
+        arrivals = times[mine]
+        first = max(busy[index], float(arrivals[0]))
+        # The scan's first input only seeds its reset detection; the
+        # fold itself starts from `first`.
+        arrivals[0] = first
+        ledger = np.empty(mine.size + 1)
+        ledger[0] = busy[index]
+        ledger[1:] = _maxplus_scan_const(arrivals, q, first) + q
+        before[index] = ledger[np.searchsorted(mine, everyone, side="left")]
+        after[index] = float(ledger[-1])
+    return before, after
+
+
+def _route_speculative(
+    times: np.ndarray,
+    homes: np.ndarray,
+    avail: np.ndarray,
+    rtt_s: np.ndarray,
+    quantum: list[float],
+    weighted: bool,
+) -> tuple[np.ndarray, int]:
+    """Load-aware routing by speculate, verify and repair.
+
+    Speculates every request's region as its zero-backlog choice, then
+    verifies a window at a time: builds each region's ledger for the
+    speculated assignment (:func:`_route_ledgers`), recomputes every
+    request's argmin from the ledgers just before it
+    (:func:`_route_choose`), and accepts the prefix before the first
+    disagreement.  The request that disagrees is booked by the scalar
+    walk from the exact ledgers there, and the rest of the window is
+    re-speculated from the argmins the verify pass computed.  Windows
+    double while they verify clean and reset at a repair; after dense
+    repairs the scalar walk takes a doubling run of requests before
+    speculating again, so a fleet that repairs every few requests costs
+    about what :func:`_route_walk` costs.  Returns the assignment,
+    bit-identical to :func:`_route_walk` over the whole stream, and the
+    repair count.
+    """
+    n = times.size
+    rtt = rtt_s.T[:, homes]
+    spec = _route_choose(np.zeros(rtt.shape), rtt, avail, homes, weighted)
+    out = np.empty(n, dtype=np.int64)
+    busy = [0.0] * len(quantum)
+    start = 0
+    window = _ROUTE_MIN_WINDOW
+    walk = 0
+    repairs = 0
+    while start < n:
+        stop = min(start + window, n)
+        part = slice(start, stop)
+        before, after = _route_ledgers(times[part], spec[part], busy, quantum)
+        backlog = np.maximum(before - times[part], 0.0)
+        truth = _route_choose(
+            backlog, rtt[:, part], avail[:, part], homes[part], weighted
+        )
+        wrong = np.flatnonzero(truth != spec[part])
+        if not wrong.size:
+            out[part] = spec[part]
+            busy = after
+            start = stop
+            window *= 2
+            continue
+        repairs += 1
+        cut = int(wrong[0])
+        out[start : start + cut] = spec[start : start + cut]
+        busy = before[:, cut].tolist()
+        spec[start + cut + 1 : stop] = truth[cut + 1 :]
+        if cut < _ROUTE_MIN_WINDOW:
+            walk = min(max(2 * walk, _ROUTE_MIN_WINDOW), _ROUTE_WALK_MAX)
+        else:
+            walk = 0
+        # The repaired request, then any dense-repair run, walked.
+        resume = min(start + cut + 1 + walk, n)
+        _route_walk(
+            times, homes, avail, rtt_s, quantum, weighted, busy,
+            start + cut, resume, out,
+        )
+        start = resume
+        window = _ROUTE_MIN_WINDOW
+    return out, repairs
 
 
 class FleetRuntime:
@@ -954,49 +1163,39 @@ class FleetRuntime:
     ) -> dict[tuple[int, str], np.ndarray]:
         """Least-loaded / latency-weighted greedy routing.
 
-        Walks the globally time-sorted offered stream (ties broken by
+        Routes the globally time-sorted offered stream (ties broken by
         home region, tenant, then request index — all deterministic)
-        keeping a per-region fluid ledger: each routed request extends
-        its region's backlog by one mean service quantum.
+        against a per-region fluid ledger: each routed request extends
+        its region's backlog by one mean service quantum, and the next
+        request picks its region from those backlogs.  The greedy walk
+        itself is :func:`_route_walk`; :func:`_route_speculative`
+        produces the identical assignment by speculating it, verifying
+        it against each region's ledger built as one max-plus scan, and
+        repairing from the first disagreement.  Availability comes from
+        one :func:`_inside_mask` per region over the sorted stream.
         """
-        num_regions = len(self.regions)
-        latency_weighted = self.routing.kind == "latency-weighted"
         keys = list(offered)
+        sizes = [offered[key].size for key in keys]
         times = np.concatenate([offered[key] for key in keys])
-        stream = np.concatenate(
-            [np.full(offered[key].size, pos) for pos, key in enumerate(keys)]
-        )
-        index_in = np.concatenate(
-            [np.arange(offered[key].size) for key in keys]
-        )
+        stream = np.repeat(np.arange(len(keys)), sizes)
+        index_in = np.concatenate([np.arange(size) for size in sizes])
         order = np.lexsort((index_in, stream, times))
-        quantum = [1.0 / rate for rate in self._capacity_rps]
-        busy_until = [0.0] * num_regions
-        server = {
-            key: np.empty(offered[key].size, dtype=np.int64) for key in keys
-        }
-        for position in order:
-            time_s = float(times[position])
-            home = keys[stream[position]][0]
-            best = None
-            best_key = None
-            for index in range(num_regions):
-                if not _inside_at(avail[index], time_s):
-                    continue
-                backlog = max(busy_until[index] - time_s, 0.0)
-                rtt = float(self.rtt_s[home, index])
-                score = backlog + rtt if latency_weighted else backlog
-                key = (score, rtt, index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = index
-            if best is None:
-                best = home  # nothing available: drain at home
-            server[keys[stream[position]]][index_in[position]] = best
-            busy_until[best] = (
-                max(busy_until[best], time_s) + quantum[best]
-            )
-        return server
+        times = times[order]
+        homes = np.array([key[0] for key in keys], dtype=np.int64)[
+            stream[order]
+        ]
+        mask = np.array([_inside_mask(bounds, times) for bounds in avail])
+        assignment, _ = _route_speculative(
+            times,
+            homes,
+            mask,
+            self.rtt_s,
+            [1.0 / rate for rate in self._capacity_rps],
+            self.routing.kind == "latency-weighted",
+        )
+        server = np.empty(times.size, dtype=np.int64)
+        server[order] = assignment
+        return dict(zip(keys, np.split(server, np.cumsum(sizes)[:-1])))
 
     def run(
         self, arrival_s: Mapping[str, Mapping[str, np.ndarray]]
@@ -1182,27 +1381,14 @@ class FleetRuntime:
             indices = origin_index[tenant.name]
             routed_in += int(times.size)
             remote_in += int(np.count_nonzero(homes != index))
-            admitted = tenant_report.arrival_s
-            shed = tenant_report.shed_arrival_s
-            if shed.size == 0:
+            if tenant_report.shed_arrival_s.size == 0:
                 mask = np.ones(times.size, dtype=bool)
                 admitted_pos = np.arange(times.size)
             else:
-                mask = np.zeros(times.size, dtype=bool)
-                admitted_pos = np.full(times.size, -1)
-                at = 0
-                for position in range(times.size):
-                    # Admissions and sheds are both ordered
-                    # subsequences of the merged trace; equal-time
-                    # requests resolve admitted-first (deterministic,
-                    # and exact whenever arrival times are distinct).
-                    if (
-                        at < admitted.size
-                        and admitted[at] == times[position]
-                    ):
-                        mask[position] = True
-                        admitted_pos[position] = at
-                        at += 1
+                admitted_pos = _admitted_positions(
+                    times, tenant_report.arrival_s
+                )
+                mask = admitted_pos >= 0
             served_positions = np.flatnonzero(mask)
             stream_latency = np.full(times.size, math.nan)
             if served_positions.size:

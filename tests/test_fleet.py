@@ -1,11 +1,15 @@
 """Tests for the planet-scale fleet serving layer."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import FLEET_SWEEP_HEADER, sweep_fleet_serving
+from repro.core import fleet as fleet_module
 from repro.core.cluster import (
     ClusterTenant,
     ElasticReallocation,
@@ -154,6 +158,8 @@ class TestFleetConfigValidation:
             GlobalRoutingPolicy(kind="random")
         with pytest.raises(ValueError, match="threshold"):
             GlobalRoutingPolicy(failover_threshold=0.0)
+        with pytest.raises(ValueError, match="threshold"):
+            GlobalRoutingPolicy(failover_threshold=True)
         for kind in FLEET_ROUTING_KINDS:
             assert GlobalRoutingPolicy(kind=kind).kind == kind
 
@@ -472,6 +478,242 @@ class TestFleetRouting:
         trace = fleet.trace("east", "solo")
         assert np.all(trace.server_region == 1)
         assert np.all(trace.latency_s[trace.served] >= rtt)
+
+
+def walk_router(times, homes, avail, rtt_s, quantum, weighted):
+    """The scalar walk over the whole sorted stream, shaped like
+    :func:`~repro.core.fleet._route_speculative` (no repairs)."""
+    out = np.empty(times.size, dtype=np.int64)
+    fleet_module._route_walk(
+        times, homes, avail, rtt_s, quantum, weighted,
+        [0.0] * len(quantum), 0, times.size, out,
+    )
+    return out, 0
+
+
+def route_both(run):
+    """Run a fleet under the array router and under the scalar walk;
+    return both reports and the array router's repair count."""
+    repairs = []
+    speculative = fleet_module._route_speculative
+
+    def counted(*args):
+        assignment, count = speculative(*args)
+        repairs.append(count)
+        return assignment, count
+
+    with mock.patch.object(fleet_module, "_route_speculative", counted):
+        fast = run()
+    with mock.patch.object(fleet_module, "_route_speculative", walk_router):
+        oracle = run()
+    return fast, oracle, sum(repairs)
+
+
+def assert_same_routing(fast, oracle):
+    assert len(fast.traces) == len(oracle.traces)
+    for got, want in zip(fast.traces, oracle.traces):
+        assert (got.home_region, got.tenant) == (want.home_region, want.tenant)
+        assert np.array_equal(got.server_region, want.server_region)
+
+
+@st.composite
+def load_aware_fleets(draw):
+    """A small load-aware fleet run: 1-4 unequal regions, zero, uniform
+    or asymmetric RTTs, outages over the failover threshold (permanent
+    dead rings too), an optional warm-up autoscaler, and arrival times
+    on a coarse grid so equal times recur within and across streams."""
+    num_regions = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    tenants = (
+        tenant("a", BatchingPolicy.dynamic(4, 1e-5)),
+        tenant("b", BatchingPolicy.fifo()),
+    )
+    schedules = []
+    for _ in range(num_regions):
+        outage = draw(st.sampled_from(["none", "window", "dead"]))
+        if outage == "none":
+            schedules.append(None)
+            continue
+        onset = draw(st.sampled_from([0.0, 2e-5, 5e-5]))
+        event = (
+            FaultEvent(
+                kind="dead_rings", core=0, onset_s=onset, magnitude=1.0,
+                rings=(0, 1),
+            )
+            if outage == "dead"
+            else FaultEvent(
+                kind="tia_droop", core=0, onset_s=onset, magnitude=0.9,
+                duration_s=draw(st.sampled_from([1e-5, 4e-5])),
+            )
+        )
+        schedules.append(FaultSchedule(name=outage, events=(event,)))
+    regions = [
+        RegionSpec(f"r{index}", draw(st.integers(2, 5)), schedule=schedule)
+        for index, schedule in enumerate(schedules)
+    ]
+    rtt_kind = draw(st.sampled_from(["zero", "uniform", "asymmetric"]))
+    if rtt_kind == "zero":
+        rtt = None
+    elif rtt_kind == "uniform":
+        rtt = uniform_rtt(num_regions, draw(st.sampled_from([1e-6, 1e-3])))
+    else:
+        # Few distinct values, so (score, rtt) ties are common.
+        rtt = rng.choice([0.0, 1e-6, 2e-6], size=(num_regions, num_regions))
+        np.fill_diagonal(rtt, 0.0)
+    tick = 2.5e-7  # about a quarter of a region's service quantum
+    arrival = {}
+    for region in regions:
+        arrival[region.name] = {}
+        for name in ("a", "b"):
+            count = int(rng.integers(0, 120))
+            if count:
+                arrival[region.name][name] = (
+                    np.sort(rng.integers(0, 2 * count, size=count)) * tick
+                )
+    if not any(arrival.values()):
+        arrival["r0"]["a"] = np.zeros(3)
+    autoscaler = None
+    if num_regions > 1 and draw(st.booleans()):
+        autoscaler = FleetAutoscaler(
+            epoch_s=1e-5,
+            burn_up=draw(st.sampled_from([0.5, 2.0])),
+            burn_down=0.1,
+            warmup_s=draw(st.sampled_from([0.0, 5e-6])),
+            min_pools=1,
+            max_pools=num_regions,
+        )
+    kind = draw(st.sampled_from(["least-loaded", "latency-weighted"]))
+    return lambda: simulate_fleet_serving(
+        tenants,
+        regions,
+        arrival,
+        rtt_s=rtt,
+        routing=GlobalRoutingPolicy(kind=kind),
+        autoscaler=autoscaler,
+    )
+
+
+class TestLoadAwareRouterPin:
+    """The array router (speculate, verify against max-plus ledgers,
+    repair) assigns exactly what the scalar walk assigns."""
+
+    @given(run=load_aware_fleets())
+    @settings(max_examples=40, deadline=None)
+    def test_array_router_matches_scalar_walk(self, run):
+        fast, oracle, _ = route_both(run)
+        assert_same_routing(fast, oracle)
+
+    def test_dense_repairs_take_the_walk_fallback(self):
+        """An overloaded least-loaded fleet repairs at almost every
+        request, so the windows shrink and the scalar walk takes over;
+        the assignment must not change."""
+        scenario = fleet_mix("follow-the-sun", 2e6, 6000, seed=5)
+        walked = []
+        walk = fleet_module._route_walk
+
+        def spy(*args):
+            walked.append(args[8] - args[7])
+            return walk(*args)
+
+        def run():
+            return simulate_fleet_serving(
+                scenario.tenants,
+                scenario.regions,
+                scenario.arrival_s,
+                rtt_s=scenario.rtt_s,
+                routing=GlobalRoutingPolicy.least_loaded(),
+            )
+
+        with mock.patch.object(fleet_module, "_route_walk", spy):
+            fast, oracle, repairs = route_both(run)
+        assert_same_routing(fast, oracle)
+        assert repairs >= 3
+        # Dense repairs grew a scalar run past the repaired request.
+        assert max(walked) > 1
+
+    def test_backlog_carries_across_windows(self):
+        """While the only other region is out, every request must go
+        home, so speculation verifies clean while home's backlog grows
+        across many windows; once the outage ends, least-loaded
+        routing reads that carried backlog."""
+        tenants = (tenant("solo", BatchingPolicy.dynamic(8, 1e-3)),)
+        arrival = {"solo": poisson_arrivals(2e6, 4000, seed=18)}
+
+        def run():
+            return simulate_fleet_serving(
+                tenants,
+                [
+                    RegionSpec("east", 2),
+                    RegionSpec(
+                        "west", 2, schedule=outage_schedule(0.0, 1e-3)
+                    ),
+                ],
+                {"east": arrival, "west": {}},
+                routing=GlobalRoutingPolicy.least_loaded(),
+            )
+
+        fast, oracle, _ = route_both(run)
+        assert_same_routing(fast, oracle)
+        trace = fast.trace("east", "solo")
+        assert np.all(trace.server_region[trace.offered_arrival_s < 1e-3] == 0)
+        assert np.any(trace.server_region == 1)
+
+    def test_admitted_positions_match_the_matching_loop(self):
+        """The shed back-map's searchsorted form equals the
+        admitted-first matching walk on traces full of equal times."""
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            size = int(rng.integers(1, 40))
+            times = np.sort(rng.integers(0, 12, size=size)).astype(float)
+            kept = int(rng.integers(0, size + 1))
+            admitted = times[np.sort(rng.choice(size, kept, replace=False))]
+            assert np.array_equal(
+                fleet_module._admitted_positions(times, admitted),
+                matching_loop(times, admitted),
+            )
+
+    def test_shed_back_map_with_equal_times_across_homes(self):
+        """Two homes send identical arrival times to one shedding
+        region; the back-map must attribute sheds exactly as the
+        matching walk does."""
+        tenants = (tenant("solo", BatchingPolicy.fifo(), queue_cap=2),)
+        times = np.repeat(np.arange(60) * 1e-6, 2)
+        schedule = outage_schedule(0.0, math.inf, num_cores=2)
+
+        def run():
+            return simulate_fleet_serving(
+                tenants,
+                [
+                    RegionSpec("east", 2, schedule=schedule),
+                    RegionSpec("west", 2),
+                ],
+                {"east": {"solo": times}, "west": {"solo": times.copy()}},
+            )
+
+        with mock.patch.object(
+            fleet_module, "_admitted_positions", matching_loop
+        ):
+            oracle = run()
+        fast = run()
+        assert fast.num_shed > 0
+        assert fast.regions[1].remote_in > 0
+        for got, want in zip(fast.traces, oracle.traces):
+            assert np.array_equal(got.served, want.served)
+            assert np.array_equal(
+                got.latency_s, want.latency_s, equal_nan=True
+            )
+
+
+def matching_loop(times, admitted):
+    """The admitted-first matching walk the shed back-map replaced."""
+    positions = np.full(times.size, -1)
+    at = 0
+    for position in range(times.size):
+        if at < admitted.size and admitted[at] == times[position]:
+            positions[position] = at
+            at += 1
+    return positions
 
 
 class TestFleetAutoscaler:

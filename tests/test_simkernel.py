@@ -17,7 +17,7 @@ from repro.core.faults import (
     FaultSchedule,
     RecalibrationPolicy,
 )
-from repro.core.fleet import RegionSpec
+from repro.core.fleet import FleetAutoscaler, RegionSpec, uniform_rtt
 from repro.core.simkernel import (
     BatchingPolicy,
     DispatchContext,
@@ -88,6 +88,13 @@ COUNT_FIELDS = {
         v,
     ),
     "region pool size": lambda v: RegionSpec("r", v),
+    "autoscaler min pools": lambda v: FleetAutoscaler(
+        epoch_s=1.0, min_pools=v
+    ),
+    "autoscaler max pools": lambda v: FleetAutoscaler(
+        epoch_s=1.0, max_pools=v
+    ),
+    "uniform RTT region count": lambda v: uniform_rtt(v, 0.01),
     "recalibration max iterations": lambda v: RecalibrationPolicy(
         max_iterations=v
     ),
