@@ -95,7 +95,7 @@ def _assert_reports_bit_identical(ref, vec) -> None:
 def _inline_pr3_loop(model, policy, arrivals):
     """A verbatim copy of the pre-kernel ServingSimulator event loop.
 
-    The reference the wall-time gate compares against: same
+    The oracle the bit pin and the wall-time gate compare against: same
     ``plan_dispatch``, same pipeline-walk floats, no context or hook
     indirection.
     """
@@ -128,7 +128,7 @@ def _inline_pr3_loop(model, policy, arrivals):
         dispatch_s[head : head + size] = dispatch
         completion_s[head : head + size] = start
         head += size
-    return completion_s, tuple(batches)
+    return completion_s, tuple(batches), tuple(core_busy)
 
 
 def _fifo_soak(alexnet_specs):
@@ -142,16 +142,28 @@ def _fifo_soak(alexnet_specs):
     return model, policy, arrivals
 
 
-def test_kernel_refactor_matches_inline_loop(alexnet_specs):
-    """The PR 4-style soak through the kernel is bit-identical to the
-    inline pre-kernel loop."""
-    model, policy, arrivals = _fifo_soak(alexnet_specs)
-    inline_completions, inline_batches = _inline_pr3_loop(
+@pytest.mark.parametrize(
+    "policy",
+    [
+        BatchingPolicy.fifo(),
+        BatchingPolicy.dynamic(8, 1e-4),
+        BatchingPolicy.fixed(4),
+    ],
+    ids=["fifo", "dynamic", "fixed"],
+)
+@pytest.mark.parametrize("mode", ["auto", "reference"])
+def test_kernel_refactor_matches_inline_loop(alexnet_specs, mode, policy):
+    """The PR 4-style soak through the kernel, in every mode and under
+    every batching recipe, is bit-identical to the inline pre-kernel
+    loop: an oracle that shares no loop code with the simulators."""
+    model, _, arrivals = _fifo_soak(alexnet_specs)
+    completions, batches, core_busy = _inline_pr3_loop(
         model, policy, arrivals
     )
-    report = ServingSimulator(model, policy).run(arrivals)
-    assert np.array_equal(report.completion_s, inline_completions)
-    assert report.batches == inline_batches
+    report = ServingSimulator(model, policy, mode=mode).run(arrivals)
+    assert report.completion_s.tobytes() == completions.tobytes()
+    assert report.batches == batches
+    assert repr(report.core_busy_s) == repr(core_busy)
 
 
 @pytest.mark.perf

@@ -42,6 +42,7 @@ from repro.workloads import (
     FAULT_SCENARIOS,
     alexnet_conv_specs,
     fault_scenario,
+    mmpp_arrivals,
     poisson_arrivals,
     serving_batch,
     serving_network,
@@ -515,6 +516,54 @@ class TestSingleTenantFaultPin:
         )
         assert adaptive.recalibrations
         _same_serving(cluster, adaptive)
+
+
+class TestPristineLoneLanePin:
+    """A pristine lone lane of the lane event loop is the fault-free
+    kernel in every mode, byte for byte, on every stream and ledger."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            BatchingPolicy.fifo(),
+            BatchingPolicy.dynamic(8, 1e-4),
+            BatchingPolicy.fixed(4),
+        ],
+        ids=["fifo", "dynamic", "fixed"],
+    )
+    @pytest.mark.parametrize("cores", [1, 3, 4])
+    @pytest.mark.parametrize("trace", ["poisson", "mmpp"])
+    def test_matches_the_kernel(self, trace, cores, policy):
+        from repro.core.cluster import _lone_lane, _serve_lanes, _TenantLane
+        from repro.core.simkernel import EventLoopKernel
+
+        model = PipelineServiceModel.from_specs(alexnet_conv_specs(), cores)
+        capacity = model.capacity_rps(policy.max_batch)
+        if trace == "poisson":
+            arrivals = poisson_arrivals(1.5 * capacity, 3000, seed=cores)
+        else:
+            arrivals = mmpp_arrivals(
+                0.5 * capacity, 4.0 * capacity, 3000, 200 / capacity, seed=cores
+            )
+        lane = _TenantLane(
+            0,
+            "pipeline",
+            None,
+            policy,
+            arrivals,
+            model,
+            list(range(cores)),
+            cores,
+            None,
+        )
+        _serve_lanes([lane], None, _lone_lane)
+        ctx = lane.ctx
+        for mode in ("auto", "reference"):
+            run = EventLoopKernel(model, policy, mode=mode).run(arrivals)
+            assert run.dispatch_s.tobytes() == ctx.dispatch_s.tobytes()
+            assert run.completion_s.tobytes() == ctx.completion_s.tobytes()
+            assert run.batches == tuple(ctx.batches)
+            assert repr(run.core_busy_s) == repr(tuple(ctx.core_busy))
 
 
 REPARTITION_DIGEST = (
