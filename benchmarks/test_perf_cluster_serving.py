@@ -291,7 +291,7 @@ def test_multi_tenant_soak_vectorized_bit_identical():
             tenants, arrivals, pool_size=pool, mode="reference"
         )
         vec = simulate_cluster_serving(
-            tenants, arrivals, pool_size=pool, mode="vectorized"
+            tenants, arrivals, pool_size=pool, mode="auto"
         )
         _assert_reports_bit_identical(ref, vec)
 
@@ -313,7 +313,7 @@ def test_multi_tenant_soak_vectorized_speedup():
         )
         vec = measure(
             lambda: simulate_cluster_serving(
-                tenants, arrivals, pool_size=pool, mode="vectorized"
+                tenants, arrivals, pool_size=pool, mode="auto"
             )
         )
         served = sum(sub.num_offered for sub in ref.result.tenants)

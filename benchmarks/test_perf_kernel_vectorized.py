@@ -63,7 +63,7 @@ def test_vectorized_matches_reference_at_10k():
     arrivals = _trace(model, SMALL)
     _assert_runs_identical(
         _fifo_run(model, arrivals, "reference"),
-        _fifo_run(model, arrivals, "vectorized"),
+        _fifo_run(model, arrivals, "auto"),
     )
 
 
@@ -86,7 +86,7 @@ def test_vectorized_speedup_trajectory_vs_reference():
             lambda: _fifo_run(model, arrivals, "reference"),
             repeats=3 if num_requests <= SMALL else 1,
         )
-        vec = measure(lambda: _fifo_run(model, arrivals, "vectorized"))
+        vec = measure(lambda: _fifo_run(model, arrivals, "auto"))
         _assert_runs_identical(ref.result, vec.result)
         speedups[num_requests] = ref.min_s / vec.min_s
         rows.append(
@@ -101,7 +101,7 @@ def test_vectorized_speedup_trajectory_vs_reference():
 
 
 def _soak_run(model: PipelineServiceModel, arrivals: np.ndarray):
-    return ServingSimulator(model, SOAK_POLICY, mode="vectorized").run(
+    return ServingSimulator(model, SOAK_POLICY, mode="auto").run(
         arrivals
     )
 

@@ -4,312 +4,79 @@ Analytical framework (ring counts, area, execution time — paper section
 V), MRR-bank mapping with receptive-field filtering (section IV, Fig. 2),
 the receptive-field dataflow scheduler, the cycle-level timing simulator,
 the functional photonic convolution engine, and power/area roll-ups.
+
+The package re-exports the front doors the examples and the README
+import from ``repro.core``; everything else is imported from its
+submodule (``repro.core.simkernel``, ``repro.core.timing``, ...).
 """
 
-from repro.core.accelerator import (
-    PCNNA,
-    ConvScaling,
-    LayerReport,
-    PhotonicConvolution,
-)
-from repro.core.adaptive import (
-    DECISION_ACTIONS,
-    AdaptiveDecision,
-    AdaptiveRecalibration,
-    AdaptiveServingReport,
-    BurnRateAdmission,
-    EwmaRecalDecider,
-    PressureController,
-    simulate_adaptive_serving,
-)
+from repro.core.accelerator import PCNNA, PhotonicConvolution
+from repro.core.adaptive import AdaptiveRecalibration, simulate_adaptive_serving
 from repro.core.analytical import (
-    LayerAnalysis,
-    analyze_layer,
     analyze_network,
-    bank_area_mm2,
-    dac_updates_per_location,
     full_system_time_s,
-    microrings_filtered,
-    microrings_unfiltered,
-    network_totals,
     optical_core_time_s,
-    per_location_adc_time_s,
-    per_location_dac_time_s,
     ring_savings_factor,
-    rings_per_kernel_bank,
     speedup,
-    weight_load_time_s,
 )
-from repro.core.area import AreaReport, estimate_layer_area, network_max_area_mm2
-from repro.core.batching import (
-    BatchTiming,
-    layer_batch_time_s,
-    network_batch_timing,
-    network_batch_timing_simulated,
-    weight_stationary_crossover,
-)
-from repro.core.config import PAPER_CONFIG, PCNNAConfig, paper_assumptions
 from repro.core.cluster import (
-    ROUTING_KINDS,
-    ClusterReport,
-    ClusterSimulator,
     ClusterTenant,
     ElasticReallocation,
-    ReallocationRecord,
     RoutingPolicy,
-    TenantServingReport,
-    allocate_pool,
     replay_tenant_on_engine,
     simulate_cluster_serving,
 )
-from repro.core.controller import (
-    ControllerReport,
-    LayerController,
-    Phase,
-    TraceEvent,
-)
+from repro.core.config import PAPER_CONFIG, PCNNAConfig
 from repro.core.faults import (
-    FAULT_KINDS,
-    CoreDriftSnapshot,
-    CoreHealthState,
-    DegradedReplay,
-    DegradedServingReport,
     DegradedServingSimulator,
-    FaultEvent,
-    FaultSchedule,
     RecalibrationPolicy,
-    RecalibrationRecord,
-    RepartitionRecord,
     replay_on_engine_degraded,
     simulate_degraded_serving,
 )
 from repro.core.fleet import (
-    FLEET_ROUTING_KINDS,
-    AutoscaleRecord,
-    FailoverRecord,
-    FleetAutoscaler,
-    FleetReport,
-    FleetRuntime,
-    FleetTenantTrace,
     GlobalRoutingPolicy,
-    RegionOutcome,
     RegionSpec,
-    estimate_region_capacity_rps,
     simulate_fleet_serving,
     uniform_rtt,
-    validate_rtt_matrix,
 )
-from repro.core.mapping import (
-    Fig2RingCounts,
-    KernelBankMapping,
-    LayerMapping,
-    fig2_ring_counts,
-    map_layer,
-)
-from repro.core.multicore import (
-    PipelinePartition,
-    balanced_partition,
-    contiguous_partition,
-    pipeline_speedup,
-    validate_num_cores,
-)
-from repro.core.pipeline import (
-    PipelineResult,
-    max_approximation_error,
-    simulate_pipeline,
-    stage_service_times,
-)
-from repro.core.power import (
-    PowerReport,
-    estimate_layer_power,
-    estimate_network_energy_j,
-)
-from repro.core.pruning import (
-    SparseMappingReport,
-    prune_kernels,
-    pruned_conv_error,
-    sparse_mapping_report,
-    threshold_for_sparsity,
-)
-from repro.core.scheduler import LayerSchedule, LocationStep, dram_traffic_bytes
-from repro.core.serving import (
-    PipelinedRunResult,
-    PipelineStage,
-    run_network_pipelined,
-    stage_layer_slices,
-)
-from repro.core.simkernel import (
-    KERNEL_MODES,
-    BatchTable,
-    DispatchContext,
-    EventLoopKernel,
-    KernelRun,
-    execute_dispatch,
-    plan_batches,
-)
+from repro.core.serving import run_network_pipelined
+from repro.core.simkernel import BatchingPolicy
 from repro.core.traffic import (
-    BatchingPolicy,
-    BatchRecord,
     PipelineServiceModel,
-    ServingReport,
     ServingSimulator,
-    plan_dispatch,
-    replay_batches,
     replay_on_engine,
     simulate_serving,
-    validate_arrival_trace,
-    validate_replay_inputs,
-)
-from repro.core.timing import (
-    BatchLayerTimingResult,
-    LayerTimingResult,
-    StageBreakdown,
-    simulate_layer,
-    simulate_layer_batch,
-    simulate_network,
-)
-from repro.core.validation import (
-    EquivalenceReport,
-    assert_functionally_equivalent,
-    compare_photonic_reference,
 )
 
 __all__ = [
     "PCNNA",
-    "ConvScaling",
-    "LayerReport",
     "PhotonicConvolution",
-    "DECISION_ACTIONS",
-    "AdaptiveDecision",
     "AdaptiveRecalibration",
-    "AdaptiveServingReport",
-    "BurnRateAdmission",
-    "EwmaRecalDecider",
-    "PressureController",
     "simulate_adaptive_serving",
-    "LayerAnalysis",
-    "analyze_layer",
     "analyze_network",
-    "bank_area_mm2",
-    "dac_updates_per_location",
     "full_system_time_s",
-    "microrings_filtered",
-    "microrings_unfiltered",
-    "network_totals",
     "optical_core_time_s",
-    "per_location_adc_time_s",
-    "per_location_dac_time_s",
     "ring_savings_factor",
-    "rings_per_kernel_bank",
     "speedup",
-    "weight_load_time_s",
-    "AreaReport",
-    "estimate_layer_area",
-    "network_max_area_mm2",
-    "BatchTiming",
-    "layer_batch_time_s",
-    "network_batch_timing",
-    "network_batch_timing_simulated",
-    "weight_stationary_crossover",
-    "PAPER_CONFIG",
-    "PCNNAConfig",
-    "paper_assumptions",
-    "ControllerReport",
-    "LayerController",
-    "Phase",
-    "TraceEvent",
-    "FAULT_KINDS",
-    "CoreDriftSnapshot",
-    "CoreHealthState",
-    "DegradedReplay",
-    "DegradedServingReport",
-    "DegradedServingSimulator",
-    "FaultEvent",
-    "FaultSchedule",
-    "RecalibrationPolicy",
-    "RecalibrationRecord",
-    "RepartitionRecord",
-    "replay_on_engine_degraded",
-    "simulate_degraded_serving",
-    "ROUTING_KINDS",
-    "ClusterReport",
-    "ClusterSimulator",
     "ClusterTenant",
     "ElasticReallocation",
-    "ReallocationRecord",
     "RoutingPolicy",
-    "TenantServingReport",
-    "allocate_pool",
     "replay_tenant_on_engine",
     "simulate_cluster_serving",
-    "FLEET_ROUTING_KINDS",
-    "AutoscaleRecord",
-    "FailoverRecord",
-    "FleetAutoscaler",
-    "FleetReport",
-    "FleetRuntime",
-    "FleetTenantTrace",
+    "PAPER_CONFIG",
+    "PCNNAConfig",
+    "DegradedServingSimulator",
+    "RecalibrationPolicy",
+    "replay_on_engine_degraded",
+    "simulate_degraded_serving",
     "GlobalRoutingPolicy",
-    "RegionOutcome",
     "RegionSpec",
-    "estimate_region_capacity_rps",
     "simulate_fleet_serving",
     "uniform_rtt",
-    "validate_rtt_matrix",
-    "KERNEL_MODES",
-    "BatchTable",
-    "DispatchContext",
-    "EventLoopKernel",
-    "KernelRun",
-    "execute_dispatch",
-    "plan_batches",
-    "Fig2RingCounts",
-    "KernelBankMapping",
-    "LayerMapping",
-    "fig2_ring_counts",
-    "map_layer",
-    "PipelinePartition",
-    "balanced_partition",
-    "contiguous_partition",
-    "pipeline_speedup",
-    "validate_num_cores",
-    "SparseMappingReport",
-    "prune_kernels",
-    "pruned_conv_error",
-    "sparse_mapping_report",
-    "threshold_for_sparsity",
-    "PipelineResult",
-    "max_approximation_error",
-    "simulate_pipeline",
-    "stage_service_times",
-    "PowerReport",
-    "estimate_layer_power",
-    "estimate_network_energy_j",
-    "LayerSchedule",
-    "LocationStep",
-    "dram_traffic_bytes",
-    "PipelinedRunResult",
-    "PipelineStage",
     "run_network_pipelined",
-    "stage_layer_slices",
     "BatchingPolicy",
-    "BatchRecord",
     "PipelineServiceModel",
-    "ServingReport",
     "ServingSimulator",
-    "plan_dispatch",
-    "replay_batches",
     "replay_on_engine",
     "simulate_serving",
-    "validate_arrival_trace",
-    "validate_replay_inputs",
-    "BatchLayerTimingResult",
-    "LayerTimingResult",
-    "StageBreakdown",
-    "simulate_layer",
-    "simulate_layer_batch",
-    "simulate_network",
-    "EquivalenceReport",
-    "assert_functionally_equivalent",
-    "compare_photonic_reference",
 ]

@@ -1117,9 +1117,8 @@ class ClusterSimulator:
             allocation is frozen — no fault schedule, no elastic
             reallocation, no *enabled* burn-rate admission controller
             (static occupancy caps are fine) — and the global event
-            loop otherwise.  ``"vectorized"`` demands that shape
-            (``run`` raises otherwise); ``"reference"`` always runs
-            the global loop.  Both paths are bit-identical.
+            loop otherwise; ``"reference"`` always runs the global
+            loop.  Both paths are bit-identical.
 
     Raises:
         ValueError: on an empty or duplicated tenant set, a pool size
@@ -1300,14 +1299,7 @@ class ClusterSimulator:
                 f"need one arrival trace per tenant {sorted(names)}, got "
                 f"{sorted(arrival_s)}"
             )
-        if self.mode == "vectorized" and not self._vectorizable:
-            raise ValueError(
-                "vectorized mode needs a frozen-allocation cluster — no "
-                "fault schedule, no elastic reallocation, no enabled "
-                "burn-rate admission controller; those runs have "
-                "mid-loop feedback; use mode='reference' (or 'auto')"
-            )
-        if self.mode != "reference" and self._vectorizable:
+        if self.mode == "auto" and self._vectorizable:
             return self._run_vectorized(arrival_s)
         lanes = [
             self._lane(
@@ -1643,22 +1635,25 @@ def serve_pipeline(
     model: PipelineServiceModel,
     policy: BatchingPolicy,
     arrivals: np.ndarray,
-    health: PoolHealth,
+    health: PoolHealth | None,
     specs: Sequence[ConvLayerSpec] | None = None,
     config: PCNNAConfig | None = None,
     fail_error_threshold: float | None = None,
 ) -> _TenantLane:
-    """Serve one faulted pipeline as the lone lane of the event loop.
+    """Serve one pipeline as the lone lane of the event loop.
 
-    The engine of :class:`~repro.core.faults.DegradedServingSimulator`:
-    one lane over the caller's ``model`` on cores ``0..width-1`` that
-    records per-batch drift snapshots and, when ``specs`` is given,
-    drains cores whose error reaches ``fail_error_threshold``.  With no
-    recalibration or the static threshold trigger the lane runs in
-    epochs between fault actions (:func:`_serve_epochs`); an adaptive
-    trigger, whose decider keeps state per call, takes the fault step at
-    every dispatch (:func:`_serve_lanes`).  Both produce the same lane,
-    bit for bit.
+    The engine of :class:`~repro.core.faults.DegradedServingSimulator`
+    and of the kernel's reference mode: one lane over the caller's
+    ``model`` on cores ``0..width-1`` that records per-batch drift
+    snapshots and, when ``specs`` is given, drains cores whose error
+    reaches ``fail_error_threshold``.  With ``health`` ``None`` the pool
+    is pristine and the lane takes every dispatch through
+    :func:`_serve_lanes`: the per-event oracle of the vectorized kernel.
+    With no recalibration or the static threshold trigger a faulted lane
+    runs in epochs between fault actions (:func:`_serve_epochs`); an
+    adaptive trigger, whose decider keeps state per call, takes the
+    fault step at every dispatch (:func:`_serve_lanes`).  Both produce
+    the same lane, bit for bit.
     """
     width = model.num_cores
     lane = _TenantLane(
@@ -1674,7 +1669,9 @@ def serve_pipeline(
         fail_error_threshold=None if specs is None else fail_error_threshold,
         record_snapshots=True,
     )
-    if health.trigger is None or type(health.trigger) is ThresholdTrigger:
+    if health is not None and (
+        health.trigger is None or type(health.trigger) is ThresholdTrigger
+    ):
         _serve_epochs(lane, health)
     else:
         _serve_lanes([lane], health, _lone_lane)

@@ -1098,7 +1098,7 @@ class DegradedServingSimulator:
         """Serve a trace to completion under the fault schedule.
 
         Raises:
-            ValueError: on an empty or unsorted trace.
+            ValueError: on an empty, non-finite or unsorted trace.
         """
         fields, _ = self._serve(arrival_s)
         return DegradedServingReport(**fields)

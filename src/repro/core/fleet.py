@@ -968,7 +968,9 @@ class FleetRuntime:
             region active for the whole run.
         config: hardware configuration for the regional runs.
         mode: kernel execution mode handed to every regional cluster
-            run (``"auto"`` lets feedback-free regions vectorize).
+            run, one of :data:`~repro.core.simkernel.KERNEL_MODES`
+            (``"auto"`` lets feedback-free regions vectorize,
+            ``"reference"`` runs every region on the lane event loop).
 
     Raises:
         ValueError: on an empty tenant or region set, duplicate tenant

@@ -14,23 +14,24 @@ once:
   verbatim, which is what makes the facades *bit-identical* to their
   pre-kernel selves);
 * :class:`EventLoopKernel` — the fault-free queue → batcher → pipeline
-  loop, as whole-trace array ops or as the per-event reference loop.
+  run, as whole-trace array ops or, in reference mode, as one pristine
+  lane of the lane event loop.
 
 :class:`~repro.core.traffic.ServingSimulator` is a facade over the
-kernel.  Everything that mutates a pipeline mid-run — fault-and-drift
-bookkeeping, recalibration downtime, fault-aware repartitioning,
-admission control and elastic reallocation — runs on the cluster lane
-loop of :mod:`repro.core.cluster`, which drives one
-:class:`DispatchContext` per pipeline through the same
-:func:`plan_dispatch` / :func:`execute_dispatch` pair; the
-single-pipeline :class:`~repro.core.faults.DegradedServingSimulator` is
-one such lane.  The simulated clock is decoupled from wall time and
-every input is seeded, so a fixed seed yields bit-identical results on
-every run.
+kernel.  The one per-event loop is the cluster lane loop of
+:mod:`repro.core.cluster`, which drives one :class:`DispatchContext` per
+pipeline through the :func:`plan_dispatch` / :func:`execute_dispatch`
+pair.  It hosts everything that mutates a pipeline mid-run —
+fault-and-drift bookkeeping, recalibration downtime, fault-aware
+repartitioning, admission control and elastic reallocation — and the
+kernel's reference mode and the single-pipeline
+:class:`~repro.core.faults.DegradedServingSimulator` are each one lane
+of it.  The simulated clock is decoupled from wall time and every input
+is seeded, so a fixed seed yields bit-identical results on every run.
 
 :class:`BatchingPolicy`, :class:`BatchRecord`, and
 :func:`validate_arrival_trace` live here because every front door shares
-them; :mod:`repro.core.traffic` re-exports the full historical API.
+them.
 """
 
 from __future__ import annotations
@@ -47,18 +48,18 @@ import numpy as np
 __bit_identity__ = True
 __hot_path__ = ("BatchRecord", "BatchTable", "DispatchContext")
 
-KERNEL_MODES: tuple[str, ...] = ("auto", "vectorized", "reference")
+KERNEL_MODES: tuple[str, ...] = ("auto", "reference")
 """Execution modes accepted by :class:`EventLoopKernel`.
 
-``"reference"`` is the original per-event Python loop — one
-:func:`plan_dispatch` / :func:`execute_dispatch` call per batch.
-``"vectorized"`` plans whole batch boundaries and completion clocks as
-numpy array ops.  ``"auto"`` — the default — picks vectorized wherever
-a run has no mid-run feedback; front doors whose pipelines change
-mid-run (faults, elastic reallocation) resolve it to the reference
-loop and reject ``"vectorized"``.  The two modes are *bit-identical*:
-every float the vectorized path emits is produced by the same sequence
-of IEEE-754 operations the reference loop performs (see
+``"reference"`` runs the per-event lane loop of
+:mod:`repro.core.cluster` — one :func:`plan_dispatch` /
+:func:`execute_dispatch` call per batch — on a pristine lone lane.
+``"auto"`` — the default — plans whole batch boundaries and completion
+clocks as numpy array ops wherever a run has no mid-run feedback; front
+doors whose pipelines change mid-run (faults, elastic reallocation)
+resolve it to the lane loop.  The two modes are *bit-identical*: every
+float the array path emits is produced by the same sequence of
+IEEE-754 operations the lane loop performs (see
 ``docs/architecture.md``, "Vectorized kernel & reference mode").
 """
 
@@ -290,10 +291,13 @@ def validate_arrival_trace(arrival_s: np.ndarray) -> np.ndarray:
     a bad trace fails with the same message everywhere.  Zero-length
     traces are rejected up front with their own message: a serving run
     over no requests has no latencies, no batches, and no percentiles,
-    so every downstream metric would be undefined.
+    so every downstream metric would be undefined.  A NaN or infinite
+    arrival is rejected too: NaN slips past the sort check (every
+    comparison with it is false) and an infinite one yields infinite
+    completions.
 
     Raises:
-        ValueError: on an empty, non-1-D, or unsorted trace.
+        ValueError: on an empty, non-1-D, non-finite, or unsorted trace.
     """
     arrivals = np.asarray(arrival_s, dtype=float)
     if arrivals.size == 0:
@@ -305,6 +309,8 @@ def validate_arrival_trace(arrival_s: np.ndarray) -> np.ndarray:
             f"need a non-empty 1-D arrival trace, got shape "
             f"{arrivals.shape}"
         )
+    if not np.isfinite(arrivals).all():
+        raise ValueError("arrival times must be finite")
     if np.any(np.diff(arrivals) < 0.0):
         raise ValueError("arrival times must be sorted ascending")
     return arrivals
@@ -358,9 +364,12 @@ def plan_dispatch(
 class DispatchContext:
     """Mutable state of one serving pipeline inside the event loop.
 
-    The cluster lane loop mutates it mid-run — pushes a core's free
-    time forward (recalibration downtime), or swaps the service model
-    and the stage→core map (fault-aware repartitioning and elastic
+    Its one owner in the package is the cluster lane
+    (:class:`~repro.core.cluster._TenantLane`); it lives here, next to
+    :func:`plan_dispatch`, because the fault step annotates it.  The
+    lane loop mutates it mid-run — pushes a core's free time forward
+    (recalibration downtime), or swaps the service model and the
+    stage→core map (fault-aware repartitioning and elastic
     reallocation).
 
     Attributes:
@@ -420,6 +429,8 @@ def execute_dispatch(
     *physical* core behind each stage, so per-core accounting survives
     repartitions.  This is the exact arithmetic of the pre-kernel
     simulators — the bit-identity the facades and golden fixtures pin.
+    The cluster lane (:class:`~repro.core.cluster._TenantLane`) is its
+    one caller in the package.
     """
     model = ctx.model
     core_free = ctx.core_free
@@ -451,7 +462,7 @@ def execute_dispatch(
 
 # -- vectorized planning & execution --------------------------------------
 #
-# The vectorized mode replays the reference loop's float arithmetic as
+# The vectorized path replays the lane loop's float arithmetic as
 # array ops.  The one non-trivial piece is the max-plus recurrences
 # (pipeline hand-off and core-0 back-pressure): float addition is not
 # associative, so a closed-form `cumsum` would drift from the scalar
@@ -718,7 +729,7 @@ class KernelRun:
         dispatch_s: per-request batch-dispatch times.
         completion_s: per-request completion times.
         batches: the dispatched batches, in order — a plain tuple from
-            the reference loop, a :class:`BatchTable` from the
+            the reference lane loop, a :class:`BatchTable` from the
             vectorized path (same records either way).
         core_busy_s: per-physical-core total busy time.
         initial_num_cores: pipeline width at the start of the run.
@@ -835,9 +846,10 @@ class EventLoopKernel:
         model: the per-core service-time model
             (:class:`~repro.core.traffic.PipelineServiceModel`).
         policy: the batching policy.
-        mode: one of :data:`KERNEL_MODES`.  ``"auto"`` (the default) and
-            ``"vectorized"`` run the array-op path; ``"reference"`` runs
-            the per-event loop.  Both paths are bit-identical.
+        mode: one of :data:`KERNEL_MODES`.  ``"auto"`` (the default)
+            runs the array-op path; ``"reference"`` serves the trace as
+            a pristine lone lane of the per-event lane loop.  Both
+            paths are bit-identical.
 
     Raises:
         ValueError: on an unknown mode.
@@ -854,11 +866,22 @@ class EventLoopKernel:
         """Serve a trace of arrival times to completion.
 
         Raises:
-            ValueError: on an empty or unsorted trace.
+            ValueError: on an empty, non-finite or unsorted trace.
         """
         arrivals = validate_arrival_trace(arrival_s)
         if self.mode == "reference":
-            return self._run_reference(arrivals)
+            # The cluster module builds on this one, so it loads here.
+            from repro.core.cluster import serve_pipeline
+
+            ctx = serve_pipeline(self.model, self.policy, arrivals, None).ctx
+            return KernelRun(
+                arrival_s=arrivals,
+                dispatch_s=ctx.dispatch_s,
+                completion_s=ctx.completion_s,
+                batches=tuple(ctx.batches),
+                core_busy_s=tuple(ctx.core_busy),
+                initial_num_cores=self.model.num_cores,
+            )
         return self._run_vectorized(arrivals)
 
     def _run_vectorized(self, arrivals: np.ndarray) -> KernelRun:
@@ -879,24 +902,6 @@ class EventLoopKernel:
             batches=BatchTable(heads, sizes, disp, completion),
             core_busy_s=core_busy,
             initial_num_cores=model.num_cores,
-        )
-
-    def _run_reference(self, arrivals: np.ndarray) -> KernelRun:
-        """The original per-event loop, one plan/book pair per batch."""
-        ctx = DispatchContext(self.model, self.policy, arrivals)
-        num_requests = arrivals.size
-        while ctx.head < num_requests:
-            dispatch, size = plan_dispatch(
-                arrivals, ctx.head, ctx.policy, ctx.core_free[0]
-            )
-            execute_dispatch(ctx, dispatch, size)
-        return KernelRun(
-            arrival_s=arrivals,
-            dispatch_s=ctx.dispatch_s,
-            completion_s=ctx.completion_s,
-            batches=tuple(ctx.batches),
-            core_busy_s=tuple(ctx.core_busy),
-            initial_num_cores=self.model.num_cores,
         )
 
 

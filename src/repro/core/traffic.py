@@ -32,10 +32,8 @@ The event loop itself lives in :mod:`repro.core.simkernel` — the
 unified kernel whose dispatch arithmetic the fault engine
 (:mod:`repro.core.faults`) and the multi-tenant cluster runtime
 (:mod:`repro.core.cluster`) share.  :class:`ServingSimulator` is a
-facade over the kernel; this module
-re-exports the kernel's front-door types (:class:`BatchingPolicy`,
-:class:`BatchRecord`, :func:`plan_dispatch`,
-:func:`validate_arrival_trace`) so the historical API is unchanged.
+facade over the kernel; this module re-exports the kernel's
+:class:`BatchingPolicy`, which every serving front door takes.
 
 The simulated clock is decoupled from wall time and every input is
 seeded, so a fixed seed yields bit-identical percentile latencies on
@@ -61,13 +59,10 @@ from repro.core.multicore import (
 )
 from repro.core.serving import run_network_pipelined
 from repro.core.simkernel import (
-    KERNEL_MODES,
     BatchingPolicy,
     BatchRecord,
     BatchTable,
     EventLoopKernel,
-    plan_dispatch,
-    validate_arrival_trace,
     validate_kernel_mode,
 )
 from repro.nn.network import Network
@@ -361,8 +356,8 @@ class ServingSimulator:
         mode: kernel execution mode, one of
             :data:`~repro.core.simkernel.KERNEL_MODES`.  The default
             ``"auto"`` resolves to the vectorized hot path;
-            ``"reference"`` forces the per-event loop.  Both are
-            bit-identical.
+            ``"reference"`` serves the trace as a pristine lone lane of
+            the per-event lane loop.  Both are bit-identical.
     """
 
     def __init__(
@@ -385,7 +380,7 @@ class ServingSimulator:
             The :class:`ServingReport` with per-request records.
 
         Raises:
-            ValueError: on an empty or unsorted trace.
+            ValueError: on an empty, non-finite or unsorted trace.
         """
         run = EventLoopKernel(
             self.model, self.policy, mode=self.mode
@@ -512,22 +507,15 @@ def replay_batches(
     return outputs
 
 
-# The serving surface plus the kernel re-exports that predate
-# core/simkernel.py; API001 checks each re-export against the source
-# module's own __all__, so this list cannot drift from simkernel's.
+# The serving surface plus the kernel's BatchingPolicy; API001 checks
+# the re-export against simkernel's own __all__.
 __all__ = [
-    "KERNEL_MODES",
     "BatchingPolicy",
-    "BatchRecord",
-    "BatchTable",
-    "EventLoopKernel",
     "PipelineServiceModel",
     "ServingReport",
     "ServingSimulator",
-    "plan_dispatch",
     "replay_batches",
     "replay_on_engine",
     "simulate_serving",
-    "validate_arrival_trace",
     "validate_replay_inputs",
 ]

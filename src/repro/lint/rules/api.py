@@ -3,7 +3,7 @@
 API001 makes the manual ``__all__`` audits of PRs 5–6 mechanical: every
 ``__all__`` is a literal of names actually bound in the module, package
 ``__init__``s declare every public binding, and a re-exported name
-(``traffic.py`` re-exporting ``plan_dispatch`` from ``simkernel.py``)
+(``traffic.py`` re-exporting ``BatchingPolicy`` from ``simkernel.py``)
 is provably exported by its source module too.
 
 API002 enforces the repo's determinism-injection convention: a public

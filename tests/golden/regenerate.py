@@ -163,7 +163,7 @@ def compute_traffic_trace() -> dict[str, np.ndarray]:
         rate, TRAFFIC_REQUESTS, seed=TRAFFIC_ARRIVAL_SEED
     )
     policy = BatchingPolicy.dynamic(TRAFFIC_MAX_BATCH, TRAFFIC_MAX_WAIT_S)
-    report = ServingSimulator(model, policy, mode="vectorized").run(arrivals)
+    report = ServingSimulator(model, policy, mode="auto").run(arrivals)
     return {
         "arrivals_sha256": input_digest(arrivals),
         "dispatch_s": report.dispatch_s,
@@ -384,7 +384,7 @@ def compute_cluster_vectorized_trace() -> dict[str, np.ndarray]:
         CLUSTER_MIX, CLUSTER_RATE_RPS, CLUSTER_REQUESTS, seed=CLUSTER_ARRIVAL_SEED
     )
     report = simulate_cluster_serving(
-        tenants, arrival_s, CLUSTER_POOL_SIZE, mode="vectorized"
+        tenants, arrival_s, CLUSTER_POOL_SIZE, mode="auto"
     )
     assert report.num_shed > 0, "the golden scenario must actually shed"
     fixture: dict[str, np.ndarray] = {

@@ -672,7 +672,7 @@ class TestKernelModeEquivalence:
     def test_vectorized_bit_identical_to_reference(self, case):
         model, policy, arrivals = case
         ref = ServingSimulator(model, policy, mode="reference").run(arrivals)
-        vec = ServingSimulator(model, policy, mode="vectorized").run(arrivals)
+        vec = ServingSimulator(model, policy, mode="auto").run(arrivals)
         assert ref.dispatch_s.tobytes() == vec.dispatch_s.tobytes()
         assert ref.completion_s.tobytes() == vec.completion_s.tobytes()
         assert ref.core_busy_s == vec.core_busy_s
@@ -688,7 +688,7 @@ class TestKernelModeEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_vectorized_run_conserves_and_orders(self, case):
         model, policy, arrivals = case
-        report = ServingSimulator(model, policy, mode="vectorized").run(
+        report = ServingSimulator(model, policy, mode="auto").run(
             arrivals
         )
         n = arrivals.size
@@ -777,7 +777,7 @@ class TestClusterModeEquivalence:
             tenants, arrivals, pool, routing=routing, mode="reference"
         )
         vec = simulate_cluster_serving(
-            tenants, arrivals, pool, routing=routing, mode="vectorized"
+            tenants, arrivals, pool, routing=routing, mode="auto"
         )
         auto = simulate_cluster_serving(
             tenants, arrivals, pool, routing=routing

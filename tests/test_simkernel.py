@@ -16,8 +16,14 @@ from repro.core.faults import (
     DegradedServingSimulator,
     FaultSchedule,
     RecalibrationPolicy,
+    simulate_degraded_serving,
 )
-from repro.core.fleet import FleetAutoscaler, RegionSpec, uniform_rtt
+from repro.core.fleet import (
+    FleetAutoscaler,
+    RegionSpec,
+    simulate_fleet_serving,
+    uniform_rtt,
+)
 from repro.core.simkernel import (
     BatchingPolicy,
     DispatchContext,
@@ -34,6 +40,7 @@ from repro.workloads import (
     fault_scenario,
     lenet5_conv_specs,
     poisson_arrivals,
+    serving_network,
 )
 
 
@@ -43,11 +50,17 @@ def model(cores: int = 3) -> PipelineServiceModel:
 
 class TestReExports:
     def test_traffic_re_exports_the_kernel_front_door(self):
-        """The historical traffic API is the kernel's objects, not
-        copies — one definition, every simulator shares it."""
+        """traffic re-exports the kernel's BatchingPolicy itself, not a
+        copy, and none of the kernel internals it only uses."""
         assert traffic.BatchingPolicy is BatchingPolicy
-        assert traffic.plan_dispatch is plan_dispatch
-        assert traffic.validate_arrival_trace is validate_arrival_trace
+        assert not {
+            "KERNEL_MODES",
+            "BatchRecord",
+            "BatchTable",
+            "EventLoopKernel",
+            "plan_dispatch",
+            "validate_arrival_trace",
+        } & set(traffic.__all__)
 
 
 class TestBatchingPolicyCapped:
@@ -134,6 +147,65 @@ class TestValidateArrivalTrace:
             validate_arrival_trace(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="sorted"):
             validate_arrival_trace(np.array([2.0, 1.0]))
+
+
+# Every simulator front door that takes an arrival trace, by name.
+ARRIVAL_FRONT_DOORS = {
+    "kernel auto": lambda t: EventLoopKernel(
+        model(), BatchingPolicy.dynamic(4, 1e-4)
+    ).run(t),
+    "kernel reference": lambda t: EventLoopKernel(
+        model(), BatchingPolicy.dynamic(4, 1e-4), mode="reference"
+    ).run(t),
+    "serving simulator": lambda t: ServingSimulator(
+        model(), BatchingPolicy.dynamic(4, 1e-4)
+    ).run(t),
+    "cluster simulator": lambda t: ClusterSimulator(
+        [
+            ClusterTenant(
+                "t", tuple(lenet5_conv_specs()), BatchingPolicy.fifo()
+            )
+        ],
+        2,
+    ).run({"t": t}),
+    "degraded serving": lambda t: simulate_degraded_serving(
+        serving_network("lenet5"),
+        t,
+        BatchingPolicy.dynamic(4, 1e-4),
+        FaultSchedule.uniform_drift(1.0, 2),
+        2,
+    ),
+    "fleet serving": lambda t: simulate_fleet_serving(
+        [
+            ClusterTenant(
+                "t", tuple(lenet5_conv_specs()), BatchingPolicy.fifo()
+            )
+        ],
+        [RegionSpec("r", 2)],
+        {"r": {"t": t}},
+    ),
+}
+
+
+class TestNonFiniteArrivals:
+    """NaN passes the sort check (every comparison with it is false)
+    and an infinite arrival yields infinite completions, so every front
+    door rejects non-finite arrivals before either mode sees them."""
+
+    @pytest.mark.parametrize("door", sorted(ARRIVAL_FRONT_DOORS))
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            [0.0, np.nan, 1e-3],
+            [np.nan],
+            [0.0, 1e-3, np.inf],
+            [-np.inf, 0.0],
+        ],
+        ids=["nan-inside", "lone-nan", "inf", "minus-inf"],
+    )
+    def test_rejected_at_every_front_door(self, door, trace):
+        with pytest.raises(ValueError, match="finite"):
+            ARRIVAL_FRONT_DOORS[door](np.array(trace))
 
 
 class TestEventLoopKernel:

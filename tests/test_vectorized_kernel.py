@@ -2,7 +2,8 @@
 
 PR 6 rebuilds the fault-free serving hot path on array ops (batch
 planning, max-plus completion scans, cumulative busy accounting) while
-keeping the original per-event loop alive as ``mode="reference"``.  The
+keeping a per-event loop as ``mode="reference"``: a pristine lone
+lane of the cluster lane loop.  The
 contract is *bit-identity*, not tolerance: every dispatch, completion,
 batch record, busy total, and percentile must match the reference loop
 byte for byte, on every batching policy crossed with every arrival
@@ -26,12 +27,14 @@ from repro.core.cluster import (
     RoutingPolicy,
     simulate_cluster_serving,
 )
+from repro.core.adaptive import BurnRateAdmission
 from repro.core.faults import (
     DegradedServingSimulator,
     FaultEvent,
     FaultSchedule,
     RecalibrationPolicy,
 )
+from repro.core.fleet import FleetRuntime, RegionSpec
 from repro.core.simkernel import (
     KERNEL_MODES,
     BatchTable,
@@ -68,7 +71,7 @@ def lenet_model(num_cores: int = 3) -> PipelineServiceModel:
 
 def both_modes(model, policy, arrivals):
     ref = ServingSimulator(model, policy, mode="reference").run(arrivals)
-    vec = ServingSimulator(model, policy, mode="vectorized").run(arrivals)
+    vec = ServingSimulator(model, policy, mode="auto").run(arrivals)
     return ref, vec
 
 
@@ -132,7 +135,7 @@ class TestBitIdentityAcrossPoliciesAndArrivals:
 class TestDegenerateTraces:
     """Empty / single-request / all-tie traces, both modes."""
 
-    @pytest.mark.parametrize("mode", ["reference", "vectorized"])
+    @pytest.mark.parametrize("mode", ["reference", "auto"])
     def test_empty_trace_rejected_in_both_modes(self, mode):
         model = lenet_model()
         sim = ServingSimulator(model, BatchingPolicy.fifo(), mode=mode)
@@ -194,7 +197,7 @@ class TestTieOrderContract:
         # Two full tie batches in index order, then the straggler.
         assert heads.tolist() == [0, 4, 8]
         assert sizes.tolist() == [4, 4, 1]
-        run = EventLoopKernel(model, policy, mode="vectorized").run(trace)
+        run = EventLoopKernel(model, policy, mode="auto").run(trace)
         ref = EventLoopKernel(model, policy, mode="reference").run(trace)
         assert [b.first_request for b in run.batches] == [0, 4, 8]
         assert run.batches == ref.batches
@@ -220,7 +223,32 @@ class TestModeValidation:
             ServingSimulator(model, BatchingPolicy.fifo(), mode="turbo")
 
     def test_kernel_modes_tuple_is_the_contract(self):
-        assert KERNEL_MODES == ("auto", "vectorized", "reference")
+        assert KERNEL_MODES == ("auto", "reference")
+
+    @pytest.mark.parametrize(
+        "front_door",
+        ["kernel", "serving", "cluster", "fleet"],
+    )
+    def test_vectorized_is_an_unknown_mode(self, front_door):
+        """``"vectorized"`` folded into ``"auto"``: every front door
+        that takes a mode rejects it with the shared message."""
+        model = lenet_model()
+        policy = BatchingPolicy.fifo()
+        tenant = ClusterTenant("t", lenet5_conv_specs(), policy)
+        build = {
+            "kernel": lambda: EventLoopKernel(model, policy, mode="vectorized"),
+            "serving": lambda: ServingSimulator(
+                model, policy, mode="vectorized"
+            ),
+            "cluster": lambda: ClusterSimulator(
+                [tenant], pool_size=1, mode="vectorized"
+            ),
+            "fleet": lambda: FleetRuntime(
+                [tenant], [RegionSpec("r", 1)], mode="vectorized"
+            ),
+        }[front_door]
+        with pytest.raises(ValueError, match="unknown kernel mode 'vectorized'"):
+            build()
 
 
 class TestZeroMagnitudeFaultPin:
@@ -248,7 +276,7 @@ class TestZeroMagnitudeFaultPin:
         model = lenet_model()
         policy = BatchingPolicy.dynamic(8, 1e-3)
         arrivals = poisson_arrivals(2.0 * model.capacity_rps(8), 800, seed=17)
-        vec = ServingSimulator(model, policy, mode="vectorized").run(arrivals)
+        vec = ServingSimulator(model, policy, mode="auto").run(arrivals)
         zero = DegradedServingSimulator(
             model,
             policy,
@@ -281,7 +309,7 @@ class TestSingleTenantClusterPin:
             [tenant], arrivals, pool_size=3, mode="reference"
         )
         vec = simulate_cluster_serving(
-            [tenant], arrivals, pool_size=3, mode="vectorized"
+            [tenant], arrivals, pool_size=3, mode="auto"
         )
         auto = simulate_cluster_serving([tenant], arrivals, pool_size=3)
         for other in (vec, auto):
@@ -296,29 +324,6 @@ class TestSingleTenantClusterPin:
             assert r.shed_arrival_s.size == o.shed_arrival_s.size == 0
             assert other.reallocations == ref.reallocations == ()
             assert other.recalibrations == ref.recalibrations == ()
-
-    def test_vectorized_mode_demands_vectorizable_shape(self):
-        """Mid-loop feedback (elastic reallocation) rejects vectorized."""
-        tenants = [
-            self.make_tenant(),
-            ClusterTenant(
-                name="other",
-                specs=lenet5_conv_specs(),
-                policy=BatchingPolicy.fifo(),
-            ),
-        ]
-        arrivals = {
-            "solo": poisson_arrivals(1e4, 50, seed=1),
-            "other": poisson_arrivals(1e4, 50, seed=2),
-        }
-        sim = ClusterSimulator(
-            tenants,
-            pool_size=3,
-            elastic=ElasticReallocation(),
-            mode="vectorized",
-        )
-        with pytest.raises(ValueError, match="frozen-allocation"):
-            sim.run(arrivals)
 
     def test_elastic_single_tenant_stays_on_reference(self):
         """Elastic reallocation is feedback — auto must not vectorize."""
@@ -384,7 +389,7 @@ class TestMultiTenantClusterPin:
             arrivals,
             pool_size=len(tenants) + 1,
             routing=routing,
-            mode="vectorized",
+            mode="auto",
         )
         self.assert_cluster_identical(ref, vec)
 
@@ -415,7 +420,7 @@ class TestMultiTenantClusterPin:
             tenants, arrivals, pool_size=2, mode="reference"
         )
         vec = simulate_cluster_serving(
-            tenants, arrivals, pool_size=2, mode="vectorized"
+            tenants, arrivals, pool_size=2, mode="auto"
         )
         self.assert_cluster_identical(ref, vec)
         assert ref.tenant("greedy").num_shed > 0  # the cap actually bit
@@ -445,7 +450,7 @@ class TestMultiTenantClusterPin:
             tenants, arrivals, pool_size=2, mode="reference"
         )
         vec = simulate_cluster_serving(
-            tenants, arrivals, pool_size=2, mode="vectorized"
+            tenants, arrivals, pool_size=2, mode="auto"
         )
         self.assert_cluster_identical(ref, vec)
 
@@ -476,7 +481,7 @@ class TestMultiTenantClusterPin:
             )
         ]
         vec = simulate_cluster_serving(
-            tenants, {"hostile": trace}, pool_size=1, mode="vectorized"
+            tenants, {"hostile": trace}, pool_size=1, mode="auto"
         )
         assert calls  # the plan was rejected at least once
         monkeypatch.undo()
@@ -506,7 +511,7 @@ class TestMultiTenantClusterPin:
 
         monkeypatch.setattr(cluster_module, "plan_batches", counting)
         vec = simulate_cluster_serving(
-            tenants, {"tight": trace}, pool_size=2, mode="vectorized"
+            tenants, {"tight": trace}, pool_size=2, mode="auto"
         )
         monkeypatch.undo()
         assert len(calls) <= _ADMISSION_MAX_PASSES
@@ -515,6 +520,97 @@ class TestMultiTenantClusterPin:
         )
         self.assert_cluster_identical(ref, vec)
         assert ref.tenant("tight").num_shed == 2000
+
+
+def _frozen_shapes():
+    """``(tenants, arrivals, pool)`` of the frozen-allocation runs the
+    cluster pins above take on the fast path."""
+    specs = lenet5_conv_specs()
+    rng = np.random.default_rng(77)
+    tied = np.sort(rng.choice(np.cumsum(rng.exponential(2e-5, 120)), 400))
+    yield (
+        [ClusterTenant("solo", specs, BatchingPolicy.dynamic(4, 1e-4))],
+        {"solo": poisson_arrivals(3e4, 500, seed=23)},
+        3,
+    )
+    for name in CLUSTER_MIXES:
+        tenants, arrivals = cluster_mix(name, 4e4, 300, seed=5)
+        yield tenants, arrivals, len(tenants) + 1
+    yield (
+        [
+            ClusterTenant(
+                "tied", specs, BatchingPolicy.dynamic(4, 2e-4), queue_cap=3
+            ),
+            ClusterTenant("steady", specs, BatchingPolicy.fifo()),
+        ],
+        {"tied": tied, "steady": poisson_arrivals(3e4, 200, seed=78)},
+        2,
+    )
+
+
+class TestAutoModeRouting:
+    """``"auto"`` is the only fast-path switch left, so a spy proves
+    which path each cluster shape takes: lane decomposition on frozen
+    allocations, the lane event loop wherever state feeds back mid-run."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = {"vectorized": 0, "lanes": 0}
+        vectorized = ClusterSimulator._run_vectorized
+        serve_lanes = cluster_module._serve_lanes
+
+        def count_vectorized(self, arrival_s):
+            calls["vectorized"] += 1
+            return vectorized(self, arrival_s)
+
+        def count_lanes(*args, **kwargs):
+            calls["lanes"] += 1
+            return serve_lanes(*args, **kwargs)
+
+        monkeypatch.setattr(
+            ClusterSimulator, "_run_vectorized", count_vectorized
+        )
+        monkeypatch.setattr(cluster_module, "_serve_lanes", count_lanes)
+        return calls
+
+    def test_frozen_shapes_take_lane_decomposition(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        runs = 0
+        for tenants, arrivals, pool in _frozen_shapes():
+            for routing in (RoutingPolicy.weighted_fair(), RoutingPolicy.priority()):
+                simulate_cluster_serving(
+                    tenants, arrivals, pool, routing=routing
+                )
+                runs += 1
+                assert calls["vectorized"] == runs
+        assert calls["lanes"] == 0
+        # A disabled burn-rate controller is a static cap: still frozen
+        # (its lane may still fall back to the exact scalar loop).
+        tenants, arrivals, pool = next(_frozen_shapes())
+        simulate_cluster_serving(
+            tenants,
+            arrivals,
+            pool,
+            admission={"solo": BurnRateAdmission.disabled(queue_cap=4)},
+        )
+        assert calls["vectorized"] == runs + 1
+
+    @pytest.mark.parametrize("feedback", ["faulted", "elastic", "burn"])
+    def test_feedback_shapes_take_the_lane_loop(self, monkeypatch, feedback):
+        tenants, arrivals, pool = next(_frozen_shapes())
+        horizon = float(arrivals["solo"][-1])
+        options = {
+            "faulted": {"schedule": FaultSchedule.uniform_drift(
+                1.0 / horizon, pool
+            )},
+            "elastic": {"elastic": ElasticReallocation()},
+            "burn": {"admission": {
+                "solo": BurnRateAdmission(slo_latency_s=1e-4, queue_cap=4)
+            }},
+        }[feedback]
+        calls = self.spy(monkeypatch)
+        simulate_cluster_serving(tenants, arrivals, pool, **options)
+        assert calls == {"vectorized": 0, "lanes": 1}
 
 
 class TestReplayFidelity:
@@ -528,7 +624,7 @@ class TestReplayFidelity:
         )
         report_vec = simulate_serving(
             network, poisson_arrivals(2e4, 40, seed=3), BatchingPolicy.fixed(4),
-            num_cores=2, mode="vectorized",
+            num_cores=2, mode="auto",
         )
         rng = np.random.default_rng(0)
         inputs = rng.normal(size=(40, 1, 32, 32))
@@ -546,7 +642,7 @@ class TestBatchTable:
         model = lenet_model()
         arrivals = poisson_arrivals(3e4, 100, seed=31)
         run = EventLoopKernel(
-            model, BatchingPolicy.dynamic(4, 1e-4), mode="vectorized"
+            model, BatchingPolicy.dynamic(4, 1e-4), mode="auto"
         ).run(arrivals)
         return run.batches
 
