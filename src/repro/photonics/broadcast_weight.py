@@ -249,7 +249,7 @@ class BroadcastAndWeightLayer:
         Returns:
             Array of shape ``(num_outputs,)`` estimating ``W @ inputs``.
         """
-        powers = self.lasers.emit()
+        powers = self.lasers.emit(self.detectors[0].spec.bandwidth_hz)
         powers = powers * self.modulator.encode(inputs)
         branches = self.splitter.split(powers)
         scale = self.calibration_scale
@@ -289,7 +289,9 @@ class BroadcastAndWeightLayer:
                 f"{np.asarray(inputs).shape}"
             )
         num_waves = batch.shape[0]
-        powers = self.lasers.emit(batch_size=num_waves)
+        powers = self.lasers.emit(
+            self.detectors[0].spec.bandwidth_hz, batch_size=num_waves
+        )
         powers = powers * self.modulator.encode(batch)
         # The splitter delivers the same attenuated copy to every bank.
         branch = powers * self.splitter.per_output_transmission

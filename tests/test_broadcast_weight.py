@@ -11,6 +11,7 @@ from repro.photonics.broadcast_weight import (
     PhotonicMacUnit,
 )
 from repro.photonics.noise import NoiseConfig, realistic
+from repro.photonics.photodiode import PhotodiodeSpec
 from repro.photonics.wdm import WdmGrid
 
 
@@ -125,3 +126,41 @@ class TestBroadcastAndWeightLayer:
         exact = W @ x
         # Crosstalk at Q=8000 / 100 GHz dominates; errors stay bounded.
         assert np.max(np.abs(result - exact)) < 2.0
+
+
+class TestRinBandwidth:
+    """RIN integrates over the detectors' bandwidth in every device."""
+
+    @staticmethod
+    def _rin_only():
+        return NoiseConfig(
+            enabled=True,
+            shot_noise=False,
+            thermal_noise=False,
+            relative_intensity_noise_db_per_hz=-130.0,
+            seed=4,
+        )
+
+    def test_layer_and_mac_unit_draw_rin_with_the_same_sigma(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.2, 1.0, (6, 8))
+        w = rng.uniform(0.2, 1.0, 8)
+        exact = x @ w
+        # A non-default bandwidth: RIN's sigma scales with its square root.
+        spec = PhotodiodeSpec(bandwidth_hz=25e9)
+        unit = PhotonicMacUnit(8, photodiode_spec=spec, noise=self._rin_only())
+        unit.set_weights(w)
+        layer = BroadcastAndWeightLayer(
+            8, 1, photodiode_spec=spec, noise=self._rin_only()
+        )
+        layer.set_weight_matrix(w[None])
+        # The same seed draws the same unit normals, so the relative
+        # errors match only if both scale them by the same sigma.
+        unit_err = unit.compute_batch(x) / exact - 1.0
+        layer_err = layer.compute_batch(x)[:, 0] / exact - 1.0
+        assert np.all(unit_err != 0.0)
+        assert np.allclose(layer_err, unit_err, rtol=1e-9, atol=0.0)
+        unit_err = unit.compute(x[0]) / exact[0] - 1.0
+        layer_err = layer.compute(x[0])[0] / exact[0] - 1.0
+        assert unit_err != 0.0
+        assert layer_err == pytest.approx(unit_err, rel=1e-9)
