@@ -13,11 +13,12 @@ photonic substrate, exactly as the architecture does (paper section IV):
 
 Two device execution engines implement step 2:
 
-* ``mode="vectorized"`` (the default) — the whole im2col matrix, i.e.
-  every kernel location of every image in the (optional) batch, is
-  pushed through the substrate as one ``(waves, channels)`` stack via
+* ``mode="vectorized"`` (the default) — every kernel location of every
+  image in the (optional) batch is gathered and encoded image by image
+  into one ``(waves, channels)`` stack, which
   :meth:`~repro.photonics.broadcast_weight.BroadcastAndWeightLayer.compute_batch`
-  — a handful of array operations per weight bank;
+  streams through the substrate in cache-sized blocks — a handful of
+  array operations per weight bank and block;
 * ``mode="reference"`` — the original wave-by-wave Python loop, retained
   as the transparently-correct reference.  In ideal mode the two are
   bit-equal (asserted by ``tests/test_batched_engine.py``).
@@ -134,8 +135,8 @@ class PhotonicConvolution:
             configuration is ideal and quantization is disabled.
         quantize: apply DAC/ADC quantization to inputs/outputs.
         mode: device-simulation execution engine — ``"vectorized"`` (the
-            default) pushes the whole im2col wave stack through the
-            substrate in batched array operations; ``"reference"`` runs
+            default) streams the im2col wave stack through the substrate
+            in blocked array operations; ``"reference"`` runs
             the retained wave-by-wave loop.  Ignored by the ``"matrix"``
             closed form.
     """
@@ -208,14 +209,12 @@ class PhotonicConvolution:
                 f"{feature_map.shape}"
             )
 
-        num_kernels = kernels.shape[0]
-        kernel_size = kernels.shape[2]
         batch_size = stack.shape[0]
-        height = stack.shape[2]
-        width = stack.shape[3]
-
-        out_h = conv_output_side(height, kernel_size, padding, stride)
-        out_w = conv_output_side(width, kernel_size, padding, stride)
+        if batch_size == 0:
+            raise ValueError("batch must contain at least one image")
+        num_kernels, _, kernel_size, _ = kernels.shape
+        out_h = conv_output_side(stack.shape[2], kernel_size, padding, stride)
+        out_w = conv_output_side(stack.shape[3], kernel_size, padding, stride)
         num_locations = out_h * out_w
 
         # Zero padding injects literal zeros into receptive fields, so the
@@ -224,20 +223,25 @@ class PhotonicConvolution:
         # input encoding range is *per image*: an image's normalization,
         # DAC/ADC quantization, and TIA gain must not depend on which
         # other images share its minibatch.
-        columns = im2col_batch_stacked(stack, kernel_size, stride, padding)
         scaling, weight_matrix = _compute_scaling(
             stack, kernels, include_zero=padding > 0
         )
-        # In-place on the freshly-gathered columns: the encode chain is
-        # memory-bandwidth-bound at batch scale, so avoid temporaries.
-        normalized = np.subtract(
-            columns, scaling.input_offset[:, None, None], out=columns
-        )
-        np.divide(normalized, scaling.input_scale[:, None, None], out=normalized)
-        np.clip(normalized, 0.0, 1.0, out=normalized)
 
-        if self.quantize:
-            normalized = self.config.input_dac.quantize(normalized)
+        def encoded_columns(index: int) -> np.ndarray:
+            """Image ``index``'s gathered, encoded ``(F, L)`` columns.
+
+            One image at a time, so the gather and the in-place encode
+            chain stream over one image's columns, not the batch's.
+            """
+            columns = im2col_batch_stacked(
+                stack[index : index + 1], kernel_size, stride, padding
+            )[0]
+            np.subtract(columns, scaling.input_offset[index], out=columns)
+            np.divide(columns, scaling.input_scale[index], out=columns)
+            np.clip(columns, 0.0, 1.0, out=columns)
+            if self.quantize:
+                columns = self.config.input_dac.quantize(columns)
+            return columns
 
         if self._resolved_method() == "matrix":
             # One 2-D GEMM per image — the same (K, F) @ (F, L) call a
@@ -245,17 +249,16 @@ class PhotonicConvolution:
             # bit-identical to running the images one by one.  A
             # broadcast batched matmul is not: NumPy may round the
             # stacked product differently depending on the batch size.
-            raw = np.empty(
-                (batch_size, num_kernels, num_locations)
-            )
+            raw = np.empty((batch_size, num_kernels, num_locations))
             for index in range(batch_size):
-                np.matmul(weight_matrix, normalized[index], out=raw[index])
+                np.matmul(weight_matrix, encoded_columns(index), out=raw[index])
         else:
             # Wave-major stack: wave b * L + l is image b's location l,
             # matching the image-major column order of im2col_batch.
-            waves = np.ascontiguousarray(
-                normalized.transpose(0, 2, 1)
-            ).reshape(batch_size * num_locations, -1)
+            waves = np.empty((batch_size * num_locations, weight_matrix.shape[1]))
+            for index in range(batch_size):
+                rows = slice(index * num_locations, (index + 1) * num_locations)
+                waves[rows] = encoded_columns(index).T
             if self.mode == "reference":
                 currents = self._device_matvec(waves, weight_matrix)
             else:

@@ -13,6 +13,8 @@ kernels are ``(num_kernels, channels, kh, kw)``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.nn.shapes import conv_output_side
@@ -39,6 +41,41 @@ def pad_feature_map(feature_map: np.ndarray, padding: int) -> np.ndarray:
     )
 
 
+def _field_and_origins(
+    height: int,
+    width: int,
+    channels: int,
+    kernel_size: int,
+    stride: int,
+    padding: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two separable parts of the receptive-field index map.
+
+    Returns:
+        ``(within_field, location_origins)``: the flat offsets of one
+        field's elements in (channel, row, col) order, and the flat
+        origin of every kernel location (row-major).  Element ``f`` of
+        field ``i`` sits at ``location_origins[i] + within_field[f]``.
+    """
+    out_h = conv_output_side(height, kernel_size, padding, stride)
+    out_w = conv_output_side(width, kernel_size, padding, stride)
+    padded_h = height + 2 * padding
+    padded_w = width + 2 * padding
+
+    # Flat index of (c, y, x) in the padded tensor is c*ph*pw + y*pw + x.
+    channel_offsets = np.arange(channels) * (padded_h * padded_w)
+    ky, kx = np.meshgrid(
+        np.arange(kernel_size), np.arange(kernel_size), indexing="ij"
+    )
+    within_field = (
+        channel_offsets[:, None, None] + ky[None] * padded_w + kx[None]
+    ).reshape(-1)
+
+    oy, ox = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
+    location_origins = (oy * stride * padded_w + ox * stride).reshape(-1)
+    return within_field, location_origins
+
+
 def receptive_field_indices(
     height: int,
     width: int,
@@ -59,24 +96,35 @@ def receptive_field_indices(
     functional simulation, and the scheduler, guaranteeing all three agree
     on what "receptive field i" means.
     """
-    out_h = conv_output_side(height, kernel_size, padding, stride)
-    out_w = conv_output_side(width, kernel_size, padding, stride)
-    padded_h = height + 2 * padding
-    padded_w = width + 2 * padding
-
-    # Flat index of (c, y, x) in the padded tensor is c*ph*pw + y*pw + x.
-    channel_offsets = np.arange(channels) * (padded_h * padded_w)
-    ky, kx = np.meshgrid(
-        np.arange(kernel_size), np.arange(kernel_size), indexing="ij"
+    within_field, location_origins = _field_and_origins(
+        height, width, channels, kernel_size, stride, padding
     )
-    within_field = (
-        channel_offsets[:, None, None] + ky[None] * padded_w + kx[None]
-    ).reshape(-1)
-
-    oy, ox = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
-    location_origins = (oy * stride * padded_w + ox * stride).reshape(-1)
-
     return location_origins[:, None] + within_field[None, :]
+
+
+@lru_cache(maxsize=16)
+def _column_indices(
+    height: int,
+    width: int,
+    channels: int,
+    kernel_size: int,
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """The field-major ``(C * k * k, num_locations)`` form of the map.
+
+    Entry ``[f, i]`` equals ``receptive_field_indices(...)[i, f]``, but
+    the array is built C-contiguous in this orientation, so ``np.take``
+    over it writes the columns in their final layout in one pass.  It is
+    memoized per geometry (a streaming engine gathers image by image)
+    and therefore read-only.
+    """
+    within_field, location_origins = _field_and_origins(
+        height, width, channels, kernel_size, stride, padding
+    )
+    indices = within_field[:, None] + location_origins[None, :]
+    indices.flags.writeable = False
+    return indices
 
 
 def im2col(
@@ -91,27 +139,22 @@ def im2col(
         padding: zero padding ``p``.
 
     Returns:
-        Array of shape ``(C * m * m, num_locations)`` whose column ``i``
-        is receptive field ``i``.
+        C-contiguous array of shape ``(C * m * m, num_locations)`` whose
+        column ``i`` is receptive field ``i``.
     """
     if feature_map.ndim != 3:
         raise ValueError(
             f"expected (channels, height, width), got shape {feature_map.shape}"
         )
     channels, height, width = feature_map.shape
-    if height != width:
-        # The paper assumes square maps; the index math below supports
-        # rectangles, so we do too.
-        pass
     padded = pad_feature_map(feature_map, padding)
-    indices = receptive_field_indices(
+    indices = _column_indices(
         height, width, channels, kernel_size, stride, padding
     )
-    # Downstream GEMMs are layout-sensitive at the last bit, so the
-    # batched engines rely on every image getting the same C-contiguous
-    # layout here (fancy indexing alone would inherit the index array's
-    # memory order).
-    return np.ascontiguousarray(padded.reshape(-1)[indices.T])
+    # ``np.take`` returns an array of the index map's shape, C-contiguous:
+    # downstream GEMMs are layout-sensitive at the last bit, so every
+    # gather must hand them this same layout.
+    return np.take(padded.reshape(-1), indices)
 
 
 def im2col_batch_stacked(
@@ -148,17 +191,12 @@ def im2col_batch_stacked(
             ((0, 0), (0, 0), (padding, padding), (padding, padding)),
             mode="constant",
         )
-    indices = receptive_field_indices(
+    indices = _column_indices(
         height, width, channels, kernel_size, stride, padding
     )
-    # Force C-contiguity: mixing the batch slice with the fancy index
-    # leaves the batch axis *innermost* in memory (the gather iterates
-    # the index subspace outermost), so without the copy every image
-    # slice would be strided — a different layout than im2col produces,
-    # and downstream GEMMs are layout-sensitive at the last bit.
-    return np.ascontiguousarray(
-        maps.reshape(batch_size, -1)[:, indices.T]
-    )
+    # Taking along axis 1 keeps the batch axis outermost, so the result
+    # is C-contiguous and each image slice has im2col's layout.
+    return np.take(maps.reshape(batch_size, -1), indices, axis=1)
 
 
 def im2col_batch(

@@ -37,6 +37,11 @@ from repro.photonics.photodiode import BalancedPhotodetector, PhotodiodeSpec
 from repro.photonics.waveguide import Splitter, Waveguide
 from repro.photonics.wdm import WdmGrid
 
+BLOCK_BYTES = 1 << 20
+"""Size of one ``(waves, channels)`` float64 block of an ideal
+:meth:`BroadcastAndWeightLayer.compute_batch` stream: about 1 MiB, so a
+block and its per-bank temporaries stay in cache."""
+
 
 class PhotonicMacUnit:
     """One weight bank + balanced detector: a signed dot product in light.
@@ -267,9 +272,17 @@ class BroadcastAndWeightLayer:
         This is the vectorized engine behind batched photonic
         convolution: every row of ``inputs`` is one receptive field (from
         any kernel location of any image in a minibatch), and each weight
-        bank processes the entire stack with a few array operations —
+        bank processes the stack with a few array operations —
         elementwise weighting plus one summation per wave — instead of a
         Python loop per wave.
+
+        An ideal layer streams the stack in blocks of about
+        :data:`BLOCK_BYTES` (emit, encode, split, then every bank's
+        weight and detect), so its temporaries stay cache-sized; each
+        wave's arithmetic does not depend on its block.  A noisy layer
+        takes the whole stack as one block: its generator draws RIN for
+        every wave, then each bank's detector noise, and that draw order
+        is what makes a seeded call reproducible.
 
         Args:
             inputs: normalized receptive fields of shape
@@ -280,7 +293,8 @@ class BroadcastAndWeightLayer:
             ``inputs @ W.T``.
 
         Raises:
-            ValueError: if the trailing axis mismatches the layer.
+            ValueError: if the trailing axis mismatches the layer or the
+                stack holds no wave.
         """
         batch = np.ascontiguousarray(np.atleast_2d(np.asarray(inputs, dtype=float)))
         if batch.ndim != 2 or batch.shape[-1] != self.num_inputs:
@@ -289,19 +303,28 @@ class BroadcastAndWeightLayer:
                 f"{np.asarray(inputs).shape}"
             )
         num_waves = batch.shape[0]
-        powers = self.lasers.emit(
-            self.detectors[0].spec.bandwidth_hz, batch_size=num_waves
-        )
-        powers = powers * self.modulator.encode(batch)
-        # The splitter delivers the same attenuated copy to every bank.
-        branch = powers * self.splitter.per_output_transmission
+        if num_waves == 0:
+            raise ValueError("compute_batch needs at least one wave")
+        if self.noise.enabled:
+            block = num_waves
+        else:
+            block = max(1, BLOCK_BYTES // batch[0].nbytes)
+        bandwidth_hz = self.detectors[0].spec.bandwidth_hz
         scale = self.calibration_scale
         outputs = np.empty((num_waves, self.num_outputs), dtype=float)
-        for index, (bank, detector) in enumerate(
-            zip(self.banks, self.detectors)
-        ):
-            drop, through = bank.apply(branch)
-            outputs[:, index] = detector.detect(drop, through) / scale
+        for start in range(0, num_waves, block):
+            rows = batch[start : start + block]
+            powers = self.lasers.emit(bandwidth_hz, batch_size=rows.shape[0])
+            powers *= self.modulator.encode(rows)
+            # The splitter delivers the same attenuated copy to every bank.
+            powers *= self.splitter.per_output_transmission
+            for index, (bank, detector) in enumerate(
+                zip(self.banks, self.detectors)
+            ):
+                drop, through = bank.apply(powers)
+                outputs[start : start + block, index] = (
+                    detector.detect(drop, through) / scale
+                )
         return outputs
 
     def matvec(self, inputs: np.ndarray, matrix: np.ndarray) -> np.ndarray:

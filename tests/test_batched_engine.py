@@ -9,18 +9,25 @@ The contract under test (see ``docs/architecture.md``):
   error scale against the ideal result, seeded reproducibility;
 * the batched entry points (``conv2d_batch``, batched ``convolve``,
   batched ``run_network``, ``compute_batch``) agree with their
-  per-image / per-wave counterparts.
+  per-image / per-wave counterparts;
+* the streaming engine (per-image gather and encode, blocked device
+  core) is byte-identical to a whole-batch twin, and its memory stays
+  bounded by one image's columns rather than the batch's.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.core.accelerator import PCNNA, PhotonicConvolution
+from repro.core.accelerator import PCNNA, PhotonicConvolution, _compute_scaling
 from repro.core.batching import network_batch_timing_simulated
 from repro.core.config import PCNNAConfig
 from repro.core.timing import simulate_layer, simulate_layer_batch
 from repro.nn import build_lenet5, functional as F
-from repro.photonics.broadcast_weight import BroadcastAndWeightLayer
+from repro.nn.im2col import receptive_field_indices
+from repro.nn.shapes import conv_output_side
+from repro.photonics.broadcast_weight import BLOCK_BYTES, BroadcastAndWeightLayer
 from repro.photonics.noise import NoiseConfig, realistic
 from repro.workloads import alexnet_layer
 
@@ -115,6 +122,21 @@ class TestBatchedShapes:
                 np.zeros((0, 2, 6, 6)), np.zeros((3, 2, 3, 3))
             )
 
+    @pytest.mark.parametrize(
+        ("method", "mode"),
+        [("matrix", "vectorized"), ("device", "vectorized"), ("device", "reference")],
+    )
+    def test_rejects_empty_batch_on_every_path(self, method, mode):
+        engine = PhotonicConvolution(method=method, mode=mode)
+        with pytest.raises(ValueError, match="at least one image"):
+            engine.convolve(np.zeros((0, 2, 6, 6)), np.zeros((3, 2, 3, 3)))
+
+    def test_compute_batch_rejects_zero_waves(self):
+        layer = BroadcastAndWeightLayer(5, 3)
+        layer.set_weight_matrix(np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="at least one wave"):
+            layer.compute_batch(np.zeros((0, 5)))
+
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ValueError):
             PhotonicConvolution().convolve(
@@ -186,6 +208,126 @@ class TestNoisyConsistency:
             )
             out = PhotonicConvolution(config, method="device", mode=mode)
             assert not np.allclose(out.convolve(x, k), ideal, atol=1e-12)
+
+
+def _whole_batch_twin(engine, x, k, stride, padding):
+    """The engine as it ran before streaming: one gather of the whole
+    batch (fancy index, then a C-contiguous copy), one encode over it,
+    and the device core on the whole wave stack at once."""
+    batch, channels, height, width = x.shape
+    num_kernels, _, size, _ = k.shape
+    out_h = conv_output_side(height, size, padding, stride)
+    out_w = conv_output_side(width, size, padding, stride)
+    padded = np.pad(
+        x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    )
+    indices = receptive_field_indices(
+        height, width, channels, size, stride, padding
+    )
+    columns = np.ascontiguousarray(padded.reshape(batch, -1)[:, indices.T])
+    scaling, weights = _compute_scaling(x, k, include_zero=padding > 0)
+    normalized = (columns - scaling.input_offset[:, None, None]) / (
+        scaling.input_scale[:, None, None]
+    )
+    np.clip(normalized, 0.0, 1.0, out=normalized)
+    if engine.quantize:
+        normalized = engine.config.input_dac.quantize(normalized)
+    if engine._resolved_method() == "matrix":
+        raw = np.stack([weights @ image for image in normalized])
+    else:
+        waves = np.ascontiguousarray(normalized.transpose(0, 2, 1)).reshape(
+            -1, weights.shape[1]
+        )
+        layer = engine._build_layer(weights)
+        powers = layer.lasers.emit(
+            layer.detectors[0].spec.bandwidth_hz, batch_size=waves.shape[0]
+        )
+        powers = powers * layer.modulator.encode(waves)
+        branch = powers * layer.splitter.per_output_transmission
+        currents = np.empty((waves.shape[0], num_kernels))
+        for index, (bank, detector) in enumerate(
+            zip(layer.banks, layer.detectors)
+        ):
+            drop, through = bank.apply(branch)
+            currents[:, index] = (
+                detector.detect(drop, through) / layer.calibration_scale
+            )
+        raw = currents.reshape(batch, out_h * out_w, num_kernels).transpose(
+            0, 2, 1
+        )
+    if engine.quantize:
+        gain = np.maximum(np.abs(raw).max(axis=(1, 2)), 1e-30)[:, None, None]
+        raw = engine.config.adc.quantize(raw / gain) * gain
+    return scaling.decode(raw).reshape(batch, num_kernels, out_h, out_w)
+
+
+class TestStreamingPin:
+    """Per-image gather/encode and the blocked core change no byte."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 17])
+    @pytest.mark.parametrize(
+        ("method", "quantize", "noisy"),
+        [
+            ("matrix", False, False),
+            ("device", False, False),
+            ("device", True, False),
+            ("device", False, True),
+            ("device", True, True),
+        ],
+    )
+    def test_streaming_equals_whole_batch_twin(
+        self, batch, method, quantize, noisy
+    ):
+        rng = np.random.default_rng(batch)
+        # 75 channels make a block of BLOCK_BYTES // 600 = 1747 waves, so
+        # a batch of 17 (4352 waves) streams through three blocks.
+        x = rng.normal(size=(batch, 3, 16, 16))
+        k = rng.normal(size=(4, 3, 5, 5))
+        noise = realistic(seed=21) if noisy else NoiseConfig()
+        engine = PhotonicConvolution(
+            PCNNAConfig(noise=noise), method=method, quantize=quantize
+        )
+        assert engine._resolved_method() == method
+        out = engine.convolve(x, k, 1, 2)
+        assert np.array_equal(out, _whole_batch_twin(engine, x, k, 1, 2))
+        if batch == 17 and not noisy:
+            assert out.shape[0] * out[0, 0].size > BLOCK_BYTES // (8 * 75)
+
+
+class TestBoundedMemory:
+    """A conv1-shaped ``convolve`` holds one image's columns at a time.
+
+    ``tracemalloc`` sees numpy's buffers, so these peaks are exact byte
+    counts of what one call allocates, independent of the host.
+    """
+
+    SHAPE, KERNELS, STRIDE, PADDING = (3, 224, 224), (4, 3, 7, 7), 2, 3
+
+    def _peak_and_sizes(self, method, batch):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(batch, *self.SHAPE))
+        k = rng.normal(size=self.KERNELS)
+        engine = PhotonicConvolution(method=method)
+        engine.convolve(x[:1], k, self.STRIDE, self.PADDING)
+        tracemalloc.start()
+        try:
+            out = engine.convolve(x, k, self.STRIDE, self.PADDING)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One image's gathered columns: (C * 7 * 7, 112 * 112) float64.
+        columns = k[0].size * out[0, 0].size * 8
+        return peak, columns, out.nbytes
+
+    def test_matrix_path_peak_is_one_image_of_columns(self):
+        peak, columns, output = self._peak_and_sizes("matrix", 16)
+        assert peak <= 2 * columns + 3 * output
+
+    def test_device_path_peak_is_the_wave_stack_plus_one_image(self):
+        # The device core consumes the (B * L, F) wave stack: B images'
+        # columns, plus one image being encoded into it.
+        peak, columns, output = self._peak_and_sizes("device", 4)
+        assert peak <= (4 + 2) * columns + 3 * output
 
 
 class TestBatchedFunctional:

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.im2col import (
+    _column_indices,
     col2im_accumulate,
     im2col,
+    im2col_batch,
+    im2col_batch_stacked,
     pad_feature_map,
     receptive_field_indices,
 )
@@ -137,3 +140,29 @@ class TestCol2Im:
         recovered = col2im_accumulate(columns, (1, 4, 4), 3, 3, 1)
         assert recovered.shape == (1, 4, 4)
         assert np.allclose(recovered, x)
+
+
+class TestSingleCopyGather:
+    def test_every_gather_has_the_fancy_index_values_in_c_order(self):
+        rng = np.random.default_rng(3)
+        maps = rng.normal(size=(3, 2, 7, 6))
+        indices = receptive_field_indices(7, 6, 2, 3, 2, 1)
+        stacked = im2col_batch_stacked(maps, 3, 2, 1)
+        assert stacked.flags.c_contiguous
+        for index, image in enumerate(maps):
+            single = im2col(image, 3, 2, 1)
+            assert single.flags.c_contiguous
+            assert np.array_equal(
+                single, pad_feature_map(image, 1).reshape(-1)[indices.T]
+            )
+            assert single.tobytes() == stacked[index].tobytes()
+        assert np.array_equal(
+            im2col_batch(maps, 3, 2, 1), np.concatenate(list(stacked), axis=1)
+        )
+
+    def test_memoized_index_map_is_read_only(self):
+        im2col(np.zeros((1, 4, 4)), 2, 1, 0)
+        indices = _column_indices(4, 4, 1, 2, 1, 0)
+        assert np.array_equal(indices, receptive_field_indices(4, 4, 1, 2, 1, 0).T)
+        with pytest.raises(ValueError):
+            indices[0, 0] = 1

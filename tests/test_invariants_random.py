@@ -52,6 +52,13 @@ conserve every tenant's offered load, never leak requests across
 tenants, keep latencies finite and causal, reproduce byte-identically
 under identical inputs, and log a deterministic decision stream.
 
+The streaming engine (per-image gather and encode, a device core that
+walks the wave stack in blocks) adds two metamorphic batch properties
+for the ideal and quantized-device engines: permuting a batch's images
+permutes its outputs bit for bit, and splitting a batch into two
+``convolve`` calls changes no output byte, including geometries whose
+per-image wave count sits one below, at, or one above a core block.
+
 All randomness is drawn through seeded ``default_rng`` streams from
 hypothesis-chosen seeds, so failures shrink and replay deterministically.
 """
@@ -112,6 +119,7 @@ from repro.nn.layers import (
 )
 from repro.nn.network import Network
 from repro.nn.shapes import conv_output_side, pool_output_size
+from repro.photonics.broadcast_weight import BLOCK_BYTES
 from repro.photonics.noise import realistic
 from repro.workloads import (
     alexnet_conv_specs,
@@ -190,6 +198,70 @@ class TestPhotonicBatchTransparency:
         first = engine.convolve(x, k, stride, padding)
         second = engine.convolve(x, k, stride, padding)
         assert np.array_equal(first, second)
+
+
+@st.composite
+def streaming_case(draw):
+    """A random conv problem with at least two images.
+
+    Half the draws are strips whose per-image wave count sits at a
+    device-core block boundary (block - 1, block or block + 1), so one
+    image fills a block short, exact or one wave over.
+    """
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    batch = draw(st.integers(min_value=2, max_value=4))
+    channels = draw(st.integers(min_value=3, max_value=6))
+    kernel = draw(st.integers(min_value=3, max_value=5))
+    stride = draw(st.integers(min_value=1, max_value=2))
+    num_kernels = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        block = BLOCK_BYTES // (8 * channels * kernel * kernel)
+        waves = block + draw(st.sampled_from([-1, 0, 1]))
+        height, width, padding = kernel, (waves - 1) * stride + kernel, 0
+    else:
+        height = draw(st.integers(min_value=kernel, max_value=12))
+        width = draw(st.integers(min_value=kernel, max_value=12))
+        padding = draw(st.integers(min_value=0, max_value=2))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, channels, height, width))
+    k = rng.normal(size=(num_kernels, channels, kernel, kernel))
+    order = rng.permutation(batch)
+    split = int(rng.integers(1, batch))
+    return x, k, stride, padding, order, split
+
+
+class TestStreamingMetamorphic:
+    """Which batch an image rides in, and where, changes none of its bytes."""
+
+    ENGINES = {
+        "ideal": dict(),
+        "quantized-device": dict(method="device", quantize=True),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @given(case=streaming_case())
+    @settings(max_examples=12, deadline=None)
+    def test_permuting_images_permutes_outputs(self, engine, case):
+        x, k, stride, padding, order, _ = case
+        conv = PhotonicConvolution(**self.ENGINES[engine])
+        whole = conv.convolve(x, k, stride, padding)
+        permuted = conv.convolve(x[order], k, stride, padding)
+        assert np.array_equal(permuted, whole[order])
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @given(case=streaming_case())
+    @settings(max_examples=12, deadline=None)
+    def test_splitting_a_batch_changes_no_byte(self, engine, case):
+        x, k, stride, padding, _, split = case
+        conv = PhotonicConvolution(**self.ENGINES[engine])
+        whole = conv.convolve(x, k, stride, padding)
+        halves = np.concatenate(
+            [
+                conv.convolve(x[:split], k, stride, padding),
+                conv.convolve(x[split:], k, stride, padding),
+            ]
+        )
+        assert whole.tobytes() == halves.tobytes()
 
 
 @st.composite
