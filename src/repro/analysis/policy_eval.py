@@ -40,6 +40,7 @@ from repro.core.cluster import (
 )
 from repro.core.config import PCNNAConfig
 from repro.core.faults import RecalibrationPolicy
+from repro.core.simkernel import validate_count
 from repro.analysis.parallel import run_grid
 from repro.workloads.cluster_mixes import CLUSTER_MIXES, cluster_mix
 from repro.workloads.fault_scenarios import FAULT_SCENARIOS, fault_scenario
@@ -83,12 +84,8 @@ class EvalScenario:
             raise ValueError(
                 f"rate must be finite and > 0, got {self.rate_rps!r}"
             )
-        if self.num_requests < 1:
-            raise ValueError(
-                f"need >= 1 request, got {self.num_requests!r}"
-            )
-        if self.pool_size < 1:
-            raise ValueError(f"need >= 1 core, got {self.pool_size!r}")
+        validate_count(self.num_requests, f"{self.name}: request count")
+        validate_count(self.pool_size, f"{self.name}: pool core count")
 
 
 @dataclass(frozen=True)
@@ -208,11 +205,8 @@ def _score(
         1.0 - downtime / (report.pool_size * span)
     )
     sizes = np.concatenate(
-        [
-            np.array([b.size for b in t.batches], dtype=float)
-            for t in report.tenants
-        ]
-    )
+        [t.batches.size for t in report.tenants]
+    ).astype(float)
     proxies = np.concatenate(
         [np.asarray(t.accuracy_proxy, dtype=float) for t in report.tenants]
     )

@@ -120,7 +120,8 @@ class AdaptiveRecalibration:
         name: label used in reports and sweep tables.
 
     Raises:
-        ValueError: on a non-finite or out-of-range gain.
+        ValueError: on a non-finite or out-of-range gain, or a pressure
+            hold that is not an integer >= 1.
     """
 
     base: RecalibrationPolicy
@@ -145,10 +146,8 @@ class AdaptiveRecalibration:
                 f"lead time must be finite, got {self.lead_time_s!r}"
             )
         _require_gain("lead time", self.lead_time_s)
-        if self.pressure_hold is not None and self.pressure_hold < 1:
-            raise ValueError(
-                f"pressure hold must be >= 1, got {self.pressure_hold!r}"
-            )
+        if self.pressure_hold is not None:
+            validate_count(self.pressure_hold, "pressure hold")
         _require_gain("hold ceiling", self.hold_ceiling, low=1.0)
         if math.isnan(self.downtime_budget_s) or self.downtime_budget_s <= 0.0:
             raise ValueError(
@@ -396,7 +395,7 @@ class BurnRateAdmission:
         slo_latency_s: the tenant's latency SLO.
         max_burn_rate: tolerated fraction of recent completions over
             the SLO; ``inf`` disables burn shedding.
-        window: completions in the burn-rate window (>= 1).
+        window: completions in the burn-rate window (an integer >= 1).
         queue_cap: static occupancy cap enforced alongside the burn
             rate; ``None`` leaves occupancy unbounded.
         name: label used in reports and sweep tables.
@@ -419,8 +418,7 @@ class BurnRateAdmission:
                 f"{self.slo_latency_s!r}"
             )
         _require_gain("burn rate", self.max_burn_rate)
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window!r}")
+        validate_count(self.window, "window")
         if self.queue_cap is not None:
             validate_count(self.queue_cap, "queue cap")
 

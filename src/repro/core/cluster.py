@@ -8,11 +8,10 @@ runtime on the unified event-loop kernel (:mod:`repro.core.simkernel`):
 
 * each :class:`ClusterTenant` owns a request queue, a batching policy,
   and a contiguous sub-pipeline of physical pool cores; its dispatches
-  are planned and booked with the *exact* kernel arithmetic
-  (:func:`~repro.core.simkernel.plan_dispatch` /
-  :func:`~repro.core.simkernel.execute_dispatch`), so a single-tenant
-  zero-fault cluster run is bit-identical to the PR 3
-  :class:`~repro.core.traffic.ServingSimulator`;
+  are planned with the *exact* kernel arithmetic
+  (:func:`~repro.core.simkernel.plan_dispatch`) and booked by the lane's
+  own pipeline walk, so a single-tenant zero-fault cluster run is
+  bit-identical to the PR 3 :class:`~repro.core.traffic.ServingSimulator`;
 * a :class:`RoutingPolicy` arbitrates the pool — ``weighted_fair``
   allocates cores proportionally to tenant weights and *guarantees*
   each tenant its share (the minority tenant keeps its cores while a
@@ -41,7 +40,10 @@ The lane event loop here is the only loop that hosts mid-run
 feedback: the single-pipeline degraded and adaptive simulators
 (:mod:`repro.core.faults`, :mod:`repro.core.adaptive`) run as one lane
 of it (:func:`serve_pipeline`), with failing-core repartitioning and
-per-batch drift snapshots switched on.  Under the static recalibration
+per-batch drift snapshots switched on.  Each lane owns its pipeline
+state and records every batch once, as the four columns of the
+:class:`~repro.core.simkernel.BatchTable` its report carries.  Under
+the static recalibration
 trigger (or none) that lone lane runs in epochs (:func:`_serve_epochs`):
 the stretch up to the next dispatch where the fault step acts is
 planned and booked with the vectorized kernel and its drift probes are
@@ -73,10 +75,7 @@ from repro.core.faults import (
 )
 from repro.core.simkernel import (
     BatchingPolicy,
-    BatchRecord,
     BatchTable,
-    DispatchContext,
-    execute_dispatch,
     pipeline_completions,
     plan_batches,
     plan_dispatch,
@@ -414,12 +413,20 @@ class ClusterReport:
 
 
 class _TenantLane:
-    """One pipeline's queue + cores inside the lane event loop.
+    """One pipeline's queue, cores and batch record in the lane loop.
 
-    Wraps a kernel :class:`DispatchContext` whose stage→core map points
-    at *physical pool cores* and whose busy ledger spans the whole pool
-    (so per-tenant per-core attribution survives reallocations), plus
-    the admission-control queue: raw arrivals are judged in order, and
+    The lane owns its pipeline state: the service ``model``, the
+    stage→core map ``phys`` pointing at *physical pool cores*, per-stage
+    ``core_free`` clocks, and a busy ledger ``core_busy`` that spans the
+    whole pool (so per-tenant per-core attribution survives
+    reallocations).  The lane loop mutates it mid-run — a recalibration
+    pushes a core's free time forward, a repartition or an elastic move
+    swaps the model and the stage→core map.  Each batch is recorded
+    once, as one entry in each of four columns (first request, size,
+    dispatch, completion), which :attr:`batches` reads as a
+    :class:`~repro.core.simkernel.BatchTable`.
+
+    The admission-control queue: raw arrivals are judged in order, and
     an arrival that finds ``queue_cap`` *uncompleted* requests already
     in the system (queued or in flight in the pipeline) is shed.
     Capping system occupancy rather than just the scheduler queue is
@@ -449,7 +456,17 @@ class _TenantLane:
         "cap",
         "_burn",
         "policy",
-        "ctx",
+        "model",
+        "phys",
+        "core_free",
+        "core_busy",
+        "head",
+        "dispatch_s",
+        "completion_s",
+        "batch_first",
+        "batch_size",
+        "batch_dispatch",
+        "batch_completion",
         "initial_width",
         "admitted_times",
         "admitted",
@@ -457,10 +474,7 @@ class _TenantLane:
         "shed",
         "widths",
         "proxies",
-        "served",
         "released",
-        "_completion_times",
-        "_cum_completed",
         "fail_error_threshold",
         "snapshots",
         "repartitions",
@@ -497,9 +511,21 @@ class _TenantLane:
             admission if admission is not None and admission.enabled else None
         )
         self.policy = policy if self.cap is None else policy.capped(self.cap)
-        self.ctx = DispatchContext(model, self.policy, arrivals)
-        self.ctx.stage_to_core = list(phys_cores)
-        self.ctx.core_busy = [0.0] * pool_size
+        self.model = model
+        self.phys = list(phys_cores)
+        self.core_free = [0.0] * model.num_cores
+        self.core_busy = [0.0] * pool_size
+        self.head = 0
+        # Per-request dispatch/completion times, filled as batches seal.
+        self.dispatch_s = np.empty(self.n)
+        self.completion_s = np.empty(self.n)
+        # The batch record, one entry per batch in dispatch order.
+        # Completions are monotone within a lane, and ``first + size``
+        # of a batch counts the requests completed once it completes.
+        self.batch_first: list[int] = []
+        self.batch_size: list[int] = []
+        self.batch_dispatch: list[float] = []
+        self.batch_completion: list[float] = []
         self.initial_width = len(phys_cores)
         # The admitted queue: arrival times of every admitted request,
         # filled in arrival order.  With no cap the whole trace is
@@ -516,13 +542,7 @@ class _TenantLane:
         self.shed: list[float] = []
         self.widths: list[int] = []
         self.proxies: list[float] = []
-        self.served = 0
         self.released = False
-        # Completion history for admission judgments: batch completion
-        # times (monotone within a lane) and the running count of
-        # requests completed by each batch.
-        self._completion_times: list[float] = []
-        self._cum_completed: list[int] = []
         # Single-pipeline extras, off for cluster tenants: draining
         # cores whose error reaches the threshold, and per-batch drift
         # snapshots for the degraded engine replay.
@@ -533,31 +553,31 @@ class _TenantLane:
         self.repartitions: list[RepartitionRecord] = []
 
     @property
-    def phys(self) -> list[int]:
-        """Physical pool cores behind the tenant's pipeline stages."""
-        return self.ctx.stage_to_core
-
-    @property
     def width(self) -> int:
         """Current pipeline width."""
-        return self.ctx.model.num_cores
+        return self.model.num_cores
+
+    @property
+    def batches(self) -> BatchTable:
+        """Every sealed batch so far, in dispatch order."""
+        return BatchTable(
+            self.batch_first,
+            self.batch_size,
+            self.batch_dispatch,
+            self.batch_completion,
+        )
 
     def _admit(self) -> None:
         self.admitted_times[self.admitted] = self.raw[self.ptr]
         self.admitted += 1
         self.ptr += 1
 
-    def _occupancy(self, time_s: float) -> int:
-        """Uncompleted admitted requests at ``time_s``.
-
-        Counts every admitted request minus those in batches completed
-        strictly before ``time_s``.  Judged arrivals are always the
-        next raw arrival, so every admitted request arrived at or
-        before ``time_s`` by construction.
-        """
-        done = bisect.bisect_left(self._completion_times, time_s)
-        completed = self._cum_completed[done - 1] if done else 0
-        return self.admitted - completed
+    def _completed(self, time_s: float) -> int:
+        """Requests in batches completed strictly before ``time_s``."""
+        done = bisect.bisect_left(self.batch_completion, time_s)
+        if not done:
+            return 0
+        return self.batch_first[done - 1] + self.batch_size[done - 1]
 
     def _recent_latencies(self, time_s: float) -> np.ndarray:
         """Latencies of the burn window's completions before ``time_s``.
@@ -566,22 +586,27 @@ class _TenantLane:
         the information an online admission controller actually has.
         Pure read: the subtraction never feeds kernel state.
         """
-        done = bisect.bisect_left(self._completion_times, time_s)
-        completed = self._cum_completed[done - 1] if done else 0
+        completed = self._completed(time_s)
         start = max(completed - self._burn.window, 0)
         return (
-            self.ctx.completion_s[start:completed]
+            self.completion_s[start:completed]
             - self.admitted_times[start:completed]
         )
 
     def _admits(self, time_s: float) -> bool:
         """Judge one arrival: occupancy cap first, then SLO burn rate.
 
+        Occupancy counts every admitted request minus those completed
+        before ``time_s``; judged arrivals are always the next raw
+        arrival, so every admitted request arrived at or before it.
         With no admission controller (or a disabled one) this is the
         static occupancy test with the identical short-circuit, which
         keeps the cap-only path bit-identical.
         """
-        if self.cap is not None and self._occupancy(time_s) >= self.cap:
+        if (
+            self.cap is not None
+            and self.admitted - self._completed(time_s) >= self.cap
+        ):
             return False
         if self._burn is None:
             return True
@@ -599,8 +624,7 @@ class _TenantLane:
         still to come can only lower occupancy, never flip an admit)
         and otherwise left unjudged for :meth:`commit` to decide.
         """
-        ctx = self.ctx
-        head = ctx.head
+        head = self.head
         while head >= self.admitted and self.ptr < self.n:
             # Empty queue: all completions are known, judge exactly.
             if self._admits(self.raw[self.ptr]):
@@ -621,7 +645,7 @@ class _TenantLane:
             self.admitted_times[: self.admitted],
             head,
             self.policy,
-            ctx.core_free[0],
+            self.core_free[0],
         )
 
     def queue_depth(self, time_s: float) -> int:
@@ -638,9 +662,7 @@ class _TenantLane:
                 self.admitted_times[: self.admitted], time_s, side="right"
             )
         )
-        done = bisect.bisect_left(self._completion_times, time_s)
-        completed = self._cum_completed[done - 1] if done else 0
-        return max(arrived - completed, 0)
+        return max(arrived - self._completed(time_s), 0)
 
     def commit(self, dispatch: float, size: int) -> None:
         """Book the planned batch and judge the arrivals up to it.
@@ -651,6 +673,14 @@ class _TenantLane:
         below the cap, shed otherwise (the count admission control
         reports).  Arrivals admitted here join the queue for the next
         batch — the committed batch's size was sealed at planning time.
+
+        The batch walks the stages in order; each stage is busy for its
+        weight-programming time plus ``size * conv`` time and hands the
+        batch to the next stage whole.  Busy time is charged to the
+        *physical* core behind each stage, so per-core accounting
+        survives repartitions.  This is the exact arithmetic of the
+        pre-kernel simulators — the bit-identity the golden fixtures
+        pin.
         """
         while self.ptr < self.n and self.raw[self.ptr] <= dispatch:
             if self._admits(self.raw[self.ptr]):
@@ -658,12 +688,25 @@ class _TenantLane:
             else:
                 self.shed.append(float(self.raw[self.ptr]))
                 self.ptr += 1
-        batch = execute_dispatch(self.ctx, dispatch, size)
-        self._completion_times.append(batch.completion_s)
-        previous = self._cum_completed[-1] if self._cum_completed else 0
-        self._cum_completed.append(previous + size)
-        self.widths.append(self.width)
-        self.served += size
+        model, core_free, core_busy = self.model, self.core_free, self.core_busy
+        phys = self.phys
+        start = dispatch
+        for stage in range(model.num_cores):
+            begun = max(start, core_free[stage])
+            busy = model.core_busy_s(stage, size)
+            start = begun + busy
+            core_free[stage] = start
+            core_busy[phys[stage]] += busy
+        head = self.head
+        stop = head + size
+        self.dispatch_s[head:stop] = dispatch
+        self.completion_s[head:stop] = start
+        self.head = stop
+        self.batch_first.append(head)
+        self.batch_size.append(size)
+        self.batch_dispatch.append(dispatch)
+        self.batch_completion.append(start)
+        self.widths.append(model.num_cores)
 
     def book(
         self,
@@ -679,42 +722,30 @@ class _TenantLane:
         lane that admits its whole trace up front, batches that take no
         fault action are walked through the pipeline by
         :func:`~repro.core.simkernel.pipeline_completions`, resumed from
-        the lane's clocks and busy ledger, and every record, stream
+        the lane's clocks and busy ledger, and every column, stream
         entry and ledger total comes out as committing them one by one
         would leave it.
         """
-        ctx = self.ctx
-        phys = ctx.stage_to_core
+        phys = self.phys
         completion, ledger = pipeline_completions(
             sizes,
             disp,
-            ctx.model,
-            ctx.core_free,
-            [ctx.core_busy[core] for core in phys],
+            self.model,
+            self.core_free,
+            [self.core_busy[core] for core in phys],
         )
         for core, total in zip(phys, ledger):
-            ctx.core_busy[core] = total
-        first = len(ctx.batches)
-        ctx.batches.extend(
-            map(
-                BatchRecord,
-                range(first, first + sizes.size),
-                heads.tolist(),
-                sizes.tolist(),
-                disp,
-                completion,
-            )
-        )
-        start = ctx.head
+            self.core_busy[core] = total
+        start = self.head
         stop = int(heads[-1] + sizes[-1])
-        ctx.dispatch_s[start:stop] = np.repeat(disp, sizes)
-        ctx.completion_s[start:stop] = np.repeat(completion, sizes)
-        ctx.head = stop
-        self._completion_times.extend(completion)
-        done = self._cum_completed[-1] if self._cum_completed else 0
-        self._cum_completed.extend((done + np.cumsum(sizes)).tolist())
+        self.dispatch_s[start:stop] = np.repeat(disp, sizes)
+        self.completion_s[start:stop] = np.repeat(completion, sizes)
+        self.head = stop
+        self.batch_first.extend(heads.tolist())
+        self.batch_size.extend(sizes.tolist())
+        self.batch_dispatch.extend(disp.tolist())
+        self.batch_completion.extend(completion.tolist())
         self.widths.extend([self.width] * sizes.size)
-        self.served += stop - start
         self.proxies.extend(proxies)
         self.snapshots.extend(snapshots)
 
@@ -725,10 +756,7 @@ class _TenantLane:
         elsewhere only after it drains the lane's final batch.
         """
         self.released = True
-        return [
-            (core, self.ctx.core_free[stage])
-            for stage, core in enumerate(self.phys)
-        ]
+        return list(zip(self.phys, self.core_free))
 
     def serve(
         self, dispatch: float, size: int, health: PoolHealth | None
@@ -743,7 +771,7 @@ class _TenantLane:
             self.proxies.append(0.0)
             return
         states = health.states
-        health.step(self.ctx, dispatch, self.queue_depth)
+        health.step(self.phys, self.core_free, dispatch, self.queue_depth)
         if self.fail_error_threshold is not None:
             self._drain_failing(dispatch, states)
         self.commit(dispatch, size)
@@ -780,25 +808,31 @@ class _TenantLane:
         stage), and a core joining from elsewhere is not usable before
         it frees up there.
         """
-        drain = max(max(self.ctx.core_free), joining_free_s)
-        self.ctx.model = PipelineServiceModel.from_specs(
+        drain = max(max(self.core_free), joining_free_s)
+        self.model = PipelineServiceModel.from_specs(
             list(self.specs), len(new_phys), self.config, clamp_cores=True
         )
-        self.ctx.stage_to_core = list(new_phys)
-        self.ctx.core_free = [drain] * len(new_phys)
+        self.phys = list(new_phys)
+        self.core_free = [drain] * len(new_phys)
 
-    def report(self) -> TenantServingReport:
-        """The tenant's final serving report."""
-        ctx = self.ctx
+    def serving_fields(self) -> dict:
+        """The :class:`~repro.core.traffic.ServingReport` fields of the
+        lane's run: its admitted requests, batches and busy ledger."""
         served = self.admitted
-        return TenantServingReport(
+        return dict(
             policy=self.policy,
             num_cores=self.initial_width,
             arrival_s=self.admitted_times[:served].copy(),
-            dispatch_s=ctx.dispatch_s[:served],
-            completion_s=ctx.completion_s[:served],
-            batches=tuple(ctx.batches),
-            core_busy_s=tuple(ctx.core_busy),
+            dispatch_s=self.dispatch_s[:served],
+            completion_s=self.completion_s[:served],
+            batches=self.batches,
+            core_busy_s=tuple(self.core_busy),
+        )
+
+    def report(self) -> TenantServingReport:
+        """The tenant's final serving report."""
+        return TenantServingReport(
+            **self.serving_fields(),
             tenant=self.name,
             offered_arrival_s=self.raw,
             shed_arrival_s=np.array(self.shed),
@@ -1204,7 +1238,7 @@ class ClusterSimulator:
         tenant = self.tenants[lane.index]
         if self.routing.kind == "priority":
             return (-tenant.priority, lane.index)
-        return (lane.served / tenant.weight, lane.index)
+        return (lane.head / tenant.weight, lane.index)
 
     def _floor(self, lane: _TenantLane) -> int:
         """Cores the routing policy guarantees the tenant keeps."""
@@ -1269,7 +1303,7 @@ class ClusterSimulator:
         ):
             return
         core = donor.phys[-1]
-        core_free_at = donor.ctx.core_free[-1]
+        core_free_at = donor.core_free[-1]
         donor.resize(donor.phys[:-1])
         recipient.resize(recipient.phys + [core], core_free_at)
         records.append(
@@ -1563,7 +1597,6 @@ def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
     about what the per-dispatch loop costs.  The result is bit-identical
     to :func:`_serve_lanes` on the lone lane, which stays the oracle.
     """
-    ctx = lane.ctx
     states = health.states
     trigger = health.trigger
     threshold = math.inf if trigger is None else trigger.policy.error_threshold
@@ -1574,10 +1607,10 @@ def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
     window = _EPOCH_MIN_REQUESTS
     scalar_run = 0
     last_dispatch = 0.0
-    while ctx.head < n:
-        end = min(ctx.head + window, n)
+    while lane.head < n:
+        end = min(lane.head + window, n)
         heads, sizes, disp = plan_batches(
-            arrivals[:end], lane.policy, ctx.model, ctx.head, ctx.core_free[0]
+            arrivals[:end], lane.policy, lane.model, lane.head, lane.core_free[0]
         )
         if end < n:
             # A batch may read the trace up to head + max_batch - 1.

@@ -56,7 +56,6 @@ from repro.core.config import PCNNAConfig
 from repro.core.serving import run_network_pipelined, stage_layer_slices
 from repro.core.simkernel import (
     BatchingPolicy,
-    DispatchContext,
     validate_arrival_trace,
     validate_count,
 )
@@ -917,7 +916,7 @@ class DegradedServingReport(ServingReport):
     @property
     def mean_accuracy_proxy(self) -> float:
         """Batch-weighted mean of the accuracy proxy."""
-        sizes = np.array([batch.size for batch in self.batches], dtype=float)
+        sizes = self.batches.size.astype(float)
         # repro: allow[BIT001] report statistic outside the differential
         # pin: both folds run on the same arrays whichever mode built
         # the schedule, so the rounding is identical by construction
@@ -984,18 +983,23 @@ class PoolHealth:
         )
 
     def step(
-        self, ctx: DispatchContext, dispatch_s: float, queue_depth
+        self,
+        stage_to_core: list[int],
+        core_free: list[float],
+        dispatch_s: float,
+        queue_depth,
     ) -> None:
         """Advance a pipeline's cores to a dispatch and recalibrate.
 
-        Every core behind ``ctx`` is advanced to ``dispatch_s``; each
-        core the trigger fires on runs the closed calibration loop and
-        its downtime pushes that stage's free time forward on the
-        shared clock.  ``queue_depth(time_s)`` is sampled only for a
-        trigger that gates on queue pressure.
+        Every physical core behind the pipeline's stages
+        (``stage_to_core``) is advanced to ``dispatch_s``; each core the
+        trigger fires on runs the closed calibration loop and its
+        downtime pushes that stage's ``core_free`` entry forward, in
+        place, on the shared clock.  ``queue_depth(time_s)`` is sampled
+        only for a trigger that gates on queue pressure.
         """
         states = self.states
-        for core in ctx.stage_to_core:
+        for core in stage_to_core:
             states[core].advance_to(dispatch_s)
         trigger = self.trigger
         if trigger is None:
@@ -1004,8 +1008,7 @@ class PoolHealth:
         queued = (
             queue_depth(dispatch_s) if trigger.needs_queue_depth else None
         )
-        core_free = ctx.core_free
-        for stage, core in enumerate(ctx.stage_to_core):
+        for stage, core in enumerate(stage_to_core):
             state = states[core]
             if not trigger.decide(
                 state, dispatch_s, self.downtime[core], queued=queued
@@ -1120,15 +1123,8 @@ class DegradedServingSimulator:
             self.config,
             self.fail_error_threshold,
         )
-        ctx = lane.ctx
         fields = dict(
-            policy=self.policy,
-            num_cores=lane.initial_width,
-            arrival_s=lane.admitted_times,
-            dispatch_s=ctx.dispatch_s,
-            completion_s=ctx.completion_s,
-            batches=tuple(ctx.batches),
-            core_busy_s=tuple(ctx.core_busy),
+            **lane.serving_fields(),
             schedule_name=self.schedule.name,
             recalibration_name=(
                 None if self.recalibration is None else self.recalibration.name

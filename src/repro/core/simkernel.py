@@ -9,27 +9,25 @@ once:
 
 * :func:`plan_dispatch` — the scheduler's entire batching decision
   (when does the queue head's batch seal, and how big is it);
-* :func:`execute_dispatch` — the pipeline walk that books one sealed
-  batch onto the cores (the float arithmetic every simulator shares
-  verbatim, which is what makes the facades *bit-identical* to their
-  pre-kernel selves);
+* :func:`plan_batches` / :func:`pipeline_completions` — the same
+  decisions and the pipeline walk for a whole stretch of batches, as
+  array ops that replay the per-batch float arithmetic bit for bit;
 * :class:`EventLoopKernel` — the fault-free queue → batcher → pipeline
   run, as whole-trace array ops or, in reference mode, as one pristine
   lane of the lane event loop.
 
-:class:`~repro.core.traffic.ServingSimulator` is a facade over the
-kernel.  The one per-event loop is the cluster lane loop of
-:mod:`repro.core.cluster`, which drives one :class:`DispatchContext` per
-pipeline through the :func:`plan_dispatch` / :func:`execute_dispatch`
-pair.  It hosts everything that mutates a pipeline mid-run —
-fault-and-drift bookkeeping, recalibration downtime, fault-aware
-repartitioning, admission control and elastic reallocation — and the
-kernel's reference mode and the single-pipeline
+:class:`~repro.core.traffic.ServingSimulator` is the kernel itself.
+The one per-event loop is the cluster lane loop of
+:mod:`repro.core.cluster`: each lane plans with :func:`plan_dispatch`
+and walks its own pipeline.  It hosts everything that mutates a
+pipeline mid-run — fault-and-drift bookkeeping, recalibration downtime,
+fault-aware repartitioning, admission control and elastic reallocation
+— and the kernel's reference mode and the single-pipeline
 :class:`~repro.core.faults.DegradedServingSimulator` are each one lane
 of it.  The simulated clock is decoupled from wall time and every input
 is seeded, so a fixed seed yields bit-identical results on every run.
 
-:class:`BatchingPolicy`, :class:`BatchRecord`, and
+:class:`BatchingPolicy`, :class:`BatchTable`, and
 :func:`validate_arrival_trace` live here because every front door shares
 them.
 """
@@ -44,16 +42,16 @@ import numpy as np
 
 # Contract markers checked by `python -m repro.lint` (BIT001/PERF001):
 # this module's floats are pinned bit-identical across modes, and the
-# listed classes are constructed per batch inside the event loop.
+# listed classes are constructed per batch or per report.
 __bit_identity__ = True
-__hot_path__ = ("BatchRecord", "BatchTable", "DispatchContext")
+__hot_path__ = ("BatchRecord", "BatchTable")
 
 KERNEL_MODES: tuple[str, ...] = ("auto", "reference")
 """Execution modes accepted by :class:`EventLoopKernel`.
 
 ``"reference"`` runs the per-event lane loop of
-:mod:`repro.core.cluster` — one :func:`plan_dispatch` /
-:func:`execute_dispatch` call per batch — on a pristine lone lane.
+:mod:`repro.core.cluster` — one :func:`plan_dispatch` call and one
+pipeline walk per batch — on a pristine lone lane.
 ``"auto"`` — the default — plans whole batch boundaries and completion
 clocks as numpy array ops wherever a run has no mid-run feedback; front
 doors whose pipelines change mid-run (faults, elastic reallocation)
@@ -196,12 +194,15 @@ class BatchRecord:
 class BatchTable(Sequence):
     """A sequence of :class:`BatchRecord` backed by four parallel arrays.
 
-    The vectorized kernel plans millions of batches as whole arrays;
-    materializing a frozen dataclass per batch would cost more than the
-    simulation itself.  This table stores the columns and synthesizes
-    records on demand, so ``report.batches[i]``, iteration, ``len``, and
-    equality against a tuple of :class:`BatchRecord` all behave exactly
-    like the reference mode's tuple.
+    Every report's ``batches``.  The vectorized kernel plans millions of
+    batches as whole arrays and the lane loop records each batch as one
+    entry per column; materializing a frozen dataclass per batch would
+    cost more than the simulation itself.  This table stores the columns
+    and synthesizes records only when a caller reads them, so
+    ``report.batches[i]``, iteration, ``len``, and equality against a
+    tuple of :class:`BatchRecord` all behave like a tuple of records.
+    Synthesized records carry ``np.float64`` times, as read from the
+    columns.
 
     Attributes:
         first_request: per-batch index of the first request.
@@ -236,8 +237,8 @@ class BatchTable(Sequence):
             index=i,
             first_request=int(self.first_request[i]),
             size=int(self.size[i]),
-            dispatch_s=float(self.dispatch_s[i]),
-            completion_s=float(self.completion_s[i]),
+            dispatch_s=self.dispatch_s[i],
+            completion_s=self.completion_s[i],
         )
 
     def __len__(self) -> int:
@@ -359,105 +360,6 @@ def plan_dispatch(
     queued = int(np.searchsorted(arrivals, dispatch, side="right") - head)
     size = max(1, min(policy.max_batch, queued))
     return dispatch, size
-
-
-class DispatchContext:
-    """Mutable state of one serving pipeline inside the event loop.
-
-    Its one owner in the package is the cluster lane
-    (:class:`~repro.core.cluster._TenantLane`); it lives here, next to
-    :func:`plan_dispatch`, because the fault step annotates it.  The
-    lane loop mutates it mid-run — pushes a core's free time forward
-    (recalibration downtime), or swaps the service model and the
-    stage→core map (fault-aware repartitioning and elastic
-    reallocation).
-
-    Attributes:
-        arrivals: the (validated) arrival trace being served.
-        policy: the batching policy sealing dispatches.
-        model: the current per-core service-time model (a
-            :class:`~repro.core.traffic.PipelineServiceModel`);
-            repartitioning replaces it.
-        stage_to_core: physical core index behind each pipeline stage.
-            Starts as the identity map; changes when a repartition
-            drains cores out of the pipeline or adds some.
-        core_free: per-*stage* time the core frees up.
-        core_busy: per-*physical-core* accumulated busy time (length
-            never changes — drained cores keep their history).
-        head: index of the next request to dispatch.
-        batches: every sealed batch so far, in dispatch order.
-        dispatch_s: per-request batch-dispatch times (filled as batches
-            seal).
-        completion_s: per-request completion times.
-    """
-
-    __slots__ = (
-        "arrivals",
-        "policy",
-        "model",
-        "stage_to_core",
-        "core_free",
-        "core_busy",
-        "head",
-        "batches",
-        "dispatch_s",
-        "completion_s",
-    )
-
-    def __init__(self, model, policy: BatchingPolicy, arrivals: np.ndarray):
-        width = model.num_cores
-        self.arrivals = arrivals
-        self.policy = policy
-        self.model = model
-        self.stage_to_core = list(range(width))
-        self.core_free = [0.0] * width
-        self.core_busy = [0.0] * width
-        self.head = 0
-        self.batches: list[BatchRecord] = []
-        self.dispatch_s = np.empty(arrivals.size)
-        self.completion_s = np.empty(arrivals.size)
-
-
-def execute_dispatch(
-    ctx: DispatchContext, dispatch: float, size: int
-) -> BatchRecord:
-    """Book one sealed batch onto the context's pipeline.
-
-    The batch walks the stages in order; each stage is busy for its
-    weight-programming time plus ``size * conv`` time and hands the
-    batch to the next stage whole.  Busy time is charged to the
-    *physical* core behind each stage, so per-core accounting survives
-    repartitions.  This is the exact arithmetic of the pre-kernel
-    simulators — the bit-identity the facades and golden fixtures pin.
-    The cluster lane (:class:`~repro.core.cluster._TenantLane`) is its
-    one caller in the package.
-    """
-    model = ctx.model
-    core_free = ctx.core_free
-    core_busy = ctx.core_busy
-    stage_to_core = ctx.stage_to_core
-    batches = ctx.batches
-    head = ctx.head
-    start = dispatch
-    for stage in range(model.num_cores):
-        begun = max(start, core_free[stage])
-        busy = model.core_busy_s(stage, size)
-        start = begun + busy
-        core_free[stage] = start
-        core_busy[stage_to_core[stage]] += busy
-    batch = BatchRecord(
-        index=len(batches),
-        first_request=head,
-        size=size,
-        dispatch_s=dispatch,
-        completion_s=start,
-    )
-    batches.append(batch)
-    stop = head + size
-    ctx.dispatch_s[head:stop] = dispatch
-    ctx.completion_s[head:stop] = start
-    ctx.head = stop
-    return batch
 
 
 # -- vectorized planning & execution --------------------------------------
@@ -717,32 +619,6 @@ def _plan_batches_dynamic(
     return heads[:nb], sizes[:nb], disp[:nb]
 
 
-@dataclass(frozen=True)
-class KernelRun:
-    """Everything the kernel measured over one serving run.
-
-    The scenario facades wrap this in their report types
-    (:class:`~repro.core.traffic.ServingReport` and subclasses).
-
-    Attributes:
-        arrival_s: the served arrival trace.
-        dispatch_s: per-request batch-dispatch times.
-        completion_s: per-request completion times.
-        batches: the dispatched batches, in order — a plain tuple from
-            the reference lane loop, a :class:`BatchTable` from the
-            vectorized path (same records either way).
-        core_busy_s: per-physical-core total busy time.
-        initial_num_cores: pipeline width at the start of the run.
-    """
-
-    arrival_s: np.ndarray
-    dispatch_s: np.ndarray
-    completion_s: np.ndarray
-    batches: Sequence[BatchRecord]
-    core_busy_s: tuple[float, ...]
-    initial_num_cores: int
-
-
 def plan_batches(
     arrivals: np.ndarray,
     policy: BatchingPolicy,
@@ -799,12 +675,12 @@ def pipeline_completions(
     planner guarantees dispatch >= core-0 free), so its completions are
     a single elementwise add; each later stage is one exact max-plus
     scan over the batch stream.  Bit-identical to booking the batches
-    through :func:`execute_dispatch` one at a time.
+    on a lane of the lane loop one at a time.
 
     ``core_free`` and ``core_busy`` resume a pipeline part-way: its
     per-stage free times and busy totals after the batches already
-    booked (a :class:`DispatchContext`'s ``core_free`` and its busy
-    ledger read per stage).  Each stage then starts from its free time,
+    booked (a lane's ``core_free`` and its busy ledger read per
+    stage).  Each stage then starts from its free time,
     ``core_free`` is updated in place to the free times after the last
     batch, and the returned ledger continues ``core_busy``.
 
@@ -842,6 +718,9 @@ def pipeline_completions(
 class EventLoopKernel:
     """The seeded discrete-event loop: queue → batcher → core pipeline.
 
+    Also importable as :class:`~repro.core.traffic.ServingSimulator`,
+    the serving front door.
+
     Args:
         model: the per-core service-time model
             (:class:`~repro.core.traffic.PipelineServiceModel`).
@@ -862,46 +741,38 @@ class EventLoopKernel:
         self.model = model
         self.policy = policy
 
-    def run(self, arrival_s: np.ndarray) -> KernelRun:
+    def run(self, arrival_s: np.ndarray):
         """Serve a trace of arrival times to completion.
+
+        Returns:
+            The :class:`~repro.core.traffic.ServingReport` with
+            per-request records.
 
         Raises:
             ValueError: on an empty, non-finite or unsorted trace.
         """
+        # The report type and the lane loop live in modules built on
+        # this one, so they load here.
+        from repro.core.traffic import ServingReport
+
         arrivals = validate_arrival_trace(arrival_s)
+        model, policy = self.model, self.policy
         if self.mode == "reference":
-            # The cluster module builds on this one, so it loads here.
             from repro.core.cluster import serve_pipeline
 
-            ctx = serve_pipeline(self.model, self.policy, arrivals, None).ctx
-            return KernelRun(
-                arrival_s=arrivals,
-                dispatch_s=ctx.dispatch_s,
-                completion_s=ctx.completion_s,
-                batches=tuple(ctx.batches),
-                core_busy_s=tuple(ctx.core_busy),
-                initial_num_cores=self.model.num_cores,
-            )
-        return self._run_vectorized(arrivals)
-
-    def _run_vectorized(self, arrivals: np.ndarray) -> KernelRun:
-        """The array-op hot path: plan all batches, then book them.
-
-        Stage 0 starts every batch at its dispatch time (the planner
-        guarantees dispatch >= core-0 free), so its completions are a
-        single elementwise add; each later stage is one exact max-plus
-        scan over the batch stream.
-        """
-        model = self.model
-        heads, sizes, disp = plan_batches(arrivals, self.policy, model)
+            lane = serve_pipeline(model, policy, arrivals, None)
+            return ServingReport(**lane.serving_fields())
+        # Plan every batch, then book the stream on each stage.
+        heads, sizes, disp = plan_batches(arrivals, policy, model)
         completion, core_busy = pipeline_completions(sizes, disp, model)
-        return KernelRun(
+        return ServingReport(
+            policy=policy,
+            num_cores=model.num_cores,
             arrival_s=arrivals,
             dispatch_s=np.repeat(disp, sizes),
             completion_s=np.repeat(completion, sizes),
             batches=BatchTable(heads, sizes, disp, completion),
             core_busy_s=core_busy,
-            initial_num_cores=model.num_cores,
         )
 
 
@@ -910,10 +781,7 @@ __all__ = [
     "BatchingPolicy",
     "BatchRecord",
     "BatchTable",
-    "DispatchContext",
     "EventLoopKernel",
-    "KernelRun",
-    "execute_dispatch",
     "pipeline_completions",
     "plan_batches",
     "plan_dispatch",

@@ -31,8 +31,9 @@ discrete-event simulator:
 The event loop itself lives in :mod:`repro.core.simkernel` — the
 unified kernel whose dispatch arithmetic the fault engine
 (:mod:`repro.core.faults`) and the multi-tenant cluster runtime
-(:mod:`repro.core.cluster`) share.  :class:`ServingSimulator` is a
-facade over the kernel; this module re-exports the kernel's
+(:mod:`repro.core.cluster`) share.  :data:`ServingSimulator` is the
+kernel's :class:`~repro.core.simkernel.EventLoopKernel` under its
+serving name; this module re-exports the kernel's
 :class:`BatchingPolicy`, which every serving front door takes.
 
 The simulated clock is decoupled from wall time and every input is
@@ -63,7 +64,6 @@ from repro.core.simkernel import (
     BatchRecord,
     BatchTable,
     EventLoopKernel,
-    validate_kernel_mode,
 )
 from repro.nn.network import Network
 from repro.nn.shapes import ConvLayerSpec
@@ -186,10 +186,9 @@ class ServingReport:
         arrival_s: per-request arrival times (the input trace).
         dispatch_s: per-request batch-dispatch times.
         completion_s: per-request completion times.
-        batches: the dispatched batches, in order — a plain tuple from
-            the reference kernel, a
-            :class:`~repro.core.simkernel.BatchTable` from the
-            vectorized kernel (same records either way).
+        batches: the dispatched batches, in order, as a
+            :class:`~repro.core.simkernel.BatchTable` whichever path
+            served the run.
         core_busy_s: per-core total busy time.
     """
 
@@ -198,7 +197,7 @@ class ServingReport:
     arrival_s: np.ndarray
     dispatch_s: np.ndarray
     completion_s: np.ndarray
-    batches: Sequence[BatchRecord]
+    batches: BatchTable
     core_busy_s: tuple[float, ...]
 
     @property
@@ -271,15 +270,9 @@ class ServingReport:
         ties (a request arriving exactly at a dispatch instant is
         eligible for that batch).  Cached: every depth metric reads it.
         """
-        if isinstance(self.batches, BatchTable):
-            batch_dispatch = self.batches.dispatch_s
-            batch_size = self.batches.size.astype(float)
-        else:
-            batch_dispatch = [batch.dispatch_s for batch in self.batches]
-            batch_size = [float(batch.size) for batch in self.batches]
-        times = np.concatenate([self.arrival_s, batch_dispatch])
+        times = np.concatenate([self.arrival_s, self.batches.dispatch_s])
         deltas = np.concatenate(
-            [np.ones(self.num_requests), np.negative(batch_size)]
+            [np.ones(self.num_requests), -self.batches.size.astype(float)]
         )
         order = np.argsort(times, kind="stable")
         return times[order], np.cumsum(deltas[order])
@@ -342,58 +335,15 @@ def validate_replay_inputs(
     return inputs
 
 
-class ServingSimulator:
-    """Discrete-event closed loop: queue -> batcher -> core pipeline.
+ServingSimulator = EventLoopKernel
+"""Discrete-event closed loop: queue -> batcher -> core pipeline.
 
-    A thin facade over the unified event-loop kernel
-    (:class:`~repro.core.simkernel.EventLoopKernel`) — the kernel
-    extraction changed no numbers, so reports are bit-identical to the
-    pre-kernel simulator.
-
-    Args:
-        model: the per-core service-time model.
-        policy: the batching policy.
-        mode: kernel execution mode, one of
-            :data:`~repro.core.simkernel.KERNEL_MODES`.  The default
-            ``"auto"`` resolves to the vectorized hot path;
-            ``"reference"`` serves the trace as a pristine lone lane of
-            the per-event lane loop.  Both are bit-identical.
-    """
-
-    def __init__(
-        self,
-        model: PipelineServiceModel,
-        policy: BatchingPolicy,
-        mode: str = "auto",
-    ) -> None:
-        self.mode = validate_kernel_mode(mode)
-        self.model = model
-        self.policy = policy
-
-    def run(self, arrival_s: np.ndarray) -> ServingReport:
-        """Serve a trace of arrival times to completion.
-
-        Args:
-            arrival_s: sorted request arrival times.
-
-        Returns:
-            The :class:`ServingReport` with per-request records.
-
-        Raises:
-            ValueError: on an empty, non-finite or unsorted trace.
-        """
-        run = EventLoopKernel(
-            self.model, self.policy, mode=self.mode
-        ).run(arrival_s)
-        return ServingReport(
-            policy=self.policy,
-            num_cores=run.initial_num_cores,
-            arrival_s=run.arrival_s,
-            dispatch_s=run.dispatch_s,
-            completion_s=run.completion_s,
-            batches=run.batches,
-            core_busy_s=run.core_busy_s,
-        )
+The serving front door is the kernel itself:
+``ServingSimulator(model, policy, mode="auto").run(arrival_s)`` returns
+a :class:`ServingReport`.  ``"auto"`` runs the vectorized hot path,
+``"reference"`` serves the trace as a pristine lone lane of the
+per-event lane loop; both are bit-identical.
+"""
 
 
 def simulate_serving(

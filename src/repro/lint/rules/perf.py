@@ -21,9 +21,7 @@ from repro.lint.walker import ModuleInfo, Project
 
 #: Hot-path classes each kernel module must declare in ``__hot_path__``.
 REQUIRED_HOT_PATH = {
-    "repro/core/simkernel.py": frozenset(
-        {"BatchRecord", "BatchTable", "DispatchContext"}
-    ),
+    "repro/core/simkernel.py": frozenset({"BatchRecord", "BatchTable"}),
     "repro/core/cluster.py": frozenset({"_TenantLane"}),
     "repro/core/faults.py": frozenset({"CoreHealthState"}),
 }

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.simkernel import validate_count
+
 TRAFFIC_PATTERNS: tuple[str, ...] = ("poisson", "mmpp", "diurnal")
 """Names accepted by :func:`make_arrivals`."""
 
@@ -28,10 +30,7 @@ TRAFFIC_PATTERNS: tuple[str, ...] = ("poisson", "mmpp", "diurnal")
 def _validate(rate_rps: float, num_requests: int) -> None:
     if rate_rps <= 0.0:
         raise ValueError(f"arrival rate must be positive, got {rate_rps!r}")
-    if num_requests <= 0:
-        raise ValueError(
-            f"request count must be positive, got {num_requests!r}"
-        )
+    validate_count(num_requests, "request count")
 
 
 def poisson_arrivals(
@@ -49,7 +48,8 @@ def poisson_arrivals(
         after 0.
 
     Raises:
-        ValueError: on non-positive rate or count.
+        ValueError: on a non-positive rate or a count that is not an
+            integer >= 1.
     """
     _validate(rate_rps, num_requests)
     rng = np.random.default_rng(seed)
@@ -80,7 +80,8 @@ def mmpp_arrivals(
         seed: RNG seed.
 
     Raises:
-        ValueError: on non-positive rates, dwell, or count.
+        ValueError: on non-positive rates or dwell, or a count that is
+            not an integer >= 1.
     """
     _validate(quiet_rate_rps, num_requests)
     _validate(burst_rate_rps, num_requests)
@@ -130,7 +131,8 @@ def diurnal_arrivals(
         seed: RNG seed.
 
     Raises:
-        ValueError: on non-positive parameters or peak < off-peak.
+        ValueError: on non-positive rates or period, peak < off-peak,
+            or a count that is not an integer >= 1.
     """
     _validate(offpeak_rate_rps, num_requests)
     _validate(peak_rate_rps, num_requests)
@@ -168,7 +170,8 @@ def make_arrivals(
 
     Raises:
         KeyError: on an unknown pattern name.
-        ValueError: on non-positive rate or count.
+        ValueError: on a non-positive rate or a count that is not an
+            integer >= 1.
     """
     _validate(rate_rps, num_requests)
     if pattern == "poisson":

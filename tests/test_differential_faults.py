@@ -557,13 +557,12 @@ class TestPristineLoneLanePin:
             None,
         )
         _serve_lanes([lane], None, _lone_lane)
-        ctx = lane.ctx
         for mode in ("auto", "reference"):
             run = EventLoopKernel(model, policy, mode=mode).run(arrivals)
-            assert run.dispatch_s.tobytes() == ctx.dispatch_s.tobytes()
-            assert run.completion_s.tobytes() == ctx.completion_s.tobytes()
-            assert run.batches == tuple(ctx.batches)
-            assert repr(run.core_busy_s) == repr(tuple(ctx.core_busy))
+            assert run.dispatch_s.tobytes() == lane.dispatch_s.tobytes()
+            assert run.completion_s.tobytes() == lane.completion_s.tobytes()
+            assert run.batches == lane.batches
+            assert repr(run.core_busy_s) == repr(tuple(lane.core_busy))
 
 
 REPARTITION_DIGEST = (
@@ -641,11 +640,11 @@ def _serve_both(model, policy, arrivals, schedule, recalibration, specs):
     oracle, oracle_health = _lone_lane_oracle(
         model, policy, arrivals, schedule, recalibration, specs
     )
-    assert lane.ctx.dispatch_s.tobytes() == oracle.ctx.dispatch_s.tobytes()
-    assert lane.ctx.completion_s.tobytes() == oracle.ctx.completion_s.tobytes()
-    assert repr(lane.ctx.batches) == repr(oracle.ctx.batches)
-    assert repr(lane.ctx.core_busy) == repr(oracle.ctx.core_busy)
-    assert repr(lane.ctx.core_free) == repr(oracle.ctx.core_free)
+    assert lane.dispatch_s.tobytes() == oracle.dispatch_s.tobytes()
+    assert lane.completion_s.tobytes() == oracle.completion_s.tobytes()
+    assert repr(lane.batches.records) == repr(oracle.batches.records)
+    assert repr(lane.core_busy) == repr(oracle.core_busy)
+    assert repr(lane.core_free) == repr(oracle.core_free)
     assert lane.widths == oracle.widths
     assert repr(lane.proxies) == repr(oracle.proxies)
     assert repr(lane.snapshots) == repr(oracle.snapshots)

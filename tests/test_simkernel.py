@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import traffic
-from repro.core.adaptive import BurnRateAdmission
+from repro.analysis.policy_eval import EvalScenario
+from repro.core import simkernel, traffic
+from repro.core.adaptive import (
+    AdaptiveRecalibration,
+    BurnRateAdmission,
+    simulate_adaptive_serving,
+)
 from repro.core.cluster import (
     ClusterSimulator,
     ClusterTenant,
     ElasticReallocation,
+    _TenantLane,
 )
 from repro.core.faults import (
     DegradedServingSimulator,
@@ -26,19 +32,24 @@ from repro.core.fleet import (
 )
 from repro.core.simkernel import (
     BatchingPolicy,
-    DispatchContext,
+    BatchTable,
     EventLoopKernel,
-    execute_dispatch,
     pipeline_completions,
     plan_batches,
     plan_dispatch,
     validate_arrival_trace,
 )
-from repro.core.traffic import PipelineServiceModel, ServingSimulator
+from repro.core.traffic import (
+    PipelineServiceModel,
+    ServingReport,
+    ServingSimulator,
+)
 from repro.workloads import (
     alexnet_conv_specs,
+    diurnal_arrivals,
     fault_scenario,
     lenet5_conv_specs,
+    mmpp_arrivals,
     poisson_arrivals,
     serving_network,
 )
@@ -91,6 +102,23 @@ COUNT_FIELDS = {
     "min queue": lambda v: ElasticReallocation(min_queue=v),
     "admission queue cap": lambda v: BurnRateAdmission(
         slo_latency_s=1e-3, queue_cap=v
+    ),
+    "admission window": lambda v: BurnRateAdmission(
+        slo_latency_s=1e-3, window=v
+    ),
+    "recalibration pressure hold": lambda v: AdaptiveRecalibration(
+        base=RecalibrationPolicy(), pressure_hold=v
+    ),
+    "eval scenario request count": lambda v: EvalScenario(
+        name="s", fault="slow-drift", mix="model-zoo", num_requests=v
+    ),
+    "eval scenario pool size": lambda v: EvalScenario(
+        name="s", fault="slow-drift", mix="model-zoo", pool_size=v
+    ),
+    "poisson request count": lambda v: poisson_arrivals(1000.0, v),
+    "mmpp request count": lambda v: mmpp_arrivals(500.0, 2000.0, v, 0.01),
+    "diurnal request count": lambda v: diurnal_arrivals(
+        500.0, 2000.0, v, 0.01
     ),
     "cluster pool size": lambda v: ClusterSimulator(
         [
@@ -210,14 +238,15 @@ class TestNonFiniteArrivals:
 
 class TestEventLoopKernel:
     def test_facade_matches_kernel(self):
-        """ServingSimulator is a facade over the kernel."""
+        """ServingSimulator is the kernel under its serving name."""
+        assert ServingSimulator is EventLoopKernel
         arrivals = poisson_arrivals(5000.0, 500, seed=5)
         policy = BatchingPolicy.fixed(16)
         report = ServingSimulator(model(), policy).run(arrivals)
         run = EventLoopKernel(model(), policy).run(arrivals)
         assert np.array_equal(report.completion_s, run.completion_s)
         assert report.batches == run.batches
-        assert report.num_cores == run.initial_num_cores
+        assert report.num_cores == run.num_cores
 
     def test_rejects_bad_traces(self):
         kernel = EventLoopKernel(model(), BatchingPolicy.fifo())
@@ -251,21 +280,85 @@ class TestEventLoopKernel:
         assert first.repartitions == second.repartitions
 
 
+class TestOneBatchFormat:
+    """Every front door reports its batches as one BatchTable, built
+    without a BatchRecord, and equal across the paths that serve the
+    same fault-free schedule."""
+
+    def test_every_front_door_reports_one_batch_table(self, monkeypatch):
+        network = serving_network("lenet5")
+        specs = network.conv_specs()
+        cores = len(specs)
+        svc = PipelineServiceModel.from_specs(specs, cores)
+        policy = BatchingPolicy.dynamic(4, 1e-4)
+        arrivals = poisson_arrivals(0.8 * svc.capacity_rps(4), 600, seed=7)
+        zero = fault_scenario("slow-drift", cores, float(arrivals[-1]))
+        zero = zero.scaled(0.0)
+        tenant = ClusterTenant("t", tuple(specs), policy)
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("a BatchRecord was built during a run")
+
+        monkeypatch.setattr(simkernel, "BatchRecord", no_records)
+        reports = {
+            f"serving {mode}": ServingSimulator(svc, policy, mode=mode).run(
+                arrivals
+            )
+            for mode in ("auto", "reference")
+        }
+        reports["degraded epochs"] = DegradedServingSimulator(
+            svc, policy, zero, recalibration=RecalibrationPolicy(), specs=specs
+        ).run(arrivals)
+        reports["adaptive per dispatch"] = simulate_adaptive_serving(
+            network,
+            arrivals,
+            policy,
+            zero,
+            cores,
+            AdaptiveRecalibration.frozen(RecalibrationPolicy()),
+        )
+        for mode in ("auto", "reference"):
+            cluster = ClusterSimulator([tenant], cores, mode=mode).run(
+                {"t": arrivals}
+            )
+            reports[f"cluster {mode}"] = cluster.tenants[0]
+        fleet = simulate_fleet_serving(
+            [tenant], [RegionSpec("r", cores)], {"r": {"t": arrivals}}
+        )
+        reports["fleet region"] = fleet.regions[0].report.tenants[0]
+        monkeypatch.undo()
+        expected = reports["serving reference"].batches
+        assert len(expected) > 1
+        for name, report in reports.items():
+            assert isinstance(report.batches, BatchTable), name
+            assert report.batches == expected, name
+        assert expected.records == reports["serving auto"].batches.records
+
+    def test_serving_simulator_and_kernel_return_one_report_type(self):
+        arrivals = poisson_arrivals(5000.0, 200, seed=2)
+        policy = BatchingPolicy.dynamic(8, 1e-4)
+        for mode in ("auto", "reference"):
+            served = ServingSimulator(model(), policy, mode=mode).run(arrivals)
+            kernel = EventLoopKernel(model(), policy, mode=mode).run(arrivals)
+            assert type(served) is type(kernel) is ServingReport
+
+
 class TestExecuteDispatch:
     def test_busy_time_charged_to_physical_cores(self):
         """Stage→core indirection keeps per-physical-core accounting
         correct after a repartition re-maps the pipeline."""
         arrivals = validate_arrival_trace(np.array([0.0, 1e-5]))
         svc = model(2)
-        ctx = DispatchContext(svc, BatchingPolicy.fifo(), arrivals)
-        ctx.core_busy = [0.0, 0.0, 0.0, 0.0]
-        ctx.stage_to_core = [3, 1]
-        batch = execute_dispatch(ctx, 0.0, 1)
+        lane = _TenantLane(
+            0, "t", None, BatchingPolicy.fifo(), arrivals, svc, [3, 1], 4, None
+        )
+        lane.commit(0.0, 1)
+        batch = lane.batches[0]
         assert batch.size == 1 and batch.first_request == 0
-        assert ctx.core_busy[0] == 0.0 and ctx.core_busy[2] == 0.0
-        assert ctx.core_busy[3] == svc.core_busy_s(0, 1)
-        assert ctx.core_busy[1] == svc.core_busy_s(1, 1)
-        assert ctx.head == 1
+        assert lane.core_busy[0] == 0.0 and lane.core_busy[2] == 0.0
+        assert lane.core_busy[3] == svc.core_busy_s(0, 1)
+        assert lane.core_busy[1] == svc.core_busy_s(1, 1)
+        assert lane.head == 1
 
 
 class TestResumedPlanning:
@@ -297,27 +390,29 @@ class TestResumedPlanning:
     ):
         svc = model(cores)
         arrivals = poisson_arrivals(rate, 300, seed=seed)
-        ctx = DispatchContext(svc, policy, arrivals)
+        lane = _TenantLane(
+            0, "t", None, policy, arrivals, svc, list(range(cores)), cores, None
+        )
         before: dict[int, tuple[list, list]] = {}
-        resumes = [(0, 0, list(ctx.core_free), list(ctx.core_busy))]
-        while ctx.head < arrivals.size:
-            k = len(ctx.batches)
-            before[k] = (list(ctx.core_free), list(ctx.core_busy))
+        resumes = [(0, 0, list(lane.core_free), list(lane.core_busy))]
+        while lane.head < arrivals.size:
+            k = len(lane.batches)
+            before[k] = (list(lane.core_free), list(lane.core_busy))
             dispatch, size = plan_dispatch(
-                arrivals, ctx.head, policy, ctx.core_free[0]
+                arrivals, lane.head, policy, lane.core_free[0]
             )
             if k in pushes:
                 stage, delay = pushes[k]
                 stage %= cores
-                pushed = max(ctx.core_free[stage], dispatch) + delay
-                ctx.core_free[stage] = pushed
-            execute_dispatch(ctx, dispatch, size)
+                pushed = max(lane.core_free[stage], dispatch) + delay
+                lane.core_free[stage] = pushed
+            lane.commit(dispatch, size)
             if k in pushes:
                 resumes.append(
-                    (k + 1, ctx.head, list(ctx.core_free), list(ctx.core_busy))
+                    (k + 1, lane.head, list(lane.core_free), list(lane.core_busy))
                 )
-        total = len(ctx.batches)
-        before[total] = (list(ctx.core_free), list(ctx.core_busy))
+        total = len(lane.batches)
+        before[total] = (list(lane.core_free), list(lane.core_busy))
         for first, head, free, busy in resumes:
             if first == total:
                 continue
@@ -327,7 +422,7 @@ class TestResumedPlanning:
             )
             # The pushed batch's own plan is exact too: the push comes
             # after its seal.
-            expected = ctx.batches[first : stop + 1]
+            expected = lane.batches[first : stop + 1]
             assert heads[: len(expected)].tolist() == [
                 b.first_request for b in expected
             ]
@@ -344,7 +439,7 @@ class TestResumedPlanning:
                 sizes[:count], disp[:count], svc, free, busy
             )
             assert completion.tolist() == [
-                b.completion_s for b in ctx.batches[first:stop]
+                b.completion_s for b in lane.batches[first:stop]
             ]
             assert free == before[stop][0]
             assert list(ledger) == before[stop][1]
