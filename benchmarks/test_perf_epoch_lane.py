@@ -96,9 +96,10 @@ def test_epoch_lane_steps_only_where_faults_act(monkeypatch):
     stepped = len(calls)
     monkeypatch.setattr(CoreHealthState, "advance_to", advance)
     lane, health = _lane_loop(*scenario)
-    assert report.completion_s.tobytes() == lane.completion_s.tobytes()
+    fields = lane.serving_fields()
+    assert report.completion_s.tobytes() == fields["completion_s"].tobytes()
     assert report.batches == lane.batches
-    assert report.accuracy_proxy.tolist() == lane.proxies
+    assert report.accuracy_proxy.tobytes() == lane.proxies.tobytes()
     assert report.recalibrations == tuple(health.recalibrations)
     acting = {record.time_s for record in report.recalibrations}
     assert acting

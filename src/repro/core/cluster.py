@@ -36,26 +36,25 @@ runtime on the unified event-loop kernel (:mod:`repro.core.simkernel`):
   widths elastic reallocation left behind — bit-identical to running
   every request alone in ideal mode.
 
-The lane event loop here is the only loop that hosts mid-run
-feedback: the single-pipeline degraded and adaptive simulators
-(:mod:`repro.core.faults`, :mod:`repro.core.adaptive`) run as one lane
-of it (:func:`serve_pipeline`), with failing-core repartitioning and
-per-batch drift snapshots switched on.  Each lane owns its pipeline
-state and records every batch once, as the four columns of the
-:class:`~repro.core.simkernel.BatchTable` its report carries.  Under
-the static recalibration
-trigger (or none) that lone lane runs in epochs (:func:`_serve_epochs`):
-the stretch up to the next dispatch where the fault step acts is
-planned and booked with the vectorized kernel and its drift probes are
-swept over simulated time, and only that dispatch goes through the
-per-dispatch loop, which stays the oracle.  Everything is a pure
-function of its inputs: a fixed seed and tenant mix yields
-bit-identical reports on every run.
+Every pipeline is a :class:`_TenantLane`: a cluster tenant, the
+kernel's lone pristine pipeline, and the single faulted pipeline of
+the degraded and adaptive simulators (:mod:`repro.core.faults`,
+:mod:`repro.core.adaptive`, through :func:`serve_pipeline`).  Each
+lane owns its pipeline state and records every batch once, in the
+numpy columns its reports read.  The lane event loop
+(:func:`_serve_lanes`) is the only loop that hosts mid-run feedback
+and the oracle of every faster path.  A lane that shares no state with
+another — the lone pipeline, or a tenant of a frozen-allocation
+cluster — is served by :func:`_serve_alone`, the one place a lane's
+path is chosen: one whole-trace vectorized plan, the occupancy-cap
+admission walk, epochs between fault actions (:func:`_serve_epochs`),
+or the per-dispatch loop.  Everything is a pure function of its
+inputs: a fixed seed and tenant mix yields bit-identical reports on
+every run.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -113,7 +112,8 @@ class ClusterTenant:
             defines its pipeline).
         policy: the tenant's batching policy.
         weight: weighted-fair share of the pool (> 0).
-        priority: priority-routing rank (higher wins).
+        priority: priority-routing rank (higher wins), an integer of
+            any sign.
         queue_cap: admission-control bound on the tenant's queue;
             ``None`` admits everything.  A cap below the policy's
             ``max_batch`` also caps the batch size — a queue that can
@@ -138,6 +138,13 @@ class ClusterTenant:
             raise ValueError(
                 f"{self.name}: weight must be finite and > 0, got "
                 f"{self.weight!r}"
+            )
+        if isinstance(self.priority, bool) or not isinstance(
+            self.priority, (int, np.integer)
+        ):
+            raise ValueError(
+                f"{self.name}: priority must be an integer, got "
+                f"{self.priority!r}"
             )
         if self.queue_cap is not None:
             validate_count(self.queue_cap, f"{self.name}: queue cap")
@@ -412,8 +419,20 @@ class ClusterReport:
         return "\n".join(lines)
 
 
+_BATCH_COLUMNS = (
+    ("batch_first", np.int64),
+    ("batch_size", np.int64),
+    ("batch_dispatch", np.float64),
+    ("batch_completion", np.float64),
+    ("batch_width", np.int64),
+    ("batch_proxy", np.float64),
+)
+"""The lane's per-batch record: first request, size, dispatch and
+completion times, pipeline width and accuracy proxy."""
+
+
 class _TenantLane:
-    """One pipeline's queue, cores and batch record in the lane loop.
+    """One pipeline's queue, cores and batch record.
 
     The lane owns its pipeline state: the service ``model``, the
     stage→core map ``phys`` pointing at *physical pool cores*, per-stage
@@ -422,9 +441,11 @@ class _TenantLane:
     reallocations).  The lane loop mutates it mid-run — a recalibration
     pushes a core's free time forward, a repartition or an elastic move
     swaps the model and the stage→core map.  Each batch is recorded
-    once, as one entry in each of four columns (first request, size,
-    dispatch, completion), which :attr:`batches` reads as a
-    :class:`~repro.core.simkernel.BatchTable`.
+    once, in the first ``num_batches`` entries of the numpy columns of
+    :data:`_BATCH_COLUMNS`, which grow geometrically from empty (one
+    whole-trace :meth:`book` allocates exactly its batches); reports
+    read views of them, and :meth:`serving_fields` expands the
+    per-request streams.
 
     The admission-control queue: raw arrivals are judged in order, and
     an arrival that finds ``queue_cap`` *uncompleted* requests already
@@ -461,19 +482,13 @@ class _TenantLane:
         "core_free",
         "core_busy",
         "head",
-        "dispatch_s",
-        "completion_s",
-        "batch_first",
-        "batch_size",
-        "batch_dispatch",
-        "batch_completion",
+        "num_batches",
+        *(name for name, _ in _BATCH_COLUMNS),
         "initial_width",
         "admitted_times",
         "admitted",
         "ptr",
         "shed",
-        "widths",
-        "proxies",
         "released",
         "fail_error_threshold",
         "snapshots",
@@ -516,32 +531,26 @@ class _TenantLane:
         self.core_free = [0.0] * model.num_cores
         self.core_busy = [0.0] * pool_size
         self.head = 0
-        # Per-request dispatch/completion times, filled as batches seal.
-        self.dispatch_s = np.empty(self.n)
-        self.completion_s = np.empty(self.n)
-        # The batch record, one entry per batch in dispatch order.
-        # Completions are monotone within a lane, and ``first + size``
-        # of a batch counts the requests completed once it completes.
-        self.batch_first: list[int] = []
-        self.batch_size: list[int] = []
-        self.batch_dispatch: list[float] = []
-        self.batch_completion: list[float] = []
+        # The batch record, in dispatch order.  Completions are
+        # monotone within a lane, and ``first + size`` of a batch counts
+        # the requests completed once it completes.
+        self.num_batches = 0
+        for column, dtype in _BATCH_COLUMNS:
+            setattr(self, column, np.empty(0, dtype))
         self.initial_width = len(phys_cores)
         # The admitted queue: arrival times of every admitted request,
-        # filled in arrival order.  With no cap the whole trace is
-        # admitted up front, so dispatch planning sees the exact array
-        # the plain simulator would (the bit-identity the differential
-        # test pins).
-        self.admitted_times = np.empty(self.n)
-        self.admitted = 0
-        self.ptr = 0
+        # in arrival order.  With no cap it *is* the trace, admitted up
+        # front, so dispatch planning sees the exact array the plain
+        # simulator would (the bit-identity the differential test pins).
+        # A capped lane allocates it at its first :meth:`plan`; one
+        # judged whole-trace (:meth:`judge_all`) never needs the buffer.
+        self.admitted_times: np.ndarray | None = None
+        self.admitted = self.ptr = 0
         if self.cap is None and self._burn is None:
-            self.admitted_times[:] = arrivals
-            self.admitted = self.n
-            self.ptr = self.n
-        self.shed: list[float] = []
-        self.widths: list[int] = []
-        self.proxies: list[float] = []
+            self.admitted_times = arrivals
+            self.admitted = self.ptr = self.n
+        # Shed arrivals: appended per judgment, or one judge_all array.
+        self.shed: list[float] | np.ndarray = []
         self.released = False
         # Single-pipeline extras, off for cluster tenants: draining
         # cores whose error reaches the threshold, and per-batch drift
@@ -560,24 +569,53 @@ class _TenantLane:
     @property
     def batches(self) -> BatchTable:
         """Every sealed batch so far, in dispatch order."""
+        nb = self.num_batches
         return BatchTable(
-            self.batch_first,
-            self.batch_size,
-            self.batch_dispatch,
-            self.batch_completion,
+            self.batch_first[:nb],
+            self.batch_size[:nb],
+            self.batch_dispatch[:nb],
+            self.batch_completion[:nb],
         )
+
+    @property
+    def widths(self) -> np.ndarray:
+        """Per-batch pipeline width (a live view)."""
+        return self.batch_width[: self.num_batches]
+
+    @property
+    def proxies(self) -> np.ndarray:
+        """Per-batch worst weight error over the lane's cores (a live
+        view; zeros on a pristine pool)."""
+        return self.batch_proxy[: self.num_batches]
+
+    def _reserve(self, count: int) -> int:
+        """Make room for ``count`` more batches; return the first slot."""
+        first = self.num_batches
+        need = first + count
+        if need > self.batch_first.size:
+            size = max(need, 2 * self.batch_first.size)
+            for column, dtype in _BATCH_COLUMNS:
+                grown = np.empty(size, dtype)
+                grown[:first] = getattr(self, column)[:first]
+                setattr(self, column, grown)
+        self.num_batches = need
+        return first
 
     def _admit(self) -> None:
         self.admitted_times[self.admitted] = self.raw[self.ptr]
         self.admitted += 1
         self.ptr += 1
 
-    def _completed(self, time_s: float) -> int:
-        """Requests in batches completed strictly before ``time_s``."""
-        done = bisect.bisect_left(self.batch_completion, time_s)
+    def _completed(self, time_s: float) -> tuple[int, int]:
+        """Batches completed strictly before ``time_s``, and the
+        requests in them."""
+        done = int(
+            self.batch_completion[: self.num_batches].searchsorted(time_s)
+        )
         if not done:
-            return 0
-        return self.batch_first[done - 1] + self.batch_size[done - 1]
+            return 0, 0
+        last = done - 1
+        return done, int(self.batch_first[last] + self.batch_size[last])
 
     def _recent_latencies(self, time_s: float) -> np.ndarray:
         """Latencies of the burn window's completions before ``time_s``.
@@ -586,12 +624,18 @@ class _TenantLane:
         the information an online admission controller actually has.
         Pure read: the subtraction never feeds kernel state.
         """
-        completed = self._completed(time_s)
+        done, completed = self._completed(time_s)
+        if not done:
+            return np.empty(0)
         start = max(completed - self._burn.window, 0)
-        return (
-            self.completion_s[start:completed]
-            - self.admitted_times[start:completed]
+        # The window's completions, expanded from the batch holding its
+        # first request.
+        first = int(self.batch_first[:done].searchsorted(start, "right")) - 1
+        completion = np.repeat(
+            self.batch_completion[first:done], self.batch_size[first:done]
         )
+        skip = start - int(self.batch_first[first])
+        return completion[skip:] - self.admitted_times[start:completed]
 
     def _admits(self, time_s: float) -> bool:
         """Judge one arrival: occupancy cap first, then SLO burn rate.
@@ -605,7 +649,7 @@ class _TenantLane:
         """
         if (
             self.cap is not None
-            and self.admitted - self._completed(time_s) >= self.cap
+            and self.admitted - self._completed(time_s)[1] >= self.cap
         ):
             return False
         if self._burn is None:
@@ -613,6 +657,13 @@ class _TenantLane:
         return not self._burn.sheds(
             self._burn.burn_rate(self._recent_latencies(time_s))
         )
+
+    def judge_all(self, mask: np.ndarray) -> None:
+        """Judge the whole trace at once: admit ``mask``, shed the rest."""
+        self.admitted_times = self.raw[mask]
+        self.admitted = int(self.admitted_times.size)
+        self.ptr = self.n
+        self.shed = self.raw[~mask]
 
     def plan(self) -> tuple[float, int] | None:
         """Seal the tenant's next batch, or ``None`` if it is done.
@@ -624,6 +675,8 @@ class _TenantLane:
         still to come can only lower occupancy, never flip an admit)
         and otherwise left unjudged for :meth:`commit` to decide.
         """
+        if self.admitted_times is None:
+            self.admitted_times = np.empty(self.n)
         head = self.head
         while head >= self.admitted and self.ptr < self.n:
             # Empty queue: all completions are known, judge exactly.
@@ -662,9 +715,9 @@ class _TenantLane:
                 self.admitted_times[: self.admitted], time_s, side="right"
             )
         )
-        return max(arrived - self._completed(time_s), 0)
+        return max(arrived - self._completed(time_s)[1], 0)
 
-    def commit(self, dispatch: float, size: int) -> None:
+    def commit(self, dispatch: float, size: int, proxy: float = 0.0) -> None:
         """Book the planned batch and judge the arrivals up to it.
 
         Every batch that completes before the dispatch instant is
@@ -698,33 +751,32 @@ class _TenantLane:
             core_free[stage] = start
             core_busy[phys[stage]] += busy
         head = self.head
-        stop = head + size
-        self.dispatch_s[head:stop] = dispatch
-        self.completion_s[head:stop] = start
-        self.head = stop
-        self.batch_first.append(head)
-        self.batch_size.append(size)
-        self.batch_dispatch.append(dispatch)
-        self.batch_completion.append(start)
-        self.widths.append(model.num_cores)
+        self.head = head + size
+        k = self._reserve(1)
+        self.batch_first[k] = head
+        self.batch_size[k] = size
+        self.batch_dispatch[k] = dispatch
+        self.batch_completion[k] = start
+        self.batch_width[k] = model.num_cores
+        self.batch_proxy[k] = proxy
 
     def book(
         self,
         heads: np.ndarray,
         sizes: np.ndarray,
         disp: np.ndarray,
-        proxies: list[float],
-        snapshots: list[tuple[CoreDriftSnapshot, ...]],
+        proxies: np.ndarray | None = None,
+        snapshots: list[tuple[CoreDriftSnapshot, ...]] | None = None,
     ) -> None:
         """Book a planned stretch of batches at once.
 
-        The bulk :meth:`commit` of :func:`serve_pipeline`'s epochs: for a
-        lane that admits its whole trace up front, batches that take no
-        fault action are walked through the pipeline by
+        The bulk :meth:`commit`: for a lane whose admitted queue already
+        holds the stretch, batches that take no fault action are walked
+        through the pipeline by
         :func:`~repro.core.simkernel.pipeline_completions`, resumed from
-        the lane's clocks and busy ledger, and every column, stream
-        entry and ledger total comes out as committing them one by one
-        would leave it.
+        the lane's clocks and busy ledger, and every column and ledger
+        total comes out as committing them one by one would leave it.
+        ``proxies`` defaults to the zeros of a pristine pool.
         """
         phys = self.phys
         completion, ledger = pipeline_completions(
@@ -736,18 +788,17 @@ class _TenantLane:
         )
         for core, total in zip(phys, ledger):
             self.core_busy[core] = total
-        start = self.head
-        stop = int(heads[-1] + sizes[-1])
-        self.dispatch_s[start:stop] = np.repeat(disp, sizes)
-        self.completion_s[start:stop] = np.repeat(completion, sizes)
-        self.head = stop
-        self.batch_first.extend(heads.tolist())
-        self.batch_size.extend(sizes.tolist())
-        self.batch_dispatch.extend(disp.tolist())
-        self.batch_completion.extend(completion.tolist())
-        self.widths.extend([self.width] * sizes.size)
-        self.proxies.extend(proxies)
-        self.snapshots.extend(snapshots)
+        self.head = int(heads[-1] + sizes[-1])
+        k = self._reserve(sizes.size)
+        stop = self.num_batches
+        self.batch_first[k:stop] = heads
+        self.batch_size[k:stop] = sizes
+        self.batch_dispatch[k:stop] = disp
+        self.batch_completion[k:stop] = completion
+        self.batch_width[k:stop] = self.width
+        self.batch_proxy[k:stop] = 0.0 if proxies is None else proxies
+        if snapshots is not None:
+            self.snapshots.extend(snapshots)
 
     def release_cores(self) -> list[tuple[int, float]]:
         """Hand the lane's cores back once its trace is fully served.
@@ -768,17 +819,15 @@ class _TenantLane:
         """
         if health is None:
             self.commit(dispatch, size)
-            self.proxies.append(0.0)
             return
         states = health.states
         health.step(self.phys, self.core_free, dispatch, self.queue_depth)
         if self.fail_error_threshold is not None:
             self._drain_failing(dispatch, states)
-        self.commit(dispatch, size)
         phys = self.phys
-        self.proxies.append(max(states[core].error for core in phys))
         if self.snapshots is not None:
             self.snapshots.append(tuple(states[core].snapshot() for core in phys))
+        self.commit(dispatch, size, max(states[core].error for core in phys))
 
     def _drain_failing(
         self, dispatch: float, states: list[CoreHealthState]
@@ -818,14 +867,14 @@ class _TenantLane:
     def serving_fields(self) -> dict:
         """The :class:`~repro.core.traffic.ServingReport` fields of the
         lane's run: its admitted requests, batches and busy ledger."""
-        served = self.admitted
+        batches = self.batches
         return dict(
             policy=self.policy,
             num_cores=self.initial_width,
-            arrival_s=self.admitted_times[:served].copy(),
-            dispatch_s=self.dispatch_s[:served],
-            completion_s=self.completion_s[:served],
-            batches=self.batches,
+            arrival_s=self.admitted_times[: self.admitted],
+            dispatch_s=np.repeat(batches.dispatch_s, batches.size),
+            completion_s=np.repeat(batches.completion_s, batches.size),
+            batches=batches,
             core_busy_s=tuple(self.core_busy),
         )
 
@@ -835,9 +884,9 @@ class _TenantLane:
             **self.serving_fields(),
             tenant=self.name,
             offered_arrival_s=self.raw,
-            shed_arrival_s=np.array(self.shed),
-            batch_num_cores=np.array(self.widths, dtype=int),
-            accuracy_proxy=np.array(self.proxies),
+            shed_arrival_s=np.asarray(self.shed, dtype=float),
+            batch_num_cores=self.widths,
+            accuracy_proxy=self.proxies,
         )
 
 
@@ -917,10 +966,7 @@ where the fixpoint would otherwise need about ``n / 2`` passes."""
 
 def _plan_admitted(
     raw: np.ndarray, policy: BatchingPolicy, model, cap: int
-) -> (
-    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]
-    | None
-):
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """Vectorized occupancy-cap admission walk for one frozen lane.
 
     Reproduces the reference lane's admission decisions as array ops.
@@ -959,18 +1005,17 @@ def _plan_admitted(
     does not, the caller falls back to the exact scalar lane.
 
     Returns:
-        ``(mask, heads, sizes, disp, completion, stage_busy)``: the
-        admitted mask over ``raw`` plus the converged batch plan,
-        per-batch completions, and per-stage busy ledger — or ``None``
-        when the walk hits the pass cap or the verification walk
-        rejects the plan.
+        ``(mask, heads, sizes, disp)``: the admitted mask over ``raw``
+        plus the converged batch plan — or ``None`` when the walk hits
+        the pass cap or the verification walk rejects the plan.
     """
     n = raw.size
     idx = np.arange(n, dtype=np.int64)
     mask = np.ones(n, dtype=bool)
     for _ in range(_ADMISSION_MAX_PASSES):
         heads, sizes, disp = plan_batches(raw[mask], policy, model)
-        completion, stage_busy = pipeline_completions(sizes, disp, model)
+        fresh = ([0.0] * model.num_cores, [0.0] * model.num_cores)
+        completion, _ = pipeline_completions(sizes, disp, model, *fresh)
         bounds = np.concatenate(([0], np.cumsum(sizes)))
         # completed[i]: requests in batches done strictly before t_i
         # (completions are strictly increasing within a lane).
@@ -983,7 +1028,7 @@ def _plan_admitted(
             if _verify_admission_plan(
                 raw, mask, policy, model, cap, sizes, disp
             ):
-                return mask, heads, sizes, disp, completion, stage_busy
+                return mask, heads, sizes, disp
             return None
         mask = new_mask
     return None
@@ -1141,25 +1186,27 @@ class ClusterSimulator:
             :class:`~repro.core.adaptive.AdaptiveRecalibration`.
         admission: per-tenant admission controllers
             (:class:`~repro.core.adaptive.BurnRateAdmission`), keyed by
-            tenant name; a tenant without an entry keeps its static
-            ``queue_cap``.  A controller owns its tenant's occupancy
-            cap (its ``queue_cap`` field replaces the tenant's).
+            tenant name; a tenant without an entry (or with ``None``)
+            keeps its static ``queue_cap``.  A controller owns its
+            tenant's occupancy cap (its ``queue_cap`` field replaces
+            the tenant's).
         config: hardware configuration for partitioning and service
             times.
-        mode: kernel execution mode.  ``"auto"`` (the default) runs the
-            vectorized lane-decomposition fast path whenever the
-            allocation is frozen — no fault schedule, no elastic
-            reallocation, no *enabled* burn-rate admission controller
-            (static occupancy caps are fine) — and the global event
-            loop otherwise; ``"reference"`` always runs the global
-            loop.  Both paths are bit-identical.
+        mode: kernel execution mode.  ``"auto"`` (the default) serves
+            each lane alone on its fastest exact path
+            (:func:`_serve_alone`) whenever the allocation is frozen —
+            no fault schedule, no elastic reallocation, no *enabled*
+            burn-rate admission controller (static occupancy caps are
+            fine) — and runs the global event loop otherwise;
+            ``"reference"`` always runs the global loop.  Both paths
+            are bit-identical.
 
     Raises:
         ValueError: on an empty or duplicated tenant set, a pool size
             that is not an integer or is below one core per tenant, an
             unknown ``mode``, or an admission key that names no tenant.
-        TypeError: on an ``elastic`` or ``recalibration`` policy of
-            another type.
+        TypeError: on an ``elastic`` or ``recalibration`` policy, or an
+            admission controller, of another type.
     """
 
     def __init__(
@@ -1182,7 +1229,11 @@ class ClusterSimulator:
         validate_count(pool_size, "pool size")
         validate_kernel_mode(mode)
         # adaptive.py builds on this module, so its types load here.
-        from repro.core.adaptive import AdaptiveRecalibration, PressureController
+        from repro.core.adaptive import (
+            AdaptiveRecalibration,
+            BurnRateAdmission,
+            PressureController,
+        )
 
         _require_type(
             "elastic", elastic, (ElasticReallocation, PressureController)
@@ -1192,13 +1243,19 @@ class ClusterSimulator:
             recalibration,
             (RecalibrationPolicy, AdaptiveRecalibration),
         )
-        self.admission = dict(admission) if admission else {}
-        unknown = set(self.admission) - set(names)
+        admission = dict(admission) if admission else {}
+        unknown = set(admission) - set(names)
         if unknown:
             raise ValueError(
                 f"admission keys {sorted(unknown)} name no tenant; have "
                 f"{names!r}"
             )
+        for name, controller in admission.items():
+            _require_type(
+                f"admission[{name!r}]", controller, (BurnRateAdmission,)
+            )
+        # A None entry is no entry: the tenant keeps its static cap.
+        self.admission = {k: v for k, v in admission.items() if v is not None}
         self.tenants = tuple(tenants)
         self.pool_size = pool_size
         self.routing = routing if routing is not None else RoutingPolicy()
@@ -1212,17 +1269,18 @@ class ClusterSimulator:
         )
 
     @property
-    def _vectorizable(self) -> bool:
-        """Whether the run decomposes into independent frozen lanes.
+    def _frozen(self) -> bool:
+        """Whether the tenant lanes share no state, so each is served
+        alone (:func:`_serve_alone`).
 
         With no fault schedule and no elastic reallocation the core
-        allocation is frozen, so tenant lanes share no state: each lane
-        plans, sheds, and books exactly as if it ran alone, and the
-        global loop's tie-ordering has no arithmetic effect.  Static
-        occupancy caps (a tenant's ``queue_cap``, or a *disabled*
-        burn-rate controller's) are per-lane too.  Only an *enabled*
-        burn-rate controller breaks the decomposition — its judgments
-        read completion latencies mid-run and can flip as batches seal.
+        allocation is frozen: each lane plans, sheds, and books exactly
+        as if it ran alone, and the global loop's tie-ordering has no
+        arithmetic effect.  Static occupancy caps (a tenant's
+        ``queue_cap``, or a *disabled* burn-rate controller's) are
+        per-lane too.  An *enabled* burn-rate controller keeps the run
+        on the global loop: its judgments read completion latencies
+        mid-run and can flip as batches seal.
         """
         return (
             self.schedule is None
@@ -1333,33 +1391,35 @@ class ClusterSimulator:
                 f"need one arrival trace per tenant {sorted(names)}, got "
                 f"{sorted(arrival_s)}"
             )
-        if self.mode == "auto" and self._vectorizable:
-            return self._run_vectorized(arrival_s)
         lanes = [
             self._lane(
                 index, tenant, validate_arrival_trace(arrival_s[tenant.name])
             )
             for index, tenant in enumerate(self.tenants)
         ]
-        free: list[tuple[int, float]] = [(core, 0.0) for core in self._free]
-        health = None
-        if self.schedule is not None:
-            health = PoolHealth(
-                self.schedule, self.pool_size, self.recalibration
-            )
-        reallocations: list[ReallocationRecord] = []
-        pristine = (0.0,) * self.pool_size
-
-        def rebalance(now: float) -> None:
-            self._rebalance(now, lanes, free, reallocations)
-
-        _serve_lanes(
-            lanes,
-            health,
-            self._tie_key,
-            rebalance=None if self.elastic is None else rebalance,
-            free=free,
+        health = (
+            None
+            if self.schedule is None
+            else PoolHealth(self.schedule, self.pool_size, self.recalibration)
         )
+        reallocations: list[ReallocationRecord] = []
+        if self.mode == "auto" and self._frozen:
+            for lane in lanes:
+                _serve_alone(lane, None)
+        else:
+            free = [(core, 0.0) for core in self._free]
+
+            def rebalance(now: float) -> None:
+                self._rebalance(now, lanes, free, reallocations)
+
+            _serve_lanes(
+                lanes,
+                health,
+                self._tie_key,
+                rebalance=None if self.elastic is None else rebalance,
+                free=free,
+            )
+        pristine = (0.0,) * self.pool_size
         return ClusterReport(
             pool_size=self.pool_size,
             routing=self.routing.kind,
@@ -1403,114 +1463,6 @@ class ClusterSimulator:
             self.config,
             queue_cap=tenant.queue_cap,
             admission=self.admission.get(tenant.name),
-        )
-
-    def _serve_lane_vectorized(
-        self, index: int, tenant: ClusterTenant, trace: np.ndarray
-    ) -> TenantServingReport:
-        """One frozen tenant lane on the vectorized kernel.
-
-        A fault-free :func:`~repro.core.simkernel.plan_batches` /
-        :func:`~repro.core.simkernel.pipeline_completions` run — with
-        the :func:`_plan_admitted` walk in front when the lane carries
-        an occupancy cap — re-badged as a tenant report: busy time
-        lands on the tenant's *physical* pool cores and the per-batch
-        width/proxy columns are constant, exactly what the global loop
-        records for a frozen lane, bit for bit.
-        """
-        phys = self._allocations[index]
-        controller = self.admission.get(tenant.name)
-        cap = (
-            controller.queue_cap
-            if controller is not None
-            else tenant.queue_cap
-        )
-        policy = tenant.policy if cap is None else tenant.policy.capped(cap)
-        model = PipelineServiceModel.from_specs(
-            list(tenant.specs), len(phys), self.config
-        )
-        if cap is None:
-            admitted = trace.copy()
-            shed = np.array([])
-            heads, sizes, disp = plan_batches(trace, policy, model)
-            completion, stage_busy = pipeline_completions(
-                sizes, disp, model
-            )
-        else:
-            plan = _plan_admitted(trace, policy, model, cap)
-            if plan is None:
-                # The walk hit its pass cap, or the sealed-visibility
-                # walk rejected the speculation (an early-shed arrival
-                # re-admitted at the very next commit shrank a reference
-                # batch): serve this one lane on the exact scalar loop
-                # instead.
-                return self._serve_lane_reference(index, tenant, trace)
-            mask, heads, sizes, disp, completion, stage_busy = plan
-            admitted = trace[mask]
-            shed = trace[~mask]
-        pool_busy = [0.0] * self.pool_size
-        for stage, core in enumerate(phys):
-            pool_busy[core] = stage_busy[stage]
-        num_batches = int(heads.size)
-        return TenantServingReport(
-            policy=policy,
-            num_cores=len(phys),
-            arrival_s=admitted,
-            dispatch_s=np.repeat(disp, sizes),
-            completion_s=np.repeat(completion, sizes),
-            batches=BatchTable(heads, sizes, disp, completion),
-            core_busy_s=tuple(pool_busy),
-            tenant=tenant.name,
-            offered_arrival_s=trace,
-            shed_arrival_s=shed,
-            batch_num_cores=np.full(num_batches, len(phys), dtype=int),
-            accuracy_proxy=np.zeros(num_batches),
-        )
-
-    def _serve_lane_reference(
-        self, index: int, tenant: ClusterTenant, trace: np.ndarray
-    ) -> TenantServingReport:
-        """Exact scalar fallback for one lane of the fast path.
-
-        A frozen lane shares no state with its neighbours, so driving
-        its :class:`_TenantLane` plan/commit loop in isolation is the
-        global event loop restricted to this tenant — bit for bit,
-        including the zero accuracy proxy a pristine pool records.
-        """
-        lane = self._lane(index, tenant, trace)
-        _serve_lanes([lane], None, _lone_lane)
-        return lane.report()
-
-    def _run_vectorized(
-        self, arrival_s: Mapping[str, np.ndarray]
-    ) -> ClusterReport:
-        """Serve a frozen-allocation cluster on the fast path.
-
-        Lane decomposition: with the allocation frozen and no fault
-        state, a K-tenant run is exactly K independent single-lane runs
-        — each one vectorized — merged in tenant order into the same
-        :class:`ClusterReport` the global event loop would emit.
-        """
-        reports = tuple(
-            self._serve_lane_vectorized(
-                index,
-                tenant,
-                validate_arrival_trace(arrival_s[tenant.name]),
-            )
-            for index, tenant in enumerate(self.tenants)
-        )
-        return ClusterReport(
-            pool_size=self.pool_size,
-            routing=self.routing.kind,
-            tenants=reports,
-            reallocations=(),
-            schedule_name=None,
-            recalibration_name=(
-                None if self.recalibration is None else self.recalibration.name
-            ),
-            core_downtime_s=(0.0,) * self.pool_size,
-            final_core_errors=(0.0,) * self.pool_size,
-            recalibrations=(),
         )
 
 
@@ -1641,7 +1593,7 @@ def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
                 heads[:cut],
                 sizes[:cut],
                 disp[:cut],
-                proxies.tolist(),
+                proxies,
                 list(zip(*(sweep.snapshots(cut) for sweep in sweeps))),
             )
             last_dispatch = max(last_dispatch, disp[cut - 1])
@@ -1664,6 +1616,44 @@ def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
     health.finish(last_dispatch)
 
 
+def _serve_alone(
+    lane: _TenantLane, health: PoolHealth | None, mode: str = "auto"
+) -> None:
+    """Serve a lane that shares no state with another lane, by its
+    fastest exact path — the one place a lane's path is chosen:
+
+    * fault-free, whole trace admitted: one whole-trace
+      :func:`~repro.core.simkernel.plan_batches` and :meth:`_TenantLane.book`;
+    * fault-free with an occupancy cap: the :func:`_plan_admitted` walk
+      and one book, or per dispatch when the walk is rejected;
+    * faulted with no recalibration or the static trigger:
+      :func:`_serve_epochs`;
+    * otherwise (adaptive trigger, enabled burn-rate controller,
+      ``mode="reference"``): per dispatch through :func:`_serve_lanes`,
+      the oracle every other path matches bit for bit.
+    """
+    if mode == "auto" and lane._burn is None:
+        if health is None and lane.cap is None:
+            lane.book(*plan_batches(lane.raw, lane.policy, lane.model))
+            return
+        if health is None:
+            plan = _plan_admitted(lane.raw, lane.policy, lane.model, lane.cap)
+            if plan is not None:
+                mask, heads, sizes, disp = plan
+                lane.judge_all(mask)
+                lane.book(heads, sizes, disp)
+                return
+            # The walk hit its pass cap, or the sealed-visibility walk
+            # rejected the speculation (an early-shed arrival re-admitted
+            # at the very next commit shrank a per-dispatch batch).
+        elif lane.cap is None and (
+            health.trigger is None or type(health.trigger) is ThresholdTrigger
+        ):
+            _serve_epochs(lane, health)
+            return
+    _serve_lanes([lane], health, _lone_lane)
+
+
 def serve_pipeline(
     model: PipelineServiceModel,
     policy: BatchingPolicy,
@@ -1672,21 +1662,17 @@ def serve_pipeline(
     specs: Sequence[ConvLayerSpec] | None = None,
     config: PCNNAConfig | None = None,
     fail_error_threshold: float | None = None,
+    mode: str = "auto",
 ) -> _TenantLane:
-    """Serve one pipeline as the lone lane of the event loop.
+    """Serve one pipeline as a lone lane (:func:`_serve_alone`).
 
-    The engine of :class:`~repro.core.faults.DegradedServingSimulator`
-    and of the kernel's reference mode: one lane over the caller's
-    ``model`` on cores ``0..width-1`` that records per-batch drift
-    snapshots and, when ``specs`` is given, drains cores whose error
-    reaches ``fail_error_threshold``.  With ``health`` ``None`` the pool
-    is pristine and the lane takes every dispatch through
-    :func:`_serve_lanes`: the per-event oracle of the vectorized kernel.
-    With no recalibration or the static threshold trigger a faulted lane
-    runs in epochs between fault actions (:func:`_serve_epochs`); an
-    adaptive trigger, whose decider keeps state per call, takes the
-    fault step at every dispatch (:func:`_serve_lanes`).  Both produce
-    the same lane, bit for bit.
+    The engine of :class:`~repro.core.simkernel.EventLoopKernel` and of
+    :class:`~repro.core.faults.DegradedServingSimulator`: one lane over
+    the caller's ``model`` on cores ``0..width-1`` that records
+    per-batch drift snapshots and, when ``specs`` is given, drains cores
+    whose error reaches ``fail_error_threshold``.  ``health`` ``None``
+    keeps the pool pristine; ``mode="reference"`` takes every dispatch
+    through the per-dispatch loop.
     """
     width = model.num_cores
     lane = _TenantLane(
@@ -1702,12 +1688,7 @@ def serve_pipeline(
         fail_error_threshold=None if specs is None else fail_error_threshold,
         record_snapshots=True,
     )
-    if health is not None and (
-        health.trigger is None or type(health.trigger) is ThresholdTrigger
-    ):
-        _serve_epochs(lane, health)
-    else:
-        _serve_lanes([lane], health, _lone_lane)
+    _serve_alone(lane, health, mode)
     return lane
 
 

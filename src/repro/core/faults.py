@@ -1129,8 +1129,8 @@ class DegradedServingSimulator:
             recalibration_name=(
                 None if self.recalibration is None else self.recalibration.name
             ),
-            accuracy_proxy=np.array(lane.proxies),
-            batch_num_cores=np.array(lane.widths, dtype=int),
+            accuracy_proxy=lane.proxies,
+            batch_num_cores=lane.widths,
             batch_snapshots=tuple(lane.snapshots),
             core_downtime_s=tuple(health.downtime),
             final_core_errors=tuple(state.error for state in health.states),

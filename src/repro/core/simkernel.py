@@ -13,19 +13,17 @@ once:
   decisions and the pipeline walk for a whole stretch of batches, as
   array ops that replay the per-batch float arithmetic bit for bit;
 * :class:`EventLoopKernel` — the fault-free queue → batcher → pipeline
-  run, as whole-trace array ops or, in reference mode, as one pristine
-  lane of the lane event loop.
+  run, served as one pristine lane of :mod:`repro.core.cluster`.
 
 :class:`~repro.core.traffic.ServingSimulator` is the kernel itself.
-The one per-event loop is the cluster lane loop of
-:mod:`repro.core.cluster`: each lane plans with :func:`plan_dispatch`
-and walks its own pipeline.  It hosts everything that mutates a
-pipeline mid-run — fault-and-drift bookkeeping, recalibration downtime,
-fault-aware repartitioning, admission control and elastic reallocation
-— and the kernel's reference mode and the single-pipeline
-:class:`~repro.core.faults.DegradedServingSimulator` are each one lane
-of it.  The simulated clock is decoupled from wall time and every input
-is seeded, so a fixed seed yields bit-identical results on every run.
+Every pipeline is a lane of :mod:`repro.core.cluster`, served by the
+array ops here when nothing feeds back mid-run and otherwise by the one
+per-event loop, the cluster lane loop (each lane plans with
+:func:`plan_dispatch` and walks its own pipeline), which hosts
+fault-and-drift bookkeeping, recalibration downtime, fault-aware
+repartitioning, admission control and elastic reallocation.  The
+simulated clock is decoupled from wall time and every input is seeded,
+so a fixed seed yields bit-identical results on every run.
 
 :class:`BatchingPolicy`, :class:`BatchTable`, and
 :func:`validate_arrival_trace` live here because every front door shares
@@ -51,11 +49,12 @@ KERNEL_MODES: tuple[str, ...] = ("auto", "reference")
 
 ``"reference"`` runs the per-event lane loop of
 :mod:`repro.core.cluster` — one :func:`plan_dispatch` call and one
-pipeline walk per batch — on a pristine lone lane.
-``"auto"`` — the default — plans whole batch boundaries and completion
-clocks as numpy array ops wherever a run has no mid-run feedback; front
-doors whose pipelines change mid-run (faults, elastic reallocation)
-resolve it to the lane loop.  The two modes are *bit-identical*: every
+pipeline walk per batch — on every lane.
+``"auto"`` — the default — serves each lane that shares no state with
+another on its fastest exact path (whole-trace array ops wherever
+nothing feeds back mid-run, epochs between fault actions) and keeps
+the lane loop for runs that change pipelines mid-run.  The two modes
+are *bit-identical*: every
 float the array path emits is produced by the same sequence of
 IEEE-754 operations the lane loop performs (see
 ``docs/architecture.md``, "Vectorized kernel & reference mode").
@@ -195,10 +194,11 @@ class BatchTable(Sequence):
     """A sequence of :class:`BatchRecord` backed by four parallel arrays.
 
     Every report's ``batches``.  The vectorized kernel plans millions of
-    batches as whole arrays and the lane loop records each batch as one
-    entry per column; materializing a frozen dataclass per batch would
-    cost more than the simulation itself.  This table stores the columns
-    and synthesizes records only when a caller reads them, so
+    batches as whole arrays and a lane records each batch as one entry
+    per numpy column; materializing a frozen dataclass per batch would
+    cost more than the simulation itself.  This table holds the columns
+    (views of a lane's, not copies) and synthesizes records only when a
+    caller reads them, so
     ``report.batches[i]``, iteration, ``len``, and equality against a
     tuple of :class:`BatchRecord` all behave like a tuple of records.
     Synthesized records carry ``np.float64`` times, as read from the
@@ -663,26 +663,24 @@ def pipeline_completions(
     sizes: np.ndarray,
     disp: np.ndarray,
     model,
-    core_free: list | None = None,
-    core_busy: Sequence[float] | None = None,
+    core_free: list,
+    core_busy: Sequence[float],
 ) -> tuple[np.ndarray, tuple[float, ...]]:
     """Walk a planned batch stream through every pipeline stage.
 
     The execution half of the vectorized kernel, usable on its own by
     any caller that already has per-batch ``(size, dispatch)`` arrays
-    from :func:`plan_batches` — the cluster fast path runs it once per
-    tenant lane.  Stage 0 starts every batch at its dispatch time (the
-    planner guarantees dispatch >= core-0 free), so its completions are
-    a single elementwise add; each later stage is one exact max-plus
-    scan over the batch stream.  Bit-identical to booking the batches
-    on a lane of the lane loop one at a time.
+    from :func:`plan_batches` — a lane's bulk booking runs it.  Stage 0
+    starts every batch at its dispatch time (the planner guarantees
+    dispatch >= core-0 free), so its completions are a single
+    elementwise add; each later stage is one exact max-plus scan over
+    the batch stream.  Bit-identical to booking the batches on a lane
+    of the lane loop one at a time.
 
-    ``core_free`` and ``core_busy`` resume a pipeline part-way: its
-    per-stage free times and busy totals after the batches already
-    booked (a lane's ``core_free`` and its busy ledger read per
-    stage).  Each stage then starts from its free time,
-    ``core_free`` is updated in place to the free times after the last
-    batch, and the returned ledger continues ``core_busy``.
+    ``core_free`` and ``core_busy`` are the per-stage free times and
+    busy totals before the stream (zeros for a fresh pipeline): each
+    stage starts from its free time, ``core_free`` is updated in place,
+    and the returned ledger continues ``core_busy``.
 
     Returns:
         Per-batch final-stage completion times and the per-stage total
@@ -698,20 +696,16 @@ def pipeline_completions(
         if stage == 0:
             completion = disp + busy
         else:
-            if core_free is not None and core_free[stage] > completion[0]:
+            if core_free[stage] > completion[0]:
                 # The stage is still busy with earlier batches: the
                 # first one starts when it frees, max(arrival, free).
                 completion = completion.copy()
                 completion[0] = core_free[stage]
             completion = _maxplus_scan(completion, busy)
-        if core_busy is None:
-            ledger.append(float(np.cumsum(busy)[-1]))
-        else:
-            # The scalar ledger's left fold, continued from its total.
-            folded = np.cumsum(np.concatenate(([core_busy[stage]], busy)))
-            ledger.append(float(folded[-1]))
-        if core_free is not None:
-            core_free[stage] = completion[-1]
+        # The scalar ledger's left fold, continued from its total.
+        folded = np.cumsum(np.concatenate(([core_busy[stage]], busy)))
+        ledger.append(float(folded[-1]))
+        core_free[stage] = completion[-1]
     return completion, tuple(ledger)
 
 
@@ -725,10 +719,10 @@ class EventLoopKernel:
         model: the per-core service-time model
             (:class:`~repro.core.traffic.PipelineServiceModel`).
         policy: the batching policy.
-        mode: one of :data:`KERNEL_MODES`.  ``"auto"`` (the default)
-            runs the array-op path; ``"reference"`` serves the trace as
-            a pristine lone lane of the per-event lane loop.  Both
-            paths are bit-identical.
+        mode: one of :data:`KERNEL_MODES`.  The trace is served as a
+            pristine lone lane: ``"auto"`` (the default) books it with
+            whole-trace array ops, ``"reference"`` one dispatch at a
+            time through the lane loop.  Both are bit-identical.
 
     Raises:
         ValueError: on an unknown mode.
@@ -751,29 +745,19 @@ class EventLoopKernel:
         Raises:
             ValueError: on an empty, non-finite or unsorted trace.
         """
-        # The report type and the lane loop live in modules built on
-        # this one, so they load here.
+        # The report type and the lane live in modules built on this
+        # one, so they load here.
+        from repro.core.cluster import serve_pipeline
         from repro.core.traffic import ServingReport
 
-        arrivals = validate_arrival_trace(arrival_s)
-        model, policy = self.model, self.policy
-        if self.mode == "reference":
-            from repro.core.cluster import serve_pipeline
-
-            lane = serve_pipeline(model, policy, arrivals, None)
-            return ServingReport(**lane.serving_fields())
-        # Plan every batch, then book the stream on each stage.
-        heads, sizes, disp = plan_batches(arrivals, policy, model)
-        completion, core_busy = pipeline_completions(sizes, disp, model)
-        return ServingReport(
-            policy=policy,
-            num_cores=model.num_cores,
-            arrival_s=arrivals,
-            dispatch_s=np.repeat(disp, sizes),
-            completion_s=np.repeat(completion, sizes),
-            batches=BatchTable(heads, sizes, disp, completion),
-            core_busy_s=core_busy,
+        lane = serve_pipeline(
+            self.model,
+            self.policy,
+            validate_arrival_trace(arrival_s),
+            None,
+            mode=self.mode,
         )
+        return ServingReport(**lane.serving_fields())
 
 
 __all__ = [

@@ -340,9 +340,9 @@ ServingSimulator = EventLoopKernel
 
 The serving front door is the kernel itself:
 ``ServingSimulator(model, policy, mode="auto").run(arrival_s)`` returns
-a :class:`ServingReport`.  ``"auto"`` runs the vectorized hot path,
-``"reference"`` serves the trace as a pristine lone lane of the
-per-event lane loop; both are bit-identical.
+a :class:`ServingReport`.  Both modes serve the trace as a pristine
+lone lane: ``"auto"`` on the vectorized hot path, ``"reference"``
+through the per-event lane loop; both are bit-identical.
 """
 
 

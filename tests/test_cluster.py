@@ -54,6 +54,17 @@ class TestClusterTenant:
         with pytest.raises(ValueError, match="queue cap"):
             tenant("t", queue_cap=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, True, "hi", None])
+    def test_priority_must_be_an_integer(self, bad):
+        """A NaN priority used to rank by list position under priority
+        routing, and a string failed only at run time."""
+        with pytest.raises(ValueError, match="t: priority must be an integer"):
+            tenant("t", priority=bad)
+
+    @pytest.mark.parametrize("priority", [-3, 0, 2, np.int64(1)])
+    def test_priority_accepts_integers_of_any_sign(self, priority):
+        assert tenant("t", priority=priority).priority == priority
+
     def test_from_network(self):
         network = serving_network("lenet5")
         built = ClusterTenant.from_network(
@@ -179,6 +190,39 @@ class TestPolicyValidation:
         # Both interfaces of each kind are accepted.
         ClusterSimulator(tenants, 2, recalibration=frozen)
         ClusterSimulator(tenants, 2, elastic=PressureController.inert())
+
+    @pytest.mark.parametrize(
+        "bad", [3, RecalibrationPolicy(), "x"], ids=["int", "recal", "str"]
+    )
+    def test_mistyped_admission_raises(self, bad):
+        """A non-controller admission value used to construct and then
+        crash the run with an AttributeError."""
+        with pytest.raises(
+            TypeError, match=r"admission\['a'\] must be BurnRateAdmission"
+        ):
+            ClusterSimulator(
+                [tenant("a"), tenant("b")], 2, admission={"a": bad}
+            )
+
+    def test_none_admission_is_no_entry(self):
+        tenants = [tenant("a", queue_cap=4), tenant("b")]
+        arrivals = {
+            "a": poisson_arrivals(2e4, 300, seed=1),
+            "b": poisson_arrivals(1e3, 50, seed=2),
+        }
+        plain = simulate_cluster_serving(tenants, arrivals, 2)
+        for mode in ("auto", "reference"):
+            simulator = ClusterSimulator(
+                tenants, 2, mode=mode, admission={"a": None}
+            )
+            assert simulator.admission == {}
+            with_none = simulator.run(arrivals)
+            for name in ("a", "b"):
+                got, want = with_none.tenant(name), plain.tenant(name)
+                assert got.batches == want.batches
+                assert got.shed_arrival_s.tobytes() == (
+                    want.shed_arrival_s.tobytes()
+                )
 
 
 class TestSingleTenantDifferential:

@@ -456,19 +456,17 @@ class TestMultiTenantClusterPin:
 
     def test_lane_fallback_is_exercised_and_exact(self, monkeypatch):
         """When the speculative admission plan fails verification the
-        lane falls back to the scalar reference loop — prove the
+        lane falls back to the per-dispatch lane loop — prove the
         fallback fires on a hostile trace and stays bit-identical."""
         specs = lenet5_conv_specs()
         calls = []
-        original = ClusterSimulator._serve_lane_reference
+        original = cluster_module._serve_lanes
 
-        def counting(self, index, tenant, trace):
-            calls.append(tenant.name)
-            return original(self, index, tenant, trace)
+        def counting(lanes, *args, **kwargs):
+            calls.extend(lane.name for lane in lanes)
+            return original(lanes, *args, **kwargs)
 
-        monkeypatch.setattr(
-            ClusterSimulator, "_serve_lane_reference", counting
-        )
+        monkeypatch.setattr(cluster_module, "_serve_lanes", counting)
         rng = np.random.default_rng(101)
         base = np.cumsum(rng.exponential(1.0 / 2e4, 60))
         trace = np.sort(rng.choice(base, size=300))
@@ -483,7 +481,7 @@ class TestMultiTenantClusterPin:
         vec = simulate_cluster_serving(
             tenants, {"hostile": trace}, pool_size=1, mode="auto"
         )
-        assert calls  # the plan was rejected at least once
+        assert calls == ["hostile"]  # the plan was rejected
         monkeypatch.undo()
         ref = simulate_cluster_serving(
             tenants, {"hostile": trace}, pool_size=1, mode="reference"
@@ -550,39 +548,39 @@ def _frozen_shapes():
 
 class TestAutoModeRouting:
     """``"auto"`` is the only fast-path switch left, so a spy proves
-    which path each cluster shape takes: lane decomposition on frozen
-    allocations, the lane event loop wherever state feeds back mid-run."""
+    which path each shape takes: every frozen-allocation lane served
+    alone by the one path dispatcher (``_serve_alone``) with no
+    per-dispatch loop, the lane event loop wherever state feeds back
+    mid-run."""
 
     @staticmethod
     def spy(monkeypatch):
-        calls = {"vectorized": 0, "lanes": 0}
-        vectorized = ClusterSimulator._run_vectorized
+        calls = {"alone": 0, "lanes": 0}
+        serve_alone = cluster_module._serve_alone
         serve_lanes = cluster_module._serve_lanes
 
-        def count_vectorized(self, arrival_s):
-            calls["vectorized"] += 1
-            return vectorized(self, arrival_s)
+        def count_alone(*args, **kwargs):
+            calls["alone"] += 1
+            return serve_alone(*args, **kwargs)
 
         def count_lanes(*args, **kwargs):
             calls["lanes"] += 1
             return serve_lanes(*args, **kwargs)
 
-        monkeypatch.setattr(
-            ClusterSimulator, "_run_vectorized", count_vectorized
-        )
+        monkeypatch.setattr(cluster_module, "_serve_alone", count_alone)
         monkeypatch.setattr(cluster_module, "_serve_lanes", count_lanes)
         return calls
 
     def test_frozen_shapes_take_lane_decomposition(self, monkeypatch):
         calls = self.spy(monkeypatch)
-        runs = 0
+        lanes = 0
         for tenants, arrivals, pool in _frozen_shapes():
             for routing in (RoutingPolicy.weighted_fair(), RoutingPolicy.priority()):
                 simulate_cluster_serving(
                     tenants, arrivals, pool, routing=routing
                 )
-                runs += 1
-                assert calls["vectorized"] == runs
+                lanes += len(tenants)
+                assert calls["alone"] == lanes
         assert calls["lanes"] == 0
         # A disabled burn-rate controller is a static cap: still frozen
         # (its lane may still fall back to the exact scalar loop).
@@ -593,7 +591,22 @@ class TestAutoModeRouting:
             pool,
             admission={"solo": BurnRateAdmission.disabled(queue_cap=4)},
         )
-        assert calls["vectorized"] == runs + 1
+        assert calls["alone"] == lanes + 1
+
+    def test_kernel_auto_runs_no_per_dispatch_loop(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        arrivals = poisson_arrivals(3e4, 500, seed=23)
+        for policy in (
+            BatchingPolicy.fifo(),
+            BatchingPolicy.dynamic(4, 1e-4),
+            BatchingPolicy.fixed(4),
+        ):
+            EventLoopKernel(lenet_model(), policy).run(arrivals)
+        assert calls == {"alone": 3, "lanes": 0}
+        EventLoopKernel(
+            lenet_model(), BatchingPolicy.fifo(), mode="reference"
+        ).run(arrivals)
+        assert calls == {"alone": 4, "lanes": 1}
 
     @pytest.mark.parametrize("feedback", ["faulted", "elastic", "burn"])
     def test_feedback_shapes_take_the_lane_loop(self, monkeypatch, feedback):
@@ -610,7 +623,7 @@ class TestAutoModeRouting:
         }[feedback]
         calls = self.spy(monkeypatch)
         simulate_cluster_serving(tenants, arrivals, pool, **options)
-        assert calls == {"vectorized": 0, "lanes": 1}
+        assert calls == {"alone": 0, "lanes": 1}
 
 
 class TestReplayFidelity:
@@ -736,3 +749,104 @@ class TestMaxPlusScanExactness:
                 _maxplus_scan_const(e.copy(), d, y0),
                 self.scalar_scan_const(e, d, y0),
             )
+
+
+class TestLaneColumns:
+    """A lane records each batch once, in its columns; the burn-rate
+    window is re-derived from them and must equal the per-request
+    definition over the served streams."""
+
+    WINDOW = 5
+
+    def served_lane(self):
+        model = lenet_model()
+        arrivals = poisson_arrivals(1.2 * model.capacity_rps(4), 400, seed=9)
+        lane = cluster_module._TenantLane(
+            0,
+            "burn",
+            None,
+            BatchingPolicy.dynamic(4, 1e-4),
+            arrivals,
+            model,
+            [0, 1, 2],
+            3,
+            None,
+            admission=BurnRateAdmission(
+                slo_latency_s=1e-3, window=self.WINDOW, queue_cap=16
+            ),
+        )
+        cluster_module._serve_lanes([lane], None, cluster_module._lone_lane)
+        return lane
+
+    def test_burn_window_matches_the_per_request_definition(self):
+        lane = self.served_lane()
+        fields = lane.serving_fields()
+        arrival, completion = fields["arrival_s"], fields["completion_s"]
+        batches = lane.batches
+        ends = batches.first_request + batches.size
+        probes = [float(batches.completion_s[0])]  # sees no completions
+        probes += np.nextafter(batches.completion_s, np.inf).tolist()
+        starts = set()
+        for time_s in probes:
+            done = int(np.searchsorted(batches.completion_s, time_s))
+            completed = int(ends[done - 1]) if done else 0
+            start = max(completed - self.WINDOW, 0)
+            starts.add(
+                "empty" if not completed
+                else "zero" if start == 0
+                else "batch" if start in batches.first_request
+                else "mid"
+            )
+            want = completion[start:completed] - arrival[start:completed]
+            got = lane._recent_latencies(time_s)
+            assert got.tobytes() == want.tobytes()
+        assert starts == {"empty", "zero", "batch", "mid"}
+
+    def test_whole_trace_book_allocates_exactly_its_batches(self):
+        lane = cluster_module.serve_pipeline(
+            lenet_model(),
+            BatchingPolicy.dynamic(8, 1e-4),
+            poisson_arrivals(3e4, 2000, seed=4),
+            None,
+        )
+        assert lane.batch_first.size == lane.num_batches == len(lane.batches)
+
+
+class TestBoundedMemory:
+    """``tracemalloc`` peaks of a frozen capped cluster run and of a
+    kernel run stay within 5% of the peaks measured before the lane
+    stored each batch once (numpy 2.4, CPython 3.11): preallocating the
+    lane's columns to the trace length, or copying the trace into an
+    uncapped lane's admitted queue, breaks the bound."""
+
+    CLUSTER_PEAK = 11_172_859
+    KERNEL_PEAK = 8_004_111
+
+    @staticmethod
+    def peak(run) -> int:
+        import tracemalloc
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_frozen_capped_cluster_peak(self):
+        tenants, arrivals = cluster_mix(
+            "interactive-batch", 8e5, 60_000, seed=3
+        )
+        assert any(tenant.queue_cap for tenant in tenants)
+        peak = self.peak(
+            lambda: simulate_cluster_serving(tenants, arrivals, 4)
+        )
+        assert peak <= 1.05 * self.CLUSTER_PEAK
+
+    def test_kernel_peak(self):
+        model = lenet_model()
+        trace = poisson_arrivals(0.9 * model.capacity_rps(8), 100_000, seed=1)
+        kernel = EventLoopKernel(model, BatchingPolicy.dynamic(8, 1e-4))
+        peak = self.peak(lambda: kernel.run(trace))
+        assert peak <= 1.05 * self.KERNEL_PEAK
