@@ -63,10 +63,11 @@ import numpy as np
 
 from repro.core.config import PCNNAConfig
 from repro.core.faults import (
-    CoreDriftSnapshot,
     CoreHealthState,
+    DriftSnapshotTable,
     FaultSchedule,
     PoolHealth,
+    ProbeSweep,
     RecalibrationPolicy,
     RecalibrationRecord,
     RepartitionRecord,
@@ -464,7 +465,11 @@ class _TenantLane:
 
     A lane is either a cluster tenant's or the single pipeline of
     :func:`serve_pipeline`, which alone turns on failing-core draining
-    (``fail_error_threshold``) and per-batch drift snapshots.
+    (``fail_error_threshold``) and, on a faulted pool, the per-batch
+    drift record: a :class:`~repro.core.faults.DriftSnapshotTable`
+    whose row ``b`` is batch ``b``'s, filled a whole epoch at a time by
+    :meth:`book` or one dispatch at a time by :meth:`serve`, and read
+    through :attr:`snapshots`.
     """
 
     __slots__ = (
@@ -491,7 +496,7 @@ class _TenantLane:
         "shed",
         "released",
         "fail_error_threshold",
-        "snapshots",
+        "drift",
         "repartitions",
     )
 
@@ -556,8 +561,10 @@ class _TenantLane:
         # cores whose error reaches the threshold, and per-batch drift
         # snapshots for the degraded engine replay.
         self.fail_error_threshold = fail_error_threshold
-        self.snapshots: list[tuple[CoreDriftSnapshot, ...]] | None = (
-            [] if record_snapshots else None
+        self.drift = (
+            DriftSnapshotTable(self.initial_width)
+            if record_snapshots
+            else None
         )
         self.repartitions: list[RepartitionRecord] = []
 
@@ -587,6 +594,12 @@ class _TenantLane:
         """Per-batch worst weight error over the lane's cores (a live
         view; zeros on a pristine pool)."""
         return self.batch_proxy[: self.num_batches]
+
+    @property
+    def snapshots(self) -> DriftSnapshotTable | None:
+        """Per-batch per-stage drift snapshots (a live view), or
+        ``None`` if the lane records none."""
+        return None if self.drift is None else self.drift.view(self.widths)
 
     def _reserve(self, count: int) -> int:
         """Make room for ``count`` more batches; return the first slot."""
@@ -766,7 +779,7 @@ class _TenantLane:
         sizes: np.ndarray,
         disp: np.ndarray,
         proxies: np.ndarray | None = None,
-        snapshots: list[tuple[CoreDriftSnapshot, ...]] | None = None,
+        sweeps: list[ProbeSweep] | None = None,
     ) -> None:
         """Book a planned stretch of batches at once.
 
@@ -776,7 +789,8 @@ class _TenantLane:
         :func:`~repro.core.simkernel.pipeline_completions`, resumed from
         the lane's clocks and busy ledger, and every column and ledger
         total comes out as committing them one by one would leave it.
-        ``proxies`` defaults to the zeros of a pristine pool.
+        ``proxies`` defaults to the zeros of a pristine pool; the stage
+        cores' ``sweeps`` over the stretch fill its drift rows.
         """
         phys = self.phys
         completion, ledger = pipeline_completions(
@@ -797,8 +811,8 @@ class _TenantLane:
         self.batch_completion[k:stop] = completion
         self.batch_width[k:stop] = self.width
         self.batch_proxy[k:stop] = 0.0 if proxies is None else proxies
-        if snapshots is not None:
-            self.snapshots.extend(snapshots)
+        if sweeps is not None:
+            self.drift.record_sweeps(k, sweeps, sizes.size)
 
     def release_cores(self) -> list[tuple[int, float]]:
         """Hand the lane's cores back once its trace is fully served.
@@ -825,8 +839,8 @@ class _TenantLane:
         if self.fail_error_threshold is not None:
             self._drain_failing(dispatch, states)
         phys = self.phys
-        if self.snapshots is not None:
-            self.snapshots.append(tuple(states[core].snapshot() for core in phys))
+        if self.drift is not None:
+            self.drift.record(self.num_batches, states, phys)
         self.commit(dispatch, size, max(states[core].error for core in phys))
 
     def _drain_failing(
@@ -1538,16 +1552,17 @@ def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
     cuts at the first batch where the per-dispatch loop would act: the
     threshold trigger firing on a core that is not exhausted, an
     exhausted core re-arming, or some but not all cores at the fail
-    threshold.  The batches before the cut are booked in bulk
-    (:meth:`_TenantLane.book`); the cut batch itself runs through the
-    lane's own plan and :meth:`_TenantLane.serve` — the one fault step,
-    :meth:`~repro.core.faults.PoolHealth.step`, and the failing-core
-    drain — and the next epoch resumes from there.  Windows double while
-    epochs run to their end and reset at a cut, and after dense cuts
-    the lane serves a doubling run of dispatches one by one before
-    speculating again, so a run that acts every few dispatches costs
-    about what the per-dispatch loop costs.  The result is bit-identical
-    to :func:`_serve_lanes` on the lone lane, which stays the oracle.
+    threshold.  The batches before the cut are booked in bulk, drift
+    rows and all (:meth:`_TenantLane.book`); the cut batch itself runs
+    through the lane's own plan and :meth:`_TenantLane.serve` — the one
+    fault step, :meth:`~repro.core.faults.PoolHealth.step`, and the
+    failing-core drain — and the next epoch resumes from there.  Windows
+    double while epochs run to their end and reset at a cut, and after
+    dense cuts the lane serves a doubling run of dispatches one by one
+    before speculating again, so a run that acts every few dispatches
+    costs about what the per-dispatch loop costs.  The result is
+    bit-identical to :func:`_serve_lanes` on the lone lane, which stays
+    the oracle.
     """
     states = health.states
     trigger = health.trigger
@@ -1589,13 +1604,7 @@ def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
             proxies = sweeps[0].errors[:cut]
             for sweep in sweeps[1:]:
                 proxies = np.maximum(proxies, sweep.errors[:cut])
-            lane.book(
-                heads[:cut],
-                sizes[:cut],
-                disp[:cut],
-                proxies,
-                list(zip(*(sweep.snapshots(cut) for sweep in sweeps))),
-            )
+            lane.book(heads[:cut], sizes[:cut], disp[:cut], proxies, sweeps)
             last_dispatch = max(last_dispatch, disp[cut - 1])
         if cut == disp.size:
             window *= 2
@@ -1669,10 +1678,10 @@ def serve_pipeline(
     The engine of :class:`~repro.core.simkernel.EventLoopKernel` and of
     :class:`~repro.core.faults.DegradedServingSimulator`: one lane over
     the caller's ``model`` on cores ``0..width-1`` that records
-    per-batch drift snapshots and, when ``specs`` is given, drains cores
-    whose error reaches ``fail_error_threshold``.  ``health`` ``None``
-    keeps the pool pristine; ``mode="reference"`` takes every dispatch
-    through the per-dispatch loop.
+    per-batch drift snapshots on a faulted pool and, when ``specs`` is
+    given, drains cores whose error reaches ``fail_error_threshold``.
+    ``health`` ``None`` keeps the pool pristine; ``mode="reference"``
+    takes every dispatch through the per-dispatch loop.
     """
     width = model.num_cores
     lane = _TenantLane(
@@ -1686,7 +1695,7 @@ def serve_pipeline(
         width,
         config,
         fail_error_threshold=None if specs is None else fail_error_threshold,
-        record_snapshots=True,
+        record_snapshots=health is not None,
     )
     _serve_alone(lane, health, mode)
     return lane

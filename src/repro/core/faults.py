@@ -79,10 +79,11 @@ from repro.photonics.thermal import SILICON_THERMAL_SHIFT_HZ_PER_K
 # Contract markers checked by `python -m repro.lint` (BIT001/PERF001):
 # the zero-magnitude differential pins this module's floats
 # bit-identical to the fault-free run, CoreHealthState advances on
-# every dispatch of the event loop, and a ProbeSweep is built per core
-# per epoch of the single faulted pipeline.
+# every dispatch of the event loop, a ProbeSweep is built per core per
+# epoch of the single faulted pipeline, and a DriftSnapshotTable records
+# every batch of that pipeline.
 __bit_identity__ = True
-__hot_path__ = ("CoreHealthState", "ProbeSweep")
+__hot_path__ = ("CoreHealthState", "ProbeSweep", "DriftSnapshotTable")
 
 FAULT_KINDS: tuple[str, ...] = (
     "thermal_ramp",
@@ -218,6 +219,18 @@ class FaultSchedule:
 
     name: str
     events: tuple[FaultEvent, ...] = ()
+
+    def __post_init__(self) -> None:
+        events = tuple(self.events)
+        for index, event in enumerate(events):
+            if not isinstance(event, FaultEvent):
+                raise TypeError(
+                    f"schedule event {index} is not a FaultEvent, got "
+                    f"{event!r}"
+                )
+        # Stored as a tuple whatever sequence came in, so the frozen
+        # schedule stays hashable.
+        object.__setattr__(self, "events", events)
 
     @classmethod
     def none(cls) -> "FaultSchedule":
@@ -381,6 +394,11 @@ class RecalibrationPolicy:
     overhead_s: float = 200e-6
 
     def __post_init__(self) -> None:
+        for field in ("error_threshold", "iteration_time_s", "overhead_s"):
+            value = getattr(self, field)
+            # A bool compares as 0 or 1 and would pass the range checks.
+            if isinstance(value, bool):
+                raise ValueError(f"{field} must be a number, got {value!r}")
         if self.error_threshold <= 0.0 or not np.isfinite(self.error_threshold):
             raise ValueError(
                 f"error threshold must be finite and > 0, got "
@@ -516,10 +534,8 @@ class CoreHealthState:
     composition of the schedule's events yields the core's
     :class:`BankCondition` at any instant, the probe is re-tuned only
     when that condition actually changes, and the measured weight error
-    is cached between changes, as is the :class:`CoreDriftSnapshot`
-    until the condition or the compensation moves.  Deterministic: the
-    probe physics has no random effects and every input is a pure
-    function of simulated time.
+    is cached between changes.  Deterministic: the probe physics has no
+    random effects and every input is a pure function of simulated time.
 
     Args:
         core: physical core index.
@@ -536,7 +552,6 @@ class CoreHealthState:
         "compensated_gain",
         "recal_exhausted",
         "_exhausted_condition",
-        "_snapshot",
     )
 
     def __init__(self, core: int, schedule: FaultSchedule) -> None:
@@ -552,7 +567,6 @@ class CoreHealthState:
         self.compensated_gain = 1.0
         self.recal_exhausted = False
         self._exhausted_condition: BankCondition | None = None
-        self._snapshot: CoreDriftSnapshot | None = None
 
     def condition_at(self, time_s: float) -> BankCondition:
         """Compose the schedule into the core's condition at one instant."""
@@ -619,7 +633,6 @@ class CoreHealthState:
             self.recal_exhausted = False
             self._exhausted_condition = None
         self._condition = condition
-        self._snapshot = None
         self.error = self.probe.weight_error()
 
     @staticmethod
@@ -748,15 +761,7 @@ class CoreHealthState:
             if hits.size:
                 rearm = int(hits[0])
         return ProbeSweep(
-            self,
-            measured[latest],
-            rearm,
-            moved,
-            latest,
-            shift,
-            gain,
-            disc,
-            keys,
+            self, measured[latest], rearm, shift, gain, disc, keys
         )
 
     def should_recalibrate(self, policy: RecalibrationPolicy) -> bool:
@@ -773,7 +778,6 @@ class CoreHealthState:
             # from here.
             self.compensated_shift_hz = self._condition.ambient_shift_hz
             self.compensated_gain = self._condition.tia_gain
-            self._snapshot = None
         else:
             self.recal_exhausted = True
             self._exhausted_condition = self._condition
@@ -798,23 +802,14 @@ class CoreHealthState:
             return self._condition.tia_gain
         return min(self._condition.tia_gain / self.compensated_gain, 1.0)
 
-    def snapshot(self) -> CoreDriftSnapshot:
-        """The core's degradation right now, for the degraded replay."""
-        if self._snapshot is None:
-            self._snapshot = CoreDriftSnapshot(
-                core=self.core,
-                residual_shift_hz=self.residual_shift_hz,
-                tia_gain=self.residual_gain,
-                dead_rings=self._condition.dead_rings,
-                stuck_rings=self._condition.stuck_rings,
-            )
-        return self._snapshot
-
 
 class ProbeSweep:
     """One core's probe over an epoch of instants.
 
-    Built by :meth:`CoreHealthState.sweep`.
+    Built by :meth:`CoreHealthState.sweep`.  Besides the errors it
+    keeps the per-instant ambient shift, TIA gain and discrete-state
+    index, from which :meth:`DriftSnapshotTable.record_sweeps` fills
+    the epoch's drift columns in bulk.
 
     Attributes:
         errors: per-instant weight error, what :meth:`CoreHealthState
@@ -828,51 +823,191 @@ class ProbeSweep:
         "errors",
         "rearm",
         "_state",
-        "_moved",
-        "_latest",
         "_shift",
         "_gain",
         "_disc",
         "_keys",
     )
 
-    def __init__(
-        self, state, errors, rearm, moved, latest, shift, gain, disc, keys
-    ) -> None:
+    def __init__(self, state, errors, rearm, shift, gain, disc, keys) -> None:
         self.errors = errors
         self.rearm = rearm
         self._state = state
-        self._moved = moved
-        self._latest = latest
         self._shift = shift
         self._gain = gain
         self._disc = disc
         self._keys = keys
 
-    def snapshots(self, stop: int) -> list[CoreDriftSnapshot]:
-        """The core's drift snapshot at each of the first ``stop``
-        instants, equal field for field to :meth:`CoreHealthState
-        .snapshot` after advancing there.  One snapshot is built per
-        condition change and shared until the next, as the state's cache
-        does."""
-        state = self._state
-        moved = self._moved[: np.searchsorted(self._moved, stop)]
-        residual = np.maximum(
-            self._shift[moved] - state.compensated_shift_hz, 0.0
-        )
-        gain = self._gain[moved]
-        if state.compensated_gain > 0.0:
-            gain = np.minimum(gain / state.compensated_gain, 1.0)
-        table = [state.snapshot()]
-        keys = self._keys
-        for shift_hz, tia_gain, key_id in zip(
-            residual.tolist(), gain.tolist(), self._disc[moved].tolist()
-        ):
-            _, dead, stuck = keys[key_id]
-            table.append(
-                CoreDriftSnapshot(state.core, shift_hz, tia_gain, dead, stuck)
+
+_SNAPSHOT_COLUMNS = (
+    ("core", np.int64),
+    ("residual_shift_hz", np.float64),
+    ("tia_gain", np.float64),
+    ("fault_key", np.int64),
+)
+"""The drift table's ``(batches, stages)`` columns: the
+:class:`CoreDriftSnapshot` fields, with the dead and stuck rings as an
+index into the table's list of distinct ring sets."""
+
+
+class DriftSnapshotTable:
+    """Per-batch, per-stage drift snapshots, stored as columns.
+
+    Row ``b`` holds batch ``b``'s :class:`CoreDriftSnapshot` fields at
+    each stage it traversed, in the 2-D ``(batches, initial width)``
+    columns of :data:`_SNAPSHOT_COLUMNS`; ``fault_key`` indexes
+    ``faults``, the distinct ``(dead_rings, stuck_rings)`` pairs seen.
+    The single faulted pipeline records into one (a whole epoch per
+    :meth:`record_sweeps`, one dispatch per :meth:`record`), and the
+    columns grow geometrically.  ``widths`` says how many stages each
+    row uses; a recording table has none, and :meth:`view` pairs its
+    rows with the lane's width column.
+
+    A view reads as the tuple of per-batch tuples of snapshots it
+    stands for — ``len``, indexing, iteration, ``==`` against another
+    table or a plain tuple, and ``repr`` — building the snapshot
+    objects only for the rows read.  :meth:`pristine` answers the
+    degraded replay's skip test from the columns alone.
+    """
+
+    __slots__ = (
+        *(name for name, _ in _SNAPSHOT_COLUMNS),
+        "widths",
+        "faults",
+        "_fault_ids",
+    )
+
+    def __init__(self, width: int) -> None:
+        for column, dtype in _SNAPSHOT_COLUMNS:
+            setattr(self, column, np.empty((0, width), dtype))
+        self.widths = np.empty(0, np.int64)
+        self.faults: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._fault_ids: dict = {}
+
+    def view(self, widths: np.ndarray) -> "DriftSnapshotTable":
+        """The first ``widths.size`` rows, row ``b`` over its first
+        ``widths[b]`` stages (a live view of the columns)."""
+        table = object.__new__(DriftSnapshotTable)
+        for column, _ in _SNAPSHOT_COLUMNS:
+            setattr(table, column, getattr(self, column)[: widths.size])
+        table.widths = widths
+        table.faults = self.faults
+        table._fault_ids = self._fault_ids
+        return table
+
+    def _reserve(self, stop: int) -> None:
+        """Make room for rows up to ``stop``."""
+        size, width = self.core.shape
+        if stop > size:
+            size = max(stop, 2 * size)
+            for column, dtype in _SNAPSHOT_COLUMNS:
+                grown = np.empty((size, width), dtype)
+                old = getattr(self, column)
+                grown[: old.shape[0]] = old
+                setattr(self, column, grown)
+
+    def _fault_id(self, rings: tuple) -> int:
+        """The key of a ``(dead_rings, stuck_rings)`` pair."""
+        key = self._fault_ids.get(rings)
+        if key is None:
+            key = self._fault_ids[rings] = len(self.faults)
+            self.faults.append(rings)
+        return key
+
+    def record(
+        self, row: int, states: list[CoreHealthState], phys: list[int]
+    ) -> None:
+        """Record row ``row``: the stage cores' drift right now."""
+        self._reserve(row + 1)
+        for stage, core in enumerate(phys):
+            state = states[core]
+            condition = state._condition
+            self.core[row, stage] = core
+            self.residual_shift_hz[row, stage] = state.residual_shift_hz
+            self.tia_gain[row, stage] = state.residual_gain
+            self.fault_key[row, stage] = self._fault_id(
+                (condition.dead_rings, condition.stuck_rings)
             )
-        return [table[slot] for slot in self._latest[:stop].tolist()]
+
+    def record_sweeps(
+        self, row: int, sweeps: list[ProbeSweep], count: int
+    ) -> None:
+        """Record ``count`` rows from ``row``: each stage core's drift
+        at the first ``count`` instants of its sweep, field for field
+        what :meth:`record` would store after advancing there.
+
+        An instant whose condition equals the one before it has the
+        same ambient offset and gain, so composing the residuals per
+        instant gives what the state's properties give per dispatch.
+        """
+        stop = row + count
+        self._reserve(stop)
+        for stage, sweep in enumerate(sweeps):
+            state = sweep._state
+            residual = np.maximum(
+                sweep._shift[:count] - state.compensated_shift_hz, 0.0
+            )
+            gain = sweep._gain[:count]
+            if state.compensated_gain > 0.0:
+                gain = np.minimum(gain / state.compensated_gain, 1.0)
+            ids = np.asarray(
+                [
+                    self._fault_id((dead, stuck))
+                    for _, dead, stuck in sweep._keys
+                ]
+            )
+            self.core[row:stop, stage] = state.core
+            self.residual_shift_hz[row:stop, stage] = residual
+            self.tia_gain[row:stop, stage] = gain
+            self.fault_key[row:stop, stage] = ids[sweep._disc[:count]]
+
+    def pristine(self) -> np.ndarray:
+        """Per row, whether every stage's snapshot is
+        :attr:`CoreDriftSnapshot.pristine`."""
+        used = np.arange(self.core.shape[1]) < self.widths[:, None]
+        dead = np.asarray([bool(dead) for dead, _ in self.faults], dtype=bool)
+        healthy = ~used
+        healthy[used] = (
+            (self.residual_shift_hz[used] == 0.0)
+            & (self.tia_gain[used] == 1.0)
+            & ~dead[self.fault_key[used]]
+        )
+        return healthy.all(axis=1)
+
+    def _row(self, row: int) -> tuple[CoreDriftSnapshot, ...]:
+        width = int(self.widths[row])
+        faults = self.faults
+        return tuple(
+            CoreDriftSnapshot(core, shift_hz, tia_gain, *faults[key])
+            for core, shift_hz, tia_gain, key in zip(
+                self.core[row, :width].tolist(),
+                self.residual_shift_hz[row, :width].tolist(),
+                self.tia_gain[row, :width].tolist(),
+                self.fault_key[row, :width].tolist(),
+            )
+        )
+
+    def __len__(self) -> int:
+        return int(self.widths.size)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(index, slice):
+            return tuple(self._row(row) for row in rows)
+        return self._row(rows)
+
+    def __iter__(self):
+        return (self._row(row) for row in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, DriftSnapshotTable):
+            other = tuple(other)
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == other
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -888,7 +1023,10 @@ class DegradedServingReport(ServingReport):
         batch_num_cores: per-batch pipeline width (shrinks after
             fault-aware repartitions).
         batch_snapshots: per-batch per-stage drift snapshots, the input
-            to :func:`replay_on_engine_degraded`.
+            to :func:`replay_on_engine_degraded`: a
+            :class:`DriftSnapshotTable` that reads as a tuple of
+            per-batch tuples of :class:`CoreDriftSnapshot` and builds
+            them only for the batches read.
         core_downtime_s: per-physical-core recalibration downtime.
         final_core_errors: per-physical-core weight error at the end.
         recalibrations: every recalibration attempt, in order.
@@ -899,7 +1037,7 @@ class DegradedServingReport(ServingReport):
     recalibration_name: str | None
     accuracy_proxy: np.ndarray
     batch_num_cores: np.ndarray
-    batch_snapshots: tuple[tuple[CoreDriftSnapshot, ...], ...]
+    batch_snapshots: DriftSnapshotTable
     core_downtime_s: tuple[float, ...]
     final_core_errors: tuple[float, ...]
     recalibrations: tuple[RecalibrationRecord, ...]
@@ -1083,8 +1221,11 @@ class DegradedServingSimulator:
         fail_error_threshold: float = 0.5,
     ) -> None:
         # `not 0 < x < inf` also rejects NaN, against which `error >= x`
-        # is always False and repartitioning would silently never fire.
-        if not 0.0 < fail_error_threshold < math.inf:
+        # is always False and repartitioning would silently never fire;
+        # a bool would pass it as 1.0.
+        if isinstance(fail_error_threshold, bool) or not (
+            0.0 < fail_error_threshold < math.inf
+        ):
             raise ValueError(
                 f"fail threshold must be finite and > 0, got "
                 f"{fail_error_threshold!r}"
@@ -1131,7 +1272,7 @@ class DegradedServingSimulator:
             ),
             accuracy_proxy=lane.proxies,
             batch_num_cores=lane.widths,
-            batch_snapshots=tuple(lane.snapshots),
+            batch_snapshots=lane.snapshots,
             core_downtime_s=tuple(health.downtime),
             final_core_errors=tuple(state.error for state in health.states),
             recalibrations=tuple(health.recalibrations),
@@ -1269,9 +1410,10 @@ def replay_on_engine_degraded(
     transfer (:func:`~repro.photonics.drift.drift_transfer`, dead rings
     pinned to the rail).  The per-batch max divergence is the
     golden-output error the simulator's photodiode-level accuracy proxy
-    is a bound for.  Under a zero-magnitude schedule every snapshot is
-    pristine and the degraded outputs are bit-identical to
-    :func:`~repro.core.traffic.replay_on_engine`.
+    is a bound for.  A batch whose every snapshot is pristine (read off
+    the snapshot columns, :meth:`DriftSnapshotTable.pristine`) skips the
+    degraded pass, so under a zero-magnitude schedule the degraded
+    outputs are bit-identical to :func:`~repro.core.traffic.replay_on_engine`.
 
     Args:
         network: the served network.
@@ -1289,17 +1431,22 @@ def replay_on_engine_degraded(
     outputs: np.ndarray | None = None
     reference: np.ndarray | None = None
     divergence = np.empty(len(report.batches))
-    for batch, snapshots in zip(report.batches, report.batch_snapshots):
+    snapshots = report.batch_snapshots
+    pristine = snapshots.pristine().tolist()
+    widths = report.batch_num_cores.tolist()
+    for batch in report.batches:
         stop = batch.first_request + batch.size
         window = inputs[batch.first_request : stop]
-        width = len(snapshots)
+        width = widths[batch.index]
         clean = run_network_pipelined(network, window, width, config)
-        if all(snapshot.pristine for snapshot in snapshots):
+        if pristine[batch.index]:
             # Healthy batch: the degraded run is the clean run by
             # construction, so skip the second engine pass.
             degraded_outputs = clean.outputs
         else:
-            degraded_net = _degraded_network(network, snapshots, config)
+            degraded_net = _degraded_network(
+                network, snapshots[batch.index], config
+            )
             degraded_outputs = run_network_pipelined(
                 degraded_net, window, width, config
             ).outputs
@@ -1329,6 +1476,7 @@ __all__ = [
     "RepartitionRecord",
     "CoreDriftSnapshot",
     "CoreHealthState",
+    "DriftSnapshotTable",
     "DegradedServingReport",
     "DegradedServingSimulator",
     "DegradedReplay",

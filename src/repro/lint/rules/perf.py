@@ -23,7 +23,9 @@ from repro.lint.walker import ModuleInfo, Project
 REQUIRED_HOT_PATH = {
     "repro/core/simkernel.py": frozenset({"BatchRecord", "BatchTable"}),
     "repro/core/cluster.py": frozenset({"_TenantLane"}),
-    "repro/core/faults.py": frozenset({"CoreHealthState"}),
+    "repro/core/faults.py": frozenset(
+        {"CoreHealthState", "DriftSnapshotTable"}
+    ),
 }
 
 

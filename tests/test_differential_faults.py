@@ -651,7 +651,8 @@ def _serve_both(model, policy, arrivals, schedule, recalibration, specs):
     assert repr(lane.core_free) == repr(oracle.core_free)
     assert lane.widths.tobytes() == oracle.widths.tobytes()
     assert lane.proxies.tobytes() == oracle.proxies.tobytes()
-    assert repr(lane.snapshots) == repr(oracle.snapshots)
+    assert len(lane.snapshots) == len(oracle.snapshots) == lane.num_batches
+    assert repr(tuple(lane.snapshots)) == repr(tuple(oracle.snapshots))
     assert repr(lane.repartitions) == repr(oracle.repartitions)
     assert repr(health.recalibrations) == repr(oracle_health.recalibrations)
     assert repr(health.downtime) == repr(oracle_health.downtime)

@@ -21,11 +21,13 @@ from repro.analysis import (
 from repro.core.faults import (
     FAULT_KINDS,
     CoreHealthState,
+    DegradedServingSimulator,
+    DriftSnapshotTable,
     FaultEvent,
     FaultSchedule,
     RecalibrationPolicy,
 )
-from repro.core.traffic import BatchingPolicy
+from repro.core.traffic import BatchingPolicy, PipelineServiceModel
 from repro.photonics.calibration import calibrate_bank
 from repro.photonics.drift import (
     DEFAULT_PROBE_QUALITY_FACTOR,
@@ -322,19 +324,23 @@ class TestProbeSweep:
                 state.recalibrate(policy)
         epoch = times[split:]
         sweep = state.sweep(epoch)
-        snapshots = sweep.snapshots(epoch.size)
+        swept = DriftSnapshotTable(1)
+        swept.record_sweeps(0, [sweep], epoch.size)
+        stepped = DriftSnapshotTable(1)
         was_exhausted = state.recal_exhausted
-        errors, expected_snapshots, rearm = [], [], epoch.size
+        errors, rearm = [], epoch.size
         for index, time_s in enumerate(epoch):
             state.advance_to(time_s)
             errors.append(state.error)
-            expected_snapshots.append(state.snapshot())
+            stepped.record(index, [state], [0])
             if was_exhausted and not state.recal_exhausted:
                 rearm = min(rearm, index)
+        widths = np.ones(epoch.size, dtype=np.int64)
+        swept, stepped = swept.view(widths), stepped.view(widths)
         assert sweep.errors.tobytes() == np.array(errors).tobytes()
-        assert snapshots == expected_snapshots
+        assert swept == stepped
         # Field types too: report digests hash the snapshots' repr.
-        assert repr(snapshots) == repr(expected_snapshots)
+        assert repr(tuple(swept)) == repr(tuple(stepped))
         assert sweep.rearm == rearm
 
     def test_snapshot_fields_are_python_floats_on_the_numpy_clock(self):
@@ -342,9 +348,13 @@ class TestProbeSweep:
         snapshots built from it) is composed in Python floats."""
         state = CoreHealthState(0, FaultSchedule.uniform_drift(1.0, 1))
         state.advance_to(np.float64(0.5))
-        snapshot = state.snapshot()
+        table = DriftSnapshotTable(1)
+        table.record(0, [state], [0])
+        (snapshot,) = table.view(np.ones(1, dtype=np.int64))[0]
+        assert type(snapshot.core) is int
         assert type(snapshot.residual_shift_hz) is float
         assert type(snapshot.tia_gain) is float
+        assert snapshot.residual_shift_hz == state.residual_shift_hz > 0.0
 
 
 class TestDriftTransfer:
@@ -475,6 +485,28 @@ class TestFaultSchedule:
         ):
             with pytest.raises(ValueError, match="must be an integer"):
                 build()
+
+    @pytest.mark.parametrize(
+        "events, index",
+        [((1, 2), 0), ((FaultEvent("thermal_ramp", 0, 0.0, 1.0), "x"), 1)],
+        ids=["ints", "string-second"],
+    )
+    def test_events_must_be_fault_events(self, events, index):
+        """(1, 2) used to construct and then die in events_for with an
+        AttributeError on an int."""
+        with pytest.raises(
+            TypeError, match=f"event {index} is not a FaultEvent"
+        ):
+            FaultSchedule("x", events)
+
+    def test_events_are_stored_as_a_tuple(self):
+        """A list of events used to make the frozen schedule
+        unhashable."""
+        event = FaultEvent("thermal_ramp", 0, 0.0, 1.0)
+        schedule = FaultSchedule("x", [event])
+        assert schedule.events == (event,)
+        assert hash(schedule) == hash(FaultSchedule("x", (event,)))
+        assert schedule.events_for(0) == (event,)
 
     def test_random_rings_lie_on_the_default_probe(self):
         schedule = FaultSchedule.random(
@@ -679,6 +711,32 @@ class TestFailThreshold:
                 AdaptiveRecalibration.frozen(RecalibrationPolicy()),
                 fail_error_threshold=threshold,
             )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RecalibrationPolicy(error_threshold=True),
+        lambda: RecalibrationPolicy(iteration_time_s=True),
+        lambda: RecalibrationPolicy(overhead_s=True),
+        lambda: DegradedServingSimulator(
+            PipelineServiceModel.from_specs(alexnet_conv_specs(), 2),
+            BatchingPolicy.fifo(),
+            FaultSchedule.none(),
+            fail_error_threshold=True,
+        ),
+    ],
+    ids=[
+        "error_threshold",
+        "iteration_time_s",
+        "overhead_s",
+        "fail_threshold",
+    ],
+)
+def test_bools_are_not_fault_layer_floats(build):
+    """Each used to construct, True silently standing for 1.0."""
+    with pytest.raises(ValueError, match="True"):
+        build()
 
 
 class TestFaultScenarios:
