@@ -26,9 +26,11 @@ in the default suite.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from oracles import reference_loops
 
 from repro.analysis import (
     CLUSTER_SWEEP_HEADER,
@@ -151,16 +153,19 @@ def _fifo_soak(alexnet_specs):
     ],
     ids=["fifo", "dynamic", "fixed"],
 )
-@pytest.mark.parametrize("mode", ["auto", "reference"])
-def test_kernel_refactor_matches_inline_loop(alexnet_specs, mode, policy):
-    """The PR 4-style soak through the kernel, in every mode and under
+@pytest.mark.parametrize(
+    "oracle", [nullcontext, reference_loops], ids=["auto", "reference"]
+)
+def test_kernel_refactor_matches_inline_loop(alexnet_specs, oracle, policy):
+    """The PR 4-style soak through the kernel, on both paths and under
     every batching recipe, is bit-identical to the inline pre-kernel
     loop: an oracle that shares no loop code with the simulators."""
     model, _, arrivals = _fifo_soak(alexnet_specs)
     completions, batches, core_busy = _inline_pr3_loop(
         model, policy, arrivals
     )
-    report = ServingSimulator(model, policy, mode=mode).run(arrivals)
+    with oracle():
+        report = ServingSimulator(model, policy).run(arrivals)
     assert report.completion_s.tobytes() == completions.tobytes()
     assert report.batches == batches
     assert repr(report.core_busy_s) == repr(core_busy)
@@ -287,12 +292,9 @@ def test_multi_tenant_soak_vectorized_bit_identical():
     """On every named frozen-allocation mix the vectorized fast path
     reproduces the reference event loop bit for bit."""
     for _, tenants, arrivals, pool in _soak_mixes():
-        ref = simulate_cluster_serving(
-            tenants, arrivals, pool_size=pool, mode="reference"
-        )
-        vec = simulate_cluster_serving(
-            tenants, arrivals, pool_size=pool, mode="auto"
-        )
+        with reference_loops():
+            ref = simulate_cluster_serving(tenants, arrivals, pool_size=pool)
+        vec = simulate_cluster_serving(tenants, arrivals, pool_size=pool)
         _assert_reports_bit_identical(ref, vec)
 
 
@@ -306,15 +308,14 @@ def test_multi_tenant_soak_vectorized_speedup():
     total_requests = 0
     rows = []
     for name, tenants, arrivals, pool in _soak_mixes():
-        ref = measure(
-            lambda: simulate_cluster_serving(
-                tenants, arrivals, pool_size=pool, mode="reference"
+        with reference_loops():
+            ref = measure(
+                lambda: simulate_cluster_serving(
+                    tenants, arrivals, pool_size=pool
+                )
             )
-        )
         vec = measure(
-            lambda: simulate_cluster_serving(
-                tenants, arrivals, pool_size=pool, mode="auto"
-            )
+            lambda: simulate_cluster_serving(tenants, arrivals, pool_size=pool)
         )
         served = sum(sub.num_offered for sub in ref.result.tenants)
         rows.append(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import reference_loops
 
 from repro.core.traffic import (
     BatchingPolicy,
@@ -44,10 +45,13 @@ def _trace(model: PipelineServiceModel, num_requests: int) -> np.ndarray:
     return poisson_arrivals(offered, num_requests, seed=29)
 
 
-def _fifo_run(model: PipelineServiceModel, arrivals: np.ndarray, mode: str):
-    return ServingSimulator(model, BatchingPolicy.fifo(), mode=mode).run(
-        arrivals
-    )
+def _fifo_run(model: PipelineServiceModel, arrivals: np.ndarray):
+    return ServingSimulator(model, BatchingPolicy.fifo()).run(arrivals)
+
+
+def _fifo_reference_run(model: PipelineServiceModel, arrivals: np.ndarray):
+    with reference_loops():
+        return _fifo_run(model, arrivals)
 
 
 def _assert_runs_identical(ref, vec) -> None:
@@ -57,13 +61,12 @@ def _assert_runs_identical(ref, vec) -> None:
 
 def test_vectorized_matches_reference_at_10k():
     """FIFO at 4x single-request capacity, the reference loop's worst
-    case (one Python dispatch iteration per request): both modes agree
+    case (one Python dispatch iteration per request): both paths agree
     bit for bit."""
     model = _model()
     arrivals = _trace(model, SMALL)
     _assert_runs_identical(
-        _fifo_run(model, arrivals, "reference"),
-        _fifo_run(model, arrivals, "auto"),
+        _fifo_reference_run(model, arrivals), _fifo_run(model, arrivals)
     )
 
 
@@ -83,10 +86,10 @@ def test_vectorized_speedup_trajectory_vs_reference():
         # The reference loop is O(requests) Python; at 900k one timed
         # pass (~10s) is long enough that repeat noise is negligible.
         ref = measure(
-            lambda: _fifo_run(model, arrivals, "reference"),
+            lambda: _fifo_reference_run(model, arrivals),
             repeats=3 if num_requests <= SMALL else 1,
         )
-        vec = measure(lambda: _fifo_run(model, arrivals, "auto"))
+        vec = measure(lambda: _fifo_run(model, arrivals))
         _assert_runs_identical(ref.result, vec.result)
         speedups[num_requests] = ref.min_s / vec.min_s
         rows.append(
@@ -101,13 +104,11 @@ def test_vectorized_speedup_trajectory_vs_reference():
 
 
 def _soak_run(model: PipelineServiceModel, arrivals: np.ndarray):
-    return ServingSimulator(model, SOAK_POLICY, mode="auto").run(
-        arrivals
-    )
+    return ServingSimulator(model, SOAK_POLICY).run(arrivals)
 
 
 def test_ten_million_request_soak_conserves_requests():
-    """The 10M-request dynamic-batching soak: reference-mode
+    """The 10M-request dynamic-batching soak: reference-loop
     extrapolation puts it at minutes of Python bookkeeping; the
     vectorized kernel must conserve every request and keep the streams
     causal."""

@@ -113,11 +113,6 @@ class PolicySpec:
     elastic: ElasticReallocation | PressureController | None = None
     baseline: str | None = None
 
-    @property
-    def is_adaptive(self) -> bool:
-        """Whether this spec claims dominance over a baseline."""
-        return self.baseline is not None
-
 
 POLICY_EVAL_HEADER = [
     "scenario",

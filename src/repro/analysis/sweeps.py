@@ -167,15 +167,11 @@ class ServingSweepPoint:
         num_cores: pipeline width of the cell.
         report: the full simulation result (percentiles, utilization,
             batch records) for drill-down.
-        mode: the kernel execution mode the cell ran under (both modes
-            are bit-identical; the column records which path produced
-            the numbers).
     """
 
     policy: str
     num_cores: int
     report: ServingReport
-    mode: str = "auto"
 
     @property
     def throughput_rps(self) -> float:
@@ -198,7 +194,6 @@ class ServingSweepPoint:
             f"{report.p99_s * 1e6:.0f}",
             f"{report.mean_batch_size:.1f}",
             f"{max(report.core_utilization):.0%}",
-            self.mode,
         ]
 
 
@@ -210,7 +205,6 @@ SERVING_SWEEP_HEADER = [
     "p99 (us)",
     "batch",
     "peak util",
-    "mode",
 ]
 """Column labels matching :meth:`ServingSweepPoint.row`."""
 
@@ -222,7 +216,6 @@ def sweep_serving_policies(
     arrival_s: np.ndarray,
     config: PCNNAConfig | None = None,
     clamp_cores: bool = False,
-    mode: str = "auto",
 ) -> list[ServingSweepPoint]:
     """Simulate every (policy, core count) pair over one shared trace.
 
@@ -239,16 +232,14 @@ def sweep_serving_policies(
         config: hardware configuration.
         clamp_cores: clamp oversized core counts to ``len(specs)``
             instead of raising (duplicate clamped cells are kept).
-        mode: kernel execution mode for every cell (the modes are
-            bit-identical; ``"reference"`` is useful for cross-checks).
 
     Returns:
         One :class:`ServingSweepPoint` per pair, policies varying
         fastest.
 
     Raises:
-        ValueError: on empty specs/policies/core counts, an invalid
-            trace, or an unknown mode.
+        ValueError: on empty specs/policies/core counts or an invalid
+            trace.
     """
     if not policies:
         raise ValueError("need at least one batching policy")
@@ -260,15 +251,12 @@ def sweep_serving_policies(
             specs, num_cores, config, clamp_cores=clamp_cores
         )
         for policy in policies:
-            report = ServingSimulator(model, policy, mode=mode).run(
-                arrival_s
-            )
+            report = ServingSimulator(model, policy).run(arrival_s)
             points.append(
                 ServingSweepPoint(
                     policy=policy.name,
                     num_cores=model.num_cores,
                     report=report,
-                    mode=mode,
                 )
             )
     return points

@@ -11,17 +11,15 @@ photonic substrate, exactly as the architecture does (paper section IV):
    MAC wave;
 3. outputs are ADC-quantized and rescaled back to the original ranges.
 
-Two device execution engines implement step 2:
-
-* ``mode="vectorized"`` (the default) — every kernel location of every
-  image in the (optional) batch is gathered and encoded image by image
-  into one ``(waves, channels)`` stack, which
-  :meth:`~repro.photonics.broadcast_weight.BroadcastAndWeightLayer.compute_batch`
-  streams through the substrate in cache-sized blocks — a handful of
-  array operations per weight bank and block;
-* ``mode="reference"`` — the original wave-by-wave Python loop, retained
-  as the transparently-correct reference.  In ideal mode the two are
-  bit-equal (asserted by ``tests/test_batched_engine.py``).
+The device engine runs step 2 vectorized: every kernel location of
+every image in the (optional) batch is gathered and encoded image by
+image into one ``(waves, channels)`` stack, which
+:meth:`~repro.photonics.broadcast_weight.BroadcastAndWeightLayer.compute_batch`
+streams through the substrate in cache-sized blocks — a handful of
+array operations per weight bank and block.  The original wave-by-wave
+loop, :meth:`PhotonicConvolution._device_matvec`, is retained as the
+transparently-correct reference; in ideal mode the two are bit-equal
+(asserted by ``tests/test_batched_engine.py``).
 
 ``convolve`` accepts a single ``(C, H, W)`` feature map or a batched
 ``(B, C, H, W)`` stack; batching programs the weight banks once and
@@ -134,11 +132,6 @@ class PhotonicConvolution:
             the test suite); ``"auto"`` picks ``"matrix"`` when the
             configuration is ideal and quantization is disabled.
         quantize: apply DAC/ADC quantization to inputs/outputs.
-        mode: device-simulation execution engine — ``"vectorized"`` (the
-            default) streams the im2col wave stack through the substrate
-            in blocked array operations; ``"reference"`` runs
-            the retained wave-by-wave loop.  Ignored by the ``"matrix"``
-            closed form.
     """
 
     def __init__(
@@ -146,20 +139,14 @@ class PhotonicConvolution:
         config: PCNNAConfig | None = None,
         method: str = "auto",
         quantize: bool = False,
-        mode: str = "vectorized",
     ) -> None:
         if method not in ("auto", "device", "matrix"):
             raise ValueError(
                 f"method must be 'auto', 'device' or 'matrix', got {method!r}"
             )
-        if mode not in ("vectorized", "reference"):
-            raise ValueError(
-                f"mode must be 'vectorized' or 'reference', got {mode!r}"
-            )
         self.config = config if config is not None else PCNNAConfig()
         self.method = method
         self.quantize = quantize
-        self.mode = mode
 
     def _resolved_method(self) -> str:
         """The concrete execution method for the current configuration."""
@@ -259,10 +246,7 @@ class PhotonicConvolution:
             for index in range(batch_size):
                 rows = slice(index * num_locations, (index + 1) * num_locations)
                 waves[rows] = encoded_columns(index).T
-            if self.mode == "reference":
-                currents = self._device_matvec(waves, weight_matrix)
-            else:
-                currents = self._device_matvec_vectorized(waves, weight_matrix)
+            currents = self._device_matvec_vectorized(waves, weight_matrix)
             raw = currents.reshape(
                 batch_size, num_locations, num_kernels
             ).transpose(0, 2, 1)

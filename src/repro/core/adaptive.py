@@ -76,8 +76,11 @@ DECISION_ACTIONS: tuple[str, ...] = (
 
 
 def _require_gain(name: str, value: float, low: float = 0.0) -> None:
-    """Reject non-finite or out-of-range controller gains eagerly."""
-    if math.isnan(value) or value < low:
+    """Reject non-finite or out-of-range controller gains eagerly.
+
+    A bool compares as 0 or 1 and would pass the range check.
+    """
+    if isinstance(value, bool) or math.isnan(value) or value < low:
         raise ValueError(
             f"{name} must be a finite number >= {low:g}, got {value!r}"
         )
@@ -134,7 +137,8 @@ class AdaptiveRecalibration:
 
     def __post_init__(self) -> None:
         if (
-            math.isnan(self.smoothing)
+            isinstance(self.smoothing, bool)
+            or math.isnan(self.smoothing)
             or not 0.0 < self.smoothing <= 1.0
         ):
             raise ValueError(
@@ -149,7 +153,11 @@ class AdaptiveRecalibration:
         if self.pressure_hold is not None:
             validate_count(self.pressure_hold, "pressure hold")
         _require_gain("hold ceiling", self.hold_ceiling, low=1.0)
-        if math.isnan(self.downtime_budget_s) or self.downtime_budget_s <= 0.0:
+        if (
+            isinstance(self.downtime_budget_s, bool)
+            or math.isnan(self.downtime_budget_s)
+            or self.downtime_budget_s <= 0.0
+        ):
             raise ValueError(
                 f"downtime budget must be > 0, got {self.downtime_budget_s!r}"
             )
@@ -412,7 +420,11 @@ class BurnRateAdmission:
     name: str = "burn-rate"
 
     def __post_init__(self) -> None:
-        if self.slo_latency_s <= 0.0 or not math.isfinite(self.slo_latency_s):
+        if (
+            isinstance(self.slo_latency_s, bool)
+            or self.slo_latency_s <= 0.0
+            or not math.isfinite(self.slo_latency_s)
+        ):
             raise ValueError(
                 f"SLO latency must be finite and > 0, got "
                 f"{self.slo_latency_s!r}"

@@ -81,7 +81,6 @@ from repro.core.simkernel import (
     plan_dispatch,
     validate_arrival_trace,
     validate_count,
-    validate_kernel_mode,
 )
 from repro.core.traffic import (
     PipelineServiceModel,
@@ -236,7 +235,11 @@ class ElasticReallocation:
     min_queue: int = 16
 
     def __post_init__(self) -> None:
-        if self.pressure_ratio < 1.0 or not np.isfinite(self.pressure_ratio):
+        if (
+            isinstance(self.pressure_ratio, bool)
+            or self.pressure_ratio < 1.0
+            or not np.isfinite(self.pressure_ratio)
+        ):
             raise ValueError(
                 f"pressure ratio must be finite and >= 1, got "
                 f"{self.pressure_ratio!r}"
@@ -1183,6 +1186,12 @@ class ClusterSimulator:
     clock, and the elastic reallocator may move a core before the next
     round of planning.
 
+    Each lane is served alone on its fastest exact path
+    (:func:`_serve_alone`) whenever the allocation is frozen — no fault
+    schedule, no elastic reallocation, no *enabled* burn-rate admission
+    controller (static occupancy caps are fine); otherwise the global
+    event loop serves every lane.  Both paths are bit-identical.
+
     Args:
         tenants: the co-served models (unique names).
         pool_size: physical cores in the shared pool (>= one per
@@ -1206,19 +1215,11 @@ class ClusterSimulator:
             the tenant's).
         config: hardware configuration for partitioning and service
             times.
-        mode: kernel execution mode.  ``"auto"`` (the default) serves
-            each lane alone on its fastest exact path
-            (:func:`_serve_alone`) whenever the allocation is frozen —
-            no fault schedule, no elastic reallocation, no *enabled*
-            burn-rate admission controller (static occupancy caps are
-            fine) — and runs the global event loop otherwise;
-            ``"reference"`` always runs the global loop.  Both paths
-            are bit-identical.
 
     Raises:
         ValueError: on an empty or duplicated tenant set, a pool size
-            that is not an integer or is below one core per tenant, an
-            unknown ``mode``, or an admission key that names no tenant.
+            that is not an integer or is below one core per tenant, or
+            an admission key that names no tenant.
         TypeError: on an ``elastic`` or ``recalibration`` policy, or an
             admission controller, of another type.
     """
@@ -1232,7 +1233,6 @@ class ClusterSimulator:
         schedule: FaultSchedule | None = None,
         recalibration: RecalibrationPolicy | None = None,
         config: PCNNAConfig | None = None,
-        mode: str = "auto",
         admission: Mapping[str, object] | None = None,
     ) -> None:
         if not tenants:
@@ -1241,7 +1241,6 @@ class ClusterSimulator:
         if len(set(names)) != len(names):
             raise ValueError(f"tenant names must be unique, got {names!r}")
         validate_count(pool_size, "pool size")
-        validate_kernel_mode(mode)
         # adaptive.py builds on this module, so its types load here.
         from repro.core.adaptive import (
             AdaptiveRecalibration,
@@ -1277,7 +1276,6 @@ class ClusterSimulator:
         self.schedule = schedule
         self.recalibration = recalibration
         self.config = config
-        self.mode = mode
         self._allocations, self._free = allocate_pool(
             tenants, pool_size, self.routing
         )
@@ -1417,7 +1415,7 @@ class ClusterSimulator:
             else PoolHealth(self.schedule, self.pool_size, self.recalibration)
         )
         reallocations: list[ReallocationRecord] = []
-        if self.mode == "auto" and self._frozen:
+        if self._frozen:
             for lane in lanes:
                 _serve_alone(lane, None)
         else:
@@ -1625,9 +1623,7 @@ def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
     health.finish(last_dispatch)
 
 
-def _serve_alone(
-    lane: _TenantLane, health: PoolHealth | None, mode: str = "auto"
-) -> None:
+def _serve_alone(lane: _TenantLane, health: PoolHealth | None) -> None:
     """Serve a lane that shares no state with another lane, by its
     fastest exact path — the one place a lane's path is chosen:
 
@@ -1637,11 +1633,11 @@ def _serve_alone(
       and one book, or per dispatch when the walk is rejected;
     * faulted with no recalibration or the static trigger:
       :func:`_serve_epochs`;
-    * otherwise (adaptive trigger, enabled burn-rate controller,
-      ``mode="reference"``): per dispatch through :func:`_serve_lanes`,
-      the oracle every other path matches bit for bit.
+    * otherwise (adaptive trigger, enabled burn-rate controller): per
+      dispatch through :func:`_serve_lanes`, the oracle every other
+      path matches bit for bit.
     """
-    if mode == "auto" and lane._burn is None:
+    if lane._burn is None:
         if health is None and lane.cap is None:
             lane.book(*plan_batches(lane.raw, lane.policy, lane.model))
             return
@@ -1671,7 +1667,6 @@ def serve_pipeline(
     specs: Sequence[ConvLayerSpec] | None = None,
     config: PCNNAConfig | None = None,
     fail_error_threshold: float | None = None,
-    mode: str = "auto",
 ) -> _TenantLane:
     """Serve one pipeline as a lone lane (:func:`_serve_alone`).
 
@@ -1680,8 +1675,7 @@ def serve_pipeline(
     the caller's ``model`` on cores ``0..width-1`` that records
     per-batch drift snapshots on a faulted pool and, when ``specs`` is
     given, drains cores whose error reaches ``fail_error_threshold``.
-    ``health`` ``None`` keeps the pool pristine; ``mode="reference"``
-    takes every dispatch through the per-dispatch loop.
+    ``health`` ``None`` keeps the pool pristine.
     """
     width = model.num_cores
     lane = _TenantLane(
@@ -1697,7 +1691,7 @@ def serve_pipeline(
         fail_error_threshold=None if specs is None else fail_error_threshold,
         record_snapshots=health is not None,
     )
-    _serve_alone(lane, health, mode)
+    _serve_alone(lane, health)
     return lane
 
 
@@ -1715,7 +1709,6 @@ def simulate_cluster_serving(
     schedule: FaultSchedule | None = None,
     recalibration: RecalibrationPolicy | None = None,
     config: PCNNAConfig | None = None,
-    mode: str = "auto",
     admission: Mapping[str, object] | None = None,
 ) -> ClusterReport:
     """One-call multi-tenant cluster simulation.
@@ -1728,7 +1721,7 @@ def simulate_cluster_serving(
     the static policies.
 
     Raises:
-        ValueError: on an invalid tenant set, pool size, mode, or trace.
+        ValueError: on an invalid tenant set, pool size, or trace.
     """
     simulator = ClusterSimulator(
         tenants,
@@ -1738,7 +1731,6 @@ def simulate_cluster_serving(
         schedule=schedule,
         recalibration=recalibration,
         config=config,
-        mode=mode,
         admission=admission,
     )
     return simulator.run(arrival_s)

@@ -1056,7 +1056,7 @@ class DegradedServingReport(ServingReport):
         """Batch-weighted mean of the accuracy proxy."""
         sizes = self.batches.size.astype(float)
         # repro: allow[BIT001] report statistic outside the differential
-        # pin: both folds run on the same arrays whichever mode built
+        # pin: both folds run on the same arrays whichever path built
         # the schedule, so the rounding is identical by construction
         return float((self.accuracy_proxy * sizes).sum() / sizes.sum())
 

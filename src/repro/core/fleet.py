@@ -64,7 +64,6 @@ from repro.core.simkernel import (
     _maxplus_scan_const,
     validate_arrival_trace,
     validate_count,
-    validate_kernel_mode,
 )
 from repro.core.traffic import PipelineServiceModel
 
@@ -220,6 +219,11 @@ class FleetAutoscaler:
     max_pools: int | None = None
 
     def __post_init__(self) -> None:
+        for field in ("epoch_s", "burn_up", "burn_down", "warmup_s"):
+            value = getattr(self, field)
+            # A bool compares as 0 or 1 and would pass the range checks.
+            if isinstance(value, bool):
+                raise ValueError(f"{field} must be a number, got {value!r}")
         if self.epoch_s <= 0.0 or not np.isfinite(self.epoch_s):
             raise ValueError(
                 f"epoch must be finite and > 0, got {self.epoch_s!r}"
@@ -967,16 +971,12 @@ class FleetRuntime:
         autoscaler: SLO-burn pool autoscaler; ``None`` keeps every
             region active for the whole run.
         config: hardware configuration for the regional runs.
-        mode: kernel execution mode handed to every regional cluster
-            run, one of :data:`~repro.core.simkernel.KERNEL_MODES`
-            (``"auto"`` lets feedback-free regions vectorize,
-            ``"reference"`` runs every region on the lane event loop).
 
     Raises:
         ValueError: on an empty tenant or region set, duplicate tenant
             or region names, an invalid RTT matrix, an autoscaler whose
-            bounds exceed the region count, a region pool too small for
-            the tenant set, or an unknown mode.
+            bounds exceed the region count, or a region pool too small
+            for the tenant set.
     """
 
     def __init__(
@@ -987,7 +987,6 @@ class FleetRuntime:
         routing: GlobalRoutingPolicy | None = None,
         autoscaler: FleetAutoscaler | None = None,
         config: PCNNAConfig | None = None,
-        mode: str = "auto",
     ) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
@@ -1003,7 +1002,6 @@ class FleetRuntime:
             raise ValueError(
                 f"region names must be unique, got {region_names!r}"
             )
-        validate_kernel_mode(mode)
         self.tenants = tuple(tenants)
         self.regions = tuple(regions)
         self.rtt_s = validate_rtt_matrix(rtt_s, len(regions))
@@ -1018,7 +1016,6 @@ class FleetRuntime:
                     f"exceeds the {len(regions)} regions"
                 )
         self.config = config
-        self.mode = mode
         self._capacity_rps = tuple(
             estimate_region_capacity_rps(self.tenants, region, config)
             for region in regions
@@ -1370,7 +1367,6 @@ class FleetRuntime:
             schedule=region.schedule,
             recalibration=region.recalibration,
             config=self.config,
-            mode=self.mode,
         )
         report = simulator.run(merged)
         latency_parts: list[np.ndarray] = []
@@ -1493,7 +1489,6 @@ def simulate_fleet_serving(
     routing: GlobalRoutingPolicy | None = None,
     autoscaler: FleetAutoscaler | None = None,
     config: PCNNAConfig | None = None,
-    mode: str = "auto",
 ) -> FleetReport:
     """One-call multi-region fleet simulation.
 
@@ -1503,7 +1498,7 @@ def simulate_fleet_serving(
 
     Raises:
         ValueError: on an invalid tenant/region set, RTT matrix,
-            autoscaler, mode, or trace.
+            autoscaler, or trace.
     """
     runtime = FleetRuntime(
         tenants,
@@ -1512,7 +1507,6 @@ def simulate_fleet_serving(
         routing=routing,
         autoscaler=autoscaler,
         config=config,
-        mode=mode,
     )
     return runtime.run(arrival_s)
 

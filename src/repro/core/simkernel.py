@@ -39,47 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # Contract markers checked by `python -m repro.lint` (BIT001/PERF001):
-# this module's floats are pinned bit-identical across modes, and the
+# this module's floats are pinned bit-identical across paths, and the
 # listed classes are constructed per batch or per report.
 __bit_identity__ = True
 __hot_path__ = ("BatchRecord", "BatchTable")
-
-KERNEL_MODES: tuple[str, ...] = ("auto", "reference")
-"""Execution modes accepted by :class:`EventLoopKernel`.
-
-``"reference"`` runs the per-event lane loop of
-:mod:`repro.core.cluster` — one :func:`plan_dispatch` call and one
-pipeline walk per batch — on every lane.
-``"auto"`` — the default — serves each lane that shares no state with
-another on its fastest exact path (whole-trace array ops wherever
-nothing feeds back mid-run, epochs between fault actions) and keeps
-the lane loop for runs that change pipelines mid-run.  The two modes
-are *bit-identical*: every
-float the array path emits is produced by the same sequence of
-IEEE-754 operations the lane loop performs (see
-``docs/architecture.md``, "Vectorized kernel & reference mode").
-"""
-
-
-def validate_kernel_mode(mode: str) -> str:
-    """Validate a kernel execution mode (shared by every front door).
-
-    The traffic, cluster, and fleet simulators all accept the same
-    ``mode`` argument; validating it here keeps the error message (and
-    the accepted set) identical everywhere.
-
-    Returns:
-        The validated mode, unchanged.
-
-    Raises:
-        ValueError: if ``mode`` is not one of :data:`KERNEL_MODES`.
-    """
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r}; have {KERNEL_MODES}"
-        )
-    return mode
-
 
 def validate_count(value, what: str) -> None:
     """Reject a request/batch count that is not an integer >= 1.
@@ -87,7 +50,7 @@ def validate_count(value, what: str) -> None:
     Batch sizes, occupancy caps, and queue thresholds index arrays and
     size batches, so a float (even an integral one like ``3.0``) or a
     bool would pass a bare ``>= 1`` check and then fail deep in the
-    kernel — differently in each mode.  Checking at construction keeps
+    kernel — differently on each path.  Checking at construction keeps
     the failure at the front door.
 
     Raises:
@@ -339,7 +302,7 @@ def plan_dispatch(
     every tied arrival as queued, so a batch never splits a tie group
     unless ``max_batch`` forces it — and then it takes the lowest trace
     indices first.  The vectorized planner relies on the trace being
-    pre-sorted (it never re-sorts), so both modes see the identical
+    pre-sorted (it never re-sorts), so both paths see the identical
     stable order; ``tests/test_vectorized_kernel.py`` pins this.
 
     Returns:
@@ -713,25 +676,16 @@ class EventLoopKernel:
     """The seeded discrete-event loop: queue → batcher → core pipeline.
 
     Also importable as :class:`~repro.core.traffic.ServingSimulator`,
-    the serving front door.
+    the serving front door.  The trace is served as a pristine lone
+    lane (:func:`~repro.core.cluster.serve_pipeline`).
 
     Args:
         model: the per-core service-time model
             (:class:`~repro.core.traffic.PipelineServiceModel`).
         policy: the batching policy.
-        mode: one of :data:`KERNEL_MODES`.  The trace is served as a
-            pristine lone lane: ``"auto"`` (the default) books it with
-            whole-trace array ops, ``"reference"`` one dispatch at a
-            time through the lane loop.  Both are bit-identical.
-
-    Raises:
-        ValueError: on an unknown mode.
     """
 
-    def __init__(
-        self, model, policy: BatchingPolicy, mode: str = "auto"
-    ) -> None:
-        self.mode = validate_kernel_mode(mode)
+    def __init__(self, model, policy: BatchingPolicy) -> None:
         self.model = model
         self.policy = policy
 
@@ -755,13 +709,11 @@ class EventLoopKernel:
             self.policy,
             validate_arrival_trace(arrival_s),
             None,
-            mode=self.mode,
         )
         return ServingReport(**lane.serving_fields())
 
 
 __all__ = [
-    "KERNEL_MODES",
     "BatchingPolicy",
     "BatchRecord",
     "BatchTable",
@@ -771,5 +723,4 @@ __all__ = [
     "plan_dispatch",
     "validate_arrival_trace",
     "validate_count",
-    "validate_kernel_mode",
 ]

@@ -292,8 +292,8 @@ class ServingReport:
         if total <= 0.0:
             return 0.0
         # repro: allow[BIT001] report statistic computed by this same
-        # ndarray fold in both kernel modes; not part of the per-event
-        # float recipe the modes must replay
+        # ndarray fold on every serving path; not part of the per-event
+        # float recipe the paths must replay
         return float((depth[:-1] * spans).sum() / total)
 
     def describe(self) -> str:
@@ -339,10 +339,9 @@ ServingSimulator = EventLoopKernel
 """Discrete-event closed loop: queue -> batcher -> core pipeline.
 
 The serving front door is the kernel itself:
-``ServingSimulator(model, policy, mode="auto").run(arrival_s)`` returns
-a :class:`ServingReport`.  Both modes serve the trace as a pristine
-lone lane: ``"auto"`` on the vectorized hot path, ``"reference"``
-through the per-event lane loop; both are bit-identical.
+``ServingSimulator(model, policy).run(arrival_s)`` returns a
+:class:`ServingReport`, serving the trace as a pristine lone lane on
+the vectorized hot path.
 """
 
 
@@ -353,7 +352,6 @@ def simulate_serving(
     num_cores: int,
     config: PCNNAConfig | None = None,
     clamp_cores: bool = False,
-    mode: str = "auto",
 ) -> ServingReport:
     """One-call serving simulation for an executable network.
 
@@ -361,13 +359,13 @@ def simulate_serving(
     layers and runs the trace through a :class:`ServingSimulator`.
 
     Raises:
-        ValueError: on a conv-free network, invalid ``num_cores``, a
-            bad trace, or an unknown ``mode``.
+        ValueError: on a conv-free network, invalid ``num_cores``, or
+            a bad trace.
     """
     model = PipelineServiceModel.from_network(
         network, num_cores, config, clamp_cores
     )
-    return ServingSimulator(model, policy, mode=mode).run(arrival_s)
+    return ServingSimulator(model, policy).run(arrival_s)
 
 
 def replay_on_engine(

@@ -36,8 +36,8 @@ class ExportAudit(Rule):
     title = "__all__ export audit"
     rationale = (
         "PR 5's manual export audit drifted the moment PR 6 added "
-        "KERNEL_MODES/BatchTable; declared and actual export surfaces "
-        "must be provably equal"
+        "BatchTable; declared and actual export surfaces must be "
+        "provably equal"
     )
 
     def check(

@@ -4,11 +4,11 @@ The vectorized kernel's exactness rests on every float accumulation
 being a *strict sequential left fold* — ``np.sum`` uses pairwise
 summation, which rounds differently and broke ``_maxplus_scan`` until
 PR 6 replaced it with a segmented cumsum fold.  In modules whose
-results are pinned bit-identical (golden fixtures, reference-mode
+results are pinned bit-identical (golden fixtures, lane-loop oracle
 equality, zero-magnitude fault differentials), every ``sum``-shaped
 fold must therefore be individually justified with a pragma: either it
 is a strict left fold over a fixed order, or it is computed by the
-identical recipe in every mode.
+identical recipe on every path.
 
 Membership is declared in the module itself (``__bit_identity__ =
 True``) and pinned here: the modules in :data:`REQUIRED_BIT_IDENTITY`

@@ -56,7 +56,7 @@ class HotPathSlots(Rule):
     title = "hot-path class without __slots__"
     rationale = (
         "per-event objects with instance dicts dominate allocation in "
-        "reference-mode soaks; __slots__ keeps the per-batch cost flat"
+        "lane-loop soaks; __slots__ keeps the per-batch cost flat"
     )
 
     def check(

@@ -154,8 +154,8 @@ def compute_traffic_trace() -> dict[str, np.ndarray]:
     surface on the canonical dynamic-batching scenario: the per-batch
     plan (heads, widths, dispatches), the per-request streams, the busy
     accounting, and the latency percentiles.  Because the vectorized
-    and reference modes are pinned bit-identical elsewhere, this one
-    fixture guards both.
+    path and the lane-loop oracle are pinned bit-identical elsewhere,
+    this one fixture guards both.
     """
     model = PipelineServiceModel.from_specs(lenet5_conv_specs(), TRAFFIC_CORES)
     rate = TRAFFIC_LOAD_FACTOR * model.capacity_rps(TRAFFIC_MAX_BATCH)
@@ -163,7 +163,7 @@ def compute_traffic_trace() -> dict[str, np.ndarray]:
         rate, TRAFFIC_REQUESTS, seed=TRAFFIC_ARRIVAL_SEED
     )
     policy = BatchingPolicy.dynamic(TRAFFIC_MAX_BATCH, TRAFFIC_MAX_WAIT_S)
-    report = ServingSimulator(model, policy, mode="auto").run(arrivals)
+    report = ServingSimulator(model, policy).run(arrivals)
     return {
         "arrivals_sha256": input_digest(arrivals),
         "dispatch_s": report.dispatch_s,
@@ -377,15 +377,13 @@ def compute_cluster_vectorized_trace() -> dict[str, np.ndarray]:
     shed sets, the busy ledgers, and the latency percentiles — so any
     change to the lane decomposition, the closed-form admission walk,
     or its verification tiers shows up as a bit difference.  Because
-    the vectorized and reference modes are pinned bit-identical
-    elsewhere, this one fixture guards both.
+    the vectorized path and the lane-loop oracle are pinned
+    bit-identical elsewhere, this one fixture guards both.
     """
     tenants, arrival_s = cluster_mix(
         CLUSTER_MIX, CLUSTER_RATE_RPS, CLUSTER_REQUESTS, seed=CLUSTER_ARRIVAL_SEED
     )
-    report = simulate_cluster_serving(
-        tenants, arrival_s, CLUSTER_POOL_SIZE, mode="auto"
-    )
+    report = simulate_cluster_serving(tenants, arrival_s, CLUSTER_POOL_SIZE)
     assert report.num_shed > 0, "the golden scenario must actually shed"
     fixture: dict[str, np.ndarray] = {
         "arrivals_sha256": input_digest(

@@ -8,6 +8,7 @@ policy-evaluation harness.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from repro.core.faults import (
     RecalibrationPolicy,
     simulate_degraded_serving,
 )
+from repro.core.fleet import FleetAutoscaler
 from repro.core.simkernel import BatchingPolicy
 from repro.workloads import (
     cluster_mix,
@@ -109,6 +111,23 @@ def assert_cluster_reports_identical(static, adaptive):
         assert left.core_busy_s == right.core_busy_s
 
 
+# Every controller float field, with the other required arguments bound.
+FLOAT_FIELDS = [
+    (partial(AdaptiveRecalibration, RECAL), "smoothing"),
+    (partial(AdaptiveRecalibration, RECAL), "lead_time_s"),
+    (partial(AdaptiveRecalibration, RECAL), "hold_ceiling"),
+    (partial(AdaptiveRecalibration, RECAL), "downtime_budget_s"),
+    (partial(BurnRateAdmission), "slo_latency_s"),
+    (partial(BurnRateAdmission, 1e-3), "max_burn_rate"),
+    (partial(PressureController, ElasticReallocation()), "gain"),
+    (partial(ElasticReallocation), "pressure_ratio"),
+    (partial(FleetAutoscaler), "epoch_s"),
+    (partial(FleetAutoscaler, 1e-3), "warmup_s"),
+    (partial(FleetAutoscaler, 1e-3), "burn_up"),
+    (partial(FleetAutoscaler, 1e-3, burn_up=2.0), "burn_down"),
+]
+
+
 class TestControllerValidation:
     def test_recalibration_gains(self):
         for bad in (0.0, -0.1, 1.5, math.nan, math.inf):
@@ -142,6 +161,18 @@ class TestControllerValidation:
         for bad in (-0.25, math.nan, math.inf):
             with pytest.raises(ValueError, match="gain"):
                 PressureController(base=ElasticReallocation(), gain=bad)
+
+    @pytest.mark.parametrize(
+        ("build", "field"),
+        FLOAT_FIELDS,
+        ids=[f"{build.func.__name__}.{field}" for build, field in FLOAT_FIELDS],
+    )
+    def test_float_fields_reject_bools(self, build, field):
+        """A bool compares as 0 or 1, so ``True`` would pass every
+        range check above and serve as a gain of one."""
+        for value in (True, False):
+            with pytest.raises(ValueError):
+                build(**{field: value})
 
     def test_frozen_settings_are_valid(self):
         frozen = AdaptiveRecalibration.frozen(RECAL)

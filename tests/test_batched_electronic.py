@@ -9,8 +9,11 @@ reproducibility bugfixes that ride along: per-image quantized AGC and
 the per-call noise-RNG fork.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from oracles import reference_loops
 
 from repro.core.accelerator import PCNNA, PhotonicConvolution
 from repro.core.config import PCNNAConfig
@@ -225,16 +228,19 @@ class TestQuantizedAgcRegression:
     """Bugfix: the TIA gain is per image, so a quantized image's output
     cannot depend on which other images share its minibatch."""
 
-    @pytest.mark.parametrize("mode", ["vectorized", "reference"])
-    def test_quantized_batched_equals_single(self, mode):
+    @pytest.mark.parametrize(
+        "oracle", [nullcontext, reference_loops], ids=["vectorized", "reference"]
+    )
+    def test_quantized_batched_equals_single(self, oracle):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 2, 9, 9))
         kernels = rng.normal(size=(3, 2, 3, 3))
-        engine = PhotonicConvolution(method="device", quantize=True, mode=mode)
-        batched = engine.convolve(x, kernels, 2, 1)
-        singles = np.stack(
-            [engine.convolve(image, kernels, 2, 1) for image in x]
-        )
+        engine = PhotonicConvolution(method="device", quantize=True)
+        with oracle():
+            batched = engine.convolve(x, kernels, 2, 1)
+            singles = np.stack(
+                [engine.convolve(image, kernels, 2, 1) for image in x]
+            )
         assert np.array_equal(batched, singles)
 
     def test_quantized_output_independent_of_batch_neighbours(self):
@@ -256,11 +262,12 @@ class TestNoiseForkRegression:
         x = rng.normal(size=(2, 2, 7, 7))
         kernels = rng.normal(size=(3, 2, 3, 3))
         config = PCNNAConfig(noise=realistic(seed=7))
-        for mode in ("vectorized", "reference"):
-            engine = PhotonicConvolution(config, method="device", mode=mode)
-            first = engine.convolve(x, kernels)
-            second = engine.convolve(x, kernels)
-            assert np.array_equal(first, second), mode
+        engine = PhotonicConvolution(config, method="device")
+        for oracle in (nullcontext(), reference_loops()):
+            with oracle:
+                first = engine.convolve(x, kernels)
+                second = engine.convolve(x, kernels)
+            assert np.array_equal(first, second)
 
     def test_noisy_runs_still_differ_by_seed(self):
         rng = np.random.default_rng(8)

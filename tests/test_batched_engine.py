@@ -16,9 +16,11 @@ The contract under test (see ``docs/architecture.md``):
 """
 
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from oracles import reference_loops
 
 from repro.core.accelerator import PCNNA, PhotonicConvolution, _compute_scaling
 from repro.core.batching import network_batch_timing_simulated
@@ -32,9 +34,12 @@ from repro.photonics.noise import NoiseConfig, realistic
 from repro.workloads import alexnet_layer
 
 
-def _engines():
-    vectorized = PhotonicConvolution(method="device", mode="vectorized")
-    reference = PhotonicConvolution(method="device", mode="reference")
+def _vectorized_and_reference(engine, *args):
+    """``engine.convolve(*args)`` on the vectorized core, then on the
+    wave-by-wave reference loop."""
+    vectorized = engine.convolve(*args)
+    with reference_loops():
+        reference = engine.convolve(*args)
     return vectorized, reference
 
 
@@ -47,18 +52,17 @@ class TestIdealBitEquality:
         rng = np.random.default_rng(stride * 100 + padding * 10 + batch)
         x = rng.normal(size=(batch, 2, 9, 7))
         k = rng.normal(size=(3, 2, 3, 3))
-        vectorized, reference = _engines()
-        out_vec = vectorized.convolve(x, k, stride, padding)
-        out_ref = reference.convolve(x, k, stride, padding)
+        out_vec, out_ref = _vectorized_and_reference(
+            PhotonicConvolution(method="device"), x, k, stride, padding
+        )
         assert np.array_equal(out_vec, out_ref)
 
     def test_single_image_bit_equal(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 8, 8))
         k = rng.normal(size=(4, 3, 3, 3))
-        vectorized, reference = _engines()
         assert np.array_equal(
-            vectorized.convolve(x, k), reference.convolve(x, k)
+            *_vectorized_and_reference(PhotonicConvolution(method="device"), x, k)
         )
 
     def test_batch_of_one_equals_unbatched(self):
@@ -74,11 +78,8 @@ class TestIdealBitEquality:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 2, 7, 7))
         k = rng.normal(size=(3, 2, 3, 3))
-        vec = PhotonicConvolution(method="device", quantize=True)
-        ref = PhotonicConvolution(
-            method="device", quantize=True, mode="reference"
-        )
-        assert np.array_equal(vec.convolve(x, k), ref.convolve(x, k))
+        engine = PhotonicConvolution(method="device", quantize=True)
+        assert np.array_equal(*_vectorized_and_reference(engine, x, k))
 
     def test_vectorized_matches_numpy_reference(self):
         rng = np.random.default_rng(3)
@@ -123,12 +124,17 @@ class TestBatchedShapes:
             )
 
     @pytest.mark.parametrize(
-        ("method", "mode"),
-        [("matrix", "vectorized"), ("device", "vectorized"), ("device", "reference")],
+        ("method", "oracle"),
+        [
+            ("matrix", nullcontext),
+            ("device", nullcontext),
+            ("device", reference_loops),
+        ],
+        ids=["matrix-vectorized", "device-vectorized", "device-reference"],
     )
-    def test_rejects_empty_batch_on_every_path(self, method, mode):
-        engine = PhotonicConvolution(method=method, mode=mode)
-        with pytest.raises(ValueError, match="at least one image"):
+    def test_rejects_empty_batch_on_every_path(self, method, oracle):
+        engine = PhotonicConvolution(method=method)
+        with oracle(), pytest.raises(ValueError, match="at least one image"):
             engine.convolve(np.zeros((0, 2, 6, 6)), np.zeros((3, 2, 3, 3)))
 
     def test_compute_batch_rejects_zero_waves(self):
@@ -142,10 +148,6 @@ class TestBatchedShapes:
             PhotonicConvolution().convolve(
                 np.zeros((2, 3, 4, 4)), np.zeros((1, 2, 2, 2))
             )
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            PhotonicConvolution(mode="turbo")
 
     def test_compute_batch_shape_check(self):
         layer = BroadcastAndWeightLayer(5, 3)
@@ -167,17 +169,18 @@ class TestBatchedShapes:
 
 class TestNoisyConsistency:
     @staticmethod
-    def _noisy_out(mode, seed):
+    def _noisy_out(oracle, seed):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(2, 1, 6, 6))
         k = rng.normal(size=(2, 1, 3, 3))
         config = PCNNAConfig(noise=realistic(seed=seed))
-        engine = PhotonicConvolution(config, method="device", mode=mode)
-        return engine.convolve(x, k), F.conv2d_batch(x, k)
+        engine = PhotonicConvolution(config, method="device")
+        with oracle():
+            return engine.convolve(x, k), F.conv2d_batch(x, k)
 
     def test_noisy_engines_statistically_consistent(self):
-        out_vec, ideal = self._noisy_out("vectorized", seed=5)
-        out_ref, _ = self._noisy_out("reference", seed=5)
+        out_vec, ideal = self._noisy_out(nullcontext, seed=5)
+        out_ref, _ = self._noisy_out(reference_loops, seed=5)
         err_vec = out_vec - ideal
         err_ref = out_ref - ideal
         # Both engines are noisy (non-exact) but stay on the same error
@@ -191,9 +194,9 @@ class TestNoisyConsistency:
         assert np.max(np.abs(err_vec)) < 0.5 * scale
 
     def test_noisy_vectorized_reproducible(self):
-        first, _ = self._noisy_out("vectorized", seed=6)
-        second, _ = self._noisy_out("vectorized", seed=6)
-        other, _ = self._noisy_out("vectorized", seed=7)
+        first, _ = self._noisy_out(nullcontext, seed=6)
+        second, _ = self._noisy_out(nullcontext, seed=6)
+        other, _ = self._noisy_out(nullcontext, seed=7)
         assert np.array_equal(first, second)
         assert not np.array_equal(first, other)
 
@@ -202,12 +205,14 @@ class TestNoisyConsistency:
         x = rng.normal(size=(1, 6, 6))
         k = rng.normal(size=(2, 1, 3, 3))
         ideal = F.conv2d(x, k)
-        for mode in ("vectorized", "reference"):
+        for oracle in (nullcontext(), reference_loops()):
             config = PCNNAConfig(
                 noise=NoiseConfig(enabled=True, ring_tuning_sigma=0.01, seed=8)
             )
-            out = PhotonicConvolution(config, method="device", mode=mode)
-            assert not np.allclose(out.convolve(x, k), ideal, atol=1e-12)
+            engine = PhotonicConvolution(config, method="device")
+            with oracle:
+                out = engine.convolve(x, k)
+            assert not np.allclose(out, ideal, atol=1e-12)
 
 
 def _whole_batch_twin(engine, x, k, stride, padding):

@@ -1,7 +1,10 @@
 """Tests for the multi-tenant cluster serving runtime."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from oracles import reference_loops
 
 from repro.analysis import (
     CLUSTER_SWEEP_HEADER,
@@ -211,12 +214,11 @@ class TestPolicyValidation:
             "b": poisson_arrivals(1e3, 50, seed=2),
         }
         plain = simulate_cluster_serving(tenants, arrivals, 2)
-        for mode in ("auto", "reference"):
-            simulator = ClusterSimulator(
-                tenants, 2, mode=mode, admission={"a": None}
-            )
-            assert simulator.admission == {}
-            with_none = simulator.run(arrivals)
+        simulator = ClusterSimulator(tenants, 2, admission={"a": None})
+        assert simulator.admission == {}
+        for oracle in (nullcontext(), reference_loops()):
+            with oracle:
+                with_none = simulator.run(arrivals)
             for name in ("a", "b"):
                 got, want = with_none.tenant(name), plain.tenant(name)
                 assert got.batches == want.batches

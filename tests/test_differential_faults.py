@@ -16,10 +16,13 @@ The engine's load-bearing guarantees are differential, pinned here:
   per-core availability / utilization accounting.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_loops
 
 from repro.analysis import sweep_fault_tolerance
 from repro.core.faults import (
@@ -461,7 +464,6 @@ class TestSingleTenantFaultPin:
             pool_size=self.NUM_CORES,
             schedule=schedule,
             recalibration=recalibration,
-            mode="reference",
         )
         return cluster, network, arrivals, schedule
 
@@ -520,7 +522,7 @@ class TestSingleTenantFaultPin:
 
 class TestPristineLoneLanePin:
     """A pristine lone lane of the lane event loop is the fault-free
-    kernel in every mode, byte for byte, on every stream and ledger."""
+    kernel on every path, byte for byte, on every stream and ledger."""
 
     @pytest.mark.parametrize(
         "policy",
@@ -558,8 +560,9 @@ class TestPristineLoneLanePin:
         )
         _serve_lanes([lane], None, _lone_lane)
         fields = lane.serving_fields()
-        for mode in ("auto", "reference"):
-            run = EventLoopKernel(model, policy, mode=mode).run(arrivals)
+        for oracle in (nullcontext(), reference_loops()):
+            with oracle:
+                run = EventLoopKernel(model, policy).run(arrivals)
             assert run.dispatch_s.tobytes() == fields["dispatch_s"].tobytes()
             assert (
                 run.completion_s.tobytes() == fields["completion_s"].tobytes()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_loops
 
 from repro.analysis import FLEET_SWEEP_HEADER, sweep_fleet_serving
 from repro.core import fleet as fleet_module
@@ -162,12 +163,6 @@ class TestFleetConfigValidation:
             GlobalRoutingPolicy(failover_threshold=True)
         for kind in FLEET_ROUTING_KINDS:
             assert GlobalRoutingPolicy(kind=kind).kind == kind
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="kernel mode"):
-            FleetRuntime(
-                two_tenants(), [RegionSpec("r", 4)], mode="warp"
-            )
 
     def test_run_trace_validation(self):
         runtime = FleetRuntime(
@@ -325,14 +320,12 @@ class TestFleetDifferential:
         tenants = two_tenants()
         arrival = traces(num=200, seed=10)
         auto = simulate_fleet_serving(
-            tenants, [RegionSpec("solo", 4)], {"solo": arrival}, mode="auto"
+            tenants, [RegionSpec("solo", 4)], {"solo": arrival}
         )
-        reference = simulate_fleet_serving(
-            tenants,
-            [RegionSpec("solo", 4)],
-            {"solo": arrival},
-            mode="reference",
-        )
+        with reference_loops():
+            reference = simulate_fleet_serving(
+                tenants, [RegionSpec("solo", 4)], {"solo": arrival}
+            )
         for left, right in zip(auto.traces, reference.traces):
             assert np.array_equal(left.latency_s, right.latency_s)
             assert np.array_equal(left.server_region, right.server_region)

@@ -69,6 +69,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_loops
 
 from repro.core.accelerator import PCNNA, PhotonicConvolution
 from repro.core.adaptive import (
@@ -743,8 +744,9 @@ class TestKernelModeEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_vectorized_bit_identical_to_reference(self, case):
         model, policy, arrivals = case
-        ref = ServingSimulator(model, policy, mode="reference").run(arrivals)
-        vec = ServingSimulator(model, policy, mode="auto").run(arrivals)
+        with reference_loops():
+            ref = ServingSimulator(model, policy).run(arrivals)
+        vec = ServingSimulator(model, policy).run(arrivals)
         assert ref.dispatch_s.tobytes() == vec.dispatch_s.tobytes()
         assert ref.completion_s.tobytes() == vec.completion_s.tobytes()
         assert ref.core_busy_s == vec.core_busy_s
@@ -760,9 +762,7 @@ class TestKernelModeEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_vectorized_run_conserves_and_orders(self, case):
         model, policy, arrivals = case
-        report = ServingSimulator(model, policy, mode="auto").run(
-            arrivals
-        )
+        report = ServingSimulator(model, policy).run(arrivals)
         n = arrivals.size
         # Conservation: every request lands in exactly one batch, in
         # trace order, and the per-request streams cover the trace.
@@ -845,29 +845,22 @@ class TestClusterModeEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_cluster_modes_byte_identical(self, case):
         tenants, pool, arrivals, routing = case
-        ref = simulate_cluster_serving(
-            tenants, arrivals, pool, routing=routing, mode="reference"
-        )
-        vec = simulate_cluster_serving(
-            tenants, arrivals, pool, routing=routing, mode="auto"
-        )
-        auto = simulate_cluster_serving(
-            tenants, arrivals, pool, routing=routing
-        )
-        for other in (vec, auto):
-            assert other.routing == ref.routing
-            for r, v in zip(ref.tenants, other.tenants):
-                assert r.tenant == v.tenant
-                assert r.arrival_s.tobytes() == v.arrival_s.tobytes()
-                assert r.dispatch_s.tobytes() == v.dispatch_s.tobytes()
-                assert r.completion_s.tobytes() == v.completion_s.tobytes()
-                assert (
-                    r.shed_arrival_s.tobytes() == v.shed_arrival_s.tobytes()
-                )
-                assert tuple(r.batches) == tuple(v.batches)
-                assert r.core_busy_s == v.core_busy_s
-                assert np.array_equal(r.batch_num_cores, v.batch_num_cores)
-                assert np.array_equal(r.accuracy_proxy, v.accuracy_proxy)
+        with reference_loops():
+            ref = simulate_cluster_serving(
+                tenants, arrivals, pool, routing=routing
+            )
+        vec = simulate_cluster_serving(tenants, arrivals, pool, routing=routing)
+        assert vec.routing == ref.routing
+        for r, v in zip(ref.tenants, vec.tenants):
+            assert r.tenant == v.tenant
+            assert r.arrival_s.tobytes() == v.arrival_s.tobytes()
+            assert r.dispatch_s.tobytes() == v.dispatch_s.tobytes()
+            assert r.completion_s.tobytes() == v.completion_s.tobytes()
+            assert r.shed_arrival_s.tobytes() == v.shed_arrival_s.tobytes()
+            assert tuple(r.batches) == tuple(v.batches)
+            assert r.core_busy_s == v.core_busy_s
+            assert np.array_equal(r.batch_num_cores, v.batch_num_cores)
+            assert np.array_equal(r.accuracy_proxy, v.accuracy_proxy)
 
     @given(case=frozen_cluster_case())
     @settings(max_examples=3, deadline=None)

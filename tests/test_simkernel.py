@@ -1,9 +1,12 @@
 """Tests for the unified discrete-event serving kernel."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_loops
 
 from repro.analysis.policy_eval import EvalScenario
 from repro.core import simkernel, traffic
@@ -65,7 +68,6 @@ class TestReExports:
         copy, and none of the kernel internals it only uses."""
         assert traffic.BatchingPolicy is BatchingPolicy
         assert not {
-            "KERNEL_MODES",
             "BatchRecord",
             "BatchTable",
             "EventLoopKernel",
@@ -177,14 +179,19 @@ class TestValidateArrivalTrace:
             validate_arrival_trace(np.array([2.0, 1.0]))
 
 
+def _kernel_on_reference_loops(arrivals):
+    with reference_loops():
+        return EventLoopKernel(model(), BatchingPolicy.dynamic(4, 1e-4)).run(
+            arrivals
+        )
+
+
 # Every simulator front door that takes an arrival trace, by name.
 ARRIVAL_FRONT_DOORS = {
     "kernel auto": lambda t: EventLoopKernel(
         model(), BatchingPolicy.dynamic(4, 1e-4)
     ).run(t),
-    "kernel reference": lambda t: EventLoopKernel(
-        model(), BatchingPolicy.dynamic(4, 1e-4), mode="reference"
-    ).run(t),
+    "kernel reference": _kernel_on_reference_loops,
     "serving simulator": lambda t: ServingSimulator(
         model(), BatchingPolicy.dynamic(4, 1e-4)
     ).run(t),
@@ -218,7 +225,7 @@ ARRIVAL_FRONT_DOORS = {
 class TestNonFiniteArrivals:
     """NaN passes the sort check (every comparison with it is false)
     and an infinite arrival yields infinite completions, so every front
-    door rejects non-finite arrivals before either mode sees them."""
+    door rejects non-finite arrivals before either path sees them."""
 
     @pytest.mark.parametrize("door", sorted(ARRIVAL_FRONT_DOORS))
     @pytest.mark.parametrize(
@@ -300,12 +307,11 @@ class TestOneBatchFormat:
             raise AssertionError("a BatchRecord was built during a run")
 
         monkeypatch.setattr(simkernel, "BatchRecord", no_records)
-        reports = {
-            f"serving {mode}": ServingSimulator(svc, policy, mode=mode).run(
+        reports = {"serving auto": ServingSimulator(svc, policy).run(arrivals)}
+        with reference_loops():
+            reports["serving reference"] = ServingSimulator(svc, policy).run(
                 arrivals
             )
-            for mode in ("auto", "reference")
-        }
         reports["degraded epochs"] = DegradedServingSimulator(
             svc, policy, zero, recalibration=RecalibrationPolicy(), specs=specs
         ).run(arrivals)
@@ -317,11 +323,11 @@ class TestOneBatchFormat:
             cores,
             AdaptiveRecalibration.frozen(RecalibrationPolicy()),
         )
-        for mode in ("auto", "reference"):
-            cluster = ClusterSimulator([tenant], cores, mode=mode).run(
-                {"t": arrivals}
-            )
-            reports[f"cluster {mode}"] = cluster.tenants[0]
+        simulator = ClusterSimulator([tenant], cores)
+        reports["cluster auto"] = simulator.run({"t": arrivals}).tenants[0]
+        with reference_loops():
+            cluster = simulator.run({"t": arrivals})
+        reports["cluster reference"] = cluster.tenants[0]
         fleet = simulate_fleet_serving(
             [tenant], [RegionSpec("r", cores)], {"r": {"t": arrivals}}
         )
@@ -337,9 +343,10 @@ class TestOneBatchFormat:
     def test_serving_simulator_and_kernel_return_one_report_type(self):
         arrivals = poisson_arrivals(5000.0, 200, seed=2)
         policy = BatchingPolicy.dynamic(8, 1e-4)
-        for mode in ("auto", "reference"):
-            served = ServingSimulator(model(), policy, mode=mode).run(arrivals)
-            kernel = EventLoopKernel(model(), policy, mode=mode).run(arrivals)
+        for oracle in (nullcontext(), reference_loops()):
+            with oracle:
+                served = ServingSimulator(model(), policy).run(arrivals)
+                kernel = EventLoopKernel(model(), policy).run(arrivals)
             assert type(served) is type(kernel) is ServingReport
 
 

@@ -2,26 +2,28 @@
 
 PR 6 rebuilds the fault-free serving hot path on array ops (batch
 planning, max-plus completion scans, cumulative busy accounting) while
-keeping a per-event loop as ``mode="reference"``: a pristine lone
-lane of the cluster lane loop.  The
+keeping a per-event loop as the oracle: a pristine lone lane of the
+cluster lane loop, reached through ``oracles.reference_loops``.  The
 contract is *bit-identity*, not tolerance: every dispatch, completion,
 batch record, busy total, and percentile must match the reference loop
 byte for byte, on every batching policy crossed with every arrival
 process, including the degenerate traces (single request, simultaneous
 arrivals) where the closed forms are easiest to get subtly wrong.
 
-These pins are what lets the vectorized path be the default (``"auto"``)
+These pins are what lets the vectorized path be the only one served
 without re-validating every downstream consumer: if the streams are
 bit-identical, so is everything computed from them.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from oracles import reference_loops
 
 from repro.core import cluster as cluster_module
 from repro.core.cluster import (
     _ADMISSION_MAX_PASSES,
-    ClusterSimulator,
     ClusterTenant,
     ElasticReallocation,
     RoutingPolicy,
@@ -34,9 +36,7 @@ from repro.core.faults import (
     FaultSchedule,
     RecalibrationPolicy,
 )
-from repro.core.fleet import FleetRuntime, RegionSpec
 from repro.core.simkernel import (
-    KERNEL_MODES,
     BatchTable,
     EventLoopKernel,
     plan_batches,
@@ -69,9 +69,10 @@ def lenet_model(num_cores: int = 3) -> PipelineServiceModel:
     return PipelineServiceModel.from_specs(lenet5_conv_specs(), num_cores)
 
 
-def both_modes(model, policy, arrivals):
-    ref = ServingSimulator(model, policy, mode="reference").run(arrivals)
-    vec = ServingSimulator(model, policy, mode="auto").run(arrivals)
+def both_paths(model, policy, arrivals):
+    with reference_loops():
+        ref = ServingSimulator(model, policy).run(arrivals)
+    vec = ServingSimulator(model, policy).run(arrivals)
     return ref, vec
 
 
@@ -105,7 +106,7 @@ class TestBitIdentityAcrossPoliciesAndArrivals:
         model = lenet_model()
         rate = load * model.capacity_rps(max(policy.max_batch, 1))
         arrivals = make_arrivals(pattern, rate, 400, seed=13)
-        ref, vec = both_modes(model, policy, arrivals)
+        ref, vec = both_paths(model, policy, arrivals)
         assert_bit_identical(ref, vec)
 
     @pytest.mark.parametrize("num_cores", [1, 2, 3])
@@ -113,7 +114,7 @@ class TestBitIdentityAcrossPoliciesAndArrivals:
         model = lenet_model(num_cores)
         policy = BatchingPolicy.dynamic(4, 1e-4)
         arrivals = poisson_arrivals(2.0 * model.capacity_rps(4), 600, seed=5)
-        ref, vec = both_modes(model, policy, arrivals)
+        ref, vec = both_paths(model, policy, arrivals)
         assert_bit_identical(ref, vec)
 
     @pytest.mark.parametrize(
@@ -128,18 +129,20 @@ class TestBitIdentityAcrossPoliciesAndArrivals:
             BatchingPolicy.dynamic(2, 1e-9),
             policy,
         ):
-            ref, vec = both_modes(model, extra, arrivals)
+            ref, vec = both_paths(model, extra, arrivals)
             assert_bit_identical(ref, vec)
 
 
 class TestDegenerateTraces:
-    """Empty / single-request / all-tie traces, both modes."""
+    """Empty / single-request / all-tie traces, on both paths."""
 
-    @pytest.mark.parametrize("mode", ["reference", "auto"])
-    def test_empty_trace_rejected_in_both_modes(self, mode):
+    @pytest.mark.parametrize(
+        "oracle", [reference_loops, nullcontext], ids=["reference", "auto"]
+    )
+    def test_empty_trace_rejected_in_both_modes(self, oracle):
         model = lenet_model()
-        sim = ServingSimulator(model, BatchingPolicy.fifo(), mode=mode)
-        with pytest.raises(ValueError, match="empty"):
+        sim = ServingSimulator(model, BatchingPolicy.fifo())
+        with oracle(), pytest.raises(ValueError, match="empty"):
             sim.run(np.array([]))
 
     @pytest.mark.parametrize(
@@ -147,7 +150,7 @@ class TestDegenerateTraces:
     )
     def test_single_request_trace(self, policy_name, policy):
         model = lenet_model()
-        ref, vec = both_modes(model, policy, np.array([0.125]))
+        ref, vec = both_paths(model, policy, np.array([0.125]))
         assert_bit_identical(ref, vec)
         assert len(vec.batches) == 1
         assert vec.batches[0].size == 1
@@ -166,7 +169,7 @@ class TestDegenerateTraces:
     )
     def test_simultaneous_arrival_ties(self, policy_name, policy, trace):
         model = lenet_model()
-        ref, vec = both_modes(model, policy, trace)
+        ref, vec = both_paths(model, policy, trace)
         assert_bit_identical(ref, vec)
 
     def test_quantized_trace_with_many_ties(self):
@@ -176,7 +179,7 @@ class TestDegenerateTraces:
         raw = np.cumsum(rng.exponential(1e-4, size=500))
         trace = np.round(raw, 3)  # many arrivals collapse onto the grid
         for _, policy in POLICIES:
-            ref, vec = both_modes(model, policy, trace)
+            ref, vec = both_paths(model, policy, trace)
             assert_bit_identical(ref, vec)
 
 
@@ -185,7 +188,7 @@ class TestTieOrderContract:
 
     Requests that arrive at the same instant are served in trace order
     (FIFO within the tie), so the k-th request of a tie cluster always
-    lands in the same batch slot in both modes.  This is the regression
+    lands in the same batch slot on both paths.  This is the regression
     pin for the tie-order contract documented on ``plan_dispatch``.
     """
 
@@ -197,8 +200,9 @@ class TestTieOrderContract:
         # Two full tie batches in index order, then the straggler.
         assert heads.tolist() == [0, 4, 8]
         assert sizes.tolist() == [4, 4, 1]
-        run = EventLoopKernel(model, policy, mode="auto").run(trace)
-        ref = EventLoopKernel(model, policy, mode="reference").run(trace)
+        run = EventLoopKernel(model, policy).run(trace)
+        with reference_loops():
+            ref = EventLoopKernel(model, policy).run(trace)
         assert [b.first_request for b in run.batches] == [0, 4, 8]
         assert run.batches == ref.batches
         # Per-request streams stay sorted within the tie cluster.
@@ -212,43 +216,6 @@ class TestTieOrderContract:
         heads, sizes, _ = plan_batches(trace, policy, model)
         assert heads.tolist() == [0, 4]
         assert sizes.tolist() == [4, 1]
-
-
-class TestModeValidation:
-    def test_unknown_mode_rejected(self):
-        model = lenet_model()
-        with pytest.raises(ValueError, match="mode"):
-            EventLoopKernel(model, BatchingPolicy.fifo(), mode="turbo")
-        with pytest.raises(ValueError, match="mode"):
-            ServingSimulator(model, BatchingPolicy.fifo(), mode="turbo")
-
-    def test_kernel_modes_tuple_is_the_contract(self):
-        assert KERNEL_MODES == ("auto", "reference")
-
-    @pytest.mark.parametrize(
-        "front_door",
-        ["kernel", "serving", "cluster", "fleet"],
-    )
-    def test_vectorized_is_an_unknown_mode(self, front_door):
-        """``"vectorized"`` folded into ``"auto"``: every front door
-        that takes a mode rejects it with the shared message."""
-        model = lenet_model()
-        policy = BatchingPolicy.fifo()
-        tenant = ClusterTenant("t", lenet5_conv_specs(), policy)
-        build = {
-            "kernel": lambda: EventLoopKernel(model, policy, mode="vectorized"),
-            "serving": lambda: ServingSimulator(
-                model, policy, mode="vectorized"
-            ),
-            "cluster": lambda: ClusterSimulator(
-                [tenant], pool_size=1, mode="vectorized"
-            ),
-            "fleet": lambda: FleetRuntime(
-                [tenant], [RegionSpec("r", 1)], mode="vectorized"
-            ),
-        }[front_door]
-        with pytest.raises(ValueError, match="unknown kernel mode 'vectorized'"):
-            build()
 
 
 class TestZeroMagnitudeFaultPin:
@@ -276,7 +243,7 @@ class TestZeroMagnitudeFaultPin:
         model = lenet_model()
         policy = BatchingPolicy.dynamic(8, 1e-3)
         arrivals = poisson_arrivals(2.0 * model.capacity_rps(8), 800, seed=17)
-        vec = ServingSimulator(model, policy, mode="auto").run(arrivals)
+        vec = ServingSimulator(model, policy).run(arrivals)
         zero = DegradedServingSimulator(
             model,
             policy,
@@ -305,34 +272,30 @@ class TestSingleTenantClusterPin:
     def test_vectorized_matches_reference_cluster(self):
         tenant = self.make_tenant()
         arrivals = {"solo": poisson_arrivals(3e4, 500, seed=23)}
-        ref = simulate_cluster_serving(
-            [tenant], arrivals, pool_size=3, mode="reference"
-        )
-        vec = simulate_cluster_serving(
-            [tenant], arrivals, pool_size=3, mode="auto"
-        )
-        auto = simulate_cluster_serving([tenant], arrivals, pool_size=3)
-        for other in (vec, auto):
-            r, o = ref.tenant("solo"), other.tenant("solo")
-            assert r.arrival_s.tobytes() == o.arrival_s.tobytes()
-            assert r.dispatch_s.tobytes() == o.dispatch_s.tobytes()
-            assert r.completion_s.tobytes() == o.completion_s.tobytes()
-            assert tuple(r.batches) == tuple(o.batches)
-            assert r.core_busy_s == o.core_busy_s
-            assert np.array_equal(r.batch_num_cores, o.batch_num_cores)
-            assert np.array_equal(r.accuracy_proxy, o.accuracy_proxy)
-            assert r.shed_arrival_s.size == o.shed_arrival_s.size == 0
-            assert other.reallocations == ref.reallocations == ()
-            assert other.recalibrations == ref.recalibrations == ()
+        with reference_loops():
+            ref = simulate_cluster_serving([tenant], arrivals, pool_size=3)
+        vec = simulate_cluster_serving([tenant], arrivals, pool_size=3)
+        r, o = ref.tenant("solo"), vec.tenant("solo")
+        assert r.arrival_s.tobytes() == o.arrival_s.tobytes()
+        assert r.dispatch_s.tobytes() == o.dispatch_s.tobytes()
+        assert r.completion_s.tobytes() == o.completion_s.tobytes()
+        assert tuple(r.batches) == tuple(o.batches)
+        assert r.core_busy_s == o.core_busy_s
+        assert np.array_equal(r.batch_num_cores, o.batch_num_cores)
+        assert np.array_equal(r.accuracy_proxy, o.accuracy_proxy)
+        assert r.shed_arrival_s.size == o.shed_arrival_s.size == 0
+        assert vec.reallocations == ref.reallocations == ()
+        assert vec.recalibrations == ref.recalibrations == ()
 
     def test_elastic_single_tenant_stays_on_reference(self):
         """Elastic reallocation is feedback — auto must not vectorize."""
         tenant = self.make_tenant()
         arrivals = {"solo": poisson_arrivals(3e4, 200, seed=7)}
         elastic = ElasticReallocation(pressure_ratio=1.0, min_queue=1)
-        ref = simulate_cluster_serving(
-            [tenant], arrivals, pool_size=3, elastic=elastic, mode="reference"
-        )
+        with reference_loops():
+            ref = simulate_cluster_serving(
+                [tenant], arrivals, pool_size=3, elastic=elastic
+            )
         auto = simulate_cluster_serving(
             [tenant], arrivals, pool_size=3, elastic=elastic
         )
@@ -377,19 +340,12 @@ class TestMultiTenantClusterPin:
     def test_named_mixes_bit_identical(self, mix_name, routing):
         """Every named mix x routing kind: caps, weights, priorities."""
         tenants, arrivals = cluster_mix(mix_name, 4e4, 1200, seed=5)
-        ref = simulate_cluster_serving(
-            tenants,
-            arrivals,
-            pool_size=len(tenants) + 1,
-            routing=routing,
-            mode="reference",
-        )
+        with reference_loops():
+            ref = simulate_cluster_serving(
+                tenants, arrivals, pool_size=len(tenants) + 1, routing=routing
+            )
         vec = simulate_cluster_serving(
-            tenants,
-            arrivals,
-            pool_size=len(tenants) + 1,
-            routing=routing,
-            mode="auto",
+            tenants, arrivals, pool_size=len(tenants) + 1, routing=routing
         )
         self.assert_cluster_identical(ref, vec)
 
@@ -416,12 +372,9 @@ class TestMultiTenantClusterPin:
             "greedy": poisson_arrivals(2e5, 3000, seed=31),
             "frugal": poisson_arrivals(1e5, 1500, seed=32),
         }
-        ref = simulate_cluster_serving(
-            tenants, arrivals, pool_size=2, mode="reference"
-        )
-        vec = simulate_cluster_serving(
-            tenants, arrivals, pool_size=2, mode="auto"
-        )
+        with reference_loops():
+            ref = simulate_cluster_serving(tenants, arrivals, pool_size=2)
+        vec = simulate_cluster_serving(tenants, arrivals, pool_size=2)
         self.assert_cluster_identical(ref, vec)
         assert ref.tenant("greedy").num_shed > 0  # the cap actually bit
 
@@ -446,12 +399,9 @@ class TestMultiTenantClusterPin:
             "tied": trace,
             "steady": poisson_arrivals(3e4, 200, seed=78),
         }
-        ref = simulate_cluster_serving(
-            tenants, arrivals, pool_size=2, mode="reference"
-        )
-        vec = simulate_cluster_serving(
-            tenants, arrivals, pool_size=2, mode="auto"
-        )
+        with reference_loops():
+            ref = simulate_cluster_serving(tenants, arrivals, pool_size=2)
+        vec = simulate_cluster_serving(tenants, arrivals, pool_size=2)
         self.assert_cluster_identical(ref, vec)
 
     def test_lane_fallback_is_exercised_and_exact(self, monkeypatch):
@@ -478,14 +428,13 @@ class TestMultiTenantClusterPin:
                 queue_cap=3,
             )
         ]
-        vec = simulate_cluster_serving(
-            tenants, {"hostile": trace}, pool_size=1, mode="auto"
-        )
+        vec = simulate_cluster_serving(tenants, {"hostile": trace}, pool_size=1)
         assert calls == ["hostile"]  # the plan was rejected
         monkeypatch.undo()
-        ref = simulate_cluster_serving(
-            tenants, {"hostile": trace}, pool_size=1, mode="reference"
-        )
+        with reference_loops():
+            ref = simulate_cluster_serving(
+                tenants, {"hostile": trace}, pool_size=1
+            )
         self.assert_cluster_identical(ref, vec)
 
     def test_admission_walk_passes_are_bounded(self, monkeypatch):
@@ -508,14 +457,13 @@ class TestMultiTenantClusterPin:
             return plan_batches(*args, **kwargs)
 
         monkeypatch.setattr(cluster_module, "plan_batches", counting)
-        vec = simulate_cluster_serving(
-            tenants, {"tight": trace}, pool_size=2, mode="auto"
-        )
+        vec = simulate_cluster_serving(tenants, {"tight": trace}, pool_size=2)
         monkeypatch.undo()
         assert len(calls) <= _ADMISSION_MAX_PASSES
-        ref = simulate_cluster_serving(
-            tenants, {"tight": trace}, pool_size=2, mode="reference"
-        )
+        with reference_loops():
+            ref = simulate_cluster_serving(
+                tenants, {"tight": trace}, pool_size=2
+            )
         self.assert_cluster_identical(ref, vec)
         assert ref.tenant("tight").num_shed == 2000
 
@@ -547,8 +495,8 @@ def _frozen_shapes():
 
 
 class TestAutoModeRouting:
-    """``"auto"`` is the only fast-path switch left, so a spy proves
-    which path each shape takes: every frozen-allocation lane served
+    """The inputs alone pick the path, so a spy proves which path each
+    shape takes: every frozen-allocation lane served
     alone by the one path dispatcher (``_serve_alone``) with no
     per-dispatch loop, the lane event loop wherever state feeds back
     mid-run."""
@@ -603,10 +551,6 @@ class TestAutoModeRouting:
         ):
             EventLoopKernel(lenet_model(), policy).run(arrivals)
         assert calls == {"alone": 3, "lanes": 0}
-        EventLoopKernel(
-            lenet_model(), BatchingPolicy.fifo(), mode="reference"
-        ).run(arrivals)
-        assert calls == {"alone": 4, "lanes": 1}
 
     @pytest.mark.parametrize("feedback", ["faulted", "elastic", "burn"])
     def test_feedback_shapes_take_the_lane_loop(self, monkeypatch, feedback):
@@ -631,13 +575,14 @@ class TestReplayFidelity:
 
     def test_replay_on_engine_bit_identical(self):
         network = serving_network("lenet5", seed=7)
-        report_ref = simulate_serving(
-            network, poisson_arrivals(2e4, 40, seed=3), BatchingPolicy.fixed(4),
-            num_cores=2, mode="reference",
-        )
+        with reference_loops():
+            report_ref = simulate_serving(
+                network, poisson_arrivals(2e4, 40, seed=3),
+                BatchingPolicy.fixed(4), num_cores=2,
+            )
         report_vec = simulate_serving(
             network, poisson_arrivals(2e4, 40, seed=3), BatchingPolicy.fixed(4),
-            num_cores=2, mode="auto",
+            num_cores=2,
         )
         rng = np.random.default_rng(0)
         inputs = rng.normal(size=(40, 1, 32, 32))
@@ -654,9 +599,9 @@ class TestBatchTable:
     def table(self):
         model = lenet_model()
         arrivals = poisson_arrivals(3e4, 100, seed=31)
-        run = EventLoopKernel(
-            model, BatchingPolicy.dynamic(4, 1e-4), mode="auto"
-        ).run(arrivals)
+        run = EventLoopKernel(model, BatchingPolicy.dynamic(4, 1e-4)).run(
+            arrivals
+        )
         return run.batches
 
     def test_sequence_protocol(self):
