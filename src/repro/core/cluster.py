@@ -1494,30 +1494,37 @@ def _serve_lanes(
     ``health`` (``None`` for a pristine pool) and is booked.  Then
     ``rebalance(now)``, the elastic reallocator, may move a core; with
     one present, a lane that has served its trace returns its cores to
-    ``free``.
+    ``free``.  A lane's plan reads only its own queue, clocks and cap,
+    so each round re-plans just the lane it served, or every lane after
+    a ``rebalance`` call.
     """
     last_dispatch = 0.0
+    plans: list[tuple[float, int] | None] = [None] * len(lanes)
+    stale = range(len(lanes))
     while True:
-        candidates = []
-        for lane in lanes:
+        for index in stale:
+            lane = lanes[index]
             if lane.released:
                 continue
-            plan = lane.plan()
-            if plan is not None:
-                candidates.append((plan, lane))
-            elif rebalance is not None:
+            plans[index] = lane.plan()
+            if plans[index] is None and rebalance is not None:
                 # A finished tenant's cores go back to the pool for the
                 # reallocator to hand to pressured neighbours.
                 free.extend(lane.release_cores())
+        candidates = [
+            (plan, index) for index, plan in enumerate(plans) if plan is not None
+        ]
         if not candidates:
             break
-        (dispatch, size), lane = min(
-            candidates, key=lambda item: (item[0][0], tie_key(item[1]))
+        (dispatch, size), index = min(
+            candidates, key=lambda item: (item[0][0], tie_key(lanes[item[1]]))
         )
         last_dispatch = max(last_dispatch, dispatch)
-        lane.serve(dispatch, size, health)
+        lanes[index].serve(dispatch, size, health)
+        stale = (index,)
         if rebalance is not None and (len(lanes) > 1 or free):
             rebalance(dispatch)
+            stale = range(len(lanes))
     if health is not None:
         health.finish(last_dispatch)
 

@@ -47,6 +47,7 @@ replay) — the property ``tests/test_differential_faults.py`` pins.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -72,6 +73,7 @@ from repro.photonics.drift import (
     DEFAULT_PROBE_RINGS,
     BankCondition,
     DriftingWeightBank,
+    _is_index,
     drift_transfer,
 )
 from repro.photonics.thermal import SILICON_THERMAL_SHIFT_HZ_PER_K
@@ -115,15 +117,6 @@ def validate_horizon(horizon_s: float) -> None:
         raise ValueError(
             f"horizon must be finite and positive, got {horizon_s!r}"
         )
-
-
-def _is_index(value) -> bool:
-    """A core or ring index: an integer >= 0 that is not a bool."""
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, np.integer))
-        and value >= 0
-    )
 
 
 @dataclass(frozen=True)
@@ -527,6 +520,20 @@ class RepartitionRecord:
     num_cores_after: int
 
 
+@functools.cache
+def _calibrated_pristine_probe() -> DriftingWeightBank:
+    """The pristine probe after one closed-loop calibration.
+
+    Calibration squashes the pristine bank's open-loop crosstalk
+    residual so the healthy baseline error is ~1e-7, far below any
+    trigger.  It is deterministic, so every core starts from a copy of
+    this one bank rather than calibrating its own.
+    """
+    probe = DriftingWeightBank()
+    probe.recalibrate()
+    return probe
+
+
 class CoreHealthState:
     """Drift state machine of one physical core on the shared clock.
 
@@ -557,10 +564,7 @@ class CoreHealthState:
     def __init__(self, core: int, schedule: FaultSchedule) -> None:
         self.core = core
         self.events = schedule.events_for(core)
-        self.probe = DriftingWeightBank()
-        # Squash the pristine bank's open-loop crosstalk residual so the
-        # healthy baseline error is ~1e-7, far below any trigger.
-        self.probe.recalibrate()
+        self.probe = _calibrated_pristine_probe().copy()
         self._condition = BankCondition()
         self.error = self.probe.weight_error()
         self.compensated_shift_hz = 0.0

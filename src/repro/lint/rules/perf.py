@@ -26,6 +26,7 @@ REQUIRED_HOT_PATH = {
     "repro/core/faults.py": frozenset(
         {"CoreHealthState", "DriftSnapshotTable"}
     ),
+    "repro/photonics/drift.py": frozenset({"DriftingWeightBank"}),
 }
 
 

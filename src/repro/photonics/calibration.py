@@ -73,7 +73,8 @@ def calibrate_bank(
     Args:
         bank: the weight bank to calibrate (mutated in place).
         target_weights: desired effective weights, each in [-1, 1].
-        max_iterations: feedback iterations before giving up.
+        max_iterations: feedback iterations before giving up (0 runs
+            the bank open loop and only measures it).
         tolerance: stop when max |effective - target| falls below this.
         gain: feedback gain in (0, 1]; 1.0 applies the full residual.
 
@@ -82,7 +83,9 @@ def calibrate_bank(
 
     Raises:
         ValueError: on a malformed, non-finite or out-of-range target
-            vector, or a gain outside (0, 1].
+            vector, a gain outside (0, 1], a ``max_iterations`` that is
+            not an integer >= 0 (bools included), or a NaN or negative
+            ``tolerance``.
     """
     target = np.asarray(target_weights, dtype=float)
     if target.shape != (bank.num_rings,):
@@ -94,6 +97,15 @@ def calibrate_bank(
         raise ValueError("target weights must be finite and lie in [-1, 1]")
     if not 0.0 < gain <= 1.0:
         raise ValueError(f"gain must be in (0, 1], got {gain!r}")
+    if isinstance(max_iterations, bool) or not (
+        isinstance(max_iterations, (int, np.integer)) and max_iterations >= 0
+    ):
+        raise ValueError(
+            f"max iterations must be an integer >= 0, got {max_iterations!r}"
+        )
+    # `not t >= 0` also rejects NaN, with which no residual converges.
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
 
     commanded = target.copy()
     bank.set_weights(commanded)

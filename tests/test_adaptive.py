@@ -657,6 +657,43 @@ class TestPolicyEvalHarness:
         assert len(dominated_faults) >= 2
 
 
+class TestGridFaultStepCost:
+    """A default-grid pass pays only for what moved between dispatches.
+
+    Call counts, not wall clock: zero-offset probe reads come from the
+    gain-free readout cache, each core starts from a copy of one
+    calibrated pristine probe, and the lane loop re-plans only the lane
+    that dispatched.
+    """
+
+    def test_default_grid_call_counts(self, monkeypatch):
+        import repro.core.cluster as cluster_module
+        import repro.core.faults as faults_module
+        import repro.photonics.drift as drift_module
+
+        counts = {}
+
+        def spy(owner, name, label):
+            inner = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[label] = counts.get(label, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(drift_module, "bus_transmission", "bus")
+        spy(drift_module, "calibrate_bank", "calibrate")
+        spy(faults_module.CoreHealthState, "recalibrate", "recals")
+        spy(cluster_module._TenantLane, "plan", "plans")
+        scenarios = default_scenarios()
+        evaluate_dominance(scenarios, default_policy_grid(scenarios))
+        assert counts["bus"] <= 6_400
+        # One more for the pristine template if this process had none.
+        assert counts["recals"] <= counts["calibrate"] <= counts["recals"] + 1
+        assert counts["plans"] <= 8_700
+
+
 class TestAdaptiveSweep:
     def test_controller_cells_and_frozen_tie(self):
         arrivals = poisson_arrivals(2e4, 48, seed=3)

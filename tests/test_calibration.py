@@ -91,6 +91,32 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_bank(bank, np.zeros(8), gain=0.0)
 
+    @pytest.mark.parametrize("max_iterations", [True, False, -3, 2.5, "3"])
+    def test_rejects_bad_max_iterations(self, max_iterations):
+        # True used to run one iteration, -3 none, and 2.5 died with a
+        # bare TypeError inside `range`.
+        with pytest.raises(ValueError, match="max iterations"):
+            calibrate_bank(
+                crosstalk_bank(), np.zeros(8), max_iterations=max_iterations
+            )
+
+    @pytest.mark.parametrize("tolerance", [np.nan, -1e-6, -np.inf])
+    def test_rejects_nan_or_negative_tolerance(self, tolerance):
+        # A NaN tolerance used to run every iteration and never converge.
+        with pytest.raises(ValueError, match="tolerance"):
+            calibrate_bank(crosstalk_bank(), np.zeros(8), tolerance=tolerance)
+
+    def test_zero_iterations_runs_open_loop(self):
+        result = calibrate_bank(crosstalk_bank(), np.zeros(8), max_iterations=0)
+        assert result.iterations == 0
+        assert result.residual == result.initial_residual
+
+    def test_accepts_numpy_integer_iterations(self):
+        result = calibrate_bank(
+            crosstalk_bank(), np.zeros(8), max_iterations=np.int64(2)
+        )
+        assert result.iterations <= 2
+
     def test_rejects_nan_targets(self):
         """Regression: `abs(nan) > 1` is False, so NaN targets used to
         slip past the range check and calibrate towards NaN."""

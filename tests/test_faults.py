@@ -8,6 +8,7 @@ fault-tolerance sweep surface.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.core.faults import (
     FaultEvent,
     FaultSchedule,
     RecalibrationPolicy,
+    _calibrated_pristine_probe,
 )
 from repro.core.traffic import BatchingPolicy, PipelineServiceModel
 from repro.photonics.calibration import calibrate_bank
@@ -66,6 +68,35 @@ class TestBankCondition:
             BankCondition(crosstalk_coupling=1.0)
         with pytest.raises(ValueError):
             BankCondition(tia_gain=1.5)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"ambient_k": True},
+            {"crosstalk_coupling": False},
+            {"tia_gain": True},
+            {"ambient_k": True, "tia_gain": True},
+        ],
+    )
+    def test_rejects_bool_fields(self, fields):
+        # A bool compares as 0 or 1: it used to pass as 1 K or gain 1.
+        with pytest.raises(ValueError, match="numbers"):
+            BankCondition(**fields)
+
+    @pytest.mark.parametrize("field", ["dead_rings", "stuck_rings"])
+    @pytest.mark.parametrize(
+        "rings", [(1.5,), (-1,), (True,), (0, "2"), [1], None]
+    )
+    def test_rejects_non_index_rings(self, field, rings):
+        # (1.5,) used to fail only later, as an IndexError in the readout.
+        with pytest.raises(ValueError, match="rings"):
+            BankCondition(**{field: rings})
+
+    def test_accepts_integer_rings_past_the_bank(self):
+        condition = BankCondition(
+            dead_rings=(np.int64(3), 40), stuck_rings=(0,)
+        )
+        assert condition.dead_rings == (3, 40)
 
 
 class TestDriftingWeightBank:
@@ -274,6 +305,140 @@ def condition_stacks(draw):
         for k, gain in zip(ambient, gains)
     ]
     return command, targets, conditions
+
+
+@st.composite
+def probe_programs(draw):
+    """Calibration targets and a run of probe operations.
+
+    Couplings, dead sets and zero ambient offsets repeat, so reads hit
+    the gain-free readout cache, and commands and recalibrations land
+    between reads of one key, so a re-command that kept the cache would
+    read a stale readout.
+    """
+    num_rings = draw(st.integers(1, 8))
+    vector = st.lists(
+        st.floats(-1.0, 1.0), min_size=num_rings, max_size=num_rings
+    ).map(np.array)
+    rings = st.lists(st.integers(0, 2 * num_rings + 1), max_size=3).map(
+        lambda drawn: tuple(sorted(set(drawn)))
+    )
+    coupling = st.sampled_from(
+        [0.0, 0.2, draw(st.floats(0.0, 0.95, exclude_min=True))]
+    )
+    ambient = st.one_of(st.just(0.0), st.just(0.0), st.floats(0.0, 2.0))
+    gain = st.floats(0.0, 1.0)
+    condition = st.builds(
+        BankCondition,
+        ambient_k=ambient,
+        crosstalk_coupling=coupling,
+        dead_rings=rings,
+        stuck_rings=rings,
+        tia_gain=gain,
+    )
+    step = st.one_of(
+        st.tuples(st.just("command"), vector),
+        st.tuples(st.just("condition"), condition),
+        st.tuples(st.just("recalibrate"), st.integers(0, 3)),
+        st.tuples(
+            st.just("errors"),
+            st.lists(st.tuples(ambient, gain), min_size=1, max_size=6),
+        ),
+    )
+    return draw(vector), draw(st.lists(step, min_size=1, max_size=14))
+
+
+def _uncached_readout(probe, condition):
+    """The readout the object-level bank gives the probe's command."""
+    oracle = _ObjectLevelProbe(probe.num_rings, condition, {})
+    oracle.set_weights(probe.commanded)
+    return oracle.effective_weights()
+
+
+class TestProbeReadoutCache:
+    """Cached gain-free readouts are the uncached recipe, bit for bit."""
+
+    @given(case=probe_programs())
+    @settings(max_examples=80, deadline=None)
+    def test_cached_readouts_match_the_uncached_recipe(self, case):
+        targets, steps = case
+        probe = DriftingWeightBank(targets=targets)
+        for kind, arg in steps:
+            if kind == "command":
+                probe.set_weights(arg)
+            elif kind == "condition":
+                probe.set_condition(arg)
+            elif kind == "recalibrate":
+                probe.recalibrate(max_iterations=arg)
+            else:
+                now = probe.condition
+                conditions = [
+                    replace(now, ambient_k=k, tia_gain=g) for k, g in arg
+                ]
+                errors = probe.weight_errors(
+                    now.crosstalk_coupling,
+                    now.dead_rings,
+                    np.array([c.ambient_shift_hz for c in conditions]),
+                    np.array([c.tia_gain for c in conditions]),
+                )
+                expected = [
+                    np.abs(_uncached_readout(probe, c) - targets).max()
+                    for c in conditions
+                ]
+                assert errors.tobytes() == np.array(expected).tobytes()
+            readout = _uncached_readout(probe, probe.condition)
+            assert probe.effective_weights().tobytes() == readout.tobytes()
+            assert probe.weight_error() == np.abs(readout - targets).max()
+
+
+class TestPristineProbeTemplate:
+    """Every core's probe is a copy of one calibrated pristine bank."""
+
+    @staticmethod
+    def _fingerprint(probe):
+        return (
+            probe.commanded.tobytes(),
+            probe.effective_weights().tobytes(),
+            probe.weight_error(),
+            probe.condition,
+        )
+
+    def test_state_probe_matches_a_freshly_calibrated_bank(self):
+        fresh = DriftingWeightBank()
+        fresh.recalibrate()
+        state = CoreHealthState(0, FaultSchedule.none())
+        assert self._fingerprint(state.probe) == self._fingerprint(fresh)
+        assert state.error == fresh.weight_error()
+
+    def test_copies_move_independently(self):
+        template = _calibrated_pristine_probe()
+        pristine = self._fingerprint(template)
+        schedule = FaultSchedule.none()
+        moved, sibling = CoreHealthState(0, schedule), CoreHealthState(1, schedule)
+        moved.probe.set_condition(
+            BankCondition(
+                ambient_k=0.3,
+                crosstalk_coupling=0.2,
+                stuck_rings=(1,),
+                tia_gain=0.8,
+            )
+        )
+        moved.probe.recalibrate()
+        moved.probe.set_weights(np.zeros(moved.probe.num_rings))
+        assert self._fingerprint(moved.probe) != pristine
+        assert self._fingerprint(template) == pristine
+        assert self._fingerprint(sibling.probe) == pristine
+
+    def test_copy_keeps_its_own_frozen_commands(self):
+        probe = DriftingWeightBank()
+        probe.set_condition(BankCondition(stuck_rings=(2,)))
+        twin = probe.copy()
+        twin.set_condition(BankCondition())
+        asked = np.zeros(probe.num_rings)
+        twin.set_weights(asked)
+        probe.set_weights(asked)
+        assert np.array_equal(twin.commanded, asked)
+        assert probe.commanded[2] == default_probe_targets()[2]
 
 
 class TestProbeSweep:
