@@ -25,10 +25,7 @@ from repro.analysis import (
     evaluate_dominance,
     format_table,
 )
-from repro.core.adaptive import (
-    AdaptiveRecalibration,
-    simulate_adaptive_serving,
-)
+from repro.core.adaptive import AdaptiveRecalibration
 from repro.core.faults import RecalibrationPolicy, simulate_degraded_serving
 from repro.core.traffic import BatchingPolicy
 from repro.workloads import fault_scenario, poisson_arrivals, serving_network
@@ -62,13 +59,13 @@ def _controller_runs():
             CONTROLLER_CORES,
             recalibration=recal,
         ),
-        lambda: simulate_adaptive_serving(
+        lambda: simulate_degraded_serving(
             network,
             arrivals,
             policy,
             schedule,
             CONTROLLER_CORES,
-            controller=AdaptiveRecalibration.frozen(recal),
+            recalibration=AdaptiveRecalibration.frozen(recal),
         ),
     )
 

@@ -4,11 +4,12 @@
 The faulted demo recovers with *static* trip-wire policies; this one
 closes the loop.  It
 
-1. serves a drifting LeNet-5 under the EWMA recalibration controller
-   and narrates every decision the controller logged — when it fired,
-   what it projected, and what each firing cost;
+1. serves a drifting LeNet-5 under the EWMA recalibration controller,
+   through the same ``simulate_degraded_serving`` front door the static
+   policy uses, and narrates every decision the report logged — when
+   it fired, what it projected, and what each firing cost;
 2. demonstrates the load-bearing contract: the controller at its
-   frozen setting is *bit-identical* to the static policy it subsumes,
+   frozen setting is *bit-identical* to the static policy it extends,
    so every static result carries over unchanged;
 3. sweeps controller settings (none, static, frozen, tracking,
    anticipating) over one drift trace and tabulates the
@@ -34,7 +35,6 @@ from repro.core import (
     AdaptiveRecalibration,
     BatchingPolicy,
     RecalibrationPolicy,
-    simulate_adaptive_serving,
     simulate_degraded_serving,
 )
 from repro.workloads import fault_scenario, poisson_arrivals, serving_network
@@ -53,13 +53,13 @@ def controlled_run() -> None:
     controller = AdaptiveRecalibration(
         base=RECAL, smoothing=0.45, lead_time_s=0.08 * horizon_s
     )
-    report = simulate_adaptive_serving(
+    report = simulate_degraded_serving(
         NETWORK,
         arrivals,
         POLICY,
         fault_scenario("tia-aging", NUM_CORES, horizon_s),
         NUM_CORES,
-        controller=controller,
+        recalibration=controller,
     )
     print(report.describe())
     for decision in report.decisions:
@@ -79,13 +79,13 @@ def frozen_contract() -> None:
     static = simulate_degraded_serving(
         NETWORK, arrivals, POLICY, schedule, NUM_CORES, recalibration=RECAL
     )
-    frozen = simulate_adaptive_serving(
+    frozen = simulate_degraded_serving(
         NETWORK,
         arrivals,
         POLICY,
         schedule,
         NUM_CORES,
-        controller=AdaptiveRecalibration.frozen(RECAL),
+        recalibration=AdaptiveRecalibration.frozen(RECAL),
     )
     identical = (
         np.array_equal(static.completion_s, frozen.completion_s)

@@ -1,8 +1,10 @@
 """Policy-evaluation harness: adaptive control vs static baselines.
 
-The adaptive control plane (:mod:`repro.core.adaptive`) claims to
-subsume the static serving policies — threshold recalibration, the
-occupancy admission cap, fixed elastic thresholds.  This module makes
+The adaptive controls — the EWMA recalibration controller and burn-rate
+admission of :mod:`repro.core.adaptive`, and the pressure gain of
+:class:`~repro.core.cluster.ElasticReallocation` — claim to beat the
+static serving policies: threshold recalibration, the occupancy cap
+alone, fixed elastic thresholds.  This module makes
 that claim *machine-checkable*: a fixed scenario suite (named fault
 scenario x named tenant mix, both from :mod:`repro.workloads`) is
 crossed with a policy grid, every cell is scored on the three axes the
@@ -28,11 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.adaptive import (
-    AdaptiveRecalibration,
-    BurnRateAdmission,
-    PressureController,
-)
+from repro.core.adaptive import AdaptiveRecalibration, BurnRateAdmission
 from repro.core.cluster import (
     ClusterReport,
     ElasticReallocation,
@@ -93,24 +91,22 @@ class PolicySpec:
     """One control-policy column of the evaluation grid.
 
     ``baseline`` names the static policy this spec claims to dominate;
-    baselines themselves leave it ``None``.  The admission template's
-    ``queue_cap`` is ignored — every tenant keeps its own configured
-    cap, the template only adds the burn-rate judgement on top.
+    baselines themselves leave it ``None``.
 
     Attributes:
         name: label used in reports.
         recalibration: static policy, adaptive controller, or ``None``.
-        admission: burn-rate admission template, or ``None`` for the
-            plain per-tenant occupancy cap.
-        elastic: static reallocation policy, pressure controller, or
-            ``None`` to pin the initial core split.
+        admission: burn-rate controller every tenant gets on top of its
+            own occupancy cap, or ``None`` for the cap alone.
+        elastic: reallocation policy (a positive ``gain`` makes it
+            pressure-driven), or ``None`` to pin the initial core split.
         baseline: name of the static baseline spec, or ``None``.
     """
 
     name: str
     recalibration: RecalibrationPolicy | AdaptiveRecalibration | None = None
     admission: BurnRateAdmission | None = None
-    elastic: ElasticReallocation | PressureController | None = None
+    elastic: ElasticReallocation | None = None
     baseline: str | None = None
 
 
@@ -243,14 +239,6 @@ def evaluate_policy(
         horizon_s=horizon,
         severity=scenario.severity,
     )
-    admission: Mapping[str, object] | None = None
-    if policy.admission is not None:
-        admission = {
-            tenant.name: replace(
-                policy.admission, queue_cap=tenant.queue_cap
-            )
-            for tenant in tenants
-        }
     report = simulate_cluster_serving(
         tenants,
         arrivals,
@@ -259,7 +247,7 @@ def evaluate_policy(
         schedule=schedule,
         recalibration=policy.recalibration,
         config=config,
-        admission=admission,
+        admission={tenant.name: policy.admission for tenant in tenants},
     )
     return _score(scenario, policy, report)
 
@@ -513,7 +501,7 @@ def default_policy_grid(
         PolicySpec(
             name="adaptive-pressure",
             recalibration=recal,
-            elastic=PressureController(base=elastic, gain=0.25),
+            elastic=replace(elastic, gain=0.25),
             baseline="static-elastic",
         ),
     )

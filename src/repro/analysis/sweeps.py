@@ -30,10 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.adaptive import (
-    AdaptiveRecalibration,
-    simulate_adaptive_serving,
-)
+from repro.core.adaptive import AdaptiveRecalibration
 from repro.core.analytical import (
     full_system_time_s,
     microrings_filtered,
@@ -688,7 +685,7 @@ class AdaptiveSweepPoint:
     Attributes:
         controller: the controller's (or static policy's) name, or
             ``"none"`` for the no-recalibration baseline.
-        report: the full degraded/adaptive run for drill-down.
+        report: the full degraded run for drill-down.
     """
 
     controller: str
@@ -749,28 +746,16 @@ def sweep_adaptive_recalibration(
         raise ValueError("need at least one controller (or None)")
     points = []
     for controller in controllers:
-        if isinstance(controller, AdaptiveRecalibration):
-            report = simulate_adaptive_serving(
-                network,
-                arrival_s,
-                policy,
-                schedule,
-                num_cores,
-                controller=controller,
-                config=config,
-                clamp_cores=clamp_cores,
-            )
-        else:
-            report = simulate_degraded_serving(
-                network,
-                arrival_s,
-                policy,
-                schedule,
-                num_cores,
-                recalibration=controller,
-                config=config,
-                clamp_cores=clamp_cores,
-            )
+        report = simulate_degraded_serving(
+            network,
+            arrival_s,
+            policy,
+            schedule,
+            num_cores,
+            recalibration=controller,
+            config=config,
+            clamp_cores=clamp_cores,
+        )
         points.append(
             AdaptiveSweepPoint(
                 controller=(

@@ -11,7 +11,7 @@ submodule (``repro.core.simkernel``, ``repro.core.timing``, ...).
 """
 
 from repro.core.accelerator import PCNNA, PhotonicConvolution
-from repro.core.adaptive import AdaptiveRecalibration, simulate_adaptive_serving
+from repro.core.adaptive import AdaptiveRecalibration
 from repro.core.analytical import (
     analyze_network,
     full_system_time_s,
@@ -52,7 +52,6 @@ __all__ = [
     "PCNNA",
     "PhotonicConvolution",
     "AdaptiveRecalibration",
-    "simulate_adaptive_serving",
     "analyze_network",
     "full_system_time_s",
     "optical_core_time_s",

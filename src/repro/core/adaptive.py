@@ -1,40 +1,38 @@
-"""The adaptive control plane: telemetry-driven serving policies.
+"""Adaptive controllers: telemetry-driven serving decisions.
 
-Every operator decision in the serving stack so far is a frozen
-constant: :class:`~repro.core.faults.RecalibrationPolicy` fires the
-moment a core's measured weight error crosses a threshold, a tenant's
-``queue_cap`` sheds load at a fixed occupancy, and
-:class:`~repro.core.cluster.ElasticReallocation` moves cores at fixed
-pressure ratios.  This module closes ROADMAP item 4's loop — the same
-decisions, made *online* from the telemetry the simulators already
-measure on the shared clock:
+The static serving policies fire on fixed constants:
+:class:`~repro.core.faults.RecalibrationPolicy` drains a core the
+moment its measured weight error crosses a threshold, and a tenant's
+``queue_cap`` sheds load at a fixed occupancy.  This module adds the
+controllers that make those decisions online, from the telemetry the
+simulators already measure on the shared clock.  Each plugs into the
+same front door as its static sibling:
 
 * :class:`AdaptiveRecalibration` — an EWMA drift estimator per core
   plus cost-aware scheduling: recalibrate when the *smoothed, projected*
   error crosses the threshold (a transient excursion no longer buys a
   wasted drain), defer when the queue is deep and the projected
   divergence still has headroom, and stop paying downtime once a
-  per-core budget is spent.  A drop-in recalibration policy wherever
-  the static one goes: its per-run :class:`EwmaRecalDecider` is the
-  trigger of the one fault step
-  (:meth:`~repro.core.faults.PoolHealth.step`) on the cluster lane
-  loop, for single pipelines and clusters alike.
+  per-core budget is spent.  It goes wherever the static policy goes
+  (:func:`~repro.core.faults.simulate_degraded_serving`, the cluster):
+  its per-run :class:`EwmaRecalDecider` is the trigger of the one fault
+  step (:meth:`~repro.core.faults.PoolHealth.step`), and its decision
+  log lands in the report's ``decisions``.
 * :class:`BurnRateAdmission` — SLO-burn-rate admission for cluster
-  tenants: alongside the static occupancy cap, shed arrivals while the
-  fraction of recently completed requests over the SLO latency exceeds
-  a burn-rate budget (the tail is protected *before* the queue fills).
-* :class:`PressureController` — :class:`ElasticReallocation` thresholds
-  driven by observed queue pressure: the higher the peak pressure, the
-  lower the ratio/min-queue barriers, so cores move sooner exactly when
-  the pool is drowning.
+  tenants: on top of the tenant's occupancy cap, shed arrivals while
+  the fraction of recently completed requests over the SLO latency
+  exceeds a burn-rate budget (the tail is protected *before* the queue
+  fills).
 
-The load-bearing contract is differential, in the style of the PR 4
-zero-magnitude and PR 6 vectorized-vs-reference pins: every controller
-at its **frozen** setting (:meth:`AdaptiveRecalibration.frozen`,
-:meth:`BurnRateAdmission.disabled`, :meth:`PressureController.inert`)
-makes decision-for-decision the same calls as its static baseline, so
-the run is *bit-identical* — same batches, same latency streams, same
-busy ledgers.  ``tests/test_adaptive.py`` pins all three.
+Pressure-driven elastic thresholds need no controller of their own:
+they are :class:`~repro.core.cluster.ElasticReallocation`'s ``gain``.
+
+The load-bearing contract is differential: at its **frozen** setting
+(:meth:`AdaptiveRecalibration.frozen`) the EWMA controller makes
+decision-for-decision the same calls as the static threshold, so the
+run is *bit-identical* — same batches, same latency streams, same busy
+ledgers; :meth:`BurnRateAdmission.disabled` never sheds on burn, and the
+cluster drops it at the door.  ``tests/test_adaptive.py`` pins both.
 
 Controllers only read the lane's queue depth, completion latencies and
 the health states' measured errors; the dispatch-planning and
@@ -48,18 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cluster import ElasticReallocation
-from repro.core.config import PCNNAConfig
-from repro.core.faults import (
-    CoreHealthState,
-    DegradedServingReport,
-    DegradedServingSimulator,
-    FaultSchedule,
-    RecalibrationPolicy,
-)
-from repro.core.simkernel import BatchingPolicy, validate_count
-from repro.core.traffic import PipelineServiceModel
-from repro.nn.network import Network
+from repro.core.faults import CoreHealthState, RecalibrationPolicy
+from repro.core.simkernel import validate_count
 
 # Contract markers checked by `python -m repro.lint` (BIT001/PERF001):
 # frozen-setting runs are pinned bit-identical to the static policies,
@@ -316,107 +304,39 @@ class EwmaRecalDecider:
 
 
 @dataclass(frozen=True)
-class AdaptiveServingReport(DegradedServingReport):
-    """A :class:`DegradedServingReport` plus the controller's log.
-
-    Attributes:
-        decisions: every would-fire controller decision, in order
-            (fired recalibrations and cost-gate deferrals alike).
-    """
-
-    decisions: tuple[AdaptiveDecision, ...] = ()
-
-    @property
-    def num_deferrals(self) -> int:
-        """Would-fire decisions the cost gates deferred."""
-        return len(
-            [d for d in self.decisions if d.action != "recalibrate"]
-        )
-
-    def describe(self) -> str:
-        """The degraded summary block plus the controller line."""
-        return "\n".join(
-            [
-                super().describe(),
-                f"  controller [{self.recalibration_name}]: "
-                f"{len(self.decisions)} decisions, "
-                f"{self.num_deferrals} deferred",
-            ]
-        )
-
-
-def simulate_adaptive_serving(
-    network: Network,
-    arrival_s: np.ndarray,
-    policy: BatchingPolicy,
-    schedule: FaultSchedule,
-    num_cores: int,
-    controller: AdaptiveRecalibration,
-    config: PCNNAConfig | None = None,
-    clamp_cores: bool = False,
-    repartition: bool = True,
-    fail_error_threshold: float = 0.5,
-) -> AdaptiveServingReport:
-    """One-call degraded serving under the EWMA recal controller.
-
-    The adaptive sibling of
-    :func:`~repro.core.faults.simulate_degraded_serving`: identical
-    kernel, identical fault engine, with the controller deciding when
-    each core drains.  Under :meth:`AdaptiveRecalibration.frozen` the
-    report is bit-identical to the static policy's.
-
-    Raises:
-        ValueError: on a conv-free network, invalid ``num_cores``, or a
-            bad trace.
-    """
-    specs = network.conv_specs()
-    fields, decisions = DegradedServingSimulator(
-        PipelineServiceModel.from_specs(specs, num_cores, config, clamp_cores),
-        policy,
-        schedule,
-        recalibration=controller,
-        specs=specs if repartition else None,
-        config=config,
-        fail_error_threshold=fail_error_threshold,
-    )._serve(arrival_s)
-    return AdaptiveServingReport(**fields, decisions=decisions)
-
-
-@dataclass(frozen=True)
 class BurnRateAdmission:
     """SLO-burn-rate admission control for one cluster tenant.
 
-    The static occupancy cap judges only *queue length*; this
-    controller also watches the tenant's recent completions.  An
-    arrival is shed when the fraction of the last ``window`` completed
-    requests whose latency exceeded ``slo_latency_s`` is above
-    ``max_burn_rate`` — the tail is protected while the queue is still
-    legal.  Judgments are online: only completions of batches already
-    sealed before the arrival's instant are visible, exactly the
-    information a real admission controller has.
+    The tenant's occupancy cap
+    (:attr:`~repro.core.cluster.ClusterTenant.queue_cap`) judges only
+    *queue length*; this controller also watches the tenant's recent
+    completions.  An arrival the cap admits is shed when the fraction
+    of the last ``window`` completed requests whose latency exceeded
+    ``slo_latency_s`` is above ``max_burn_rate`` — the tail is protected
+    while the queue is still legal.  Judgments are online: only
+    completions of batches already sealed before the arrival's instant
+    are visible, exactly the information a real admission controller
+    has.
 
-    ``max_burn_rate=inf`` (:meth:`disabled`) never sheds on burn, so
-    admission reduces to the occupancy cap decision-for-decision — the
-    bit-identity anchor of the differential tests.
+    ``max_burn_rate=inf`` (:meth:`disabled`) never sheds on burn; the
+    cluster drops such a controller at the door, so admission is the
+    occupancy cap alone.
 
     Attributes:
         slo_latency_s: the tenant's latency SLO.
         max_burn_rate: tolerated fraction of recent completions over
             the SLO; ``inf`` disables burn shedding.
         window: completions in the burn-rate window (an integer >= 1).
-        queue_cap: static occupancy cap enforced alongside the burn
-            rate; ``None`` leaves occupancy unbounded.
         name: label used in reports and sweep tables.
 
     Raises:
         ValueError: on a non-finite SLO, a negative or NaN burn rate,
-            or a bad window/cap.
+            or a bad window.
     """
 
     slo_latency_s: float
     max_burn_rate: float = 0.5
     window: int = 32
-    queue_cap: int | None = None
     name: str = "burn-rate"
 
     def __post_init__(self) -> None:
@@ -431,18 +351,13 @@ class BurnRateAdmission:
             )
         _require_gain("burn rate", self.max_burn_rate)
         validate_count(self.window, "window")
-        if self.queue_cap is not None:
-            validate_count(self.queue_cap, "queue cap")
 
     @classmethod
-    def disabled(
-        cls, slo_latency_s: float = 1e-3, queue_cap: int | None = None
-    ) -> "BurnRateAdmission":
-        """The degenerate setting: the static occupancy cap alone."""
+    def disabled(cls, slo_latency_s: float = 1e-3) -> "BurnRateAdmission":
+        """The degenerate setting: never sheds on burn."""
         return cls(
             slo_latency_s=slo_latency_s,
             max_burn_rate=math.inf,
-            queue_cap=queue_cap,
             name="burn-disabled",
         )
 
@@ -470,68 +385,10 @@ class BurnRateAdmission:
         return burn > self.max_burn_rate
 
 
-@dataclass(frozen=True)
-class PressureController:
-    """:class:`ElasticReallocation` thresholds driven by observed pressure.
-
-    The static policy's ``pressure_ratio`` / ``min_queue`` barriers are
-    constants tuned for thrash avoidance; under a genuine load spike
-    they delay the very moves that would relieve it.  This controller
-    scales both barriers down by ``1 + gain * peak_pressure`` — the
-    higher the worst observed queue pressure (queued requests per
-    allocated core), the sooner a core moves — with floors of 1 so a
-    calm pool behaves exactly like the static policy.
-
-    ``gain=0`` (:meth:`inert`) returns the base thresholds unchanged,
-    decision-for-decision the static reallocator — the bit-identity
-    anchor of the differential tests.
-
-    Attributes:
-        base: the static reallocation policy supplying the barriers.
-        gain: pressure feedback gain (>= 0; 0 is inert).
-        name: label used in reports and sweep tables.
-
-    Raises:
-        ValueError: on a non-finite or negative gain.
-    """
-
-    base: ElasticReallocation
-    gain: float = 0.25
-    name: str = "pressure"
-
-    def __post_init__(self) -> None:
-        if math.isinf(self.gain):
-            raise ValueError(f"gain must be finite, got {self.gain!r}")
-        _require_gain("gain", self.gain)
-
-    @classmethod
-    def inert(
-        cls, base: ElasticReallocation | None = None
-    ) -> "PressureController":
-        """The degenerate setting: the static thresholds unchanged."""
-        return cls(
-            base=base if base is not None else ElasticReallocation(),
-            gain=0.0,
-            name="pressure-inert",
-        )
-
-    def thresholds(self, peak_pressure: float) -> tuple[float, int]:
-        """Effective ``(pressure_ratio, min_queue)`` at this pressure."""
-        if self.gain == 0.0:
-            return self.base.pressure_ratio, self.base.min_queue
-        relief = 1.0 + self.gain * max(peak_pressure, 0.0)
-        ratio = max(self.base.pressure_ratio / relief, 1.0)
-        min_queue = max(int(math.ceil(self.base.min_queue / relief)), 1)
-        return ratio, min_queue
-
-
 __all__ = [
     "DECISION_ACTIONS",
     "AdaptiveDecision",
     "AdaptiveRecalibration",
-    "AdaptiveServingReport",
     "BurnRateAdmission",
     "EwmaRecalDecider",
-    "PressureController",
-    "simulate_adaptive_serving",
 ]

@@ -38,8 +38,8 @@ runtime on the unified event-loop kernel (:mod:`repro.core.simkernel`):
 
 Every pipeline is a :class:`_TenantLane`: a cluster tenant, the
 kernel's lone pristine pipeline, and the single faulted pipeline of
-the degraded and adaptive simulators (:mod:`repro.core.faults`,
-:mod:`repro.core.adaptive`, through :func:`serve_pipeline`).  Each
+the degraded simulator (:mod:`repro.core.faults`, through
+:func:`serve_pipeline`).  Each
 lane owns its pipeline state and records every batch once, in the
 numpy columns its reports read.  The lane event loop
 (:func:`_serve_lanes`) is the only loop that hosts mid-run feedback
@@ -61,6 +61,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.adaptive import AdaptiveRecalibration, BurnRateAdmission
 from repro.core.config import PCNNAConfig
 from repro.core.faults import (
     CoreHealthState,
@@ -134,7 +135,11 @@ class ClusterTenant:
             raise ValueError(
                 f"{self.name}: need at least one conv layer to serve"
             )
-        if self.weight <= 0.0 or not np.isfinite(self.weight):
+        if (
+            isinstance(self.weight, bool)
+            or self.weight <= 0.0
+            or not np.isfinite(self.weight)
+        ):
             raise ValueError(
                 f"{self.name}: weight must be finite and > 0, got "
                 f"{self.weight!r}"
@@ -226,13 +231,21 @@ class ElasticReallocation:
     the thresholds exist to stop thrash; free pool cores are handed out
     without a donor.
 
+    Under a genuine load spike constant barriers delay the very moves
+    that would relieve it.  A positive ``gain`` makes them adaptive:
+    both scale down by ``1 + gain * peak_pressure`` (the worst observed
+    queue pressure), with floors of 1, so cores move sooner exactly
+    when the pool is drowning.  ``gain=0`` keeps the constants.
+
     Attributes:
         pressure_ratio: minimum recipient/donor pressure ratio.
         min_queue: minimum queued requests before a tenant may grow.
+        gain: pressure feedback gain (finite, >= 0; 0 is static).
     """
 
     pressure_ratio: float = 4.0
     min_queue: int = 16
+    gain: float = 0.0
 
     def __post_init__(self) -> None:
         if (
@@ -245,16 +258,24 @@ class ElasticReallocation:
                 f"{self.pressure_ratio!r}"
             )
         validate_count(self.min_queue, "min queue")
+        # A bool compares as 0 or 1 and would pass the range check.
+        if (
+            isinstance(self.gain, bool)
+            or self.gain < 0.0
+            or not math.isfinite(self.gain)
+        ):
+            raise ValueError(
+                f"gain must be finite and >= 0, got {self.gain!r}"
+            )
 
     def thresholds(self, peak_pressure: float) -> tuple[float, int]:
-        """Effective ``(pressure_ratio, min_queue)``: the constants.
-
-        The same interface as
-        :meth:`~repro.core.adaptive.PressureController.thresholds`, so
-        the reallocator asks one threshold function whichever policy is
-        configured; the static policy ignores the observed pressure.
-        """
-        return self.pressure_ratio, self.min_queue
+        """Effective ``(pressure_ratio, min_queue)`` at this pressure."""
+        if self.gain == 0.0:
+            return self.pressure_ratio, self.min_queue
+        relief = 1.0 + self.gain * max(peak_pressure, 0.0)
+        ratio = max(self.pressure_ratio / relief, 1.0)
+        min_queue = max(int(math.ceil(self.min_queue / relief)), 1)
+        return ratio, min_queue
 
 
 @dataclass(frozen=True)
@@ -515,7 +536,7 @@ class _TenantLane:
         pool_size: int,
         config: PCNNAConfig | None,
         queue_cap: int | None = None,
-        admission=None,
+        admission: BurnRateAdmission | None = None,
         fail_error_threshold: float | None = None,
         record_snapshots: bool = False,
     ) -> None:
@@ -526,13 +547,9 @@ class _TenantLane:
         self.config = config
         self.raw = arrivals
         self.n = int(arrivals.size)
-        # An admission controller (repro.core.adaptive.BurnRateAdmission)
-        # owns the occupancy cap when supplied; its disabled setting with
-        # the tenant's own cap is decision-identical to the static path.
-        self.cap = admission.queue_cap if admission is not None else queue_cap
-        self._burn = (
-            admission if admission is not None and admission.enabled else None
-        )
+        self.cap = queue_cap
+        # An enabled burn-rate controller, judged after the cap.
+        self._burn = admission
         self.policy = policy if self.cap is None else policy.capped(self.cap)
         self.model = model
         self.phys = list(phys_cores)
@@ -659,9 +676,6 @@ class _TenantLane:
         Occupancy counts every admitted request minus those completed
         before ``time_s``; judged arrivals are always the next raw
         arrival, so every admitted request arrived at or before it.
-        With no admission controller (or a disabled one) this is the
-        static occupancy test with the identical short-circuit, which
-        keeps the cap-only path bit-identical.
         """
         if (
             self.cap is not None
@@ -1188,31 +1202,28 @@ class ClusterSimulator:
 
     Each lane is served alone on its fastest exact path
     (:func:`_serve_alone`) whenever the allocation is frozen — no fault
-    schedule, no elastic reallocation, no *enabled* burn-rate admission
-    controller (static occupancy caps are fine); otherwise the global
-    event loop serves every lane.  Both paths are bit-identical.
+    schedule and no elastic reallocation (occupancy caps and burn-rate
+    admission read only their own lane); otherwise the global event
+    loop serves every lane.  Both paths are bit-identical.
 
     Args:
         tenants: the co-served models (unique names).
         pool_size: physical cores in the shared pool (>= one per
             tenant).
         routing: pool arbitration policy (weighted-fair by default).
-        elastic: elastic core reallocation policy; ``None`` freezes the
-            initial allocation.  The static
-            :class:`ElasticReallocation` or an adaptive
-            :class:`~repro.core.adaptive.PressureController`.
+        elastic: elastic core reallocation policy (a positive ``gain``
+            makes its thresholds pressure-driven); ``None`` freezes the
+            initial allocation.
         schedule: fault schedule over the *physical pool cores*;
             ``None`` keeps the pool pristine.
         recalibration: online recalibration policy for degraded cores —
             the static :class:`~repro.core.faults.RecalibrationPolicy`
             or an adaptive
             :class:`~repro.core.adaptive.AdaptiveRecalibration`.
-        admission: per-tenant admission controllers
+        admission: per-tenant burn-rate admission controllers
             (:class:`~repro.core.adaptive.BurnRateAdmission`), keyed by
-            tenant name; a tenant without an entry (or with ``None``)
-            keeps its static ``queue_cap``.  A controller owns its
-            tenant's occupancy cap (its ``queue_cap`` field replaces
-            the tenant's).
+            tenant name and judged after the tenant's ``queue_cap``; an
+            entry that is ``None`` or disabled is no entry.
         config: hardware configuration for partitioning and service
             times.
 
@@ -1231,9 +1242,9 @@ class ClusterSimulator:
         routing: RoutingPolicy | None = None,
         elastic: ElasticReallocation | None = None,
         schedule: FaultSchedule | None = None,
-        recalibration: RecalibrationPolicy | None = None,
+        recalibration: RecalibrationPolicy | AdaptiveRecalibration | None = None,
         config: PCNNAConfig | None = None,
-        admission: Mapping[str, object] | None = None,
+        admission: Mapping[str, BurnRateAdmission | None] | None = None,
     ) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
@@ -1241,16 +1252,7 @@ class ClusterSimulator:
         if len(set(names)) != len(names):
             raise ValueError(f"tenant names must be unique, got {names!r}")
         validate_count(pool_size, "pool size")
-        # adaptive.py builds on this module, so its types load here.
-        from repro.core.adaptive import (
-            AdaptiveRecalibration,
-            BurnRateAdmission,
-            PressureController,
-        )
-
-        _require_type(
-            "elastic", elastic, (ElasticReallocation, PressureController)
-        )
+        _require_type("elastic", elastic, (ElasticReallocation,))
         _require_type(
             "recalibration",
             recalibration,
@@ -1267,8 +1269,12 @@ class ClusterSimulator:
             _require_type(
                 f"admission[{name!r}]", controller, (BurnRateAdmission,)
             )
-        # A None entry is no entry: the tenant keeps its static cap.
-        self.admission = {k: v for k, v in admission.items() if v is not None}
+        # A None or disabled entry is no entry: the cap alone judges.
+        self.admission = {
+            name: controller
+            for name, controller in admission.items()
+            if controller is not None and controller.enabled
+        }
         self.tenants = tuple(tenants)
         self.pool_size = pool_size
         self.routing = routing if routing is not None else RoutingPolicy()
@@ -1288,20 +1294,11 @@ class ClusterSimulator:
         With no fault schedule and no elastic reallocation the core
         allocation is frozen: each lane plans, sheds, and books exactly
         as if it ran alone, and the global loop's tie-ordering has no
-        arithmetic effect.  Static occupancy caps (a tenant's
-        ``queue_cap``, or a *disabled* burn-rate controller's) are
-        per-lane too.  An *enabled* burn-rate controller keeps the run
-        on the global loop: its judgments read completion latencies
-        mid-run and can flip as batches seal.
+        arithmetic effect.  Admission is per-lane too: the occupancy
+        cap and a burn-rate judgment read only the lane's own
+        completions.
         """
-        return (
-            self.schedule is None
-            and self.elastic is None
-            and not any(
-                controller.enabled
-                for controller in self.admission.values()
-            )
-        )
+        return self.schedule is None and self.elastic is None
 
     def _tie_key(self, lane: _TenantLane) -> tuple:
         """Routing preference for simultaneous dispatches (lower wins)."""
@@ -1714,18 +1711,18 @@ def simulate_cluster_serving(
     routing: RoutingPolicy | None = None,
     elastic: ElasticReallocation | None = None,
     schedule: FaultSchedule | None = None,
-    recalibration: RecalibrationPolicy | None = None,
+    recalibration: RecalibrationPolicy | AdaptiveRecalibration | None = None,
     config: PCNNAConfig | None = None,
-    admission: Mapping[str, object] | None = None,
+    admission: Mapping[str, BurnRateAdmission | None] | None = None,
 ) -> ClusterReport:
     """One-call multi-tenant cluster simulation.
 
     The cluster sibling of :func:`~repro.core.traffic.simulate_serving`
     and :func:`~repro.core.faults.simulate_degraded_serving`: builds the
-    :class:`ClusterSimulator` and serves every tenant's trace.  The
-    ``elastic``, ``recalibration``, and ``admission`` arguments accept
-    the adaptive controllers of :mod:`repro.core.adaptive` alongside
-    the static policies.
+    :class:`ClusterSimulator` and serves every tenant's trace.
+    ``recalibration`` accepts the adaptive EWMA controller alongside the
+    static policy, and ``admission`` the burn-rate controllers of
+    :mod:`repro.core.adaptive`.
 
     Raises:
         ValueError: on an invalid tenant set, pool size, or trace.

@@ -50,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -77,6 +78,10 @@ from repro.photonics.drift import (
     drift_transfer,
 )
 from repro.photonics.thermal import SILICON_THERMAL_SHIFT_HZ_PER_K
+
+if TYPE_CHECKING:
+    # adaptive.py builds on this module.
+    from repro.core.adaptive import AdaptiveDecision, AdaptiveRecalibration
 
 # Contract markers checked by `python -m repro.lint` (BIT001/PERF001):
 # the zero-magnitude differential pins this module's floats
@@ -1035,6 +1040,10 @@ class DegradedServingReport(ServingReport):
         final_core_errors: per-physical-core weight error at the end.
         recalibrations: every recalibration attempt, in order.
         repartitions: every fault-aware repartition, in order.
+        decisions: every would-fire decision of an adaptive
+            recalibration controller, in order (fired recalibrations
+            and cost-gate deferrals alike); ``()`` under the static
+            trigger, which keeps no log.
     """
 
     schedule_name: str
@@ -1046,6 +1055,7 @@ class DegradedServingReport(ServingReport):
     final_core_errors: tuple[float, ...]
     recalibrations: tuple[RecalibrationRecord, ...]
     repartitions: tuple[RepartitionRecord, ...]
+    decisions: tuple[AdaptiveDecision, ...] = ()
 
     @property
     def availability(self) -> tuple[float, ...]:
@@ -1074,8 +1084,14 @@ class DegradedServingReport(ServingReport):
         """The last batch's accuracy proxy."""
         return float(self.accuracy_proxy[-1])
 
+    @property
+    def num_deferrals(self) -> int:
+        """Would-fire decisions the controller's cost gates deferred."""
+        return len([d for d in self.decisions if d.action != "recalibrate"])
+
     def describe(self) -> str:
-        """The base summary block plus the degradation lines."""
+        """The base summary block plus the degradation lines, and the
+        controller line when the run logged decisions."""
         availability = ", ".join(f"{a:.2%}" for a in self.availability)
         lines = [
             super().describe(),
@@ -1086,6 +1102,12 @@ class DegradedServingReport(ServingReport):
             f"{len(self.repartitions)} repartitions",
             f"  availability {availability}",
         ]
+        if self.decisions:
+            lines.append(
+                f"  controller [{self.recalibration_name}]: "
+                f"{len(self.decisions)} decisions, "
+                f"{self.num_deferrals} deferred"
+            )
         return "\n".join(lines)
 
 
@@ -1113,7 +1135,7 @@ class PoolHealth:
         self,
         schedule: FaultSchedule,
         num_cores: int,
-        recalibration=None,
+        recalibration: RecalibrationPolicy | AdaptiveRecalibration | None = None,
     ) -> None:
         self.states = [
             CoreHealthState(core, schedule) for core in range(num_cores)
@@ -1195,7 +1217,7 @@ class DegradedServingSimulator:
     or fails with the vectorized kernel, reads the probes over all
     their dispatch instants at once, and steps only that dispatch (see
     :func:`~repro.core.cluster.serve_pipeline`); an adaptive policy
-    steps every dispatch.
+    steps every dispatch and logs its decisions in the report.
 
     Args:
         model: the healthy per-core service model (initial pipeline).
@@ -1219,7 +1241,7 @@ class DegradedServingSimulator:
         model: PipelineServiceModel,
         policy: BatchingPolicy,
         schedule: FaultSchedule,
-        recalibration: RecalibrationPolicy | None = None,
+        recalibration: RecalibrationPolicy | AdaptiveRecalibration | None = None,
         specs: list[ConvLayerSpec] | None = None,
         config: PCNNAConfig | None = None,
         fail_error_threshold: float = 0.5,
@@ -1248,11 +1270,6 @@ class DegradedServingSimulator:
         Raises:
             ValueError: on an empty, non-finite or unsorted trace.
         """
-        fields, _ = self._serve(arrival_s)
-        return DegradedServingReport(**fields)
-
-    def _serve(self, arrival_s: np.ndarray) -> tuple[dict, tuple]:
-        """Run the lane; return the report fields and the decision log."""
         # The lane loop lives in cluster.py, which imports this module.
         from repro.core.cluster import serve_pipeline
 
@@ -1268,7 +1285,8 @@ class DegradedServingSimulator:
             self.config,
             self.fail_error_threshold,
         )
-        fields = dict(
+        trigger = health.trigger
+        return DegradedServingReport(
             **lane.serving_fields(),
             schedule_name=self.schedule.name,
             recalibration_name=(
@@ -1281,9 +1299,8 @@ class DegradedServingSimulator:
             final_core_errors=tuple(state.error for state in health.states),
             recalibrations=tuple(health.recalibrations),
             repartitions=tuple(lane.repartitions),
+            decisions=() if trigger is None else tuple(trigger.decisions),
         )
-        decisions = () if health.trigger is None else health.trigger.decisions
-        return fields, tuple(decisions)
 
 
 def simulate_degraded_serving(
@@ -1292,13 +1309,18 @@ def simulate_degraded_serving(
     policy: BatchingPolicy,
     schedule: FaultSchedule,
     num_cores: int,
-    recalibration: RecalibrationPolicy | None = None,
+    recalibration: RecalibrationPolicy | AdaptiveRecalibration | None = None,
     config: PCNNAConfig | None = None,
     clamp_cores: bool = False,
     repartition: bool = True,
     fail_error_threshold: float = 0.5,
 ) -> DegradedServingReport:
     """One-call degraded serving simulation for an executable network.
+
+    ``recalibration`` is the static threshold policy or the adaptive
+    EWMA controller; under
+    :meth:`~repro.core.adaptive.AdaptiveRecalibration.frozen` the report
+    is bit-identical to the static policy's, plus the decision log.
 
     Raises:
         ValueError: on a conv-free network, invalid ``num_cores``, or a

@@ -65,7 +65,7 @@ from repro.core.simkernel import (
     validate_arrival_trace,
     validate_count,
 )
-from repro.core.traffic import PipelineServiceModel
+from repro.core.traffic import LatencyPercentiles, PipelineServiceModel
 
 # Contract marker checked by `python -m repro.lint` (BIT001): the
 # single-region zero-RTT fault-free fleet run is pinned bit-identical
@@ -351,7 +351,7 @@ class FleetTenantTrace:
 
 
 @dataclass(frozen=True)
-class RegionOutcome:
+class RegionOutcome(LatencyPercentiles):
     """Everything one region did during a fleet run.
 
     Attributes:
@@ -397,24 +397,9 @@ class RegionOutcome:
             )
         return float(np.percentile(self.latency_s, percentile))
 
-    @property
-    def p50_s(self) -> float:
-        """Median end-to-end latency at this region."""
-        return self.latency_percentile_s(50.0)
-
-    @property
-    def p95_s(self) -> float:
-        """95th-percentile end-to-end latency at this region."""
-        return self.latency_percentile_s(95.0)
-
-    @property
-    def p99_s(self) -> float:
-        """99th-percentile end-to-end latency at this region."""
-        return self.latency_percentile_s(99.0)
-
 
 @dataclass(frozen=True)
-class FleetReport:
+class FleetReport(LatencyPercentiles):
     """Everything measured over one fleet run.
 
     Attributes:
@@ -512,21 +497,6 @@ class FleetReport:
                 "undefined on an empty stream"
             )
         return float(np.percentile(latencies, percentile))
-
-    @property
-    def p50_s(self) -> float:
-        """Global median end-to-end latency."""
-        return self.latency_percentile_s(50.0)
-
-    @property
-    def p95_s(self) -> float:
-        """Global 95th-percentile end-to-end latency."""
-        return self.latency_percentile_s(95.0)
-
-    @property
-    def p99_s(self) -> float:
-        """Global 99th-percentile end-to-end latency."""
-        return self.latency_percentile_s(99.0)
 
     @property
     def failover_time_s(self) -> float:

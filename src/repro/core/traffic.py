@@ -176,8 +176,32 @@ class PipelineServiceModel:
         return self.partition.images_per_s
 
 
+class LatencyPercentiles:
+    """The headline percentiles of a report's ``latency_percentile_s``.
+
+    Each report defines ``latency_percentile_s(percentile)`` over its
+    own latency stream (and its own empty-stream error); these
+    properties read it at the 50th, 95th and 99th percentiles.
+    """
+
+    @property
+    def p50_s(self) -> float:
+        """Median latency."""
+        return self.latency_percentile_s(50.0)
+
+    @property
+    def p95_s(self) -> float:
+        """95th-percentile latency."""
+        return self.latency_percentile_s(95.0)
+
+    @property
+    def p99_s(self) -> float:
+        """99th-percentile latency."""
+        return self.latency_percentile_s(99.0)
+
+
 @dataclass(frozen=True)
-class ServingReport:
+class ServingReport(LatencyPercentiles):
     """Everything measured over one simulated serving run.
 
     Attributes:
@@ -225,21 +249,6 @@ class ServingReport:
                 f"percentiles are undefined on an empty report"
             )
         return float(np.percentile(self.latencies_s, percentile))
-
-    @property
-    def p50_s(self) -> float:
-        """Median latency."""
-        return self.latency_percentile_s(50.0)
-
-    @property
-    def p95_s(self) -> float:
-        """95th-percentile latency."""
-        return self.latency_percentile_s(95.0)
-
-    @property
-    def p99_s(self) -> float:
-        """99th-percentile latency."""
-        return self.latency_percentile_s(99.0)
 
     @property
     def makespan_s(self) -> float:
@@ -459,6 +468,7 @@ def replay_batches(
 # the re-export against simkernel's own __all__.
 __all__ = [
     "BatchingPolicy",
+    "LatencyPercentiles",
     "PipelineServiceModel",
     "ServingReport",
     "ServingSimulator",

@@ -263,10 +263,6 @@ class Microring:
 
     # -- forward transfer --------------------------------------------------
 
-    def _lorentzian(self, carrier_hz: np.ndarray | float) -> np.ndarray | float:
-        """Unit-peak Lorentzian of the detuning between carrier and resonance."""
-        return lorentzian_lineshape(carrier_hz, self.resonance_hz, self.linewidth_hz)
-
     def drop_transmission(self, carrier_hz: np.ndarray | float) -> np.ndarray | float:
         """Power transmission from input port to drop port at ``carrier_hz``."""
         return drop_transmission_profile(

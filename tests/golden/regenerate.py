@@ -24,7 +24,6 @@ from repro.core.accelerator import PCNNA, PhotonicConvolution
 from repro.core.adaptive import (
     DECISION_ACTIONS,
     AdaptiveRecalibration,
-    simulate_adaptive_serving,
 )
 from repro.core.faults import (
     FaultEvent,
@@ -324,13 +323,13 @@ def compute_adaptive_recal_trace() -> dict[str, np.ndarray]:
         smoothing=ADAPTIVE_SMOOTHING,
         lead_time_s=ADAPTIVE_LEAD_FRACTION * horizon_s,
     )
-    report = simulate_adaptive_serving(
+    report = simulate_degraded_serving(
         network,
         arrivals,
         BatchingPolicy.dynamic(4, 1e-4),
         fault_scenario(ADAPTIVE_FAULT, ADAPTIVE_CORES, horizon_s),
         ADAPTIVE_CORES,
-        controller=controller,
+        recalibration=controller,
     )
     decisions = report.decisions
     return {

@@ -2,7 +2,7 @@
 
 The load-bearing suite: differential pins proving every controller at
 its frozen/degenerate setting is bit-identical to the static policy it
-subsumes, monotonicity pins for the cost gates, edge cases for the
+extends, monotonicity pins for the cost gates, edge cases for the
 controller inputs, and the machine-checkable dominance gate of the
 policy-evaluation harness.
 """
@@ -32,8 +32,6 @@ from repro.core.adaptive import (
     AdaptiveRecalibration,
     BurnRateAdmission,
     EwmaRecalDecider,
-    PressureController,
-    simulate_adaptive_serving,
 )
 from repro.core.cluster import (
     ClusterSimulator,
@@ -119,8 +117,8 @@ FLOAT_FIELDS = [
     (partial(AdaptiveRecalibration, RECAL), "downtime_budget_s"),
     (partial(BurnRateAdmission), "slo_latency_s"),
     (partial(BurnRateAdmission, 1e-3), "max_burn_rate"),
-    (partial(PressureController, ElasticReallocation()), "gain"),
     (partial(ElasticReallocation), "pressure_ratio"),
+    (partial(ElasticReallocation), "gain"),
     (partial(FleetAutoscaler), "epoch_s"),
     (partial(FleetAutoscaler, 1e-3), "warmup_s"),
     (partial(FleetAutoscaler, 1e-3), "burn_up"),
@@ -154,13 +152,11 @@ class TestControllerValidation:
                 BurnRateAdmission(slo_latency_s=1e-3, max_burn_rate=bad)
         with pytest.raises(ValueError, match="window"):
             BurnRateAdmission(slo_latency_s=1e-3, window=0)
-        with pytest.raises(ValueError, match="queue cap"):
-            BurnRateAdmission(slo_latency_s=1e-3, queue_cap=0)
 
     def test_pressure_gains(self):
-        for bad in (-0.25, math.nan, math.inf):
+        for bad in (-0.25, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="gain"):
-                PressureController(base=ElasticReallocation(), gain=bad)
+                ElasticReallocation(gain=bad)
 
     @pytest.mark.parametrize(
         ("build", "field"),
@@ -181,7 +177,7 @@ class TestControllerValidation:
         assert frozen.pressure_hold is None
         assert math.isinf(frozen.downtime_budget_s)
         assert BurnRateAdmission.disabled().enabled is False
-        assert PressureController.inert().gain == 0.0
+        assert ElasticReallocation().gain == 0.0
 
 
 class TestFrozenServingPin:
@@ -193,16 +189,21 @@ class TestFrozenServingPin:
         static = simulate_degraded_serving(
             LENET, arrivals, POLICY, schedule, 2, recalibration=RECAL
         )
-        adaptive = simulate_adaptive_serving(
+        adaptive = simulate_degraded_serving(
             LENET,
             arrivals,
             POLICY,
             schedule,
             2,
-            controller=AdaptiveRecalibration.frozen(RECAL),
+            recalibration=AdaptiveRecalibration.frozen(RECAL),
         )
         assert_serving_reports_identical(static, adaptive)
         assert static.recalibrations  # the pin must exercise recals
+        # The static trigger keeps no log; the frozen controller logs
+        # exactly its recalibrations.
+        assert static.decisions == ()
+        assert "controller" not in static.describe()
+        assert "controller" in adaptive.describe()
         assert len(adaptive.decisions) == len(adaptive.recalibrations)
         assert all(
             d.action == "recalibrate" for d in adaptive.decisions
@@ -221,13 +222,13 @@ class TestFrozenServingPin:
             static = simulate_degraded_serving(
                 LENET, arrivals, POLICY, schedule, 2, recalibration=RECAL
             )
-            adaptive = simulate_adaptive_serving(
+            adaptive = simulate_degraded_serving(
                 LENET,
                 arrivals,
                 POLICY,
                 schedule,
                 2,
-                controller=AdaptiveRecalibration.frozen(RECAL),
+                recalibration=AdaptiveRecalibration.frozen(RECAL),
             )
             assert_serving_reports_identical(static, adaptive)
 
@@ -240,13 +241,13 @@ class TestFrozenServingPin:
         static = simulate_degraded_serving(
             LENET, arrivals, POLICY, schedule, 2, recalibration=free
         )
-        adaptive = simulate_adaptive_serving(
+        adaptive = simulate_degraded_serving(
             LENET,
             arrivals,
             POLICY,
             schedule,
             2,
-            controller=AdaptiveRecalibration.frozen(free),
+            recalibration=AdaptiveRecalibration.frozen(free),
         )
         assert_serving_reports_identical(static, adaptive)
         assert static.core_downtime_s == (0.0, 0.0)
@@ -255,13 +256,13 @@ class TestFrozenServingPin:
     def test_report_surface(self):
         arrivals = poisson_arrivals(2e4, 48, seed=2)
         schedule = drift_schedule(arrivals)
-        report = simulate_adaptive_serving(
+        report = simulate_degraded_serving(
             LENET,
             arrivals,
             POLICY,
             schedule,
             2,
-            controller=AdaptiveRecalibration(base=RECAL, smoothing=0.3),
+            recalibration=AdaptiveRecalibration(base=RECAL, smoothing=0.3),
         )
         text = report.describe()
         assert "controller" in text
@@ -286,7 +287,7 @@ class TestClusterPins:
             seed=1,
         )
 
-    def test_frozen_recal_and_inert_pressure(self):
+    def test_frozen_recal_under_elastic(self):
         tenants, arrivals = self._mix()
         horizon = max(float(a[-1]) for a in arrivals.values())
         schedule = fault_scenario("slow-drift", 6, horizon)
@@ -303,7 +304,7 @@ class TestClusterPins:
             tenants,
             arrivals,
             pool_size=6,
-            elastic=PressureController.inert(elastic),
+            elastic=elastic,
             schedule=schedule,
             recalibration=AdaptiveRecalibration.frozen(RECAL),
         )
@@ -314,10 +315,8 @@ class TestClusterPins:
         tenants, arrivals = self._mix()
         horizon = max(float(a[-1]) for a in arrivals.values())
         schedule = fault_scenario("slow-drift", 6, horizon)
-        admission = {
-            t.name: BurnRateAdmission.disabled(queue_cap=t.queue_cap)
-            for t in tenants
-        }
+        assert any(t.queue_cap is not None for t in tenants)
+        admission = {t.name: BurnRateAdmission.disabled() for t in tenants}
         static = simulate_cluster_serving(
             tenants,
             arrivals,
@@ -350,10 +349,7 @@ class TestClusterPins:
             )
             for t in tenants
         )
-        admission = {
-            t.name: BurnRateAdmission.disabled(queue_cap=1)
-            for t in tenants
-        }
+        admission = {t.name: BurnRateAdmission.disabled() for t in tenants}
         static = simulate_cluster_serving(
             tenants, arrivals, pool_size=6
         )
@@ -391,14 +387,12 @@ class TestClusterPins:
             ClusterSimulator(
                 tenants,
                 6,
-                admission={
-                    "nobody": BurnRateAdmission.disabled(queue_cap=4)
-                },
+                admission={"nobody": BurnRateAdmission.disabled()},
             )
 
-    def test_pressure_controller_moves_sooner(self):
+    def test_pressure_gain_moves_sooner(self):
         base = ElasticReallocation(pressure_ratio=4.0, min_queue=16)
-        hot = PressureController(base=base, gain=0.5)
+        hot = ElasticReallocation(pressure_ratio=4.0, min_queue=16, gain=0.5)
         ratio, min_queue = hot.thresholds(8.0)
         assert ratio < base.pressure_ratio
         assert min_queue < base.min_queue
@@ -406,10 +400,9 @@ class TestClusterPins:
             base.pressure_ratio,
             base.min_queue,
         )
-        calm_ratio, calm_min = PressureController.inert(base).thresholds(
-            1e9
-        )
-        assert (calm_ratio, calm_min) == (
+        # Floors of 1: a drowning pool never drops the barriers to 0.
+        assert hot.thresholds(1e9) == (1.0, 1)
+        assert base.thresholds(1e9) == (
             base.pressure_ratio,
             base.min_queue,
         )
@@ -420,13 +413,13 @@ class TestCostGates:
         arrivals = poisson_arrivals(2e4, 96, seed=0)
         schedule = drift_schedule(arrivals, total_k=0.6)
         budget = 1e-9
-        report = simulate_adaptive_serving(
+        report = simulate_degraded_serving(
             LENET,
             arrivals,
             POLICY,
             schedule,
             2,
-            controller=AdaptiveRecalibration(
+            recalibration=AdaptiveRecalibration(
                 base=RECAL, smoothing=1.0, downtime_budget_s=budget
             ),
         )
@@ -447,13 +440,13 @@ class TestCostGates:
     def test_pressure_hold_defers_under_load(self):
         arrivals = poisson_arrivals(5e4, 96, seed=0)
         schedule = drift_schedule(arrivals, total_k=0.6)
-        report = simulate_adaptive_serving(
+        report = simulate_degraded_serving(
             LENET,
             arrivals,
             POLICY,
             schedule,
             2,
-            controller=AdaptiveRecalibration(
+            recalibration=AdaptiveRecalibration(
                 base=RECAL,
                 smoothing=1.0,
                 pressure_hold=1,
@@ -476,13 +469,13 @@ class TestCostGates:
             LENET, arrivals, POLICY, schedule, 2, recalibration=None
         )
         for budget in (1e-4, 1e-3, math.inf):
-            adaptive = simulate_adaptive_serving(
+            adaptive = simulate_degraded_serving(
                 LENET,
                 arrivals,
                 POLICY,
                 schedule,
                 2,
-                controller=AdaptiveRecalibration(
+                recalibration=AdaptiveRecalibration(
                     base=RECAL, smoothing=0.3, downtime_budget_s=budget
                 ),
             )
@@ -517,13 +510,13 @@ class TestDeciderRuntime:
         # EWMA warmup edge: a one-request trace makes exactly one batch.
         arrivals = np.array([1e-4])
         schedule = FaultSchedule.none()
-        report = simulate_adaptive_serving(
+        report = simulate_degraded_serving(
             LENET,
             arrivals,
             POLICY,
             schedule,
             2,
-            controller=AdaptiveRecalibration(base=RECAL, smoothing=0.3),
+            recalibration=AdaptiveRecalibration(base=RECAL, smoothing=0.3),
         )
         assert report.num_requests == 1
         assert len(report.batches) == 1

@@ -54,6 +54,10 @@ class TestClusterTenant:
             ClusterTenant("t", (), BatchingPolicy.fifo())
         with pytest.raises(ValueError, match="weight"):
             tenant("t", weight=0.0)
+        # A bool compares as 0 or 1, so True would pass as weight 1.0.
+        for bad in (True, False):
+            with pytest.raises(ValueError, match="weight"):
+                tenant("t", weight=bad)
         with pytest.raises(ValueError, match="queue cap"):
             tenant("t", queue_cap=0)
 
@@ -159,7 +163,7 @@ class TestPolicyValidation:
 
         from repro.core.adaptive import (
             AdaptiveRecalibration,
-            PressureController,
+            BurnRateAdmission,
         )
 
         recal_lookalike = SimpleNamespace(
@@ -172,7 +176,7 @@ class TestPolicyValidation:
         elastic_lookalike = SimpleNamespace(pressure_ratio=4.0, min_queue=16)
         frozen = AdaptiveRecalibration.frozen(RecalibrationPolicy())
         tenants = [tenant("a")]
-        for bad in (recal_lookalike, PressureController.inert()):
+        for bad in (recal_lookalike, ElasticReallocation()):
             with pytest.raises(TypeError, match="recalibration must be"):
                 ClusterSimulator(
                     tenants,
@@ -180,7 +184,11 @@ class TestPolicyValidation:
                     schedule=FaultSchedule.uniform_drift(1.0, 2),
                     recalibration=bad,
                 )
-        for bad in (elastic_lookalike, frozen):
+        for bad in (
+            elastic_lookalike,
+            frozen,
+            BurnRateAdmission.disabled(),
+        ):
             with pytest.raises(TypeError, match="elastic must be"):
                 ClusterSimulator(tenants, 2, elastic=bad)
         with pytest.raises(TypeError, match="recalibration must be"):
@@ -190,9 +198,9 @@ class TestPolicyValidation:
                 2,
                 recalibration=recal_lookalike,
             )
-        # Both interfaces of each kind are accepted.
+        # Both recalibration interfaces are accepted.
         ClusterSimulator(tenants, 2, recalibration=frozen)
-        ClusterSimulator(tenants, 2, elastic=PressureController.inert())
+        ClusterSimulator(tenants, 2, elastic=ElasticReallocation(gain=0.5))
 
     @pytest.mark.parametrize(
         "bad", [3, RecalibrationPolicy(), "x"], ids=["int", "recal", "str"]
@@ -225,6 +233,25 @@ class TestPolicyValidation:
                 assert got.shed_arrival_s.tobytes() == (
                     want.shed_arrival_s.tobytes()
                 )
+
+    def test_disabled_admission_is_dropped_at_the_door(self):
+        # A disabled controller is no entry, like None; an enabled one
+        # stays and, with no schedule and no elastic policy, the lanes
+        # are still served alone.
+        from repro.core.adaptive import BurnRateAdmission
+
+        tenants = [tenant("a", queue_cap=4), tenant("b")]
+        burn = BurnRateAdmission(slo_latency_s=1e-3)
+        simulator = ClusterSimulator(
+            tenants,
+            2,
+            admission={"a": BurnRateAdmission.disabled(), "b": burn},
+        )
+        assert simulator.admission == {"b": burn}
+        assert simulator._frozen
+        assert not ClusterSimulator(
+            tenants, 2, elastic=ElasticReallocation(), admission={"b": burn}
+        )._frozen
 
 
 class TestSingleTenantDifferential:

@@ -495,10 +495,7 @@ class TestSingleTenantFaultPin:
         _same_serving(cluster, degraded)
 
     def test_frozen_adaptive_recalibration(self):
-        from repro.core.adaptive import (
-            AdaptiveRecalibration,
-            simulate_adaptive_serving,
-        )
+        from repro.core.adaptive import AdaptiveRecalibration
 
         controller = AdaptiveRecalibration.frozen(
             RecalibrationPolicy(error_threshold=0.05)
@@ -507,7 +504,7 @@ class TestSingleTenantFaultPin:
         cluster, network, arrivals, schedule = self.serve_both(
             "tia-aging", policy, controller
         )
-        adaptive = simulate_adaptive_serving(
+        adaptive = simulate_degraded_serving(
             network,
             arrivals,
             policy,

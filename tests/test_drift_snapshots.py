@@ -16,10 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.adaptive import (
-    AdaptiveRecalibration,
-    simulate_adaptive_serving,
-)
+from repro.core.adaptive import AdaptiveRecalibration
 from repro.core.cluster import (
     _lone_lane,
     _serve_lanes,
@@ -172,7 +169,7 @@ class TestReadsAsTheDispatchRecord:
     ):
         rows = _spy_rows(monkeypatch)
         arrivals = poisson_arrivals(2e4, 3000, seed=4)
-        report = simulate_adaptive_serving(
+        report = simulate_degraded_serving(
             serving_network("lenet5"),
             arrivals,
             BatchingPolicy.dynamic(4, 1e-4),

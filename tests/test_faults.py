@@ -846,10 +846,7 @@ class TestFailThreshold:
     def test_non_positive_or_non_finite_rejected(self, threshold):
         """`error >= nan` is always False: a NaN threshold would silently
         switch repartitioning off."""
-        from repro.core.adaptive import (
-            AdaptiveRecalibration,
-            simulate_adaptive_serving,
-        )
+        from repro.core.adaptive import AdaptiveRecalibration
         from repro.core.faults import (
             DegradedServingSimulator,
             simulate_degraded_serving,
@@ -871,7 +868,7 @@ class TestFailThreshold:
         with pytest.raises(ValueError, match="fail threshold"):
             simulate_degraded_serving(*args, fail_error_threshold=threshold)
         with pytest.raises(ValueError, match="fail threshold"):
-            simulate_adaptive_serving(
+            simulate_degraded_serving(
                 *args,
                 AdaptiveRecalibration.frozen(RecalibrationPolicy()),
                 fail_error_threshold=threshold,

@@ -76,8 +76,6 @@ from repro.core.adaptive import (
     DECISION_ACTIONS,
     AdaptiveRecalibration,
     BurnRateAdmission,
-    PressureController,
-    simulate_adaptive_serving,
 )
 from repro.analysis import sweep_cluster_serving
 from repro.core.cluster import (
@@ -94,6 +92,7 @@ from repro.core.faults import (
     FaultEvent,
     FaultSchedule,
     RecalibrationPolicy,
+    simulate_degraded_serving,
 )
 from repro.core.fleet import (
     FLEET_ROUTING_KINDS,
@@ -788,13 +787,13 @@ class TestKernelModeEquivalence:
 
 
 @st.composite
-def frozen_cluster_case(draw):
+def frozen_cluster_case(draw, max_tenants=3):
     """A random frozen-allocation cluster: no faults, no elastic — the
     shape the vectorized lane decomposition claims to cover exactly.
     Caps are drawn down to 1 so the admission walk and its scalar
     fallback both get exercised, and traces optionally quantize onto a
     coarse grid to pile ties onto cap boundaries."""
-    num_tenants = draw(st.integers(min_value=1, max_value=3))
+    num_tenants = draw(st.integers(min_value=1, max_value=max_tenants))
     tenants = []
     arrivals = {}
     for index in range(num_tenants):
@@ -837,6 +836,33 @@ def frozen_cluster_case(draw):
     return tenants, pool_size, arrivals, routing
 
 
+@st.composite
+def burn_admission_case(draw):
+    """One enabled burn-rate controller, its SLO drawn log-uniformly
+    across the served latencies so some runs shed on burn and some
+    never do."""
+    return BurnRateAdmission(
+        slo_latency_s=10.0 ** draw(st.floats(min_value=-6.0, max_value=-2.0)),
+        max_burn_rate=draw(st.floats(min_value=0.0, max_value=0.9)),
+        window=draw(st.integers(min_value=1, max_value=32)),
+    )
+
+
+def assert_clusters_byte_identical(ref, vec):
+    """Every tenant stream, batch table, busy ledger and shed array."""
+    assert vec.routing == ref.routing
+    for r, v in zip(ref.tenants, vec.tenants, strict=True):
+        assert r.tenant == v.tenant
+        assert r.arrival_s.tobytes() == v.arrival_s.tobytes()
+        assert r.dispatch_s.tobytes() == v.dispatch_s.tobytes()
+        assert r.completion_s.tobytes() == v.completion_s.tobytes()
+        assert r.shed_arrival_s.tobytes() == v.shed_arrival_s.tobytes()
+        assert tuple(r.batches) == tuple(v.batches)
+        assert r.core_busy_s == v.core_busy_s
+        assert np.array_equal(r.batch_num_cores, v.batch_num_cores)
+        assert np.array_equal(r.accuracy_proxy, v.accuracy_proxy)
+
+
 class TestClusterModeEquivalence:
     """Frozen-allocation clusters: vectorized == reference, byte for
     byte, and the parallel grid executor == serial, byte for byte."""
@@ -850,17 +876,27 @@ class TestClusterModeEquivalence:
                 tenants, arrivals, pool, routing=routing
             )
         vec = simulate_cluster_serving(tenants, arrivals, pool, routing=routing)
-        assert vec.routing == ref.routing
-        for r, v in zip(ref.tenants, vec.tenants):
-            assert r.tenant == v.tenant
-            assert r.arrival_s.tobytes() == v.arrival_s.tobytes()
-            assert r.dispatch_s.tobytes() == v.dispatch_s.tobytes()
-            assert r.completion_s.tobytes() == v.completion_s.tobytes()
-            assert r.shed_arrival_s.tobytes() == v.shed_arrival_s.tobytes()
-            assert tuple(r.batches) == tuple(v.batches)
-            assert r.core_busy_s == v.core_busy_s
-            assert np.array_equal(r.batch_num_cores, v.batch_num_cores)
-            assert np.array_equal(r.accuracy_proxy, v.accuracy_proxy)
+        assert_clusters_byte_identical(ref, vec)
+
+    @given(case=frozen_cluster_case(max_tenants=4), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_burn_admission_lanes_byte_identical(self, case, data):
+        """A burn judgment reads only its own lane's completions, so a
+        frozen cluster under enabled burn-rate controllers is served
+        lane by lane exactly as the global loop serves it."""
+        tenants, pool, arrivals, routing = case
+        admission = {
+            tenant.name: data.draw(burn_admission_case())
+            for tenant in tenants
+        }
+        with reference_loops():
+            ref = simulate_cluster_serving(
+                tenants, arrivals, pool, routing=routing, admission=admission
+            )
+        vec = simulate_cluster_serving(
+            tenants, arrivals, pool, routing=routing, admission=admission
+        )
+        assert_clusters_byte_identical(ref, vec)
 
     @given(case=frozen_cluster_case())
     @settings(max_examples=3, deadline=None)
@@ -1063,9 +1099,7 @@ def adaptive_cluster_case(draw):
         )
         choice = draw(st.sampled_from(["none", "disabled", "burn"]))
         if choice == "disabled":
-            admission[tenant.name] = BurnRateAdmission.disabled(
-                queue_cap=tenant.queue_cap
-            )
+            admission[tenant.name] = BurnRateAdmission.disabled()
         elif choice == "burn":
             admission[tenant.name] = BurnRateAdmission(
                 slo_latency_s=draw(
@@ -1073,7 +1107,6 @@ def adaptive_cluster_case(draw):
                 ),
                 max_burn_rate=draw(st.floats(min_value=0.0, max_value=1.0)),
                 window=draw(st.integers(min_value=1, max_value=32)),
-                queue_cap=tenant.queue_cap,
             )
     events = draw(
         st.lists(fault_event_case(pool_size), min_size=0, max_size=4)
@@ -1088,10 +1121,7 @@ def adaptive_cluster_case(draw):
             [
                 None,
                 ElasticReallocation(min_queue=8),
-                PressureController(
-                    base=ElasticReallocation(min_queue=8), gain=0.5
-                ),
-                PressureController.inert(ElasticReallocation(min_queue=8)),
+                ElasticReallocation(min_queue=8, gain=0.5),
             ]
         )
     )
@@ -1202,13 +1232,13 @@ class TestAdaptiveServingInvariants:
         network = serving_network("lenet5")
 
         def run():
-            return simulate_adaptive_serving(
+            return simulate_degraded_serving(
                 network,
                 arrivals,
                 policy,
                 schedule,
                 num_cores,
-                controller=controller,
+                recalibration=controller,
                 clamp_cores=True,
             )
 

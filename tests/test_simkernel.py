@@ -13,7 +13,6 @@ from repro.core import simkernel, traffic
 from repro.core.adaptive import (
     AdaptiveRecalibration,
     BurnRateAdmission,
-    simulate_adaptive_serving,
 )
 from repro.core.cluster import (
     ClusterSimulator,
@@ -102,9 +101,6 @@ COUNT_FIELDS = {
         "t", tuple(lenet5_conv_specs()), BatchingPolicy.fifo(), queue_cap=v
     ),
     "min queue": lambda v: ElasticReallocation(min_queue=v),
-    "admission queue cap": lambda v: BurnRateAdmission(
-        slo_latency_s=1e-3, queue_cap=v
-    ),
     "admission window": lambda v: BurnRateAdmission(
         slo_latency_s=1e-3, window=v
     ),
@@ -315,7 +311,7 @@ class TestOneBatchFormat:
         reports["degraded epochs"] = DegradedServingSimulator(
             svc, policy, zero, recalibration=RecalibrationPolicy(), specs=specs
         ).run(arrivals)
-        reports["adaptive per dispatch"] = simulate_adaptive_serving(
+        reports["adaptive per dispatch"] = simulate_degraded_serving(
             network,
             arrivals,
             policy,

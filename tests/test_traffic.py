@@ -1,6 +1,7 @@
 """Tests for the request-level serving simulator and traffic generators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,13 @@ from repro.analysis import (
     sweep_serving_policies,
 )
 from repro.core import PCNNA
+from repro.core.cluster import ClusterTenant
+from repro.core.fleet import RegionSpec, simulate_fleet_serving
 from repro.core.traffic import (
     BatchingPolicy,
+    LatencyPercentiles,
     PipelineServiceModel,
+    ServingReport,
     ServingSimulator,
     replay_batches,
     replay_on_engine,
@@ -22,6 +27,7 @@ from repro.workloads import (
     TRAFFIC_PATTERNS,
     alexnet_conv_specs,
     diurnal_arrivals,
+    lenet5_conv_specs,
     make_arrivals,
     mmpp_arrivals,
     poisson_arrivals,
@@ -284,6 +290,92 @@ class TestExecutedReplay:
         inputs = serving_batch(network, 4, seed=1)
         with pytest.raises(ValueError, match="width per batch"):
             replay_batches(network, report.batches, [1], inputs)
+
+
+def _percentile_reports():
+    """One served and one empty report of each ``LatencyPercentiles``
+    kind, with the latency stream each reads and its empty-stream
+    error."""
+    serving = ServingSimulator(
+        PipelineServiceModel.from_specs(alexnet_conv_specs(), 2),
+        BatchingPolicy.dynamic(8, 1e-3),
+    ).run(poisson_arrivals(4000.0, 300, seed=8))
+    empty_serving = ServingReport(
+        policy=BatchingPolicy.fifo(),
+        num_cores=1,
+        arrival_s=np.array([]),
+        dispatch_s=np.array([]),
+        completion_s=np.array([]),
+        batches=(),
+        core_busy_s=(0.0,),
+    )
+    fleet = simulate_fleet_serving(
+        (
+            ClusterTenant(
+                "solo",
+                tuple(lenet5_conv_specs()),
+                BatchingPolicy.dynamic(8, 1e-3),
+            ),
+        ),
+        [RegionSpec("east", 2), RegionSpec("idle", 2)],
+        {"east": {"solo": poisson_arrivals(2000.0, 200, seed=9)}, "idle": {}},
+    )
+    idle = fleet.region("idle")
+    return {
+        "serving": (
+            serving,
+            serving.latencies_s,
+            empty_serving,
+            "no requests in the trace",
+        ),
+        "region": (
+            fleet.region("east"),
+            fleet.region("east").latency_s,
+            idle,
+            "'idle' served no requests",
+        ),
+        "fleet": (
+            fleet,
+            fleet.latencies_s,
+            replace(fleet, regions=(idle,)),
+            "fleet served no requests",
+        ),
+    }
+
+
+PERCENTILE_KINDS = ("serving", "region", "fleet")
+HEADLINE_PERCENTILES = (("p50_s", 50.0), ("p95_s", 95.0), ("p99_s", 99.0))
+
+
+class TestLatencyPercentiles:
+    """``p50_s``/``p95_s``/``p99_s`` are defined once, on
+    ``LatencyPercentiles``, over each report's own
+    ``latency_percentile_s``."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return _percentile_reports()
+
+    @pytest.mark.parametrize("kind", PERCENTILE_KINDS)
+    def test_headline_percentiles_read_the_report_stream(self, reports, kind):
+        report, stream, _, _ = reports[kind]
+        assert isinstance(report, LatencyPercentiles)
+        assert stream.size > 0
+        for name, percentile in HEADLINE_PERCENTILES:
+            assert name not in vars(type(report)), name
+            value = getattr(report, name)
+            assert type(value) is float, name
+            assert value == report.latency_percentile_s(percentile), name
+            assert value == float(np.percentile(stream, percentile)), name
+
+    @pytest.mark.parametrize("kind", PERCENTILE_KINDS)
+    def test_empty_stream_keeps_its_own_error(self, reports, kind):
+        _, _, empty, message = reports[kind]
+        with pytest.raises(ValueError, match=message):
+            empty.latency_percentile_s(50.0)
+        for name, _ in HEADLINE_PERCENTILES:
+            with pytest.raises(ValueError, match=message):
+                getattr(empty, name)
 
 
 class TestServingSweep:

@@ -16,6 +16,7 @@ bit-identical, so is everything computed from them.
 """
 
 from contextlib import nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -530,16 +531,20 @@ class TestAutoModeRouting:
                 lanes += len(tenants)
                 assert calls["alone"] == lanes
         assert calls["lanes"] == 0
-        # A disabled burn-rate controller is a static cap: still frozen
-        # (its lane may still fall back to the exact scalar loop).
+        # Admission reads only its own lane, so a capped tenant stays
+        # frozen under a disabled or an enabled burn-rate controller
+        # (its lane may still take the exact per-dispatch loop).
         tenants, arrivals, pool = next(_frozen_shapes())
-        simulate_cluster_serving(
-            tenants,
-            arrivals,
-            pool,
-            admission={"solo": BurnRateAdmission.disabled(queue_cap=4)},
-        )
-        assert calls["alone"] == lanes + 1
+        capped = [replace(tenants[0], queue_cap=4)]
+        for controller in (
+            BurnRateAdmission.disabled(),
+            BurnRateAdmission(slo_latency_s=1e-4),
+        ):
+            simulate_cluster_serving(
+                capped, arrivals, pool, admission={"solo": controller}
+            )
+            lanes += 1
+            assert calls["alone"] == lanes
 
     def test_kernel_auto_runs_no_per_dispatch_loop(self, monkeypatch):
         calls = self.spy(monkeypatch)
@@ -552,7 +557,7 @@ class TestAutoModeRouting:
             EventLoopKernel(lenet_model(), policy).run(arrivals)
         assert calls == {"alone": 3, "lanes": 0}
 
-    @pytest.mark.parametrize("feedback", ["faulted", "elastic", "burn"])
+    @pytest.mark.parametrize("feedback", ["faulted", "elastic"])
     def test_feedback_shapes_take_the_lane_loop(self, monkeypatch, feedback):
         tenants, arrivals, pool = next(_frozen_shapes())
         horizon = float(arrivals["solo"][-1])
@@ -561,9 +566,6 @@ class TestAutoModeRouting:
                 1.0 / horizon, pool
             )},
             "elastic": {"elastic": ElasticReallocation()},
-            "burn": {"admission": {
-                "solo": BurnRateAdmission(slo_latency_s=1e-4, queue_cap=4)
-            }},
         }[feedback]
         calls = self.spy(monkeypatch)
         simulate_cluster_serving(tenants, arrivals, pool, **options)
@@ -716,8 +718,9 @@ class TestLaneColumns:
             [0, 1, 2],
             3,
             None,
+            queue_cap=16,
             admission=BurnRateAdmission(
-                slo_latency_s=1e-3, window=self.WINDOW, queue_cap=16
+                slo_latency_s=1e-3, window=self.WINDOW
             ),
         )
         cluster_module._serve_lanes([lane], None, cluster_module._lone_lane)
