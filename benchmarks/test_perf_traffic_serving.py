@@ -129,7 +129,7 @@ def test_soak_long_bursty_traces_stay_conservative():
         for policy in policies:
             report = ServingSimulator(model, policy).run(arrivals)
             assert report.num_requests == 900_000
-            assert sum(b.size for b in report.batches) == 900_000
+            assert int(report.batches.size.sum()) == 900_000
             assert np.all(report.dispatch_s >= report.arrival_s)
             assert np.all(report.completion_s > report.dispatch_s)
             assert all(0.0 < u <= 1.0 for u in report.core_utilization)

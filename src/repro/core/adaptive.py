@@ -327,7 +327,6 @@ class BurnRateAdmission:
         max_burn_rate: tolerated fraction of recent completions over
             the SLO; ``inf`` disables burn shedding.
         window: completions in the burn-rate window (an integer >= 1).
-        name: label used in reports and sweep tables.
 
     Raises:
         ValueError: on a non-finite SLO, a negative or NaN burn rate,
@@ -337,7 +336,6 @@ class BurnRateAdmission:
     slo_latency_s: float
     max_burn_rate: float = 0.5
     window: int = 32
-    name: str = "burn-rate"
 
     def __post_init__(self) -> None:
         if (
@@ -355,11 +353,7 @@ class BurnRateAdmission:
     @classmethod
     def disabled(cls, slo_latency_s: float = 1e-3) -> "BurnRateAdmission":
         """The degenerate setting: never sheds on burn."""
-        return cls(
-            slo_latency_s=slo_latency_s,
-            max_burn_rate=math.inf,
-            name="burn-disabled",
-        )
+        return cls(slo_latency_s=slo_latency_s, max_burn_rate=math.inf)
 
     @property
     def enabled(self) -> bool:

@@ -1082,13 +1082,13 @@ def _verify_admission_plan(
     the early-occupancy test stays invisible to that seal even when the
     commit that follows admits it, so batch formation can differ from
     :func:`~repro.core.simkernel.plan_batches` over the final admitted
-    set (smaller sealed batches under tight caps).  This walk replays
+    set (smaller sealed batches under tight caps).  This check replays
     the reference's judgment schedule — per batch, the phase-B frontier
     (everything at or before the previous dispatch is judged exactly at
     commit), the queue-empty drain, and the early-admit chain judged
-    against *committed-only* completions — and re-seals each batch with
-    :func:`~repro.core.simkernel.plan_dispatch` on exactly the visible
-    prefix.  O(batches) plan calls; every comparison is exact.
+    against *committed-only* completions — and re-seals each batch that
+    can see past it with :func:`~repro.core.simkernel.plan_dispatch` on
+    exactly the visible prefix.  Every comparison is exact.
 
     Returns ``True`` iff the speculated plan is the reference run —
     judgments that are exact in the reference (drain, phase B) match
@@ -1097,84 +1097,71 @@ def _verify_admission_plan(
     ``(dispatch, size)`` per batch pins the rest by induction.  A
     ``False`` sends the lane to the scalar reference loop.
 
-    Cost discipline: the frontier replay is one monotone pointer sweep
-    (the early-admit test collapses to a precomputed per-arrival
-    threshold batch ``kmin``), and the expensive re-seal is skipped
-    whenever the sealed batch provably cannot see the invisible suffix
-    — :func:`~repro.core.simkernel.plan_dispatch` reads the queue only
-    at ``head``, at ``head + max_batch - 1``, and at arrivals up to the
-    dispatch instant, so ``head + max_batch`` visible admits plus a
-    next-unjudged arrival after the dispatch pin the seal to the final
-    plan's batch with no call at all.  Only congested batches (queue at
-    the cap around the seal) pay a ``plan_dispatch``.
+    The judgment frontier has a closed form, so no per-batch walk runs.
+    Arrival ``j`` passes the early-admit test at batch ``k`` iff ``k >=
+    kmin[j]`` (nondecreasing over admits; a shed never passes).  Batch
+    ``k``'s chain starts at ``low[k]``, the later of the previous
+    dispatch's phase-B frontier and one past its head admit (the drain),
+    both nondecreasing in ``k``, and stops at ``judged[k]``, the first
+    ``j >= low[k]`` that is shed or has ``kmin[j] > k`` — a
+    ``searchsorted`` each on ``kmin`` and the shed indices; arrivals the
+    walk carried past ``low[k]`` passed at ``k - 1``, so pass at ``k``.
+    A batch that sees every admit ends the check (later seals run over
+    the full array, ``plan_batches``' own fold).  A batch with ``head +
+    max_batch`` visible admits and the next unjudged arrival after its
+    dispatch is *blind*: ``plan_dispatch`` reads the queue only at
+    ``head``, ``head + max_batch - 1`` and arrivals up to the dispatch,
+    so its seal is the plan's.  Only the rest pay a ``plan_dispatch``.
+    No head outruns the visible admits: the batch before it was blind
+    or matched a seal of the visible prefix.
     """
     n = int(raw.size)
     nb = int(sizes.size)
+    if nb == 0:
+        return True
+    m = policy.max_batch
     # adm_before[j]: admitted among arrivals < j — the reference lane's
-    # running admission count whenever the walk is still consistent.
-    adm_before_np = np.concatenate(([0], np.cumsum(mask)))
-    total = int(adm_before_np[-1])
-    cum_np = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    # running admission count while the plan matches it.
+    adm_before = np.concatenate(([0], np.cumsum(mask)))
+    total = int(adm_before[-1])
+    cum = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    heads = cum[:-1]
+    admitted_idx = np.flatnonzero(mask)
     # Early-admit threshold: arrival j passes the committed-only
     # occupancy test at batch k iff the first k batches completed at
     # least ``adm_before[j] - cap + 1`` requests before t_j, i.e. iff
     # k >= kmin[j].  A final shed never passes (occupancy only grows
-    # toward the seal), so it carries an unreachable sentinel — the
-    # chain below stops on it, exactly like the reference's early loop.
-    need = adm_before_np[:-1] - cap + 1
-    kmin_np = np.searchsorted(cum_np, np.maximum(need, 0), side="left")
-    kmin_np = np.where(mask, kmin_np, nb + 1)
-    # Phase-B frontier per batch: commit k judges every arrival at or
-    # before its dispatch exactly; exact judgments equal the fixed
-    # point.
-    pb_np = np.searchsorted(raw, disp, side="right")
-    admitted_idx = np.flatnonzero(mask)
-    admitted_times = raw[mask]
-    busy0 = (
-        model.weight_load_s[0]
-        + np.arange(policy.max_batch + 1) * model.conv_time_s[0]
+    # toward the seal), so it stops the chain wherever it stands.
+    need = adm_before[admitted_idx] - cap + 1
+    kmin = np.searchsorted(cum, np.maximum(need, 0), side="left")
+    # Phase-B frontier: commit k judges every arrival at or before its
+    # dispatch exactly; exact judgments equal the fixed point.
+    entry = np.zeros(nb, dtype=np.int64)
+    entry[1:] = np.searchsorted(raw, disp[:-1], side="right")
+    low = np.maximum(entry, admitted_idx[heads] + 1)
+    first_admit = np.maximum(
+        np.searchsorted(kmin, np.arange(nb), side="right"), adm_before[low]
     )
-    max_batch = policy.max_batch
-    # Scalar-access hot loop: plain lists index several times faster
-    # than numpy scalars.
-    adm_before = adm_before_np.tolist()
-    cum = cum_np.tolist()
-    kmin = kmin_np.tolist()
-    pb = pb_np.tolist()
-    raw_l = raw.tolist()
-    disp_l = disp.tolist()
-    sizes_l = sizes.tolist()
-    adm_idx = admitted_idx.tolist()
-    judged = 0
-    for k in range(nb):
-        if k and pb[k - 1] > judged:
-            judged = pb[k - 1]
-        head = cum[k]
-        visible = adm_before[judged]
-        if visible < head:
-            return False  # served more than admitted — already diverged
-        if visible == head:
-            # Queue-empty drain: exact shed judgments through to the
-            # next admitted arrival, which the reference admits before
-            # planning.
-            judged = adm_idx[head] + 1
-        while judged < n and kmin[judged] <= k:
-            judged += 1
-        visible = adm_before[judged]
-        if visible == total:
-            # The whole admitted array is visible, and visibility only
-            # grows: every remaining seal runs over the full array,
-            # which is plan_batches' own fold — guaranteed match.
-            return True
-        if head + max_batch <= visible and disp_l[k] < raw_l[judged]:
-            continue  # seal provably blind to the invisible suffix
+    shed_idx = np.flatnonzero(~mask)
+    judged = np.minimum(
+        np.append(admitted_idx, n)[first_admit],
+        np.append(shed_idx, n)[np.searchsorted(shed_idx, low)],
+    )
+    visible = adm_before[judged]
+    done = np.flatnonzero(visible == total)
+    last = int(done[0]) if done.size else nb
+    next_arrival = np.append(raw, math.inf)[judged[:last]]
+    blind = (heads[:last] + m <= visible[:last]) & (disp[:last] < next_arrival)
+    admitted_times = raw[mask]
+    busy0 = model.weight_load_s[0] + np.arange(m + 1) * model.conv_time_s[0]
+    for k in np.flatnonzero(~blind).tolist():
         dispatch, size = plan_dispatch(
-            admitted_times[:visible],
-            head,
+            admitted_times[: visible[k]],
+            int(heads[k]),
             policy,
-            0.0 if k == 0 else disp_l[k - 1] + float(busy0[sizes_l[k - 1]]),
+            0.0 if k == 0 else float(disp[k - 1]) + float(busy0[sizes[k - 1]]),
         )
-        if dispatch != disp_l[k] or size != sizes_l[k]:
+        if dispatch != disp[k] or size != sizes[k]:
             return False
     return True
 

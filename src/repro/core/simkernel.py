@@ -340,10 +340,12 @@ def plan_dispatch(
 # exact regardless of speculation quality: a value sequence that
 # satisfies the recurrence at every index is, by induction, *the* fold.
 
-# Congested full-batch probe bounds for the dynamic planner: probes
-# start narrow and double while the saturated chain holds.
+# Full-batch streak bounds for the dynamic planner: probes start narrow
+# and double while the streak holds, and an uncongested streak opens
+# only after ``_STREAK_GATE`` full steps in a row.
 _STREAK_MIN = 16
 _STREAK_MAX = 8192
+_STREAK_GATE = 32
 
 
 def _segmented_fold(y: np.ndarray, d: np.ndarray, starts: np.ndarray) -> None:
@@ -488,6 +490,39 @@ def _plan_batches_fixed(
     return heads, sizes, disp
 
 
+def _streak(hold, out, nb, h, free, m, limit, probe):
+    """Chase a strided streak of full batches from head ``h``.
+
+    ``hold(hv, free)`` judges the probe heads ``hv = h, h + m, ...``
+    (each with ``hv + m <= limit``) and returns ``(ok, dispatch, after)``: whether
+    each seals a full batch that keeps the streak going, its dispatch
+    instant, and core 0's free time after it.  The leading ``ok`` run
+    is written; a probe that holds doubles the next (to
+    ``_STREAK_MAX``), one that breaks resets it to ``_STREAK_MIN`` and
+    ends the streak.  Returns the advanced ``(nb, h, free, probe)``.
+    """
+    heads, sizes, disp = out
+    while True:
+        span = min(probe, (limit - h) // m)
+        if span <= 0:
+            break
+        hv = h + m * np.arange(span, dtype=np.int64)
+        ok, dv, after = hold(hv, free)
+        take = span if ok.all() else int(ok.argmin())
+        probe = _STREAK_MIN if take < span else min(2 * probe, _STREAK_MAX)
+        if take == 0:
+            break
+        heads[nb : nb + take] = hv[:take]
+        sizes[nb : nb + take] = m
+        disp[nb : nb + take] = dv[:take]
+        nb += take
+        h += take * m
+        free = float(after[take - 1])
+        if take < span:
+            break
+    return nb, h, free, probe
+
+
 def _plan_batches_dynamic(
     arrivals: np.ndarray,
     policy: BatchingPolicy,
@@ -500,11 +535,19 @@ def _plan_batches_dynamic(
     sizes, which changes core-0 free times, which changes congestion —
     so there is no closed form.  Instead: precompute each head's policy
     trigger time and uncongested batch size as arrays, then walk the
-    trace with two accelerated regimes.  While core 0 keeps up
-    (``free <= trigger``), every step is a precomputed table lookup.
-    While core 0 is the bottleneck *and* batches are full, dispatches
-    are a pure ``free += busy`` chain — folded in vectorized streaks of
-    up to ``_STREAK_MAX`` batches via ``cumsum`` (the exact left fold).
+    trace one batch at a time, handing runs of full batches to strided
+    streaks (:func:`_streak`) that write exactly what the steps would:
+
+    * uncongested (``free <= trigger``): each step is a table lookup,
+      and a full batch at head ``h`` is followed by an uncongested head
+      ``h + m`` exactly when ``size_u[h] == m`` and ``free_u[h] <=
+      trigger[h + m]``.  After ``_STREAK_GATE`` full steps a streak
+      takes the prefix of ``h + m*k`` where that holds, dispatching
+      each at its trigger — index selection only, and a mixed-size
+      trace that never runs full never opens one;
+    * congested (core 0 late) and full: dispatches are a pure
+      ``free += busy`` chain, folded via ``cumsum`` (the exact left
+      fold) while every probed batch still fills.
     """
     n = arrivals.size
     m = policy.max_batch
@@ -518,29 +561,49 @@ def _plan_batches_dynamic(
     idx = np.arange(n, dtype=np.int64)
     size_u = np.clip(arrived - idx, 1, m)
     free_u = trigger + busy0[size_u]
-    next_u = idx + size_u
     bm = float(busy0[m])
+
+    def uncongested(hv, free):
+        ok = (size_u[hv] == m) & (free_u[hv] <= trigger[hv + m])
+        return ok, trigger[hv], free_u[hv]
+
+    def congested(hv, free):
+        # The exact left fold of `free += bm`, so `fv + bm` is its next
+        # step too.
+        fv = np.cumsum(np.concatenate(([free], np.full(hv.size - 1, bm))))
+        queued = np.searchsorted(arrivals, fv, side="right") - hv
+        return (fv >= trigger[hv]) & (queued >= m), fv, fv + bm
 
     heads = np.empty(n, dtype=np.int64)
     sizes = np.empty(n, dtype=np.int64)
     disp = np.empty(n)
+    out = (heads, sizes, disp)
     nb = 0
     h = 0
     free = free0
     # Streak probes are speculative: start narrow and double while the
-    # chain stays saturated, so a workload that alternates congested
-    # and uncongested batches never pays for a wide failed probe.
-    probe = _STREAK_MIN
+    # streak holds, so a workload that alternates regimes or sizes never
+    # pays for a wide failed probe.
+    probe_u = probe_c = _STREAK_MIN
+    run = 0  # consecutive uncongested full steps
     while h < n:
         trig = float(trigger[h])
         if free <= trig:
+            if run >= _STREAK_GATE:
+                run = 0
+                nb, h, free, probe_u = _streak(
+                    uncongested, out, nb, h, free, m, n - 1, probe_u
+                )
+                continue
             # Uncongested: dispatch at the policy trigger.
+            size = int(size_u[h])
             heads[nb] = h
-            sizes[nb] = size_u[h]
+            sizes[nb] = size
             disp[nb] = trig
             free = float(free_u[h])
-            h = int(next_u[h])
+            h += size
             nb += 1
+            run = run + 1 if size == m else 0
             continue
         # Congested: core 0 is late, so dispatch the moment it frees.
         queued = int(arrivals.searchsorted(free, side="right")) - h
@@ -551,34 +614,11 @@ def _plan_batches_dynamic(
         free = free + float(busy0[size])
         h += size
         nb += 1
-        if size < m:
-            continue
-        # Saturated: chase the congested full-batch chain in streaks.
-        while True:
-            span = min(probe, (n - h) // m)
-            if span <= 0:
-                break
-            fv = np.cumsum(np.concatenate(([free], np.full(span - 1, bm))))
-            hv = h + m * np.arange(span, dtype=np.int64)
-            counts = np.searchsorted(arrivals, fv, side="right")
-            valid = (fv >= trigger[hv]) & (counts - hv >= m)
-            take = span if valid.all() else int(valid.argmin())
-            if take < span:
-                probe = _STREAK_MIN
-            elif probe < _STREAK_MAX:
-                probe *= 2
-            if take == 0:
-                break
-            heads[nb : nb + take] = hv[:take]
-            sizes[nb : nb + take] = m
-            disp[nb : nb + take] = fv[:take]
-            nb += take
-            h += take * m
-            # fv is the exact fold, so continuing from it keeps the
-            # free-time chain bit-identical to `free += bm` steps.
-            free = float(fv[take]) if take < span else float(fv[-1]) + bm
-            if take < span:
-                break
+        run = 0
+        if size == m:
+            nb, h, free, probe_c = _streak(
+                congested, out, nb, h, free, m, n, probe_c
+            )
     return heads[:nb], sizes[:nb], disp[:nb]
 
 

@@ -30,30 +30,6 @@ class BankSpectrum:
     drop: np.ndarray
     through: np.ndarray
 
-    def isolation_db(self, channel_a: int, channel_b: int, grid) -> float:
-        """Channel isolation: ring A's drop at its own channel vs at B's.
-
-        Args:
-            channel_a: index of the ring/channel under test.
-            channel_b: index of the interfering channel.
-            grid: the bank's :class:`~repro.photonics.wdm.WdmGrid`.
-
-        Returns:
-            Isolation in dB (positive = good isolation).
-        """
-        from repro.photonics.constants import linear_to_db
-
-        own = self._drop_at(grid.frequency_of(channel_a))
-        other = self._drop_at(grid.frequency_of(channel_b))
-        if other <= 0.0:
-            return float("inf")
-        return linear_to_db(own / other)
-
-    def _drop_at(self, frequency_hz: float) -> float:
-        """Drop fraction at the sample nearest ``frequency_hz``."""
-        index = int(np.argmin(np.abs(self.frequencies_hz - frequency_hz)))
-        return float(self.drop[index])
-
 
 # repro: allow[API002] closed-form Lorentzian transfer sweep: pure
 # function of the bank's tuning state, nothing stochastic to seed

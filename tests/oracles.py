@@ -16,6 +16,12 @@ loops those paths must match bit for bit stay in the library:
 every front door called inside it runs on those loops.  It is the one
 way a differential pin reaches the oracle; ``tests/test_oracles.py``
 guards that it really does.
+
+:func:`verify_admission_walk` is the scalar form of the capped lane's
+plan check, ``cluster._verify_admission_plan``: one batch at a time, a
+monotone pointer over the judgment frontier.  The library computes the
+same frontier in closed form; the differential pins hold the two to
+the same verdict.
 """
 
 from __future__ import annotations
@@ -24,8 +30,11 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
+
 from repro.core import cluster
 from repro.core.accelerator import PhotonicConvolution
+from repro.core.simkernel import plan_dispatch
 
 
 def _lane_loop(lane, health) -> None:
@@ -46,3 +55,57 @@ def reference_loops() -> Iterator[None]:
         ),
     ):
         yield
+
+
+def verify_admission_walk(raw, mask, policy, model, cap, sizes, disp) -> bool:
+    """``cluster._verify_admission_plan``, walked batch by batch.
+
+    Per batch ``k``: advance the judged pointer to the previous
+    dispatch's phase-B frontier, fail if the head outruns the visible
+    admits, drain to the head admit when the queue is empty, extend the
+    early-admit chain while ``kmin[judged] <= k``, stop once every admit
+    is visible, and otherwise re-seal with ``plan_dispatch`` unless the
+    batch is blind to the invisible suffix.
+    """
+    n = int(raw.size)
+    nb = int(sizes.size)
+    adm_before = np.concatenate(([0], np.cumsum(mask))).tolist()
+    total = adm_before[-1]
+    cum = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    need = np.asarray(adm_before[:-1]) - cap + 1
+    kmin = np.searchsorted(cum, np.maximum(need, 0), side="left")
+    kmin = np.where(mask, kmin, nb + 1).tolist()
+    pb = np.searchsorted(raw, disp, side="right").tolist()
+    admitted_idx = np.flatnonzero(mask).tolist()
+    admitted_times = raw[mask]
+    max_batch = policy.max_batch
+    busy0 = (
+        model.weight_load_s[0]
+        + np.arange(max_batch + 1) * model.conv_time_s[0]
+    )
+    judged = 0
+    for k in range(nb):
+        if k and pb[k - 1] > judged:
+            judged = pb[k - 1]
+        head = cum[k]
+        visible = adm_before[judged]
+        if visible < head:
+            return False
+        if visible == head:
+            judged = admitted_idx[head] + 1
+        while judged < n and kmin[judged] <= k:
+            judged += 1
+        visible = adm_before[judged]
+        if visible == total:
+            return True
+        if head + max_batch <= visible and disp[k] < raw[judged]:
+            continue
+        dispatch, size = plan_dispatch(
+            admitted_times[:visible],
+            head,
+            policy,
+            0.0 if k == 0 else float(disp[k - 1]) + float(busy0[sizes[k - 1]]),
+        )
+        if dispatch != disp[k] or size != sizes[k]:
+            return False
+    return True

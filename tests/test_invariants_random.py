@@ -63,13 +63,15 @@ All randomness is drawn through seeded ``default_rng`` streams from
 hypothesis-chosen seeds, so failures shrink and replay deterministically.
 """
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_loops
+from oracles import reference_loops, verify_admission_walk
 
 from repro.core.accelerator import PCNNA, PhotonicConvolution
 from repro.core.adaptive import (
@@ -78,6 +80,7 @@ from repro.core.adaptive import (
     BurnRateAdmission,
 )
 from repro.analysis import sweep_cluster_serving
+from repro.core import cluster
 from repro.core.cluster import (
     ClusterSimulator,
     ClusterTenant,
@@ -102,6 +105,7 @@ from repro.core.fleet import (
     uniform_rtt,
 )
 from repro.core.serving import run_network_pipelined
+from repro.core.simkernel import plan_batches, plan_dispatch
 from repro.core.traffic import (
     BatchingPolicy,
     PipelineServiceModel,
@@ -782,6 +786,112 @@ class TestKernelModeEquivalence:
 
 
 # --------------------------------------------------------------------------
+# plan_batches vs a scalar plan_dispatch fold
+# --------------------------------------------------------------------------
+
+# Dyadic time unit: arrivals, waits and service times are small integer
+# multiples of it, so every sum the planner forms is exact and
+# ``free == trigger`` ties land on the streak predicates' boundaries.
+_UNIT_S = 2.0**-20
+
+
+@st.composite
+def planner_trace_case(draw):
+    """A random planning problem built to cross the streak gates.
+
+    The trace is a chain of segments, each a run of equally spaced
+    arrivals: *full* segments keep core 0 just ahead of full batches
+    (their spacing sits on or one unit past the tie ``m * gap ==
+    busy``), *congested* ones arrive faster than core 0 drains full
+    batches, *sparse* ones leave every head alone past its deadline,
+    and *tie* ones stack simultaneous arrivals.  Full and congested
+    segments run long enough to open several streaks, and the draw
+    alternates them freely.  Policies cover all three planner shapes
+    with ``max_batch`` 2-19 for the dynamic one, and a resumed
+    ``head``/``core0_free_s`` starts the plan part-way.
+    """
+    m = draw(st.integers(min_value=2, max_value=19))
+    load = draw(st.integers(min_value=1, max_value=12))
+    conv = draw(st.integers(min_value=1, max_value=3))
+    busy = load + m * conv
+    full_gap = -(-busy // m) + draw(st.integers(min_value=0, max_value=1))
+    wait = (m - 1) * full_gap + draw(st.integers(min_value=0, max_value=4))
+    shape = draw(st.sampled_from(["dynamic"] * 4 + ["fixed", "fifo"]))
+    if shape == "fifo":
+        policy = BatchingPolicy.fifo()
+    elif shape == "fixed":
+        policy = BatchingPolicy.fixed(m)
+    else:
+        policy = BatchingPolicy.dynamic(m, wait * _UNIT_S)
+    gaps = []
+    for kind in draw(
+        st.lists(
+            st.sampled_from(["full", "full", "congested", "sparse", "tie"]),
+            min_size=1,
+            max_size=6,
+        )
+    ):
+        if kind == "full":
+            count = m * draw(st.integers(min_value=1, max_value=160))
+            gap = full_gap
+        elif kind == "congested":
+            count = m * draw(st.integers(min_value=1, max_value=60))
+            fastest = max(0, busy // m - 1)
+            gap = draw(st.integers(min_value=0, max_value=fastest))
+        elif kind == "sparse":
+            count = draw(st.integers(min_value=1, max_value=40))
+            gap = wait + busy + draw(st.integers(min_value=1, max_value=9))
+        else:
+            count = draw(st.integers(min_value=2, max_value=3 * m))
+            gap = 0
+        lead = draw(st.integers(min_value=0, max_value=3 * busy))
+        gaps.extend([lead] + [gap] * (count - 1))
+    arrivals = np.cumsum(np.array(gaps, dtype=np.int64)) * _UNIT_S
+    model = dataclasses.replace(
+        PipelineServiceModel.from_specs(lenet5_conv_specs(), 1),
+        weight_load_s=(load * _UNIT_S,),
+        conv_time_s=(conv * _UNIT_S,),
+    )
+    head = draw(st.integers(min_value=0, max_value=arrivals.size - 1))
+    free = 0.0
+    if head and draw(st.booleans()):
+        offset = draw(st.integers(min_value=-busy, max_value=4 * busy))
+        free = max(0.0, float(arrivals[head]) + offset * _UNIT_S)
+    return arrivals, policy, model, head, free
+
+
+def plan_dispatch_fold(arrivals, policy, model, head, free):
+    """The planner's spec: one ``plan_dispatch`` per batch, with core 0
+    booked the way a lane commits it."""
+    heads, sizes, disp = [], [], []
+    while head < arrivals.size:
+        dispatch, size = plan_dispatch(arrivals, head, policy, free)
+        heads.append(head)
+        sizes.append(size)
+        disp.append(dispatch)
+        free = max(dispatch, free) + model.core_busy_s(0, size)
+        head += size
+    return np.array(heads), np.array(sizes), np.array(disp, dtype=float)
+
+
+class TestPlannerScalarFold:
+    """``plan_batches`` is the ``plan_dispatch`` fold, batch for batch,
+    including across both streaks of the dynamic planner."""
+
+    @given(case=planner_trace_case())
+    @settings(max_examples=150, deadline=None)
+    def test_plan_batches_is_the_plan_dispatch_fold(self, case):
+        arrivals, policy, model, head, free = case
+        heads, sizes, disp = plan_batches(arrivals, policy, model, head, free)
+        ref_heads, ref_sizes, ref_disp = plan_dispatch_fold(
+            arrivals, policy, model, head, free
+        )
+        assert heads.tolist() == ref_heads.tolist()
+        assert sizes.tolist() == ref_sizes.tolist()
+        assert disp.tobytes() == ref_disp.tobytes()
+
+
+# --------------------------------------------------------------------------
 # PR 10: frozen-allocation cluster fast path + parallel grid executor
 # --------------------------------------------------------------------------
 
@@ -926,6 +1036,79 @@ class TestClusterModeEquivalence:
                         == v.shed_arrival_s.tobytes()
                     )
                     assert tuple(r.batches) == tuple(v.batches)
+
+
+def admission_fixed_points(seed: int, count: int) -> list[tuple]:
+    """Random capped lanes' admission fixed points, as handed to the
+    plan check: ``(raw, mask, policy, model, cap, sizes, disp)``.
+
+    Loads run from half to twenty times capacity, caps from one to
+    past three batches, and some traces quantize onto a decimal or a
+    dyadic grid so ties pile onto cap boundaries and deadlines.
+    """
+    rng = np.random.default_rng(seed)
+    points = []
+    real = cluster._verify_admission_plan
+
+    def record(*args):
+        points.append(args)
+        return real(*args)
+
+    with mock.patch.object(cluster, "_verify_admission_plan", record):
+        for _ in range(count):
+            num_cores = int(rng.integers(1, 4))
+            model = PipelineServiceModel.from_specs(
+                lenet5_conv_specs(), num_cores
+            )
+            m = int(rng.integers(1, 10))
+            rate = float(rng.choice([0.5, 1.0, 2.0, 5.0, 20.0]))
+            rate *= model.capacity_rps(m)
+            count = int(rng.integers(1, 400))
+            raw = poisson_arrivals(rate, count, seed=int(rng.integers(1 << 30)))
+            wait = float(rng.choice([0.0, 1e-6, 1e-4, 1e-3]))
+            grid = rng.random()
+            if grid < 0.3:
+                span = float(raw[-1]) if float(raw[-1]) > 0.0 else 1.0
+                decimals = max(0, int(-np.floor(np.log10(span))) + 1)
+                raw = np.round(raw, decimals)
+            elif grid < 0.6:
+                # A dyadic grid near the mean gap, with the wait on it:
+                # deadlines land exactly on later arrivals.
+                step = 2.0 ** np.floor(np.log2(1.0 / rate))
+                raw = np.floor(raw / step) * step
+                wait = step * int(rng.integers(0, 4 * m + 1))
+            if rng.random() < 0.8:
+                policy = BatchingPolicy.dynamic(m, wait)
+            else:
+                policy = BatchingPolicy.fixed(m)
+            cap = int(rng.integers(1, 3 * m + 2))
+            cluster._plan_admitted(raw, policy, model, cap)
+    return points
+
+
+class TestAdmissionVerifyOracle:
+    """The capped lane's closed-form plan check returns the scalar
+    batch-by-batch walk's verdict (``oracles.verify_admission_walk``)
+    on real fixed points and on plans one dispatch off by an ulp."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_closed_form_matches_the_walk(self, seed):
+        verdicts = []
+        rng = np.random.default_rng(seed + 100)
+        for *args, disp in admission_fixed_points(seed, 200):
+            verdict = verify_admission_walk(*args, disp)
+            assert cluster._verify_admission_plan(*args, disp) == verdict
+            verdicts.append(verdict)
+            for _ in range(2):
+                nudged = disp.copy()
+                k = int(rng.integers(disp.size))
+                toward = math.inf if rng.random() < 0.5 else -math.inf
+                nudged[k] = np.nextafter(nudged[k], toward)
+                assert cluster._verify_admission_plan(
+                    *args, nudged
+                ) == verify_admission_walk(*args, nudged)
+        # The sweep reaches both verdicts, so neither side is vacuous.
+        assert True in verdicts and False in verdicts
 
 
 # --------------------------------------------------------------------------
