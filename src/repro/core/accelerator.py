@@ -12,7 +12,7 @@ photonic substrate, exactly as the architecture does (paper section IV):
 3. outputs are ADC-quantized and rescaled back to the original ranges.
 
 The device engine runs step 2 vectorized: every kernel location of
-every image in the (optional) batch is gathered and encoded image by
+every image in the (optional) batch is encoded and gathered image by
 image into one ``(waves, channels)`` stack, which
 :meth:`~repro.photonics.broadcast_weight.BroadcastAndWeightLayer.compute_batch`
 streams through the substrate in cache-sized blocks — a handful of
@@ -45,11 +45,16 @@ import numpy as np
 from repro.core.analytical import LayerAnalysis, analyze_layer
 from repro.core.config import PCNNAConfig
 from repro.core.timing import LayerTimingResult, simulate_layer
-from repro.nn.im2col import im2col_batch_stacked
+from repro.nn.im2col import im2col_batch_stacked, pad_feature_map
 from repro.nn.network import Network
 from repro.nn.shapes import ConvLayerSpec, conv_output_side
 from repro.photonics.broadcast_weight import BroadcastAndWeightLayer
 from repro.photonics.wdm import WdmGrid
+
+# Contract marker checked by `python -m repro.lint` (BIT001): the engine
+# goldens (lenet5_*.npz, googlenet-stem_*.npz) pin its outputs byte for
+# byte, so every float fold here must state why its rounding is fixed.
+__bit_identity__ = True
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,20 @@ def _compute_scaling(
         include_zero: extend the input ranges to contain 0 — required
             when zero padding injects literal zeros into receptive
             fields.
+
+    Raises:
+        ValueError: if an image or the kernels hold a NaN or an infinity,
+            which would otherwise turn every output they reach into NaN.
     """
+    # min and max propagate NaN and inf, so the ranges double as the
+    # finiteness check at no extra pass over the batch.
     x_min = stack.min(axis=(1, 2, 3))
     x_max = stack.max(axis=(1, 2, 3))
+    bad = np.flatnonzero(~(np.isfinite(x_min) & np.isfinite(x_max)))
+    if bad.size:
+        raise ValueError(
+            f"feature map holds non-finite values (image {int(bad[0])})"
+        )
     if include_zero:
         x_min = np.minimum(x_min, 0.0)
         x_max = np.maximum(x_max, 0.0)
@@ -108,6 +124,8 @@ def _compute_scaling(
     # Constant image: any positive scale works; pick 1 to avoid 0/0.
     span = np.where(span <= 0.0, 1.0, span)
     w_max = float(np.abs(kernels).max())
+    if not np.isfinite(w_max):
+        raise ValueError("kernels hold non-finite weights")
     if w_max <= 0.0:
         w_max = 1.0
     num_kernels = kernels.shape[0]
@@ -116,6 +134,9 @@ def _compute_scaling(
         input_offset=x_min,
         input_scale=span,
         weight_scale=w_max,
+        # repro: allow[BIT001] one recipe on every path: each engine
+        # and the reference loop decode with these sums, a per-row fold
+        # of the C-contiguous (K, F) matrix that no batch size touches
         weight_sums=weight_matrix.sum(axis=1),
     )
     return scaling, weight_matrix
@@ -179,7 +200,8 @@ class PhotonicConvolution:
             of the convolution (exact in ideal mode).
 
         Raises:
-            ValueError: on shape mismatches.
+            ValueError: on shape mismatches, non-square kernels, or a
+                NaN or infinity in the feature map or the kernels.
         """
         feature_map = np.asarray(feature_map, dtype=float)
         kernels = np.asarray(kernels, dtype=float)
@@ -194,6 +216,10 @@ class PhotonicConvolution:
             raise ValueError(
                 f"kernels {kernels.shape} incompatible with input "
                 f"{feature_map.shape}"
+            )
+        if kernels.shape[2] != kernels.shape[3]:
+            raise ValueError(
+                f"kernels must be square (K, C, m, m), got {kernels.shape}"
             )
 
         batch_size = stack.shape[0]
@@ -215,20 +241,29 @@ class PhotonicConvolution:
         )
 
         def encoded_columns(index: int) -> np.ndarray:
-            """Image ``index``'s gathered, encoded ``(F, L)`` columns.
+            """Image ``index``'s encoded, gathered ``(F, L)`` columns.
 
-            One image at a time, so the gather and the in-place encode
-            chain stream over one image's columns, not the batch's.
+            The affine encode and the input DAC are elementwise, so they
+            run once per pixel of the padded image and the gather then
+            copies the encoded pixels into every receptive field that
+            holds them — eq. (8)'s accounting, which charges a kernel
+            location only its new values.  The pad zeros are encoded as
+            pixels, exactly as gathered zeros would be, so every column
+            byte equals gather-then-encode.  One image at a time, so the
+            chain streams over one image, not the batch.
             """
-            columns = im2col_batch_stacked(
-                stack[index : index + 1], kernel_size, stride, padding
-            )[0]
-            np.subtract(columns, scaling.input_offset[index], out=columns)
-            np.divide(columns, scaling.input_scale[index], out=columns)
-            np.clip(columns, 0.0, 1.0, out=columns)
+            # The encode runs in place: never on the caller's batch.
+            image = (
+                pad_feature_map(stack[index], padding)
+                if padding
+                else stack[index].copy()
+            )
+            np.subtract(image, scaling.input_offset[index], out=image)
+            np.divide(image, scaling.input_scale[index], out=image)
+            np.clip(image, 0.0, 1.0, out=image)
             if self.quantize:
-                columns = self.config.input_dac.quantize(columns)
-            return columns
+                image = self.config.input_dac.quantize(image)
+            return im2col_batch_stacked(image[None], kernel_size, stride, 0)[0]
 
         if self._resolved_method() == "matrix":
             # One 2-D GEMM per image — the same (K, F) @ (F, L) call a
@@ -433,7 +468,8 @@ class PCNNA:
                         if batched
                         else layer.bias[:, None, None]
                     )
-                    current = current + bias
+                    # convolve returns a fresh array: add in place.
+                    current += bias
             elif batched:
                 current = layer.forward_batch(current)
             else:

@@ -40,6 +40,9 @@ REQUIRED_BIT_IDENTITY = (
     "repro/core/adaptive.py",
     "repro/photonics/drift.py",
     "repro/photonics/weight_bank.py",
+    "repro/core/accelerator.py",
+    "repro/photonics/photodiode.py",
+    "repro/photonics/broadcast_weight.py",
 )
 
 #: Order-sensitive fold entry points (``math.fsum`` is exempt: it is

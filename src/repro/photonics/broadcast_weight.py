@@ -37,6 +37,11 @@ from repro.photonics.photodiode import BalancedPhotodetector, PhotodiodeSpec
 from repro.photonics.waveguide import Splitter, Waveguide
 from repro.photonics.wdm import WdmGrid
 
+# Contract marker checked by `python -m repro.lint` (BIT001): the
+# vectorized core is pinned bit-equal to the wave-by-wave loop and to
+# the engine goldens.
+__bit_identity__ = True
+
 BLOCK_BYTES = 1 << 20
 """Size of one ``(waves, channels)`` float64 block of an ideal
 :meth:`BroadcastAndWeightLayer.compute_batch` stream: about 1 MiB, so a
@@ -218,6 +223,7 @@ class BroadcastAndWeightLayer:
     @property
     def total_rings(self) -> int:
         """Total microrings across all banks (K * Nkernel for one layer)."""
+        # repro: allow[BIT001] integer count, exact in any order
         return sum(bank.num_rings for bank in self.banks)
 
     @property

@@ -36,6 +36,11 @@ from repro.photonics.constants import (
 )
 from repro.photonics.noise import NoiseConfig, ideal
 
+# Contract marker checked by `python -m repro.lint` (BIT001): the
+# detector's sum is the accumulate of every MAC, and the engine goldens
+# pin it bit for bit.
+__bit_identity__ = True
+
 
 @dataclass(frozen=True)
 class PhotodiodeSpec:
@@ -135,11 +140,14 @@ class Photodiode:
         if np.any(powers < 0):
             raise ValueError("optical power cannot be negative")
         if powers.ndim <= 1:
+            # repro: allow[BIT001] numpy's pairwise fold over the one
+            # channel axis; the batched branch repeats it row by row
             current = self.spec.responsivity_a_per_w * float(powers.sum())
             return self._add_noise(current)
-        # Batched: one summation per leading element.  The per-row pairwise
-        # reduction over the contiguous last axis performs the same float
-        # additions as the 1-D sum above, keeping ideal mode bit-equal.
+        # repro: allow[BIT001] batched: one summation per leading
+        # element.  The per-row pairwise reduction over the contiguous
+        # last axis performs the same float additions as the 1-D sum
+        # above, keeping ideal mode bit-equal.
         currents = self.spec.responsivity_a_per_w * np.ascontiguousarray(
             powers
         ).sum(axis=-1)

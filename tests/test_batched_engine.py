@@ -10,7 +10,7 @@ The contract under test (see ``docs/architecture.md``):
 * the batched entry points (``conv2d_batch``, batched ``convolve``,
   batched ``run_network``, ``compute_batch``) agree with their
   per-image / per-wave counterparts;
-* the streaming engine (per-image gather and encode, blocked device
+* the streaming engine (per-image encode then gather, blocked device
   core) is byte-identical to a whole-batch twin, and its memory stays
   bounded by one image's columns rather than the batch's.
 """
@@ -136,6 +136,42 @@ class TestBatchedShapes:
         engine = PhotonicConvolution(method=method)
         with oracle(), pytest.raises(ValueError, match="at least one image"):
             engine.convolve(np.zeros((0, 2, 6, 6)), np.zeros((3, 2, 3, 3)))
+
+    @pytest.mark.parametrize(
+        ("method", "quantize"),
+        [("matrix", False), ("device", False), ("device", True)],
+    )
+    @pytest.mark.parametrize(
+        ("where", "value"),
+        [
+            ("pixel", np.nan),
+            ("pixel", np.inf),
+            ("pixel", -np.inf),
+            ("weight", np.inf),
+            ("weight", np.nan),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, method, quantize, where, value):
+        # Unchecked, one NaN pixel turns every output of its image to
+        # NaN, and one infinite weight every output of the call.
+        x = np.ones((2, 1, 6, 6))
+        k = np.ones((3, 1, 3, 3))
+        if where == "pixel":
+            x[1, 0, 2, 3] = value
+            match = r"feature map holds non-finite values \(image 1\)"
+        else:
+            k[2, 0, 1, 1] = value
+            match = "kernels hold non-finite weights"
+        engine = PhotonicConvolution(method=method, quantize=quantize)
+        with pytest.raises(ValueError, match=match):
+            engine.convolve(x, k, 1, 1)
+
+    @pytest.mark.parametrize("method", ["matrix", "device"])
+    def test_rejects_non_square_kernels(self, method):
+        with pytest.raises(ValueError, match="kernels must be square"):
+            PhotonicConvolution(method=method).convolve(
+                np.zeros((2, 1, 8, 8)), np.zeros((2, 1, 3, 5))
+            )
 
     def test_compute_batch_rejects_zero_waves(self):
         layer = BroadcastAndWeightLayer(5, 3)
@@ -267,7 +303,8 @@ def _whole_batch_twin(engine, x, k, stride, padding):
 
 
 class TestStreamingPin:
-    """Per-image gather/encode and the blocked core change no byte."""
+    """Per-image encode-then-gather and the blocked core change no byte
+    against the whole-batch gather-then-encode twin."""
 
     @pytest.mark.parametrize("batch", [1, 3, 17])
     @pytest.mark.parametrize(
@@ -297,6 +334,44 @@ class TestStreamingPin:
         assert np.array_equal(out, _whole_batch_twin(engine, x, k, 1, 2))
         if batch == 17 and not noisy:
             assert out.shape[0] * out[0, 0].size > BLOCK_BYTES // (8 * 75)
+
+    @pytest.mark.parametrize(
+        ("method", "quantize"),
+        [("matrix", False), ("device", False), ("device", True)],
+    )
+    @pytest.mark.parametrize(
+        ("size", "stride", "padding", "inputs"),
+        [
+            # conv1's geometry: each pixel sits in up to 16 fields.
+            (7, 2, 3, "normal"),
+            # Stride above the kernel: some pixels are read by no field.
+            (2, 3, 1, "normal"),
+            # No padding: the encode must run on a copy of the batch.
+            (3, 1, 0, "normal"),
+            # A constant image has no span; the scaling forces it to 1.
+            (3, 1, 0, "constant"),
+            # All negative with padding: encode(0) is 1, not 0, so the
+            # pad must be encoded like any pixel.
+            (3, 2, 2, "negative"),
+        ],
+    )
+    def test_encode_before_gather_equals_whole_batch_twin(
+        self, method, quantize, size, stride, padding, inputs
+    ):
+        rng = np.random.default_rng(size * 10 + stride)
+        x = {
+            "normal": lambda: rng.normal(size=(3, 2, 16, 15)),
+            "constant": lambda: np.full((3, 2, 16, 15), -1.5),
+            "negative": lambda: -rng.uniform(0.5, 2.0, size=(3, 2, 16, 15)),
+        }[inputs]()
+        k = rng.normal(size=(4, 2, size, size))
+        engine = PhotonicConvolution(method=method, quantize=quantize)
+        assert engine._resolved_method() == method
+        before = x.copy()
+        out = engine.convolve(x, k, stride, padding)
+        assert np.array_equal(x, before)
+        twin = _whole_batch_twin(engine, x, k, stride, padding)
+        assert np.array_equal(out, twin)
 
 
 class TestBoundedMemory:
