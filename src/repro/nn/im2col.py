@@ -13,9 +13,8 @@ kernels are ``(num_kernels, channels, kh, kw)``.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.shapes import conv_output_side
 
@@ -41,21 +40,25 @@ def pad_feature_map(feature_map: np.ndarray, padding: int) -> np.ndarray:
     )
 
 
-def _field_and_origins(
+def receptive_field_indices(
     height: int,
     width: int,
     channels: int,
     kernel_size: int,
     stride: int,
     padding: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two separable parts of the receptive-field index map.
+) -> np.ndarray:
+    """Flat padded-input indices of every receptive field.
 
     Returns:
-        ``(within_field, location_origins)``: the flat offsets of one
-        field's elements in (channel, row, col) order, and the flat
-        origin of every kernel location (row-major).  Element ``f`` of
-        field ``i`` sits at ``location_origins[i] + within_field[f]``.
+        Integer array of shape ``(num_locations, channels * k * k)``; row
+        ``i`` lists, in (channel, row, col) order, the flat indices into
+        the *padded* ``(C, H + 2p, W + 2p)`` tensor that form receptive
+        field ``i`` (locations scan row-major).
+
+    This index map is what "receptive field i" means: the scheduler
+    walks it, and the window-copy gather of :func:`im2col` is pinned to
+    it element for element.
     """
     out_h = conv_output_side(height, kernel_size, padding, stride)
     out_w = conv_output_side(width, kernel_size, padding, stride)
@@ -73,58 +76,7 @@ def _field_and_origins(
 
     oy, ox = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
     location_origins = (oy * stride * padded_w + ox * stride).reshape(-1)
-    return within_field, location_origins
-
-
-def receptive_field_indices(
-    height: int,
-    width: int,
-    channels: int,
-    kernel_size: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Flat padded-input indices of every receptive field.
-
-    Returns:
-        Integer array of shape ``(num_locations, channels * k * k)``; row
-        ``i`` lists, in (channel, row, col) order, the flat indices into
-        the *padded* ``(C, H + 2p, W + 2p)`` tensor that form receptive
-        field ``i`` (locations scan row-major).
-
-    This index map is shared by the reference conv, the photonic
-    functional simulation, and the scheduler, guaranteeing all three agree
-    on what "receptive field i" means.
-    """
-    within_field, location_origins = _field_and_origins(
-        height, width, channels, kernel_size, stride, padding
-    )
     return location_origins[:, None] + within_field[None, :]
-
-
-@lru_cache(maxsize=16)
-def _column_indices(
-    height: int,
-    width: int,
-    channels: int,
-    kernel_size: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """The field-major ``(C * k * k, num_locations)`` form of the map.
-
-    Entry ``[f, i]`` equals ``receptive_field_indices(...)[i, f]``, but
-    the array is built C-contiguous in this orientation, so ``np.take``
-    over it writes the columns in their final layout in one pass.  It is
-    memoized per geometry (a streaming engine gathers image by image)
-    and therefore read-only.
-    """
-    within_field, location_origins = _field_and_origins(
-        height, width, channels, kernel_size, stride, padding
-    )
-    indices = within_field[:, None] + location_origins[None, :]
-    indices.flags.writeable = False
-    return indices
 
 
 def im2col(
@@ -139,22 +91,15 @@ def im2col(
         padding: zero padding ``p``.
 
     Returns:
-        C-contiguous array of shape ``(C * m * m, num_locations)`` whose
-        column ``i`` is receptive field ``i``.
+        A fresh, writable, C-contiguous array of shape
+        ``(C * m * m, num_locations)`` whose column ``i`` is receptive
+        field ``i``.
     """
     if feature_map.ndim != 3:
         raise ValueError(
             f"expected (channels, height, width), got shape {feature_map.shape}"
         )
-    channels, height, width = feature_map.shape
-    padded = pad_feature_map(feature_map, padding)
-    indices = _column_indices(
-        height, width, channels, kernel_size, stride, padding
-    )
-    # ``np.take`` returns an array of the index map's shape, C-contiguous:
-    # downstream GEMMs are layout-sensitive at the last bit, so every
-    # gather must hand them this same layout.
-    return np.take(padded.reshape(-1), indices)
+    return im2col_batch_stacked(feature_map[None], kernel_size, stride, padding)[0]
 
 
 def im2col_batch_stacked(
@@ -162,20 +107,25 @@ def im2col_batch_stacked(
 ) -> np.ndarray:
     """Unroll a minibatch's receptive fields into a stacked column tensor.
 
-    The primary batched gather: image ``b``'s slice ``[b]`` is exactly
-    (bit-for-bit, and in the same C-contiguous layout) what
-    :func:`im2col` returns for that image, so stacked matrix products
-    over the result reproduce per-image GEMMs identically.  Both the
-    photonic and the NumPy batched conv engines build on this.
+    The one gather: image ``b``'s slice ``[b]`` is exactly (bit-for-bit,
+    and in the same C-contiguous layout) what :func:`im2col` returns for
+    that image, so stacked matrix products over the result reproduce
+    per-image GEMMs identically.  Both the photonic and the NumPy
+    batched conv engines build on this.
+
+    The columns are one C-order copy of the padded batch's strided
+    ``m x m`` window view, laid out ``(B, C, m, m, out_h, out_w)``: no
+    index map is built or read.
 
     Args:
         feature_maps: minibatch of shape ``(B, C, H, W)``.
 
     Returns:
-        Array of shape ``(B, C * m * m, num_locations)``.
+        A fresh, writable array of shape ``(B, C * m * m, num_locations)``.
 
     Raises:
-        ValueError: if the batch is not 4-D or is empty.
+        ValueError: if the batch is not 4-D or is empty, or the geometry
+            is invalid.
     """
     maps = np.asarray(feature_maps)
     if maps.ndim != 4:
@@ -185,18 +135,25 @@ def im2col_batch_stacked(
     if maps.shape[0] == 0:
         raise ValueError("batch must contain at least one image")
     batch_size, channels, height, width = maps.shape
+    out_h = conv_output_side(height, kernel_size, padding, stride)
+    out_w = conv_output_side(width, kernel_size, padding, stride)
     if padding > 0:
         maps = np.pad(
             maps,
             ((0, 0), (0, 0), (padding, padding), (padding, padding)),
             mode="constant",
         )
-    indices = _column_indices(
-        height, width, channels, kernel_size, stride, padding
+    windows = sliding_window_view(maps, (kernel_size, kernel_size), axis=(2, 3))
+    fields = windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
+    # An explicit copy: for a 1x1 kernel, or one as large as the padded
+    # map, the transposed view is already contiguous, and
+    # ``np.ascontiguousarray`` would return it: read-only, aliasing the
+    # input.  Downstream GEMMs are layout-sensitive at the last bit, so
+    # every gather hands them this same C-contiguous layout.
+    columns = np.array(fields, order="C", copy=True)
+    return columns.reshape(
+        batch_size, channels * kernel_size * kernel_size, out_h * out_w
     )
-    # Taking along axis 1 keeps the batch axis outermost, so the result
-    # is C-contiguous and each image slice has im2col's layout.
-    return np.take(maps.reshape(batch_size, -1), indices, axis=1)
 
 
 def im2col_batch(

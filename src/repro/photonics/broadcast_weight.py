@@ -45,7 +45,8 @@ __bit_identity__ = True
 BLOCK_BYTES = 1 << 20
 """Size of one ``(waves, channels)`` float64 block of an ideal
 :meth:`BroadcastAndWeightLayer.compute_batch` stream: about 1 MiB, so a
-block and its per-bank temporaries stay in cache."""
+block and a bank's drop and through products stay in cache.  The banks'
+transfers are read once per call, not once per block."""
 
 
 class PhotonicMacUnit:
@@ -285,10 +286,14 @@ class BroadcastAndWeightLayer:
         An ideal layer streams the stack in blocks of about
         :data:`BLOCK_BYTES` (emit, encode, split, then every bank's
         weight and detect), so its temporaries stay cache-sized; each
-        wave's arithmetic does not depend on its block.  A noisy layer
-        takes the whole stack as one block: its generator draws RIN for
-        every wave, then each bank's detector noise, and that draw order
-        is what makes a seeded call reproducible.
+        wave's arithmetic does not depend on its block.  The banks'
+        transfers are read and checked once per call and a block's
+        powers once, where :meth:`compute` checks in every bank's
+        ``apply`` and every diode's ``detect``; a negative power is
+        rejected either way.  A noisy layer takes the whole stack as one
+        block: its generator draws RIN for every wave, then each bank's
+        detector noise, and that draw order is what makes a seeded call
+        reproducible.
 
         Args:
             inputs: normalized receptive fields of shape
@@ -315,6 +320,9 @@ class BroadcastAndWeightLayer:
             block = num_waves
         else:
             block = max(1, BLOCK_BYTES // batch[0].nbytes)
+        transfers = np.array([bank.transmission_matrix() for bank in self.banks])
+        if np.any(transfers < 0):
+            raise ValueError("optical power cannot be negative")
         bandwidth_hz = self.detectors[0].spec.bandwidth_hz
         scale = self.calibration_scale
         outputs = np.empty((num_waves, self.num_outputs), dtype=float)
@@ -324,13 +332,23 @@ class BroadcastAndWeightLayer:
             powers *= self.modulator.encode(rows)
             # The splitter delivers the same attenuated copy to every bank.
             powers *= self.splitter.per_output_transmission
-            for index, (bank, detector) in enumerate(
-                zip(self.banks, self.detectors)
+            # One sign check stands for every bank's weight and detector
+            # check: with both factors non-negative no product is negative.
+            if np.any(powers < 0):
+                raise ValueError("optical power cannot be negative")
+            for index, ((drop, through), detector) in enumerate(
+                zip(transfers, self.detectors)
             ):
-                drop, through = bank.apply(powers)
-                outputs[start : start + block, index] = (
-                    detector.detect(drop, through) / scale
-                )
+                # repro: allow[BIT001] WeightBank.apply's product and
+                # Photodiode.detect's contiguous row sum, as compute() runs them
+                drop_w = (powers * drop).sum(axis=-1)
+                # repro: allow[BIT001] the same fold for the through port
+                through_w = (powers * through).sum(axis=-1)
+                # Positive diode first: compute()'s noise draw order.
+                current = detector.positive.detect_summed(
+                    drop_w
+                ) - detector.negative.detect_summed(through_w)
+                outputs[start : start + block, index] = current / scale
         return outputs
 
     def matvec(self, inputs: np.ndarray, matrix: np.ndarray) -> np.ndarray:

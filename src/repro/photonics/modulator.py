@@ -98,7 +98,12 @@ class MachZehnderModulator:
                 numerical tolerance.
         """
         array = np.atleast_1d(np.asarray(values, dtype=float))
-        if np.any(array < -1e-12) or np.any(array > 1.0 + 1e-12):
+        # One reduction per bound.  fmin/fmax skip NaN, which passes the
+        # check (every comparison with it is false) as it always has.
+        if array.size and (
+            np.fmin.reduce(array, axis=None) < -1e-12
+            or np.fmax.reduce(array, axis=None) > 1.0 + 1e-12
+        ):
             bad = array[(array < -1e-12) | (array > 1.0 + 1e-12)]
             raise ValueError(
                 f"MZM encode expects values in [0, 1]; out-of-range: {bad[:5]!r}"

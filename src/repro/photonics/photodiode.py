@@ -142,16 +142,23 @@ class Photodiode:
         if powers.ndim <= 1:
             # repro: allow[BIT001] numpy's pairwise fold over the one
             # channel axis; the batched branch repeats it row by row
-            current = self.spec.responsivity_a_per_w * float(powers.sum())
-            return self._add_noise(current)
+            return self.detect_summed(float(powers.sum()))
         # repro: allow[BIT001] batched: one summation per leading
         # element.  The per-row pairwise reduction over the contiguous
         # last axis performs the same float additions as the 1-D sum
         # above, keeping ideal mode bit-equal.
-        currents = self.spec.responsivity_a_per_w * np.ascontiguousarray(
-            powers
-        ).sum(axis=-1)
-        return self._add_noise(currents)
+        return self.detect_summed(np.ascontiguousarray(powers).sum(axis=-1))
+
+    def detect_summed(
+        self, total_powers_w: np.ndarray | float
+    ) -> np.ndarray | float:
+        """Photocurrent (A) of incident power already summed over channels.
+
+        The responsivity and noise stage of :meth:`detect`, for a caller
+        that has checked and summed the powers itself: one total (a
+        float) or one total per leading element (an array).
+        """
+        return self._add_noise(self.spec.responsivity_a_per_w * total_powers_w)
 
     def _add_noise(self, current_a: np.ndarray | float) -> np.ndarray | float:
         """Apply shot and thermal noise to mean currents (scalar or array)."""

@@ -15,6 +15,7 @@ The contract under test (see ``docs/architecture.md``):
   bounded by one image's columns rather than the batch's.
 """
 
+import hashlib
 import tracemalloc
 from contextlib import nullcontext
 
@@ -249,6 +250,76 @@ class TestNoisyConsistency:
             with oracle:
                 out = engine.convolve(x, k)
             assert not np.allclose(out, ideal, atol=1e-12)
+
+
+class TestNoisyBytePin:
+    """Noisy device runs, pinned by sha256 of their output bytes.
+
+    The digests were recorded while every block still called each
+    bank's ``apply`` and each diode's ``detect``; reading the transfers
+    once per call and summing in place must not move a single RIN, shot
+    or thermal draw.
+    """
+
+    def test_compute_batch_under_realistic_noise(self):
+        rng = np.random.default_rng(70)
+        layer = BroadcastAndWeightLayer(12, 3, noise=realistic(seed=7))
+        layer.set_weight_matrix(rng.uniform(-1.0, 1.0, size=(3, 12)))
+        out = layer.compute_batch(rng.uniform(0.0, 1.0, size=(40, 12)))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "18687eecafb1b2362ae91d14329165ab1c5555e8182096bc0007d916226b2550"
+        )
+
+    def test_noisy_device_convolve(self):
+        rng = np.random.default_rng(71)
+        x = rng.normal(size=(2, 2, 9, 8))
+        k = rng.normal(size=(3, 2, 3, 3))
+        engine = PhotonicConvolution(
+            PCNNAConfig(noise=realistic(seed=7)), method="device"
+        )
+        out = np.ascontiguousarray(engine.convolve(x, k, 2, 1))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == (
+            "ce77a1a46579f18404c02621b384aecb73fcc6ac3fe17d7ab35a255431a14310"
+        )
+
+
+class TestDeviceCoreChecks:
+    """``compute_batch`` checks each bank's transfer once per call and
+    each block's powers once; it still rejects what the per-bank
+    ``apply`` and per-diode ``detect`` checks rejected."""
+
+    @staticmethod
+    def _layer():
+        layer = BroadcastAndWeightLayer(5, 3)
+        layer.set_weight_matrix(np.linspace(-1.0, 1.0, 15).reshape(3, 5))
+        return layer
+
+    def test_rejects_a_negative_transfer(self, monkeypatch):
+        layer = self._layer()
+        bank = layer.banks[1]
+        drop, through = bank.transmission_matrix()
+        through[2] = -1e-3
+        monkeypatch.setattr(bank, "transmission_matrix", lambda: (drop, through))
+        with pytest.raises(ValueError, match="optical power cannot be negative"):
+            layer.compute_batch(np.full((4, 5), 0.5))
+
+    def test_rejects_a_negative_laser_power_in_a_later_block(self, monkeypatch):
+        layer = self._layer()
+        emit = layer.lasers.emit
+        blocks = []
+
+        def emit_negative_in_second_block(bandwidth_hz, batch_size):
+            powers = emit(bandwidth_hz, batch_size=batch_size)
+            blocks.append(batch_size)
+            if len(blocks) == 2:
+                powers[-1, 0] = -1e-6
+            return powers
+
+        monkeypatch.setattr(layer.lasers, "emit", emit_negative_in_second_block)
+        waves = 2 * BLOCK_BYTES // (8 * 5) + 1
+        with pytest.raises(ValueError, match="optical power cannot be negative"):
+            layer.compute_batch(np.full((waves, 5), 0.5))
+        assert len(blocks) == 2
 
 
 def _whole_batch_twin(engine, x, k, stride, padding):

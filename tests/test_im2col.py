@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.im2col import (
-    _column_indices,
     col2im_accumulate,
     im2col,
     im2col_batch,
@@ -160,9 +159,76 @@ class TestSingleCopyGather:
             im2col_batch(maps, 3, 2, 1), np.concatenate(list(stacked), axis=1)
         )
 
-    def test_memoized_index_map_is_read_only(self):
-        im2col(np.zeros((1, 4, 4)), 2, 1, 0)
-        indices = _column_indices(4, 4, 1, 2, 1, 0)
-        assert np.array_equal(indices, receptive_field_indices(4, 4, 1, 2, 1, 0).T)
-        with pytest.raises(ValueError):
-            indices[0, 0] = 1
+
+def _fancy_index_columns(image, kernel_size, stride, padding):
+    """The gather as a fancy index over the receptive-field map."""
+    channels, height, width = image.shape
+    indices = receptive_field_indices(
+        height, width, channels, kernel_size, stride, padding
+    )
+    return pad_feature_map(image, padding).reshape(-1)[indices.T]
+
+
+def _assert_fresh_columns(columns, source):
+    assert columns.flags.c_contiguous
+    assert columns.flags.writeable
+    assert not np.shares_memory(columns, source)
+
+
+class TestWindowCopyGather:
+    """The window-copy gather equals the index-map oracle byte for byte
+    and always hands back a fresh, writable, C-contiguous array."""
+
+    @given(
+        batch=st.integers(min_value=1, max_value=3),
+        channels=st.integers(min_value=1, max_value=4),
+        height=st.integers(min_value=1, max_value=9),
+        width=st.integers(min_value=1, max_value=9),
+        kernel=st.integers(min_value=1, max_value=5),
+        stride=st.integers(min_value=1, max_value=6),
+        padding=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_gathers_equal_the_fancy_index_oracle(
+        self, batch, channels, height, width, kernel, stride, padding, seed
+    ):
+        if kernel > min(height, width) + 2 * padding:
+            return
+        maps = np.random.default_rng(seed).normal(
+            size=(batch, channels, height, width)
+        )
+        stacked = im2col_batch_stacked(maps, kernel, stride, padding)
+        _assert_fresh_columns(stacked, maps)
+        for index, image in enumerate(maps):
+            expected = _fancy_index_columns(image, kernel, stride, padding)
+            assert stacked[index].tobytes() == expected.tobytes()
+            single = im2col(image, kernel, stride, padding)
+            _assert_fresh_columns(single, maps)
+            assert single.shape == expected.shape
+            assert single.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        ("shape", "kernel", "stride", "padding"),
+        [
+            # A 1x1 kernel: the transposed window view is contiguous.
+            ((2, 3, 5, 4), 1, 1, 0),
+            # A kernel as large as the image covers it in one field.
+            ((2, 3, 5, 5), 5, 1, 0),
+            # A kernel as large as the padded image.
+            ((1, 2, 4, 4), 6, 2, 1),
+        ],
+    )
+    def test_contiguous_window_views_are_still_copied(
+        self, shape, kernel, stride, padding
+    ):
+        maps = np.random.default_rng(4).normal(size=shape)
+        before = maps.copy()
+        stacked = im2col_batch_stacked(maps, kernel, stride, padding)
+        single = im2col(maps[0], kernel, stride, padding)
+        expected = _fancy_index_columns(maps[0], kernel, stride, padding)
+        assert stacked[0].tobytes() == single.tobytes() == expected.tobytes()
+        for columns in (stacked, single):
+            _assert_fresh_columns(columns, maps)
+            columns[...] = 0.0
+        assert np.array_equal(maps, before)

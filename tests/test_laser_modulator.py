@@ -130,6 +130,20 @@ class TestMachZehnderModulator:
         assert encoded[0] == pytest.approx(1.0)
         assert encoded[1] == pytest.approx(0.0, abs=1e-12)
 
+    def test_encode_range_edges_and_nan(self):
+        mzm = MachZehnderModulator()
+        # The tolerance bounds themselves pass, and so does NaN: it
+        # compares false against both bounds.
+        encoded = mzm.encode(np.array([np.nan, -1e-12, 1.0 + 1e-12]))
+        assert np.isnan(encoded[0])
+        assert encoded[1:].tolist() == [0.0, 1.0]
+        assert np.isnan(mzm.encode(np.full((2, 3), np.nan))).all()
+        assert mzm.encode(np.array([])).shape == (0,)
+        # A NaN does not hide an out-of-range neighbour.
+        for bad in ([np.nan, 1.0 + 1e-11], [[np.nan], [-1e-11]]):
+            with pytest.raises(ValueError, match="out-of-range"):
+                mzm.encode(np.array(bad))
+
     @given(value=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_drive_voltage_inverts_raw_transfer(self, value):

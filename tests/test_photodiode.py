@@ -52,6 +52,8 @@ class TestPhotodiode:
         pd = Photodiode()
         with pytest.raises(ValueError):
             pd.detect(np.array([1e-3, -1e-6]))
+        with pytest.raises(ValueError, match="cannot be negative"):
+            pd.detect(np.array([[1e-3, 1e-3], [1e-3, -1e-9]]))
 
     def test_empty_power_vector_gives_zero(self):
         assert Photodiode().detect(np.array([])) == pytest.approx(0.0)

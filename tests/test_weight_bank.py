@@ -105,6 +105,8 @@ class TestIdealTransfer:
         bank.set_weights(np.zeros(2))
         with pytest.raises(ValueError):
             bank.apply(np.array([1e-3, -1e-3]))
+        with pytest.raises(ValueError, match="cannot be negative"):
+            bank.apply(np.array([[1e-3, 1e-3], [1e-3, -1e-9]]))
 
 
 class TestNonIdealTransfer:
