@@ -25,6 +25,7 @@ report is deterministic and usable as a regression gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -42,6 +43,7 @@ from repro.core.simkernel import validate_count
 from repro.analysis.parallel import run_grid
 from repro.workloads.cluster_mixes import CLUSTER_MIXES, cluster_mix
 from repro.workloads.fault_scenarios import FAULT_SCENARIOS, fault_scenario
+from repro.workloads.traffic import validate_positive
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,18 @@ class EvalScenario:
             raise ValueError(
                 f"unknown cluster mix {self.mix!r}; have {CLUSTER_MIXES}"
             )
-        if self.rate_rps <= 0.0 or not np.isfinite(self.rate_rps):
-            raise ValueError(
-                f"rate must be finite and > 0, got {self.rate_rps!r}"
-            )
+        validate_positive(self.rate_rps, f"{self.name}: rate")
         validate_count(self.num_requests, f"{self.name}: request count")
         validate_count(self.pool_size, f"{self.name}: pool core count")
+        # `not 0 <= x < inf` also rejects NaN; a bool would compare as
+        # 0 or 1.
+        if isinstance(self.severity, bool) or not (
+            0.0 <= self.severity < math.inf
+        ):
+            raise ValueError(
+                f"{self.name}: severity must be finite and >= 0, got "
+                f"{self.severity!r}"
+            )
 
 
 @dataclass(frozen=True)

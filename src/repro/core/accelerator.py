@@ -240,8 +240,9 @@ class PhotonicConvolution:
             stack, kernels, include_zero=padding > 0
         )
 
-        def encoded_columns(index: int) -> np.ndarray:
-            """Image ``index``'s encoded, gathered ``(F, L)`` columns.
+        def encoded_columns(index: int, out=None) -> np.ndarray:
+            """Image ``index``'s encoded, gathered ``(F, L)`` columns, or
+            their ``(L, F)`` transpose written into ``out``.
 
             The affine encode and the input DAC are elementwise, so they
             run once per pixel of the padded image and the gather then
@@ -263,7 +264,9 @@ class PhotonicConvolution:
             np.clip(image, 0.0, 1.0, out=image)
             if self.quantize:
                 image = self.config.input_dac.quantize(image)
-            return im2col_batch_stacked(image[None], kernel_size, stride, 0)[0]
+            return im2col_batch_stacked(
+                image[None], kernel_size, stride, 0, out=out
+            )[0]
 
         if self._resolved_method() == "matrix":
             # One 2-D GEMM per image — the same (K, F) @ (F, L) call a
@@ -280,7 +283,9 @@ class PhotonicConvolution:
             waves = np.empty((batch_size * num_locations, weight_matrix.shape[1]))
             for index in range(batch_size):
                 rows = slice(index * num_locations, (index + 1) * num_locations)
-                waves[rows] = encoded_columns(index).T
+                # The fields land in their wave rows straight from the
+                # window view, with no (F, L) copy to transpose.
+                encoded_columns(index, out=waves[rows][None])
             currents = self._device_matvec_vectorized(waves, weight_matrix)
             raw = currents.reshape(
                 batch_size, num_locations, num_kernels

@@ -252,6 +252,36 @@ class EwmaRecalDecider:
         self._last_time[core] = time_s
         return level + max(slope, 0.0) * self.controller.lead_time_s
 
+    def first_firing(
+        self, core: int, errors: np.ndarray, times: np.ndarray
+    ) -> int:
+        """Index of the first of a non-exhausted core's upcoming
+        ``errors`` (at dispatch instants ``times``) whose projection
+        reaches the threshold — where :meth:`decide` would log a
+        decision — or ``errors.size`` if none does.
+
+        Folds :meth:`observe` over the samples on a copy of the core's
+        estimate, so the decider itself does not move.
+        """
+        probe = EwmaRecalDecider(self.controller)
+        for name in ("_level", "_slope", "_last_error", "_last_time"):
+            memo = getattr(self, name)
+            if core in memo:
+                getattr(probe, name)[core] = memo[core]
+        threshold = self.policy.error_threshold
+        for index, (error, time_s) in enumerate(
+            zip(errors.tolist(), times.tolist())
+        ):
+            if probe.observe(core, error, time_s) >= threshold:
+                return index
+        return errors.size
+
+    def fold(self, core: int, errors: np.ndarray, times: np.ndarray) -> None:
+        """Observe a core's errors at dispatches :meth:`decide` did not
+        fire on, exactly as deciding at each of them would."""
+        for error, time_s in zip(errors.tolist(), times.tolist()):
+            self.observe(core, error, time_s)
+
     def decide(
         self,
         state: CoreHealthState,

@@ -42,22 +42,22 @@ the degraded simulator (:mod:`repro.core.faults`, through
 :func:`serve_pipeline`).  Each
 lane owns its pipeline state and records every batch once, in the
 numpy columns its reports read.  The lane event loop
-(:func:`_serve_lanes`) is the only loop that hosts mid-run feedback
-and the oracle of every faster path.  A lane that shares no state with
+(:func:`_serve_lanes`) hosts cross-lane feedback (elastic moves) and
+is the oracle of every faster path.  A lane that shares no state with
 another — the lone pipeline, or a tenant of a frozen-allocation
-cluster — is served by :func:`_serve_alone`, the one place a lane's
-path is chosen: one whole-trace vectorized plan, the occupancy-cap
-admission walk, epochs between fault actions (:func:`_serve_epochs`),
-or the per-dispatch loop.  Everything is a pure function of its
-inputs: a fixed seed and tenant mix yields bit-identical reports on
-every run.
+cluster, faulted or not — is served by :func:`_serve_alone`, the one
+place a lane's path is chosen: one whole-trace vectorized plan, the
+occupancy-cap admission walk, epochs between fault actions
+(:func:`_serve_epochs`), or the per-dispatch loop.  Everything is a
+pure function of its inputs: a fixed seed and tenant mix yields
+bit-identical reports on every run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,7 +72,6 @@ from repro.core.faults import (
     RecalibrationPolicy,
     RecalibrationRecord,
     RepartitionRecord,
-    ThresholdTrigger,
 )
 from repro.core.simkernel import (
     BatchingPolicy,
@@ -688,12 +687,50 @@ class _TenantLane:
             self._burn.burn_rate(self._recent_latencies(time_s))
         )
 
-    def judge_all(self, mask: np.ndarray) -> None:
-        """Judge the whole trace at once: admit ``mask``, shed the rest."""
-        self.admitted_times = self.raw[mask]
-        self.admitted = int(self.admitted_times.size)
-        self.ptr = self.n
-        self.shed = self.raw[~mask]
+    def judge(self, mask: np.ndarray, stop: int) -> None:
+        """Judge raw arrivals ``ptr`` up to ``stop`` at once by
+        ``mask``, the admission verdicts from ``ptr`` on: admit where it
+        holds, shed the rest."""
+        judged = self.raw[self.ptr : stop]
+        keep = mask[: judged.size]
+        admitted = judged[keep]
+        if self.admitted_times is None:
+            # A whole trace judged at once needs no buffer.
+            self.admitted_times, self.shed = admitted, judged[~keep]
+        else:
+            stored = self.admitted + admitted.size
+            self.admitted_times[self.admitted : stored] = admitted
+            self.shed.extend(judged[~keep].tolist())
+        self.admitted += int(admitted.size)
+        self.ptr = stop
+
+    def backlog(self, first_s: float) -> "_Backlog":
+        """Where an admission walk over raw arrivals from ``first_s`` on
+        resumes: the queue, the committed batches still in flight at
+        ``first_s``, and the pipeline clocks."""
+        nb = self.num_batches
+        done = int(self.batch_completion[:nb].searchsorted(first_s))
+        start = max(done - 1, 0)
+        # Requests completed once each batch completes, counted from
+        # the head (every committed request is at or before it).
+        ends = self.batch_first[start:nb] + self.batch_size[start:nb]
+        completed = ends - self.head
+        if not done:
+            completed = np.concatenate(([-self.head], completed))
+        return _Backlog(
+            self.raw[:0]
+            if self.admitted == self.head
+            else self.admitted_times[self.head : self.admitted],
+            self.batch_completion[done:nb],
+            completed,
+            self.core_free,
+        )
+
+    @property
+    def last_dispatch(self) -> float:
+        """The lane's last dispatch instant (0 before its first)."""
+        nb = self.num_batches
+        return float(self.batch_dispatch[nb - 1]) if nb else 0.0
 
     def plan(self) -> tuple[float, int] | None:
         """Seal the tenant's next batch, or ``None`` if it is done.
@@ -828,7 +865,7 @@ class _TenantLane:
         self.batch_completion[k:stop] = completion
         self.batch_width[k:stop] = self.width
         self.batch_proxy[k:stop] = 0.0 if proxies is None else proxies
-        if sweeps is not None:
+        if self.drift is not None:
             self.drift.record_sweeps(k, sweeps, sizes.size)
 
     def release_cores(self) -> list[tuple[int, float]]:
@@ -995,20 +1032,46 @@ cap of 2, takes 489); the cap keeps the walk linear in the trace length
 where the fixpoint would otherwise need about ``n / 2`` passes."""
 
 
+class _Backlog(NamedTuple):
+    """Where a capped lane's admission walk resumes
+    (:meth:`_TenantLane.backlog`).
+
+    Attributes:
+        queued: arrival times of admitted requests not yet dispatched.
+        inflight_s: completions of the committed batches still in
+            flight at the walk's first arrival, in order.
+        completed: requests completed, counted from the lane's head
+            (so at most 0), before the first of those completes and
+            after each of them.
+        core_free: per-stage free times.
+    """
+
+    queued: np.ndarray
+    inflight_s: np.ndarray
+    completed: np.ndarray
+    core_free: list[float]
+
+
 def _plan_admitted(
-    raw: np.ndarray, policy: BatchingPolicy, model, cap: int
+    raw: np.ndarray,
+    policy: BatchingPolicy,
+    model,
+    cap: int,
+    backlog: _Backlog,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """Vectorized occupancy-cap admission walk for one frozen lane.
 
-    Reproduces the reference lane's admission decisions as array ops.
-    The decision rule (see :class:`_TenantLane`): arrival ``i`` at time
+    Reproduces the reference lane's admission decisions over the raw
+    arrivals ``raw`` as array ops, resumed from ``backlog``.  The
+    decision rule (see :class:`_TenantLane`): arrival ``i`` at time
     ``t_i`` is admitted iff the lane's system occupancy — admissions
     among arrivals ``< i`` minus requests in batches completed strictly
     before ``t_i`` — is below ``cap``.  With a *fixed* batch plan the
     running admission count ``a`` obeys ``a_i = a_{i-1} + [a_{i-1} <
-    u_i]`` with ``u_i = completed_i + cap`` nondecreasing, which has the
-    closed form ``a_i = min(i + 1, i + min_{j<=i}(u_j - j))`` — one
-    ``np.minimum.accumulate``, all-integer, hence exact.
+    u_i]`` with ``u_i`` (completions before ``t_i`` plus the cap's room
+    left by the queue) nondecreasing and, clamped at 0 as ``a`` never is
+    negative, has the closed form ``a_i = min(i + 1, i + min_{j<=i}(u_j
+    - j))`` — one ``np.minimum.accumulate``, all-integer, hence exact.
 
     The batch plan itself depends on the admitted set, so the walk is
     the speculate/verify/repair shape of the kernel's max-plus scans,
@@ -1035,29 +1098,51 @@ def _plan_admitted(
     admitted at the very next commit for visibility to bite); when it
     does not, the caller falls back to the exact scalar lane.
 
+    The walk sees only ``raw``: from a lane's state it plans the lane
+    whose trace ends there, and a caller planning a window of a longer
+    trace keeps only what the window cannot have truncated.
+
     Returns:
         ``(mask, heads, sizes, disp)``: the admitted mask over ``raw``
-        plus the converged batch plan — or ``None`` when the walk hits
-        the pass cap or the verification walk rejects the plan.
+        plus the converged batch plan, heads counted from the lane's
+        head — or ``None`` when the walk hits the pass cap or the
+        verification walk rejects the plan.
     """
+    queued, inflight, completed0, core_free = backlog
+    room = cap - queued.size  # the cap's room left by the queue
     n = raw.size
     idx = np.arange(n, dtype=np.int64)
     mask = np.ones(n, dtype=bool)
     for _ in range(_ADMISSION_MAX_PASSES):
-        heads, sizes, disp = plan_batches(raw[mask], policy, model)
-        fresh = ([0.0] * model.num_cores, [0.0] * model.num_cores)
-        completion, _ = pipeline_completions(sizes, disp, model, *fresh)
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        # completed[i]: requests in batches done strictly before t_i
-        # (completions are strictly increasing within a lane).
-        completed = bounds[np.searchsorted(completion, raw, side="left")]
+        queue = raw[mask]
+        if queued.size:
+            queue = np.concatenate((queued, queue))
+        if queue.size:
+            heads, sizes, disp = plan_batches(
+                queue, policy, model, 0, core_free[0]
+            )
+            completion, _ = pipeline_completions(
+                sizes, disp, model, list(core_free), [0.0] * model.num_cores
+            )
+        else:  # every window arrival speculated shed into an empty queue
+            heads = sizes = np.empty(0, np.int64)
+            disp = completion = queue
+        if inflight.size:
+            completion = np.concatenate((inflight, completion))
+        bounds = np.concatenate((completed0, np.cumsum(sizes)))
+        # headroom[i]: requests done strictly before t_i (completions
+        # are strictly increasing within a lane), plus the room.
+        headroom = bounds[np.searchsorted(completion, raw, side="left")]
+        headroom += room
+        if room + completed0[0] < 0:  # the queue may fill the cap
+            np.maximum(headroom, 0, out=headroom)
         admitted = np.minimum(
-            idx + 1, idx + np.minimum.accumulate(completed + cap - idx)
+            idx + 1, idx + np.minimum.accumulate(headroom - idx)
         )
         new_mask = np.diff(admitted, prepend=0) == 1
         if np.array_equal(new_mask, mask):
             if _verify_admission_plan(
-                raw, mask, policy, model, cap, sizes, disp
+                raw, mask, policy, model, cap, sizes, disp, backlog
             ):
                 return mask, heads, sizes, disp
             return None
@@ -1073,6 +1158,7 @@ def _verify_admission_plan(
     cap: int,
     sizes: np.ndarray,
     disp: np.ndarray,
+    backlog: _Backlog,
 ) -> bool:
     """Replay the reference lane's *visibility* rules against a plan.
 
@@ -1099,15 +1185,16 @@ def _verify_admission_plan(
 
     The judgment frontier has a closed form, so no per-batch walk runs.
     Arrival ``j`` passes the early-admit test at batch ``k`` iff ``k >=
-    kmin[j]`` (nondecreasing over admits; a shed never passes).  Batch
-    ``k``'s chain starts at ``low[k]``, the later of the previous
-    dispatch's phase-B frontier and one past its head admit (the drain),
-    both nondecreasing in ``k``, and stops at ``judged[k]``, the first
-    ``j >= low[k]`` that is shed or has ``kmin[j] > k`` — a
-    ``searchsorted`` each on ``kmin`` and the shed indices; arrivals the
-    walk carried past ``low[k]`` passed at ``k - 1``, so pass at ``k``.
-    A batch that sees every admit ends the check (later seals run over
-    the full array, ``plan_batches``' own fold).  A batch with ``head +
+    kmin[j]`` (nondecreasing over admits; a shed never passes; committed
+    batches of the ``backlog`` count before batch 0).  Batch ``k``'s
+    chain starts at ``low[k]``, the later of the previous dispatch's
+    phase-B frontier and one past its head admit (the drain), both
+    nondecreasing in ``k``, and stops at ``judged[k]``, the first ``j >=
+    low[k]`` that is shed or has ``kmin[j] > k`` — a ``searchsorted``
+    each on ``kmin`` and the shed indices; arrivals the walk carried
+    past ``low[k]`` passed at ``k - 1``, so pass at ``k``.  A batch that
+    sees every admit ends the check (later seals run over the full
+    array, ``plan_batches``' own fold).  A batch with ``head +
     max_batch`` visible admits and the next unjudged arrival after its
     dispatch is *blind*: ``plan_dispatch`` reads the queue only at
     ``head``, ``head + max_batch - 1`` and arrivals up to the dispatch,
@@ -1115,32 +1202,46 @@ def _verify_admission_plan(
     No head outruns the visible admits: the batch before it was blind
     or matched a seal of the visible prefix.
     """
+    queued, _, completed0, core_free = backlog
     n = int(raw.size)
     nb = int(sizes.size)
     if nb == 0:
         return True
     m = policy.max_batch
-    # adm_before[j]: admitted among arrivals < j — the reference lane's
-    # running admission count while the plan matches it.
+    # adm_before[j]: admitted among arrivals < j, and queue entries
+    # before them — the reference lane's running admission count, from
+    # its head, while the plan matches it.
     adm_before = np.concatenate(([0], np.cumsum(mask)))
+    adm_before += queued.size
     total = int(adm_before[-1])
     cum = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
     heads = cum[:-1]
     admitted_idx = np.flatnonzero(mask)
     # Early-admit threshold: arrival j passes the committed-only
-    # occupancy test at batch k iff the first k batches completed at
-    # least ``adm_before[j] - cap + 1`` requests before t_j, i.e. iff
-    # k >= kmin[j].  A final shed never passes (occupancy only grows
-    # toward the seal), so it stops the chain wherever it stands.
+    # occupancy test at batch k iff the committed batches and the first
+    # k planned ones completed at least ``adm_before[j] - cap + 1``
+    # requests before t_j, i.e. iff k >= kmin[j].  A final shed never
+    # passes (occupancy only grows toward the seal), so it stops the
+    # chain wherever it stands.
     need = adm_before[admitted_idx] - cap + 1
-    kmin = np.searchsorted(cum, np.maximum(need, 0), side="left")
+    if completed0.size > 1:  # batches in flight count before batch 0
+        bounds = np.concatenate((completed0, cum[1:]))
+        kmin = np.searchsorted(bounds, need, side="left")
+        kmin -= completed0.size - 1
+    else:
+        kmin = np.searchsorted(cum, need, side="left")
     # Phase-B frontier: commit k judges every arrival at or before its
     # dispatch exactly; exact judgments equal the fixed point.
     entry = np.zeros(nb, dtype=np.int64)
     entry[1:] = np.searchsorted(raw, disp[:-1], side="right")
-    low = np.maximum(entry, admitted_idx[heads] + 1)
+    # Each queue entry's arrival index (queued ones precede ``raw``).
+    queue_idx = admitted_idx
+    if queued.size:
+        queue_idx = np.concatenate((np.full(queued.size, -1), admitted_idx))
+    low = np.maximum(entry, queue_idx[heads] + 1)
     first_admit = np.maximum(
-        np.searchsorted(kmin, np.arange(nb), side="right"), adm_before[low]
+        np.searchsorted(kmin, np.arange(nb), side="right"),
+        adm_before[low] - queued.size,
     )
     shed_idx = np.flatnonzero(~mask)
     judged = np.minimum(
@@ -1152,14 +1253,18 @@ def _verify_admission_plan(
     last = int(done[0]) if done.size else nb
     next_arrival = np.append(raw, math.inf)[judged[:last]]
     blind = (heads[:last] + m <= visible[:last]) & (disp[:last] < next_arrival)
-    admitted_times = raw[mask]
+    queue = raw[mask]
+    if queued.size:
+        queue = np.concatenate((queued, queue))
     busy0 = model.weight_load_s[0] + np.arange(m + 1) * model.conv_time_s[0]
     for k in np.flatnonzero(~blind).tolist():
         dispatch, size = plan_dispatch(
-            admitted_times[: visible[k]],
+            queue[: visible[k]],
             int(heads[k]),
             policy,
-            0.0 if k == 0 else float(disp[k - 1]) + float(busy0[sizes[k - 1]]),
+            core_free[0]
+            if k == 0
+            else float(disp[k - 1]) + float(busy0[sizes[k - 1]]),
         )
         if dispatch != disp[k] or size != sizes[k]:
             return False
@@ -1188,10 +1293,12 @@ class ClusterSimulator:
     round of planning.
 
     Each lane is served alone on its fastest exact path
-    (:func:`_serve_alone`) whenever the allocation is frozen — no fault
-    schedule and no elastic reallocation (occupancy caps and burn-rate
-    admission read only their own lane); otherwise the global event
-    loop serves every lane.  Both paths are bit-identical.
+    (:func:`_serve_alone`) whenever the allocation is frozen — no
+    elastic reallocation: occupancy caps and burn-rate admission read
+    only their own lane, and a lane's fault steps touch only its own
+    cores, so a faulted pool's recalibration and decision logs are
+    merged afterwards in the loop's order.  An elastic cluster runs the
+    global event loop.  Both paths are bit-identical.
 
     Args:
         tenants: the co-served models (unique names).
@@ -1278,21 +1385,48 @@ class ClusterSimulator:
         """Whether the tenant lanes share no state, so each is served
         alone (:func:`_serve_alone`).
 
-        With no fault schedule and no elastic reallocation the core
-        allocation is frozen: each lane plans, sheds, and books exactly
-        as if it ran alone, and the global loop's tie-ordering has no
-        arithmetic effect.  Admission is per-lane too: the occupancy
-        cap and a burn-rate judgment read only the lane's own
-        completions.
+        With no elastic reallocation the core allocation is frozen:
+        each lane plans, sheds, and books exactly as if it ran alone.
+        Admission reads only the lane's own completions, and a lane's
+        fault steps touch only its own cores' drift states, downtime
+        and trigger estimates; the global loop's tie-ordering decides
+        only the order of the shared logs, which :meth:`_merge_logs`
+        restores.
         """
-        return self.schedule is None and self.elastic is None
+        return self.elastic is None
 
-    def _tie_key(self, lane: _TenantLane) -> tuple:
-        """Routing preference for simultaneous dispatches (lower wins)."""
+    def _tie_key(self, lane: _TenantLane, head: int) -> tuple:
+        """Routing preference for simultaneous dispatches (lower wins)
+        of ``lane`` with ``head`` requests dispatched."""
         tenant = self.tenants[lane.index]
         if self.routing.kind == "priority":
             return (-tenant.priority, lane.index)
-        return (lane.head / tenant.weight, lane.index)
+        return (head / tenant.weight, lane.index)
+
+    def _merge_logs(
+        self, lanes: list[_TenantLane], health: PoolHealth
+    ) -> None:
+        """Put the logs of lanes served one after another in the order
+        the global loop writes them, then finish the pool.
+
+        The loop logs recalibrations and trigger decisions in dispatch
+        order, simultaneous dispatches by :meth:`_tie_key` at that
+        dispatch; each lane's own entries are already in that order, so
+        a stable sort by ``(time, tie key)`` interleaves them.
+        """
+        owner = {core: lane for lane in lanes for core in lane.phys}
+
+        def order(entry) -> tuple:
+            lane = owner[entry.core]
+            dispatched = lane.batch_dispatch[: lane.num_batches]
+            batch = int(dispatched.searchsorted(entry.time_s))
+            head = int(lane.batch_first[batch])
+            return (entry.time_s, self._tie_key(lane, head))
+
+        health.recalibrations.sort(key=order)
+        if health.trigger is not None and health.trigger.decisions:
+            health.trigger.decisions.sort(key=order)
+        health.finish(max(lane.last_dispatch for lane in lanes))
 
     def _floor(self, lane: _TenantLane) -> int:
         """Cores the routing policy guarantees the tenant keeps."""
@@ -1326,7 +1460,10 @@ class ClusterSimulator:
             return
         recipient = min(
             growable,
-            key=lambda lane: (-pressures[lane.index], self._tie_key(lane)),
+            key=lambda lane: (
+                -pressures[lane.index],
+                self._tie_key(lane, lane.head),
+            ),
         )
         if free:
             core, free_at = free.pop(0)
@@ -1401,7 +1538,9 @@ class ClusterSimulator:
         reallocations: list[ReallocationRecord] = []
         if self._frozen:
             for lane in lanes:
-                _serve_alone(lane, None)
+                _serve_alone(lane, health)
+            if health is not None:
+                self._merge_logs(lanes, health)
         else:
             free = [(core, 0.0) for core in self._free]
 
@@ -1411,7 +1550,7 @@ class ClusterSimulator:
             _serve_lanes(
                 lanes,
                 health,
-                self._tie_key,
+                lambda lane: self._tie_key(lane, lane.head),
                 rebalance=None if self.elastic is None else rebalance,
                 free=free,
             )
@@ -1526,75 +1665,140 @@ _SCALAR_RUN_MAX = 64
 cuts before it speculates again (the run doubles per dense cut)."""
 
 
+def _serve_next(lane: _TenantLane, health: PoolHealth | None) -> bool:
+    """Plan and serve the lane's next dispatch; ``False`` once the lane
+    has served its trace."""
+    plan = lane.plan()
+    if plan is None:
+        return False
+    lane.serve(*plan, health)
+    return True
+
+
+def _plan_epoch(lane: _TenantLane, window: int):
+    """Plan the lane's next window of batches as if no fault acts.
+
+    An uncapped lane plans the next ``window`` admitted requests; a
+    capped one walks the admission of the next ``window`` raw arrivals
+    from the lane's state (:func:`_plan_admitted`).  Either keeps only
+    the batches the window cannot have truncated: those whose
+    ``head + max_batch`` admits lie inside it, dispatched before the
+    first arrival past it.
+
+    Returns:
+        ``(heads, sizes, disp, mask)``, with ``mask`` the capped walk's
+        verdicts over the window (``None`` uncapped) — or ``None`` when
+        the capped walk hits its pass cap or its plan fails the
+        sealed-visibility check.
+    """
+    m = lane.policy.max_batch
+    if lane.cap is None:
+        stop = end = min(lane.head + window, lane.n)
+        heads, sizes, disp = plan_batches(
+            lane.admitted_times[:end],
+            lane.policy,
+            lane.model,
+            lane.head,
+            lane.core_free[0],
+        )
+        mask = None
+    else:
+        stop = min(lane.ptr + window, lane.n)
+        raw = lane.raw[lane.ptr : stop]
+        plan = _plan_admitted(
+            raw,
+            lane.policy,
+            lane.model,
+            lane.cap,
+            lane.backlog(raw[0] if raw.size else math.inf),
+        )
+        if plan is None:
+            return None
+        mask, heads, sizes, disp = plan
+        heads = heads + lane.head
+        end = lane.admitted + int(np.count_nonzero(mask))
+        if stop == lane.n and not heads.size:
+            # Nothing left to dispatch: the rest of the trace is shed.
+            lane.judge(mask, stop)
+    if stop < lane.n:
+        # A batch may read the queue up to head + max_batch - 1.
+        count = int(np.searchsorted(heads, end - m, side="right"))
+        if mask is not None:
+            horizon = lane.raw[stop]
+            count = min(count, int(np.searchsorted(disp, horizon)))
+        heads, sizes, disp = heads[:count], sizes[:count], disp[:count]
+    return heads, sizes, disp, mask
+
+
 def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
-    """The lane event loop for one faulted pipeline, in epochs.
+    """The lane event loop for one faulted lane, in epochs.
 
     Between two dispatches at which the fault step acts, nothing feeds
     back into the lane's clocks: the drift probes are pure functions of
-    simulated time under a fixed command, and the batches are the
-    fault-free plan.  So each epoch speculates a window of the trace:
-    it plans the window's batches with
-    :func:`~repro.core.simkernel.plan_batches` (resumed from the lane's
-    head and core-0 clock, keeping only batches the window cannot have
-    truncated), sweeps every stage core's probe over their dispatch
-    instants (:meth:`~repro.core.faults.CoreHealthState.sweep`), and
-    cuts at the first batch where the per-dispatch loop would act: the
-    threshold trigger firing on a core that is not exhausted, an
+    simulated time under a fixed command, and the batches and
+    admissions are the fault-free plan.  So each epoch plans a window
+    of the trace (:func:`_plan_epoch`), sweeps every stage core's probe
+    over its dispatch instants
+    (:meth:`~repro.core.faults.CoreHealthState.sweep`), and cuts at the
+    first batch where the per-dispatch loop would act: the trigger
+    firing on a core that is not exhausted (``first_firing``), an
     exhausted core re-arming, or some but not all cores at the fail
     threshold.  The batches before the cut are booked in bulk, drift
-    rows and all (:meth:`_TenantLane.book`); the cut batch itself runs
-    through the lane's own plan and :meth:`_TenantLane.serve` — the one
-    fault step, :meth:`~repro.core.faults.PoolHealth.step`, and the
-    failing-core drain — and the next epoch resumes from there.  Windows
-    double while epochs run to their end and reset at a cut, and after
-    dense cuts the lane serves a doubling run of dispatches one by one
-    before speculating again, so a run that acts every few dispatches
-    costs about what the per-dispatch loop costs.  The result is
-    bit-identical to :func:`_serve_lanes` on the lone lane, which stays
-    the oracle.
+    rows and all, once the trigger has folded their samples (``fold``)
+    and a capped lane has judged the arrivals they decided; the cut
+    batch runs through :meth:`_TenantLane.serve` — the one fault step,
+    :meth:`~repro.core.faults.PoolHealth.step`, and the failing-core
+    drain.  Windows double while epochs run to their end and reset at
+    a cut; after dense cuts, and for a capped window the admission
+    walk cannot plan, the lane serves dispatches one by one.  The
+    result is bit-identical to :func:`_serve_lanes` on the lone lane,
+    which stays the oracle.
     """
     states = health.states
     trigger = health.trigger
-    threshold = math.inf if trigger is None else trigger.policy.error_threshold
     fail = lane.fail_error_threshold
-    arrivals = lane.admitted_times
-    n = lane.n
-    max_batch = lane.policy.max_batch
+    if lane.admitted_times is None:
+        lane.admitted_times = np.empty(lane.n)
     window = _EPOCH_MIN_REQUESTS
     scalar_run = 0
-    last_dispatch = 0.0
-    while lane.head < n:
-        end = min(lane.head + window, n)
-        heads, sizes, disp = plan_batches(
-            arrivals[:end], lane.policy, lane.model, lane.head, lane.core_free[0]
-        )
-        if end < n:
-            # A batch may read the trace up to head + max_batch - 1.
-            count = int(np.searchsorted(heads, end - max_batch, side="right"))
-            heads, sizes, disp = heads[:count], sizes[:count], disp[:count]
+    while lane.head < lane.admitted or lane.ptr < lane.n:
+        epoch = _plan_epoch(lane, window)
+        if epoch is None:
+            stop = min(lane.ptr + window, lane.n)
+            while lane.ptr < stop and _serve_next(lane, health):
+                pass
+            window = _EPOCH_MIN_REQUESTS
+            continue
+        heads, sizes, disp, mask = epoch
         if not heads.size:
             window *= 2
             continue
         phys = lane.phys
         sweeps = [states[core].sweep(disp) for core in phys]
-        acts = np.zeros(disp.size, dtype=bool)
-        failing = np.zeros(disp.size, dtype=np.int64)
-        for core, sweep in zip(phys, sweeps):
-            if not states[core].recal_exhausted:
-                acts |= sweep.errors >= threshold
-            if fail is not None:
-                failing += sweep.errors >= fail
-        acts |= (failing > 0) & (failing < len(phys))
         cut = min(sweep.rearm for sweep in sweeps)
-        hits = np.flatnonzero(acts[:cut])
-        if hits.size:
-            cut = int(hits[0])
+        if fail is not None:
+            # repro: allow[BIT001] integer count, exact in any order
+            failing = sum(sweep.errors[:cut] >= fail for sweep in sweeps)
+            hits = np.flatnonzero((failing > 0) & (failing < len(phys)))
+            if hits.size:
+                cut = int(hits[0])
+        if trigger is not None:
+            for core, sweep in zip(phys, sweeps):
+                if not states[core].recal_exhausted:
+                    cut = trigger.first_firing(
+                        core, sweep.errors[:cut], disp[:cut]
+                    )
         if cut:
+            if trigger is not None:
+                for core, sweep in zip(phys, sweeps):
+                    trigger.fold(core, sweep.errors[:cut], disp[:cut])
+            if mask is not None:
+                decided = int(lane.raw.searchsorted(disp[cut - 1], "right"))
+                lane.judge(mask, max(lane.ptr, decided))
             proxies = sweeps[0].errors[:cut]
             for sweep in sweeps[1:]:
                 proxies = np.maximum(proxies, sweep.errors[:cut])
             lane.book(heads[:cut], sizes[:cut], disp[:cut], proxies, sweeps)
-            last_dispatch = max(last_dispatch, disp[cut - 1])
         if cut == disp.size:
             window *= 2
             continue
@@ -1604,50 +1808,46 @@ def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
             scalar_run = 0
         # The cut batch, then any dense-cut run, one dispatch at a time.
         for _ in range(1 + scalar_run):
-            plan = lane.plan()
-            if plan is None:
+            if not _serve_next(lane, health):
                 break
-            dispatch, size = plan
-            last_dispatch = max(last_dispatch, dispatch)
-            lane.serve(dispatch, size, health)
         window = _EPOCH_MIN_REQUESTS
-    health.finish(last_dispatch)
 
 
 def _serve_alone(lane: _TenantLane, health: PoolHealth | None) -> None:
     """Serve a lane that shares no state with another lane, by its
     fastest exact path — the one place a lane's path is chosen:
 
-    * fault-free, whole trace admitted: one whole-trace
-      :func:`~repro.core.simkernel.plan_batches` and :meth:`_TenantLane.book`;
-    * fault-free with an occupancy cap: the :func:`_plan_admitted` walk
-      and one book, or per dispatch when the walk is rejected;
-    * faulted with no recalibration or the static trigger:
-      :func:`_serve_epochs`;
-    * otherwise (adaptive trigger, enabled burn-rate controller): per
-      dispatch through :func:`_serve_lanes`, the oracle every other
-      path matches bit for bit.
+    * fault-free: the whole trace as one epoch (:func:`_plan_epoch`:
+      one :func:`~repro.core.simkernel.plan_batches`, or a capped
+      lane's :func:`_plan_admitted` walk) and one
+      :meth:`_TenantLane.book`, or per dispatch when the walk is
+      rejected;
+    * faulted, under any trigger, capped or not: :func:`_serve_epochs`;
+    * with an enabled burn-rate controller: per dispatch, the lane loop
+      of :func:`_serve_lanes` that every other path matches bit for bit.
+
+    A faulted lane leaves the pool's cores where its own dispatches
+    left them: the caller runs
+    :meth:`~repro.core.faults.PoolHealth.finish` once every lane that
+    shares the pool has been served.
     """
     if lane._burn is None:
-        if health is None and lane.cap is None:
-            lane.book(*plan_batches(lane.raw, lane.policy, lane.model))
-            return
-        if health is None:
-            plan = _plan_admitted(lane.raw, lane.policy, lane.model, lane.cap)
-            if plan is not None:
-                mask, heads, sizes, disp = plan
-                lane.judge_all(mask)
-                lane.book(heads, sizes, disp)
-                return
-            # The walk hit its pass cap, or the sealed-visibility walk
-            # rejected the speculation (an early-shed arrival re-admitted
-            # at the very next commit shrank a per-dispatch batch).
-        elif lane.cap is None and (
-            health.trigger is None or type(health.trigger) is ThresholdTrigger
-        ):
+        if health is not None:
             _serve_epochs(lane, health)
             return
-    _serve_lanes([lane], health, _lone_lane)
+        # Fault-free, the whole trace is one epoch.
+        epoch = _plan_epoch(lane, lane.n)
+        if epoch is not None:
+            heads, sizes, disp, mask = epoch
+            if mask is not None:
+                lane.judge(mask, lane.n)
+            lane.book(heads, sizes, disp)
+            return
+        # The walk hit its pass cap, or the sealed-visibility walk
+        # rejected the speculation (an early-shed arrival re-admitted
+        # at the very next commit shrank a per-dispatch batch).
+    while _serve_next(lane, health):
+        pass
 
 
 def serve_pipeline(
@@ -1683,6 +1883,8 @@ def serve_pipeline(
         record_snapshots=health is not None,
     )
     _serve_alone(lane, health)
+    if health is not None:
+        health.finish(lane.last_dispatch)
     return lane
 
 

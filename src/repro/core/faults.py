@@ -35,10 +35,10 @@ single pipeline or multi-tenant cluster — is served by the cluster lane
 loop of :mod:`repro.core.cluster`, and wherever a fault acts it takes
 one fault step, :meth:`PoolHealth.step`: advance the drift state
 machines, ask the recalibration trigger, pay the downtime on the shared
-clock.  The cluster and adaptive runs take it at every dispatch; the
-single pipeline under the static trigger sweeps its probes over an
-epoch of planned dispatches and takes the step only at the dispatch
-where the per-dispatch loop would act, bit-identical to it.  Dispatch
+clock.  Elastic clusters and burn-rate admission take it at every
+dispatch; every other lane sweeps its probes over an epoch of planned
+dispatches and takes the step only at the dispatch where the
+per-dispatch loop would act, bit-identical to it.  Dispatch
 planning and the pipeline walk stay the exact arithmetic the fault-free
 simulator uses, so a zero-magnitude schedule yields a bit-identical
 :class:`~repro.core.traffic.ServingReport` (and a bit-identical engine
@@ -448,6 +448,19 @@ class ThresholdTrigger:
     ) -> bool:
         """Whether ``state``'s core recalibrates at ``time_s``."""
         return state.should_recalibrate(self.policy)
+
+    def first_firing(
+        self, core: int, errors: np.ndarray, times: np.ndarray
+    ) -> int:
+        """Index of the first of a non-exhausted core's upcoming
+        ``errors`` (at dispatch instants ``times``) that :meth:`decide`
+        fires on, or ``errors.size`` if none does."""
+        hits = np.flatnonzero(errors >= self.policy.error_threshold)
+        return int(hits[0]) if hits.size else errors.size
+
+    def fold(self, core: int, errors: np.ndarray, times: np.ndarray) -> None:
+        """Account for dispatches :meth:`decide` did not fire on: the
+        threshold test keeps no state, so there is nothing to do."""
 
 
 @dataclass(frozen=True)
@@ -1118,8 +1131,8 @@ class PoolHealth:
     policy's per-run trigger, and the downtime and recalibration
     ledgers.  :meth:`step` is the one fault step, for the
     single-pipeline :class:`DegradedServingSimulator` and the cluster
-    alike: the cluster's lane event loop takes it at every dispatch,
-    the single pipeline's epochs only where it acts.
+    alike: the per-dispatch lane loop takes it at every dispatch, a
+    lane's epochs only where it acts.
 
     Args:
         schedule: the fault schedule over the pool's physical cores.

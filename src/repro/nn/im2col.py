@@ -103,7 +103,11 @@ def im2col(
 
 
 def im2col_batch_stacked(
-    feature_maps: np.ndarray, kernel_size: int, stride: int, padding: int
+    feature_maps: np.ndarray,
+    kernel_size: int,
+    stride: int,
+    padding: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unroll a minibatch's receptive fields into a stacked column tensor.
 
@@ -115,13 +119,19 @@ def im2col_batch_stacked(
 
     The columns are one C-order copy of the padded batch's strided
     ``m x m`` window view, laid out ``(B, C, m, m, out_h, out_w)``: no
-    index map is built or read.
+    index map is built or read.  With ``out`` the same view is copied
+    once into the caller's ``(B, num_locations, C * m * m)`` array
+    instead: the transposed columns, one receptive field per row, as the
+    device engine's wave stack wants them.
 
     Args:
         feature_maps: minibatch of shape ``(B, C, H, W)``.
+        out: optional C-contiguous destination of shape
+            ``(B, num_locations, C * m * m)``.
 
     Returns:
-        A fresh, writable array of shape ``(B, C * m * m, num_locations)``.
+        A fresh, writable array of shape ``(B, C * m * m, num_locations)``,
+        or ``out``, filled.
 
     Raises:
         ValueError: if the batch is not 4-D or is empty, or the geometry
@@ -144,7 +154,12 @@ def im2col_batch_stacked(
             mode="constant",
         )
     windows = sliding_window_view(maps, (kernel_size, kernel_size), axis=(2, 3))
-    fields = windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
+    windows = windows[:, :, ::stride, ::stride]
+    if out is not None:
+        shape = (batch_size, out_h, out_w, channels, kernel_size, kernel_size)
+        np.copyto(out.reshape(shape), windows.transpose(0, 2, 3, 1, 4, 5))
+        return out
+    fields = windows.transpose(0, 1, 4, 5, 2, 3)
     # An explicit copy: for a 1x1 kernel, or one as large as the padded
     # map, the transposed view is already contiguous, and
     # ``np.ascontiguousarray`` would return it: read-only, aliasing the

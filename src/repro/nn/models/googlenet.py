@@ -26,6 +26,7 @@ from repro.nn.layers import (
     ReLU,
     Softmax,
 )
+from repro.nn.models.weights import weight_source
 from repro.nn.network import Network
 
 GOOGLENET_INPUT_SIDE = 224
@@ -43,6 +44,7 @@ def build_googlenet_stem(
     num_classes: int = 1000,
     seed: int = 0,
     weight_sigma: float = 0.05,
+    draw_weights: bool = True,
 ) -> Network:
     """Build the GoogLeNet stem + one inception-style branch.
 
@@ -54,6 +56,8 @@ def build_googlenet_stem(
         num_classes: classifier width (only with the classifier head).
         seed: RNG seed for the weights.
         weight_sigma: Gaussian std-dev of the random weights.
+        draw_weights: draw the random weights; ``False`` builds the
+            geometry with zero weights and draws nothing.
 
     Returns:
         A shape-checked :class:`~repro.nn.network.Network`.
@@ -63,7 +67,7 @@ def build_googlenet_stem(
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must be in (0, 1], got {scale!r}")
-    rng = np.random.default_rng(seed)
+    rng = weight_source(seed, draw_weights)
 
     def conv_weights(k: int, c: int, m: int) -> np.ndarray:
         return rng.normal(0.0, weight_sigma, (k, c, m, m)).astype(np.float32)

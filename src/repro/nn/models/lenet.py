@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Softmax
+from repro.nn.models.weights import weight_source
 from repro.nn.network import Network
 
 LENET_INPUT_SIDE = 32
@@ -17,14 +18,18 @@ LENET_INPUT_CHANNELS = 1
 
 
 def build_lenet5(
-    num_classes: int = 10, seed: int = 0, weight_sigma: float = 0.1
+    num_classes: int = 10,
+    seed: int = 0,
+    weight_sigma: float = 0.1,
+    draw_weights: bool = True,
 ) -> Network:
-    """Build LeNet-5 with seeded-random weights.
+    """Build LeNet-5 with seeded-random weights (zeros, drawing
+    nothing, when ``draw_weights`` is false).
 
     Geometry: 32x32x1 -> conv 6@5x5 -> pool2 -> conv 16@5x5 -> pool2 ->
     conv 120@5x5 -> dense 84 -> dense ``num_classes``.
     """
-    rng = np.random.default_rng(seed)
+    rng = weight_source(seed, draw_weights)
 
     def conv_weights(k: int, c: int, m: int) -> np.ndarray:
         return rng.normal(0.0, weight_sigma, (k, c, m, m))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Softmax
+from repro.nn.models.weights import weight_source
 from repro.nn.network import Network
 
 VGG_INPUT_SIDE = 224
@@ -36,6 +37,7 @@ def build_vgg16(
     num_classes: int = 1000,
     seed: int = 0,
     weight_sigma: float = 0.01,
+    draw_weights: bool = True,
 ) -> Network:
     """Build VGG-16 with seeded-random weights.
 
@@ -45,13 +47,15 @@ def build_vgg16(
         num_classes: classifier width.
         seed: RNG seed for weights.
         weight_sigma: Gaussian std-dev of the random weights.
+        draw_weights: draw the random weights; ``False`` builds the
+            geometry with zero weights and draws nothing.
 
     Raises:
         ValueError: if ``scale`` is outside (0, 1].
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError(f"scale must be in (0, 1], got {scale!r}")
-    rng = np.random.default_rng(seed)
+    rng = weight_source(seed, draw_weights)
     layers = []
     in_channels = VGG_INPUT_CHANNELS
     for block, out_channels, conv_count in _VGG16_BLOCKS:

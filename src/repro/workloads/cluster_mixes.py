@@ -27,10 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cluster import ClusterTenant
-from repro.core.simkernel import BatchingPolicy
+from repro.core.simkernel import BatchingPolicy, validate_count
 from repro.nn.models import build_vgg16
 from repro.workloads.serving import serving_network
-from repro.workloads.traffic import poisson_arrivals
+from repro.workloads.traffic import poisson_arrivals, validate_positive
 
 CLUSTER_MIXES: tuple[str, ...] = (
     "interactive-batch",
@@ -70,20 +70,19 @@ def cluster_mix(
 
     Raises:
         KeyError: on an unknown mix name.
-        ValueError: on a non-positive rate or request count.
+        ValueError: on a rate that is not finite and > 0 or a request
+            count that is not an integer >= 1.
     """
-    if rate_rps <= 0.0:
-        raise ValueError(f"total rate must be positive, got {rate_rps!r}")
-    if num_requests <= 0:
-        raise ValueError(
-            f"request count must be positive, got {num_requests!r}"
-        )
+    validate_positive(rate_rps, "total rate")
+    validate_count(num_requests, "request count")
+    # The tenants need only their networks' conv geometry, which does
+    # not depend on the weights: build it without drawing any.
     if name == "interactive-batch":
         plan = [
             (
                 ClusterTenant.from_network(
                     "interactive",
-                    serving_network("lenet5", seed=seed),
+                    serving_network("lenet5", draw_weights=False),
                     BatchingPolicy.dynamic(4, 1e-4),
                     weight=2.0,
                     priority=1,
@@ -94,7 +93,9 @@ def cluster_mix(
             (
                 ClusterTenant.from_network(
                     "batch",
-                    serving_network("googlenet-stem", scale=scale, seed=seed),
+                    serving_network(
+                        "googlenet-stem", scale=scale, draw_weights=False
+                    ),
                     BatchingPolicy.fixed(16),
                     weight=1.0,
                     priority=0,
@@ -104,14 +105,12 @@ def cluster_mix(
         ]
     elif name == "model-zoo":
         networks = [
-            ("lenet5", serving_network("lenet5", seed=seed)),
-            ("alexnet", serving_network("alexnet", scale=scale, seed=seed)),
-            (
-                "googlenet-stem",
-                serving_network("googlenet-stem", scale=scale, seed=seed),
-            ),
-            ("vgg16", build_vgg16(scale=_VGG_SCALE, seed=seed)),
+            (net, serving_network(net, scale=scale, draw_weights=False))
+            for net in ("lenet5", "alexnet", "googlenet-stem")
         ]
+        networks.append(
+            ("vgg16", build_vgg16(scale=_VGG_SCALE, draw_weights=False))
+        )
         plan = [
             (
                 ClusterTenant.from_network(
@@ -124,7 +123,7 @@ def cluster_mix(
             for net_name, network in networks
         ]
     elif name == "minority-majority":
-        network = serving_network("lenet5", seed=seed)
+        network = serving_network("lenet5", draw_weights=False)
         plan = [
             (
                 ClusterTenant.from_network(

@@ -39,12 +39,13 @@ from repro.core.fleet import (
     estimate_region_capacity_rps,
     uniform_rtt,
 )
-from repro.core.simkernel import BatchingPolicy
+from repro.core.simkernel import BatchingPolicy, validate_count
 from repro.workloads.serving import serving_network
 from repro.workloads.traffic import (
     diurnal_arrivals,
     mmpp_arrivals,
     poisson_arrivals,
+    validate_positive,
 )
 
 FLEET_MIXES: tuple[str, ...] = (
@@ -113,24 +114,23 @@ def fleet_mix(
 
     Raises:
         KeyError: on an unknown scenario name.
-        ValueError: on a non-positive rate or request count.
+        ValueError: on a rate that is not finite and > 0 or a request
+            count that is not an integer >= 1.
     """
-    if rate_rps <= 0.0:
-        raise ValueError(f"total rate must be positive, got {rate_rps!r}")
-    if num_requests <= 0:
-        raise ValueError(
-            f"request count must be positive, got {num_requests!r}"
-        )
+    validate_positive(rate_rps, "total rate")
+    validate_count(num_requests, "request count")
     horizon_s = num_requests / rate_rps
+    # The tenants need only their networks' conv geometry, which does
+    # not depend on the weights: build it without drawing any.
     interactive = ClusterTenant.from_network(
         "interactive",
-        serving_network("lenet5", seed=seed),
+        serving_network("lenet5", draw_weights=False),
         BatchingPolicy.dynamic(4, 1e-4),
         weight=2.0,
     )
     batch = ClusterTenant.from_network(
         "batch",
-        serving_network("googlenet-stem", scale=scale, seed=seed),
+        serving_network("googlenet-stem", scale=scale, draw_weights=False),
         BatchingPolicy.fixed(8),
         weight=1.0,
     )

@@ -19,7 +19,9 @@ SERVING_NETWORKS: tuple[str, ...] = ("lenet5", "alexnet", "googlenet-stem")
 """Names accepted by :func:`serving_network`."""
 
 
-def serving_network(name: str, scale: float = 0.05, seed: int = 0) -> Network:
+def serving_network(
+    name: str, scale: float = 0.05, seed: int = 0, draw_weights: bool = True
+) -> Network:
     """Build one of the named executable serving networks.
 
     Args:
@@ -28,16 +30,23 @@ def serving_network(name: str, scale: float = 0.05, seed: int = 0) -> Network:
             (AlexNet, GoogLeNet stem); LeNet-5 is already small and
             ignores it.
         seed: weight RNG seed.
+        draw_weights: draw the random weights; ``False`` builds the
+            geometry alone (zero weights, nothing drawn) for callers
+            that read only its :meth:`~repro.nn.network.Network.conv_specs`.
 
     Raises:
         KeyError: if ``name`` is unknown.
     """
     if name == "lenet5":
-        return build_lenet5(seed=seed)
+        return build_lenet5(seed=seed, draw_weights=draw_weights)
     if name == "alexnet":
-        return build_alexnet(scale=scale, num_classes=100, seed=seed)
+        return build_alexnet(
+            scale=scale, num_classes=100, seed=seed, draw_weights=draw_weights
+        )
     if name == "googlenet-stem":
-        return build_googlenet_stem(scale=scale, num_classes=100, seed=seed)
+        return build_googlenet_stem(
+            scale=scale, num_classes=100, seed=seed, draw_weights=draw_weights
+        )
     raise KeyError(f"unknown serving network {name!r}; have {SERVING_NETWORKS}")
 
 

@@ -19,6 +19,8 @@ latency percentiles reproducible (see ``docs/architecture.md``,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.simkernel import validate_count
@@ -27,9 +29,23 @@ TRAFFIC_PATTERNS: tuple[str, ...] = ("poisson", "mmpp", "diurnal")
 """Names accepted by :func:`make_arrivals`."""
 
 
+def validate_positive(value: float, what: str) -> None:
+    """Reject a rate or a time span that is not a finite number > 0.
+
+    A bool compares as 0 or 1, NaN fails every comparison, and an
+    infinite rate makes every gap zero, so each would pass a bare
+    ``> 0`` check and then hang a thinning loop or build a degenerate
+    trace.
+
+    Raises:
+        ValueError: if ``value`` is a bool, NaN, infinite, or <= 0.
+    """
+    if isinstance(value, bool) or not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be finite and > 0, got {value!r}")
+
+
 def _validate(rate_rps: float, num_requests: int) -> None:
-    if rate_rps <= 0.0:
-        raise ValueError(f"arrival rate must be positive, got {rate_rps!r}")
+    validate_positive(rate_rps, "arrival rate")
     validate_count(num_requests, "request count")
 
 
@@ -48,8 +64,8 @@ def poisson_arrivals(
         after 0.
 
     Raises:
-        ValueError: on a non-positive rate or a count that is not an
-            integer >= 1.
+        ValueError: on a rate that is not finite and > 0 or a count
+            that is not an integer >= 1.
     """
     _validate(rate_rps, num_requests)
     rng = np.random.default_rng(seed)
@@ -80,13 +96,12 @@ def mmpp_arrivals(
         seed: RNG seed.
 
     Raises:
-        ValueError: on non-positive rates or dwell, or a count that is
-            not an integer >= 1.
+        ValueError: on rates or a dwell that are not finite and > 0, or
+            a count that is not an integer >= 1.
     """
     _validate(quiet_rate_rps, num_requests)
     _validate(burst_rate_rps, num_requests)
-    if mean_dwell_s <= 0.0:
-        raise ValueError(f"mean dwell must be positive, got {mean_dwell_s!r}")
+    validate_positive(mean_dwell_s, "mean dwell")
     rng = np.random.default_rng(seed)
     rates = (quiet_rate_rps, burst_rate_rps)
     state = 0
@@ -131,13 +146,12 @@ def diurnal_arrivals(
         seed: RNG seed.
 
     Raises:
-        ValueError: on non-positive rates or period, peak < off-peak,
-            or a count that is not an integer >= 1.
+        ValueError: on rates or a period that are not finite and > 0,
+            peak < off-peak, or a count that is not an integer >= 1.
     """
     _validate(offpeak_rate_rps, num_requests)
     _validate(peak_rate_rps, num_requests)
-    if period_s <= 0.0:
-        raise ValueError(f"period must be positive, got {period_s!r}")
+    validate_positive(period_s, "period")
     if peak_rate_rps < offpeak_rate_rps:
         raise ValueError(
             f"peak rate {peak_rate_rps!r} below off-peak {offpeak_rate_rps!r}"
@@ -170,8 +184,8 @@ def make_arrivals(
 
     Raises:
         KeyError: on an unknown pattern name.
-        ValueError: on a non-positive rate or a count that is not an
-            integer >= 1.
+        ValueError: on a rate that is not finite and > 0 or a count
+            that is not an integer >= 1.
     """
     _validate(rate_rps, num_requests)
     if pattern == "poisson":

@@ -37,6 +37,14 @@ from repro.core.accelerator import PhotonicConvolution
 from repro.core.simkernel import plan_dispatch
 
 
+def fresh_backlog(model) -> cluster._Backlog:
+    """The backlog of a lane that has served nothing: no queue, nothing
+    in flight, every core idle from time 0."""
+    empty = np.empty(0)
+    idle = [0.0] * model.num_cores
+    return cluster._Backlog(empty, empty, np.zeros(1, np.int64), idle)
+
+
 def _lane_loop(lane, health) -> None:
     """Serve a lone lane one dispatch at a time."""
     cluster._serve_lanes([lane], health, cluster._lone_lane)
@@ -57,7 +65,9 @@ def reference_loops() -> Iterator[None]:
         yield
 
 
-def verify_admission_walk(raw, mask, policy, model, cap, sizes, disp) -> bool:
+def verify_admission_walk(
+    raw, mask, policy, model, cap, sizes, disp, backlog
+) -> bool:
     """``cluster._verify_admission_plan``, walked batch by batch.
 
     Per batch ``k``: advance the judged pointer to the previous
@@ -65,19 +75,25 @@ def verify_admission_walk(raw, mask, policy, model, cap, sizes, disp) -> bool:
     admits, drain to the head admit when the queue is empty, extend the
     early-admit chain while ``kmin[judged] <= k``, stop once every admit
     is visible, and otherwise re-seal with ``plan_dispatch`` unless the
-    batch is blind to the invisible suffix.
+    batch is blind to the invisible suffix.  A ``backlog`` resumes the
+    walk from a lane's state: its queue is visible from the start, its
+    in-flight batches count before batch 0, and core 0 frees at its
+    clock.
     """
+    queued, _, completed0, core_free = backlog
+    a0 = int(queued.size)
     n = int(raw.size)
     nb = int(sizes.size)
-    adm_before = np.concatenate(([0], np.cumsum(mask))).tolist()
+    adm_before = (a0 + np.concatenate(([0], np.cumsum(mask)))).tolist()
     total = adm_before[-1]
     cum = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    bounds = np.concatenate((completed0, cum[1:]))
     need = np.asarray(adm_before[:-1]) - cap + 1
-    kmin = np.searchsorted(cum, np.maximum(need, 0), side="left")
+    kmin = np.searchsorted(bounds, need, side="left") - (completed0.size - 1)
     kmin = np.where(mask, kmin, nb + 1).tolist()
     pb = np.searchsorted(raw, disp, side="right").tolist()
-    admitted_idx = np.flatnonzero(mask).tolist()
-    admitted_times = raw[mask]
+    queue_idx = [-1] * a0 + np.flatnonzero(mask).tolist()
+    queue = np.concatenate((queued, raw[mask]))
     max_batch = policy.max_batch
     busy0 = (
         model.weight_load_s[0]
@@ -92,7 +108,7 @@ def verify_admission_walk(raw, mask, policy, model, cap, sizes, disp) -> bool:
         if visible < head:
             return False
         if visible == head:
-            judged = admitted_idx[head] + 1
+            judged = queue_idx[head] + 1
         while judged < n and kmin[judged] <= k:
             judged += 1
         visible = adm_before[judged]
@@ -101,10 +117,12 @@ def verify_admission_walk(raw, mask, policy, model, cap, sizes, disp) -> bool:
         if head + max_batch <= visible and disp[k] < raw[judged]:
             continue
         dispatch, size = plan_dispatch(
-            admitted_times[:visible],
+            queue[:visible],
             head,
             policy,
-            0.0 if k == 0 else float(disp[k - 1]) + float(busy0[sizes[k - 1]]),
+            core_free[0]
+            if k == 0
+            else float(disp[k - 1]) + float(busy0[sizes[k - 1]]),
         )
         if dispatch != disp[k] or size != sizes[k]:
             return False

@@ -538,6 +538,42 @@ class TestDeciderRuntime:
         assert not admission.sheds(0.25)
 
 
+class TestEwmaEpochs:
+    """The EWMA trigger runs in epochs: its estimate is folded over the
+    swept errors between decisions, and the fault step is taken only at
+    the dispatches where it logs one."""
+
+    @pytest.mark.parametrize("scenario", ["slow-drift", "tia-aging"])
+    def test_steps_only_where_the_trigger_decides(self, scenario, monkeypatch):
+        from repro.core.faults import CoreHealthState
+
+        arrivals = poisson_arrivals(2e4, 5000, seed=17)
+        horizon = float(arrivals[-1])
+        stepped = []
+        advance = CoreHealthState.advance_to
+
+        def counted(state, time_s):
+            stepped.append(time_s)
+            advance(state, time_s)
+
+        monkeypatch.setattr(CoreHealthState, "advance_to", counted)
+        report = simulate_degraded_serving(
+            LENET,
+            arrivals,
+            POLICY,
+            fault_scenario(scenario, 2, horizon),
+            2,
+            recalibration=AdaptiveRecalibration(
+                base=RECAL, smoothing=0.45, lead_time_s=0.08 * horizon
+            ),
+        )
+        deciding = {decision.time_s for decision in report.decisions}
+        assert deciding
+        # Each stage core at each deciding dispatch, plus the final
+        # advance of both cores.
+        assert len(stepped) <= 2 * len(deciding) + 2
+
+
 class TestPolicyEvalHarness:
     def test_validation(self):
         scenario = EvalScenario(
@@ -581,6 +617,30 @@ class TestPolicyEvalHarness:
                 fault="slow-drift",
                 mix="model-zoo",
                 pool_size=0,
+            )
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("rate_rps", True),
+            ("rate_rps", math.nan),
+            ("rate_rps", math.inf),
+            ("rate_rps", -1.0),
+            ("severity", True),
+            ("severity", math.nan),
+            ("severity", math.inf),
+            ("severity", -0.5),
+        ],
+    )
+    def test_scenario_rejects_bad_knobs_by_name(self, field, bad):
+        """Rejected at construction, with the scenario's name and the
+        knob's, not at run time inside the fault scenario."""
+        with pytest.raises(ValueError, match=rf"^named: {field[:4]}"):
+            EvalScenario(
+                name="named",
+                fault="slow-drift",
+                mix="model-zoo",
+                **{field: bad},
             )
 
     def test_outcome_surface_and_conservation(self):

@@ -5,8 +5,9 @@ per-stage drift as columns and builds
 :class:`~repro.core.faults.CoreDriftSnapshot` objects only for the rows
 a caller reads.  These tests pin that the table reads as the tuple of
 per-batch tuples the per-dispatch record stands for — on the epoch path,
-through a repartition that shrinks the width, and on an EWMA run that
-records every row one dispatch at a time — that its vectorized pristine
+through a repartition that shrinks the width, and on an EWMA run whose
+epochs fold the trigger's estimate between its decisions — that its
+vectorized pristine
 mask agrees with the objects, and that serving builds no per-batch
 objects and stays inside a memory bound.
 """
@@ -15,6 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import reference_loops
 
 from repro.core.adaptive import AdaptiveRecalibration
 from repro.core.cluster import (
@@ -164,23 +166,33 @@ class TestReadsAsTheDispatchRecord:
         else:
             assert not pristine.any()
 
-    def test_ewma_rows_are_recorded_one_dispatch_at_a_time(
+    def test_ewma_epoch_table_equals_the_per_dispatch_record(
         self, monkeypatch
     ):
-        rows = _spy_rows(monkeypatch)
         arrivals = poisson_arrivals(2e4, 3000, seed=4)
-        report = simulate_degraded_serving(
-            serving_network("lenet5"),
-            arrivals,
-            BatchingPolicy.dynamic(4, 1e-4),
-            fault_scenario("tia-aging", 2, float(arrivals[-1])),
-            2,
-            AdaptiveRecalibration(
-                base=RecalibrationPolicy(error_threshold=0.05), smoothing=0.3
-            ),
-        )
-        assert len(rows) == len(report.batches)
-        assert report.recalibrations
+
+        def run():
+            return simulate_degraded_serving(
+                serving_network("lenet5"),
+                arrivals,
+                BatchingPolicy.dynamic(4, 1e-4),
+                fault_scenario("tia-aging", 2, float(arrivals[-1])),
+                2,
+                AdaptiveRecalibration(
+                    base=RecalibrationPolicy(error_threshold=0.05),
+                    smoothing=0.3,
+                ),
+            )
+
+        report = run()
+        rows = _spy_rows(monkeypatch)
+        with reference_loops():
+            oracle = run()
+        assert len(rows) == len(report.batches) == len(oracle.batches)
+        assert report.recalibrations == oracle.recalibrations
+        assert report.decisions == oracle.decisions
+        # The epochs booked most rows a sweep at a time.
+        assert len(report.recalibrations) < len(rows) // 4
         _assert_reads_as(report.batch_snapshots, tuple(rows))
 
     def test_pristine_mask_reads_dead_rings(self):

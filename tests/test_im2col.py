@@ -232,3 +232,37 @@ class TestWindowCopyGather:
             _assert_fresh_columns(columns, maps)
             columns[...] = 0.0
         assert np.array_equal(maps, before)
+
+
+class TestTransposedGatherIntoWaves:
+    """The ``out`` gather writes each image's receptive fields as rows,
+    byte for byte the transpose of the column gather."""
+
+    @given(
+        batch=st.integers(min_value=1, max_value=3),
+        channels=st.integers(min_value=1, max_value=4),
+        height=st.integers(min_value=1, max_value=9),
+        width=st.integers(min_value=1, max_value=9),
+        kernel=st.integers(min_value=1, max_value=5),
+        stride=st.integers(min_value=1, max_value=6),
+        padding=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_transposed_columns(
+        self, batch, channels, height, width, kernel, stride, padding, seed
+    ):
+        if kernel > min(height, width) + 2 * padding:
+            return
+        maps = np.random.default_rng(seed).normal(
+            size=(batch, channels, height, width)
+        )
+        columns = im2col_batch_stacked(maps, kernel, stride, padding)
+        # Rows of a larger stack, as the engine's wave stack holds them.
+        waves = np.full((batch * columns.shape[2] + 2, columns.shape[1]), -1.0)
+        rows = waves[1:-1].reshape(batch, columns.shape[2], columns.shape[1])
+        filled = im2col_batch_stacked(maps, kernel, stride, padding, out=rows)
+        assert filled is rows
+        expected = np.ascontiguousarray(columns.transpose(0, 2, 1))
+        assert rows.tobytes() == expected.tobytes()
+        assert np.all(waves[0] == -1.0) and np.all(waves[-1] == -1.0)

@@ -71,7 +71,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_loops, verify_admission_walk
+from oracles import fresh_backlog, reference_loops, verify_admission_walk
 
 from repro.core.accelerator import PCNNA, PhotonicConvolution
 from repro.core.adaptive import (
@@ -127,6 +127,7 @@ from repro.photonics.broadcast_weight import BLOCK_BYTES
 from repro.photonics.noise import realistic
 from repro.workloads import (
     alexnet_conv_specs,
+    cluster_mix,
     lenet5_conv_specs,
     make_arrivals,
     poisson_arrivals,
@@ -1082,8 +1083,89 @@ def admission_fixed_points(seed: int, count: int) -> list[tuple]:
             else:
                 policy = BatchingPolicy.fixed(m)
             cap = int(rng.integers(1, 3 * m + 2))
-            cluster._plan_admitted(raw, policy, model, cap)
+            cluster._plan_admitted(
+                raw, policy, model, cap, fresh_backlog(model)
+            )
     return points
+
+
+def resumed_admission_points() -> list[tuple]:
+    """The plan checks capped faulted cluster lanes run on their epoch
+    windows, as ``(raw, mask, policy, model, cap, sizes, disp,
+    backlog)``."""
+    points = []
+    real = cluster._verify_admission_plan
+
+    def record(*args):
+        points.append(args)
+        return real(*args)
+
+    with mock.patch.object(cluster, "_verify_admission_plan", record):
+        for seed, cap in ((1, 2), (2, 8), (3, 64)):
+            tenants, arrivals = cluster_mix(
+                "interactive-batch", 6e4, 900, seed=seed
+            )
+            tenants = (
+                dataclasses.replace(tenants[0], queue_cap=cap),
+                tenants[1],
+            )
+            horizon = max(float(trace[-1]) for trace in arrivals.values())
+            simulate_cluster_serving(
+                tenants,
+                arrivals,
+                pool_size=4,
+                schedule=FaultSchedule.uniform_drift(2.0 / horizon, 4),
+                recalibration=RecalibrationPolicy(error_threshold=0.02),
+            )
+        tenants, arrivals, pool, schedule, recal = long_downtime_case(1e5)
+        simulate_cluster_serving(
+            tenants,
+            arrivals,
+            pool,
+            schedule=schedule,
+            recalibration=recal,
+        )
+        # An idle lane whose core 0 is still busy (after a downtime)
+        # until a few arrivals in: the first seal waits for the clock.
+        rng = np.random.default_rng(11)
+        model = PipelineServiceModel.from_specs(lenet5_conv_specs(), 2)
+        for _ in range(60):
+            m = int(rng.integers(2, 8))
+            raw = poisson_arrivals(
+                float(rng.choice([0.5, 2.0, 8.0])) * model.capacity_rps(m),
+                int(rng.integers(5, 120)),
+                seed=int(rng.integers(1 << 30)),
+            )
+            busy = float(raw[min(int(rng.integers(0, 6)), raw.size - 1)])
+            cluster._plan_admitted(
+                raw,
+                BatchingPolicy.dynamic(m, float(rng.choice([1e-5, 1e-4]))),
+                model,
+                int(rng.integers(1, 3 * m)),
+                cluster._Backlog(
+                    raw[:0], raw[:0], np.zeros(1, np.int64), [busy, 0.0]
+                ),
+            )
+    return points
+
+
+def long_downtime_case(rate_rps: float):
+    """A capped LeNet-5 lane whose 3 ms recalibrations keep core 0 busy
+    while a full window of arrivals comes in, as ``(tenants, arrivals,
+    pool_size, schedule, recalibration)``."""
+    specs = tuple(lenet5_conv_specs())
+    trace = poisson_arrivals(rate_rps, 2000, seed=5)
+    return (
+        [
+            ClusterTenant(
+                "x", specs, BatchingPolicy.dynamic(4, 1e-4), queue_cap=64
+            )
+        ],
+        {"x": trace},
+        3,
+        FaultSchedule.uniform_drift(0.3 / float(trace[-1]), 3),
+        RecalibrationPolicy(error_threshold=0.02, overhead_s=3e-3),
+    )
 
 
 class TestAdmissionVerifyOracle:
@@ -1091,13 +1173,14 @@ class TestAdmissionVerifyOracle:
     batch-by-batch walk's verdict (``oracles.verify_admission_walk``)
     on real fixed points and on plans one dispatch off by an ulp."""
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_closed_form_matches_the_walk(self, seed):
+    @staticmethod
+    def assert_verdicts_match(points, rng) -> list[bool]:
         verdicts = []
-        rng = np.random.default_rng(seed + 100)
-        for *args, disp in admission_fixed_points(seed, 200):
-            verdict = verify_admission_walk(*args, disp)
-            assert cluster._verify_admission_plan(*args, disp) == verdict
+        for *args, disp, backlog in points:
+            verdict = verify_admission_walk(*args, disp, backlog)
+            assert cluster._verify_admission_plan(*args, disp, backlog) == (
+                verdict
+            )
             verdicts.append(verdict)
             for _ in range(2):
                 nudged = disp.copy()
@@ -1105,10 +1188,254 @@ class TestAdmissionVerifyOracle:
                 toward = math.inf if rng.random() < 0.5 else -math.inf
                 nudged[k] = np.nextafter(nudged[k], toward)
                 assert cluster._verify_admission_plan(
-                    *args, nudged
-                ) == verify_admission_walk(*args, nudged)
+                    *args, nudged, backlog
+                ) == verify_admission_walk(*args, nudged, backlog)
+        return verdicts
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_closed_form_matches_the_walk(self, seed):
+        points = admission_fixed_points(seed, 200)
+        rng = np.random.default_rng(seed + 100)
+        verdicts = self.assert_verdicts_match(points, rng)
         # The sweep reaches both verdicts, so neither side is vacuous.
         assert True in verdicts and False in verdicts
+
+    def test_closed_form_matches_the_walk_resumed(self):
+        """Capped faulted lanes check each epoch's window from the
+        lane's state: a queue, batches in flight, busy cores."""
+        points = resumed_admission_points()
+        assert any(
+            backlog.queued.size and backlog.inflight_s.size
+            for *_, backlog in points
+        )
+        verdicts = self.assert_verdicts_match(
+            points, np.random.default_rng(7)
+        )
+        assert True in verdicts
+
+
+@st.composite
+def faulted_frozen_cluster_case(draw):
+    """A random faulted frozen-allocation cluster: any trigger, caps
+    none, tight or loose, either routing.
+
+    With ``shared`` every tenant offers the same trace under the same
+    policy, so their lanes dispatch — and, under uniform drift,
+    recalibrate — at the same instants, and the merged logs' order
+    rests on the routing's tie key.
+    """
+    num_tenants = draw(st.integers(min_value=1, max_value=3))
+    shared = draw(st.booleans())
+    load = draw(st.sampled_from([0.5, 2.0, 8.0]))
+    shared_policy = draw(
+        st.sampled_from(
+            [BatchingPolicy.fifo(), BatchingPolicy.dynamic(4, 1e-4)]
+        )
+    )
+    shared_count = draw(st.integers(min_value=5, max_value=150))
+    shared_seed = draw(st.integers(min_value=0, max_value=10_000))
+    tenants = []
+    arrivals = {}
+    for index in range(num_tenants):
+        cap = draw(st.sampled_from(["none", "tight", "loose"]))
+        tenant = ClusterTenant(
+            name=f"tenant-{index}",
+            specs=tuple(draw(st.sampled_from(_TENANT_SPECS))()),
+            policy=shared_policy
+            if shared
+            else draw(
+                st.sampled_from(
+                    [
+                        BatchingPolicy.fifo(),
+                        BatchingPolicy.dynamic(4, 1e-4),
+                        BatchingPolicy.dynamic(8, 1e-3),
+                        BatchingPolicy.fixed(4),
+                    ]
+                )
+            ),
+            weight=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])),
+            priority=draw(st.integers(min_value=0, max_value=2)),
+            queue_cap={
+                "none": None,
+                "tight": draw(st.integers(min_value=1, max_value=4)),
+                "loose": draw(st.integers(min_value=16, max_value=64)),
+            }[cap],
+        )
+        count = shared_count if shared else draw(st.integers(5, 150))
+        seed = shared_seed if shared else draw(st.integers(0, 10_000))
+        trace = poisson_arrivals(
+            load * count / _FAULT_HORIZON_S, count, seed=seed
+        )
+        tenants.append(tenant)
+        arrivals[tenant.name] = trace
+    pool = draw(st.integers(min_value=num_tenants, max_value=num_tenants + 2))
+    horizon = max(float(trace[-1]) for trace in arrivals.values())
+    if draw(st.booleans()):
+        schedule = FaultSchedule.random(
+            draw(st.integers(min_value=0, max_value=10_000)),
+            pool,
+            horizon,
+            events_per_core=draw(st.integers(min_value=1, max_value=3)),
+            max_drift_k_per_s=draw(st.sampled_from([1.0, 1.0 / horizon])),
+        )
+    else:
+        schedule = FaultSchedule.uniform_drift(
+            draw(st.sampled_from([0.03, 0.1, 0.3])) / horizon, pool
+        )
+    trigger = draw(st.sampled_from(["none", "static", "ewma"]))
+    recalibration = {
+        "none": None,
+        "static": RecalibrationPolicy(
+            error_threshold=draw(st.sampled_from([0.02, 0.05]))
+        ),
+        "ewma": draw(adaptive_controller_case()),
+    }[trigger]
+    routing = draw(
+        st.sampled_from(
+            [RoutingPolicy.weighted_fair(), RoutingPolicy.priority()]
+        )
+    )
+    return tenants, pool, arrivals, schedule, recalibration, routing
+
+
+def run_keeping_health(tenants, pool, arrivals, **options):
+    """A cluster run and the pool health it ran against."""
+    made = []
+    real = cluster.PoolHealth
+
+    def keep(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(cluster, "PoolHealth", keep):
+        report = simulate_cluster_serving(tenants, arrivals, pool, **options)
+    return report, made[0]
+
+
+def assert_faulted_clusters_identical(ref, ref_health, vec, vec_health):
+    """Streams, tables and ledgers, and both logs in order."""
+    assert_clusters_byte_identical(ref, vec)
+    assert repr(ref.recalibrations) == repr(vec.recalibrations)
+    assert repr(ref.core_downtime_s) == repr(vec.core_downtime_s)
+    assert repr(ref.final_core_errors) == repr(vec.final_core_errors)
+    if ref_health.trigger is not None:
+        assert ref_health.trigger.decisions == vec_health.trigger.decisions
+
+
+class TestDecomposedFaultedCluster:
+    """A faulted frozen-allocation cluster is served lane by lane, each
+    lane in epochs; the global per-dispatch loop is the oracle."""
+
+    @given(case=faulted_frozen_cluster_case())
+    @settings(max_examples=60, deadline=None)
+    def test_lanes_match_the_global_loop(self, case):
+        tenants, pool, arrivals, schedule, recalibration, routing = case
+        options = dict(
+            schedule=schedule, recalibration=recalibration, routing=routing
+        )
+        with reference_loops():
+            ref = run_keeping_health(tenants, pool, arrivals, **options)
+        vec = run_keeping_health(tenants, pool, arrivals, **options)
+        assert_faulted_clusters_identical(*ref, *vec)
+
+    @pytest.mark.parametrize("routing", ["weighted-fair", "priority"])
+    @pytest.mark.parametrize("trigger", ["static", "ewma"])
+    def test_simultaneous_logs_follow_the_tie_key(self, routing, trigger):
+        """Three capped tenants offer one trace under uniform drift, so
+        every lane recalibrates at the same dispatches; the heavier (or
+        higher-priority) later tenants win those ties."""
+        specs = tuple(lenet5_conv_specs())
+        tenants = [
+            ClusterTenant(
+                f"t{index}",
+                specs,
+                BatchingPolicy.dynamic(4, 1e-4),
+                weight=float(index + 1),
+                priority=index,
+                queue_cap=cap,
+            )
+            for index, cap in enumerate((2, 8, None))
+        ]
+        trace = poisson_arrivals(3e3, 300, seed=11)
+        arrivals = {tenant.name: trace for tenant in tenants}
+        base = RecalibrationPolicy(error_threshold=0.02)
+        options = dict(
+            schedule=FaultSchedule.uniform_drift(0.2 / float(trace[-1]), 6),
+            recalibration=(
+                base
+                if trigger == "static"
+                else AdaptiveRecalibration(
+                    base=base, smoothing=0.5, pressure_hold=2
+                )
+            ),
+            routing=RoutingPolicy(routing),
+        )
+        with reference_loops():
+            ref = run_keeping_health(tenants, 6, arrivals, **options)
+        vec = run_keeping_health(tenants, 6, arrivals, **options)
+        assert_faulted_clusters_identical(*ref, *vec)
+        # The pin is not vacuous: some instant logs several lanes'
+        # recalibrations, and not in tenant order.
+        allocations = ClusterSimulator(tenants, 6)._allocations
+        owner = {
+            core: index
+            for index, cores in enumerate(allocations)
+            for core in cores
+        }
+        by_time = {}
+        for record in ref[0].recalibrations:
+            by_time.setdefault(record.time_s, []).append(owner[record.core])
+        assert any(lanes != sorted(lanes) for lanes in by_time.values())
+
+    @pytest.mark.parametrize("rate_rps", [2e4, 1e5])
+    def test_windows_end_before_the_first_arrival_past_them(self, rate_rps):
+        """After a long recalibration core 0 frees only past a whole
+        window of arrivals: the window keeps only batches dispatched
+        before the first arrival it has not judged."""
+        tenants, arrivals, pool, schedule, recal = long_downtime_case(
+            rate_rps
+        )
+        options = dict(schedule=schedule, recalibration=recal)
+        with reference_loops():
+            ref = run_keeping_health(tenants, pool, arrivals, **options)
+        vec = run_keeping_health(tenants, pool, arrivals, **options)
+        assert_faulted_clusters_identical(*ref, *vec)
+        assert ref[0].recalibrations and ref[0].num_shed
+
+    def test_tie_key_reads_the_head_at_the_dispatch(self):
+        """Weighted-fair ties go to the lane with fewer requests served
+        *at that dispatch*: the early-burst tenant leads there, though
+        the late-burst tenant ends the run ahead."""
+        specs = tuple(lenet5_conv_specs())
+        common = 0.02 + 0.005 * np.arange(40)
+        arrivals = {
+            "early": np.sort(
+                np.concatenate((np.linspace(5e-4, 0.01, 100), common))
+            ),
+            "late": np.sort(
+                np.concatenate((common, np.linspace(0.22, 0.23, 200)))
+            ),
+        }
+        tenants = [
+            ClusterTenant(name, specs, BatchingPolicy.fifo())
+            for name in arrivals
+        ]
+        options = dict(
+            schedule=FaultSchedule.uniform_drift(0.1, 6),
+            recalibration=RecalibrationPolicy(error_threshold=0.02),
+        )
+        with reference_loops():
+            ref = run_keeping_health(tenants, 6, arrivals, **options)
+        vec = run_keeping_health(tenants, 6, arrivals, **options)
+        assert_faulted_clusters_identical(*ref, *vec)
+        report = ref[0]
+        assert report.tenant("early").num_requests < (
+            report.tenant("late").num_requests
+        )
+        # The late tenant's cores (3-5) log first at the shared instant.
+        first = report.recalibrations[0]
+        assert first.core == 3
+        assert report.recalibrations[3].time_s == first.time_s
 
 
 # --------------------------------------------------------------------------

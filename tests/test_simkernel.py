@@ -48,8 +48,10 @@ from repro.core.traffic import (
 )
 from repro.workloads import (
     alexnet_conv_specs,
+    cluster_mix,
     diurnal_arrivals,
     fault_scenario,
+    fleet_mix,
     lenet5_conv_specs,
     mmpp_arrivals,
     poisson_arrivals,
@@ -114,6 +116,12 @@ COUNT_FIELDS = {
         name="s", fault="slow-drift", mix="model-zoo", pool_size=v
     ),
     "poisson request count": lambda v: poisson_arrivals(1000.0, v),
+    "cluster mix request count": lambda v: cluster_mix(
+        "interactive-batch", 1000.0, v
+    ),
+    "fleet mix request count": lambda v: fleet_mix(
+        "follow-the-sun", 1000.0, v
+    ),
     "mmpp request count": lambda v: mmpp_arrivals(500.0, 2000.0, v, 0.01),
     "diurnal request count": lambda v: diurnal_arrivals(
         500.0, 2000.0, v, 0.01

@@ -26,7 +26,9 @@ from repro.core.traffic import (
 from repro.workloads import (
     TRAFFIC_PATTERNS,
     alexnet_conv_specs,
+    cluster_mix,
     diurnal_arrivals,
+    fleet_mix,
     lenet5_conv_specs,
     make_arrivals,
     mmpp_arrivals,
@@ -92,6 +94,42 @@ class TestArrivalGenerators:
             diurnal_arrivals(20.0, 10.0, 5, period_s=1.0)  # peak < off-peak
         with pytest.raises(KeyError):
             make_arrivals("sawtooth", 10.0, 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: poisson_arrivals(v, 3),
+            lambda v: mmpp_arrivals(v, 5.0, 3, 1.0),
+            lambda v: mmpp_arrivals(1.0, v, 3, 1.0),
+            lambda v: mmpp_arrivals(1.0, 5.0, 3, v),
+            lambda v: diurnal_arrivals(v, 5.0, 3, 1.0),
+            lambda v: diurnal_arrivals(1.0, v, 3, 1.0),
+            lambda v: diurnal_arrivals(1.0, 5.0, 3, v),
+            lambda v: make_arrivals("poisson", v, 3),
+            lambda v: make_arrivals("diurnal", v, 3),
+            lambda v: cluster_mix("interactive-batch", v, 10),
+            lambda v: fleet_mix("follow-the-sun", v, 10),
+        ],
+        ids=[
+            "poisson-rate",
+            "mmpp-quiet",
+            "mmpp-burst",
+            "mmpp-dwell",
+            "diurnal-offpeak",
+            "diurnal-peak",
+            "diurnal-period",
+            "make-poisson",
+            "make-diurnal",
+            "cluster-mix",
+            "fleet-mix",
+        ],
+    )
+    def test_non_finite_and_bool_knobs_rejected(self, call, bad):
+        """A NaN rate or period used to hang the thinning loop, an
+        infinite one to build an all-zero trace; both are refused."""
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            call(bad)
 
 
 class TestBatchingPolicy:

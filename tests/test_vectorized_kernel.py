@@ -411,13 +411,13 @@ class TestMultiTenantClusterPin:
         fallback fires on a hostile trace and stays bit-identical."""
         specs = lenet5_conv_specs()
         calls = []
-        original = cluster_module._serve_lanes
+        original = cluster_module._TenantLane.serve
 
-        def counting(lanes, *args, **kwargs):
-            calls.extend(lane.name for lane in lanes)
-            return original(lanes, *args, **kwargs)
+        def counting(lane, *args, **kwargs):
+            calls.append(lane.name)
+            return original(lane, *args, **kwargs)
 
-        monkeypatch.setattr(cluster_module, "_serve_lanes", counting)
+        monkeypatch.setattr(cluster_module._TenantLane, "serve", counting)
         rng = np.random.default_rng(101)
         base = np.cumsum(rng.exponential(1.0 / 2e4, 60))
         trace = np.sort(rng.choice(base, size=300))
@@ -430,7 +430,8 @@ class TestMultiTenantClusterPin:
             )
         ]
         vec = simulate_cluster_serving(tenants, {"hostile": trace}, pool_size=1)
-        assert calls == ["hostile"]  # the plan was rejected
+        # The plan was rejected: every batch is served one by one.
+        assert calls == ["hostile"] * len(vec.tenant("hostile").batches)
         monkeypatch.undo()
         with reference_loops():
             ref = simulate_cluster_serving(
@@ -545,6 +546,16 @@ class TestAutoModeRouting:
             )
             lanes += 1
             assert calls["alone"] == lanes
+        # A faulted pool shares no lane state either: each lane's fault
+        # steps touch only its own cores.
+        horizon = float(arrivals["solo"][-1])
+        simulate_cluster_serving(
+            tenants,
+            arrivals,
+            pool,
+            schedule=FaultSchedule.uniform_drift(1.0 / horizon, pool),
+        )
+        assert calls == {"alone": lanes + 1, "lanes": 0}
 
     def test_kernel_auto_runs_no_per_dispatch_loop(self, monkeypatch):
         calls = self.spy(monkeypatch)
@@ -557,16 +568,15 @@ class TestAutoModeRouting:
             EventLoopKernel(lenet_model(), policy).run(arrivals)
         assert calls == {"alone": 3, "lanes": 0}
 
-    @pytest.mark.parametrize("feedback", ["faulted", "elastic"])
+    @pytest.mark.parametrize("feedback", ["elastic", "elastic-faulted"])
     def test_feedback_shapes_take_the_lane_loop(self, monkeypatch, feedback):
         tenants, arrivals, pool = next(_frozen_shapes())
         horizon = float(arrivals["solo"][-1])
-        options = {
-            "faulted": {"schedule": FaultSchedule.uniform_drift(
+        options = {"elastic": ElasticReallocation()}
+        if feedback == "elastic-faulted":
+            options["schedule"] = FaultSchedule.uniform_drift(
                 1.0 / horizon, pool
-            )},
-            "elastic": {"elastic": ElasticReallocation()},
-        }[feedback]
+            )
         calls = self.spy(monkeypatch)
         simulate_cluster_serving(tenants, arrivals, pool, **options)
         assert calls == {"alone": 0, "lanes": 1}

@@ -1,16 +1,24 @@
 """Tests for workload tables and the PCNNA configuration."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import PAPER_CONFIG, PCNNAConfig, paper_assumptions
+from repro.nn.models import build_vgg16
 from repro.nn.shapes import ConvLayerSpec
 from repro.workloads import (
     ALEXNET_CONV_LAYERS,
+    CLUSTER_MIXES,
+    FLEET_MIXES,
     LENET5_CONV_LAYERS,
+    SERVING_NETWORKS,
     VGG16_CONV_LAYERS,
     alexnet_conv_specs,
     alexnet_layer,
+    cluster_mix,
+    fleet_mix,
     lenet5_conv_specs,
+    serving_network,
     synthetic_layer_sweep,
     vgg16_conv_specs,
 )
@@ -130,3 +138,54 @@ class TestConfig:
             paper_assumptions().dram.bandwidth_bytes_per_s
             > PCNNAConfig().dram.bandwidth_bytes_per_s
         )
+
+
+# The network each named mix's tenant serves, by tenant name.
+_TENANT_NETWORKS = {
+    "interactive": lambda scale, seed: serving_network("lenet5", seed=seed),
+    "batch": lambda scale, seed: serving_network(
+        "googlenet-stem", scale=scale, seed=seed
+    ),
+    "majority": lambda scale, seed: serving_network("lenet5", seed=seed),
+    "minority": lambda scale, seed: serving_network("lenet5", seed=seed),
+    "lenet5": lambda scale, seed: serving_network("lenet5", seed=seed),
+    "alexnet": lambda scale, seed: serving_network(
+        "alexnet", scale=scale, seed=seed
+    ),
+    "googlenet-stem": lambda scale, seed: serving_network(
+        "googlenet-stem", scale=scale, seed=seed
+    ),
+    "vgg16": lambda scale, seed: build_vgg16(scale=0.02, seed=seed),
+}
+
+
+class TestWeightFreeTenantSpecs:
+    """The serving mixes build their tenants' conv specs without
+    drawing weights; the specs equal the weighted networks'."""
+
+    @pytest.mark.parametrize("scale", [0.05, 0.1])
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    @pytest.mark.parametrize("mix", CLUSTER_MIXES)
+    def test_cluster_mix_specs(self, mix, seed, scale):
+        tenants, _ = cluster_mix(mix, 2000.0, 400, seed=seed, scale=scale)
+        for tenant in tenants:
+            network = _TENANT_NETWORKS[tenant.name](scale, seed)
+            assert tenant.specs == tuple(network.conv_specs())
+
+    @pytest.mark.parametrize("scale", [0.05, 0.1])
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("mix", FLEET_MIXES)
+    def test_fleet_mix_specs(self, mix, seed, scale):
+        scenario = fleet_mix(mix, 2000.0, 300, seed=seed, scale=scale)
+        for tenant in scenario.tenants:
+            network = _TENANT_NETWORKS[tenant.name](scale, seed)
+            assert tenant.specs == tuple(network.conv_specs())
+
+    @pytest.mark.parametrize("name", SERVING_NETWORKS)
+    def test_shape_only_build_draws_nothing(self, name, monkeypatch):
+        def refuse(seed=None):
+            raise AssertionError("a shape-only build drew weights")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        network = serving_network(name, draw_weights=False)
+        assert network.conv_specs()
