@@ -2,13 +2,13 @@
 
 :class:`~repro.core.faults.DegradedServingSimulator` serves its lone
 faulted lane in epochs between fault actions
-(``repro.core.cluster._serve_epochs``): the stretch up to the next
-dispatch where the fault step acts is planned and booked with the
-vectorized kernel and its drift probes are swept over simulated time.
-The per-dispatch lane loop (``_serve_lanes``) stays the oracle.  The
-scenario is perfbench's drift-serving: LeNet-5 over 2 cores, slow
-drift, ``dynamic(4, 1e-4)`` batching and a 0.05 recalibration
-threshold.
+(``repro.core.cluster._serve_alone``): the stretch up to the next
+dispatch where the fault step acts (``PoolHealth.cut``) is planned and
+booked with the vectorized kernel and its drift probes are swept over
+simulated time.  The per-dispatch lane loop (``_serve_lanes``) stays
+the oracle.  The scenario is perfbench's drift-serving: LeNet-5 over 2
+cores, slow drift, ``dynamic(4, 1e-4)`` batching and a 0.05
+recalibration threshold.
 
 * **Behaviour** (default run): the epoch lane equals the lane loop and
   steps the drift states only at the dispatches where the fault step

@@ -212,10 +212,7 @@ class EwmaRecalDecider:
         "policy",
         "needs_queue_depth",
         "decisions",
-        "_level",
-        "_slope",
-        "_last_error",
-        "_last_time",
+        "_estimates",
     )
 
     def __init__(self, controller: AdaptiveRecalibration) -> None:
@@ -223,10 +220,8 @@ class EwmaRecalDecider:
         self.policy = controller.base
         self.needs_queue_depth = controller.pressure_hold is not None
         self.decisions: list[AdaptiveDecision] = []
-        self._level: dict[int, float] = {}
-        self._slope: dict[int, float] = {}
-        self._last_error: dict[int, float] = {}
-        self._last_time: dict[int, float] = {}
+        # Per core: EWMA level and slope, last error and its instant.
+        self._estimates: dict[int, tuple[float, float, float, float]] = {}
 
     def observe(self, core: int, error: float, time_s: float) -> float:
         """Fold one error sample into the core's estimate.
@@ -237,19 +232,17 @@ class EwmaRecalDecider:
         projection, so the return value *is* ``error`` bit-for-bit.
         """
         alpha = self.controller.smoothing
-        prev = self._level.get(core)
-        if prev is None:
+        estimate = self._estimates.get(core)
+        if estimate is None:
             level = error
             slope = 0.0
         else:
+            prev, prev_slope, last_error, last_time = estimate
             level = alpha * error + (1.0 - alpha) * prev
-            dt = time_s - self._last_time[core]
-            rate = (error - self._last_error[core]) / dt if dt > 0.0 else 0.0
-            slope = alpha * rate + (1.0 - alpha) * self._slope[core]
-        self._level[core] = level
-        self._slope[core] = slope
-        self._last_error[core] = error
-        self._last_time[core] = time_s
+            dt = time_s - last_time
+            rate = (error - last_error) / dt if dt > 0.0 else 0.0
+            slope = alpha * rate + (1.0 - alpha) * prev_slope
+        self._estimates[core] = (level, slope, error, time_s)
         return level + max(slope, 0.0) * self.controller.lead_time_s
 
     def first_firing(
@@ -260,21 +253,25 @@ class EwmaRecalDecider:
         reaches the threshold — where :meth:`decide` would log a
         decision — or ``errors.size`` if none does.
 
-        Folds :meth:`observe` over the samples on a copy of the core's
-        estimate, so the decider itself does not move.
+        Folds :meth:`observe` over the samples from the core's current
+        estimate and puts that estimate back, so the decider itself
+        does not move.
         """
-        probe = EwmaRecalDecider(self.controller)
-        for name in ("_level", "_slope", "_last_error", "_last_time"):
-            memo = getattr(self, name)
-            if core in memo:
-                getattr(probe, name)[core] = memo[core]
+        estimates = self._estimates
+        saved = estimates.get(core)
         threshold = self.policy.error_threshold
+        fired = errors.size
         for index, (error, time_s) in enumerate(
             zip(errors.tolist(), times.tolist())
         ):
-            if probe.observe(core, error, time_s) >= threshold:
-                return index
-        return errors.size
+            if self.observe(core, error, time_s) >= threshold:
+                fired = index
+                break
+        if saved is None:
+            estimates.pop(core, None)
+        else:
+            estimates[core] = saved
+        return fired
 
     def fold(self, core: int, errors: np.ndarray, times: np.ndarray) -> None:
         """Observe a core's errors at dispatches :meth:`decide` did not
@@ -319,7 +316,7 @@ class EwmaRecalDecider:
                 core=state.core,
                 action=action,
                 error=state.error,
-                smoothed=self._level[state.core],
+                smoothed=self._estimates[state.core][0],
                 projected=projected,
                 queued=-1 if queued is None else queued,
             )
@@ -328,8 +325,7 @@ class EwmaRecalDecider:
             return False
         # Recalibration resets the core's error; drop the estimator
         # memory so the next sample re-seeds from the restored state.
-        del self._level[state.core]
-        del self._slope[state.core]
+        del self._estimates[state.core]
         return True
 
 

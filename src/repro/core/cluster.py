@@ -46,11 +46,12 @@ numpy columns its reports read.  The lane event loop
 is the oracle of every faster path.  A lane that shares no state with
 another — the lone pipeline, or a tenant of a frozen-allocation
 cluster, faulted or not — is served by :func:`_serve_alone`, the one
-place a lane's path is chosen: one whole-trace vectorized plan, the
-occupancy-cap admission walk, epochs between fault actions
-(:func:`_serve_epochs`), or the per-dispatch loop.  Everything is a
-pure function of its inputs: a fixed seed and tenant mix yields
-bit-identical reports on every run.
+place a lane's path is chosen: vectorized epochs between fault actions
+(the whole trace on a pristine pool), planned by one
+:func:`~repro.core.simkernel.plan_batches` or the occupancy-cap
+admission walk, and the per-dispatch loop where no epoch can be
+planned.  Everything is a pure function of its inputs: a fixed seed
+and tenant mix yields bit-identical reports on every run.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ import numpy as np
 from repro.core.adaptive import AdaptiveRecalibration, BurnRateAdmission
 from repro.core.config import PCNNAConfig
 from repro.core.faults import (
-    CoreHealthState,
     DriftSnapshotTable,
     FaultSchedule,
     PoolHealth,
@@ -563,18 +563,14 @@ class _TenantLane:
             setattr(self, column, np.empty(0, dtype))
         self.initial_width = len(phys_cores)
         # The admitted queue: arrival times of every admitted request,
-        # in arrival order.  With no cap it *is* the trace, admitted up
-        # front, so dispatch planning sees the exact array the plain
-        # simulator would (the bit-identity the differential test pins).
-        # A capped lane allocates it at its first :meth:`plan`; one
-        # judged whole-trace (:meth:`judge_all`) never needs the buffer.
-        self.admitted_times: np.ndarray | None = None
-        self.admitted = self.ptr = 0
-        if self.cap is None and self._burn is None:
-            self.admitted_times = arrivals
-            self.admitted = self.ptr = self.n
-        # Shed arrivals: appended per judgment, or one judge_all array.
-        self.shed: list[float] | np.ndarray = []
+        # in arrival order.  With no cap and no burn controller it *is*
+        # the trace, admitted up front, so dispatch planning sees the
+        # exact array the plain simulator would (the bit-identity the
+        # differential test pins).
+        admits_all = self.cap is None and self._burn is None
+        self.admitted_times = arrivals if admits_all else np.empty(self.n)
+        self.admitted = self.ptr = self.n if admits_all else 0
+        self.shed: list[float] = []
         self.released = False
         # Single-pipeline extras, off for cluster tenants: draining
         # cores whose error reaches the threshold, and per-batch drift
@@ -694,14 +690,10 @@ class _TenantLane:
         judged = self.raw[self.ptr : stop]
         keep = mask[: judged.size]
         admitted = judged[keep]
-        if self.admitted_times is None:
-            # A whole trace judged at once needs no buffer.
-            self.admitted_times, self.shed = admitted, judged[~keep]
-        else:
-            stored = self.admitted + admitted.size
-            self.admitted_times[self.admitted : stored] = admitted
-            self.shed.extend(judged[~keep].tolist())
-        self.admitted += int(admitted.size)
+        stored = self.admitted + admitted.size
+        self.admitted_times[self.admitted : stored] = admitted
+        self.shed.extend(judged[~keep].tolist())
+        self.admitted = stored
         self.ptr = stop
 
     def backlog(self, first_s: float) -> "_Backlog":
@@ -718,9 +710,7 @@ class _TenantLane:
         if not done:
             completed = np.concatenate(([-self.head], completed))
         return _Backlog(
-            self.raw[:0]
-            if self.admitted == self.head
-            else self.admitted_times[self.head : self.admitted],
+            self.admitted_times[self.head : self.admitted],
             self.batch_completion[done:nb],
             completed,
             self.core_free,
@@ -742,8 +732,6 @@ class _TenantLane:
         still to come can only lower occupancy, never flip an admit)
         and otherwise left unjudged for :meth:`commit` to decide.
         """
-        if self.admitted_times is None:
-            self.admitted_times = np.empty(self.n)
         head = self.head
         while head >= self.admitted and self.ptr < self.n:
             # Empty queue: all completions are known, judge exactly.
@@ -888,23 +876,19 @@ class _TenantLane:
         if health is None:
             self.commit(dispatch, size)
             return
-        states = health.states
         health.step(self.phys, self.core_free, dispatch, self.queue_depth)
         if self.fail_error_threshold is not None:
-            self._drain_failing(dispatch, states)
-        phys = self.phys
+            self._drain_failing(dispatch, health)
+        phys, states = self.phys, health.states
         if self.drift is not None:
             self.drift.record(self.num_batches, states, phys)
         self.commit(dispatch, size, max(states[core].error for core in phys))
 
-    def _drain_failing(
-        self, dispatch: float, states: list[CoreHealthState]
-    ) -> None:
-        """Re-partition around cores past the fail threshold (unless
-        every core is failing: then there is nowhere to move to)."""
-        phys, threshold = self.phys, self.fail_error_threshold
-        failing = [core for core in phys if states[core].error >= threshold]
-        if failing and len(failing) < len(phys):
+    def _drain_failing(self, dispatch: float, health: PoolHealth) -> None:
+        """Re-partition around the cores the pool finds failing."""
+        phys = self.phys
+        failing = health.failing(phys, self.fail_error_threshold)
+        if failing:
             self.resize([core for core in phys if core not in failing])
             self.repartitions.append(
                 RepartitionRecord(
@@ -1653,16 +1637,16 @@ def _serve_lanes(
 
 
 _EPOCH_MIN_REQUESTS = 64
-"""Requests the first speculative epoch after a fault action plans; each
-epoch that runs to its end doubles the next one."""
+"""Requests the first epoch of a faulted lane, and the first after each
+cut, plans; each epoch that runs to its end doubles the next one."""
 
 _DENSE_CUT = 4
 """An epoch cut before this many batches counts as dense: fault actions
 come so often that planning and probing ahead cost more than they save."""
 
 _SCALAR_RUN_MAX = 64
-"""Cap on the per-dispatch run :func:`_serve_epochs` takes after dense
-cuts before it speculates again (the run doubles per dense cut)."""
+"""Cap on the per-dispatch run :func:`_serve_alone` takes after dense
+cuts before it plans an epoch again (the run doubles per dense cut)."""
 
 
 def _serve_next(lane: _TenantLane, health: PoolHealth | None) -> bool:
@@ -1687,10 +1671,14 @@ def _plan_epoch(lane: _TenantLane, window: int):
 
     Returns:
         ``(heads, sizes, disp, mask)``, with ``mask`` the capped walk's
-        verdicts over the window (``None`` uncapped) — or ``None`` when
-        the capped walk hits its pass cap or its plan fails the
-        sealed-visibility check.
+        verdicts over the window (``None`` uncapped) — or ``None`` for
+        a lane with an enabled burn-rate controller, or when the capped
+        walk hits its pass cap or its plan fails the sealed-visibility
+        check.
     """
+    if lane._burn is not None:
+        # A burn judgment reads completions the plan has yet to seal.
+        return None
     m = lane.policy.max_batch
     if lane.cap is None:
         stop = end = min(lane.head + window, lane.n)
@@ -1730,42 +1718,34 @@ def _plan_epoch(lane: _TenantLane, window: int):
     return heads, sizes, disp, mask
 
 
-def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
-    """The lane event loop for one faulted lane, in epochs.
+def _serve_alone(lane: _TenantLane, health: PoolHealth | None) -> None:
+    """Serve a lane that shares no state with another lane, in epochs.
 
     Between two dispatches at which the fault step acts, nothing feeds
-    back into the lane's clocks: the drift probes are pure functions of
-    simulated time under a fixed command, and the batches and
-    admissions are the fault-free plan.  So each epoch plans a window
-    of the trace (:func:`_plan_epoch`), sweeps every stage core's probe
-    over its dispatch instants
-    (:meth:`~repro.core.faults.CoreHealthState.sweep`), and cuts at the
-    first batch where the per-dispatch loop would act: the trigger
-    firing on a core that is not exhausted (``first_firing``), an
-    exhausted core re-arming, or some but not all cores at the fail
-    threshold.  The batches before the cut are booked in bulk, drift
-    rows and all, once the trigger has folded their samples (``fold``)
-    and a capped lane has judged the arrivals they decided; the cut
-    batch runs through :meth:`_TenantLane.serve` — the one fault step,
-    :meth:`~repro.core.faults.PoolHealth.step`, and the failing-core
-    drain.  Windows double while epochs run to their end and reset at
-    a cut; after dense cuts, and for a capped window the admission
-    walk cannot plan, the lane serves dispatches one by one.  The
-    result is bit-identical to :func:`_serve_lanes` on the lone lane,
-    which stays the oracle.
+    back into the lane's clocks.  So each epoch plans a window of the
+    trace as if no fault acts (:func:`_plan_epoch`), books in bulk the
+    batches before the fault step's first action
+    (:meth:`~repro.core.faults.PoolHealth.cut`; on a pristine pool
+    nothing cuts, and the first window is the whole trace), and serves
+    the cut batch through :meth:`_TenantLane.serve`.  Windows double while
+    epochs run to their end and reset at a cut.  After dense cuts, and
+    for a window :func:`_plan_epoch` cannot plan, the lane serves
+    dispatches one by one, at least one, so a lane whose trace is fully
+    judged still drains its queue.  Bit-identical to
+    :func:`_serve_lanes` on the lone lane, which stays the oracle.
+
+    A faulted lane leaves the pool's cores where its own dispatches
+    left them: the caller runs
+    :meth:`~repro.core.faults.PoolHealth.finish` once every lane that
+    shares the pool has been served.
     """
-    states = health.states
-    trigger = health.trigger
-    fail = lane.fail_error_threshold
-    if lane.admitted_times is None:
-        lane.admitted_times = np.empty(lane.n)
-    window = _EPOCH_MIN_REQUESTS
+    window = lane.n if health is None else _EPOCH_MIN_REQUESTS
     scalar_run = 0
     while lane.head < lane.admitted or lane.ptr < lane.n:
         epoch = _plan_epoch(lane, window)
         if epoch is None:
             stop = min(lane.ptr + window, lane.n)
-            while lane.ptr < stop and _serve_next(lane, health):
+            while _serve_next(lane, health) and lane.ptr < stop:
                 pass
             window = _EPOCH_MIN_REQUESTS
             continue
@@ -1773,31 +1753,16 @@ def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
         if not heads.size:
             window *= 2
             continue
-        phys = lane.phys
-        sweeps = [states[core].sweep(disp) for core in phys]
-        cut = min(sweep.rearm for sweep in sweeps)
-        if fail is not None:
-            # repro: allow[BIT001] integer count, exact in any order
-            failing = sum(sweep.errors[:cut] >= fail for sweep in sweeps)
-            hits = np.flatnonzero((failing > 0) & (failing < len(phys)))
-            if hits.size:
-                cut = int(hits[0])
-        if trigger is not None:
-            for core, sweep in zip(phys, sweeps):
-                if not states[core].recal_exhausted:
-                    cut = trigger.first_firing(
-                        core, sweep.errors[:cut], disp[:cut]
-                    )
+        if health is None:
+            cut, proxies, sweeps = disp.size, None, None
+        else:
+            cut, proxies, sweeps = health.cut(
+                lane.phys, disp, lane.fail_error_threshold
+            )
         if cut:
-            if trigger is not None:
-                for core, sweep in zip(phys, sweeps):
-                    trigger.fold(core, sweep.errors[:cut], disp[:cut])
             if mask is not None:
                 decided = int(lane.raw.searchsorted(disp[cut - 1], "right"))
                 lane.judge(mask, max(lane.ptr, decided))
-            proxies = sweeps[0].errors[:cut]
-            for sweep in sweeps[1:]:
-                proxies = np.maximum(proxies, sweep.errors[:cut])
             lane.book(heads[:cut], sizes[:cut], disp[:cut], proxies, sweeps)
         if cut == disp.size:
             window *= 2
@@ -1811,43 +1776,6 @@ def _serve_epochs(lane: _TenantLane, health: PoolHealth) -> None:
             if not _serve_next(lane, health):
                 break
         window = _EPOCH_MIN_REQUESTS
-
-
-def _serve_alone(lane: _TenantLane, health: PoolHealth | None) -> None:
-    """Serve a lane that shares no state with another lane, by its
-    fastest exact path — the one place a lane's path is chosen:
-
-    * fault-free: the whole trace as one epoch (:func:`_plan_epoch`:
-      one :func:`~repro.core.simkernel.plan_batches`, or a capped
-      lane's :func:`_plan_admitted` walk) and one
-      :meth:`_TenantLane.book`, or per dispatch when the walk is
-      rejected;
-    * faulted, under any trigger, capped or not: :func:`_serve_epochs`;
-    * with an enabled burn-rate controller: per dispatch, the lane loop
-      of :func:`_serve_lanes` that every other path matches bit for bit.
-
-    A faulted lane leaves the pool's cores where its own dispatches
-    left them: the caller runs
-    :meth:`~repro.core.faults.PoolHealth.finish` once every lane that
-    shares the pool has been served.
-    """
-    if lane._burn is None:
-        if health is not None:
-            _serve_epochs(lane, health)
-            return
-        # Fault-free, the whole trace is one epoch.
-        epoch = _plan_epoch(lane, lane.n)
-        if epoch is not None:
-            heads, sizes, disp, mask = epoch
-            if mask is not None:
-                lane.judge(mask, lane.n)
-            lane.book(heads, sizes, disp)
-            return
-        # The walk hit its pass cap, or the sealed-visibility walk
-        # rejected the speculation (an early-shed arrival re-admitted
-        # at the very next commit shrank a per-dispatch batch).
-    while _serve_next(lane, health):
-        pass
 
 
 def serve_pipeline(

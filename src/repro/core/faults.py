@@ -1132,7 +1132,7 @@ class PoolHealth:
     ledgers.  :meth:`step` is the one fault step, for the
     single-pipeline :class:`DegradedServingSimulator` and the cluster
     alike: the per-dispatch lane loop takes it at every dispatch, a
-    lane's epochs only where it acts.
+    lane's epochs only where :meth:`cut`, its epoch form, finds it acts.
 
     Args:
         schedule: the fault schedule over the pool's physical cores.
@@ -1206,6 +1206,65 @@ class PoolHealth:
                 )
             )
 
+    def cut(
+        self,
+        stage_to_core: list[int],
+        dispatch_s: np.ndarray,
+        fail_error_threshold: float | None,
+    ) -> tuple[int, np.ndarray, list[ProbeSweep]]:
+        """The epoch form of :meth:`step`: the index of the first of a
+        pipeline's upcoming dispatches ``dispatch_s`` at which it acts.
+
+        Each stage core's probe is swept over every instant at once
+        (:meth:`CoreHealthState.sweep`), and the cut is where the
+        trigger fires on a core that is not exhausted, an exhausted
+        core re-arms, or some but not all cores fail (:meth:`failing`).
+        The trigger folds the samples before the cut as deciding at each
+        of them would.
+
+        Returns:
+            ``(cut, proxies, sweeps)``: the cut (``dispatch_s.size`` if
+            the step never acts), the worst stage-core error at each
+            dispatch before it, and the sweeps, for the drift rows.
+        """
+        states = self.states
+        sweeps = [states[core].sweep(dispatch_s) for core in stage_to_core]
+        cut = min(sweep.rearm for sweep in sweeps)
+        if fail_error_threshold is not None:
+            # repro: allow[BIT001] integer count, exact in any order
+            failing = sum(
+                sweep.errors[:cut] >= fail_error_threshold for sweep in sweeps
+            )
+            hits = np.flatnonzero((failing > 0) & (failing < len(sweeps)))
+            if hits.size:
+                cut = int(hits[0])
+        trigger = self.trigger
+        if trigger is not None:
+            for core, sweep in zip(stage_to_core, sweeps):
+                if not states[core].recal_exhausted:
+                    cut = trigger.first_firing(
+                        core, sweep.errors[:cut], dispatch_s[:cut]
+                    )
+            for core, sweep in zip(stage_to_core, sweeps):
+                trigger.fold(core, sweep.errors[:cut], dispatch_s[:cut])
+        proxies = sweeps[0].errors[:cut]
+        for sweep in sweeps[1:]:
+            proxies = np.maximum(proxies, sweep.errors[:cut])
+        return cut, proxies, sweeps
+
+    def failing(
+        self, stage_to_core: list[int], fail_error_threshold: float
+    ) -> list[int]:
+        """The pipeline's cores at or past the fail threshold, for a
+        drain to re-partition around: none if all are (nowhere to go)."""
+        states = self.states
+        failing = [
+            core
+            for core in stage_to_core
+            if states[core].error >= fail_error_threshold
+        ]
+        return failing if len(failing) < len(stage_to_core) else []
+
     def finish(self, time_s: float) -> None:
         """Advance every core to the run's last dispatch, so drained
         and idle cores report end-of-run error, not a stale one."""
@@ -1224,13 +1283,13 @@ class DegradedServingSimulator:
     clock), and the fault-aware scheduler may re-partition the layers
     over the surviving cores.  Dispatch planning and the pipeline walk
     stay the exact arithmetic of the fault-free simulator, which is why
-    a zero-magnitude schedule stays bit-identical to it.  With the
-    static policy (or none) the lane runs in epochs: it plans the
-    batches up to the next dispatch where a core recalibrates, re-arms
-    or fails with the vectorized kernel, reads the probes over all
-    their dispatch instants at once, and steps only that dispatch (see
+    a zero-magnitude schedule stays bit-identical to it.  The lane runs
+    in epochs under any policy: it plans the batches up to the next
+    dispatch where a core recalibrates, re-arms or fails with the
+    vectorized kernel, reads the probes over all their dispatch
+    instants at once, and steps only that dispatch (see
     :func:`~repro.core.cluster.serve_pipeline`); an adaptive policy
-    steps every dispatch and logs its decisions in the report.
+    logs its decisions in the report.
 
     Args:
         model: the healthy per-core service model (initial pipeline).

@@ -1217,7 +1217,8 @@ class TestAdmissionVerifyOracle:
 @st.composite
 def faulted_frozen_cluster_case(draw):
     """A random faulted frozen-allocation cluster: any trigger, caps
-    none, tight or loose, either routing.
+    none, tight or loose, some tenants under an enabled burn-rate
+    controller, either routing.
 
     With ``shared`` every tenant offers the same trace under the same
     policy, so their lanes dispatch — and, under uniform drift,
@@ -1236,6 +1237,7 @@ def faulted_frozen_cluster_case(draw):
     shared_seed = draw(st.integers(min_value=0, max_value=10_000))
     tenants = []
     arrivals = {}
+    admission = {}
     for index in range(num_tenants):
         cap = draw(st.sampled_from(["none", "tight", "loose"]))
         tenant = ClusterTenant(
@@ -1268,6 +1270,8 @@ def faulted_frozen_cluster_case(draw):
         )
         tenants.append(tenant)
         arrivals[tenant.name] = trace
+        if draw(st.booleans()):
+            admission[tenant.name] = draw(burn_admission_case())
     pool = draw(st.integers(min_value=num_tenants, max_value=num_tenants + 2))
     horizon = max(float(trace[-1]) for trace in arrivals.values())
     if draw(st.booleans()):
@@ -1295,7 +1299,7 @@ def faulted_frozen_cluster_case(draw):
             [RoutingPolicy.weighted_fair(), RoutingPolicy.priority()]
         )
     )
-    return tenants, pool, arrivals, schedule, recalibration, routing
+    return tenants, pool, arrivals, schedule, recalibration, routing, admission
 
 
 def run_keeping_health(tenants, pool, arrivals, **options):
@@ -1329,9 +1333,12 @@ class TestDecomposedFaultedCluster:
     @given(case=faulted_frozen_cluster_case())
     @settings(max_examples=60, deadline=None)
     def test_lanes_match_the_global_loop(self, case):
-        tenants, pool, arrivals, schedule, recalibration, routing = case
+        tenants, pool, arrivals, schedule, recal, routing, admission = case
         options = dict(
-            schedule=schedule, recalibration=recalibration, routing=routing
+            schedule=schedule,
+            recalibration=recal,
+            routing=routing,
+            admission=admission,
         )
         with reference_loops():
             ref = run_keeping_health(tenants, pool, arrivals, **options)

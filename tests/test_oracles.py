@@ -25,23 +25,22 @@ from repro.workloads import cluster_mix, lenet5_conv_specs, poisson_arrivals
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Count lane serves and fast-path entries on the cluster module."""
-    calls = {"serve": 0, "_plan_admitted": 0, "_serve_epochs": 0}
-    serve = cluster._TenantLane.serve
-
-    def count_serve(lane, *args, **kwargs):
-        calls["serve"] += 1
-        return serve(lane, *args, **kwargs)
-
-    monkeypatch.setattr(cluster._TenantLane, "serve", count_serve)
-    for name in ("_plan_admitted", "_serve_epochs"):
-        original = getattr(cluster, name)
+    """Count lane serves, fast-path entries on the cluster module, and
+    epoch cuts of the fault step."""
+    calls = {"serve": 0, "_plan_admitted": 0, "_plan_epoch": 0, "cut": 0}
+    for owner, name in (
+        (cluster._TenantLane, "serve"),
+        (cluster, "_plan_admitted"),
+        (cluster, "_plan_epoch"),
+        (cluster.PoolHealth, "cut"),
+    ):
+        original = getattr(owner, name)
 
         def count(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cluster, name, count)
+        monkeypatch.setattr(owner, name, count)
     return calls
 
 
@@ -77,12 +76,14 @@ class TestServingOracle:
         assert spies == {
             "serve": len(report.batches),
             "_plan_admitted": 0,
-            "_serve_epochs": 0,
+            "_plan_epoch": 0,
+            "cut": 0,
         }
 
     def test_pristine_kernel_fast_path_serves_no_batch(self, spies):
         _pristine_kernel_run()
         assert spies["serve"] == 0
+        assert spies["_plan_epoch"] == 1
 
     def test_capped_frozen_cluster_serves_each_batch(self, spies):
         with reference_loops():
@@ -92,7 +93,8 @@ class TestServingOracle:
         assert spies == {
             "serve": batches,
             "_plan_admitted": 0,
-            "_serve_epochs": 0,
+            "_plan_epoch": 0,
+            "cut": 0,
         }
 
     def test_capped_frozen_cluster_fast_path_walks_admission(self, spies):
@@ -103,11 +105,11 @@ class TestServingOracle:
     def test_faulted_lone_lane_leaves_the_epochs(self, spies):
         with reference_loops():
             report = _faulted_lone_lane_run()
-        assert spies["_serve_epochs"] == 0
+        assert spies["_plan_epoch"] == spies["cut"] == 0
         assert spies["serve"] == len(report.batches)
         spies["serve"] = 0
         _faulted_lone_lane_run()
-        assert spies["_serve_epochs"] == 1
+        assert spies["_plan_epoch"] > 0 and spies["cut"] > 0
         assert spies["serve"] == 0
 
 
