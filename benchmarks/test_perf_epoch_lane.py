@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cluster import _lone_lane, _serve_lanes, _TenantLane
+from repro.core.cluster import _TenantLane
 from repro.core.faults import (
     CoreHealthState,
     PoolHealth,
@@ -33,6 +33,7 @@ from repro.core.simkernel import BatchingPolicy
 from repro.core.traffic import PipelineServiceModel
 from repro.workloads import fault_scenario, poisson_arrivals, serving_network
 from conftest import emit, measure
+from oracles import lane_loop
 
 NUM_CORES = 2
 SPEEDUP_FLOOR = 3.0
@@ -78,7 +79,7 @@ def _lane_loop(network, arrivals, policy, schedule, recalibration):
         fail_error_threshold=0.5,
         record_snapshots=True,
     )
-    _serve_lanes([lane], health, _lone_lane)
+    lane_loop(lane, health)
     return lane, health
 
 

@@ -1816,11 +1816,6 @@ def serve_pipeline(
     return lane
 
 
-def _lone_lane(lane: _TenantLane) -> int:
-    """Tie key of a lane that has no one to tie with."""
-    return 0
-
-
 def simulate_cluster_serving(
     tenants: Sequence[ClusterTenant],
     arrival_s: Mapping[str, np.ndarray],

@@ -61,7 +61,7 @@ from repro.core.cluster import (
 from repro.core.config import PCNNAConfig
 from repro.core.faults import FaultSchedule, RecalibrationPolicy
 from repro.core.simkernel import (
-    _maxplus_scan_const,
+    _maxplus_scan,
     validate_arrival_trace,
     validate_count,
 )
@@ -822,10 +822,8 @@ def _route_ledgers(
     """Each region's ledger just before every request, for one assignment.
 
     Region ``r``'s ledger folds ``busy = max(busy, t) + q_r`` over the
-    requests assigned to it; with ``y = max(busy, t)`` that is the
-    max-plus recurrence ``y[k] = max(t[k], y[k-1] + q_r)`` from
-    ``y[0] = max(busy0_r, t[0])``, which
-    :func:`~repro.core.simkernel._maxplus_scan_const` solves exactly.
+    requests assigned to it from ``busy0_r``, the max-plus recurrence
+    :func:`~repro.core.simkernel._maxplus_scan` solves exactly.
     Returns the ``(regions, requests)`` pre-request ledgers and each
     region's ledger after the last request.
     """
@@ -837,14 +835,9 @@ def _route_ledgers(
         if not mine.size:
             before[index] = busy[index]
             continue
-        arrivals = times[mine]
-        first = max(busy[index], float(arrivals[0]))
-        # The scan's first input only seeds its reset detection; the
-        # fold itself starts from `first`.
-        arrivals[0] = first
         ledger = np.empty(mine.size + 1)
         ledger[0] = busy[index]
-        ledger[1:] = _maxplus_scan_const(arrivals, q, first) + q
+        ledger[1:] = _maxplus_scan(times[mine], q, busy[index])
         before[index] = ledger[np.searchsorted(mine, everyone, side="left")]
         after[index] = float(ledger[-1])
     return before, after

@@ -22,7 +22,6 @@ the per-core service times quantify the steady-state pipeline rate.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from repro.nn.network import Network
 
 @dataclass(frozen=True)
 class PipelineStage:
-    """One core's slice of the network, with its execution record.
+    """One core's slice of the network and its analytical service time.
 
     Attributes:
         core_index: position of the core in the pipeline.
@@ -49,8 +48,6 @@ class PipelineStage:
         layer_names: names of the layers the core owns, in order.
         service_time_s: analytical per-image service time of the core
             (the sum of its conv layers' DAC-bound times).
-        wall_time_s: measured wall-clock time this stage took to process
-            the whole minibatch in this run.
     """
 
     core_index: int
@@ -58,7 +55,6 @@ class PipelineStage:
     layer_end: int
     layer_names: tuple[str, ...]
     service_time_s: float
-    wall_time_s: float
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,7 @@ class PipelinedRunResult:
     Attributes:
         outputs: the network outputs for the minibatch (bit-identical to
             a single-core :meth:`~repro.core.accelerator.PCNNA.run_network`).
-        stages: per-core execution records, in pipeline order.
+        stages: the per-core stages, in pipeline order.
         partition: the underlying analytical layer partition.
         batch_size: number of images in the minibatch.
     """
@@ -229,13 +225,7 @@ def run_network_pipelined(
             input_shape=network.layer_shapes[start],
             name=f"{network.name}/core{core_index}",
         )
-        # repro: allow[DET002] wall_time_s is an observability field on
-        # the real-engine run (how long the numpy compute itself took);
-        # it never feeds the simulated clock or any pinned result
-        began = time.perf_counter()
         current = engine.run_network(stage_net, current)
-        # repro: allow[DET002] see above: diagnostic only
-        wall_time_s = time.perf_counter() - began
         stages.append(
             PipelineStage(
                 core_index=core_index,
@@ -245,7 +235,6 @@ def run_network_pipelined(
                     layer.name for layer in network.layers[start:end]
                 ),
                 service_time_s=partition.core_times_s[core_index],
-                wall_time_s=wall_time_s,
             )
         )
     return PipelinedRunResult(

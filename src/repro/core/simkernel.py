@@ -328,10 +328,10 @@ def plan_dispatch(
 # -- vectorized planning & execution --------------------------------------
 #
 # The vectorized path replays the lane loop's float arithmetic as
-# array ops.  The one non-trivial piece is the max-plus recurrences
+# array ops.  The one non-trivial piece is the max-plus recurrence
 # (pipeline hand-off and core-0 back-pressure): float addition is not
 # associative, so a closed-form `cumsum` would drift from the scalar
-# fold by ulps.  Each scan therefore (1) *speculates* the recurrence's
+# fold by ulps.  The scan therefore (1) *speculates* the recurrence's
 # reset points from an approximate closed form, (2) folds each segment
 # with `np.cumsum` — which numpy evaluates as the exact left-to-right
 # fold the scalar loop performs — and (3) verifies the result
@@ -368,77 +368,42 @@ def _segmented_fold(y: np.ndarray, d: np.ndarray, starts: np.ndarray) -> None:
         y[s : s + length] = np.cumsum(seg)
 
 
-def _maxplus_scan(e: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Exact fold of ``y[k] = max(e[k], y[k-1]) + d[k]``, ``y[0] = e[0]+d[0]``.
+def _maxplus_scan(
+    e: np.ndarray, d: np.ndarray | float, start: float
+) -> np.ndarray:
+    """Exact fold of ``y[k] = max(e[k], y[k-1]) + d[k]``, ``y[-1] = start``.
 
-    This is the pipeline hand-off recurrence: a batch starts on stage
-    ``s`` at the later of its arrival from stage ``s-1`` (``e``) and the
-    stage freeing up (``y[k-1]``), then holds it for ``d[k]``.  The
-    result is bit-identical to the scalar loop.
+    The one max-plus recurrence of the serving model: a stage takes
+    item ``k`` at the later of its arrival ``e[k]`` and the stage
+    freeing up (``y[k-1]``, ``start`` before the first item), then holds
+    it for ``d[k]`` (an array, or one float for every item).  It times
+    each pipeline stage after the first, core 0's back-pressure in the
+    fifo and fixed-size planners, and the fleet router's region
+    ledgers.  The result is bit-identical to the scalar loop.
     """
     n = e.size
     y = np.empty(n)
     if n == 0:
         return y
+    d = np.broadcast_to(d, e.shape)
     # Speculate reset points (where e[k] >= y[k-1]) from the approximate
-    # closed form y[k] ~ P[k] + max_j (e[j] - P[j-1]) with P = cumsum(d).
+    # closed form y[k] ~ P[k] + max(start, max_j (e[j] - P[j-1])) with
+    # P = cumsum(d).
     anchor = e - np.cumsum(d) + d
-    resets = anchor >= np.maximum.accumulate(anchor)
+    resets = anchor >= np.maximum(np.maximum.accumulate(anchor), start)
     resets[0] = True
     starts = np.flatnonzero(resets)
     y[starts] = e[starts] + d[starts]
+    y[0] = max(e[0], start) + d[0]
     _segmented_fold(y, d, starts)
     # Verify elementwise; repair mis-speculated stretches scalar.
-    prev = np.empty(n)
-    prev[0] = -math.inf
-    prev[1:] = y[:-1]
-    bad = np.flatnonzero(y != np.maximum(e, prev) + d)
+    bad = np.flatnonzero(y[1:] != np.maximum(e[1:], y[:-1]) + d[1:]) + 1
     while bad.size:
         k = int(bad[0])
         while k < n:
-            cur = (
-                e[0] + d[0]
-                if k == 0
-                else max(float(e[k]), float(y[k - 1])) + float(d[k])
-            )
+            cur = max(float(e[k]), float(y[k - 1])) + float(d[k])
             if cur == y[k]:
                 break  # downstream already consistent with this value
-            y[k] = cur
-            k += 1
-        bad = bad[bad > k]
-    return y
-
-
-def _maxplus_scan_const(e: np.ndarray, d: float, y0: float) -> np.ndarray:
-    """Exact fold of ``y[k] = max(e[k], y[k-1] + d)`` with ``y[0] = y0``.
-
-    This is the core-0 back-pressure recurrence of the fifo and
-    fixed-size planners: dispatch at the later of the policy trigger
-    (``e``) and core 0 freeing up ``d`` after the previous dispatch.
-    ``y0`` is the caller-computed first dispatch (its reference
-    arithmetic differs — it compares against the initial free time 0.0,
-    not against a previous dispatch).
-    """
-    n = e.size
-    y = np.empty(n)
-    if n == 0:
-        return y
-    anchor = e - np.cumsum(np.full(n, d)) + d
-    resets = anchor >= np.maximum.accumulate(anchor)
-    resets[0] = True
-    starts = np.flatnonzero(resets)
-    y[starts] = e[starts]
-    y[0] = y0
-    _segmented_fold(y, np.full(n, d), starts)
-    bad = np.flatnonzero(y[1:] != np.maximum(e[1:], y[:-1] + d)) + 1
-    if y[0] != y0:
-        bad = np.append(0, bad)
-    while bad.size:
-        k = int(bad[0])
-        while k < n:
-            cur = y0 if k == 0 else max(float(e[k]), float(y[k - 1]) + d)
-            if cur == y[k]:
-                break
             y[k] = cur
             k += 1
         bad = bad[bad > k]
@@ -455,9 +420,8 @@ def _plan_batches_fifo(
     n = arrivals.size
     heads = np.arange(n, dtype=np.int64)
     sizes = np.ones(n, dtype=np.int64)
-    b1 = float(busy0[1])
-    y0 = max(float(arrivals[0]), free0)
-    disp = _maxplus_scan_const(arrivals, b1, y0)
+    free = _maxplus_scan(arrivals, float(busy0[1]), free0)
+    disp = np.maximum(arrivals, np.append(free0, free[:-1]))
     return heads, sizes, disp
 
 
@@ -477,16 +441,15 @@ def _plan_batches_fixed(
     num_batches = num_full + (1 if tail else 0)
     heads = np.arange(num_batches, dtype=np.int64) * m
     sizes = np.full(num_batches, m, dtype=np.int64)
-    disp = np.empty(num_batches)
-    bm = float(busy0[m])
-    if num_full:
-        fills = arrivals[m - 1 : num_full * m : m]
-        y0 = max(max(float(arrivals[0]), free0), float(fills[0]))
-        disp[:num_full] = _maxplus_scan_const(fills, bm, y0)
+    # A full batch is ready when it fills, the flush once the last
+    # request has arrived; only the frees before each batch are read,
+    # so the flush's hold in the scan is never used.
+    ready = arrivals[m - 1 :: m]
     if tail:
         sizes[-1] = tail
-        free = disp[num_full - 1] + bm if num_full else free0
-        disp[-1] = max(float(free), float(arrivals[-1]))
+        ready = np.append(ready, arrivals[-1])
+    free = _maxplus_scan(ready, float(busy0[m]), free0)
+    disp = np.maximum(ready, np.append(free0, free[:-1]))
     return heads, sizes, disp
 
 
@@ -699,12 +662,7 @@ def pipeline_completions(
         if stage == 0:
             completion = disp + busy
         else:
-            if core_free[stage] > completion[0]:
-                # The stage is still busy with earlier batches: the
-                # first one starts when it frees, max(arrival, free).
-                completion = completion.copy()
-                completion[0] = core_free[stage]
-            completion = _maxplus_scan(completion, busy)
+            completion = _maxplus_scan(completion, busy, core_free[stage])
         # The scalar ledger's left fold, continued from its total.
         folded = np.cumsum(np.concatenate(([core_busy[stage]], busy)))
         ledger.append(float(folded[-1]))

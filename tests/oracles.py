@@ -14,8 +14,9 @@ loops those paths must match bit for bit stay in the library:
 
 :func:`reference_loops` patches the three selection points so that
 every front door called inside it runs on those loops.  It is the one
-way a differential pin reaches the oracle; ``tests/test_oracles.py``
-guards that it really does.
+way a differential pin reaches the oracle through a front door;
+``tests/test_oracles.py`` guards that it really does.  A pin that builds
+its own lane serves it on the lane loop with :func:`lane_loop`.
 
 :func:`verify_admission_walk` is the scalar form of the capped lane's
 plan check, ``cluster._verify_admission_plan``: one batch at a time, a
@@ -45,16 +46,22 @@ def fresh_backlog(model) -> cluster._Backlog:
     return cluster._Backlog(empty, empty, np.zeros(1, np.int64), idle)
 
 
-def _lane_loop(lane, health) -> None:
-    """Serve a lone lane one dispatch at a time."""
-    cluster._serve_lanes([lane], health, cluster._lone_lane)
+def _lone_lane(lane) -> int:
+    """Tie key of a lane that has no one to tie with."""
+    return 0
+
+
+def lane_loop(lane, health) -> None:
+    """Serve a lone lane one dispatch at a time on ``cluster._serve_lanes``
+    (``health`` ``None`` for a pristine pool)."""
+    cluster._serve_lanes([lane], health, _lone_lane)
 
 
 @contextmanager
 def reference_loops() -> Iterator[None]:
     """Run every serving and engine front door on its reference loop."""
     with (
-        mock.patch.object(cluster, "_serve_alone", _lane_loop),
+        mock.patch.object(cluster, "_serve_alone", lane_loop),
         mock.patch.object(cluster.ClusterSimulator, "_frozen", False),
         mock.patch.object(
             PhotonicConvolution,

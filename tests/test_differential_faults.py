@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_loops
+from oracles import lane_loop, reference_loops
 
 from repro.analysis import sweep_fault_tolerance
 from repro.core.faults import (
@@ -533,7 +533,7 @@ class TestPristineLoneLanePin:
     @pytest.mark.parametrize("cores", [1, 3, 4])
     @pytest.mark.parametrize("trace", ["poisson", "mmpp"])
     def test_matches_the_kernel(self, trace, cores, policy):
-        from repro.core.cluster import _lone_lane, _serve_lanes, _TenantLane
+        from repro.core.cluster import _TenantLane
         from repro.core.simkernel import EventLoopKernel
 
         model = PipelineServiceModel.from_specs(alexnet_conv_specs(), cores)
@@ -555,7 +555,7 @@ class TestPristineLoneLanePin:
             cores,
             None,
         )
-        _serve_lanes([lane], None, _lone_lane)
+        lane_loop(lane, None)
         fields = lane.serving_fields()
         for oracle in (nullcontext(), reference_loops()):
             with oracle:
@@ -611,7 +611,7 @@ def test_repartitioning_run_digest_is_pinned():
 
 def _lone_lane_oracle(model, policy, arrivals, schedule, recalibration, specs):
     """The per-dispatch lane loop serving what serve_pipeline serves."""
-    from repro.core.cluster import _lone_lane, _serve_lanes, _TenantLane
+    from repro.core.cluster import _TenantLane
     from repro.core.faults import PoolHealth
 
     width = model.num_cores
@@ -629,7 +629,7 @@ def _lone_lane_oracle(model, policy, arrivals, schedule, recalibration, specs):
         fail_error_threshold=0.5,
         record_snapshots=True,
     )
-    _serve_lanes([lane], health, _lone_lane)
+    lane_loop(lane, health)
     return lane, health
 
 

@@ -16,15 +16,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import reference_loops
+from oracles import lane_loop, reference_loops
 
 from repro.core.adaptive import AdaptiveRecalibration
-from repro.core.cluster import (
-    _lone_lane,
-    _serve_lanes,
-    _TenantLane,
-    serve_pipeline,
-)
+from repro.core.cluster import _TenantLane, serve_pipeline
 from repro.core.faults import (
     CoreDriftSnapshot,
     CoreHealthState,
@@ -144,11 +139,7 @@ class TestReadsAsTheDispatchRecord:
             fail_error_threshold=0.5,
             record_snapshots=True,
         )
-        _serve_lanes(
-            [oracle],
-            PoolHealth(schedule, 3, RecalibrationPolicy()),
-            _lone_lane,
-        )
+        lane_loop(oracle, PoolHealth(schedule, 3, RecalibrationPolicy()))
         expected = tuple(rows)
         assert len(expected) == oracle.num_batches
         _assert_reads_as(lane.snapshots, expected)

@@ -99,7 +99,6 @@ class TestRunNetworkPipelined:
             name for stage in result.stages for name in stage.layer_names
         ]
         assert covered == [layer.name for layer in net.layers]
-        assert all(stage.wall_time_s >= 0.0 for stage in result.stages)
         assert "img/s" in result.describe()
 
     def test_rejects_empty_batch_up_front(self):
