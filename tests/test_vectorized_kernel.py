@@ -670,10 +670,11 @@ class TestMaxPlusScanExactness:
             y[k] = prev = max(float(e[k]), prev) + float(d[k])
         return y
 
-    def test_scan_exact_on_wide_magnitude_inputs(self):
+    def assert_exact(self, seed, draw_hold):
+        """Array or scalar hold, three start states and one-ulp ties."""
         from repro.core.simkernel import _maxplus_scan
 
-        rng = np.random.default_rng(0)
+        rng = np.random.default_rng(seed)
         for _ in range(100):
             n = int(rng.integers(2, 60))
             e = np.sort(
@@ -681,24 +682,35 @@ class TestMaxPlusScanExactness:
                 * 10.0 ** rng.uniform(-8, 8, size=n)
             )
             spread = float(np.abs(rng.normal()) * 10.0 ** rng.uniform(-8, 8))
-            holds = np.abs(rng.normal(size=n)) * 10.0 ** rng.uniform(
-                -8, 8, size=n
-            )
-            hold = float(np.abs(rng.normal()) * 10.0 ** rng.uniform(-4, 4))
-            for d in (holds, hold):
-                # Each arrival one ulp either side of the stage's free time.
-                ties = np.empty(n)
-                free = float(e[0])
-                for k, dk in enumerate(np.broadcast_to(d, e.shape)):
-                    side = math.inf if rng.integers(2) else -math.inf
-                    ties[k] = np.nextafter(free, side)
-                    free = max(float(ties[k]), free) + float(dk)
-                cases = [(e, e[0] - spread), (e, e[0]), (e, e[0] + spread)]
-                for arrivals, start in cases + [(ties, e[0])]:
-                    assert np.array_equal(
-                        _maxplus_scan(arrivals.copy(), d, float(start)),
-                        self.scalar_scan(arrivals, d, float(start)),
-                    )
+            d = draw_hold(rng, n)
+            # Each arrival one ulp either side of the stage's free time.
+            ties = np.empty(n)
+            free = float(e[0])
+            for k, dk in enumerate(np.broadcast_to(d, e.shape)):
+                side = math.inf if rng.integers(2) else -math.inf
+                ties[k] = np.nextafter(free, side)
+                free = max(float(ties[k]), free) + float(dk)
+            cases = [(e, e[0] - spread), (e, e[0]), (e, e[0] + spread)]
+            for arrivals, start in cases + [(ties, e[0])]:
+                assert np.array_equal(
+                    _maxplus_scan(arrivals.copy(), d, float(start)),
+                    self.scalar_scan(arrivals, d, float(start)),
+                )
+
+    def test_scan_exact_on_wide_magnitude_inputs(self):
+        self.assert_exact(
+            0,
+            lambda rng, n: np.abs(rng.normal(size=n))
+            * 10.0 ** rng.uniform(-8, 8, size=n),
+        )
+
+    def test_const_scan_exact_on_wide_magnitude_inputs(self):
+        self.assert_exact(
+            1,
+            lambda rng, n: float(
+                np.abs(rng.normal()) * 10.0 ** rng.uniform(-4, 4)
+            ),
+        )
 
 
 class TestLaneColumns:
