@@ -213,6 +213,7 @@ class EwmaRecalDecider:
         "needs_queue_depth",
         "decisions",
         "_estimates",
+        "_folded",
     )
 
     def __init__(self, controller: AdaptiveRecalibration) -> None:
@@ -222,6 +223,9 @@ class EwmaRecalDecider:
         self.decisions: list[AdaptiveDecision] = []
         # Per core: EWMA level and slope, last error and its instant.
         self._estimates: dict[int, tuple[float, float, float, float]] = {}
+        # Per core: the estimate after each sample the last
+        # :meth:`first_firing` folded without firing, for :meth:`fold`.
+        self._folded: dict[int, list[tuple[float, float, float, float]]] = {}
 
     def observe(self, core: int, error: float, time_s: float) -> float:
         """Fold one error sample into the core's estimate.
@@ -255,18 +259,22 @@ class EwmaRecalDecider:
 
         Folds :meth:`observe` over the samples from the core's current
         estimate and puts that estimate back, so the decider itself
-        does not move.
+        does not move; the estimate after each sample before the firing
+        is kept for :meth:`fold`.
         """
         estimates = self._estimates
         saved = estimates.get(core)
         threshold = self.policy.error_threshold
         fired = errors.size
+        folded = []
         for index, (error, time_s) in enumerate(
             zip(errors.tolist(), times.tolist())
         ):
             if self.observe(core, error, time_s) >= threshold:
                 fired = index
                 break
+            folded.append(estimates[core])
+        self._folded[core] = folded
         if saved is None:
             estimates.pop(core, None)
         else:
@@ -275,9 +283,31 @@ class EwmaRecalDecider:
 
     def fold(self, core: int, errors: np.ndarray, times: np.ndarray) -> None:
         """Observe a core's errors at dispatches :meth:`decide` did not
-        fire on, exactly as deciding at each of them would."""
+        fire on, exactly as deciding at each of them would.
+
+        Samples :meth:`first_firing` has just folded from the same
+        estimate are not observed again: the estimate after the last of
+        them is taken as it was kept.
+        """
+        folded = self._folded.pop(core, ())
+        count = errors.size
+        if count and count <= len(folded):
+            self._estimates[core] = folded[count - 1]
+            return
         for error, time_s in zip(errors.tolist(), times.tolist()):
             self.observe(core, error, time_s)
+
+    def forget(self, cores: list[int]) -> None:
+        """Drop the estimates and decisions of ``cores``, as if the run
+        had not reached them yet."""
+        for core in cores:
+            self._estimates.pop(core, None)
+            self._folded.pop(core, None)
+        self.decisions[:] = [
+            decision
+            for decision in self.decisions
+            if decision.core not in cores
+        ]
 
     def decide(
         self,

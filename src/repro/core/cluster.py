@@ -44,14 +44,18 @@ lane owns its pipeline state and records every batch once, in the
 numpy columns its reports read.  The lane event loop
 (:func:`_serve_lanes`) hosts cross-lane feedback (elastic moves) and
 is the oracle of every faster path.  A lane that shares no state with
-another — the lone pipeline, or a tenant of a frozen-allocation
-cluster, faulted or not — is served by :func:`_serve_alone`, the one
+another — the lone pipeline, or a cluster tenant up to the first core
+move, faulted or not — is served by :func:`_serve_alone`, the one
 place a lane's path is chosen: vectorized epochs between fault actions
 (the whole trace on a pristine pool), planned by one
 :func:`~repro.core.simkernel.plan_batches` or the occupancy-cap
 admission walk, and the per-dispatch loop where no epoch can be
-planned.  Everything is a pure function of its inputs: a fixed seed
-and tenant mix yields bit-identical reports on every run.
+planned.  A cluster with no elastic policy is served lane by lane; an
+elastic one too, up to the first dispatch after which the reallocator
+could move a core (:meth:`ClusterSimulator._first_move`), and on the
+lane event loop from there.  Everything is a pure function of its
+inputs: a fixed seed and tenant mix yields bit-identical reports on
+every run.
 """
 
 from __future__ import annotations
@@ -717,6 +721,11 @@ class _TenantLane:
         )
 
     @property
+    def finished(self) -> bool:
+        """Whether every arrival is judged and every admit dispatched."""
+        return self.head >= self.admitted and self.ptr >= self.n
+
+    @property
     def last_dispatch(self) -> float:
         """The lane's last dispatch instant (0 before its first)."""
         nb = self.num_batches
@@ -1276,13 +1285,15 @@ class ClusterSimulator:
     clock, and the elastic reallocator may move a core before the next
     round of planning.
 
-    Each lane is served alone on its fastest exact path
-    (:func:`_serve_alone`) whenever the allocation is frozen — no
-    elastic reallocation: occupancy caps and burn-rate admission read
-    only their own lane, and a lane's fault steps touch only its own
-    cores, so a faulted pool's recalibration and decision logs are
-    merged afterwards in the loop's order.  An elastic cluster runs the
-    global event loop.  Both paths are bit-identical.
+    Until a core moves the lanes share no state: occupancy caps and
+    burn-rate admission read only their own lane, and a lane's fault
+    steps touch only its own cores.  So each lane is served alone on
+    its fastest exact path (:func:`_serve_alone`), and a faulted pool's
+    recalibration and decision logs are merged afterwards in the loop's
+    order.  With no elastic policy, or where no dispatch can move a
+    core, that is the whole run; otherwise the global event loop takes
+    over at the first dispatch that can (:meth:`_serve`).  Both paths
+    are bit-identical.
 
     Args:
         tenants: the co-served models (unique names).
@@ -1364,21 +1375,6 @@ class ClusterSimulator:
             tenants, pool_size, self.routing
         )
 
-    @property
-    def _frozen(self) -> bool:
-        """Whether the tenant lanes share no state, so each is served
-        alone (:func:`_serve_alone`).
-
-        With no elastic reallocation the core allocation is frozen:
-        each lane plans, sheds, and books exactly as if it ran alone.
-        Admission reads only the lane's own completions, and a lane's
-        fault steps touch only its own cores' drift states, downtime
-        and trigger estimates; the global loop's tie-ordering decides
-        only the order of the shared logs, which :meth:`_merge_logs`
-        restores.
-        """
-        return self.elastic is None
-
     def _tie_key(self, lane: _TenantLane, head: int) -> tuple:
         """Routing preference for simultaneous dispatches (lower wins)
         of ``lane`` with ``head`` requests dispatched."""
@@ -1391,7 +1387,7 @@ class ClusterSimulator:
         self, lanes: list[_TenantLane], health: PoolHealth
     ) -> None:
         """Put the logs of lanes served one after another in the order
-        the global loop writes them, then finish the pool.
+        the global loop writes them.
 
         The loop logs recalibrations and trigger decisions in dispatch
         order, simultaneous dispatches by :meth:`_tie_key` at that
@@ -1410,7 +1406,6 @@ class ClusterSimulator:
         health.recalibrations.sort(key=order)
         if health.trigger is not None and health.trigger.decisions:
             health.trigger.decisions.sort(key=order)
-        health.finish(max(lane.last_dispatch for lane in lanes))
 
     def _floor(self, lane: _TenantLane) -> int:
         """Cores the routing policy guarantees the tenant keeps."""
@@ -1428,8 +1423,9 @@ class ClusterSimulator:
         """Move at most one core toward the most-pressured tenant."""
         assert self.elastic is not None
         active = [lane for lane in lanes if not lane.released]
+        depths = {lane.index: lane.queue_depth(now) for lane in active}
         pressures = {
-            lane.index: lane.queue_depth(now) / lane.width for lane in active
+            lane.index: depths[lane.index] / lane.width for lane in active
         }
         ratio, min_queue = self.elastic.thresholds(
             max(pressures.values(), default=0.0)
@@ -1438,7 +1434,7 @@ class ClusterSimulator:
             lane
             for lane in active
             if lane.width < len(lane.specs)
-            and lane.queue_depth(now) >= min_queue
+            and depths[lane.index] >= min_queue
         ]
         if not growable:
             return
@@ -1492,6 +1488,200 @@ class ClusterSimulator:
             )
         )
 
+    def _first_move(
+        self, lanes: list[_TenantLane]
+    ) -> tuple[list[int], list[int]] | None:
+        """Where lanes served alone may stop matching the global loop.
+
+        Until the first core move the lanes share no state, so each one
+        served alone dispatches what the global loop would.  This replays
+        :meth:`_rebalance` after every dispatch of their merged ``(time,
+        tie key)`` order, as arrays over lanes x dispatches: a lane is
+        active up to its last dispatch and its cores are free from the
+        next one on; a free core goes to any growable lane, and otherwise
+        a core moves only if some growable lane passes the ratio test
+        against the least-pressured donor :meth:`_floor` allows.
+
+        A lane not yet finished may dispatch more, so the replay stops at
+        the last dispatch the unfinished lanes have all reached: every
+        dispatch up to it is known, and each lane has judged the arrivals
+        up to it.  A capped or burn lane served alone has judged more
+        arrivals than the loop had at a dispatch, so its queue depth
+        there is an upper bound; the arrivals up to its own latest
+        dispatch are judged, so they give a lower bound.  The test uses
+        the upper bound for the recipient and for the peak pressure
+        (``thresholds`` only relaxes as the peak rises) and the lower
+        bound for the donor, so a dispatch it clears cannot move a core.
+        The first one it does not clear is the cut.
+
+        Returns:
+            ``None`` if no replayed dispatch can move a core; otherwise
+            each lane's batches dispatched before the cut and the lanes
+            released before it, in release order.
+        """
+        counts = [lane.num_batches for lane in lanes]
+        owner = np.repeat(np.arange(len(lanes)), counts)
+        dispatch = np.concatenate(
+            [lane.batch_dispatch[: lane.num_batches] for lane in lanes]
+        )
+        if self.routing.kind == "priority":
+            # (-priority, index) is a total order of the lanes.
+            ranked = sorted(
+                range(len(lanes)), key=lambda i: self._tie_key(lanes[i], 0)
+            )
+            position = np.empty(len(lanes), np.int64)
+            position[ranked] = np.arange(len(lanes))
+            order = np.lexsort((position[owner], dispatch))
+        else:
+            share = np.concatenate(
+                [
+                    lane.batch_first[: lane.num_batches]
+                    / self.tenants[lane.index].weight
+                    for lane in lanes
+                ]
+            )
+            order = np.lexsort((owner, share, dispatch))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        start = np.concatenate(([0], np.cumsum(counts)))
+        last = rank[start[1:] - 1]
+        unfinished = [i for i, lane in enumerate(lanes) if not lane.finished]
+        horizon = int(last[unfinished].min()) if unfinished else order.size - 1
+        times = dispatch[order[: horizon + 1]]
+        steps = np.arange(times.size)
+        active = steps <= last[:, None]
+        free = (steps > last.min()) | bool(self._free)
+        upper = np.empty(active.shape, np.int64)
+        lower = np.empty(active.shape, np.int64)
+        for i, lane in enumerate(lanes):
+            nb = lane.num_batches
+            admitted = lane.admitted_times[: lane.admitted]
+            ends = lane.batch_first[:nb] + lane.batch_size[:nb]
+            done = np.concatenate(([0], ends))[
+                lane.batch_completion[:nb].searchsorted(times)
+            ]
+            upper[i] = admitted.searchsorted(times, "right") - done
+            if lane.cap is None and lane._burn is None:
+                lower[i] = upper[i]
+                continue
+            seen = np.concatenate(([-math.inf], lane.batch_dispatch[:nb]))
+            judged = seen[rank[start[i] : start[i + 1]].searchsorted(
+                steps, "right"
+            )]
+            lower[i] = admitted.searchsorted(judged, "right") - done
+        np.maximum(upper, 0, out=upper)
+        np.maximum(lower, 0, out=lower)
+        width = np.array([lane.width for lane in lanes])[:, None]
+        high = upper / width
+        low = lower / width
+        peaks, at = np.unique(
+            np.where(active, high, 0.0).max(axis=0), return_inverse=True
+        )
+        limits = np.array(
+            [self.elastic.thresholds(peak) for peak in peaks.tolist()]
+        ).reshape(-1, 2)
+        ratio, min_queue = limits[at, 0], limits[at, 1]
+        roomy = np.array([lane.width < len(lane.specs) for lane in lanes])
+        growable = active & roomy[:, None] & (upper >= min_queue)
+        floors = np.array([self._floor(lane) for lane in lanes])[:, None]
+        donor = np.where(active & (width > floors), low, math.inf)
+        passes = np.zeros(steps.size, dtype=bool)
+        for i in range(len(lanes)):
+            least = np.delete(donor, i, axis=0).min(axis=0, initial=math.inf)
+            passes |= growable[i] & (
+                high[i] >= ratio * np.maximum(least, 1.0)
+            )
+        moves = np.flatnonzero(np.where(free, growable.any(axis=0), passes))
+        if not moves.size:
+            return None
+        cut = int(moves[0])
+        served = [
+            int(rank[start[i] : start[i + 1]].searchsorted(cut))
+            for i in range(len(lanes))
+        ]
+        released = sorted(
+            (i for i in range(len(lanes)) if last[i] < cut),
+            key=lambda i: last[i],
+        )
+        return served, released
+
+    def _serve(
+        self,
+        lanes: list[_TenantLane],
+        health: PoolHealth | None,
+        reallocations: list[ReallocationRecord],
+    ) -> None:
+        """Serve every lane alone up to the first possible core move,
+        and the rest of the run on the global loop.
+
+        Each lane is served alone (:func:`_serve_alone`) as if the
+        allocation were frozen: all at once with no elastic policy, or
+        for a lone lane with no free core, which the loop never
+        rebalances.  Otherwise the lanes are served alone in rounds of
+        up to 256, 1024, 4096, ... batches, and after each round
+        :meth:`_first_move` replays the reallocator over what they have
+        dispatched, so an early cut costs little more than its prefix.
+        Where no dispatch can move a core, the lanes served alone are the
+        run: the shared logs are merged.  At a cut each lane still active
+        there is served again from a fresh lane, its cores' health
+        reset, up to the batches it dispatched before the cut; the lanes
+        released before it return their cores in release order; and the
+        global loop (:meth:`_serve_global`) serves the rest and makes
+        the move.
+        """
+        rounds = self.elastic is not None and (
+            len(lanes) > 1 or bool(self._free)
+        )
+        batches = 4 * _EPOCH_MIN_REQUESTS if rounds else None
+        while True:
+            for lane in lanes:
+                _serve_alone(lane, health, batches)
+            cut = self._first_move(lanes) if rounds else None
+            if cut is not None or all(lane.finished for lane in lanes):
+                break
+            batches *= 4
+        if cut is None:
+            if health is not None:
+                self._merge_logs(lanes, health)
+                health.finish(max(lane.last_dispatch for lane in lanes))
+            return
+        served, released = cut
+        free = [(core, 0.0) for core in self._free]
+        for index in released:
+            free.extend(lanes[index].release_cores())
+        for index, lane in enumerate(lanes):
+            if lane.released:
+                continue
+            if health is not None:
+                health.reset(lane.phys)
+            lanes[index] = self._lane(index, self.tenants[index], lane.raw)
+            _serve_alone(lanes[index], health, served[index])
+        if health is not None:
+            self._merge_logs(lanes, health)
+        self._serve_global(lanes, health, free, reallocations)
+
+    def _serve_global(
+        self,
+        lanes: list[_TenantLane],
+        health: PoolHealth | None,
+        free: list[tuple[int, float]],
+        reallocations: list[ReallocationRecord],
+    ) -> None:
+        """Serve the lanes to completion on the global loop
+        (:func:`_serve_lanes`), rebalancing after every dispatch under
+        an elastic policy; ``free`` holds the pool's free cores."""
+
+        def rebalance(now: float) -> None:
+            self._rebalance(now, lanes, free, reallocations)
+
+        _serve_lanes(
+            lanes,
+            health,
+            lambda lane: self._tie_key(lane, lane.head),
+            rebalance=None if self.elastic is None else rebalance,
+            free=free,
+        )
+
     def run(self, arrival_s: Mapping[str, np.ndarray]) -> ClusterReport:
         """Serve every tenant's trace to completion.
 
@@ -1520,24 +1710,7 @@ class ClusterSimulator:
             else PoolHealth(self.schedule, self.pool_size, self.recalibration)
         )
         reallocations: list[ReallocationRecord] = []
-        if self._frozen:
-            for lane in lanes:
-                _serve_alone(lane, health)
-            if health is not None:
-                self._merge_logs(lanes, health)
-        else:
-            free = [(core, 0.0) for core in self._free]
-
-            def rebalance(now: float) -> None:
-                self._rebalance(now, lanes, free, reallocations)
-
-            _serve_lanes(
-                lanes,
-                health,
-                lambda lane: self._tie_key(lane, lane.head),
-                rebalance=None if self.elastic is None else rebalance,
-                free=free,
-            )
+        self._serve(lanes, health, reallocations)
         pristine = (0.0,) * self.pool_size
         return ClusterReport(
             pool_size=self.pool_size,
@@ -1604,6 +1777,13 @@ def _serve_lanes(
     ``free``.  A lane's plan reads only its own queue, clocks and cap,
     so each round re-plans just the lane it served, or every lane after
     a ``rebalance`` call.
+
+    It resumes from any point the lanes reached without a core move:
+    an elastic cluster hands it its lanes at the first dispatch that
+    could move one, each served alone up to there, with the lanes
+    already released marked so and their cores in ``free`` in release
+    order (:meth:`ClusterSimulator._serve`).  From the first dispatch
+    on, it is the oracle every cluster run is pinned to.
     """
     last_dispatch = 0.0
     plans: list[tuple[float, int] | None] = [None] * len(lanes)
@@ -1638,7 +1818,9 @@ def _serve_lanes(
 
 _EPOCH_MIN_REQUESTS = 64
 """Requests the first epoch of a faulted lane, and the first after each
-cut, plans; each epoch that runs to its end doubles the next one."""
+cut, plans; each epoch that runs to its end doubles the next one.  An
+elastic cluster's first round of lanes served alone stops each lane at
+four times this many batches (:meth:`ClusterSimulator._serve`)."""
 
 _DENSE_CUT = 4
 """An epoch cut before this many batches counts as dense: fault actions
@@ -1718,7 +1900,9 @@ def _plan_epoch(lane: _TenantLane, window: int):
     return heads, sizes, disp, mask
 
 
-def _serve_alone(lane: _TenantLane, health: PoolHealth | None) -> None:
+def _serve_alone(
+    lane: _TenantLane, health: PoolHealth | None, batches: int | None = None
+) -> None:
     """Serve a lane that shares no state with another lane, in epochs.
 
     Between two dispatches at which the fault step acts, nothing feeds
@@ -1734,22 +1918,35 @@ def _serve_alone(lane: _TenantLane, health: PoolHealth | None) -> None:
     judged still drains its queue.  Bit-identical to
     :func:`_serve_lanes` on the lone lane, which stays the oracle.
 
+    ``batches`` stops the lane once it has dispatched that many (a
+    cluster's prefix before its first core move); a lane never
+    dispatches more batches than its trace has requests.
+
     A faulted lane leaves the pool's cores where its own dispatches
     left them: the caller runs
     :meth:`~repro.core.faults.PoolHealth.finish` once every lane that
     shares the pool has been served.
     """
-    window = lane.n if health is None else _EPOCH_MIN_REQUESTS
+    if batches is None:
+        limit = lane.n
+        window = lane.n if health is None else _EPOCH_MIN_REQUESTS
+    else:
+        limit = batches
+        window = max(batches - lane.num_batches, _EPOCH_MIN_REQUESTS)
     scalar_run = 0
-    while lane.head < lane.admitted or lane.ptr < lane.n:
+    while lane.num_batches < limit and not lane.finished:
         epoch = _plan_epoch(lane, window)
         if epoch is None:
             stop = min(lane.ptr + window, lane.n)
-            while _serve_next(lane, health) and lane.ptr < stop:
-                pass
+            for _ in range(limit - lane.num_batches):
+                if not _serve_next(lane, health) or lane.ptr >= stop:
+                    break
             window = _EPOCH_MIN_REQUESTS
             continue
         heads, sizes, disp, mask = epoch
+        room = limit - lane.num_batches
+        if disp.size > room:
+            heads, sizes, disp = heads[:room], sizes[:room], disp[:room]
         if not heads.size:
             window *= 2
             continue
@@ -1772,7 +1969,7 @@ def _serve_alone(lane: _TenantLane, health: PoolHealth | None) -> None:
         else:
             scalar_run = 0
         # The cut batch, then any dense-cut run, one dispatch at a time.
-        for _ in range(1 + scalar_run):
+        for _ in range(min(1 + scalar_run, limit - lane.num_batches)):
             if not _serve_next(lane, health):
                 break
         window = _EPOCH_MIN_REQUESTS

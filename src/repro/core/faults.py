@@ -462,6 +462,9 @@ class ThresholdTrigger:
         """Account for dispatches :meth:`decide` did not fire on: the
         threshold test keeps no state, so there is nothing to do."""
 
+    def forget(self, cores: list[int]) -> None:
+        """Drop what the trigger holds on ``cores``: nothing."""
+
 
 @dataclass(frozen=True)
 class CoreDriftSnapshot:
@@ -1142,7 +1145,7 @@ class PoolHealth:
             ``None`` disables recalibration.
     """
 
-    __slots__ = ("states", "downtime", "recalibrations", "trigger")
+    __slots__ = ("schedule", "states", "downtime", "recalibrations", "trigger")
 
     def __init__(
         self,
@@ -1150,6 +1153,7 @@ class PoolHealth:
         num_cores: int,
         recalibration: RecalibrationPolicy | AdaptiveRecalibration | None = None,
     ) -> None:
+        self.schedule = schedule
         self.states = [
             CoreHealthState(core, schedule) for core in range(num_cores)
         ]
@@ -1270,6 +1274,20 @@ class PoolHealth:
         and idle cores report end-of-run error, not a stale one."""
         for state in self.states:
             state.advance_to(time_s)
+
+    def reset(self, cores: list[int]) -> None:
+        """Put ``cores`` back where the run started them: fresh drift
+        states, no downtime, and no log entry or trigger memory."""
+        for core in cores:
+            self.states[core] = CoreHealthState(core, self.schedule)
+            self.downtime[core] = 0.0
+        self.recalibrations[:] = [
+            record
+            for record in self.recalibrations
+            if record.core not in cores
+        ]
+        if self.trigger is not None:
+            self.trigger.forget(cores)
 
 
 class DegradedServingSimulator:

@@ -1,14 +1,15 @@
 """The test-side oracle: serve and compute on the reference loops.
 
-The library picks each run's path from its inputs alone — a frozen
-cluster serves each lane alone (``ClusterSimulator._frozen``), a lone
-lane takes its fastest exact path (``cluster._serve_alone``), and the
-device engine streams the wave stack vectorized
+The library picks each run's path from its inputs alone — a cluster
+serves each lane alone up to its first possible core move and the rest
+on the global loop (``ClusterSimulator._serve``), a lone lane takes its
+fastest exact path (``cluster._serve_alone``), and the device engine
+streams the wave stack vectorized
 (``PhotonicConvolution._device_matvec_vectorized``).  The reference
 loops those paths must match bit for bit stay in the library:
 
 * ``cluster._serve_lanes`` — the per-dispatch lane loop (the global
-  loop, for a cluster);
+  loop, for a cluster, from its first dispatch on);
 * ``PhotonicConvolution._device_matvec`` — the wave-by-wave engine
   loop.
 
@@ -57,12 +58,19 @@ def lane_loop(lane, health) -> None:
     cluster._serve_lanes([lane], health, _lone_lane)
 
 
+def global_loop(simulator, lanes, health, reallocations) -> None:
+    """Serve a whole cluster run on the global loop, from the pool's
+    initial free cores."""
+    free = [(core, 0.0) for core in simulator._free]
+    simulator._serve_global(lanes, health, free, reallocations)
+
+
 @contextmanager
 def reference_loops() -> Iterator[None]:
     """Run every serving and engine front door on its reference loop."""
     with (
         mock.patch.object(cluster, "_serve_alone", lane_loop),
-        mock.patch.object(cluster.ClusterSimulator, "_frozen", False),
+        mock.patch.object(cluster.ClusterSimulator, "_serve", global_loop),
         mock.patch.object(
             PhotonicConvolution,
             "_device_matvec_vectorized",

@@ -248,10 +248,10 @@ class TestPolicyValidation:
             admission={"a": BurnRateAdmission.disabled(), "b": burn},
         )
         assert simulator.admission == {"b": burn}
-        assert simulator._frozen
-        assert not ClusterSimulator(
+        assert simulator.elastic is None
+        assert ClusterSimulator(
             tenants, 2, elastic=ElasticReallocation(), admission={"b": burn}
-        )._frozen
+        ).elastic is not None
 
 
 class TestSingleTenantDifferential:

@@ -79,7 +79,11 @@ from repro.core.adaptive import (
     AdaptiveRecalibration,
     BurnRateAdmission,
 )
-from repro.analysis import sweep_cluster_serving
+from repro.analysis import (
+    default_policy_grid,
+    default_scenarios,
+    sweep_cluster_serving,
+)
 from repro.core import cluster
 from repro.core.cluster import (
     ClusterSimulator,
@@ -128,6 +132,7 @@ from repro.photonics.noise import realistic
 from repro.workloads import (
     alexnet_conv_specs,
     cluster_mix,
+    fault_scenario,
     lenet5_conv_specs,
     make_arrivals,
     poisson_arrivals,
@@ -1443,6 +1448,281 @@ class TestDecomposedFaultedCluster:
         first = report.recalibrations[0]
         assert first.core == 3
         assert report.recalibrations[3].time_s == first.time_s
+
+
+@st.composite
+def elastic_cluster_case(draw):
+    """A random elastic cluster whose cores can move: thresholds drawn
+    low, tenants whose traffic ends early (so their cores free up
+    mid-run) next to ones that keep a queue, caps none, tight or loose,
+    some burn lanes, pools past one core per tenant, either routing,
+    and a pristine pool or a random fault schedule under static or EWMA
+    recalibration.  ``rounds`` shrinks the epoch loop's first window
+    (and with it the speculation rounds, 4x that many batches) so that
+    short traces are served alone over several rounds."""
+    num_tenants = draw(st.integers(min_value=1, max_value=3))
+    tenants = []
+    arrivals = {}
+    admission = {}
+    for index in range(num_tenants):
+        tenant = ClusterTenant(
+            name=f"tenant-{index}",
+            specs=tuple(draw(st.sampled_from(_TENANT_SPECS))()),
+            policy=draw(
+                st.sampled_from(
+                    [
+                        BatchingPolicy.fifo(),
+                        BatchingPolicy.dynamic(4, 1e-4),
+                        BatchingPolicy.fixed(4),
+                    ]
+                )
+            ),
+            weight=draw(st.sampled_from([0.5, 1.0, 2.0])),
+            priority=draw(st.integers(min_value=0, max_value=2)),
+            queue_cap=draw(
+                st.sampled_from([None, None, 2, 4, 32])
+            ),
+        )
+        count = draw(st.integers(min_value=5, max_value=120))
+        load = draw(st.sampled_from([1.0, 4.0, 16.0]))
+        # A tenant offering its trace over a fraction of the horizon
+        # finishes early and frees its cores.
+        span = draw(st.sampled_from([1.0, 0.5, 0.2]))
+        trace = poisson_arrivals(
+            load * count / (span * _FAULT_HORIZON_S),
+            count,
+            seed=draw(st.integers(min_value=0, max_value=10_000)),
+        )
+        tenants.append(tenant)
+        arrivals[tenant.name] = trace
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            # A lenient controller never sheds but still judges every
+            # arrival only at a commit, so its queue builds unjudged.
+            admission[tenant.name] = draw(
+                st.one_of(
+                    burn_admission_case(),
+                    st.just(BurnRateAdmission(slo_latency_s=10.0)),
+                )
+            )
+    pool = draw(st.integers(min_value=num_tenants, max_value=num_tenants + 6))
+    horizon = max(float(trace[-1]) for trace in arrivals.values())
+    options = dict(
+        routing=draw(
+            st.sampled_from(
+                [RoutingPolicy.weighted_fair(), RoutingPolicy.priority()]
+            )
+        ),
+        elastic=ElasticReallocation(
+            pressure_ratio=draw(st.floats(min_value=1.0, max_value=4.0)),
+            min_queue=draw(st.integers(min_value=1, max_value=8)),
+            gain=draw(st.sampled_from([0.0, 0.0, 0.1, 0.5])),
+        ),
+        admission=admission,
+    )
+    trigger = draw(st.sampled_from(["pristine", "static", "ewma"]))
+    if trigger != "pristine":
+        options["schedule"] = FaultSchedule.random(
+            draw(st.integers(min_value=0, max_value=10_000)),
+            pool,
+            horizon,
+            events_per_core=draw(st.integers(min_value=1, max_value=3)),
+            max_drift_k_per_s=draw(st.sampled_from([1.0, 1.0 / horizon])),
+        )
+        options["recalibration"] = (
+            RecalibrationPolicy(
+                error_threshold=draw(st.sampled_from([0.02, 0.05]))
+            )
+            if trigger == "static"
+            else draw(adaptive_controller_case())
+        )
+    rounds = draw(st.sampled_from([1, 4, cluster._EPOCH_MIN_REQUESTS]))
+    return tenants, pool, arrivals, options, rounds
+
+
+def run_speculating(tenants, pool, arrivals, **options):
+    """A cluster run, its pool health (``None`` when pristine), and what
+    each round's search for its first core move returned."""
+    made = []
+    found = []
+    real_health = cluster.PoolHealth
+    real_first_move = ClusterSimulator._first_move
+
+    def keep(*args, **kwargs):
+        made.append(real_health(*args, **kwargs))
+        return made[-1]
+
+    def first_move(simulator, lanes):
+        found.append(real_first_move(simulator, lanes))
+        return found[-1]
+
+    with (
+        mock.patch.object(cluster, "PoolHealth", keep),
+        mock.patch.object(ClusterSimulator, "_first_move", first_move),
+    ):
+        report = simulate_cluster_serving(tenants, arrivals, pool, **options)
+    return report, made[0] if made else None, found
+
+
+def assert_elastic_clusters_identical(ref, ref_health, vec, vec_health):
+    """Streams, tables and ledgers, the moves and both logs in order."""
+    assert_clusters_byte_identical(ref, vec)
+    assert repr(ref.reallocations) == repr(vec.reallocations)
+    assert repr(ref.recalibrations) == repr(vec.recalibrations)
+    assert repr(ref.core_downtime_s) == repr(vec.core_downtime_s)
+    assert repr(ref.final_core_errors) == repr(vec.final_core_errors)
+    if ref_health is not None and ref_health.trigger is not None:
+        assert ref_health.trigger.decisions == vec_health.trigger.decisions
+
+
+def speculation_outcome(found, report) -> str:
+    """How a run's lanes left the speculation: proved whole, cut at the
+    first dispatch, or cut mid-run — with or without a core move."""
+    if not found or found[-1] is None:
+        kind = "proved"
+    else:
+        kind = "cut-mid-run" if sum(found[-1][0]) else "cut-at-start"
+    return kind + ("-moved" if report.reallocations else "")
+
+
+class TestElasticSpeculation:
+    """An elastic cluster is served lane by lane up to the first
+    dispatch that can move a core and on the global loop from there;
+    the global loop over the whole run is the oracle."""
+
+    def test_speculation_matches_the_global_loop(self):
+        seen = {}
+
+        @given(case=elastic_cluster_case())
+        @settings(max_examples=80, deadline=None, database=None)
+        def check(case):
+            tenants, pool, arrivals, options, rounds = case
+            with reference_loops():
+                ref = run_speculating(tenants, pool, arrivals, **options)
+            with mock.patch.object(cluster, "_EPOCH_MIN_REQUESTS", rounds):
+                vec = run_speculating(tenants, pool, arrivals, **options)
+            assert not ref[2]
+            assert_elastic_clusters_identical(*ref[:2], *vec[:2])
+            kind = speculation_outcome(vec[2], vec[0])
+            seen[kind] = seen.get(kind, 0) + 1
+            if len(vec[2]) > 1:
+                seen["several-rounds"] = seen.get("several-rounds", 0) + 1
+
+        check()
+        # Not vacuous: some runs are proved whole, some are cut mid-run,
+        # some move a core, and some search over several rounds.
+        assert seen.get("proved", 0) > 0
+        assert any(kind.startswith("cut-mid-run") for kind in seen)
+        assert any(kind.endswith("-moved") for kind in seen)
+        assert seen.get("several-rounds", 0) > 0
+
+    @pytest.mark.parametrize("offset", [2, 10])
+    def test_default_grid_moves_match_the_global_loop(self, offset):
+        """The default grid two and ten seeds on: one core moves at the
+        tail of every elastic cell, or two."""
+        scenarios = tuple(
+            dataclasses.replace(scenario, seed=scenario.seed + offset)
+            for scenario in default_scenarios()
+        )
+        moves = set()
+        for policy in default_policy_grid(scenarios):
+            if policy.elastic is None:
+                continue
+            for scenario in scenarios:
+                tenants, arrivals = cluster_mix(
+                    scenario.mix,
+                    rate_rps=scenario.rate_rps,
+                    num_requests=scenario.num_requests,
+                    seed=scenario.seed,
+                )
+                horizon = max(float(trace[-1]) for trace in arrivals.values())
+                options = dict(
+                    elastic=policy.elastic,
+                    schedule=fault_scenario(
+                        scenario.fault, scenario.pool_size, horizon
+                    ),
+                    recalibration=policy.recalibration,
+                )
+                case = (tenants, scenario.pool_size, arrivals)
+                with reference_loops():
+                    ref = run_speculating(*case, **options)
+                vec = run_speculating(*case, **options)
+                assert_elastic_clusters_identical(*ref[:2], *vec[:2])
+                assert speculation_outcome(vec[2], vec[0]) == (
+                    "cut-mid-run-moved"
+                )
+                moves.add(len(ref[0].reallocations))
+        assert moves == ({1} if offset == 2 else {2})
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_burn_donor_depth_is_bounded_below(self, seed):
+        """Under priority routing a burn lane can donate a core before
+        any is freed.  Served alone it has judged arrivals the loop has
+        not reached at a dispatch, so only the arrivals up to its own
+        latest dispatch bound its queue from below; the ratio test
+        must read that bound for the donor, or it misses moves."""
+        tenants = [
+            ClusterTenant(
+                "donor",
+                tuple(lenet5_conv_specs()),
+                BatchingPolicy.dynamic(8, 1e-3),
+                priority=1,
+            ),
+            ClusterTenant(
+                "recipient",
+                tuple(alexnet_conv_specs()),
+                BatchingPolicy.fixed(2),
+            ),
+        ]
+        arrivals = {
+            "donor": poisson_arrivals(1e5, 200, seed=seed),
+            "recipient": poisson_arrivals(1e4, 100, seed=seed + 10),
+        }
+        options = dict(
+            routing=RoutingPolicy.priority(),
+            elastic=ElasticReallocation(min_queue=4),
+            admission={"donor": BurnRateAdmission(slo_latency_s=10.0)},
+        )
+        with reference_loops():
+            ref = run_speculating(tenants, 4, arrivals, **options)
+        vec = run_speculating(tenants, 4, arrivals, **options)
+        assert_elastic_clusters_identical(*ref[:2], *vec[:2])
+        assert ref[0].reallocations[0].from_tenant == "donor"
+        assert not ref[0].num_shed
+
+    @pytest.mark.parametrize("routing", ["weighted-fair", "priority"])
+    def test_cores_free_up_in_release_order(self, routing):
+        """Two lanes finish before the first move, the later-indexed one
+        first; the move takes the core released first, as the global
+        loop frees them, not in lane-index order."""
+        specs = tuple(lenet5_conv_specs())
+        tenants = [
+            ClusterTenant("slow", specs, BatchingPolicy.fifo()),
+            ClusterTenant("quick", specs, BatchingPolicy.fifo()),
+            ClusterTenant(
+                "burst", tuple(alexnet_conv_specs()), BatchingPolicy.fixed(4)
+            ),
+        ]
+        arrivals = {
+            "slow": poisson_arrivals(2e3, 40, seed=1),
+            "quick": poisson_arrivals(2e3, 10, seed=2),
+            "burst": 0.05 + poisson_arrivals(2e5, 200, seed=3),
+        }
+        assert float(arrivals["quick"][-1]) < float(arrivals["slow"][-1])
+        assert float(arrivals["slow"][-1]) < float(arrivals["burst"][0])
+        options = dict(
+            routing=RoutingPolicy(routing),
+            elastic=ElasticReallocation(min_queue=4),
+        )
+        with reference_loops():
+            ref = run_speculating(tenants, 4, arrivals, **options)
+        vec = run_speculating(tenants, 4, arrivals, **options)
+        assert_elastic_clusters_identical(*ref[:2], *vec[:2])
+        _, released = vec[2][-1]
+        assert released == [1, 0]
+        allocations = ClusterSimulator(tenants, 4)._allocations
+        first = ref[0].reallocations[0]
+        assert first.from_tenant is None and first.to_tenant == "burst"
+        assert first.core == allocations[1][0]
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,8 @@ such pin would quietly compare the fast path with itself.  These tests
 spy on the loops themselves: under the helper each batch is served by
 one ``_TenantLane.serve`` call and each wave by one
 ``BroadcastAndWeightLayer.compute`` call, and the fast paths are never
-entered; without it, the fast paths run.
+entered (an elastic cluster never looks for its first core move);
+without it, the fast paths run.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from oracles import reference_loops
 
 from repro.core import cluster
 from repro.core.accelerator import PhotonicConvolution
+from repro.core.cluster import ElasticReallocation
 from repro.core.faults import DegradedServingSimulator, FaultSchedule
 from repro.core.simkernel import BatchingPolicy, EventLoopKernel
 from repro.core.traffic import PipelineServiceModel
@@ -25,14 +27,21 @@ from repro.workloads import cluster_mix, lenet5_conv_specs, poisson_arrivals
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Count lane serves, fast-path entries on the cluster module, and
-    epoch cuts of the fault step."""
-    calls = {"serve": 0, "_plan_admitted": 0, "_plan_epoch": 0, "cut": 0}
+    """Count lane serves, fast-path entries on the cluster module,
+    epoch cuts of the fault step, and searches for a first core move."""
+    calls = {
+        "serve": 0,
+        "_plan_admitted": 0,
+        "_plan_epoch": 0,
+        "cut": 0,
+        "_first_move": 0,
+    }
     for owner, name in (
         (cluster._TenantLane, "serve"),
         (cluster, "_plan_admitted"),
         (cluster, "_plan_epoch"),
         (cluster.PoolHealth, "cut"),
+        (cluster.ClusterSimulator, "_first_move"),
     ):
         original = getattr(owner, name)
 
@@ -60,6 +69,15 @@ def _capped_frozen_cluster_run():
     return cluster.simulate_cluster_serving(tenants, arrivals, len(tenants) + 1)
 
 
+def _moving_elastic_cluster_run():
+    """The default grid's mix two seeds on: the batch tenant takes a
+    freed core in the last dispatches."""
+    tenants, arrivals = cluster_mix("interactive-batch", 2000.0, 400, seed=5)
+    return cluster.simulate_cluster_serving(
+        tenants, arrivals, 6, elastic=ElasticReallocation()
+    )
+
+
 def _faulted_lone_lane_run():
     model = _model()
     arrivals = poisson_arrivals(model.capacity_rps(4), 400, seed=7)
@@ -78,6 +96,7 @@ class TestServingOracle:
             "_plan_admitted": 0,
             "_plan_epoch": 0,
             "cut": 0,
+            "_first_move": 0,
         }
 
     def test_pristine_kernel_fast_path_serves_no_batch(self, spies):
@@ -95,12 +114,35 @@ class TestServingOracle:
             "_plan_admitted": 0,
             "_plan_epoch": 0,
             "cut": 0,
+            "_first_move": 0,
         }
 
     def test_capped_frozen_cluster_fast_path_walks_admission(self, spies):
         _capped_frozen_cluster_run()
         assert spies["_plan_admitted"] > 0
         assert spies["serve"] == 0
+
+    def test_elastic_cluster_serves_each_batch_on_the_global_loop(
+        self, spies
+    ):
+        with reference_loops():
+            report = _moving_elastic_cluster_run()
+        assert report.reallocations
+        batches = sum(len(tenant.batches) for tenant in report.tenants)
+        assert spies == {
+            "serve": batches,
+            "_plan_admitted": 0,
+            "_plan_epoch": 0,
+            "cut": 0,
+            "_first_move": 0,
+        }
+
+    def test_elastic_cluster_fast_path_loops_only_past_the_cut(self, spies):
+        report = _moving_elastic_cluster_run()
+        batches = sum(len(tenant.batches) for tenant in report.tenants)
+        assert spies["_first_move"] == 1
+        assert spies["_plan_admitted"] > 0
+        assert 0 < spies["serve"] < batches
 
     def test_faulted_lone_lane_leaves_the_epochs(self, spies):
         with reference_loops():

@@ -50,9 +50,15 @@ from repro.core.traffic import (
     replay_on_engine,
     simulate_serving,
 )
+from repro.analysis import (
+    default_policy_grid,
+    default_scenarios,
+    evaluate_policy,
+)
 from repro.workloads import (
     CLUSTER_MIXES,
     cluster_mix,
+    fault_scenario,
     lenet5_conv_specs,
     make_arrivals,
     poisson_arrivals,
@@ -571,16 +577,63 @@ class TestAutoModeRouting:
 
     @pytest.mark.parametrize("feedback", ["elastic", "elastic-faulted"])
     def test_feedback_shapes_take_the_lane_loop(self, monkeypatch, feedback):
-        tenants, arrivals, pool = next(_frozen_shapes())
-        horizon = float(arrivals["solo"][-1])
-        options = {"elastic": ElasticReallocation()}
-        if feedback == "elastic-faulted":
-            options["schedule"] = FaultSchedule.uniform_drift(
-                1.0 / horizon, pool
-            )
+        """An elastic cluster is served lane by lane, and the lane loop
+        takes over only from a dispatch that can move a core.  The
+        default grid's mix moves none at its own seed; two seeds on, the
+        batch tenant takes a freed core near the end, so the still
+        active lanes are served again up to there and the loop runs
+        the rest."""
         calls = self.spy(monkeypatch)
-        simulate_cluster_serving(tenants, arrivals, pool, **options)
-        assert calls == {"alone": 0, "lanes": 1}
+        # Two lanes served alone; at seed 5 the batch lane, still active
+        # at the cut, is served alone once more (interactive has
+        # released its cores by then).
+        for seed, moves, alone, loops in ((3, 0, 2, 0), (5, 1, 3, 1)):
+            tenants, arrivals = cluster_mix(
+                "interactive-batch", 2000.0, 400, seed=seed
+            )
+            horizon = max(float(trace[-1]) for trace in arrivals.values())
+            options = {"elastic": ElasticReallocation()}
+            if feedback == "elastic-faulted":
+                options["schedule"] = fault_scenario("tia-aging", 6, horizon)
+                options["recalibration"] = RecalibrationPolicy()
+            calls.update(alone=0, lanes=0)
+            report = simulate_cluster_serving(tenants, arrivals, 6, **options)
+            assert len(report.reallocations) == moves
+            assert calls == {"alone": alone, "lanes": loops}
+
+    @pytest.mark.parametrize("offset, most", [(0, 0), (2, 3)])
+    def test_default_grid_rebalances_only_past_the_cut(
+        self, monkeypatch, offset, most
+    ):
+        """``_rebalance`` runs only on the global loop: never in the
+        default grid's elastic cells at their own seed, where no core
+        moves, and at most three times a cell two seeds on, where one
+        moves in the last dispatches."""
+        calls = []
+        rebalance = cluster_module.ClusterSimulator._rebalance
+
+        def count(*args, **kwargs):
+            calls[-1] += 1
+            return rebalance(*args, **kwargs)
+
+        monkeypatch.setattr(
+            cluster_module.ClusterSimulator, "_rebalance", count
+        )
+        scenarios = tuple(
+            replace(scenario, seed=scenario.seed + offset)
+            for scenario in default_scenarios()
+        )
+        moved = 0
+        for policy in default_policy_grid(scenarios):
+            if policy.elastic is None:
+                continue
+            for scenario in scenarios:
+                calls.append(0)
+                report = evaluate_policy(scenario, policy).report
+                moved += bool(report.reallocations)
+        assert len(calls) == 8
+        assert max(calls) <= most
+        assert moved == (8 if most else 0)
 
 
 class TestReplayFidelity:
