@@ -60,6 +60,16 @@ def measure(function: Callable[[], Any], repeats: int = 3) -> Timing:
     return Timing(min(samples), statistics.median(samples), result)
 
 
+def alternating_min(first, second, rounds: int) -> tuple[float, float]:
+    """The fastest call of each of two functions, timed one after the
+    other ``rounds`` times, so a slow spell of the host hits both."""
+    pairs = [
+        (measure(first, repeats=1).min_s, measure(second, repeats=1).min_s)
+        for _ in range(rounds)
+    ]
+    return min(a for a, _ in pairs), min(b for _, b in pairs)
+
+
 @pytest.fixture
 def alexnet_specs():
     """The paper's AlexNet conv-layer table."""

@@ -15,7 +15,10 @@ recalibration threshold.
   acts, plus the end-of-run advance.
 * **Wall time** (``pytest -m perf benchmarks``): the epoch lane is at
   least 3x faster than the lane loop on the scenario, and within 1.1x of
-  it when a 1e-6 threshold recalibrates at most dispatches.
+  it when a 1e-6 threshold recalibrates at most dispatches.  Its two
+  cores drift alike, so each cut sweeps their one lineage once: at
+  least 1.25x faster than sweeping each core
+  (:func:`oracles.unshared_sweeps`).
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from repro.core.faults import (
 from repro.core.simkernel import BatchingPolicy
 from repro.core.traffic import PipelineServiceModel
 from repro.workloads import fault_scenario, poisson_arrivals, serving_network
-from conftest import emit, measure
-from oracles import lane_loop
+from conftest import alternating_min, emit, measure
+from oracles import lane_loop, unshared_sweeps
 
 NUM_CORES = 2
 SPEEDUP_FLOOR = 3.0
 DENSE_RATIO_CEILING = 1.1
+SHARING_FLOOR = 1.25
 
 
 def _scenario(requests: int, threshold: float):
@@ -142,3 +146,24 @@ def test_dense_recalibration_within_1p1x_of_the_lane_loop():
         f"{ratio:.2f}x (ceiling {DENSE_RATIO_CEILING}x)"
     )
     assert ratio <= DENSE_RATIO_CEILING
+
+
+@pytest.mark.perf
+def test_shared_sweeps_at_least_1p25x_unshared():
+    """Sweeping the two alike cores' lineage once per cut, against
+    sweeping each core, timed in alternating rounds."""
+    scenario = _scenario(20_000, 0.05)
+
+    def unshared():
+        with unshared_sweeps():
+            return _epochs(*scenario)
+
+    shared_s, unshared_s = alternating_min(
+        lambda: _epochs(*scenario), unshared, rounds=10
+    )
+    speedup = unshared_s / shared_s
+    emit(
+        f"drift-serving: unshared sweeps {unshared_s:.3f} s, shared "
+        f"{shared_s:.3f} s -> {speedup:.2f}x (floor {SHARING_FLOOR}x)"
+    )
+    assert speedup >= SHARING_FLOOR

@@ -48,7 +48,7 @@ from repro.workloads import (
     poisson_arrivals,
     serving_network,
 )
-from conftest import emit, measure
+from conftest import alternating_min, emit, measure
 from oracles import reference_loops
 
 CONTROLLER_REQUESTS = 20_000
@@ -191,16 +191,6 @@ def test_dominance_grid_workers_byte_identical():
     )
 
 
-def _alternating_min(first, second, rounds: int) -> tuple[float, float]:
-    """The fastest call of each of two functions, timed one after the
-    other ``rounds`` times, so a slow spell of the host hits both."""
-    pairs = [
-        (measure(first, repeats=1).min_s, measure(second, repeats=1).min_s)
-        for _ in range(rounds)
-    ]
-    return min(a for a, _ in pairs), min(b for _, b in pairs)
-
-
 @pytest.mark.perf
 @pytest.mark.parametrize("policy", ["static-elastic", "adaptive-pressure"])
 def test_elastic_cells_within_1p3x_of_static_recal(policy):
@@ -216,7 +206,7 @@ def test_elastic_cells_within_1p3x_of_static_recal(policy):
             evaluate_policy(scenario, policies[name]) for scenario in scenarios
         ]
 
-    elastic_s, static_s = _alternating_min(
+    elastic_s, static_s = alternating_min(
         cells(policy), cells("static-recal"), rounds=10
     )
     ratio = elastic_s / static_s
@@ -292,7 +282,7 @@ def test_early_move_within_1p15x_of_the_global_loop():
     """The early-move cluster, timed against its global-loop run: the
     lanes served alone before the cut cost at most 15% on top."""
     run = _early_move_run()
-    fast_s, slow_s = _alternating_min(run, _on_global_loop(run), rounds=5)
+    fast_s, slow_s = alternating_min(run, _on_global_loop(run), rounds=5)
     ratio = fast_s / slow_s
     emit(
         f"early-move cluster ({EARLY_MOVE_REQUESTS:,} interactive "

@@ -260,13 +260,17 @@ class EwmaRecalDecider:
         Folds :meth:`observe` over the samples from the core's current
         estimate and puts that estimate back, so the decider itself
         does not move; the estimate after each sample before the firing
-        is kept for :meth:`fold`.
+        is kept for :meth:`fold`.  Until that :meth:`fold`, a call
+        carries on from the samples earlier calls folded, so an epoch
+        may come in blocks without a sample observed twice.
         """
         estimates = self._estimates
         saved = estimates.get(core)
         threshold = self.policy.error_threshold
         fired = errors.size
-        folded = []
+        folded = self._folded.setdefault(core, [])
+        if folded:
+            estimates[core] = folded[-1]
         for index, (error, time_s) in enumerate(
             zip(errors.tolist(), times.tolist())
         ):
@@ -274,7 +278,6 @@ class EwmaRecalDecider:
                 fired = index
                 break
             folded.append(estimates[core])
-        self._folded[core] = folded
         if saved is None:
             estimates.pop(core, None)
         else:

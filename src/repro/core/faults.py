@@ -13,7 +13,8 @@ simulated clock for the first time:
 * each core carries a :class:`CoreHealthState` — a real
   :class:`~repro.photonics.drift.DriftingWeightBank` probe read out at
   every dispatch instant (a whole epoch of instants at once between
-  recalibrations, :meth:`CoreHealthState.sweep`), whose
+  recalibrations, :meth:`CoreHealthState.sweep`, once for all the
+  cores whose states share a lineage), whose
   balanced-detection weight error is the core's **accuracy proxy**,
   measured from photodiode readout physics rather than assumed;
 * an optional :class:`RecalibrationPolicy` watches the proxy and
@@ -72,6 +73,7 @@ from repro.nn.shapes import ConvLayerSpec
 from repro.photonics.calibration import CalibrationResult
 from repro.photonics.drift import (
     DEFAULT_PROBE_RINGS,
+    _ERROR_BLOCK,
     BankCondition,
     DriftingWeightBank,
     _is_index,
@@ -454,7 +456,9 @@ class ThresholdTrigger:
     ) -> int:
         """Index of the first of a non-exhausted core's upcoming
         ``errors`` (at dispatch instants ``times``) that :meth:`decide`
-        fires on, or ``errors.size`` if none does."""
+        fires on, or ``errors.size`` if none does.  Until the next
+        :meth:`fold` on the core, a call takes the samples that follow
+        the last call's."""
         hits = np.flatnonzero(errors >= self.policy.error_threshold)
         return int(hits[0]) if hits.size else errors.size
 
@@ -565,6 +569,15 @@ class CoreHealthState:
     is cached between changes.  Deterministic: the probe physics has no
     random effects and every input is a pure function of simulated time.
 
+    So a state is fixed by its events and the mutations it has taken,
+    which :attr:`lineage` names: an id interned in a table shared by a
+    pool's states (:class:`PoolHealth`; a lone state keeps its own).
+    The root id keys the events with the core index stripped, in order;
+    each :meth:`advance_to` that moves the state maps ``(id, "advance",
+    instant)`` to a new id, and each :meth:`recalibrate` maps ``(id,
+    "recal", policy)``.  Two states with equal ids are equal in every
+    field but :attr:`core`, by construction.
+
     Args:
         core: physical core index.
         schedule: the fault schedule (events for other cores ignored).
@@ -580,6 +593,8 @@ class CoreHealthState:
         "compensated_gain",
         "recal_exhausted",
         "_exhausted_condition",
+        "lineage",
+        "_lineages",
     )
 
     def __init__(self, core: int, schedule: FaultSchedule) -> None:
@@ -592,6 +607,13 @@ class CoreHealthState:
         self.compensated_gain = 1.0
         self.recal_exhausted = False
         self._exhausted_condition: BankCondition | None = None
+        self._join({})
+
+    def _join(self, lineages: dict) -> None:
+        """Intern this fresh state's root lineage in ``lineages``."""
+        root = tuple(replace(event, core=0) for event in self.events)
+        self._lineages = lineages
+        self.lineage = lineages.setdefault(root, len(lineages))
 
     def condition_at(self, time_s: float) -> BankCondition:
         """Compose the schedule into the core's condition at one instant."""
@@ -659,6 +681,10 @@ class CoreHealthState:
             self._exhausted_condition = None
         self._condition = condition
         self.error = self.probe.weight_error()
+        lineages = self._lineages
+        self.lineage = lineages.setdefault(
+            (self.lineage, "advance", time_s), len(lineages)
+        )
 
     @staticmethod
     def _improved(
@@ -690,8 +716,9 @@ class CoreHealthState:
         :meth:`condition_at`.  The probe is read out only at instants
         whose condition differs from the one before
         (:meth:`~repro.photonics.drift.DriftingWeightBank.weight_errors`),
-        and every error is bit-identical to what :meth:`advance_to` would
-        leave in :attr:`error` there.  The state itself does not move:
+        and only as far as :meth:`ProbeSweep.read` asks, and every error
+        is bit-identical to what :meth:`advance_to` would leave in
+        :attr:`error` there.  The state itself does not move:
         the next :meth:`advance_to` jumps straight to its instant, which
         lands where the per-instant walk would have, since the command
         and the exhausted-recalibration flag are fixed in between.
@@ -757,18 +784,6 @@ class CoreHealthState:
             )
         moved = np.flatnonzero(changed)
         shift = ambient * SILICON_THERMAL_SHIFT_HZ_PER_K
-        measured = np.empty(moved.size + 1)
-        measured[0] = self.error
-        moved_disc = disc[moved]
-        for key_id in np.unique(moved_disc).tolist():
-            picked = np.flatnonzero(moved_disc == key_id)
-            coupling, dead, _ = keys[key_id]
-            measured[picked + 1] = self.probe.weight_errors(
-                coupling, dead, shift[moved[picked]], gain[moved[picked]]
-            )
-        # Instant i reads the error of the last change at or before it
-        # (slot 0, the current error, before the first change).
-        latest = np.searchsorted(moved, np.arange(t.size), side="right")
         rearm = t.size
         if self.recal_exhausted and self._exhausted_condition is not None:
             coupling_of = np.asarray([key[0] for key in keys], dtype=float)
@@ -785,9 +800,7 @@ class CoreHealthState:
             hits = np.flatnonzero(changed & improved)
             if hits.size:
                 rearm = int(hits[0])
-        return ProbeSweep(
-            self, measured[latest], rearm, shift, gain, disc, keys
-        )
+        return ProbeSweep(self, moved, rearm, shift, gain, disc, keys)
 
     def should_recalibrate(self, policy: RecalibrationPolicy) -> bool:
         """Whether the policy triggers a recalibration attempt now."""
@@ -806,6 +819,10 @@ class CoreHealthState:
         else:
             self.recal_exhausted = True
             self._exhausted_condition = self._condition
+        lineages = self._lineages
+        self.lineage = lineages.setdefault(
+            (self.lineage, "recal", policy), len(lineages)
+        )
         return result
 
     @property
@@ -831,37 +848,86 @@ class CoreHealthState:
 class ProbeSweep:
     """One core's probe over an epoch of instants.
 
-    Built by :meth:`CoreHealthState.sweep`.  Besides the errors it
-    keeps the per-instant ambient shift, TIA gain and discrete-state
-    index, from which :meth:`DriftSnapshotTable.record_sweeps` fills
-    the epoch's drift columns in bulk.
+    Built by :meth:`CoreHealthState.sweep`, which composes the
+    conditions; :meth:`read` reads the probe out, in order and only as
+    far as asked, so read it before the state next moves.  Besides the
+    errors it keeps the per-instant ambient shift, TIA gain and
+    discrete-state index, from which :meth:`DriftSnapshotTable
+    .record_sweeps` fills the epoch's drift columns in bulk.
 
     Attributes:
-        errors: per-instant weight error, what :meth:`CoreHealthState
-            .advance_to` would leave in ``error`` at each instant.
         rearm: index of the first instant at which an exhausted
             recalibration would re-arm (the condition improved on the one
             it exhausted at), or the instant count if none does.
     """
 
     __slots__ = (
-        "errors",
         "rearm",
         "_state",
+        "_source",
         "_shift",
         "_gain",
         "_disc",
         "_keys",
+        "_moved",
+        "_measured",
+        "_errors",
+        "_read",
     )
 
-    def __init__(self, state, errors, rearm, shift, gain, disc, keys) -> None:
-        self.errors = errors
+    def __init__(self, state, moved, rearm, shift, gain, disc, keys) -> None:
         self.rearm = rearm
         self._state = state
+        self._source = self
         self._shift = shift
         self._gain = gain
         self._disc = disc
         self._keys = keys
+        self._moved = moved
+        # The error after each change; slot 0 is the current error.
+        self._measured = np.empty(moved.size + 1)
+        self._measured[0] = state.error
+        self._errors = np.empty(shift.size)
+        self._read = 0
+
+    def read(self, stop: int) -> np.ndarray:
+        """The errors at the first ``stop`` instants: what
+        :meth:`CoreHealthState.advance_to` would leave in ``error`` at
+        each, read out past what earlier calls read."""
+        source = self._source
+        if stop > source._read:
+            source._read_to(stop)
+        return source._errors[:stop]
+
+    def _read_to(self, stop: int) -> None:
+        """Read the probe out from where the last read stopped to
+        ``stop``."""
+        start = self._read
+        moved = self._moved
+        low, high = moved.searchsorted((start, stop)).tolist()
+        measured = self._measured
+        at = moved[low:high]
+        at_disc = self._disc[at]
+        for key_id in np.unique(at_disc).tolist():
+            picked = np.flatnonzero(at_disc == key_id)
+            coupling, dead, _ = self._keys[key_id]
+            measured[low + picked + 1] = self._state.probe.weight_errors(
+                coupling, dead, self._shift[at[picked]], self._gain[at[picked]]
+            )
+        # Instant i reads the error of the last change at or before it.
+        latest = moved.searchsorted(np.arange(start, stop), side="right")
+        self._errors[start:stop] = measured[latest]
+        self._read = stop
+
+    def twin(self, state: "CoreHealthState") -> "ProbeSweep":
+        """This sweep for another state of the same lineage: the arrays
+        and the readout are shared, the state (read by
+        :meth:`DriftSnapshotTable.record_sweeps`) is ``state``."""
+        twin = object.__new__(ProbeSweep)
+        for name in self.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin._state = state
+        return twin
 
 
 _SNAPSHOT_COLUMNS = (
@@ -1145,7 +1211,14 @@ class PoolHealth:
             ``None`` disables recalibration.
     """
 
-    __slots__ = ("schedule", "states", "downtime", "recalibrations", "trigger")
+    __slots__ = (
+        "schedule",
+        "states",
+        "downtime",
+        "recalibrations",
+        "trigger",
+        "_lineages",
+    )
 
     def __init__(
         self,
@@ -1154,14 +1227,20 @@ class PoolHealth:
         recalibration: RecalibrationPolicy | AdaptiveRecalibration | None = None,
     ) -> None:
         self.schedule = schedule
-        self.states = [
-            CoreHealthState(core, schedule) for core in range(num_cores)
-        ]
+        # The states' lineage table (see CoreHealthState).
+        self._lineages: dict = {}
+        self.states = [self._fresh(core) for core in range(num_cores)]
         self.downtime = [0.0] * num_cores
         self.recalibrations: list[RecalibrationRecord] = []
         self.trigger = (
             None if recalibration is None else recalibration.decider()
         )
+
+    def _fresh(self, core: int) -> CoreHealthState:
+        """A core's state as the run starts it, in the pool's lineages."""
+        state = CoreHealthState(core, self.schedule)
+        state._join(self._lineages)
+        return state
 
     def step(
         self,
@@ -1220,11 +1299,14 @@ class PoolHealth:
         pipeline's upcoming dispatches ``dispatch_s`` at which it acts.
 
         Each stage core's probe is swept over every instant at once
-        (:meth:`CoreHealthState.sweep`), and the cut is where the
-        trigger fires on a core that is not exhausted, an exhausted
-        core re-arms, or some but not all cores fail (:meth:`failing`).
-        The trigger folds the samples before the cut as deciding at each
-        of them would.
+        (:meth:`_sweeps`), and the cut is where the trigger fires on a
+        core that is not exhausted, an exhausted core re-arms, or some
+        but not all cores fail (:meth:`failing`).  The probes are read
+        out in blocks, of :data:`~repro.photonics.drift._ERROR_BLOCK`
+        instants and doubling, up to the first block in which the step
+        acts, and the trigger's :meth:`~ThresholdTrigger.first_firing`
+        carries on from block to block.  The trigger then folds the
+        samples before the cut as deciding at each of them would.
 
         Returns:
             ``(cut, proxies, sweeps)``: the cut (``dispatch_s.size`` if
@@ -1232,29 +1314,55 @@ class PoolHealth:
             dispatch before it, and the sweeps, for the drift rows.
         """
         states = self.states
-        sweeps = [states[core].sweep(dispatch_s) for core in stage_to_core]
+        sweeps = self._sweeps(stage_to_core, dispatch_s)
         cut = min(sweep.rearm for sweep in sweeps)
-        if fail_error_threshold is not None:
-            # repro: allow[BIT001] integer count, exact in any order
-            failing = sum(
-                sweep.errors[:cut] >= fail_error_threshold for sweep in sweeps
-            )
-            hits = np.flatnonzero((failing > 0) & (failing < len(sweeps)))
-            if hits.size:
-                cut = int(hits[0])
         trigger = self.trigger
+        start, block = 0, _ERROR_BLOCK
+        while start < cut:
+            end = stop = min(start + block, cut)
+            errors = [sweep.read(end)[start:] for sweep in sweeps]
+            if fail_error_threshold is not None:
+                # repro: allow[BIT001] integer count, exact in any order
+                failing = sum(part >= fail_error_threshold for part in errors)
+                hits = np.flatnonzero((failing > 0) & (failing < len(sweeps)))
+                if hits.size:
+                    stop = start + int(hits[0])
+            if trigger is not None:
+                for core, part in zip(stage_to_core, errors):
+                    if not states[core].recal_exhausted:
+                        stop = start + trigger.first_firing(
+                            core, part[: stop - start], dispatch_s[start:stop]
+                        )
+            if stop < end:
+                cut = stop
+            start, block = end, 2 * block
         if trigger is not None:
             for core, sweep in zip(stage_to_core, sweeps):
-                if not states[core].recal_exhausted:
-                    cut = trigger.first_firing(
-                        core, sweep.errors[:cut], dispatch_s[:cut]
-                    )
-            for core, sweep in zip(stage_to_core, sweeps):
-                trigger.fold(core, sweep.errors[:cut], dispatch_s[:cut])
-        proxies = sweeps[0].errors[:cut]
+                trigger.fold(core, sweep.read(cut), dispatch_s[:cut])
+        proxies = sweeps[0].read(cut)
         for sweep in sweeps[1:]:
-            proxies = np.maximum(proxies, sweep.errors[:cut])
+            proxies = np.maximum(proxies, sweep.read(cut))
         return cut, proxies, sweeps
+
+    def _sweeps(
+        self, stage_to_core: list[int], dispatch_s: np.ndarray
+    ) -> list[ProbeSweep]:
+        """Each stage core's :meth:`CoreHealthState.sweep` over
+        ``dispatch_s``, swept once per distinct lineage: a core whose
+        state shares a swept core's lineage takes its :meth:`ProbeSweep
+        .twin`."""
+        states = self.states
+        swept: dict[int, ProbeSweep] = {}
+        sweeps = []
+        for core in stage_to_core:
+            state = states[core]
+            sweep = swept.get(state.lineage)
+            if sweep is None:
+                sweep = swept[state.lineage] = state.sweep(dispatch_s)
+            else:
+                sweep = sweep.twin(state)
+            sweeps.append(sweep)
+        return sweeps
 
     def failing(
         self, stage_to_core: list[int], fail_error_threshold: float
@@ -1279,7 +1387,7 @@ class PoolHealth:
         """Put ``cores`` back where the run started them: fresh drift
         states, no downtime, and no log entry or trigger memory."""
         for core in cores:
-            self.states[core] = CoreHealthState(core, self.schedule)
+            self.states[core] = self._fresh(core)
             self.downtime[core] = 0.0
         self.recalibrations[:] = [
             record

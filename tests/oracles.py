@@ -19,6 +19,11 @@ way a differential pin reaches the oracle through a front door;
 ``tests/test_oracles.py`` guards that it really does.  A pin that builds
 its own lane serves it on the lane loop with :func:`lane_loop`.
 
+:func:`unshared_sweeps` turns off the one sharing the fault step's
+epoch form does: ``PoolHealth.cut`` sweeps each distinct drift-probe
+lineage once and hands the twins its readout.  Inside it every stage
+core is swept on its own state.
+
 :func:`verify_admission_walk` is the scalar form of the capped lane's
 plan check, ``cluster._verify_admission_plan``: one batch at a time, a
 monotone pointer over the judgment frontier.  The library computes the
@@ -36,6 +41,7 @@ import numpy as np
 
 from repro.core import cluster
 from repro.core.accelerator import PhotonicConvolution
+from repro.core.faults import PoolHealth
 from repro.core.simkernel import plan_dispatch
 
 
@@ -77,6 +83,19 @@ def reference_loops() -> Iterator[None]:
             PhotonicConvolution._device_matvec,
         ),
     ):
+        yield
+
+
+def _sweep_each_core(health, stage_to_core, dispatch_s) -> list:
+    """Every stage core's sweep, swept on its own state."""
+    return [health.states[core].sweep(dispatch_s) for core in stage_to_core]
+
+
+@contextmanager
+def unshared_sweeps() -> Iterator[None]:
+    """Sweep every stage core's probe in ``PoolHealth.cut``, twins of
+    one lineage included, as before sweeps were shared."""
+    with mock.patch.object(PoolHealth, "_sweeps", _sweep_each_core):
         yield
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import unshared_sweeps
 
 from repro.analysis import (
     FAULT_SWEEP_HEADER,
@@ -26,8 +27,10 @@ from repro.core.faults import (
     DriftSnapshotTable,
     FaultEvent,
     FaultSchedule,
+    PoolHealth,
     RecalibrationPolicy,
     _calibrated_pristine_probe,
+    simulate_degraded_serving,
 )
 from repro.core.traffic import BatchingPolicy, PipelineServiceModel
 from repro.photonics.calibration import calibrate_bank
@@ -49,6 +52,7 @@ from repro.workloads import (
     alexnet_conv_specs,
     fault_scenario,
     poisson_arrivals,
+    serving_network,
 )
 
 
@@ -489,6 +493,7 @@ class TestProbeSweep:
                 state.recalibrate(policy)
         epoch = times[split:]
         sweep = state.sweep(epoch)
+        swept_errors = sweep.read(epoch.size)
         swept = DriftSnapshotTable(1)
         swept.record_sweeps(0, [sweep], epoch.size)
         stepped = DriftSnapshotTable(1)
@@ -502,7 +507,7 @@ class TestProbeSweep:
                 rearm = min(rearm, index)
         widths = np.ones(epoch.size, dtype=np.int64)
         swept, stepped = swept.view(widths), stepped.view(widths)
-        assert sweep.errors.tobytes() == np.array(errors).tobytes()
+        assert swept_errors.tobytes() == np.array(errors).tobytes()
         assert swept == stepped
         # Field types too: report digests hash the snapshots' repr.
         assert repr(tuple(swept)) == repr(tuple(stepped))
@@ -792,6 +797,181 @@ class TestCoreHealthState:
         assert state.should_recalibrate(policy)
         state.recalibrate(policy)  # must not raise
         assert math.isfinite(state.error)
+
+
+def _same_state(a: CoreHealthState, b: CoreHealthState) -> bool:
+    """Whether two states agree in every field but the core index."""
+    return (
+        a.error == b.error
+        and a._condition == b._condition
+        and a.probe.commanded.tobytes() == b.probe.commanded.tobytes()
+        and a.probe.condition == b.probe.condition
+        and a.probe._stuck_commands == b.probe._stuck_commands
+        and a.compensated_shift_hz == b.compensated_shift_hz
+        and a.compensated_gain == b.compensated_gain
+        and a.recal_exhausted == b.recal_exhausted
+        and a._exhausted_condition == b._exhausted_condition
+    )
+
+
+@st.composite
+def lineage_walks(draw):
+    """A pool whose cores share some fault events and not others, and a
+    walk of advances and recalibrations over subsets of its cores."""
+    num_cores = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 10_000))
+    drift = draw(st.floats(0.0, 20.0))
+    shared = FaultSchedule.random(
+        seed, 1, 1.0, draw(st.integers(1, 3)), max_drift_k_per_s=drift
+    )
+    own = FaultSchedule.random(seed + 1, num_cores, 1.0, 1, drift)
+    loners = draw(st.sets(st.integers(0, num_cores - 1)))
+    events = [
+        replace(event, core=core)
+        for core in range(num_cores)
+        for event in shared.events
+    ] + [event for event in own.events if event.core in loners]
+    cores = st.sets(st.integers(0, num_cores - 1), min_size=1)
+    steps = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("advance"), cores, st.floats(0.0, 0.4)),
+                st.tuples(st.just("recal"), cores, st.integers(0, 1)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return num_cores, FaultSchedule("walk", tuple(events)), steps
+
+
+class TestLineage:
+    """A state's lineage id names the path it took from its events."""
+
+    def test_twins_share_an_id_until_one_recalibrates_alone(self):
+        policy = RecalibrationPolicy(error_threshold=1e-3)
+        health = PoolHealth(FaultSchedule.uniform_drift(1.0, 3), 3)
+        states = health.states
+        assert len({state.lineage for state in states}) == 1
+        for state in states:
+            state.advance_to(0.5)
+        assert len({state.lineage for state in states}) == 1
+        for state in states[1:]:
+            state.recalibrate(policy)
+        assert states[1].lineage == states[2].lineage != states[0].lineage
+        for state in states:
+            state.advance_to(0.8)
+        assert states[1].lineage == states[2].lineage != states[0].lineage
+        assert _same_state(states[1], states[2])
+        assert not _same_state(states[0], states[1])
+
+    def test_distinct_events_give_distinct_roots(self):
+        schedule = fault_scenario("thermal-runaway", 2, 1.0)
+        health = PoolHealth(schedule, 2)
+        assert health.states[0].lineage != health.states[1].lineage
+
+    def test_an_advance_that_moves_nothing_keeps_the_id(self):
+        schedule = FaultSchedule(
+            "late", (FaultEvent("thermal_ramp", 0, 1.0, 1.0),)
+        )
+        state = PoolHealth(schedule, 1).states[0]
+        root = state.lineage
+        state.advance_to(0.5)
+        assert state.lineage == root
+        state.advance_to(1.5)
+        assert state.lineage != root
+
+    def test_reset_restores_the_root_id(self):
+        policy = RecalibrationPolicy(error_threshold=1e-3)
+        health = PoolHealth(FaultSchedule.uniform_drift(1.0, 2), 2)
+        root = health.states[0].lineage
+        for state in health.states:
+            state.advance_to(0.5)
+            state.recalibrate(policy)
+        assert health.states[0].lineage != root
+        health.reset([0])
+        assert health.states[0].lineage == root
+        assert health.states[1].lineage != root
+
+    @given(walk=lineage_walks())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_ids_mean_equal_states(self, walk):
+        num_cores, schedule, steps = walk
+        policies = (
+            RecalibrationPolicy(error_threshold=1e-3),
+            RecalibrationPolicy(error_threshold=0.05, max_iterations=3),
+        )
+        health = PoolHealth(schedule, num_cores)
+        states = health.states
+        now = 0.0
+        for kind, cores, arg in steps:
+            if kind == "advance":
+                now += arg
+                for core in sorted(cores):
+                    states[core].advance_to(now)
+            else:
+                for core in sorted(cores):
+                    states[core].recalibrate(policies[arg])
+            for a in states:
+                for b in states:
+                    if a.lineage == b.lineage:
+                        assert _same_state(a, b)
+
+
+def _drift_serving(scenario: str):
+    """Faulted LeNet-5 serving on two cores: 20,000 Poisson requests at
+    20k req/s, dynamic batching, recalibration at 0.05 error."""
+    arrivals = poisson_arrivals(2e4, 20_000, seed=17)
+    return simulate_degraded_serving(
+        serving_network("lenet5"),
+        arrivals,
+        BatchingPolicy.dynamic(4, 1e-4),
+        fault_scenario(scenario, 2, float(arrivals[-1])),
+        2,
+        recalibration=RecalibrationPolicy(error_threshold=0.05),
+    )
+
+
+class TestSharedSweeps:
+    """``PoolHealth.cut`` sweeps each distinct lineage once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count probe sweeps, epoch cuts and the stage cores cut."""
+        calls = {"sweep": 0, "cut": 0, "stage_cores": 0}
+        sweep, cut = CoreHealthState.sweep, PoolHealth.cut
+
+        def count_sweep(*args):
+            calls["sweep"] += 1
+            return sweep(*args)
+
+        def count_cut(health, stage_to_core, *args):
+            calls["cut"] += 1
+            calls["stage_cores"] += len(stage_to_core)
+            return cut(health, stage_to_core, *args)
+
+        monkeypatch.setattr(CoreHealthState, "sweep", count_sweep)
+        monkeypatch.setattr(PoolHealth, "cut", count_cut)
+        return calls
+
+    def test_twin_cores_are_swept_once_per_cut(self, calls):
+        shared = _drift_serving("slow-drift")
+        assert calls == {"sweep": 26, "cut": 26, "stage_cores": 52}
+        with unshared_sweeps():
+            unshared = _drift_serving("slow-drift")
+        assert calls == {"sweep": 26 + 52, "cut": 52, "stage_cores": 104}
+        assert shared.completion_s.tobytes() == unshared.completion_s.tobytes()
+        assert shared.accuracy_proxy.tobytes() == (
+            unshared.accuracy_proxy.tobytes()
+        )
+        assert shared.recalibrations == unshared.recalibrations
+
+    def test_distinct_cores_are_each_swept(self, calls):
+        """Core 0 drifts faster than core 1 (and is drained part-way),
+        so no cut finds twins."""
+        _drift_serving("thermal-runaway")
+        assert calls["cut"] > 0
+        assert calls["sweep"] == calls["stage_cores"] > calls["cut"]
 
 
 class TestRecalibrationPolicy:

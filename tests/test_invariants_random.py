@@ -71,7 +71,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fresh_backlog, reference_loops, verify_admission_walk
+from oracles import (
+    fresh_backlog,
+    reference_loops,
+    unshared_sweeps,
+    verify_admission_walk,
+)
 
 from repro.core.accelerator import PCNNA, PhotonicConvolution
 from repro.core.adaptive import (
@@ -84,7 +89,7 @@ from repro.analysis import (
     default_scenarios,
     sweep_cluster_serving,
 )
-from repro.core import cluster
+from repro.core import cluster, faults
 from repro.core.cluster import (
     ClusterSimulator,
     ClusterTenant,
@@ -1329,6 +1334,133 @@ def assert_faulted_clusters_identical(ref, ref_health, vec, vec_health):
     assert repr(ref.final_core_errors) == repr(vec.final_core_errors)
     if ref_health.trigger is not None:
         assert ref_health.trigger.decisions == vec_health.trigger.decisions
+
+
+@st.composite
+def shared_sweep_case(draw):
+    """A faulted single pipeline whose stage cores may share drift
+    lineages: uniform drift, a random schedule struck alike on every
+    core plus random events on some cores, or a random schedule per
+    core; a static or EWMA trigger; a fail threshold or none.  Traces
+    run to several hundred batches, so an epoch's probes are read out in
+    more than one block."""
+    num_cores = draw(st.integers(min_value=2, max_value=4))
+    count = draw(st.integers(min_value=50, max_value=700))
+    load = draw(st.sampled_from([0.5, 2.0, 8.0]))
+    arrivals = poisson_arrivals(
+        load * count / _FAULT_HORIZON_S,
+        count,
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    horizon = float(arrivals[-1])
+    kind = draw(st.sampled_from(["uniform", "shared", "per-core"]))
+    if kind == "uniform":
+        schedule = FaultSchedule.uniform_drift(
+            draw(st.sampled_from([0.03, 0.1, 0.3])) / horizon, num_cores
+        )
+    else:
+        seed = draw(st.integers(min_value=0, max_value=10_000))
+        drift = draw(st.sampled_from([1.0, 1.0 / horizon]))
+        events = draw(st.integers(min_value=1, max_value=3))
+        schedule = FaultSchedule.random(seed, num_cores, horizon, events, drift)
+        if kind == "shared":
+            alike = FaultSchedule.random(seed + 1, 1, horizon, events, drift)
+            loners = draw(st.sets(st.integers(0, num_cores - 1)))
+            schedule = FaultSchedule(
+                "shared",
+                tuple(
+                    dataclasses.replace(event, core=core)
+                    for core in range(num_cores)
+                    for event in alike.events
+                )
+                + tuple(
+                    event for event in schedule.events if event.core in loners
+                ),
+            )
+    recalibration = draw(
+        st.one_of(
+            st.builds(
+                RecalibrationPolicy,
+                error_threshold=st.sampled_from([0.02, 0.05]),
+            ),
+            adaptive_controller_case(),
+        )
+    )
+    fail = draw(st.sampled_from([None, 0.1, 0.3]))
+    policy = draw(
+        st.sampled_from(
+            [
+                BatchingPolicy.fifo(),
+                BatchingPolicy.dynamic(4, 1e-4),
+                BatchingPolicy.dynamic(8, 1e-3),
+            ]
+        )
+    )
+    return num_cores, arrivals, schedule, recalibration, fail, policy
+
+
+def run_faulted_pipeline(
+    num_cores, arrivals, schedule, recalibration, fail, policy
+):
+    """One faulted AlexNet pipeline; ``fail`` ``None`` never drains."""
+    specs = alexnet_conv_specs()
+    return DegradedServingSimulator(
+        PipelineServiceModel.from_specs(specs, num_cores),
+        policy,
+        schedule,
+        recalibration=recalibration,
+        specs=None if fail is None else specs,
+        fail_error_threshold=0.5 if fail is None else fail,
+    ).run(arrivals)
+
+
+def assert_degraded_reports_identical(a, b, columns=True):
+    """Completions, proxies, drift snapshots and both logs, byte for
+    byte; with ``columns`` the drift table's columns too, over the
+    stages each row uses.  (An epoch interns the fault keys of its whole
+    window, so the per-dispatch loop may number the ring sets in another
+    order.)"""
+    assert a.completion_s.tobytes() == b.completion_s.tobytes()
+    assert a.accuracy_proxy.tobytes() == b.accuracy_proxy.tobytes()
+    assert a.batch_num_cores.tobytes() == b.batch_num_cores.tobytes()
+    assert repr(a.batch_snapshots) == repr(b.batch_snapshots)
+    if columns:
+        table = a.batch_snapshots
+        used = np.arange(table.core.shape[1]) < table.widths[:, None]
+        for column in ("core", "residual_shift_hz", "tia_gain", "fault_key"):
+            assert (
+                getattr(table, column)[used].tobytes()
+                == getattr(b.batch_snapshots, column)[used].tobytes()
+            ), column
+        assert table.faults == b.batch_snapshots.faults
+    assert repr(a.recalibrations) == repr(b.recalibrations)
+    assert repr(a.decisions) == repr(b.decisions)
+    assert repr(a.final_core_errors) == repr(b.final_core_errors)
+    assert repr(a.core_downtime_s) == repr(b.core_downtime_s)
+    assert a.repartitions == b.repartitions
+
+
+class TestSharedSweeps:
+    """``PoolHealth.cut`` sweeps each distinct drift-probe lineage once
+    and reads the probes out block by block up to the cut; sweeping
+    every core on its own state, and the per-dispatch loop, are the
+    oracles.  Blocks from one instant make the trigger carry on across
+    many blocks within one cut."""
+
+    @given(
+        case=shared_sweep_case(),
+        block=st.sampled_from([1, 3, faults._ERROR_BLOCK]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sharing_changes_no_byte(self, case, block):
+        with mock.patch.object(faults, "_ERROR_BLOCK", block):
+            shared = run_faulted_pipeline(*case)
+        with unshared_sweeps():
+            unshared = run_faulted_pipeline(*case)
+        assert_degraded_reports_identical(shared, unshared)
+        with reference_loops():
+            stepped = run_faulted_pipeline(*case)
+        assert_degraded_reports_identical(shared, stepped, columns=False)
 
 
 class TestDecomposedFaultedCluster:

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.photonics.microring import MicroringDesign, drop_transmission_profile
+from repro.photonics.microring import (
+    MicroringDesign,
+    drop_transmission_profile,
+    lorentzian_lineshape,
+)
 from repro.photonics.noise import NoiseConfig, ideal
 from repro.photonics.wdm import WdmGrid
 from repro.photonics.weight_bank import WeightBank, bus_transmission
@@ -217,6 +221,47 @@ class TestBusTransmissionInvariants:
         readout = tia_gain * (drop - through)
         assert np.all(np.abs(readout) <= tia_gain + 1e-12)
 
+    @given(bus=ring_buses())
+    @settings(max_examples=100, deadline=None)
+    def test_drop_and_through_account_for_all_power(self, bus):
+        """The bus is lossless — each ring passes on what it does not
+        drop — so per carrier the drop and through powers telescope to
+        the carrier's whole power; only the cascade's rounding, a few
+        ulps, separates them."""
+        carriers, resonances, linewidths, peak, _ = bus
+        drop, through = bus_transmission(carriers, resonances, linewidths, peak)
+        assert np.all(np.abs(drop + through - 1.0) <= _CONSERVATION_ULPS)
+
+
+_CONSERVATION_ULPS = 4 * np.finfo(float).eps
+"""How far per-carrier ``drop + through`` may sit from 1: rounding in
+the cascade's products and row-by-row sum (3 ulps is the worst seen over
+random buses of up to 12 rings)."""
+
+
+class TestLorentzianLineshape:
+    """The unit-peak line shape every ring's drop response scales."""
+
+    @given(
+        linewidth=st.floats(1e6, 1e11),
+        detunings=st.lists(
+            st.floats(0.0, 1e3), min_size=2, max_size=30, unique=True
+        ),
+        side=st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_peaks_at_one_and_falls_with_detuning(
+        self, linewidth, detunings, side
+    ):
+        resonance = 193.4e12
+        # Detunings in linewidths, growing; carriers on one side.
+        carriers = resonance + side * np.sort(detunings) * linewidth
+        shape = lorentzian_lineshape(carriers, resonance, linewidth)
+        assert lorentzian_lineshape(resonance, resonance, linewidth) == 1.0
+        assert np.all(shape <= 1.0)
+        assert np.all(shape >= 0.0)
+        assert np.all(np.diff(shape) <= 0.0)
+
 
 @st.composite
 def ring_bus_stacks(draw):
@@ -255,6 +300,8 @@ class TestBatchedBusTransmission:
         assert np.all(through >= 0.0)
         # 1e-12: rounding slack of the row-by-row fold.
         assert np.all(drop + through <= 1.0 + 1e-12)
+        # Every row conserves its carriers' power, as the 1-D call does.
+        assert np.all(np.abs(drop + through - 1.0) <= _CONSERVATION_ULPS)
 
     def test_long_stacks_match_row_by_row(self):
         """Thousands of rows (an epoch's dispatch instants) still fold
