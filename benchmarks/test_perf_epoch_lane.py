@@ -18,13 +18,21 @@ recalibration threshold.
   it when a 1e-6 threshold recalibrates at most dispatches.  Its two
   cores drift alike, so each cut sweeps their one lineage once: at
   least 1.25x faster than sweeping each core
-  (:func:`oracles.unshared_sweeps`).
+  (:func:`oracles.unshared_sweeps`).  The policy grid's adaptive-burn
+  cells take the fault step at every dispatch; on the slow-drift cell,
+  whose stage cores drift alike, stepping each lineage once is at least
+  1.2x faster than stepping each core (:func:`oracles.unshared_steps`).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis import (
+    default_policy_grid,
+    default_scenarios,
+    evaluate_policy,
+)
 from repro.core.cluster import _TenantLane
 from repro.core.faults import (
     CoreHealthState,
@@ -36,12 +44,13 @@ from repro.core.simkernel import BatchingPolicy
 from repro.core.traffic import PipelineServiceModel
 from repro.workloads import fault_scenario, poisson_arrivals, serving_network
 from conftest import alternating_min, emit, measure
-from oracles import lane_loop, unshared_sweeps
+from oracles import lane_loop, unshared_steps, unshared_sweeps
 
 NUM_CORES = 2
 SPEEDUP_FLOOR = 3.0
 DENSE_RATIO_CEILING = 1.1
 SHARING_FLOOR = 1.25
+STEP_SHARING_FLOOR = 1.2
 
 
 def _scenario(requests: int, threshold: float):
@@ -167,3 +176,32 @@ def test_shared_sweeps_at_least_1p25x_unshared():
         f"{shared_s:.3f} s -> {speedup:.2f}x (floor {SHARING_FLOOR}x)"
     )
     assert speedup >= SHARING_FLOOR
+
+
+@pytest.mark.perf
+def test_shared_steps_at_least_1p2x_unshared():
+    """The adaptive-burn policy's slow-drift default cell, stepping each
+    lineage once per dispatch against stepping each core, timed in
+    alternating rounds."""
+    scenarios = default_scenarios()
+    (scenario,) = [s for s in scenarios if s.fault == "slow-drift"]
+    (policy,) = [
+        spec
+        for spec in default_policy_grid(scenarios)
+        if spec.name == "adaptive-burn"
+    ]
+
+    def unshared():
+        with unshared_steps():
+            return evaluate_policy(scenario, policy)
+
+    shared_s, unshared_s = alternating_min(
+        lambda: evaluate_policy(scenario, policy), unshared, rounds=10
+    )
+    speedup = unshared_s / shared_s
+    emit(
+        f"adaptive-burn {scenario.name}: unshared steps "
+        f"{unshared_s * 1e3:.1f} ms, shared {shared_s * 1e3:.1f} ms -> "
+        f"{speedup:.2f}x (floor {STEP_SHARING_FLOOR}x)"
+    )
+    assert speedup >= STEP_SHARING_FLOOR

@@ -686,6 +686,19 @@ class CoreHealthState:
             (self.lineage, "advance", time_s), len(lineages)
         )
 
+    def take(self, source: "CoreHealthState") -> None:
+        """Become ``source``'s state, as a twin that took the same
+        mutations would: every field but :attr:`core` and
+        :attr:`events`, the lineage included, on a copy of its probe."""
+        self.probe = source.probe.copy()
+        self._condition = source._condition
+        self.error = source.error
+        self.compensated_shift_hz = source.compensated_shift_hz
+        self.compensated_gain = source.compensated_gain
+        self.recal_exhausted = source.recal_exhausted
+        self._exhausted_condition = source._exhausted_condition
+        self.lineage = source.lineage
+
     @staticmethod
     def _improved(
         old: BankCondition, ambient_k, coupling, tia_gain, num_dead, num_stuck
@@ -745,7 +758,8 @@ class CoreHealthState:
                 breaks.append(event.onset_s)
         gain = np.maximum(gain, 0.0)
         # Discrete state per instant: an index into `keys`, the distinct
-        # (coupling, dead, stuck) triples, with the current one first.
+        # (coupling, dead, stuck) triples, with the current one first;
+        # `seen` holds the first instant of each (the count if none).
         current = self._condition
         keys = [
             (
@@ -754,6 +768,7 @@ class CoreHealthState:
                 current.stuck_rings,
             )
         ]
+        seen = [t.size]
         stretch = np.searchsorted(np.unique(breaks), t, side="right")
         _, firsts, inverse = np.unique(
             stretch, return_index=True, return_inverse=True
@@ -768,7 +783,10 @@ class CoreHealthState:
             )
             if key not in keys:
                 keys.append(key)
-            ids.append(keys.index(key))
+                seen.append(first)
+            index = keys.index(key)
+            seen[index] = min(seen[index], first)
+            ids.append(index)
         disc = np.asarray(ids, dtype=np.int64)[inverse]
         changed = np.empty(t.size, dtype=bool)
         if t.size:
@@ -800,7 +818,7 @@ class CoreHealthState:
             hits = np.flatnonzero(changed & improved)
             if hits.size:
                 rearm = int(hits[0])
-        return ProbeSweep(self, moved, rearm, shift, gain, disc, keys)
+        return ProbeSweep(self, moved, rearm, shift, gain, disc, keys, seen)
 
     def should_recalibrate(self, policy: RecalibrationPolicy) -> bool:
         """Whether the policy triggers a recalibration attempt now."""
@@ -852,8 +870,9 @@ class ProbeSweep:
     conditions; :meth:`read` reads the probe out, in order and only as
     far as asked, so read it before the state next moves.  Besides the
     errors it keeps the per-instant ambient shift, TIA gain and
-    discrete-state index, from which :meth:`DriftSnapshotTable
-    .record_sweeps` fills the epoch's drift columns in bulk.
+    discrete-state index, and each discrete state's first instant, from
+    which :meth:`DriftSnapshotTable.record_sweeps` fills the epoch's
+    drift columns in bulk.
 
     Attributes:
         rearm: index of the first instant at which an exhausted
@@ -869,13 +888,16 @@ class ProbeSweep:
         "_gain",
         "_disc",
         "_keys",
+        "_seen",
         "_moved",
         "_measured",
         "_errors",
         "_read",
     )
 
-    def __init__(self, state, moved, rearm, shift, gain, disc, keys) -> None:
+    def __init__(
+        self, state, moved, rearm, shift, gain, disc, keys, seen
+    ) -> None:
         self.rearm = rearm
         self._state = state
         self._source = self
@@ -883,6 +905,7 @@ class ProbeSweep:
         self._gain = gain
         self._disc = disc
         self._keys = keys
+        self._seen = seen
         self._moved = moved
         # The error after each change; slot 0 is the current error.
         self._measured = np.empty(moved.size + 1)
@@ -992,7 +1015,9 @@ class DriftSnapshotTable:
         if stop > size:
             size = max(stop, 2 * size)
             for column, dtype in _SNAPSHOT_COLUMNS:
-                grown = np.empty((size, width), dtype)
+                # Zeros, so the stages past a narrowed row's width hold
+                # the same bytes from run to run.
+                grown = np.zeros((size, width), dtype)
                 old = getattr(self, column)
                 grown[: old.shape[0]] = old
                 setattr(self, column, grown)
@@ -1030,9 +1055,22 @@ class DriftSnapshotTable:
         An instant whose condition equals the one before it has the
         same ambient offset and gain, so composing the residuals per
         instant gives what the state's properties give per dispatch.
+        Only the ring sets of the booked rows are interned, in the order
+        row by row, stage by stage, that :meth:`record` first meets
+        them, so ``faults`` and ``fault_key`` read as its would.
         """
         stop = row + count
         self._reserve(stop)
+        firsts = sorted(
+            (first, stage, key)
+            for stage, sweep in enumerate(sweeps)
+            for key, first in enumerate(sweep._seen)
+            if first < count
+        )
+        ids = [np.zeros(len(sweep._keys), np.int64) for sweep in sweeps]
+        for _, stage, key in firsts:
+            _, dead, stuck = sweeps[stage]._keys[key]
+            ids[stage][key] = self._fault_id((dead, stuck))
         for stage, sweep in enumerate(sweeps):
             state = sweep._state
             residual = np.maximum(
@@ -1041,16 +1079,10 @@ class DriftSnapshotTable:
             gain = sweep._gain[:count]
             if state.compensated_gain > 0.0:
                 gain = np.minimum(gain / state.compensated_gain, 1.0)
-            ids = np.asarray(
-                [
-                    self._fault_id((dead, stuck))
-                    for _, dead, stuck in sweep._keys
-                ]
-            )
             self.core[row:stop, stage] = state.core
             self.residual_shift_hz[row:stop, stage] = residual
             self.tia_gain[row:stop, stage] = gain
-            self.fault_key[row:stop, stage] = ids[sweep._disc[:count]]
+            self.fault_key[row:stop, stage] = ids[stage][sweep._disc[:count]]
 
     def pristine(self) -> np.ndarray:
         """Per row, whether every stage's snapshot is
@@ -1252,15 +1284,22 @@ class PoolHealth:
         """Advance a pipeline's cores to a dispatch and recalibrate.
 
         Every physical core behind the pipeline's stages
-        (``stage_to_core``) is advanced to ``dispatch_s``; each core the
+        (``stage_to_core``) is advanced to ``dispatch_s``
+        (:meth:`_advance`, once per distinct lineage); each core the
         trigger fires on runs the closed calibration loop and its
         downtime pushes that stage's ``core_free`` entry forward, in
         place, on the shared clock.  ``queue_depth(time_s)`` is sampled
         only for a trigger that gates on queue pressure.
+
+        The trigger decides for every core, and downtime and the log
+        stay per core, but the calibration loop runs once per distinct
+        lineage it fires on: a twin fired on after a core of its lineage
+        takes that core's recalibrated state
+        (:meth:`CoreHealthState.take`) and its :class:`~repro.photonics
+        .calibration.CalibrationResult`.
         """
         states = self.states
-        for core in stage_to_core:
-            states[core].advance_to(dispatch_s)
+        self._advance(stage_to_core, dispatch_s)
         trigger = self.trigger
         if trigger is None:
             return
@@ -1268,13 +1307,21 @@ class PoolHealth:
         queued = (
             queue_depth(dispatch_s) if trigger.needs_queue_depth else None
         )
+        recalibrated: dict[int, tuple[CoreHealthState, CalibrationResult]] = {}
         for stage, core in enumerate(stage_to_core):
             state = states[core]
             if not trigger.decide(
                 state, dispatch_s, self.downtime[core], queued=queued
             ):
                 continue
-            result = state.recalibrate(policy)
+            done = recalibrated.get(state.lineage)
+            if done is None:
+                lineage = state.lineage
+                result = state.recalibrate(policy)
+                recalibrated[lineage] = state, result
+            else:
+                source, result = done
+                state.take(source)
             cost = policy.downtime_s(result.iterations)
             core_free[stage] = max(core_free[stage], dispatch_s) + cost
             self.downtime[core] += cost
@@ -1380,8 +1427,22 @@ class PoolHealth:
     def finish(self, time_s: float) -> None:
         """Advance every core to the run's last dispatch, so drained
         and idle cores report end-of-run error, not a stale one."""
-        for state in self.states:
-            state.advance_to(time_s)
+        self._advance(range(len(self.states)), time_s)
+
+    def _advance(self, cores, time_s: float) -> None:
+        """Advance ``cores`` to ``time_s``, each distinct lineage once:
+        a core whose lineage an earlier core had takes that core's
+        advanced state (:meth:`CoreHealthState.take`), if it moved."""
+        states = self.states
+        advanced: dict[int, CoreHealthState] = {}
+        for core in cores:
+            state = states[core]
+            source = advanced.get(state.lineage)
+            if source is None:
+                advanced[state.lineage] = state
+                state.advance_to(time_s)
+            elif source.lineage != state.lineage:
+                state.take(source)
 
     def reset(self, cores: list[int]) -> None:
         """Put ``cores`` back where the run started them: fresh drift

@@ -85,6 +85,14 @@ the epoch; one block per epoch would allocate tens of MB on
 drift-serving's longest ones."""
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: probe copies share it
+    (:meth:`DriftingWeightBank.copy`), so an in-place write must raise
+    rather than reach a twin."""
+    array.setflags(write=False)
+    return array
+
+
 def _is_index(value) -> bool:
     """A core or ring index: an integer >= 0 that is not a bool."""
     return (
@@ -228,7 +236,7 @@ class DriftingWeightBank:
             targets = default_probe_targets(
                 num_rings if num_rings is not None else DEFAULT_PROBE_RINGS
             )
-        self.targets = np.asarray(targets, dtype=float)
+        self.targets = _frozen(np.array(targets, dtype=float))
         if self.targets.ndim != 1 or self.targets.size == 0:
             raise ValueError(
                 f"need a non-empty 1-D target vector, got shape "
@@ -244,9 +252,13 @@ class DriftingWeightBank:
             else MicroringDesign(quality_factor=DEFAULT_PROBE_QUALITY_FACTOR)
         )
         # One ring per channel of a default grid, in bus order.
-        self._carriers_hz = WdmGrid(self.targets.size).frequencies_hz
-        self._linewidths_hz = self._carriers_hz / self.design.quality_factor
-        self._parked_hz = _PARKED_DETUNING_LINEWIDTHS * self._linewidths_hz
+        self._carriers_hz = _frozen(WdmGrid(self.targets.size).frequencies_hz)
+        self._linewidths_hz = _frozen(
+            self._carriers_hz / self.design.quality_factor
+        )
+        self._parked_hz = _frozen(
+            _PARKED_DETUNING_LINEWIDTHS * self._linewidths_hz
+        )
         self._coupling: float | None = None
         self._crosstalk = np.empty((0, 0))
         self.condition = BankCondition()
@@ -254,13 +266,16 @@ class DriftingWeightBank:
         self._command(self.targets.copy())
 
     def copy(self) -> "DriftingWeightBank":
-        """An independent bank in the same command and condition (its
-        cache may share the unit readouts: none is written in place)."""
+        """An independent bank in the same command and condition.
+
+        Cheap: the copy shares every array, each read-only from where
+        it is made, and the stuck-command dict, which is only ever
+        replaced; only the ``_units`` readout cache, which grows in
+        place, is copied."""
         twin = object.__new__(DriftingWeightBank)
         for name in self.__slots__:
-            value = getattr(self, name)
-            mutable = isinstance(value, (np.ndarray, dict))
-            setattr(twin, name, value.copy() if mutable else value)
+            setattr(twin, name, getattr(self, name))
+        twin._units = dict(self._units)
         return twin
 
     @property
@@ -323,19 +338,21 @@ class DriftingWeightBank:
                     index, float(self._commanded[index])
                 )
             self._stuck_commands = kept
-        self._readout = self._measure()
+        self._readout = _frozen(self._measure())
 
     def _command(self, honoured: np.ndarray) -> None:
         """Validate a command and derive its base detunings once."""
         weights = _validated_weights(honoured, self.num_rings)
-        self._base_hz = _detunings_for_drops(
-            (1.0 + weights) / 2.0,
-            self._linewidths_hz,
-            self.design.peak_drop_transmission,
+        self._base_hz = _frozen(
+            _detunings_for_drops(
+                (1.0 + weights) / 2.0,
+                self._linewidths_hz,
+                self.design.peak_drop_transmission,
+            )
         )
-        self._commanded = honoured
+        self._commanded = _frozen(honoured)
         self._units: dict[tuple, np.ndarray] = {}
-        self._readout = self._measure()
+        self._readout = _frozen(self._measure())
 
     def _measure(self) -> np.ndarray:
         """The readout of the base detunings under the current condition."""
@@ -395,7 +412,7 @@ class DriftingWeightBank:
         )
         unit = drop - through
         if cached:
-            self._units[key] = unit
+            self._units[key] = _frozen(unit)
         return tia_gain * unit
 
     def weight_errors(
@@ -435,9 +452,11 @@ class DriftingWeightBank:
     def _crosstalk_matrix(self, coupling: float) -> np.ndarray:
         """The heater-coupling matrix, rebuilt only when the coupling moves."""
         if coupling != self._coupling:
-            self._crosstalk = ThermalModel(
-                crosstalk_coupling=coupling
-            ).crosstalk_matrix(self.num_rings)
+            self._crosstalk = _frozen(
+                ThermalModel(crosstalk_coupling=coupling).crosstalk_matrix(
+                    self.num_rings
+                )
+            )
             self._coupling = coupling
         return self._crosstalk
 

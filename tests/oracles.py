@@ -19,10 +19,15 @@ way a differential pin reaches the oracle through a front door;
 ``tests/test_oracles.py`` guards that it really does.  A pin that builds
 its own lane serves it on the lane loop with :func:`lane_loop`.
 
-:func:`unshared_sweeps` turns off the one sharing the fault step's
-epoch form does: ``PoolHealth.cut`` sweeps each distinct drift-probe
-lineage once and hands the twins its readout.  Inside it every stage
-core is swept on its own state.
+:func:`unshared_sweeps` and :func:`unshared_steps` turn off the
+sharing between twin cores (cores of one drift-probe lineage) in the
+fault step's two forms.  ``PoolHealth.cut`` sweeps each distinct
+lineage once and hands the twins its readout; inside
+:func:`unshared_sweeps` every stage core is swept on its own state.
+``PoolHealth.step`` (and ``finish``) advance and recalibrate each
+distinct lineage once and hand the twins the result; inside
+:func:`unshared_steps` every core is advanced and recalibrated on its
+own state, as the step did before it shared.
 
 :func:`verify_admission_walk` is the scalar form of the capped lane's
 plan check, ``cluster._verify_admission_plan``: one batch at a time, a
@@ -41,7 +46,7 @@ import numpy as np
 
 from repro.core import cluster
 from repro.core.accelerator import PhotonicConvolution
-from repro.core.faults import PoolHealth
+from repro.core.faults import PoolHealth, RecalibrationRecord
 from repro.core.simkernel import plan_dispatch
 
 
@@ -96,6 +101,57 @@ def unshared_sweeps() -> Iterator[None]:
     """Sweep every stage core's probe in ``PoolHealth.cut``, twins of
     one lineage included, as before sweeps were shared."""
     with mock.patch.object(PoolHealth, "_sweeps", _sweep_each_core):
+        yield
+
+
+def _advance_each_core(health, cores, time_s) -> None:
+    """Advance every core to ``time_s`` on its own state."""
+    for core in cores:
+        health.states[core].advance_to(time_s)
+
+
+def _step_each_core(
+    health, stage_to_core, core_free, dispatch_s, queue_depth
+) -> None:
+    """``PoolHealth.step`` with every stage core advanced and
+    recalibrated on its own state."""
+    _advance_each_core(health, stage_to_core, dispatch_s)
+    trigger = health.trigger
+    if trigger is None:
+        return
+    policy = trigger.policy
+    queued = queue_depth(dispatch_s) if trigger.needs_queue_depth else None
+    for stage, core in enumerate(stage_to_core):
+        state = health.states[core]
+        if not trigger.decide(
+            state, dispatch_s, health.downtime[core], queued=queued
+        ):
+            continue
+        result = state.recalibrate(policy)
+        cost = policy.downtime_s(result.iterations)
+        core_free[stage] = max(core_free[stage], dispatch_s) + cost
+        health.downtime[core] += cost
+        health.recalibrations.append(
+            RecalibrationRecord(
+                time_s=dispatch_s,
+                core=core,
+                iterations=result.iterations,
+                residual=state.error,
+                downtime_s=cost,
+                restored=state.error <= policy.error_threshold,
+            )
+        )
+
+
+@contextmanager
+def unshared_steps() -> Iterator[None]:
+    """Advance and recalibrate every core in ``PoolHealth.step`` and
+    ``finish``, twins of one lineage included, as before steps were
+    shared."""
+    with (
+        mock.patch.object(PoolHealth, "step", _step_each_core),
+        mock.patch.object(PoolHealth, "_advance", _advance_each_core),
+    ):
         yield
 
 

@@ -110,21 +110,21 @@ class TestReadsAsTheDispatchRecord:
         self, scenario, monkeypatch
     ):
         """The epoch lane fills most rows a sweep at a time; the lane
-        loop's per-dispatch record of the same run is its reference."""
+        loop's per-dispatch record of the same run is its reference,
+        and a second epoch run must give the same raw bytes."""
         specs = alexnet_conv_specs()
         arrivals = poisson_arrivals(5000.0, 800, seed=6)
         model = PipelineServiceModel.from_specs(specs, 3)
         policy = BatchingPolicy.dynamic(8, 1e-3)
         schedule = fault_scenario(scenario, 3, float(arrivals[-1]))
-        lane = serve_pipeline(
-            model,
-            policy,
-            arrivals,
-            PoolHealth(schedule, 3, RecalibrationPolicy()),
-            specs,
-            None,
-            0.5,
-        )
+
+        def serve():
+            health = PoolHealth(schedule, 3, RecalibrationPolicy())
+            return serve_pipeline(
+                model, policy, arrivals, health, specs, None, 0.5
+            )
+
+        lane, again = serve(), serve()
         rows = _spy_rows(monkeypatch)
         oracle = _TenantLane(
             0,
@@ -145,6 +145,18 @@ class TestReadsAsTheDispatchRecord:
         _assert_reads_as(lane.snapshots, expected)
         _assert_reads_as(oracle.snapshots, expected)
         assert lane.snapshots == oracle.snapshots
+        # Raw columns too: the stages a drain narrowed away hold zeros,
+        # and the epochs number the ring sets as the per-dispatch record
+        # does.
+        narrowed = np.arange(3) >= lane.snapshots.widths[:, None]
+        for column in ("core", "residual_shift_hz", "tia_gain", "fault_key"):
+            raw = getattr(lane.snapshots, column)
+            assert not raw[narrowed].any()
+            for other in (again, oracle):
+                assert raw.tobytes() == (
+                    getattr(other.snapshots, column).tobytes()
+                )
+        assert lane.snapshots.faults == oracle.snapshots.faults
         # Both runs drain a core: rows shrink from three stages to two.
         assert lane.repartitions
         assert {len(row) for row in expected} == {3, 2}

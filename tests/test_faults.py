@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import unshared_sweeps
+from oracles import reference_loops, unshared_steps, unshared_sweeps
 
 from repro.analysis import (
     FAULT_SWEEP_HEADER,
@@ -443,6 +443,45 @@ class TestPristineProbeTemplate:
         probe.set_weights(asked)
         assert np.array_equal(twin.commanded, asked)
         assert probe.commanded[2] == default_probe_targets()[2]
+
+    def test_copies_share_read_only_arrays(self):
+        """A copy shares the probe's arrays, so writing into one raises
+        instead of reaching the other; only the readout cache is its
+        own."""
+        probe = DriftingWeightBank()
+        probe.set_condition(BankCondition(crosstalk_coupling=0.1))
+        probe.weight_errors(0.2, (1,), np.zeros(2), np.ones(2))
+        twin = probe.copy()
+        shared = [
+            name
+            for name in DriftingWeightBank.__slots__
+            if isinstance(getattr(probe, name), np.ndarray)
+        ]
+        assert len(shared) == 8
+        for name in shared:
+            array = getattr(twin, name)
+            assert array is getattr(probe, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        assert twin._units is not probe._units
+        assert twin._units == probe._units and len(probe._units) == 3
+        for unit in twin._units.values():
+            with pytest.raises(ValueError, match="read-only"):
+                unit[0] = 0.0
+        before = probe.effective_weights().tobytes()
+        twin.set_condition(BankCondition(crosstalk_coupling=0.3))
+        assert len(probe._units) == 3 < len(twin._units)
+        twin.set_condition(BankCondition(ambient_k=0.4))
+        twin.recalibrate()
+        assert probe.effective_weights().tobytes() == before
+
+    def test_targets_are_the_banks_own(self):
+        """The bank copies its targets before freezing them, so the
+        caller's array stays writable and does not move the bank."""
+        targets = np.linspace(-0.5, 0.5, 4)
+        probe = DriftingWeightBank(targets=targets)
+        targets[0] = 0.9
+        assert probe.targets[0] == -0.5
 
 
 class TestProbeSweep:
@@ -918,10 +957,10 @@ class TestLineage:
                         assert _same_state(a, b)
 
 
-def _drift_serving(scenario: str):
+def _drift_serving(scenario: str, requests: int = 20_000):
     """Faulted LeNet-5 serving on two cores: 20,000 Poisson requests at
     20k req/s, dynamic batching, recalibration at 0.05 error."""
-    arrivals = poisson_arrivals(2e4, 20_000, seed=17)
+    arrivals = poisson_arrivals(2e4, requests, seed=17)
     return simulate_degraded_serving(
         serving_network("lenet5"),
         arrivals,
@@ -972,6 +1011,78 @@ class TestSharedSweeps:
         _drift_serving("thermal-runaway")
         assert calls["cut"] > 0
         assert calls["sweep"] == calls["stage_cores"] > calls["cut"]
+
+
+class TestSharedSteps:
+    """``PoolHealth.step`` advances and recalibrates each distinct
+    lineage once per dispatch; on the per-dispatch lane loop it is the
+    whole fault step."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count probe advances, recalibrations and twins' takes."""
+        calls = {"advance_to": 0, "recalibrate": 0, "take": 0}
+        for name in calls:
+            real = getattr(CoreHealthState, name)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(CoreHealthState, name, counted)
+        return calls
+
+    def test_twin_cores_step_once_per_dispatch(self, calls):
+        with reference_loops():
+            shared = _drift_serving("slow-drift", 3000)
+        counted = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        with reference_loops(), unshared_steps():
+            unshared = _drift_serving("slow-drift", 3000)
+        # Both cores drift alike: the second takes the first's state at
+        # every dispatch that moves it (all but two) and at every
+        # recalibration, and steps on its own under the oracle.
+        moved = counted["take"] - counted["recalibrate"]
+        assert counted["advance_to"] - 2 == moved
+        assert calls["take"] == 0
+        assert calls["advance_to"] == 2 * counted["advance_to"]
+        assert calls["recalibrate"] == 2 * counted["recalibrate"] > 0
+        assert len(shared.recalibrations) == calls["recalibrate"]
+        assert shared.completion_s.tobytes() == unshared.completion_s.tobytes()
+        assert shared.accuracy_proxy.tobytes() == (
+            unshared.accuracy_proxy.tobytes()
+        )
+        assert shared.recalibrations == unshared.recalibrations
+        assert shared.final_core_errors == unshared.final_core_errors
+
+    def test_twins_part_ways_independently(self):
+        """A twin takes a copy of the probe: once one core recalibrates
+        alone, the other reads on as if it had stepped on its own."""
+        policy = RecalibrationPolicy(error_threshold=1e-3)
+        schedule = FaultSchedule.uniform_drift(0.05, 2)
+        shared = PoolHealth(schedule, 2, policy)
+        alone = PoolHealth(schedule, 2, policy)
+        shared.step([0, 1], [0.0, 0.0], 0.5, None)
+        with unshared_steps():
+            alone.step([0, 1], [0.0, 0.0], 0.5, None)
+        first, second = shared.states
+        assert first.lineage == second.lineage
+        assert first.probe is not second.probe
+        for health in (shared, alone):
+            health.step([0], [0.0], 0.6, None)
+            health.finish(0.8)
+        errors = [state.error for state in shared.states]
+        assert errors == [state.error for state in alone.states]
+        assert errors[0] != errors[1]
+        assert shared.recalibrations == alone.recalibrations
+        assert len(shared.recalibrations) == 3
+
+    def test_distinct_cores_are_each_stepped(self, calls):
+        """Core 0 drifts faster than core 1, so no step finds twins."""
+        with reference_loops():
+            report = _drift_serving("thermal-runaway", 3000)
+        assert calls["take"] == 0
+        assert calls["recalibrate"] == len(report.recalibrations) > 0
 
 
 class TestRecalibrationPolicy:

@@ -74,6 +74,7 @@ from hypothesis import strategies as st
 from oracles import (
     fresh_backlog,
     reference_loops,
+    unshared_steps,
     unshared_sweeps,
     verify_admission_walk,
 )
@@ -87,6 +88,7 @@ from repro.core.adaptive import (
 from repro.analysis import (
     default_policy_grid,
     default_scenarios,
+    evaluate_policy,
     sweep_cluster_serving,
 )
 from repro.core import cluster, faults
@@ -100,6 +102,7 @@ from repro.core.cluster import (
 from repro.core.config import PCNNAConfig
 from repro.core.faults import (
     FAULT_KINDS,
+    CoreHealthState,
     DegradedServingSimulator,
     FaultEvent,
     FaultSchedule,
@@ -1414,25 +1417,21 @@ def run_faulted_pipeline(
     ).run(arrivals)
 
 
-def assert_degraded_reports_identical(a, b, columns=True):
+def assert_degraded_reports_identical(a, b):
     """Completions, proxies, drift snapshots and both logs, byte for
-    byte; with ``columns`` the drift table's columns too, over the
-    stages each row uses.  (An epoch interns the fault keys of its whole
-    window, so the per-dispatch loop may number the ring sets in another
-    order.)"""
+    byte, and the drift table's raw columns and ring sets too: the
+    stages past a narrowed row's width included, and the ring sets
+    numbered in the order the per-dispatch record first meets them."""
     assert a.completion_s.tobytes() == b.completion_s.tobytes()
     assert a.accuracy_proxy.tobytes() == b.accuracy_proxy.tobytes()
     assert a.batch_num_cores.tobytes() == b.batch_num_cores.tobytes()
     assert repr(a.batch_snapshots) == repr(b.batch_snapshots)
-    if columns:
-        table = a.batch_snapshots
-        used = np.arange(table.core.shape[1]) < table.widths[:, None]
-        for column in ("core", "residual_shift_hz", "tia_gain", "fault_key"):
-            assert (
-                getattr(table, column)[used].tobytes()
-                == getattr(b.batch_snapshots, column)[used].tobytes()
-            ), column
-        assert table.faults == b.batch_snapshots.faults
+    for column in ("core", "residual_shift_hz", "tia_gain", "fault_key"):
+        assert (
+            getattr(a.batch_snapshots, column).tobytes()
+            == getattr(b.batch_snapshots, column).tobytes()
+        ), column
+    assert a.batch_snapshots.faults == b.batch_snapshots.faults
     assert repr(a.recalibrations) == repr(b.recalibrations)
     assert repr(a.decisions) == repr(b.decisions)
     assert repr(a.final_core_errors) == repr(b.final_core_errors)
@@ -1460,7 +1459,107 @@ class TestSharedSweeps:
         assert_degraded_reports_identical(shared, unshared)
         with reference_loops():
             stepped = run_faulted_pipeline(*case)
-        assert_degraded_reports_identical(shared, stepped, columns=False)
+        assert_degraded_reports_identical(shared, stepped)
+
+
+def counting_recalibrations(run):
+    """``run()`` and the closed calibration loops it ran."""
+    calls = []
+    real = CoreHealthState.recalibrate
+
+    def counted(state, policy):
+        calls.append(policy)
+        return real(state, policy)
+
+    with mock.patch.object(CoreHealthState, "recalibrate", counted):
+        return run(), len(calls)
+
+
+class TestSharedSteps:
+    """``PoolHealth.step`` advances and recalibrates each distinct
+    drift-probe lineage once per dispatch; stepping every core on its
+    own state, and the per-dispatch loop, are the oracles.  Burn lanes
+    and the cuts of every epoch lane take the step; the reference loops
+    take it at every dispatch."""
+
+    def test_sharing_changes_no_byte(self):
+        runs = {"cluster": 0, "pipeline": 0}
+        twin_recalibrations = dict(runs)
+
+        @given(
+            case=st.one_of(
+                faulted_frozen_cluster_case().map(lambda c: ("cluster", c)),
+                shared_sweep_case().map(lambda c: ("pipeline", c)),
+            )
+        )
+        @settings(max_examples=60, deadline=None, database=None)
+        def check(case):
+            kind, case = case
+            if kind == "cluster":
+                tenants, pool, arrivals, schedule, recal, routing, admit = case
+                options = dict(
+                    schedule=schedule,
+                    recalibration=recal,
+                    routing=routing,
+                    admission=admit,
+                )
+
+                def run():
+                    return run_keeping_health(
+                        tenants, pool, arrivals, **options
+                    )
+
+                same = assert_faulted_clusters_identical
+            else:
+
+                def run():
+                    return (run_faulted_pipeline(*case),)
+
+                same = assert_degraded_reports_identical
+            shared, ran = counting_recalibrations(run)
+            with unshared_steps():
+                unshared, unshared_ran = counting_recalibrations(run)
+            same(*shared, *unshared)
+            with reference_loops():
+                stepped = run()
+            same(*shared, *stepped)
+            runs[kind] += 1
+            twin_recalibrations[kind] += unshared_ran - ran
+
+        check()
+        # Not vacuous: both kinds ran, and twins took recalibrations.
+        assert all(runs.values())
+        assert sum(twin_recalibrations.values()) > 0
+
+    def test_default_burn_cell_shares_recalibrations(self):
+        """The adaptive-burn policy's slow-drift default cell: its burn
+        lanes take the step at every dispatch, and their twin cores
+        share advances and recalibrations."""
+        scenarios = default_scenarios()
+        (scenario,) = [s for s in scenarios if s.fault == "slow-drift"]
+        (policy,) = [
+            spec
+            for spec in default_policy_grid(scenarios)
+            if spec.name == "adaptive-burn"
+        ]
+
+        def run():
+            return evaluate_policy(scenario, policy).report
+
+        shared, ran = counting_recalibrations(run)
+        with unshared_steps():
+            unshared, unshared_ran = counting_recalibrations(run)
+        with reference_loops():
+            stepped = run()
+        for other in (unshared, stepped):
+            assert_clusters_byte_identical(shared, other)
+            for log in (
+                "recalibrations",
+                "core_downtime_s",
+                "final_core_errors",
+            ):
+                assert repr(getattr(shared, log)) == repr(getattr(other, log))
+        assert len(shared.recalibrations) == unshared_ran > ran
 
 
 class TestDecomposedFaultedCluster:
