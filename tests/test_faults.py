@@ -958,8 +958,9 @@ class TestLineage:
 
 
 def _drift_serving(scenario: str, requests: int = 20_000):
-    """Faulted LeNet-5 serving on two cores: 20,000 Poisson requests at
-    20k req/s, dynamic batching, recalibration at 0.05 error."""
+    """Faulted LeNet-5 serving on two cores: ``requests`` Poisson
+    requests at 20k req/s, dynamic batching, recalibration at 0.05
+    error."""
     arrivals = poisson_arrivals(2e4, requests, seed=17)
     return simulate_degraded_serving(
         serving_network("lenet5"),
