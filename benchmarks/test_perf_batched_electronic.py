@@ -12,7 +12,9 @@ the electronic bottleneck (thousands of per-window Python iterations per
 minibatch).  The LRN baseline was already channel-blocked NumPy, so its
 batched win is locality-dependent and reported ungated.  Outputs are
 checked to agree by the default run; the timings and the floor are
-the ``perf``-marked gate (``pytest -m perf benchmarks``).
+the ``perf``-marked gate (``pytest -m perf benchmarks``).  Each op's
+loop and batched sides are timed in alternating pairs and compared
+fastest to fastest, so a slow spell of the host hits both sides.
 
 Run with ``-s`` to see the table.
 """
@@ -24,7 +26,7 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn.layers import LocalResponseNorm, MaxPool2D, ReLU
-from conftest import emit, measure
+from conftest import alternating_min, emit
 
 BATCH = 16
 MIN_SPEEDUP = 5.0
@@ -122,26 +124,26 @@ def test_batched_electronic_speedup_on_alexnet_batch16():
     rows = []
     pool_speedups = {}
     for name, shape, with_lrn, images in _stage_images():
-        pool_batched = measure(lambda: F.max_pool2d(images, 3, 2), repeats=5)
-        pool_loop = measure(
+        pool_loop, pool_batched = alternating_min(
             lambda: np.stack([_max_pool2d_loop(i, 3, 2) for i in images]),
-            repeats=2,
+            lambda: F.max_pool2d(images, 3, 2),
+            rounds=9,
         )
-        pool_speedups[name] = pool_loop.min_s / pool_batched.min_s
+        pool_speedups[name] = pool_loop / pool_batched
         rows.append((f"{name}/pool", shape, pool_loop, pool_batched))
 
         if with_lrn:
-            lrn_batched = measure(
-                lambda: F.local_response_norm(images), repeats=5
-            )
-            lrn_loop = measure(
-                lambda: np.stack([_lrn_loop(i) for i in images]), repeats=2
+            lrn_loop, lrn_batched = alternating_min(
+                lambda: np.stack([_lrn_loop(i) for i in images]),
+                lambda: F.local_response_norm(images),
+                rounds=9,
             )
             rows.append((f"{name}/lrn", shape, lrn_loop, lrn_batched))
 
-        stage_batched = measure(lambda: _stage_batched(images, with_lrn))
-        stage_loop = measure(
-            lambda: _stage_loop(images, with_lrn), repeats=1
+        stage_loop, stage_batched = alternating_min(
+            lambda: _stage_loop(images, with_lrn),
+            lambda: _stage_batched(images, with_lrn),
+            rounds=9,
         )
         rows.append((f"{name}/all", shape, stage_loop, stage_batched))
 
@@ -150,10 +152,10 @@ def test_batched_electronic_speedup_on_alexnet_batch16():
         f"{'op':<14}{'shape':<16}{'per-image (s)':>14}{'batched (s)':>13}"
         f"{'speedup':>9}",
     ]
-    for name, shape, loop, batched in rows:
+    for name, shape, loop_s, batched_s in rows:
         lines.append(
-            f"{name:<14}{str(shape):<16}{loop.min_s:>14.4f}"
-            f"{batched.min_s:>13.4f}{loop.min_s / batched.min_s:>8.1f}x"
+            f"{name:<14}{str(shape):<16}{loop_s:>14.4f}"
+            f"{batched_s:>13.4f}{loop_s / batched_s:>8.1f}x"
         )
     lines.append(f"(speedup floor {MIN_SPEEDUP}x gates pooling)")
     emit("\n".join(lines))

@@ -93,7 +93,7 @@ def optical_core_time_s(spec: ConvLayerSpec, config: PCNNAConfig | None = None) 
     Independent of the kernel count K — the paper's key scaling argument.
     """
     cfg = config if config is not None else PCNNAConfig()
-    passes = _kernel_passes(spec, cfg)
+    passes = kernel_passes(spec, cfg)
     return passes * spec.n_locs / cfg.fast_clock_hz
 
 
@@ -126,8 +126,7 @@ def per_location_adc_time_s(
     ADC-bound ablation.
     """
     cfg = config if config is not None else PCNNAConfig()
-    kernels_per_pass = _kernels_per_pass(spec, cfg)
-    return kernels_per_pass / (cfg.num_adcs * cfg.adc.sample_rate_hz)
+    return kernels_per_pass(spec, cfg) / (cfg.num_adcs * cfg.adc.sample_rate_hz)
 
 
 def full_system_time_s(
@@ -145,7 +144,7 @@ def full_system_time_s(
     per_location = max(per_location_dac_time_s(spec, cfg), cfg.fast_clock_period_s)
     if include_adc_bound:
         per_location = max(per_location, per_location_adc_time_s(spec, cfg))
-    passes = _kernel_passes(spec, cfg)
+    passes = kernel_passes(spec, cfg)
     return passes * spec.n_locs * per_location
 
 
@@ -163,16 +162,20 @@ def weight_load_time_s(
     return total_weights / (cfg.num_weight_dacs * cfg.weight_dac.sample_rate_hz)
 
 
-def _kernels_per_pass(spec: ConvLayerSpec, config: PCNNAConfig) -> int:
-    """Kernels processed simultaneously, capped by instantiated banks."""
+def kernels_per_pass(spec: ConvLayerSpec, config: PCNNAConfig) -> int:
+    """Kernels processed simultaneously: one per instantiated weight bank.
+
+    All ``K`` kernels run at once unless ``max_parallel_kernels`` caps
+    the banks; this is the one place the cap is read.
+    """
     if config.max_parallel_kernels is None:
         return spec.num_kernels
     return min(spec.num_kernels, config.max_parallel_kernels)
 
 
-def _kernel_passes(spec: ConvLayerSpec, config: PCNNAConfig) -> int:
+def kernel_passes(spec: ConvLayerSpec, config: PCNNAConfig) -> int:
     """Sequential passes over the input needed to cover all K kernels."""
-    per_pass = _kernels_per_pass(spec, config)
+    per_pass = kernels_per_pass(spec, config)
     return -(-spec.num_kernels // per_pass)
 
 

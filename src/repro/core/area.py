@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.analytical import bank_area_mm2, rings_per_kernel_bank
+from repro.core.analytical import (
+    bank_area_mm2,
+    kernels_per_pass,
+    rings_per_kernel_bank,
+)
 from repro.core.config import PCNNAConfig
 from repro.nn.shapes import ConvLayerSpec
 
@@ -53,10 +57,7 @@ def estimate_layer_area(
     cited parts' datasheets.
     """
     cfg = config if config is not None else PCNNAConfig()
-    if cfg.max_parallel_kernels is None:
-        num_banks = spec.num_kernels
-    else:
-        num_banks = min(spec.num_kernels, cfg.max_parallel_kernels)
+    num_banks = kernels_per_pass(spec, cfg)
     per_bank = rings_per_kernel_bank(spec)
     rings_mm2 = bank_area_mm2(num_banks * per_bank, cfg)
     dac_mm2 = (

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.core.analytical import kernels_per_pass
 from repro.core.config import PCNNAConfig
 from repro.core.scheduler import LayerSchedule
 from repro.electronics.buffers import InputBuffer, KernelWeightsBuffer, OutputBuffer
@@ -124,9 +125,7 @@ class LayerController:
         log(Phase.PROGRAM_BANKS, "banks-programmed", drained)
 
         # -- stream locations ---------------------------------------------
-        kernels = spec.num_kernels
-        if cfg.max_parallel_kernels is not None:
-            kernels = min(kernels, cfg.max_parallel_kernels)
+        kernels = kernels_per_pass(spec, cfg)
         for step in schedule.steps():
             if step.new_values > input_buffer.free_space:
                 # The buffer refills as the core consumes; model as a drain.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.analytical import kernel_passes, kernels_per_pass
 from repro.core.config import PCNNAConfig
 from repro.nn.shapes import ConvLayerSpec
 from repro.photonics.wdm import WdmGrid, channel_count_limit
@@ -113,11 +114,8 @@ def map_layer(
     rings_per_bank = spec.n_kernel if filtered else spec.n_input
     wavelengths = rings_per_bank
 
-    if cfg.max_parallel_kernels is None:
-        instantiated_banks = spec.num_kernels
-    else:
-        instantiated_banks = min(spec.num_kernels, cfg.max_parallel_kernels)
-    passes = math.ceil(spec.num_kernels / instantiated_banks)
+    instantiated_banks = kernels_per_pass(spec, cfg)
+    passes = kernel_passes(spec, cfg)
 
     fsr = cfg.ring_design.free_spectral_range_hz()
     grid_limit = channel_count_limit(fsr)

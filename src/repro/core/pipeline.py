@@ -1,11 +1,12 @@
-"""Discrete-event simulation of the four-stage PCNNA pipeline.
+"""Exact simulation of the four-stage PCNNA pipeline.
 
 :mod:`repro.core.timing` approximates a double-buffered pipeline by
 charging each location the *maximum* of its stage times.  That is exact
 for an ideally balanced pipeline but an approximation when stage times
 vary location to location (row starts, first fill).  This module runs
-the real thing: a discrete-event simulation where each location is a job
-flowing through
+the real thing over the same stage-time table
+(:func:`~repro.core.timing.stage_service_times`): each location is a
+job flowing through
 
     fetch -> convert -> compute -> digitize
 
@@ -17,8 +18,11 @@ a linear pipeline with unit buffers is
                        finish[s][i-1])      # server free
                    + service[s][i]
 
-and the layer time is the last job's exit from the last stage.  Tests
-verify the closed-form `timing.py` model brackets this exact result.
+and the layer time is the last job's exit from the last stage.  Each
+stage is one max-plus fold over the jobs
+(:func:`~repro.core.simkernel._maxplus_scan`, bit-identical to the
+scalar recurrence).  Tests verify the closed-form ``timing`` model
+brackets this exact result.
 """
 
 from __future__ import annotations
@@ -28,15 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import PCNNAConfig
-from repro.core.scheduler import LayerSchedule
+from repro.core.simkernel import _maxplus_scan
+from repro.core.timing import STAGE_NAMES, simulate_layer, stage_service_times
 from repro.nn.shapes import ConvLayerSpec
 
-STAGE_NAMES = ("fetch", "convert", "compute", "digitize")
+__bit_identity__ = True
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Discrete-event pipeline simulation outcome.
+    """Exact pipeline simulation outcome.
 
     Attributes:
         spec: the simulated layer.
@@ -62,46 +67,6 @@ class PipelineResult:
         return STAGE_NAMES[index]
 
 
-def stage_service_times(
-    spec: ConvLayerSpec,
-    config: PCNNAConfig | None = None,
-    include_adc: bool = True,
-) -> np.ndarray:
-    """Per-location service times for the four stages.
-
-    Returns:
-        Array of shape ``(4, Nlocs)`` in STAGE_NAMES order, using the
-        same component models as :mod:`repro.core.timing` (SRAM-aware
-        first-touch DRAM fetching, round-robin DAC/ADC scheduling).
-    """
-    cfg = config if config is not None else PCNNAConfig()
-    schedule = LayerSchedule(spec)
-    num_locations = schedule.num_locations
-    value_bytes = cfg.value_bytes
-
-    sram_fits = schedule.working_set_values() <= cfg.sram.capacity_words
-    first_touch = schedule.first_touch_counts()
-    new_counts = schedule.new_value_counts()
-    fetched = first_touch if sram_fits else new_counts
-
-    fetch = fetched.astype(float) * value_bytes / cfg.dram.bandwidth_bytes_per_s
-    per_dac = np.ceil(new_counts / cfg.num_input_dacs)
-    convert = per_dac / cfg.input_dac.sample_rate_hz
-    compute = np.full(num_locations, cfg.fast_clock_period_s)
-
-    if cfg.max_parallel_kernels is None:
-        kernels = spec.num_kernels
-    else:
-        kernels = min(spec.num_kernels, cfg.max_parallel_kernels)
-    if include_adc:
-        per_adc = -(-kernels // cfg.num_adcs)
-        digitize = np.full(num_locations, per_adc / cfg.adc.sample_rate_hz)
-    else:
-        digitize = np.zeros(num_locations)
-
-    return np.stack([fetch, convert, compute, digitize])
-
-
 # repro: allow[API002] closed-form cycle-level model: every input is a
 # layer spec and a config constant, nothing stochastic to seed
 def simulate_pipeline(
@@ -109,26 +74,24 @@ def simulate_pipeline(
     config: PCNNAConfig | None = None,
     include_adc: bool = True,
 ) -> PipelineResult:
-    """Run the exact discrete-event pipeline for one layer.
+    """Run the exact pipeline for one layer.
 
     Returns:
         The :class:`PipelineResult` with the true makespan.
     """
     service = stage_service_times(spec, config, include_adc)
-    num_stages, num_jobs = service.shape
-
-    finish = np.zeros((num_stages, num_jobs))
-    for job in range(num_jobs):
-        upstream_done = 0.0
-        for stage in range(num_stages):
-            server_free = finish[stage, job - 1] if job > 0 else 0.0
-            start = max(upstream_done, server_free)
-            finish[stage, job] = start + service[stage, job]
-            upstream_done = finish[stage, job]
-
-    makespan = float(finish[-1, -1])
-    busy = tuple(float(service[stage].sum()) for stage in range(num_stages))
-    return PipelineResult(spec=spec, makespan_s=makespan, stage_busy_s=busy)
+    finish = np.zeros(service.shape[1])
+    for stage_times in service:
+        finish = _maxplus_scan(finish, stage_times, 0.0)
+    busy = tuple(
+        # repro: allow[BIT001] a report of stage load, not a time any
+        # fold reads back; numpy's pairwise sum over one stage row
+        float(stage_times.sum())
+        for stage_times in service
+    )
+    return PipelineResult(
+        spec=spec, makespan_s=float(finish[-1]), stage_busy_s=busy
+    )
 
 
 def max_approximation_error(
@@ -142,8 +105,6 @@ def max_approximation_error(
     should: summing per-location maxima plus a fill bound is an upper
     bound on the true makespan).
     """
-    from repro.core.timing import simulate_layer
-
     exact = simulate_pipeline(spec, config, include_adc).makespan_s
     approx = simulate_layer(spec, config, include_adc).pipelined_time_s
     return (approx - exact) / exact

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.analytical import full_system_time_s
+from repro.core.analytical import full_system_time_s, kernels_per_pass
 from repro.core.config import PCNNAConfig
 from repro.core.scheduler import dram_traffic_bytes
 from repro.nn.shapes import ConvLayerSpec
@@ -107,10 +107,7 @@ def estimate_layer_power(
         The layer's :class:`PowerReport`.
     """
     cfg = config if config is not None else PCNNAConfig()
-    if cfg.max_parallel_kernels is None:
-        active_banks = spec.num_kernels
-    else:
-        active_banks = min(spec.num_kernels, cfg.max_parallel_kernels)
+    active_banks = kernels_per_pass(spec, cfg)
 
     num_channels = spec.n_kernel
     laser_w = num_channels * channel_optical_w / laser_wall_plug

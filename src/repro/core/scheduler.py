@@ -9,9 +9,14 @@ the paper uses to bound front-end bandwidth at ``nc * m * s`` values per
 step.
 
 :class:`LayerSchedule` walks the locations in raster order and reports,
-for every step, exactly which padded-input indices are newly required and
-which leave the working set.  The cycle-level timing simulator, the DRAM
-traffic accounting, and the SRAM working-set checks all consume this one
+for every step, how many padded-input values are newly required and how
+many leave the working set.  The counts are closed-form in the window
+geometry: consecutive windows start at ``(row * s, col * s)``, so two
+windows whose origins differ by ``(dy, dx)`` share
+``nc * max(m - |dy|, 0) * max(m - |dx|, 0)`` values, and a value's first
+window is the first row and the first column band that cover it.  The
+cycle-level timing model, the exact pipeline, the DRAM traffic
+accounting, and the SRAM working-set checks all consume this one
 schedule, so they cannot disagree about the dataflow.
 """
 
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,15 +62,26 @@ class LayerSchedule:
     Args:
         spec: layer geometry.
 
-    The schedule is computed lazily per step from the shared
-    :func:`~repro.nn.im2col.receptive_field_indices` map, so it is exact
-    for any stride/padding combination, including row wrap-around where
-    the paper's ``nc * m * s`` steady-state bound does not apply.
+    Every per-location count is closed-form in the window geometry, so
+    it is exact for any stride/padding combination, including row
+    wrap-around where the paper's ``nc * m * s`` steady-state bound does
+    not apply.  The padded-input indices of each receptive field come
+    from the shared :func:`~repro.nn.im2col.receptive_field_indices`
+    map, built on first use.
     """
 
     def __init__(self, spec: ConvLayerSpec) -> None:
         self.spec = spec
-        self._indices = receptive_field_indices(
+
+    @property
+    def num_locations(self) -> int:
+        """Total kernel locations (``Nlocs``)."""
+        return self.spec.n_locs
+
+    @cached_property
+    def _indices(self) -> np.ndarray:
+        spec = self.spec
+        return receptive_field_indices(
             height=spec.n,
             width=spec.n,
             channels=spec.nc,
@@ -72,16 +89,6 @@ class LayerSchedule:
             stride=spec.s,
             padding=spec.p,
         )
-        if self._indices.shape[0] != spec.n_locs:
-            raise AssertionError(
-                f"schedule disagrees with eq. 6: {self._indices.shape[0]} != "
-                f"{spec.n_locs}"
-            )
-
-    @property
-    def num_locations(self) -> int:
-        """Total kernel locations (``Nlocs``)."""
-        return self.spec.n_locs
 
     def indices_for(self, location: int) -> np.ndarray:
         """Padded-input flat indices of one location's receptive field.
@@ -98,26 +105,34 @@ class LayerSchedule:
     def steps(self) -> Iterator[LocationStep]:
         """Yield every location step with its new/retired value counts."""
         out_side = self.spec.output_side
-        previous: set[int] = set()
-        for location in range(self.num_locations):
-            current = set(self._indices[location].tolist())
-            new_values = len(current - previous)
-            retired = len(previous - current)
+        window = self.spec.n_kernel
+        for location, new_values in enumerate(self.new_value_counts().tolist()):
             row, col = divmod(location, out_side)
             yield LocationStep(
                 index=location,
                 row=row,
                 col=col,
                 new_values=new_values,
-                retired_values=retired,
-                working_set=len(current),
+                retired_values=new_values if location else 0,
+                working_set=window,
                 is_row_start=(col == 0),
             )
-            previous = current
 
     def new_value_counts(self) -> np.ndarray:
-        """Array of ``new_values`` per location (length ``Nlocs``)."""
-        return np.array([step.new_values for step in self.steps()], dtype=np.int64)
+        """Array of ``new_values`` per location (length ``Nlocs``).
+
+        The first location loads its whole window; every later one loads
+        the window less what it shares with the previous location (and
+        retires as many values as it loads).
+        """
+        spec = self.spec
+        rows, cols = np.divmod(np.arange(self.num_locations), spec.output_side)
+        dy = np.diff(rows) * spec.s
+        dx = np.abs(np.diff(cols)) * spec.s
+        shared = spec.nc * np.maximum(spec.m - dy, 0) * np.maximum(spec.m - dx, 0)
+        counts = np.full(self.num_locations, spec.n_kernel, dtype=np.int64)
+        counts[1:] -= shared
+        return counts
 
     def first_touch_counts(self) -> np.ndarray:
         """Per-location counts of values touched for the first time.
@@ -127,17 +142,20 @@ class LayerSchedule:
         when the SRAM cache can hold the live working set (the ``m``-row
         band of the padded input).  Subsequent appearances hit in SRAM.
 
+        A value's first window is the first row band and the first
+        column band that cover it: band 0 covers ``m`` new coordinates,
+        every later band ``min(m, s)``.
+
         Returns:
             Array of length ``Nlocs``; entry ``i`` is the number of
             padded-input values whose first window membership is at
             location ``i``.  Sums to the number of distinct values the
             layer ever touches.
         """
-        flat = self._indices.reshape(-1)
-        first_flat_positions = np.unique(flat, return_index=True)[1]
-        first_locations = first_flat_positions // self._indices.shape[1]
-        counts = np.bincount(first_locations, minlength=self.num_locations)
-        return counts.astype(np.int64)
+        spec = self.spec
+        per_band = np.full(spec.output_side, min(spec.m, spec.s), dtype=np.int64)
+        per_band[0] = spec.m
+        return spec.nc * np.outer(per_band, per_band).reshape(-1)
 
     def working_set_values(self) -> int:
         """Live SRAM working set: the ``m``-row band of the padded input.

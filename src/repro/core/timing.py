@@ -16,10 +16,14 @@ Per location the stages are:
 * **compute** — one optical MAC wave: a single fast-clock cycle;
 * **digitize** — the ADC array digitizes the K kernel outputs.
 
-Stages are double-buffered (the paper's buffers exist precisely to
-decouple them), so the steady-state per-location time is the *maximum*
-stage time and the layer time is ``sum(max per location) + pipeline
-fill``.  A non-pipelined mode (sum of all stages) is also reported.
+:func:`stage_service_times` is the one ``(4, Nlocs)`` table of those
+stage times; :func:`simulate_layer` and the exact pipeline of
+:mod:`repro.core.pipeline` are reductions over it.  Stages are
+double-buffered (the paper's buffers exist precisely to decouple them),
+so the steady-state per-location time is the *maximum* stage time and
+the layer time is ``sum(max per location) + pipeline fill``.  A
+non-pipelined mode (sum of all stages) is also reported.  Every total
+is a strict left fold over the locations in raster order.
 
 The simulator exists to validate the analytical model: tests assert the
 two agree within the fill/rounding slack, and the benchmarks report both.
@@ -27,16 +31,67 @@ two agree within the fill/rounding slack, and the benchmarks report both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.core.analytical import full_system_time_s, optical_core_time_s
+import numpy as np
+
+from repro.core.analytical import (
+    full_system_time_s,
+    kernel_passes,
+    kernels_per_pass,
+    optical_core_time_s,
+)
 from repro.core.config import PCNNAConfig
 from repro.core.scheduler import LayerSchedule
-from repro.electronics.adc import AdcArray
+from repro.core.simkernel import validate_count
 from repro.electronics.dac import DacArray
 from repro.electronics.dram import Dram
 from repro.nn.shapes import ConvLayerSpec
+
+__bit_identity__ = True
+
+STAGE_NAMES = ("fetch", "convert", "compute", "digitize")
+
+
+def _fetched_values(schedule: LayerSchedule, config: PCNNAConfig) -> np.ndarray:
+    """Values streamed from DRAM per location.
+
+    If the SRAM cache holds the live m-row working set, each input value
+    streams from DRAM only on its first window membership (row reuse);
+    otherwise every window entry re-fetches.
+    """
+    if schedule.working_set_values() <= config.sram.capacity_words:
+        return schedule.first_touch_counts()
+    return schedule.new_value_counts()
+
+
+def stage_service_times(
+    spec: ConvLayerSpec,
+    config: PCNNAConfig | None = None,
+    include_adc: bool = True,
+) -> np.ndarray:
+    """Per-location service times for the four stages.
+
+    Returns:
+        Array of shape ``(4, Nlocs)`` in STAGE_NAMES order, in the
+        component models' arithmetic: bytes / bandwidth for DRAM
+        streaming (bursts ride an open row, so only bandwidth is paid
+        per location) and ``ceil(n / units) * sample_period_s`` for the
+        round-robin DAC and ADC arrays.
+    """
+    cfg = config if config is not None else PCNNAConfig()
+    schedule = LayerSchedule(spec)
+    fetched = _fetched_values(schedule, cfg)
+    new_counts = schedule.new_value_counts()
+    fetch = fetched * cfg.value_bytes / cfg.dram.bandwidth_bytes_per_s
+    per_dac = -(-new_counts // cfg.num_input_dacs)
+    convert = per_dac * cfg.input_dac.sample_period_s
+    compute = np.full(spec.n_locs, cfg.fast_clock_period_s)
+    per_adc = -(-kernels_per_pass(spec, cfg) // cfg.num_adcs)
+    digitize = np.full(
+        spec.n_locs, per_adc * cfg.adc.sample_period_s if include_adc else 0.0
+    )
+    return np.stack([fetch, convert, compute, digitize])
 
 
 @dataclass(frozen=True)
@@ -122,110 +177,47 @@ def simulate_layer(
         The :class:`LayerTimingResult` for the layer.
     """
     cfg = config if config is not None else PCNNAConfig()
-    schedule = LayerSchedule(spec)
-    input_dacs = DacArray(cfg.num_input_dacs, cfg.input_dac)
-    weight_dacs = DacArray(cfg.num_weight_dacs, cfg.weight_dac)
-    adcs = AdcArray(cfg.num_adcs, cfg.adc)
-    dram = Dram(cfg.dram)
-
-    if cfg.max_parallel_kernels is None:
-        kernels_per_pass = spec.num_kernels
-    else:
-        kernels_per_pass = min(spec.num_kernels, cfg.max_parallel_kernels)
-    passes = math.ceil(spec.num_kernels / kernels_per_pass)
-
-    fast_period = cfg.fast_clock_period_s
-    value_bytes = cfg.value_bytes
-
-    fetch_total = 0.0
-    convert_total = 0.0
-    compute_total = 0.0
-    digitize_total = 0.0
-    pipelined_total = 0.0
-    dac_bound = 0
-    adc_bound = 0
-    max_stage_seen = 0.0
-
-    adc_time = adcs.schedule(kernels_per_pass).time_s if include_adc else 0.0
-
-    # DRAM fetch policy: if the SRAM cache holds the live m-row working
-    # set, each input value streams from DRAM only on its first window
-    # membership (row reuse); otherwise every window entry re-fetches.
-    sram_fits = schedule.working_set_values() <= cfg.sram.capacity_words
-    first_touch = schedule.first_touch_counts()
-
-    for step in schedule.steps():
-        fetched_values = (
-            int(first_touch[step.index]) if sram_fits else step.new_values
-        )
-        # Bursts ride an open row, so only bandwidth is paid per location.
-        fetch_time = dram.stream_read(fetched_values * value_bytes)
-        convert_time = input_dacs.schedule(step.new_values).time_s
-        compute_time = fast_period
-
-        stage_times = {
-            "fetch": fetch_time,
-            "convert": convert_time,
-            "compute": compute_time,
-            "digitize": adc_time,
-        }
-        fetch_total += fetch_time
-        convert_total += convert_time
-        compute_total += compute_time
-        digitize_total += adc_time
-
-        slowest = max(stage_times.values())
-        pipelined_total += slowest
-        max_stage_seen = max(max_stage_seen, slowest)
-        if slowest == convert_time and convert_time >= adc_time:
-            dac_bound += 1
-        elif slowest == adc_time:
-            adc_bound += 1
-        dram.stream_write(kernels_per_pass * value_bytes)
+    service = stage_service_times(spec, cfg, include_adc)
+    _, convert, _, digitize = service
+    passes = kernel_passes(spec, cfg)
 
     # Sequential kernel passes repeat the whole location walk.
-    fetch_total *= passes
-    convert_total *= passes
-    compute_total *= passes
-    digitize_total *= passes
-    pipelined_total *= passes
+    totals = [float(np.add.accumulate(row)[-1]) * passes for row in service]
+    stages = StageBreakdown(*totals)
+    bottleneck = STAGE_NAMES[int(np.argmax(totals))]
 
+    slowest = service.max(axis=0)
+    dac_bound = (slowest == convert) & (convert >= digitize)
+    adc_bound = ~dac_bound & (slowest == digitize)
     # Pipeline fill: the first location's fetch/convert cannot overlap
     # anything, so add one full serial traversal of the non-dominant
     # stages for the first location (bounded by 3 stage maxima).
-    pipeline_fill = 3 * max_stage_seen
-    pipelined_total += pipeline_fill
+    pipelined = float(np.add.accumulate(slowest)[-1]) * passes
+    pipelined += 3 * float(slowest.max())
 
-    stages = StageBreakdown(
-        fetch_s=fetch_total,
-        convert_s=convert_total,
-        compute_s=compute_total,
-        digitize_s=digitize_total,
-    )
-    stage_map = {
-        "fetch": fetch_total,
-        "convert": convert_total,
-        "compute": compute_total,
-        "digitize": digitize_total,
-    }
-    bottleneck = max(stage_map, key=stage_map.__getitem__)
-
-    # Weight load: DRAM read of all weights plus the weight-DAC pass.
+    # DRAM traffic of one location walk (the fetched inputs, then each
+    # location's outputs) plus one read of all weights, which then pass
+    # the weight DACs.
+    value_bytes = cfg.value_bytes
+    fetched = _fetched_values(LayerSchedule(spec), cfg)
+    # repro: allow[BIT001] integer count, exact in any order
+    input_bytes = int(fetched.sum()) * value_bytes
+    output_bytes = spec.n_locs * kernels_per_pass(spec, cfg) * value_bytes
     weight_bytes = spec.total_weights * value_bytes
-    weight_load = dram.read(weight_bytes) + weight_dacs.schedule(
-        spec.total_weights
-    ).time_s
+    weight_load = Dram(cfg.dram).transfer_time_s(weight_bytes) + DacArray(
+        cfg.num_weight_dacs, cfg.weight_dac
+    ).schedule(spec.total_weights).time_s
 
     return LayerTimingResult(
         spec=spec,
-        pipelined_time_s=pipelined_total,
+        pipelined_time_s=pipelined,
         serial_time_s=stages.serial_total_s,
         weight_load_time_s=weight_load,
         stages=stages,
         bottleneck=bottleneck,
-        dac_bound_locations=dac_bound * passes,
-        adc_bound_locations=adc_bound * passes,
-        dram_bytes=dram.stats.total_bytes,
+        dac_bound_locations=int(np.count_nonzero(dac_bound)) * passes,
+        adc_bound_locations=int(np.count_nonzero(adc_bound)) * passes,
+        dram_bytes=input_bytes + output_bytes + weight_bytes,
         analytical_optical_s=optical_core_time_s(spec, cfg),
         analytical_full_s=full_system_time_s(spec, cfg),
     )
@@ -288,10 +280,9 @@ def simulate_layer_batch(
     ``batch_size`` simulated pipelined location walks.
 
     Raises:
-        ValueError: if ``batch_size`` is not positive.
+        ValueError: if ``batch_size`` is not an integer >= 1.
     """
-    if batch_size <= 0:
-        raise ValueError(f"batch size must be positive, got {batch_size!r}")
+    validate_count(batch_size, "batch size")
     layer = simulate_layer(spec, config, include_adc)
     total = layer.weight_load_time_s + batch_size * layer.pipelined_time_s
     return BatchLayerTimingResult(

@@ -43,6 +43,8 @@ REQUIRED_BIT_IDENTITY = (
     "repro/core/accelerator.py",
     "repro/photonics/photodiode.py",
     "repro/photonics/broadcast_weight.py",
+    "repro/core/timing.py",
+    "repro/core/pipeline.py",
 )
 
 #: Order-sensitive fold entry points (``math.fsum`` is exempt: it is

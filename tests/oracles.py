@@ -34,10 +34,22 @@ plan check, ``cluster._verify_admission_plan``: one batch at a time, a
 monotone pointer over the judgment frontier.  The library computes the
 same frontier in closed form; the differential pins hold the two to
 the same verdict.
+
+The cycle-level model's oracles are the loops it replaced.
+:func:`schedule_walk` and :func:`first_touch_walk` walk the receptive
+fields of :func:`~repro.nn.im2col.receptive_field_indices` with sets
+and ``np.unique``; ``LayerSchedule`` computes the same counts in closed
+form.  :func:`simulate_layer_loop` walks those steps through the
+``Dram``, ``DacArray`` and ``AdcArray`` objects, one location at a
+time; ``timing.simulate_layer`` reduces the stage-time table instead.
+:func:`pipeline_des` is the job-by-stage double loop of the pipeline
+recurrence; ``pipeline.simulate_pipeline`` folds each stage with
+``simkernel._maxplus_scan``.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from unittest import mock
@@ -46,8 +58,16 @@ import numpy as np
 
 from repro.core import cluster
 from repro.core.accelerator import PhotonicConvolution
+from repro.core.analytical import full_system_time_s, optical_core_time_s
+from repro.core.config import PCNNAConfig
 from repro.core.faults import PoolHealth, RecalibrationRecord
+from repro.core.scheduler import LocationStep
 from repro.core.simkernel import plan_dispatch
+from repro.core.timing import LayerTimingResult, StageBreakdown
+from repro.electronics.adc import AdcArray
+from repro.electronics.dac import DacArray
+from repro.electronics.dram import Dram
+from repro.nn.im2col import receptive_field_indices
 
 
 def fresh_backlog(model) -> cluster._Backlog:
@@ -217,3 +237,133 @@ def verify_admission_walk(
         if dispatch != disp[k] or size != sizes[k]:
             return False
     return True
+
+
+def _field_indices(spec) -> np.ndarray:
+    """Padded-input flat indices of every receptive field of ``spec``."""
+    return receptive_field_indices(
+        height=spec.n,
+        width=spec.n,
+        channels=spec.nc,
+        kernel_size=spec.m,
+        stride=spec.s,
+        padding=spec.p,
+    )
+
+
+def schedule_walk(spec) -> Iterator[LocationStep]:
+    """``LayerSchedule.steps`` by set differences of consecutive
+    receptive fields."""
+    indices = _field_indices(spec)
+    out_side = spec.output_side
+    previous: set[int] = set()
+    for location in range(indices.shape[0]):
+        current = set(indices[location].tolist())
+        row, col = divmod(location, out_side)
+        yield LocationStep(
+            index=location,
+            row=row,
+            col=col,
+            new_values=len(current - previous),
+            retired_values=len(previous - current),
+            working_set=len(current),
+            is_row_start=(col == 0),
+        )
+        previous = current
+
+
+def first_touch_walk(spec) -> np.ndarray:
+    """``LayerSchedule.first_touch_counts`` from each value's first
+    position in the raster-order receptive fields."""
+    indices = _field_indices(spec)
+    first_flat_positions = np.unique(indices.reshape(-1), return_index=True)[1]
+    first_locations = first_flat_positions // indices.shape[1]
+    return np.bincount(first_locations, minlength=indices.shape[0])
+
+
+def simulate_layer_loop(spec, config=None, include_adc=True):
+    """``timing.simulate_layer``, one location at a time through the
+    DRAM, DAC and ADC component objects."""
+    cfg = config if config is not None else PCNNAConfig()
+    input_dacs = DacArray(cfg.num_input_dacs, cfg.input_dac)
+    weight_dacs = DacArray(cfg.num_weight_dacs, cfg.weight_dac)
+    adcs = AdcArray(cfg.num_adcs, cfg.adc)
+    dram = Dram(cfg.dram)
+
+    if cfg.max_parallel_kernels is None:
+        kernels_per_pass = spec.num_kernels
+    else:
+        kernels_per_pass = min(spec.num_kernels, cfg.max_parallel_kernels)
+    passes = math.ceil(spec.num_kernels / kernels_per_pass)
+    value_bytes = cfg.value_bytes
+
+    fetch_total = convert_total = compute_total = digitize_total = 0.0
+    pipelined_total = 0.0
+    dac_bound = adc_bound = 0
+    max_stage_seen = 0.0
+    adc_time = adcs.schedule(kernels_per_pass).time_s if include_adc else 0.0
+
+    working_set = spec.nc * spec.m * (spec.n + 2 * spec.p)
+    sram_fits = working_set <= cfg.sram.capacity_words
+    first_touch = first_touch_walk(spec)
+
+    for step in schedule_walk(spec):
+        fetched_values = (
+            int(first_touch[step.index]) if sram_fits else step.new_values
+        )
+        fetch_time = dram.stream_read(fetched_values * value_bytes)
+        convert_time = input_dacs.schedule(step.new_values).time_s
+        compute_time = cfg.fast_clock_period_s
+        fetch_total += fetch_time
+        convert_total += convert_time
+        compute_total += compute_time
+        digitize_total += adc_time
+
+        slowest = max(fetch_time, convert_time, compute_time, adc_time)
+        pipelined_total += slowest
+        max_stage_seen = max(max_stage_seen, slowest)
+        if slowest == convert_time and convert_time >= adc_time:
+            dac_bound += 1
+        elif slowest == adc_time:
+            adc_bound += 1
+        dram.stream_write(kernels_per_pass * value_bytes)
+
+    # Sequential kernel passes repeat the whole location walk.
+    stage_map = {
+        "fetch": fetch_total * passes,
+        "convert": convert_total * passes,
+        "compute": compute_total * passes,
+        "digitize": digitize_total * passes,
+    }
+    stages = StageBreakdown(*stage_map.values())
+    weight_load = dram.read(spec.total_weights * value_bytes) + (
+        weight_dacs.schedule(spec.total_weights).time_s
+    )
+    return LayerTimingResult(
+        spec=spec,
+        pipelined_time_s=pipelined_total * passes + 3 * max_stage_seen,
+        serial_time_s=stages.serial_total_s,
+        weight_load_time_s=weight_load,
+        stages=stages,
+        bottleneck=max(stage_map, key=stage_map.__getitem__),
+        dac_bound_locations=dac_bound * passes,
+        adc_bound_locations=adc_bound * passes,
+        dram_bytes=dram.stats.total_bytes,
+        analytical_optical_s=optical_core_time_s(spec, cfg),
+        analytical_full_s=full_system_time_s(spec, cfg),
+    )
+
+
+def pipeline_des(service: np.ndarray) -> float:
+    """Makespan of the unit-buffer pipeline over a ``(stages, jobs)``
+    service table, job by job and stage by stage."""
+    num_stages, num_jobs = service.shape
+    finish = np.zeros((num_stages, num_jobs))
+    for job in range(num_jobs):
+        upstream_done = 0.0
+        for stage in range(num_stages):
+            server_free = finish[stage, job - 1] if job > 0 else 0.0
+            start = max(upstream_done, server_free)
+            finish[stage, job] = start + service[stage, job]
+            upstream_done = finish[stage, job]
+    return float(finish[-1, -1])

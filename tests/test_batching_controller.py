@@ -5,9 +5,11 @@ import pytest
 from repro.core.batching import (
     layer_batch_time_s,
     network_batch_timing,
+    network_batch_timing_simulated,
     weight_stationary_crossover,
 )
 from repro.core.controller import LayerController, Phase
+from repro.core.timing import simulate_layer_batch
 from repro.nn.shapes import ConvLayerSpec
 from repro.workloads import alexnet_conv_specs, alexnet_layer
 
@@ -27,6 +29,28 @@ class TestBatching:
             layer_batch_time_s(alexnet_layer("conv1"), 0)
         with pytest.raises(ValueError):
             network_batch_timing(alexnet_conv_specs(), -1)
+
+    @pytest.mark.parametrize(
+        "batch_time",
+        [
+            lambda b: layer_batch_time_s(alexnet_layer("conv5"), b),
+            lambda b: network_batch_timing(alexnet_conv_specs(), b),
+            lambda b: network_batch_timing_simulated(alexnet_conv_specs(), b),
+            lambda b: simulate_layer_batch(alexnet_layer("conv5"), b),
+        ],
+        ids=[
+            "layer_batch_time_s",
+            "network_batch_timing",
+            "network_batch_timing_simulated",
+            "simulate_layer_batch",
+        ],
+    )
+    @pytest.mark.parametrize("batch_size", [True, 2.5, float("nan"), 0])
+    def test_rejects_non_count_batch(self, batch_time, batch_size):
+        # A bool, a float, or nan is not a batch size; nan once slipped
+        # through a bare `<= 0` check and returned a nan total.
+        with pytest.raises(ValueError, match="batch size"):
+            batch_time(batch_size)
 
     def test_throughput_improves_with_batch(self):
         specs = alexnet_conv_specs()

@@ -1,7 +1,12 @@
 """Tests for the discrete-event pipeline simulator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import pipeline_des
 
 from repro.core.config import PCNNAConfig, paper_assumptions
 from repro.core.pipeline import (
@@ -11,7 +16,11 @@ from repro.core.pipeline import (
     stage_service_times,
 )
 from repro.nn.shapes import ConvLayerSpec
-from repro.workloads import alexnet_conv_specs, alexnet_layer
+from repro.workloads import (
+    alexnet_conv_specs,
+    alexnet_layer,
+    lenet5_conv_specs,
+)
 
 
 class TestServiceTimes:
@@ -74,6 +83,51 @@ class TestPipelineSimulation:
         result = simulate_pipeline(spec, paper_assumptions())
         # One job: makespan is the serial traversal.
         assert result.makespan_s == pytest.approx(sum(result.stage_busy_s))
+
+
+class TestDesOraclePin:
+    """Folding each stage with ``_maxplus_scan`` reproduces the
+    job-by-stage recurrence (``oracles.pipeline_des``) over the same
+    stage-time table, byte for byte."""
+
+    @pytest.mark.parametrize("include_adc", [True, False])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PCNNAConfig(),
+            paper_assumptions(),
+            PCNNAConfig(max_parallel_kernels=64),
+            PCNNAConfig(num_adcs=1),
+        ],
+        ids=["default", "paper", "banks64", "adc1"],
+    )
+    def test_makespan_equals_double_loop(self, config, include_adc):
+        for spec in lenet5_conv_specs() + alexnet_conv_specs():
+            service = stage_service_times(spec, config, include_adc)
+            result = simulate_pipeline(spec, config, include_adc)
+            assert result.makespan_s == pipeline_des(service), spec.name
+            assert result.stage_busy_s == tuple(
+                float(row.sum()) for row in service
+            )
+
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        m=st.integers(min_value=1, max_value=5),
+        nc=st.integers(min_value=1, max_value=4),
+        s=st.integers(min_value=1, max_value=6),
+        p=st.integers(min_value=0, max_value=2),
+        kernels=st.integers(min_value=1, max_value=40),
+        dacs=st.integers(min_value=1, max_value=8),
+        adcs=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_layers(self, n, m, nc, s, p, kernels, dacs, adcs):
+        assume(m <= n + 2 * p)
+        spec = ConvLayerSpec("t", n=n, m=m, nc=nc, num_kernels=kernels, s=s, p=p)
+        config = replace(paper_assumptions(), num_input_dacs=dacs, num_adcs=adcs)
+        assert simulate_pipeline(spec, config).makespan_s == pipeline_des(
+            stage_service_times(spec, config)
+        )
 
 
 class TestClosedFormBracket:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import first_touch_walk, schedule_walk
 
 from repro.core.scheduler import LayerSchedule, dram_traffic_bytes
 from repro.nn.shapes import ConvLayerSpec
@@ -43,6 +44,39 @@ class TestScheduleStructure:
             schedule.indices_for(spec.n_locs)
         with pytest.raises(IndexError):
             schedule.indices_for(-1)
+
+
+class TestClosedFormSchedule:
+    """The closed-form counts equal the set walk over the receptive
+    fields, step for step."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=9),
+        m=st.integers(min_value=1, max_value=5),
+        nc=st.integers(min_value=1, max_value=3),
+        s=st.integers(min_value=1, max_value=6),
+        p=st.integers(min_value=0, max_value=2),
+    )
+    @example(n=9, m=2, nc=2, s=5, p=0)  # stride > kernel
+    @example(n=7, m=3, nc=3, s=2, p=2)  # padding, row wrap-around
+    @example(n=3, m=3, nc=2, s=1, p=0)  # one location
+    @example(n=1, m=3, nc=1, s=4, p=1)  # one location, all padding
+    @settings(max_examples=150, deadline=None)
+    def test_steps_and_first_touch_match_the_walk(self, n, m, nc, s, p):
+        assume(m <= n + 2 * p)
+        spec = ConvLayerSpec("t", n=n, m=m, nc=nc, num_kernels=1, s=s, p=p)
+        schedule = LayerSchedule(spec)
+        walked = list(schedule_walk(spec))
+        assert list(schedule.steps()) == walked
+        assert schedule.new_value_counts().tolist() == [
+            step.new_values for step in walked
+        ]
+        assert schedule.total_values_loaded() == sum(
+            step.new_values for step in walked
+        )
+        assert schedule.first_touch_counts().tolist() == (
+            first_touch_walk(spec).tolist()
+        )
 
 
 class TestSteadyStateBound:

@@ -1,12 +1,95 @@
 """Tests for the cycle-level timing simulator and its agreement with the
 paper's analytical model."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import simulate_layer_loop
 
 from repro.core.config import PCNNAConfig, paper_assumptions
 from repro.core.timing import simulate_layer, simulate_network
+from repro.electronics.sram import SramSpec
 from repro.nn.shapes import ConvLayerSpec
-from repro.workloads import alexnet_conv_specs, alexnet_layer
+from repro.workloads import (
+    alexnet_conv_specs,
+    alexnet_layer,
+    lenet5_conv_specs,
+)
+
+PIN_CONFIGS = {
+    "default": PCNNAConfig(),
+    "paper": paper_assumptions(),
+    "banks64": PCNNAConfig(max_parallel_kernels=64),
+    "adc1": PCNNAConfig(num_adcs=1),
+}
+
+
+def _exact_fields(result) -> dict:
+    """Every field of a timing result with its type and round-trip repr
+    (equal reprs of floats are equal bits)."""
+    return {name: (type(v), repr(v)) for name, v in vars(result).items()}
+
+
+class TestLoopOraclePin:
+    """The table reductions reproduce the per-location component loop
+    (``oracles.simulate_layer_loop``) in every field, byte for byte."""
+
+    @pytest.mark.parametrize("include_adc", [True, False])
+    @pytest.mark.parametrize("config_name", sorted(PIN_CONFIGS))
+    def test_lenet5_and_alexnet(self, config_name, include_adc):
+        config = PIN_CONFIGS[config_name]
+        for spec in lenet5_conv_specs() + alexnet_conv_specs():
+            assert _exact_fields(
+                simulate_layer(spec, config, include_adc)
+            ) == _exact_fields(
+                simulate_layer_loop(spec, config, include_adc)
+            ), spec.name
+
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        m=st.integers(min_value=1, max_value=5),
+        nc=st.integers(min_value=1, max_value=4),
+        s=st.integers(min_value=1, max_value=4),
+        p=st.integers(min_value=0, max_value=2),
+        kernels=st.integers(min_value=1, max_value=40),
+        banks=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
+        dacs=st.integers(min_value=1, max_value=8),
+        adcs=st.integers(min_value=1, max_value=8),
+        sram_slack=st.sampled_from([-1, 0, 1]),
+        adc_at_dac_rate=st.booleans(),
+        include_adc=st.booleans(),
+    )
+    @example(  # convert and digitize tie mid-row: 2 conversions each
+        n=4, m=2, nc=1, s=1, p=0, kernels=2, banks=None, dacs=1, adcs=1,
+        sram_slack=0, adc_at_dac_rate=True, include_adc=True,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_layers_and_configs(
+        self, n, m, nc, s, p, kernels, banks, dacs, adcs, sram_slack,
+        adc_at_dac_rate, include_adc,
+    ):
+        if m > n + 2 * p:
+            return
+        spec = ConvLayerSpec("t", n=n, m=m, nc=nc, num_kernels=kernels, s=s, p=p)
+        base = paper_assumptions()
+        # The SRAM holds the live band, exactly, or one word short; an
+        # ADC at the DAC's rate ties the convert and digitize stages.
+        band_words = nc * m * (n + 2 * p)
+        config = replace(
+            base,
+            max_parallel_kernels=banks,
+            num_input_dacs=dacs,
+            num_adcs=adcs,
+            sram=SramSpec(capacity_bits=16 * max(band_words + sram_slack, 1)),
+            adc=replace(base.adc, sample_rate_hz=base.input_dac.sample_rate_hz)
+            if adc_at_dac_rate
+            else base.adc,
+        )
+        assert _exact_fields(
+            simulate_layer(spec, config, include_adc)
+        ) == _exact_fields(simulate_layer_loop(spec, config, include_adc))
 
 
 class TestAgreementWithAnalyticalModel:
